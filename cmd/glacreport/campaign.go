@@ -72,9 +72,9 @@ type campaignManifestItem struct {
 // merge wire format). Both write manifest.json.
 //
 // With remote workers the grids execute on the distrib pool instead of
-// in-process, and with remote or resume the run checkpoints each chunk of
-// cells under dir/parts so an interrupted campaign restarts from where it
-// stopped (-resume). Whatever the path — local, remote, sharded+merged,
+// in-process, and with remote or resume the run checkpoints every finished
+// cell in a result cache under dir/parts so an interrupted campaign
+// restarts from where it stopped (-resume). Whatever the path — local, remote, sharded+merged,
 // interrupted+resumed — the final artifacts are byte-identical, because
 // everything refolds through the same reducer.
 func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM int,
@@ -134,8 +134,7 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 		return err
 	}
 	// The campaign is complete and its final artifacts are on disk; the
-	// chunk checkpoints have graduated and must not be trusted by a later
-	// -resume against a different grid.
+	// checkpoints have graduated.
 	if checkpointed {
 		if err := distrib.RemoveParts(dir); err != nil {
 			return fmt.Errorf("remove checkpoints: %w", err)

@@ -78,8 +78,14 @@ func TestCampaignWarmCacheIsByteIdenticalAndSimulatesNothing(t *testing.T) {
 	if err := runCampaign(cold, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCampaign(warm, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), ""); err != nil {
+	// The warm run records each simulated cell's event log, so the log
+	// files count the cells it simulated.
+	recordDir := t.TempDir()
+	if err := runCampaign(warm, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), recordDir); err != nil {
 		t.Fatal(err)
+	}
+	if logs, err := filepath.Glob(filepath.Join(recordDir, "*", "cell-*.evlog")); err != nil || len(logs) != 0 {
+		t.Fatalf("warm campaign simulated %d cells (%v), want 0", len(logs), err)
 	}
 	assertDirsIdenticalExceptManifest(t, uncached, cold)
 	assertDirsIdenticalExceptManifest(t, uncached, warm)

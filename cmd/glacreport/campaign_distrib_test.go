@@ -142,7 +142,7 @@ func TestCampaignRemoteResumeAfterInterruptionByteIdentical(t *testing.T) {
 	if err := runCampaign(dir, 42, 2, 3, 0, 0, 1, false, dying, false, nil, ""); err == nil {
 		t.Fatal("campaign on a dying pool reported success")
 	}
-	parts, err := filepath.Glob(filepath.Join(dir, distrib.PartsDirName, "*.json"))
+	parts, err := filepath.Glob(filepath.Join(dir, distrib.PartsDirName, "*", "v*", "*", "*.cell"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func main() {
 		shard     = flag.String("shard", "", "campaign: run only shard i/m of every experiment grid and write partial artifacts")
 		mergeFlag = flag.Bool("merge", false, "campaign: merge shard artifact directories (the positional arguments) into full artifacts")
 		remote    = flag.String("remote", "", "campaign: comma-separated glacsim -worker addresses to execute the grids on")
-		resume    = flag.Bool("resume", false, "campaign: skip cells already checkpointed under -dir/parts and run only the missing slice")
+		resume    = flag.Bool("resume", false, "campaign: serve cells already cached under -dir/parts by an interrupted run and run only the rest")
 		cacheDir  = flag.String("cache", "", "campaign: result cache directory (default $"+cliutil.CacheEnv+"): serve already-simulated cells from disk")
 		noCache   = flag.Bool("no-cache", false, "campaign: ignore $"+cliutil.CacheEnv+" and simulate every cell")
 		cacheMB   = flag.Int("cache-max-mb", 0, "campaign: result cache size bound in MiB, LRU-evicted (0 = unbounded)")

@@ -4,16 +4,17 @@
 //   - A Worker is an HTTP daemon (glacsim -worker) that accepts shard
 //     requests — a declarative grid spec, the plan fingerprint and the
 //     global indices of the cells to run — executes them with
-//     sweep.RunIndices, and streams the partial summary back as the
+//     sweep.RunPlanned, and streams the partial summary back as the
 //     WriteJSON wire document. /healthz reports liveness and load, and
 //     concurrent shards are bounded.
 //   - RemoteRunner implements sweep.Runner by fanning planned cells out
 //     across a pool of workers, verifying every returned fingerprint, and
 //     retrying/requeueing shards from dead or erroring workers under a
 //     per-shard attempt cap.
-//   - RunResumable chunks a grid through any Runner and checkpoints each
-//     chunk's partial summary to disk, so an interrupted campaign resumes
-//     by re-planning only the missing slice.
+//   - RunResumable runs a grid through any Runner in chunks and
+//     checkpoints every finished cell in a per-campaign result cache
+//     (internal/rescache), so an interrupted campaign resumes by running
+//     only the cells that are not stored yet.
 //
 // Behavioural hooks (Grid.Drive/Observe/Collect, Override.Apply) are
 // functions and cannot cross the wire — exactly the caveat sweep.Fingerprint

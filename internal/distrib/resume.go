@@ -1,18 +1,18 @@
-// Resumable campaigns: RunResumable cuts a grid into chunks, runs each
-// chunk through any sweep.Runner (local pool or RemoteRunner), and
-// checkpoints every finished chunk as a partial-summary JSON file. An
+// Resumable campaigns: RunResumable runs a grid through any sweep.Runner
+// (local pool or RemoteRunner) in chunks, checkpointing every finished
+// cell in a result cache (internal/rescache) private to the campaign. An
 // interrupted run leaves its finished chunks on disk; the next run with
-// resume set re-plans only the missing slice. Because the final summary is
-// MergeSummaries over the parts, a resumed campaign's artifacts are
-// byte-identical to an uninterrupted one.
+// resume set serves those cells from the store and runs only the rest.
+// Because the final summary is one Reduce over every cell, a resumed
+// campaign's artifacts are byte-identical to an uninterrupted one.
 package distrib
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
+	"repro/internal/rescache"
 	"repro/internal/sweep"
 )
 
@@ -21,15 +21,14 @@ import (
 // written its final artifacts.
 const PartsDirName = "parts"
 
-// RunResumable executes a grid with chunked checkpointing. Each chunk of
-// the plan runs through r and lands in dir/parts/<id>.part-NNNNNN.json
-// (written atomically: temp file, then rename); with resume set, parts
-// already on disk are validated against the plan fingerprint and their
-// cells are skipped. A part that no longer decodes is quarantined (renamed
-// to *.corrupt, out of the checkpoint glob) and its cells re-run; a part
-// from a different plan still aborts, because that is operator error, not
-// damage. chunk <= 0 selects 8 cells per chunk. The returned summary is
-// complete and carries the plan's fingerprint.
+// RunResumable executes a grid with chunked checkpointing. Each finished
+// cell is stored in the result cache rooted at dir/parts/<id>, keyed by
+// the plan fingerprint; with resume set, the cells already stored are
+// served from it and only the rest run through r, chunk cells at a time
+// (chunk <= 0 selects 8). Without resume the store is cleared first. A
+// damaged entry, or one from a different plan, is never served: it costs
+// a re-run of its cell, not the campaign. The returned summary is complete
+// and carries the plan's fingerprint.
 func RunResumable(g sweep.Grid, id, dir string, r sweep.Runner, chunk int, resume bool, logf func(format string, a ...any)) (*sweep.Summary, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -39,138 +38,37 @@ func RunResumable(g sweep.Grid, id, dir string, r sweep.Runner, chunk int, resum
 		return nil, err
 	}
 	fp := sweep.Fingerprint(g, plan)
-	partsDir := filepath.Join(dir, PartsDirName)
-
-	var parts []*sweep.Summary
-	covered := make(map[int]bool, len(plan))
-	matches, err := filepath.Glob(filepath.Join(partsDir, id+".part-*.json"))
-	if err != nil {
-		return nil, fmt.Errorf("distrib: scan %s: %w", partsDir, err)
-	}
-	sort.Strings(matches)
+	store := filepath.Join(dir, PartsDirName, id)
 	if !resume {
-		// A fresh run must clear this experiment's stale checkpoints: a
-		// new run chunked differently would otherwise leave a mix of old
-		// and new parts that a later -resume rejects as overlapping.
-		for _, path := range matches {
-			if err := os.Remove(path); err != nil {
-				return nil, fmt.Errorf("distrib: clear stale checkpoint: %w", err)
-			}
-		}
-	} else {
-		for _, path := range matches {
-			part, err := sweep.ReadSummaryFile(path)
-			if err != nil {
-				// A checkpoint that no longer decodes — truncated by a
-				// crash writePart's rename discipline didn't cover (an
-				// older binary, a copy), or hand-mangled — costs only its
-				// own cells: quarantine it (the .corrupt suffix takes it
-				// out of the parts glob, preserving the evidence) and let
-				// the missing-cell scan re-plan its slice, rather than
-				// aborting the whole resumed campaign.
-				if qerr := os.Rename(path, path+".corrupt"); qerr != nil {
-					return nil, fmt.Errorf("distrib: resume: %w; quarantining the corrupt checkpoint also failed: %v", err, qerr)
-				}
-				logf("distrib: %s: checkpoint %s is corrupt (%v) — quarantined as %s.corrupt, its cells will re-run",
-					id, filepath.Base(path), err, filepath.Base(path))
-				continue
-			}
-			if part.Fingerprint != fp || part.TotalCells != len(plan) {
-				return nil, fmt.Errorf("distrib: resume: %s was checkpointed from a different plan (fingerprint %s over %d cells, want %s over %d) — delete %s to start this campaign over",
-					path, part.Fingerprint, part.TotalCells, fp, len(plan), partsDir)
-			}
-			for _, cr := range part.Cells {
-				if covered[cr.Cell.Index] {
-					return nil, fmt.Errorf("distrib: resume: cell %d appears in two checkpoints under %s — delete the directory to start over",
-						cr.Cell.Index, partsDir)
-				}
-				covered[cr.Cell.Index] = true
-			}
-			parts = append(parts, part)
-		}
-		if len(parts) > 0 {
-			logf("distrib: %s: resuming — %d of %d cells already checkpointed in %d parts",
-				id, len(covered), len(plan), len(parts))
+		if err := os.RemoveAll(store); err != nil {
+			return nil, fmt.Errorf("distrib: clear stale checkpoints: %w", err)
 		}
 	}
-
-	var missing []int
-	for i := range plan {
-		if !covered[i] {
-			missing = append(missing, i)
-		}
+	cache, err := rescache.Open(store, rescache.Options{Logf: logf})
+	if err != nil {
+		return nil, fmt.Errorf("distrib: %s: %w", id, err)
 	}
 	if chunk <= 0 {
 		chunk = 8
 	}
-	for start := 0; start < len(missing); start += chunk {
-		end := start + chunk
-		if end > len(missing) {
-			end = len(missing)
+	results, err := sweep.RunCached(g, r, cache, fp, len(plan), plan, chunk, func(done, misses int) {
+		if done == 0 && misses < len(plan) {
+			logf("distrib: %s: resuming — %d of %d cells already checkpointed", id, len(plan)-misses, len(plan))
+		} else if done > 0 {
+			logf("distrib: %s: ran %d of %d missing cells", id, done, misses)
 		}
-		indices := missing[start:end]
-		cells, err := sweep.CellsAt(plan, indices)
-		if err != nil {
-			return nil, err
-		}
-		// RunPlanned hands the plan identity to the runner: the chunk
-		// loop must not make a networked runner re-enumerate and re-hash
-		// the cross-product per chunk (quadratic in plan size).
-		part, err := sweep.RunPlanned(g, r, fp, len(plan), cells)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: %s: cells %v: %w", id, indices, err)
-		}
-		if err := writePart(partsDir, fmt.Sprintf("%s.part-%06d.json", id, indices[0]), part); err != nil {
-			return nil, fmt.Errorf("distrib: %s: %w", id, err)
-		}
-		parts = append(parts, part)
-		logf("distrib: %s: checkpointed cells %v (%d of %d done)", id, indices, end, len(missing))
-	}
-	sum, err := sweep.MergeSummaries(parts...)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("distrib: %s: recombining checkpoints: %w", id, err)
+		return nil, fmt.Errorf("distrib: %s: %w", id, err)
 	}
+	sum := sweep.Reduce(results)
+	sum.Fingerprint, sum.TotalCells = fp, len(plan)
 	return sum, nil
 }
 
 // RemoveParts deletes the checkpoint directory under dir — call it once
-// the final artifacts are safely written, so a later -resume does not trust
-// checkpoints that already graduated.
+// the final artifacts are safely written and the checkpoints have
+// graduated.
 func RemoveParts(dir string) error {
 	return os.RemoveAll(filepath.Join(dir, PartsDirName))
-}
-
-// writePart writes one checkpoint atomically: a temp file in the same
-// directory, synced content, then rename — a crash mid-write leaves a
-// .tmp file resume ignores, never a truncated .json it would trust.
-func writePart(dir, name string, part *sweep.Summary) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if err := part.WriteJSON(tmp); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	// Flush the data blocks before the rename commits the name: a power
-	// loss must leave either no checkpoint or a whole one, never a named
-	// file with truncated content that -resume would have to reject.
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

@@ -145,34 +145,9 @@ func (w *Worker) serveShard(rw http.ResponseWriter, r *http.Request) {
 			http.StatusServiceUnavailable)
 		return
 	}
-	defer w.release()
-
-	g, err := req.BuildGrid()
+	sum, status, err := w.runShard(req)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	plan, fp, err := w.planFor(req, g)
-	if err != nil {
-		http.Error(rw, fmt.Sprintf("plan: %v", err), http.StatusBadRequest)
-		return
-	}
-	// The provenance gate: a worker whose scenario registry, hook set or
-	// binary drifted from the coordinator's enumerates a different plan —
-	// refuse loudly rather than compute cells from the wrong grid.
-	if fp != req.Fingerprint || len(plan) != req.TotalCells {
-		http.Error(rw, fmt.Sprintf("plan mismatch: this worker computes fingerprint %s over %d cells, request carries %s over %d (grid or binary drift)",
-			fp, len(plan), req.Fingerprint, req.TotalCells), http.StatusConflict)
-		return
-	}
-	cells, err := sweep.CellsAt(plan, req.Indices)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sum, err := sweep.RunPlanned(g, sweep.LocalRunner{Workers: w.CellWorkers, Cache: w.Cache}, fp, len(plan), cells)
-	if err != nil {
-		http.Error(rw, fmt.Sprintf("run: %v", err), http.StatusInternalServerError)
+		http.Error(rw, err.Error(), status)
 		return
 	}
 	rw.Header().Set("Content-Type", "application/json")
@@ -183,6 +158,39 @@ func (w *Worker) serveShard(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.logf("distrib worker: served %d cells of plan %s", len(req.Indices), req.Fingerprint)
+}
+
+// runShard plans, verifies and executes one decoded shard request; on
+// failure it also returns the HTTP status that describes it. It releases
+// the caller's shard slot before the reply goes out: a coordinator that
+// has read one reply may send its next shard at once, and must not find
+// the finished one still counted in flight.
+func (w *Worker) runShard(req ShardRequest) (*sweep.Summary, int, error) {
+	defer w.release()
+	g, err := req.BuildGrid()
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	plan, fp, err := w.planFor(req, g)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("plan: %v", err)
+	}
+	// The provenance gate: a worker whose scenario registry, hook set or
+	// binary drifted from the coordinator's enumerates a different plan —
+	// refuse loudly rather than compute cells from the wrong grid.
+	if fp != req.Fingerprint || len(plan) != req.TotalCells {
+		return nil, http.StatusConflict, fmt.Errorf("plan mismatch: this worker computes fingerprint %s over %d cells, request carries %s over %d (grid or binary drift)",
+			fp, len(plan), req.Fingerprint, req.TotalCells)
+	}
+	cells, err := sweep.CellsAt(plan, req.Indices)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	sum, err := sweep.RunPlanned(g, sweep.LocalRunner{Workers: w.CellWorkers, Cache: w.Cache}, fp, len(plan), cells)
+	if err != nil {
+		return nil, http.StatusInternalServerError, fmt.Errorf("run: %v", err)
+	}
+	return sum, http.StatusOK, nil
 }
 
 // planFor enumerates and fingerprints the request's plan, through a

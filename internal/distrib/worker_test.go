@@ -120,6 +120,46 @@ func TestWorkerServesShard(t *testing.T) {
 	}
 }
 
+// slotProbe is a ResponseWriter that records the worker's in-flight shard
+// count each time the reply body is written.
+type slotProbe struct {
+	*httptest.ResponseRecorder
+	w      *Worker
+	active []int
+}
+
+func (p *slotProbe) Write(b []byte) (int, error) {
+	p.w.mu.Lock()
+	p.active = append(p.active, p.w.active)
+	p.w.mu.Unlock()
+	return p.ResponseRecorder.Write(b)
+}
+
+// A coordinator may send its next shard as soon as it has read a reply, so
+// the worker frees the shard's slot before the reply goes out; otherwise a
+// worker at MaxShards 1 answers that next shard 503.
+func TestWorkerFreesSlotBeforeReplying(t *testing.T) {
+	w := &Worker{MaxShards: 1}
+	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{5}, Days: 1}
+	body, err := json.Marshal(shardRequest(t, g, "", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &slotProbe{ResponseRecorder: httptest.NewRecorder(), w: w}
+	w.ServeHTTP(probe, httptest.NewRequest(http.MethodPost, "/shard", bytes.NewReader(body)))
+	if probe.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", probe.Code, probe.Body)
+	}
+	if len(probe.active) == 0 {
+		t.Fatal("worker wrote no reply")
+	}
+	for _, n := range probe.active {
+		if n != 0 {
+			t.Fatalf("reply written with %d shard(s) still counted in flight", n)
+		}
+	}
+}
+
 func TestWorkerHealthz(t *testing.T) {
 	srv := httptest.NewServer(&Worker{MaxShards: 5})
 	defer srv.Close()

@@ -5,11 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/deploy"
 	"repro/internal/sweep"
-
-	_ "repro/internal/campaign" // register campaign scenarios/hooks like the CLIs do
 )
 
 // testGrid is a small real grid: 2 seeds x 1 scenario, short horizon.
@@ -22,7 +22,21 @@ func testGrid() sweep.Grid {
 // artifact identity the cache must preserve.
 func runWith(t *testing.T, c sweep.ResultCache) []byte {
 	t.Helper()
-	sum, err := sweep.RunShardWith(testGrid(), sweep.LocalRunner{Workers: 2, Cache: c}, 0, 1)
+	artifact, _ := runCounted(t, c)
+	return artifact
+}
+
+// runCounted is runWith that also reports how many cells were simulated,
+// counted by a Grid.Record hook that sees every built deployment.
+func runCounted(t *testing.T, c sweep.ResultCache) ([]byte, int64) {
+	t.Helper()
+	var simulated atomic.Int64
+	g := testGrid()
+	g.Record = func(sweep.Cell, *deploy.Deployment) (func() error, error) {
+		simulated.Add(1)
+		return nil, nil
+	}
+	sum, err := sweep.RunShardWith(g, sweep.LocalRunner{Workers: 2, Cache: c}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +44,7 @@ func runWith(t *testing.T, c sweep.ResultCache) []byte {
 	if err := sum.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), simulated.Load()
 }
 
 func openCache(t *testing.T, dir string, opts Options) *DiskCache {
@@ -66,7 +80,7 @@ func TestWarmRunIsByteIdenticalAndSimulatesNothing(t *testing.T) {
 		t.Fatalf("cold stats = %+v, want 0 hits, 2 misses, 2 stores", st)
 	}
 
-	warm := runWith(t, c)
+	warm, simulated := runCounted(t, c)
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("warm run's artifact differs from the cold run's")
 	}
@@ -74,6 +88,9 @@ func TestWarmRunIsByteIdenticalAndSimulatesNothing(t *testing.T) {
 	// 2 more Gets, all hits: the warm run simulated zero cells.
 	if st.Hits != 2 || st.Misses != 2 || st.Stores != 2 {
 		t.Fatalf("warm stats = %+v, want 2 hits and no new misses/stores", st)
+	}
+	if simulated != 0 {
+		t.Fatalf("warm run simulated %d cells, want 0", simulated)
 	}
 }
 

@@ -310,46 +310,3 @@ func TestCellsAt(t *testing.T) {
 		t.Error("duplicate index accepted")
 	}
 }
-
-// RunIndices of complementary slices must merge back into the
-// single-process summary byte for byte — the resume path's core property.
-func TestRunIndicesMergesByteIdentical(t *testing.T) {
-	g := mergeGrid()
-	plan, err := Plan(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := RunIndices(g, []int{0, 2, 4, 6, 8, 10}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Complete() {
-		t.Fatal("half the plan reported complete")
-	}
-	var rest []int
-	for i := 1; i < len(plan); i += 2 {
-		rest = append(rest, i)
-	}
-	second, err := RunIndices(g, rest, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeSummaries(first, second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := Run(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mergedJSON, singleJSON bytes.Buffer
-	if err := merged.WriteJSON(&mergedJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := single.WriteJSON(&singleJSON); err != nil {
-		t.Fatal(err)
-	}
-	if merged.String() != single.String() || !bytes.Equal(mergedJSON.Bytes(), singleJSON.Bytes()) {
-		t.Error("RunIndices halves did not merge byte-identical to the single-process run")
-	}
-}

@@ -58,9 +58,7 @@ type LocalRunner struct {
 // configuration fails to build.
 func (r LocalRunner) Run(g Grid, cells []Cell) ([]CellResult, error) {
 	if r.Cache == nil {
-		results := make([]CellResult, len(cells))
-		r.runPool(g, cells, results, nil)
-		return results, nil
+		return r.runPool(g, cells), nil
 	}
 	plan, err := Plan(g)
 	if err != nil {
@@ -71,52 +69,32 @@ func (r LocalRunner) Run(g Grid, cells []Cell) ([]CellResult, error) {
 
 // RunPlanned implements PlannedRunner: with a cache, the handed-over plan
 // fingerprint keys the lookups, so cached campaigns do not re-enumerate
-// the cross-product per chunk; without one it is exactly Run.
+// the cross-product per chunk; without one it is exactly Run. The cached
+// case is RunCached's one-chunk case, over the same pool without a cache.
 func (r LocalRunner) RunPlanned(g Grid, fingerprint string, totalCells int, cells []Cell) ([]CellResult, error) {
-	results := make([]CellResult, len(cells))
 	if r.Cache == nil {
-		r.runPool(g, cells, results, nil)
-		return results, nil
+		return r.runPool(g, cells), nil
 	}
-	var misses []int
-	for i, c := range cells {
-		if cr, ok := r.Cache.Get(fingerprint, c); ok {
-			results[i] = cr
-		} else {
-			misses = append(misses, i)
-		}
-	}
-	r.runPool(g, cells, results, misses)
-	for _, i := range misses {
-		if results[i].Err == "" {
-			r.Cache.Put(fingerprint, results[i])
-		}
-	}
-	return results, nil
+	return RunCached(g, LocalRunner{Workers: r.Workers}, r.Cache, fingerprint, totalCells, cells, 0, nil)
 }
 
-// runPool simulates cells[i] into results[i] for each i in todo (nil =
-// every cell) on the bounded pool.
-func (r LocalRunner) runPool(g Grid, cells []Cell, results []CellResult, todo []int) {
-	if todo == nil {
-		todo = make([]int, len(cells))
-		for i := range cells {
-			todo[i] = i
-		}
-	}
+// runPool simulates every cell on the bounded pool, each result landing at
+// its cell's position.
+func (r LocalRunner) runPool(g Grid, cells []Cell) []CellResult {
+	results := make([]CellResult, len(cells))
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(todo) {
-		workers = len(todo)
+	if workers > len(cells) {
+		workers = len(cells)
 	}
 	// Buffer the full index list so dispatch never blocks a worker: with an
 	// unbuffered channel each hand-off serializes on the dispatching
 	// goroutine, and a worker finishing a short cell waits on it instead of
 	// starting the next one.
-	idx := make(chan int, len(todo))
-	for _, i := range todo {
+	idx := make(chan int, len(cells))
+	for i := range cells {
 		idx <- i
 	}
 	close(idx)
@@ -132,6 +110,80 @@ func (r LocalRunner) runPool(g Grid, cells []Cell, results []CellResult, todo []
 		}()
 	}
 	wg.Wait()
+	return results
+}
+
+// RunCached is the pipeline's one result-cache loop: every cell is looked
+// up in cache (non-nil), hits are served, and the misses run through r in
+// chunks of chunk cells (<= 0: one chunk). Each fresh, error-free result
+// is Put under fingerprint and lands at its cell's position. A chunk's
+// Puts overlap the next chunk's run, so a chunked campaign does not stall
+// on their fsyncs; every Put has finished when RunCached returns, error or
+// not, so an interrupted run leaves its finished chunks on disk. When
+// nothing misses, r is never called. progress, when set, is told the miss
+// count after the lookups (done 0) and the cells run so far after each
+// chunk.
+func RunCached(g Grid, r Runner, cache ResultCache, fingerprint string, totalCells int, cells []Cell,
+	chunk int, progress func(done, misses int)) ([]CellResult, error) {
+	results := make([]CellResult, len(cells))
+	var misses []int
+	for i, c := range cells {
+		if cr, ok := cache.Get(fingerprint, c); ok {
+			results[i] = cr
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	if progress == nil {
+		progress = func(int, int) {}
+	}
+	progress(0, len(misses))
+	if len(misses) == 0 {
+		return results, nil
+	}
+	if chunk <= 0 {
+		chunk = len(misses)
+	}
+	puts := make(chan []CellResult, 1)
+	stored := make(chan struct{})
+	//glacvet:allow goroutine the cache writer only stores results already placed in plan order; RunCached waits for it before returning
+	go func() {
+		defer close(stored)
+		for batch := range puts {
+			for _, cr := range batch {
+				if cr.Err == "" {
+					cache.Put(fingerprint, cr)
+				}
+			}
+		}
+	}()
+	defer func() {
+		close(puts)
+		<-stored
+	}()
+	for start := 0; start < len(misses); start += chunk {
+		todo := misses[start:min(start+chunk, len(misses))]
+		batch := make([]Cell, len(todo))
+		for k, i := range todo {
+			batch[k] = cells[i]
+		}
+		got, err := execute(g, r, fingerprint, totalCells, batch)
+		if err != nil {
+			return nil, err
+		}
+		if len(got) != len(batch) {
+			return nil, fmt.Errorf("sweep: runner returned %d results for %d cells", len(got), len(batch))
+		}
+		for k, i := range todo {
+			if got[k].Cell.Index != batch[k].Index {
+				return nil, fmt.Errorf("sweep: runner returned cell %d where cell %d belongs", got[k].Cell.Index, batch[k].Index)
+			}
+			results[i] = got[k]
+		}
+		puts <- got
+		progress(start+len(todo), len(misses))
+	}
+	return results, nil
 }
 
 // Run executes the full grid locally: Plan, LocalRunner, Reduce. workers
@@ -166,23 +218,6 @@ func RunShardWith(g Grid, r Runner, i, m int) (*Summary, error) {
 	return RunPlanned(g, r, Fingerprint(g, plan), len(plan), cells)
 }
 
-// RunIndices executes the cells at the given global plan indices locally
-// and reduces them into a partial Summary — the arbitrary-slice sibling of
-// RunShard that a worker daemon or a resumed campaign (which needs exactly
-// the missing cells, rarely an i/m shard) runs. Indices must be in-range
-// and duplicate-free.
-func RunIndices(g Grid, indices []int, workers int) (*Summary, error) {
-	plan, err := Plan(g)
-	if err != nil {
-		return nil, err
-	}
-	cells, err := CellsAt(plan, indices)
-	if err != nil {
-		return nil, err
-	}
-	return RunPlanned(g, LocalRunner{Workers: workers}, Fingerprint(g, plan), len(plan), cells)
-}
-
 // PlannedRunner is the optional fast path of a Runner whose own execution
 // needs the plan identity (a networked runner stamps it on every shard
 // request): callers that already planned hand it over instead of making
@@ -195,18 +230,12 @@ type PlannedRunner interface {
 // RunPlanned executes already-planned cells through r and reduces them
 // into a Summary stamped with the plan's identity — the shared tail of
 // every run entry point, and the seam for callers that have planned (and
-// fingerprinted) once and must not pay for it again per shard: a worker
-// daemon serving thousands of requests, a resumed campaign iterating
-// chunks. A PlannedRunner receives the plan identity instead of
-// recomputing it.
+// fingerprinted) once and must not pay for it again per shard, such as a
+// worker daemon serving thousands of requests. A PlannedRunner receives
+// the plan identity instead of recomputing it; RunCached hands it over the
+// same way for every chunk.
 func RunPlanned(g Grid, r Runner, fingerprint string, totalCells int, cells []Cell) (*Summary, error) {
-	var results []CellResult
-	var err error
-	if pr, ok := r.(PlannedRunner); ok {
-		results, err = pr.RunPlanned(g, fingerprint, totalCells, cells)
-	} else {
-		results, err = r.Run(g, cells)
-	}
+	results, err := execute(g, r, fingerprint, totalCells, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -214,6 +243,14 @@ func RunPlanned(g Grid, r Runner, fingerprint string, totalCells int, cells []Ce
 	sum.Fingerprint = fingerprint
 	sum.TotalCells = totalCells
 	return sum, nil
+}
+
+// execute runs cells through r, handing a PlannedRunner the plan identity.
+func execute(g Grid, r Runner, fingerprint string, totalCells int, cells []Cell) ([]CellResult, error) {
+	if pr, ok := r.(PlannedRunner); ok {
+		return pr.RunPlanned(g, fingerprint, totalCells, cells)
+	}
+	return r.Run(g, cells)
 }
 
 // runCell builds, runs and measures one independent deployment. The
