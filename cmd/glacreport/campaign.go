@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/campaign"
-	"repro/internal/deploy"
+	"repro/internal/cliutil"
 	"repro/internal/distrib"
 	"repro/internal/evlog"
 	"repro/internal/rescache"
@@ -80,7 +80,7 @@ type campaignManifestItem struct {
 func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM int,
 	sharded bool, remote []string, resume bool, cache *rescache.DiskCache, recordDir string) error {
 	if seeds < 1 {
-		return usageErrorf("-seeds must be >= 1")
+		return cliutil.Usagef("-seeds must be >= 1")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("create artifact dir: %w", err)
@@ -100,7 +100,10 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 		}
 		g := e.Grid(seed, seeds, days)
 		if recordDir != "" {
-			if err := attachCampaignRecorder(&g, recordDir, e.ID); err != nil {
+			// Campaign cells run under Drive/Observe/Collect hooks that shape
+			// the event stream, so the headers name the hook set: the logs
+			// diff and byte-compare across runs but refuse header-only replay.
+			if err := cliutil.RecordCells(&g, filepath.Join(recordDir, e.ID), evlog.Header{Hooks: campaign.HooksName(e.ID)}); err != nil {
 				return fmt.Errorf("campaign %s: %w", e.ID, err)
 			}
 		}
@@ -109,7 +112,7 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 		switch {
 		case checkpointed:
 			sum, err = distrib.RunResumable(g, e.ID, dir, campaignRunner(e.ID, workers, remote, cache),
-				campaignChunk(remote), resume, logStderr)
+				campaignChunk(remote), resume, cliutil.Logf)
 		case sharded:
 			sum, err = sweep.RunShardWith(g, campaignRunner(e.ID, workers, nil, cache), shardI, shardM)
 		default:
@@ -125,10 +128,8 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 		manifest.Experiments = append(manifest.Experiments, item)
 	}
 	if cache != nil {
-		st := cache.Stats()
-		manifest.Cache = &cacheManifest{Dir: cache.Dir(), Stats: st}
-		logStderr("cache %s: %d hits, %d misses, %d stores, %d evictions (%d entries, %d bytes)",
-			cache.Dir(), st.Hits, st.Misses, st.Stores, st.Evictions, cache.Len(), cache.SizeBytes())
+		manifest.Cache = &cacheManifest{Dir: cache.Dir(), Stats: cache.Stats()}
+		cliutil.LogCacheStats(cache)
 	}
 	if err := writeManifest(dir, manifest); err != nil {
 		return err
@@ -160,49 +161,8 @@ func campaignRunner(id string, workers int, remote []string, cache *rescache.Dis
 	return &distrib.RemoteRunner{
 		Workers: remote,
 		Hooks:   campaign.HooksName(id),
-		Logf:    logStderr,
+		Logf:    cliutil.Logf,
 	}
-}
-
-// attachCampaignRecorder sets the experiment's Grid.Record hook: each
-// cell's event log lands in recordDir/<exp-id>/cell-NNNN.evlog, named by
-// global plan index. The headers carry the experiment's hook-set name:
-// campaign cells run under Drive/Observe/Collect hooks that shape the
-// event stream, so the logs diff and byte-compare across runs but refuse
-// header-only replay (evlog.Rebuild cannot reconstruct the hooks).
-func attachCampaignRecorder(g *sweep.Grid, recordDir, id string) error {
-	plan, err := sweep.Plan(*g)
-	if err != nil {
-		return err
-	}
-	fingerprint := sweep.Fingerprint(*g, plan)
-	dir := filepath.Join(recordDir, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("create record dir: %w", err)
-	}
-	g.Record = func(c sweep.Cell, d *deploy.Deployment) (func() error, error) {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("cell-%04d.evlog", c.Index)))
-		if err != nil {
-			return nil, fmt.Errorf("create cell event log: %w", err)
-		}
-		w, err := evlog.NewWriter(f, evlog.Header{
-			Scenario: c.Scenario, Seed: c.Seed, Stations: c.Stations, Probes: c.Probes,
-			Days: c.Days, Fingerprint: fingerprint, Hooks: campaign.HooksName(id),
-		})
-		if err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		w.Attach(d.Sim)
-		return func() error {
-			werr := w.Close()
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			return werr
-		}, nil
-	}
-	return nil
 }
 
 // campaignChunk sizes the checkpoint granularity: big enough to keep a
@@ -214,12 +174,6 @@ func campaignChunk(remote []string) int {
 	return 4
 }
 
-// logStderr narrates distrib progress without touching the artifact
-// stream on stdout.
-func logStderr(format string, a ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", a...)
-}
-
 // mergeCampaign folds shard artifact directories into the full campaign:
 // per experiment it reads every shard's partial JSON, merges them
 // (validating fingerprints, overlap and coverage) and writes the complete
@@ -227,7 +181,7 @@ func logStderr(format string, a ...any) {
 // manifest included.
 func mergeCampaign(dir string, shardDirs []string) error {
 	if len(shardDirs) == 0 {
-		return usageErrorf("-merge needs the shard artifact directories as arguments")
+		return cliutil.Usagef("merge needs the shard artifact directories as arguments")
 	}
 	manifests := make([]campaignManifest, len(shardDirs))
 	for i, sd := range shardDirs {

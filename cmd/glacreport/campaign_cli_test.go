@@ -1,13 +1,14 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cliutil"
 )
 
-// The zero-input campaign merge must be a usage error (exit 2 with the
-// usage line), never a silently successful empty artifact set.
+// The zero-input campaign merge must be a usage error (exit 2), never a
+// silently successful empty artifact set.
 func TestCampaignMergeZeroDirsIsUsageError(t *testing.T) {
 	err := mergeCampaign(t.TempDir(), nil)
 	if err == nil {
@@ -18,38 +19,60 @@ func TestCampaignMergeZeroDirsIsUsageError(t *testing.T) {
 	}
 }
 
-// -remote / -resume are exclusive with -shard, and campaign-only flags
-// still travel through the usage-error path.
-func TestCampaignModeFlagValidation(t *testing.T) {
-	cases := []struct {
-		name    string
-		shard   string
-		remote  string
-		resume  bool
-		cache   string
-		noCache bool
-		recDir  string
-		set     map[string]bool
+// TestCLISurface feeds whole command lines to run: a flag outside its
+// subcommand, a conflict inside one, a malformed value and an unknown
+// experiment are usage errors (exit 2); the rest run. Rows run in order,
+// so the merge row reads the shards the rows before it wrote. DIR is a
+// fresh directory.
+func TestCLISurface(t *testing.T) {
+	t.Setenv(cliutil.CacheEnv, "")
+	dir := t.TempDir()
+	rows := []struct {
+		args  string
+		usage bool
 	}{
-		{"shard+remote", "0/2", "h:1", false, "", false, "", map[string]bool{"shard": true, "remote": true}},
-		{"shard+resume", "0/2", "", true, "", false, "", map[string]bool{"shard": true, "resume": true}},
-		{"workers+remote", "", "h:1", false, "", false, "", map[string]bool{"workers": true, "remote": true}},
-		{"empty remote list", "", " , ", false, "", false, "", map[string]bool{"remote": true}},
-		{"duplicate workers", "", "h:1,h:1/", false, "", false, "", map[string]bool{"remote": true}},
-		{"cache+remote", "", "h:1", false, "/tmp/c", false, "", map[string]bool{"cache": true, "remote": true}},
-		{"cache+no-cache", "", "", false, "/tmp/c", true, "", map[string]bool{"cache": true, "no-cache": true}},
-		{"record-dir+remote", "", "h:1", false, "", false, "/tmp/r", map[string]bool{"remote": true, "record-dir": true}},
-		{"record-dir+resume", "", "", true, "", false, "/tmp/r", map[string]bool{"resume": true, "record-dir": true}},
-		{"record-dir+cache", "", "", false, "/tmp/c", false, "/tmp/r", map[string]bool{"cache": true, "record-dir": true}},
+		{"", true},
+		{"bogus", true},
+		{"-exp x9", true},
+		{"-campaign -dir DIR/old", true},
+		{"exp -dir DIR/e", true},
+		{"exp -seeds 3 t2", true},
+		{"exp nope", true},
+		{"exp t1,nope", true},
+		{"campaign -exp x9 -dir DIR/c", true},
+		{"campaign -dir DIR/c extra", true},
+		{"campaign -shard 0/2 -remote h:1", true},
+		{"campaign -shard 0/2 -resume", true},
+		{"campaign -shard 2/2", true},
+		{"campaign -workers 2 -remote h:1", true},
+		{"campaign -remote ,", true},
+		{"campaign -remote h:1,h:1/", true},
+		{"campaign -remote h:1 -cache DIR/cache", true},
+		{"campaign -cache DIR/cache -no-cache", true},
+		{"campaign -record-dir DIR/r -remote h:1", true},
+		{"campaign -record-dir DIR/r -resume", true},
+		{"campaign -record-dir DIR/r -cache DIR/cache", true},
+		{"campaign -seeds 0 -dir DIR/c", true},
+		{"merge", true},
+		{"merge -seeds 2 DIR/s0", true},
+		{"merge -shard 0/2 DIR/s0", true},
+
+		{"exp -h", false},
+		{"exp t2", false},
+		{"exp all,t1", false},
+		{"exp t2 all", false},
+		{"campaign -dir DIR/s0 -seeds 1 -days 1 -shard 0/2 -no-cache", false},
+		{"campaign -dir DIR/s1 -seeds 1 -days 1 -shard 1/2", false},
+		{"merge -dir DIR/m DIR/s0 DIR/s1", false},
 	}
-	for _, c := range cases {
-		err := runCampaignMode(t.TempDir(), 1, 1, 0, 0, c.shard, false, c.remote, c.resume, c.cache, c.noCache, 0, c.recDir, c.set, nil)
-		if err == nil {
-			t.Errorf("%s: accepted", c.name)
-			continue
-		}
-		if !cliutil.IsUsage(err) {
-			t.Errorf("%s: returned %v, want a usage error", c.name, err)
+	for _, r := range rows {
+		args := strings.Fields(strings.ReplaceAll(r.args, "DIR", dir))
+		err := run(args)
+		switch {
+		case r.usage && !cliutil.IsUsage(err):
+			t.Errorf("glacreport %s: returned %v, want a usage error", r.args, err)
+		case !r.usage && err != nil:
+			t.Errorf("glacreport %s: %v", r.args, err)
 		}
 	}
 }

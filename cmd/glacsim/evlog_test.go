@@ -6,12 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cliutil"
 	"repro/internal/evlog"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
 
-// recordRun produces a recorded event log the way -record does: a real
+// recordRun produces a recorded event log the way run -record does: a real
 // scenario run with a writer attached, sealed to a file.
 func recordRun(t *testing.T, path string, scen string, seed int64, days int) {
 	t.Helper()
@@ -39,14 +40,14 @@ func recordRun(t *testing.T, path string, scen string, seed int64, days int) {
 	}
 }
 
-// The -replay acceptance criteria at the function level: a faithful log
+// The replay acceptance criteria: a faithful log
 // verifies clean, and a single corrupted byte fails naming the exact
 // record index.
 func TestRunReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.evlog")
 	recordRun(t, path, "dual-base", 42, 1)
-	if err := runReplay(path); err != nil {
+	if err := run([]string{"replay", path}); err != nil {
 		t.Fatalf("replay of a faithful recording failed: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -59,7 +60,7 @@ func TestRunReplay(t *testing.T) {
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = runReplay(bad)
+	err = run([]string{"replay", bad})
 	if err == nil {
 		t.Fatal("replay of a corrupted log succeeded")
 	}
@@ -68,7 +69,7 @@ func TestRunReplay(t *testing.T) {
 	}
 }
 
-// -evdiff: identical logs succeed; logs from different seeds fail naming
+// evdiff: identical logs succeed; logs from different seeds fail naming
 // the first divergent event index.
 func TestRunEvdiff(t *testing.T) {
 	dir := t.TempDir()
@@ -76,10 +77,10 @@ func TestRunEvdiff(t *testing.T) {
 	b := filepath.Join(dir, "b.evlog")
 	recordRun(t, a, "dual-base", 42, 1)
 	recordRun(t, b, "dual-base", 43, 1)
-	if err := runEvdiff(a, a); err != nil {
+	if err := run([]string{"evdiff", a, a}); err != nil {
 		t.Fatalf("evdiff of a log against itself failed: %v", err)
 	}
-	err := runEvdiff(a, b)
+	err := run([]string{"evdiff", a, b})
 	if err == nil {
 		t.Fatal("evdiff of different-seed runs succeeded")
 	}
@@ -88,26 +89,21 @@ func TestRunEvdiff(t *testing.T) {
 	}
 }
 
-// The -record-dir hook records every cell into its own replayable log,
+// sweep -record-dir records every cell into its own replayable log,
 // named by global plan index.
 func TestRecordCellHook(t *testing.T) {
+	t.Setenv(cliutil.CacheEnv, "")
 	dir := t.TempDir()
+	if err := run([]string{"sweep", "-scenario", "dual-base", "-seed", "1", "-seeds", "2", "-days", "1",
+		"-workers", "2", "-record-dir", dir}); err != nil {
+		t.Fatal(err)
+	}
 	g := sweep.Grid{Scenarios: []string{"dual-base"}, Seeds: []int64{1, 2}, Days: 1}
 	plan, err := sweep.Plan(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := sweep.Fingerprint(g, plan)
-	g.Record = recordCell(dir, fp, "", false)
-	sum, err := sweep.Run(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cr := range sum.Cells {
-		if cr.Err != "" {
-			t.Fatalf("cell %d failed: %s", cr.Cell.Index, cr.Err)
-		}
-	}
 	for i := 0; i < 2; i++ {
 		path := filepath.Join(dir, "cell-000"+string(rune('0'+i))+".evlog")
 		l, err := evlog.ReadFile(path)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cliutil"
@@ -37,11 +38,10 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
-// The zero-input merge must be a usage error (exit 2 with the usage line),
-// not a silently successful empty summary — pinned at the function level
-// so the dispatch check in run() cannot regress alone.
+// The zero-input merge must be a usage error (exit 2), not a silently
+// successful empty summary.
 func TestMergeZeroFilesIsUsageError(t *testing.T) {
-	err := runMerge(nil, "text", "")
+	err := run([]string{"merge", "-out", "json"})
 	if err == nil {
 		t.Fatal("merge of zero files succeeded")
 	}
@@ -50,30 +50,74 @@ func TestMergeZeroFilesIsUsageError(t *testing.T) {
 	}
 }
 
-// The -cache flag surface: off by default, honouring $GLACSWEB_CACHE,
-// -no-cache winning over the environment, and the contradictory explicit
-// pair refused as a usage error.
-func TestOpenCache(t *testing.T) {
+// TestCLISurface feeds whole command lines to run: a flag outside its
+// subcommand, a conflict inside one and a malformed value are usage
+// errors (exit 2); the rest run. Rows run in order, so the merge row
+// reads the shards the rows before it wrote. DIR is a fresh directory.
+func TestCLISurface(t *testing.T) {
 	t.Setenv(cliutil.CacheEnv, "")
-	if c, err := openCache("", false, 0); c != nil || err != nil {
-		t.Fatalf("openCache with nothing set = %v, %v; want no cache", c, err)
-	}
 	dir := t.TempDir()
-	c, err := openCache(dir, false, 0)
-	if err != nil || c == nil {
-		t.Fatalf("openCache(%q) = %v, %v", dir, c, err)
+	rows := []struct {
+		args  string
+		usage bool
+	}{
+		{"", true},
+		{"bogus", true},
+		{"-sweep -days 1", true},
+		{"run -seeds 8 -workers 3 -days 1", true},
+		{"run -days 1 -out json", true},
+		{"run -days 1 -shard 0/2", true},
+		{"run -days 1 -remote h:1", true},
+		{"run -days 1 -cache DIR/c", true},
+		{"run -days 1 -record-dir DIR/r", true},
+		{"run -days 1 extra", true},
+		{"run -days -1", true},
+		{"run -record DIR/a.evlog -csv DIR/v.csv", true},
+		{"sweep -days 1 -v", true},
+		{"sweep -days 1 -csv DIR/v.csv", true},
+		{"sweep -days 1 -record DIR/a.evlog", true},
+		{"sweep -days 1 -listen :0", true},
+		{"sweep -days 1 -o DIR/s.txt", true},
+		{"sweep -days 1 -out xml", true},
+		{"sweep -days 1 -seeds 0", true},
+		{"sweep -days 1 -shard 2/2", true},
+		{"sweep -days 1 -remote h:1 -workers 2", true},
+		{"sweep -days 1 -remote h:1 -cache DIR/c", true},
+		{"sweep -days 1 -remote h:1 -record-dir DIR/r", true},
+		{"sweep -days 1 -remote h:1,h:1/", true},
+		{"sweep -days 1 -remote ,", true},
+		{"sweep -days 1 -record-dir DIR/r -cache DIR/c", true},
+		{"sweep -days 1 -cache DIR/c -no-cache", true},
+		{"merge -o DIR/m.json DIR/s0.json", true},
+		{"merge -seeds 2 DIR/s0.json", true},
+		{"replay", true},
+		{"replay -days 1 DIR/a.evlog", true},
+		{"evdiff DIR/a.evlog", true},
+		{"worker", true},
+		{"worker -listen :0 -days 1", true},
+		{"worker -listen :0 -remote h:1", true},
+		{"list -days 1", true},
+		{"list x", true},
+
+		{"list", false},
+		{"run -h", false},
+		{"run -scenario dual-base -days 1 -record DIR/a.evlog", false},
+		{"replay DIR/a.evlog", false},
+		{"evdiff DIR/a.evlog DIR/a.evlog", false},
+		{"sweep -scenario dual-base -seeds 2 -days 1 -shard 0/2 -out json -o DIR/s0.json", false},
+		{"sweep -scenario dual-base -seeds 2 -days 1 -shard 1/2 -out json -o DIR/s1.json", false},
+		{"merge -out text -o DIR/m.txt DIR/s0.json DIR/s1.json", false},
+		{"sweep -scenario dual-base -seeds 1 -days 1 -no-cache", false},
+		{"sweep -scenario dual-base -seeds 1 -days 1 -cache DIR/c -cache-max-mb 1", false},
 	}
-	if c.Dir() != dir {
-		t.Fatalf("cache rooted at %q, want %q", c.Dir(), dir)
-	}
-	t.Setenv(cliutil.CacheEnv, dir)
-	if c, err := openCache("", false, 0); err != nil || c == nil || c.Dir() != dir {
-		t.Fatalf("openCache under $%s = %v, %v; want the env cache", cliutil.CacheEnv, c, err)
-	}
-	if c, err := openCache("", true, 0); c != nil || err != nil {
-		t.Fatalf("-no-cache under $%s = %v, %v; want no cache", cliutil.CacheEnv, c, err)
-	}
-	if _, err := openCache(dir, true, 0); err == nil || !cliutil.IsUsage(err) {
-		t.Fatalf("-cache with -no-cache returned %v, want a usage error", err)
+	for _, r := range rows {
+		args := strings.Fields(strings.ReplaceAll(r.args, "DIR", dir))
+		err := run(args)
+		switch {
+		case r.usage && !cliutil.IsUsage(err):
+			t.Errorf("glacsim %s: returned %v, want a usage error", r.args, err)
+		case !r.usage && err != nil:
+			t.Errorf("glacsim %s: %v", r.args, err)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Distributed: the networked sweep loop in one program. Three worker
 // daemons come up on loopback listeners — each one exactly what
-// `glacsim -worker -listen ADDR` serves — and a RemoteRunner fans a
+// `glacsim worker -listen ADDR` serves — and a RemoteRunner fans a
 // campaign grid out across them: planning stays here, only cell execution
 // crosses the HTTP wire, and every returned partial summary is verified
 // against the plan fingerprint. One of the "workers" is a liar that

@@ -279,7 +279,7 @@ func MergeSummaries(parts ...*SweepSummary) (*SweepSummary, error) {
 func ReadSweepSummary(r io.Reader) (*SweepSummary, error) { return sweep.ReadSummary(r) }
 
 // Sweeps also distribute over the network (internal/distrib): a worker
-// daemon serves the Execute stage over HTTP (glacsim -worker), and a
+// daemon serves the Execute stage over HTTP (glacsim worker), and a
 // SweepRemoteRunner — a SweepRunner like any other — fans planned cells
 // out across a worker pool, verifying returned plan fingerprints and
 // retrying/requeueing shards from dead or erroring workers. Plan and
@@ -296,7 +296,7 @@ type (
 
 // ServeSweepWorker serves a sweep worker daemon on l until the listener
 // closes (maxShards <= 0 bounds concurrent shards at 2). The glacsim
-// -worker command is this function behind a flag.
+// worker subcommand is this function behind a flag set.
 func ServeSweepWorker(l net.Listener, maxShards int) error {
 	return distrib.Serve(l, &distrib.Worker{MaxShards: maxShards})
 }
@@ -317,7 +317,7 @@ func SeedRange(from int64, n int) []int64 { return sweep.SeedRange(from, n) }
 // digest-chained log; ReadEventLog decodes and verifies one; ReplayEventLog
 // rebuilds the run from the log's own header and asserts step-for-step
 // equivalence; DiffEventLogs localizes the first divergence between two
-// recorded runs. The glacsim -record/-replay/-evdiff flags front these.
+// recorded runs. The glacsim run -record, replay and evdiff subcommands front these.
 type (
 	// EventLog is a fully decoded, verified event log.
 	EventLog = evlog.Log

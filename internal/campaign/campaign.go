@@ -1,6 +1,6 @@
 // Package campaign is the x-series sweep campaign catalogue: the named
-// grids glacreport -campaign runs, factored out of the CLI so any worker
-// binary (glacsim -worker) can execute campaign shards. Each entry
+// grids glacreport campaign runs, factored out of the CLI so any worker
+// binary (glacsim worker) can execute campaign shards. Each entry
 // registers a distrib hook set under HooksName(id), letting its
 // behavioural hooks — the sync-lag driver, the fleet fault override, the
 // voltage Collect sampler — reattach to grids that crossed the wire as

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/rescache"
 )
 
 func TestParseWorkerList(t *testing.T) {
@@ -103,14 +105,42 @@ func TestResolveCacheDirRejectsContradiction(t *testing.T) {
 	}
 }
 
-func TestFlagsOutside(t *testing.T) {
-	set := map[string]bool{"worker": true, "days": true, "seeds": true}
-	got := FlagsOutside(set, "worker", "listen")
-	if !reflect.DeepEqual(got, []string{"days", "seeds"}) {
-		t.Fatalf("FlagsOutside = %v, want the sorted offenders", got)
+// The cache group: off by default, honouring $GLACSWEB_CACHE, -no-cache
+// winning over the environment, the contradictory explicit pair refused
+// as a usage error, and no local cache for remote or recording runs.
+func TestOpenCache(t *testing.T) {
+	open := func(dir string, off, remote, recording bool) (*rescache.DiskCache, error) {
+		return (&Cache{Dir: dir, Off: off}).Open(remote, recording)
 	}
-	if out := FlagsOutside(set, "worker", "days", "seeds"); out != nil {
-		t.Fatalf("FlagsOutside = %v, want nil when everything is allowed", out)
+	t.Setenv(CacheEnv, "")
+	if c, err := open("", false, false, false); c != nil || err != nil {
+		t.Fatalf("Open with nothing set = %v, %v; want no cache", c, err)
+	}
+	dir := t.TempDir()
+	c, err := open(dir, false, false, false)
+	if err != nil || c == nil {
+		t.Fatalf("Open(%q) = %v, %v", dir, c, err)
+	}
+	if c.Dir() != dir {
+		t.Fatalf("cache rooted at %q, want %q", c.Dir(), dir)
+	}
+	t.Setenv(CacheEnv, dir)
+	if c, err := open("", false, false, false); err != nil || c == nil || c.Dir() != dir {
+		t.Fatalf("Open under $%s = %v, %v; want the env cache", CacheEnv, c, err)
+	}
+	if c, err := open("", true, false, false); c != nil || err != nil {
+		t.Fatalf("-no-cache under $%s = %v, %v; want no cache", CacheEnv, c, err)
+	}
+	for _, remote := range []bool{false, true} {
+		if c, err := open("", false, remote, !remote); c != nil || err != nil {
+			t.Fatalf("remote=%v under $%s = %v, %v; want no local cache", remote, CacheEnv, c, err)
+		}
+		if _, err := open(dir, false, remote, !remote); !IsUsage(err) {
+			t.Fatalf("-cache with remote=%v recording=%v returned %v, want a usage error", remote, !remote, err)
+		}
+	}
+	if _, err := open(dir, true, false, false); !IsUsage(err) {
+		t.Fatalf("-cache with -no-cache returned %v, want a usage error", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package distrib is the network layer over the sweep pipeline: it carries
 // the Execute stage of Plan / Execute / Reduce across a process boundary.
 //
-//   - A Worker is an HTTP daemon (glacsim -worker) that accepts shard
+//   - A Worker is an HTTP daemon (glacsim worker) that accepts shard
 //     requests — a declarative grid spec, the plan fingerprint and the
 //     global indices of the cells to run — executes them with
 //     sweep.RunPlanned, and streams the partial summary back as the
