@@ -76,9 +76,9 @@ type alarm struct {
 	fn   func(rtcNow time.Time)
 	ev   simenv.EventID
 
-	// evName and fireFn are built once per alarm so SetTime re-arms (which
-	// happen after every clock recovery) reuse them instead of allocating a
-	// fresh closure and name string per arm.
+	// evName is interned and fireFn is bound once per record, which the
+	// MCU's free list recycles, so neither arming nor the SetTime re-arms
+	// (after every clock recovery) allocate a closure or a name string.
 	evName string
 	fireFn simenv.EventFunc
 }
@@ -98,10 +98,14 @@ type MCU struct {
 
 	alarms    map[AlarmID]*alarm
 	nextAlarm AlarmID
-	rails     map[string]float64 // rail name -> watts while on
-	railLoad  map[string]string  // rail name -> interned bus load name
-	railsOn   map[string]bool
-	railSubs  map[string][]func(on bool, now time.Time)
+	// freeAlarms holds fired and cancelled alarm records for reuse, so a
+	// record's fireFn closure is bound once rather than once per arm.
+	freeAlarms []*alarm
+
+	rails    map[string]float64 // rail name -> watts while on
+	railLoad map[string]string  // rail name -> interned bus load name
+	railsOn  map[string]bool
+	railSubs map[string][]func(on bool, now time.Time)
 
 	// Interned hot-path names and tags (rail switches, housekeeping samples
 	// and alarm arms otherwise rebuild the same strings all season).
@@ -110,8 +114,11 @@ type MCU struct {
 	pitchTag   string
 	rollTag    string
 
-	samples []HousekeepingSample
-	dropped int
+	// samples[sampleHead:] is the housekeeping buffer. The backing array
+	// is reused across daily drains and full-buffer drops.
+	samples    []HousekeepingSample
+	sampleHead int
+	dropped    int
 
 	// nv is the non-volatile flash store: survives power loss.
 	nv map[string]string
@@ -148,6 +155,8 @@ func New(sim *simenv.Simulator, bus *energy.Bus, sampler energy.Sampler, cfg Con
 		nv:         make(map[string]string),
 		alarmNames: make(map[string]string),
 	}
+	// The Gumstix drains the buffer daily: size it for a day of samples.
+	m.samples = make([]HousekeepingSample, 0, min(cfg.SampleBufferCap, int(24*time.Hour/SampleInterval)+1))
 	m.sampleName = cfg.Name + ".sample"
 	m.pitchTag = cfg.Name + "/pitch"
 	m.rollTag = cfg.Name + "/roll"
@@ -194,9 +203,10 @@ func (m *MCU) powerFail(now time.Time) {
 	// RAM contents are lost: schedule, housekeeping buffer, rail states.
 	for _, a := range m.alarms {
 		m.sim.Cancel(a.ev)
+		m.releaseAlarm(a)
 	}
-	m.alarms = make(map[AlarmID]*alarm)
-	m.samples = nil
+	clear(m.alarms)
+	m.samples, m.sampleHead = m.samples[:0], 0
 	if m.sampleTicker != nil {
 		m.sampleTicker.Stop()
 	}
@@ -290,15 +300,42 @@ func (m *MCU) ClockSuspect() bool {
 
 // AlarmAt schedules fn at the given RTC time. Alarms live in RAM: they are
 // lost on power failure. Alarms in the RTC's past fire immediately.
+//
+//glacvet:hotpath
 func (m *MCU) AlarmAt(rtc time.Time, name string, fn func(rtcNow time.Time)) AlarmID {
 	m.mustBeAlive("AlarmAt")
 	m.nextAlarm++
-	a := &alarm{id: m.nextAlarm, rtc: rtc, name: name, fn: fn}
+	a := m.newAlarm()
+	a.id, a.rtc, a.name, a.fn = m.nextAlarm, rtc, name, fn
 	a.evName = m.alarmEventName(name)
-	a.fireFn = func(time.Time) { m.fireAlarm(a) }
 	m.alarms[a.id] = a
 	m.armAlarm(a)
 	return a.id
+}
+
+// newAlarm takes a record from the free list, or builds one with its
+// fireFn bound to it for good.
+//
+//glacvet:hotpath
+func (m *MCU) newAlarm() *alarm {
+	if n := len(m.freeAlarms); n > 0 {
+		a := m.freeAlarms[n-1]
+		m.freeAlarms = m.freeAlarms[:n-1]
+		return a
+	}
+	a := &alarm{}
+	//glacvet:allow hotpath free-list miss path: one closure per record, reused by every later arm
+	a.fireFn = func(time.Time) { m.fireAlarm(a) }
+	return a
+}
+
+// releaseAlarm returns a record that is out of m.alarms and has no pending
+// event to the free list. It drops the callback so the list pins nothing.
+//
+//glacvet:hotpath
+func (m *MCU) releaseAlarm(a *alarm) {
+	a.fn = nil
+	m.freeAlarms = append(m.freeAlarms, a)
 }
 
 // alarmEventName interns "<mcu>.alarm.<name>": the schedule reuses a small
@@ -328,6 +365,7 @@ func (m *MCU) CancelAlarm(id AlarmID) {
 	}
 	m.sim.Cancel(a.ev)
 	delete(m.alarms, id)
+	m.releaseAlarm(a)
 }
 
 // PendingAlarms returns the names of pending alarms, sorted; used by tests
@@ -360,7 +398,9 @@ func (m *MCU) fireAlarm(a *alarm) {
 		return
 	}
 	delete(m.alarms, a.id)
-	a.fn(m.Now())
+	fn := a.fn
+	m.releaseAlarm(a) // fn may re-arm and take this record straight back
+	fn(m.Now())
 }
 
 // --- Power rails ---
@@ -437,23 +477,31 @@ func (m *MCU) takeSample(now time.Time) {
 		PitchDeg:     pitch,
 		RollDeg:      roll,
 	}
-	if len(m.samples) >= m.cfg.SampleBufferCap {
-		m.samples = m.samples[1:]
+	if len(m.samples)-m.sampleHead >= m.cfg.SampleBufferCap {
+		m.sampleHead++ // drop the oldest without giving up its slot
 		m.dropped++
+	}
+	if len(m.samples) == cap(m.samples) && m.sampleHead > 0 {
+		n := copy(m.samples, m.samples[m.sampleHead:])
+		m.samples, m.sampleHead = m.samples[:n], 0
 	}
 	m.samples = append(m.samples, s)
 }
 
 // DrainSamples returns and clears the housekeeping buffer — the daily
-// download to the Gumstix that feeds the power-state averaging.
+// download to the Gumstix that feeds the power-state averaging. The result
+// aliases the MCU's buffer, which the next housekeeping sample reuses: read
+// it straight away and copy anything kept longer.
+//
+//glacvet:hotpath
 func (m *MCU) DrainSamples() []HousekeepingSample {
-	out := m.samples
-	m.samples = nil
+	out := m.samples[m.sampleHead:]
+	m.samples, m.sampleHead = m.samples[:0], 0
 	return out
 }
 
 // SampleCount returns the number of buffered housekeeping samples.
-func (m *MCU) SampleCount() int { return len(m.samples) }
+func (m *MCU) SampleCount() int { return len(m.samples) - m.sampleHead }
 
 // DroppedSamples returns how many samples were lost to buffer overflow.
 func (m *MCU) DroppedSamples() int { return m.dropped }

@@ -1,0 +1,73 @@
+package probe
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/simenv"
+	"repro/internal/weather"
+)
+
+// These tests pin the reading store's allocation discipline: every probe
+// samples hourly and the base confirms the backlog daily, so once the store
+// has grown to a day's working size neither sampling, nor confirmation, nor
+// dropping from a full flash may touch the heap.
+//
+// The same set carries //glacvet:hotpath in probe.go (sample, compact,
+// MarkComplete): `make lint` rejects the allocation patterns statically,
+// these pins catch whatever slips past the lint at runtime. Keep the two
+// sets in sync.
+
+func allocProbe(t *testing.T, bufferCap int) (*simenv.Simulator, *Probe) {
+	t.Helper()
+	sim := simenv.NewAt(3, time.Date(2009, 6, 1, 0, 0, 0, 0, time.UTC))
+	cfg := immortal(21)
+	cfg.BufferCap = bufferCap
+	return sim, New(sim, weather.New(weather.DefaultConfig(3)), cfg)
+}
+
+func TestSampleAndConfirmAllocFree(t *testing.T) {
+	sim, p := allocProbe(t, 0)
+	now := sim.Now()
+	day := func() {
+		for h := 0; h < 24; h++ {
+			now = now.Add(time.Hour)
+			p.sample(now)
+		}
+		p.MarkComplete(p.LastSeq())
+	}
+	day() // warm: the weather model's day cache
+	avg := testing.AllocsPerRun(50, day)
+	if avg != 0 {
+		t.Fatalf("a day of sampling plus confirmation allocates %.1f objects/op, want 0", avg)
+	}
+	if p.PendingCount() != 0 || p.DroppedReadings() != 0 {
+		t.Fatalf("pending %d dropped %d after confirmed days", p.PendingCount(), p.DroppedReadings())
+	}
+}
+
+func TestSampleFullBufferAllocFree(t *testing.T) {
+	sim, p := allocProbe(t, 40)
+	now := sim.Now()
+	// Fill the flash with unconfirmed readings, then keep sampling: every
+	// new reading drops the oldest.
+	for h := 0; h < 60; h++ {
+		now = now.Add(time.Hour)
+		p.sample(now)
+	}
+	// Each op spans several store lengths, so an amortized regrowth (a
+	// drop that gives up a slot of capacity) shows in the per-op count.
+	avg := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 200; i++ {
+			now = now.Add(time.Hour)
+			p.sample(now)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("sampling into a full store allocates %.1f objects/op, want 0", avg)
+	}
+	if p.PendingCount() != 40 || p.PendingView()[0].Seq != p.LastSeq()-39 {
+		t.Fatalf("full store holds %d readings from seq %d, want the newest 40",
+			p.PendingCount(), p.PendingView()[0].Seq)
+	}
+}

@@ -18,7 +18,6 @@ package probe
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/simenv"
@@ -89,7 +88,13 @@ type Probe struct {
 	wx  *weather.Model
 	cfg Config
 
-	readings  []Reading
+	// buf[head:] holds the unconfirmed readings, oldest first. Confirmed
+	// readings leave memory at MarkComplete; the flash they would still
+	// occupy is tracked logically through oldest, so the BufferCap
+	// drop-oldest rule counts them exactly as a store that kept them.
+	buf       []Reading
+	head      int
+	oldest    uint64 // oldest seq still held in (logical) flash
 	nextSeq   uint64
 	completed uint64 // highest seq the base has confirmed received
 	dropped   int
@@ -121,7 +126,10 @@ func New(sim *simenv.Simulator, wx *weather.Model, cfg Config) *Probe {
 	if cfg.BufferCap == 0 {
 		cfg.BufferCap = def.BufferCap
 	}
-	p := &Probe{sim: sim, wx: wx, cfg: cfg, tilt: 2 + 6*noise(sim.Seed()+int64(cfg.ID), "tilt0", 0)}
+	p := &Probe{sim: sim, wx: wx, cfg: cfg, oldest: 1, tilt: 2 + 6*noise(sim.Seed()+int64(cfg.ID), "tilt0", 0)}
+	// The base fetches daily, so a day of readings is the store's working
+	// size; longer offline stretches grow it once.
+	p.buf = make([]Reading, 0, min(cfg.BufferCap, int(24*time.Hour/cfg.SampleInterval)+1))
 
 	// Exponential failure time: -mean * ln(U).
 	u := noise(sim.Seed(), "probefail", uint64(cfg.ID))
@@ -145,6 +153,7 @@ func (p *Probe) Alive(now time.Time) bool { return now.Before(p.failAt) }
 // FailAt returns the probe's permanent-failure time (for experiments).
 func (p *Probe) FailAt() time.Time { return p.failAt }
 
+//glacvet:hotpath
 func (p *Probe) sample(now time.Time) {
 	if !p.Alive(now) {
 		p.ticker.Stop()
@@ -159,11 +168,31 @@ func (p *Probe) sample(now time.Time) {
 		PressureKPa:    p.pressureAt(now),
 		TempC:          -0.5 + 0.3*noise(p.sim.Seed()+int64(p.cfg.ID), "ptemp", p.nextSeq),
 	}
-	if len(p.readings) >= p.cfg.BufferCap {
-		p.readings = p.readings[1:]
+	if p.nextSeq-p.oldest >= uint64(p.cfg.BufferCap) {
+		// Flash is full: the oldest reading goes, confirmed or not. An
+		// unconfirmed one is buf[head]; a confirmed one is already gone.
+		if p.oldest > p.completed {
+			p.head++
+		}
+		p.oldest++
 		p.dropped++
 	}
-	p.readings = append(p.readings, r)
+	if r.Seq <= p.completed {
+		return // already confirmed by a MarkComplete past LastSeq
+	}
+	if len(p.buf) == cap(p.buf) && p.head > 0 {
+		p.compact(p.head)
+	}
+	p.buf = append(p.buf, r)
+}
+
+// compact moves buf[from:] to the front of the backing array.
+//
+//glacvet:hotpath
+func (p *Probe) compact(from int) {
+	n := copy(p.buf, p.buf[from:])
+	p.buf = p.buf[:n]
+	p.head = 0
 }
 
 // ConductivityAt returns the conductivity signal at now: a winter floor
@@ -200,43 +229,44 @@ func (p *Probe) pressureAt(now time.Time) float64 {
 
 // PendingCount returns the number of readings not yet confirmed fetched.
 func (p *Probe) PendingCount() int {
-	return len(p.pendingSlice())
+	return len(p.buf) - p.head
 }
 
 // Pending returns a copy of unconfirmed readings, oldest first.
 func (p *Probe) Pending() []Reading {
-	src := p.pendingSlice()
+	src := p.PendingView()
 	out := make([]Reading, len(src))
 	copy(out, src)
 	return out
 }
 
-func (p *Probe) pendingSlice() []Reading {
-	i := sort.Search(len(p.readings), func(i int) bool {
-		return p.readings[i].Seq > p.completed
-	})
-	return p.readings[i:]
-}
-
-// Get returns the reading with the given sequence number, if still buffered.
-func (p *Probe) Get(seq uint64) (Reading, bool) {
-	i := sort.Search(len(p.readings), func(i int) bool {
-		return p.readings[i].Seq >= seq
-	})
-	if i < len(p.readings) && p.readings[i].Seq == seq {
-		return p.readings[i], true
-	}
-	return Reading{}, false
+// PendingView returns the unconfirmed readings, oldest first, without
+// copying: the slice aliases the probe's store. It is valid until the
+// probe next samples or MarkComplete runs, and callers must not modify
+// it. The fetchers read it within one synchronous session.
+func (p *Probe) PendingView() []Reading {
+	return p.buf[p.head:]
 }
 
 // MarkComplete confirms that the base station holds everything up to and
 // including seq. §V: "the task was not marked as complete in the probes; so
 // many missing readings were obtained in subsequent days" — completion is
 // only ever advanced by the base, never assumed by the probe.
+//
+// Confirmed readings leave memory here: the unconfirmed suffix is compacted
+// to the front of the store, so the buffer does not regrow across days.
+//
+//glacvet:hotpath
 func (p *Probe) MarkComplete(seq uint64) {
-	if seq > p.completed {
-		p.completed = seq
+	if seq <= p.completed {
+		return
 	}
+	p.completed = seq
+	i := p.head
+	for i < len(p.buf) && p.buf[i].Seq <= seq {
+		i++
+	}
+	p.compact(i)
 }
 
 // CompletedThrough returns the highest confirmed sequence number.

@@ -105,18 +105,78 @@ func TestMarkCompleteAdvancesPending(t *testing.T) {
 	}
 }
 
-func TestGetBySeq(t *testing.T) {
+func TestPendingViewBySeq(t *testing.T) {
 	sim := simenv.New(1)
 	p := New(sim, nil, immortal(21))
 	if err := sim.RunFor(5 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	r, ok := p.Get(3)
-	if !ok || r.Seq != 3 {
-		t.Fatalf("Get(3) = %+v, %v", r, ok)
+	p.MarkComplete(2)
+	view := p.PendingView()
+	if len(view) != 3 || view[0].Seq != 3 || view[2].Seq != 5 {
+		t.Fatalf("pending view after completing through 2 of 5: %+v", view)
 	}
-	if _, ok := p.Get(99); ok {
-		t.Fatal("Get(99) found a nonexistent reading")
+	// The view aliases the store; Pending is the copying form.
+	cp := p.Pending()
+	cp[0].Seq = 99
+	if p.PendingView()[0].Seq != 3 {
+		t.Fatal("Pending() returned the store itself, not a copy")
+	}
+}
+
+// TestStoreEquivalence pins the flash-occupancy rule of the reading store
+// across MarkComplete: confirmed readings leave memory, but BufferCap still
+// counts them until the drop-oldest rule would have evicted them from a
+// store that kept every reading. The expected rows are literals measured on
+// that keep-everything store, so a compaction that shifts a drop fails here.
+func TestStoreEquivalence(t *testing.T) {
+	cfg := immortal(21)
+	cfg.BufferCap = 10
+	sim := simenv.New(1)
+	p := New(sim, nil, cfg)
+	steps := []struct {
+		hours                 int    // sample for this many hours, then
+		mark                  uint64 // MarkComplete(mark) when non-zero
+		pending, dropped      int
+		lastSeq, firstPending uint64 // firstPending 0: nothing pending
+	}{
+		{4, 0, 4, 0, 4, 1},
+		{0, 3, 1, 0, 4, 4},
+		{6, 0, 7, 0, 10, 4},   // full: 3 confirmed + 7 pending
+		{2, 0, 9, 2, 12, 4},   // drops confirmed 1, 2
+		{3, 0, 10, 5, 15, 6},  // drops confirmed 3, then pending 4, 5
+		{0, 15, 0, 5, 15, 0},  // everything confirmed, flash still full
+		{5, 0, 5, 10, 20, 16}, // each new reading evicts a confirmed one
+		{0, 17, 3, 10, 20, 18},
+		{12, 0, 10, 22, 32, 23},
+		{0, 40, 0, 22, 32, 0}, // completion past LastSeq
+		{3, 0, 0, 25, 35, 0},  // new readings already count as confirmed
+		{10, 0, 5, 35, 45, 41},
+		{0, 2, 5, 35, 45, 41}, // completion never regresses
+		{0, 44, 1, 35, 45, 45},
+		{25, 0, 10, 60, 70, 61},
+		{0, 60, 10, 60, 70, 61}, // below the oldest pending: nothing leaves
+		{1, 0, 10, 61, 71, 62},
+	}
+	for i, st := range steps {
+		if st.hours > 0 {
+			if err := sim.RunFor(time.Duration(st.hours) * time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.mark > 0 {
+			p.MarkComplete(st.mark)
+		}
+		first := uint64(0)
+		if v := p.PendingView(); len(v) > 0 {
+			first = v[0].Seq
+		}
+		if p.PendingCount() != st.pending || p.DroppedReadings() != st.dropped ||
+			p.LastSeq() != st.lastSeq || first != st.firstPending {
+			t.Fatalf("step %d (+%dh, mark %d): pending %d dropped %d last %d first %d, want %d %d %d %d",
+				i, st.hours, st.mark, p.PendingCount(), p.DroppedReadings(), p.LastSeq(), first,
+				st.pending, st.dropped, st.lastSeq, st.firstPending)
+		}
 	}
 }
 

@@ -37,18 +37,20 @@ func NewAckFetcher(cfg AckConfig) *AckFetcher {
 
 // Fetch runs one stop-and-wait session against pr over ch with a time
 // budget. st carries the received-set across sessions and may be nil.
+//
+//glacvet:hotpath
 func (f *AckFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Probe,
 	budget time.Duration, st *State) Result {
-	var res Result
 	if st == nil {
 		st = NewState()
 	}
 	clock := newBudget(now, budget)
 
-	pending := pr.Pending()
-	wanted := missingOf(pending, st)
+	pending := pr.PendingView()
+	res := st.begin(pending)
+	wanted := st.wanted
 	if len(wanted) == 0 {
-		f.markComplete(ch, clock, pr, pending, st, &res)
+		markComplete(ch, &clock, pr, pending, st, &res)
 		return res
 	}
 	if !clock.spend(ch.PacketAirtime(requestBytes)+ch.RTT(), &res) {
@@ -86,36 +88,10 @@ func (f *AckFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Prob
 			res.MissedFirstPass++
 		}
 		if delivered {
-			st.Have[r.Seq] = struct{}{}
-			res.Got = append(res.Got, r)
+			st.receive(r, &res)
 		}
 	}
 
-	f.markComplete(ch, clock, pr, pending, st, &res)
+	markComplete(ch, &clock, pr, pending, st, &res)
 	return res
-}
-
-// markComplete mirrors the NackFetcher's completion handshake.
-func (f *AckFetcher) markComplete(ch *comms.ProbeChannel, clock *budget, pr *probe.Probe,
-	pending []probe.Reading, st *State, res *Result) {
-	if len(pending) == 0 {
-		res.Complete = true
-		return
-	}
-	for _, r := range pending {
-		if !st.has(r.Seq) {
-			return
-		}
-	}
-	highest := pending[len(pending)-1].Seq
-	if clock.spend(ch.PacketAirtime(requestBytes), res) {
-		res.AirBytes += requestBytes
-		pr.MarkComplete(highest)
-		res.Complete = true
-		for seq := range st.Have {
-			if seq <= highest {
-				delete(st.Have, seq)
-			}
-		}
-	}
 }

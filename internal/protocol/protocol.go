@@ -18,6 +18,7 @@ package protocol
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/comms"
@@ -40,6 +41,11 @@ var ErrBudgetExhausted = errors.New("protocol: time budget exhausted")
 type State struct {
 	// Have is the set of sequence numbers already safely received.
 	Have map[uint64]struct{}
+
+	// Scratch the fetchers reuse from session to session: wanted is the
+	// list of readings a session still needs, got backs Result.Got.
+	wanted []probe.Reading
+	got    []probe.Reading
 }
 
 // NewState returns an empty per-probe fetch state.
@@ -52,9 +58,38 @@ func (s *State) has(seq uint64) bool {
 	return ok
 }
 
+// begin opens a session on s: it fills the wanted scratch with the pending
+// readings s does not hold yet and returns a Result whose Got reuses the
+// State's buffer.
+//
+//glacvet:hotpath
+func (s *State) begin(pending []probe.Reading) Result {
+	// A session receives each wanted reading at most once, so sizing both
+	// buffers for the whole backlog here keeps receive from growing Got.
+	s.wanted = slices.Grow(s.wanted[:0], len(pending))
+	s.got = slices.Grow(s.got[:0], len(pending))
+	for _, r := range pending {
+		if !s.has(r.Seq) {
+			s.wanted = append(s.wanted, r)
+		}
+	}
+	return Result{Got: s.got}
+}
+
+// receive records r as safely held and appends it to the session's Got.
+//
+//glacvet:hotpath
+func (s *State) receive(r probe.Reading, res *Result) {
+	s.Have[r.Seq] = struct{}{}
+	res.Got = append(res.Got, r)
+}
+
 // Result describes one fetch session.
 type Result struct {
 	// Got is the readings newly obtained this session, in sequence order.
+	// It shares its backing array with the State the session ran on: it
+	// stays valid until the next Fetch with that State, so a caller that
+	// keeps readings longer must copy them.
 	Got []probe.Reading
 	// MissedFirstPass is how many packets the bulk stream lost.
 	MissedFirstPass int
@@ -136,44 +171,29 @@ func NewNackFetcher(cfg NackConfig) *NackFetcher {
 // given time budget. st carries the base's received-set across sessions and
 // may be nil for a one-shot fetch. The probe's task is marked complete only
 // when the base holds every pending reading.
+//
+//glacvet:hotpath
 func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Probe,
 	budget time.Duration, st *State) Result {
-	var res Result
 	if st == nil {
 		st = NewState()
 	}
 	clock := newBudget(now, budget)
 
-	pending := pr.Pending()
-	wanted := missingOf(pending, st)
+	pending := pr.PendingView()
+	res := st.begin(pending)
+	wanted := st.wanted
 	if len(wanted) == 0 {
-		f.markComplete(ch, clock, pr, pending, st, &res)
+		markComplete(ch, &clock, pr, pending, st, &res)
 		return res
 	}
 
 	// Request: "send everything I am missing".
-	if !f.sendControl(ch, clock, &res) {
+	if !f.sendControl(ch, &clock, &res) {
 		return res
 	}
 
-	streamOnce := func() bool { // returns false on budget exhaustion
-		for _, r := range wanted {
-			if st.has(r.Seq) {
-				continue
-			}
-			if !clock.spend(ch.PacketAirtime(probe.ReadingBytes), &res) {
-				return false
-			}
-			res.AirBytes += probe.ReadingBytes
-			if ch.Send(clock.now, probe.ReadingBytes) {
-				st.Have[r.Seq] = struct{}{}
-				res.Got = append(res.Got, r)
-			}
-		}
-		return true
-	}
-
-	if !streamOnce() {
+	if !f.stream(ch, &clock, wanted, st, &res) {
 		return res
 	}
 	res.MissedFirstPass = countMissing(wanted, st)
@@ -183,7 +203,7 @@ func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Pro
 		float64(countMissing(wanted, st)) > f.cfg.FullRefetchFraction*float64(len(wanted)) &&
 		res.FullRefetches < f.cfg.MaxFullRefetches {
 		res.FullRefetches++
-		if !f.sendControl(ch, clock, &res) || !streamOnce() {
+		if !f.sendControl(ch, &clock, &res) || !f.stream(ch, &clock, wanted, st, &res) {
 			return res
 		}
 	}
@@ -202,7 +222,7 @@ func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Pro
 		// NACK request + retransmission; each retransmission can be lost
 		// too, so retry a bounded number of times within budget.
 		for attempt := 0; attempt < f.cfg.NackRetries; attempt++ {
-			if !f.sendControl(ch, clock, &res) {
+			if !f.sendControl(ch, &clock, &res) {
 				return res
 			}
 			if !clock.spend(ch.PacketAirtime(probe.ReadingBytes)+ch.RTT(), &res) {
@@ -210,15 +230,35 @@ func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Pro
 			}
 			res.AirBytes += probe.ReadingBytes
 			if ch.Send(clock.now, probe.ReadingBytes) {
-				st.Have[r.Seq] = struct{}{}
-				res.Got = append(res.Got, r)
+				st.receive(r, &res)
 				break
 			}
 		}
 	}
 
-	f.markComplete(ch, clock, pr, pending, st, &res)
+	markComplete(ch, &clock, pr, pending, st, &res)
 	return res
+}
+
+// stream is one bulk pass: the probe sends every wanted reading the base
+// still lacks, back to back. It returns false on budget exhaustion.
+//
+//glacvet:hotpath
+func (f *NackFetcher) stream(ch *comms.ProbeChannel, clock *budget, wanted []probe.Reading,
+	st *State, res *Result) bool {
+	for _, r := range wanted {
+		if st.has(r.Seq) {
+			continue
+		}
+		if !clock.spend(ch.PacketAirtime(probe.ReadingBytes), res) {
+			return false
+		}
+		res.AirBytes += probe.ReadingBytes
+		if ch.Send(clock.now, probe.ReadingBytes) {
+			st.receive(r, res)
+		}
+	}
+	return true
 }
 
 func (f *NackFetcher) sendControl(ch *comms.ProbeChannel, clock *budget, res *Result) bool {
@@ -231,8 +271,11 @@ func (f *NackFetcher) sendControl(ch *comms.ProbeChannel, clock *budget, res *Re
 
 // markComplete confirms the task on the probe when the base holds every
 // pending reading, and trims the carried state so it does not grow without
-// bound across a deployment.
-func (f *NackFetcher) markComplete(ch *comms.ProbeChannel, clock *budget, pr *probe.Probe,
+// bound across a deployment. Both fetchers end their sessions here. pending
+// is the probe's view: it is read before MarkComplete and never after.
+//
+//glacvet:hotpath
+func markComplete(ch *comms.ProbeChannel, clock *budget, pr *probe.Probe,
 	pending []probe.Reading, st *State, res *Result) {
 	if len(pending) == 0 {
 		res.Complete = true
@@ -256,16 +299,6 @@ func (f *NackFetcher) markComplete(ch *comms.ProbeChannel, clock *budget, pr *pr
 	}
 }
 
-func missingOf(pending []probe.Reading, st *State) []probe.Reading {
-	out := make([]probe.Reading, 0, len(pending))
-	for _, r := range pending {
-		if !st.has(r.Seq) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 func countMissing(wanted []probe.Reading, st *State) int {
 	n := 0
 	for _, r := range wanted {
@@ -283,8 +316,8 @@ type budget struct {
 	elapsed time.Duration
 }
 
-func newBudget(now time.Time, d time.Duration) *budget {
-	return &budget{now: now, left: d}
+func newBudget(now time.Time, d time.Duration) budget {
+	return budget{now: now, left: d}
 }
 
 // spend consumes d of budget; on exhaustion it records ErrBudgetExhausted

@@ -58,19 +58,29 @@ func (s *Station) initWork() {
 	s.uploadFn = s.uploadWork
 
 	// --- Fig 4, step: "Get readings from MSP" + "Calculate local power state" ---
+	// The work and its apply share local and n, so the pair is bound once;
+	// the apply runs when the job completes, before the next drain.
+	var (
+		local power.State
+		n     int
+	)
+	mcuReadingsDone := func(done time.Time) {
+		s.cur.LocalState = local
+		if n > 0 {
+			s.spool.Add(storage.KindHousekeeping, "housekeeping", int64(n)*24, done)
+		}
+		s.continueAfterPowerState(done, local)
+	}
 	s.mcuReadingsFn = func(now time.Time) (time.Duration, func(time.Time)) {
+		// The drained samples alias the MCU's buffer, which its next
+		// housekeeping sample overwrites: read them here, keep the count.
 		samples := s.node.MCU.DrainSamples()
-		local := s.state
+		n = len(samples)
+		local = s.state
 		if avg, ok := power.DailyAverage(samples); ok {
 			local = power.StateForVoltage(avg)
 		}
-		return mcuDrainTime, func(done time.Time) {
-			s.cur.LocalState = local
-			if len(samples) > 0 {
-				s.spool.Add(storage.KindHousekeeping, "housekeeping", int64(len(samples))*24, done)
-			}
-			s.continueAfterPowerState(done, local)
-		}
+		return mcuDrainTime, mcuReadingsDone
 	}
 
 	// --- Fig 4, step: "Package data to be sent" ---
@@ -186,42 +196,42 @@ func (s *Station) enqueueProbeJobs() {
 }
 
 // buildProbeJobs caches one named work closure per probe: the cohort is
-// fixed at construction, so the per-probe fetch jobs need building only once.
+// fixed at construction, so the per-probe fetch jobs and their fetch states
+// need building only once.
 func (s *Station) buildProbeJobs() {
 	s.probeJobs = make([]probeJob, 0, len(s.probes))
 	for _, pr := range s.probes {
 		pr := pr
+		st := protocol.NewState()
+		// The work and its apply share res, so the pair is bound once. The
+		// apply runs when the job completes, before this probe's next fetch
+		// (tomorrow at the earliest) overwrites res and reuses st's buffer
+		// behind res.Got.
+		var res protocol.Result
+		apply := func(done time.Time) {
+			s.cur.ProbeReadings += len(res.Got)
+			if s.cfg.Priority != nil {
+				s.dayReadings = append(s.dayReadings, res.Got...)
+			}
+			if res.Err != nil {
+				s.cur.ProbeFetchErr = res.Err
+			}
+			if len(res.Got) > 0 {
+				name := fmt.Sprintf("probe%d-%d", pr.ID(), res.Got[0].Seq)
+				bytes := int64(len(res.Got)) * 24 // packed record size
+				s.spool.Add(storage.KindProbeData, name, bytes, done)
+			}
+		}
 		work := func(now time.Time) (time.Duration, func(time.Time)) {
 			if !pr.Alive(now) {
 				return 0, nil // vanished offline, like 3 of the 7 did
-			}
-			st, ok := s.fetchSt[pr.ID()]
-			if !ok {
-				st = protocol.NewState()
-				s.fetchSt[pr.ID()] = st
 			}
 			budget := s.remainingWindow(now)
 			if budget > 40*time.Minute {
 				budget = 40 * time.Minute
 			}
-			var res protocol.Result
-			if s.cfg.UseAckFetcher {
-				res = protocol.NewAckFetcher(protocol.DefaultAckConfig()).Fetch(now, s.channel, pr, budget, st)
-			} else {
-				res = protocol.NewNackFetcher(s.cfg.Fetch).Fetch(now, s.channel, pr, budget, st)
-			}
-			return res.Elapsed, func(done time.Time) {
-				s.cur.ProbeReadings += len(res.Got)
-				s.dayReadings = append(s.dayReadings, res.Got...)
-				if res.Err != nil {
-					s.cur.ProbeFetchErr = res.Err
-				}
-				if len(res.Got) > 0 {
-					name := fmt.Sprintf("probe%d-%d", pr.ID(), res.Got[0].Seq)
-					bytes := int64(len(res.Got)) * 24 // packed record size
-					s.spool.Add(storage.KindProbeData, name, bytes, done)
-				}
-			}
+			res = s.fetcher.Fetch(now, s.channel, pr, budget, st)
+			return res.Elapsed, apply
 		}
 		s.probeJobs = append(s.probeJobs, probeJob{name: "probe-fetch-" + itoa(pr.ID()), work: work})
 	}
@@ -242,7 +252,7 @@ func (s *Station) continueAfterPowerState(now time.Time, local power.State) {
 		s.cur.Priority, reason = s.cfg.Priority.Evaluate(s.dayReadings)
 		s.cur.PriorityReason = reason
 	}
-	s.dayReadings = nil
+	s.dayReadings = s.dayReadings[:0]
 
 	// Flowchart: "Power state = 0?" → yes → stop (no GPS drain, no GPRS) —
 	// unless the data warrants forcing a marginal-power session.

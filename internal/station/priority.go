@@ -21,7 +21,8 @@ import (
 // or above ForceCommsThreshold forces a minimal GPRS session — state upload
 // plus the high-priority data only — even in state 0.
 type PriorityEvaluator interface {
-	// Evaluate scores the day's readings.
+	// Evaluate scores the day's readings. The station reuses the slice
+	// the next day, so an evaluator must not keep it past the call.
 	Evaluate(readings []probe.Reading) (priority float64, reason string)
 }
 

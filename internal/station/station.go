@@ -158,7 +158,7 @@ type Station struct {
 	// Base-station extras.
 	channel *comms.ProbeChannel
 	probes  []*probe.Probe
-	fetchSt map[int]*protocol.State
+	fetcher fetcher
 	wired   *comms.WiredProbeLink
 
 	card  *storage.CFCard
@@ -177,7 +177,9 @@ type Station struct {
 	reports         []RunReport
 	rs232Health     float64
 	watchdogArmedAt time.Time
-	dayReadings     []probe.Reading
+	// dayReadings collects the day's fetched readings for cfg.Priority
+	// (only when it is set) and is reused from day to day.
+	dayReadings []probe.Reading
 
 	// Bound-once daily work (see initWork): the Fig 4 sequence enqueues the
 	// same jobs every simulated day, so their compute-at-start closures,
@@ -209,6 +211,13 @@ type Station struct {
 // run at job start, return the simulated duration, optionally a completion
 // function.
 type workFn = func(now time.Time) (time.Duration, func(now time.Time))
+
+// fetcher is the probe-retrieval protocol a base station runs each day:
+// the paper's ack-less NACK fetch, or the stop-and-wait baseline.
+type fetcher interface {
+	Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Probe,
+		budget time.Duration, st *protocol.State) protocol.Result
+}
 
 // probeJob is a cached per-probe fetch job (name plus bound work closure).
 type probeJob struct {
@@ -245,12 +254,16 @@ func New(node *core.Node, srv *server.Server, channel *comms.ProbeChannel, probe
 		srv:         srv,
 		channel:     channel,
 		probes:      probes,
-		fetchSt:     make(map[int]*protocol.State),
 		wired:       &comms.WiredProbeLink{},
 		card:        storage.NewCFCard(4 << 30), // the 4 GB CF card
 		spool:       storage.NewSpool(),
 		state:       cfg.InitialState,
 		rs232Health: cfg.RS232Health,
+	}
+	if cfg.UseAckFetcher {
+		s.fetcher = protocol.NewAckFetcher(protocol.DefaultAckConfig())
+	} else {
+		s.fetcher = protocol.NewNackFetcher(cfg.Fetch)
 	}
 	s.specials = NewSpecialRegistry(s)
 	s.rec = recovery.New(node.MCU, node.GPS, s.afterRecovery)
