@@ -80,7 +80,7 @@ func BenchmarkTable2StateMachine(b *testing.B) {
 // --- Fig 3/4: a full deployment day ---
 
 func BenchmarkFig3DeploymentDay(b *testing.B) {
-	d := deploy.New(deploy.DefaultConfig(42))
+	d := deploy.MustBuild(deploy.AsDeployed(42))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := d.Sim.RunFor(24 * time.Hour); err != nil {
@@ -92,7 +92,7 @@ func BenchmarkFig3DeploymentDay(b *testing.B) {
 
 func BenchmarkFig4DailyRunEvents(b *testing.B) {
 	// Event throughput of the simulator kernel itself under station load.
-	d := deploy.New(deploy.DefaultConfig(7))
+	d := deploy.MustBuild(deploy.AsDeployed(7))
 	if err := d.RunDays(1); err != nil {
 		b.Fatal(err)
 	}
@@ -290,8 +290,9 @@ func BenchmarkBulkFetchAckSummer(b *testing.B) {
 func BenchmarkWatchdogBacklogDrainDay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d := deploy.New(deploy.DefaultConfig(int64(i + 1)))
-		d.Base.Node().GPS.InjectBacklog(252, d.Sim.Now())
+		d := deploy.MustBuild(deploy.AsDeployed(int64(i + 1)))
+		base, _ := d.Station("base")
+		base.Node().GPS.InjectBacklog(252, d.Sim.Now())
 		b.StartTimer()
 		if err := d.RunDays(1); err != nil {
 			b.Fatal(err)
@@ -317,11 +318,12 @@ func BenchmarkSyncOverrideFor(b *testing.B) {
 func BenchmarkRecoveryCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg := deploy.DefaultConfig(int64(i + 1))
-		cfg.Start = time.Date(2009, 5, 1, 0, 0, 0, 0, time.UTC)
-		d := deploy.New(cfg)
-		d.Base.Node().Battery.SetSoC(0.05)
-		d.Base.Node().Bus.SetLoad("stuck", 30)
+		top := deploy.AsDeployed(int64(i + 1))
+		top.Start = time.Date(2009, 5, 1, 0, 0, 0, 0, time.UTC)
+		d := deploy.MustBuild(top)
+		base, _ := d.Station("base")
+		base.Node().Battery.SetSoC(0.05)
+		base.Node().Bus.SetLoad("stuck", 30)
 		b.StartTimer()
 		if err := d.RunDays(20); err != nil {
 			b.Fatal(err)

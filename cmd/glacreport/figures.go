@@ -38,7 +38,8 @@ func fig3(seed int64) error {
 	}
 	fmt.Print(trace.Table([]string{"Station", "MB to Southampton (3 days)", "Uploads", "Last state"}, rows))
 	probeTotal := 0
-	for _, r := range d.Base.Reports() {
+	base, _ := d.Station("base")
+	for _, r := range base.Reports() {
 		probeTotal += r.ProbeReadings
 	}
 	fmt.Printf("\nprobe readings relayed through the base station: %d\n", probeTotal)
@@ -80,7 +81,8 @@ func fig4(seed int64) error {
 		rows = append(rows, tail...)
 	}
 	fmt.Print(trace.Table([]string{"Time (UTC)", "Fig 4 step"}, rows))
-	rep := d.Base.Reports()[0]
+	base, _ := d.Station("base")
+	rep := base.Reports()[0]
 	fmt.Printf("\nresult: local=%v override=%d effective=%v comms=%v elapsed=%v\n",
 		rep.LocalState, int(rep.Override), rep.Effective, rep.CommsOK, rep.WallElapsed.Round(time.Minute))
 	return nil
@@ -93,11 +95,12 @@ func fig5(seed int64) error {
 	top := deploy.AsDeployed(seed)
 	top.Start = time.Date(2009, 9, 15, 0, 0, 0, 0, time.UTC)
 	d := deploy.MustBuild(top)
+	base, _ := d.Station("base")
 
 	volts, _ := trace.Sample(d.Sim, 10*time.Minute, "voltage", "V",
-		func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
+		func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
 	states := trace.NewSeries("power state", "")
-	d.Base.OnReport(func(r station.RunReport) {
+	base.OnReport(func(r station.RunReport) {
 		states.Add(r.Date, float64(r.Effective))
 	})
 

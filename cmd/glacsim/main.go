@@ -147,11 +147,18 @@ func runCmd(fs *flag.FlagSet) func([]string) error {
 
 		var volts *trace.Series
 		if *csvPath != "" {
-			if d.Base == nil {
+			var base *station.Station
+			for _, st := range d.Stations {
+				if st.Role() == station.RoleBase {
+					base = st
+					break
+				}
+			}
+			if base == nil {
 				return fmt.Errorf("-csv needs a base station in the scenario")
 			}
 			volts, _ = trace.Sample(d.Sim, 10*time.Minute, "base_volts", "V",
-				func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
+				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
 		}
 
 		if *verbose {

@@ -102,6 +102,7 @@ func TestCLISurface(t *testing.T) {
 		{"list", false},
 		{"run -h", false},
 		{"run -scenario dual-base -days 1 -record DIR/a.evlog", false},
+		{"run -scenario dual-base -days 1 -csv DIR/v.csv", false},
 		{"replay DIR/a.evlog", false},
 		{"evdiff DIR/a.evlog DIR/a.evlog", false},
 		{"sweep -scenario dual-base -seeds 2 -days 1 -shard 0/2 -out json -o DIR/s0.json", false},

@@ -1,7 +1,12 @@
 package repro_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -9,23 +14,64 @@ import (
 	"repro"
 )
 
-// The facade-level smoke test: the quickstart path works end to end.
-func TestFacadeQuickstart(t *testing.T) {
-	d := repro.NewDeployment(repro.DefaultDeploymentConfig(42))
-	volts, _ := repro.SampleSeries(d.Sim, time.Hour, "v", "V",
-		func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
-	if err := d.RunDays(14); err != nil {
+// The facade is for programs outside this module, and it is exactly what
+// the Examples and facade tests demonstrate: every exported name in
+// glacsweb.go must appear as repro.<Name> in a _test.go file here.
+func TestFacadeNamesAreExercised(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "glacsweb.go", nil, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Base.Stats().Runs != 14 {
-		t.Fatalf("base ran %d days", d.Base.Stats().Runs)
+	var exported []*ast.Ident
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				exported = append(exported, d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					exported = append(exported, s.Name)
+				case *ast.ValueSpec:
+					exported = append(exported, s.Names...)
+				}
+			}
+		}
 	}
-	if volts.Len() == 0 {
-		t.Fatal("no voltage samples")
+
+	used := map[string]bool{}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	chart := repro.ASCIIChart(60, 8, volts)
-	if !strings.Contains(chart, "*") {
-		t.Fatal("chart empty")
+	for _, name := range tests {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "repro" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	var unused []string
+	for _, id := range exported {
+		if id.IsExported() && !used[id.Name] {
+			unused = append(unused, id.Name)
+		}
+	}
+	if len(unused) > 0 {
+		sort.Strings(unused)
+		t.Errorf("%d facade names are used by no Example or facade test; demonstrate or delete them: %s",
+			len(unused), strings.Join(unused, ", "))
 	}
 }
 
@@ -48,8 +94,8 @@ func TestFacadeScenarioFleet(t *testing.T) {
 	if res.Fleet.Stations != 3 || res.Fleet.Runs != 6 {
 		t.Fatalf("fleet result %+v", res.Fleet)
 	}
-	if d.Base == nil || d.Reference == nil {
-		t.Fatal("compatibility accessors not set")
+	if _, ok := d.Station("ref-01"); !ok {
+		t.Fatalf("fleet-N has no ref-01: %v", d.StationNames())
 	}
 }
 
@@ -67,7 +113,8 @@ func TestFacadeTopologyWithFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if soc := d.Base.Node().Battery.SoC(); soc > 0.31 {
+	b, _ := d.Station("b")
+	if soc := b.Node().Battery.SoC(); soc > 0.31 {
 		t.Fatalf("fault not applied: soc %.2f", soc)
 	}
 	st, ok := d.Station("r")
@@ -84,8 +131,9 @@ func TestFacadeSweepExport(t *testing.T) {
 		Seeds:     repro.SeedRange(7, 2),
 		Days:      1,
 		Collect: func(c repro.SweepCell, d *repro.Deployment) []*repro.Series {
+			base, _ := d.Station("base-east")
 			s, _ := repro.SampleSeries(d.Sim, 6*time.Hour, "volts", "V",
-				func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
+				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
 			return []*repro.Series{s}
 		},
 	}, 2)
@@ -113,15 +161,6 @@ func TestFacadeSweepExport(t *testing.T) {
 	}
 	if !strings.Contains(jsonBuf.String(), `"volts"`) {
 		t.Fatal("JSON export missing collected series")
-	}
-}
-
-func TestFacadePowerStateHelpers(t *testing.T) {
-	if repro.StateForVoltage(12.6) != repro.PowerState3 {
-		t.Fatal("StateForVoltage wrong")
-	}
-	if repro.ApplyOverride(repro.PowerState3, repro.PowerState0) != repro.PowerState1 {
-		t.Fatal("ApplyOverride clamp wrong")
 	}
 }
 

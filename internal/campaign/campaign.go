@@ -87,8 +87,16 @@ const SyncBeforeWindow, SyncAfterWindow = "set at 11:00 (before window)", "set a
 // SyncLagDrive is the custom per-cell driver of the §III sync-lag study:
 // run five days, place a state change before (11:00) or after (13:00) the
 // midday window, then count whole days until each station adopts it.
-// Shared by the x5 experiment and the campaign runner.
+// Shared by the x5 experiment and the campaign runner. The override and
+// the readings both address the stations "base" and "ref" by name, so a
+// scenario without either is an error.
 func SyncLagDrive(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, error) {
+	base, okBase := d.Station("base")
+	ref, okRef := d.Station("ref")
+	if !okBase || !okRef {
+		return nil, fmt.Errorf("sync-lag drive: scenario %q has no stations \"base\" and \"ref\" (have %v)",
+			c.Scenario, d.StationNames())
+	}
 	if err := d.RunDays(5); err != nil {
 		return nil, err
 	}
@@ -102,7 +110,7 @@ func SyncLagDrive(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, error) {
 	}
 	d.Server.SetManualOverride("base", power.State1)
 	d.Server.SetManualOverride("ref", power.State1)
-	failsBefore := d.Base.Stats().CommsFailures + d.Reference.Stats().CommsFailures
+	failsBefore := base.Stats().CommsFailures + ref.Stats().CommsFailures
 	// Check each evening (18:00, after the midday window): day 0 means
 	// the change landed the same day it was set.
 	baseLag, refLag := -1, -1
@@ -111,17 +119,17 @@ func SyncLagDrive(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, error) {
 		if err := d.Sim.Run(check); err != nil {
 			return nil, err
 		}
-		if baseLag < 0 && d.Base.State() == power.State1 {
+		if baseLag < 0 && base.State() == power.State1 {
 			baseLag = day
 		}
-		if refLag < 0 && d.Reference.State() == power.State1 {
+		if refLag < 0 && ref.State() == power.State1 {
 			refLag = day
 		}
 		if baseLag >= 0 && refLag >= 0 {
 			break
 		}
 	}
-	failures := d.Base.Stats().CommsFailures + d.Reference.Stats().CommsFailures - failsBefore
+	failures := base.Stats().CommsFailures + ref.Stats().CommsFailures - failsBefore
 	return []sweep.Metric{
 		{Name: "base-lag-days", Value: float64(baseLag)},
 		{Name: "ref-lag-days", Value: float64(refLag)},
@@ -205,8 +213,9 @@ func VoltageGrid(seed int64, seeds, days int) sweep.Grid {
 		Days:      days,
 		Collect: func(c sweep.Cell, d *deploy.Deployment) []*trace.Series {
 			horizon := time.Duration(days) * 24 * time.Hour
+			base, _ := d.Station("base")
 			volts, _ := trace.SampleFor(d.Sim, 30*time.Minute, horizon, "base-volts", "V",
-				func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
+				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
 			return []*trace.Series{volts}
 		},
 	}

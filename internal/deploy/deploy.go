@@ -24,54 +24,6 @@ import (
 // DefaultStart is the deployment scenarios' t0: the 2008 field season.
 var DefaultStart = time.Date(2008, time.September, 1, 0, 0, 0, 0, time.UTC)
 
-// Config parameterises the classic two-station deployment. It remains the
-// compatibility surface over Topology: New(cfg) == MustBuild(cfg.Topology()).
-type Config struct {
-	// Seed drives every stochastic process.
-	Seed int64
-	// Start is the simulation start time; zero means DefaultStart.
-	Start time.Time
-	// NumProbes is the sub-glacial cohort size (the paper deployed 7).
-	NumProbes int
-	// Base configures the base-station runtime.
-	Base station.Config
-	// Reference configures the reference-station runtime.
-	Reference station.Config
-	// Weather overrides the climate; zero value gets the Iceland defaults.
-	Weather weather.Config
-	// ProbeLifetime overrides the probes' mean lifetime (0 = default).
-	ProbeLifetime time.Duration
-}
-
-// DefaultConfig returns the as-deployed system.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:      seed,
-		Start:     DefaultStart,
-		NumProbes: 7,
-		Base:      station.DefaultConfig(station.RoleBase),
-		Reference: station.DefaultConfig(station.RoleReference),
-	}
-}
-
-// Topology converts the two-station Config into the declarative form:
-// one base ("base") with the probe cohort, one reference ("ref").
-func (cfg Config) Topology() Topology {
-	if cfg.NumProbes == 0 {
-		cfg.NumProbes = 7
-	}
-	return Topology{
-		Seed:          cfg.Seed,
-		Start:         cfg.Start,
-		Weather:       cfg.Weather,
-		ProbeLifetime: cfg.ProbeLifetime,
-		Stations: []StationSpec{
-			{Name: "base", Role: station.RoleBase, NumProbes: cfg.NumProbes, Runtime: cfg.Base},
-			{Name: "ref", Role: station.RoleReference, Runtime: cfg.Reference},
-		},
-	}
-}
-
 // Deployment is a fully wired simulated field system of any size.
 type Deployment struct {
 	// Sim is the shared simulator.
@@ -84,25 +36,10 @@ type Deployment struct {
 	Topology Topology
 	// Stations is the fleet, in topology order.
 	Stations []*station.Station
-	// Base is the first base station — compatibility alias for the
-	// paper's two-station wiring.
-	Base *station.Station
-	// Reference is the first reference station — compatibility alias.
-	Reference *station.Station
-	// Probes is the fleet-wide sub-glacial cohort, in topology order.
-	Probes []*probe.Probe
-	// Channel is the first base station's probe radio medium —
-	// compatibility alias; per-station cells via ProbeChannel.
-	Channel *comms.ProbeChannel
 
 	byName   map[string]*station.Station
 	probesBy map[string][]*probe.Probe
 	channels map[string]*comms.ProbeChannel
-}
-
-// New wires the classic two-station deployment.
-func New(cfg Config) *Deployment {
-	return MustBuild(cfg.Topology())
 }
 
 // Station returns the named station.

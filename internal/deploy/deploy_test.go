@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,12 +9,30 @@ import (
 	"repro/internal/station"
 )
 
+// asDeployed builds the paper's pair and returns it with its base and
+// reference stations.
+func asDeployed(t *testing.T, seed int64) (d *Deployment, base, ref *station.Station) {
+	t.Helper()
+	d = MustBuild(AsDeployed(seed))
+	return d, mustStation(t, d, "base"), mustStation(t, d, "ref")
+}
+
+// mustStation returns the named station or fails the test.
+func mustStation(t *testing.T, d *Deployment, name string) *station.Station {
+	t.Helper()
+	st, ok := d.Station(name)
+	if !ok {
+		t.Fatalf("no station %q (have %v)", name, d.StationNames())
+	}
+	return st
+}
+
 func TestThirtyDayDeployment(t *testing.T) {
-	d := New(DefaultConfig(42))
+	d, base, ref := asDeployed(t, 42)
 	if err := d.RunDays(30); err != nil {
 		t.Fatal(err)
 	}
-	for name, st := range map[string]*station.Station{"base": d.Base, "ref": d.Reference} {
+	for name, st := range map[string]*station.Station{"base": base, "ref": ref} {
 		s := st.Stats()
 		if s.Runs != 30 {
 			t.Fatalf("%s ran %d days of 30", name, s.Runs)
@@ -34,7 +53,7 @@ func TestThirtyDayDeployment(t *testing.T) {
 	}
 	// Probe data flowed.
 	got := 0
-	for _, r := range d.Base.Reports() {
+	for _, r := range base.Reports() {
 		got += r.ProbeReadings
 	}
 	if got < 7*24*25 {
@@ -44,12 +63,12 @@ func TestThirtyDayDeployment(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() (station.Stats, station.Stats, int64) {
-		d := New(DefaultConfig(7))
+		d, base, ref := asDeployed(t, 7)
 		if err := d.RunDays(45); err != nil {
 			t.Fatal(err)
 		}
 		rec, _ := d.Server.Station("base")
-		return d.Base.Stats(), d.Reference.Stats(), rec.BytesReceived
+		return base.Stats(), ref.Stats(), rec.BytesReceived
 	}
 	b1, r1, n1 := run()
 	b2, r2, n2 := run()
@@ -60,7 +79,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestDifferentSeedsDiverge(t *testing.T) {
 	run := func(seed int64) int64 {
-		d := New(DefaultConfig(seed))
+		d := MustBuild(AsDeployed(seed))
 		if err := d.RunDays(45); err != nil {
 			t.Fatal(err)
 		}
@@ -75,12 +94,12 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 // The §III behaviour observed in the field: the server's min-rule holds one
 // station down when the other reports a lower state.
 func TestServerMinRuleSynchronisesStations(t *testing.T) {
-	d := New(DefaultConfig(42))
+	d, base, _ := asDeployed(t, 42)
 	if err := d.RunDays(90); err != nil { // into December
 		t.Fatal(err)
 	}
 	held := 0
-	for _, r := range d.Base.Reports() {
+	for _, r := range base.Reports() {
 		if r.OverrideFetched && r.Override < r.LocalState && r.Effective == r.Override {
 			held++
 		}
@@ -93,7 +112,7 @@ func TestServerMinRuleSynchronisesStations(t *testing.T) {
 // X5: the state sync lag is at most one day: an override uploaded by one
 // station today is seen by the other station today or tomorrow.
 func TestOverrideSyncLagAtMostOneDay(t *testing.T) {
-	d := New(DefaultConfig(42))
+	d, base, ref := asDeployed(t, 42)
 	if err := d.RunDays(10); err != nil {
 		t.Fatal(err)
 	}
@@ -103,24 +122,23 @@ func TestOverrideSyncLagAtMostOneDay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Within two windows both stations must be running state 1.
-	if d.Base.State() != power.State1 && d.Base.Stats().CommsFailures < 2 {
-		t.Fatalf("base still %v two days after the manual override", d.Base.State())
+	if base.State() != power.State1 && base.Stats().CommsFailures < 2 {
+		t.Fatalf("base still %v two days after the manual override", base.State())
 	}
-	if d.Reference.State() != power.State1 && d.Reference.Stats().CommsFailures < 2 {
-		t.Fatalf("ref still %v two days after the manual override", d.Reference.State())
+	if ref.State() != power.State1 && ref.Stats().CommsFailures < 2 {
+		t.Fatalf("ref still %v two days after the manual override", ref.State())
 	}
 }
 
 func TestWinterReducesActivity(t *testing.T) {
-	cfg := DefaultConfig(11)
-	d := New(cfg)
+	d, base, ref := asDeployed(t, 11)
 	if err := d.RunDays(200); err != nil { // Sept 2008 → mid-March 2009
 		t.Fatal(err)
 	}
 	// At some point in winter a station must have run below state 3: winter
 	// charging cannot hold two stations at full duty.
 	below := 0
-	for _, st := range []*station.Station{d.Base, d.Reference} {
+	for _, st := range []*station.Station{base, ref} {
 		for _, r := range st.Reports() {
 			if r.Effective < power.State3 {
 				below++
@@ -133,13 +151,12 @@ func TestWinterReducesActivity(t *testing.T) {
 }
 
 func TestProbeAttritionOverAYear(t *testing.T) {
-	cfg := DefaultConfig(3)
-	d := New(cfg)
+	d := MustBuild(AsDeployed(3))
 	if err := d.RunDays(365); err != nil {
 		t.Fatal(err)
 	}
 	alive := 0
-	for _, p := range d.Probes {
+	for _, p := range d.StationProbes("base") {
 		if p.Alive(d.Sim.Now()) {
 			alive++
 		}
@@ -154,12 +171,12 @@ func TestYearLongDeploymentSurvives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("year-long simulation")
 	}
-	d := New(DefaultConfig(42))
+	d, base, _ := asDeployed(t, 42)
 	if err := d.RunDays(400); err != nil {
 		t.Fatal(err)
 	}
 	// The base station must still be cycling daily at the end.
-	reps := d.Base.Reports()
+	reps := base.Reports()
 	if len(reps) < 300 {
 		t.Fatalf("only %d daily runs in 400 days", len(reps))
 	}
@@ -174,10 +191,18 @@ func TestYearLongDeploymentSurvives(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	d := New(Config{Seed: 9})
-	if len(d.Probes) != 7 {
-		t.Fatalf("default probe cohort %d, want 7", len(d.Probes))
+// The paper's pair: "base" carries the seven-probe cohort and the one
+// radio cell, "ref" has neither, and a zero Start means DefaultStart.
+func TestAsDeployedDefaults(t *testing.T) {
+	d := MustBuild(AsDeployed(9))
+	if got := d.StationNames(); !reflect.DeepEqual(got, []string{"base", "ref"}) {
+		t.Fatalf("station names %v", got)
+	}
+	if len(d.StationProbes("base")) != 7 || d.StationProbes("ref") != nil {
+		t.Fatalf("cohort wrong: %d base, %d ref", len(d.StationProbes("base")), len(d.StationProbes("ref")))
+	}
+	if d.ProbeChannel("base") == nil || d.ProbeChannel("ref") != nil {
+		t.Fatal("probe channel wiring wrong")
 	}
 	if !d.Sim.Now().Equal(DefaultStart) {
 		t.Fatalf("start %v", d.Sim.Now())

@@ -51,11 +51,13 @@ func TestProbeIDsUniqueAcrossFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
-	for _, p := range d.Probes {
-		if seen[p.ID()] {
-			t.Fatalf("duplicate probe ID %d across fleet", p.ID())
+	for _, name := range d.StationNames() {
+		for _, p := range d.StationProbes(name) {
+			if seen[p.ID()] {
+				t.Fatalf("duplicate probe ID %d across fleet", p.ID())
+			}
+			seen[p.ID()] = true
 		}
-		seen[p.ID()] = true
 	}
 	for _, id := range []int{21, 22, 23, 24, 25} {
 		if !seen[id] {
@@ -77,8 +79,9 @@ func TestPartialRuntimeOverrideMerges(t *testing.T) {
 	// The deployed defaults survived the partial override: the station
 	// starts in state 2 (DefaultConfig), not the zero-value state 0
 	// (which would also disable its comms entirely).
-	if d.Base.State() != power.State2 {
-		t.Fatalf("partial override lost defaults: initial state %v", d.Base.State())
+	b := mustStation(t, d, "b")
+	if b.State() != power.State2 {
+		t.Fatalf("partial override lost defaults: initial state %v", b.State())
 	}
 	// And the override itself took effect: the special-first early comms
 	// session runs, so a queued special executes even though the §VI
@@ -87,7 +90,7 @@ func TestPartialRuntimeOverrideMerges(t *testing.T) {
 	if err := d.RunDays(1); err != nil {
 		t.Fatal(err)
 	}
-	if d.Base.Stats().SpecialsExecuted != 1 {
+	if b.Stats().SpecialsExecuted != 1 {
 		t.Fatalf("special not executed under merged runtime")
 	}
 }
@@ -103,8 +106,8 @@ func TestExplicitRuntimeKeepsState0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Base.State() != power.State0 {
-		t.Fatalf("explicit State0 overridden to %v", d.Base.State())
+	if st := mustStation(t, d, "b"); st.State() != power.State0 {
+		t.Fatalf("explicit State0 overridden to %v", st.State())
 	}
 }
 
@@ -129,24 +132,6 @@ func TestBuildDefaultNamesAndLookup(t *testing.T) {
 	}
 	if _, ok := d.Station("ghost"); ok {
 		t.Fatal("lookup of unknown station succeeded")
-	}
-	if d.Base == nil || d.Base.Name() != "base" || d.Reference == nil || d.Reference.Name() != "ref" {
-		t.Fatal("compatibility aliases not set")
-	}
-}
-
-// New(cfg) must stay a thin wrapper over Build: the classic two-station
-// deployment keeps its "base"/"ref" names and cohort.
-func TestNewIsBuildOfConfigTopology(t *testing.T) {
-	d := New(DefaultConfig(42))
-	if got := d.StationNames(); !reflect.DeepEqual(got, []string{"base", "ref"}) {
-		t.Fatalf("compat names %v", got)
-	}
-	if len(d.Probes) != 7 || len(d.StationProbes("base")) != 7 || d.StationProbes("ref") != nil {
-		t.Fatalf("compat cohort wrong: %d fleet, %d base", len(d.Probes), len(d.StationProbes("base")))
-	}
-	if d.Channel == nil || d.ProbeChannel("base") != d.Channel || d.ProbeChannel("ref") != nil {
-		t.Fatal("compat channel wiring wrong")
 	}
 }
 

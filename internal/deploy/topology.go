@@ -296,14 +296,6 @@ func Build(t Topology) (*Deployment, error) {
 		if channel != nil {
 			d.channels[sp.Name] = channel
 		}
-		d.Probes = append(d.Probes, probes...)
-		if sp.Role == station.RoleBase && d.Base == nil {
-			d.Base = st
-			d.Channel = channel
-		}
-		if sp.Role == station.RoleReference && d.Reference == nil {
-			d.Reference = st
-		}
 	}
 	return d, nil
 }

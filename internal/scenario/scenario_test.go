@@ -73,14 +73,15 @@ func TestRegisterAndBuildCustom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Stations) != 1 || d.Base == nil || d.Reference != nil {
+	solo, ok := d.Station("solo")
+	if len(d.Stations) != 1 || !ok || solo.Role() != station.RoleBase {
 		t.Fatalf("solo build wrong: %d stations", len(d.Stations))
 	}
 	if err := d.RunDays(2); err != nil {
 		t.Fatal(err)
 	}
-	if d.Base.Stats().Runs != 2 {
-		t.Fatalf("solo base ran %d days", d.Base.Stats().Runs)
+	if solo.Stats().Runs != 2 {
+		t.Fatalf("solo base ran %d days", solo.Stats().Runs)
 	}
 }
 
@@ -114,7 +115,9 @@ func TestFleetNParameterisation(t *testing.T) {
 	if len(d.Stations) != 8 {
 		t.Fatalf("fleet-N -stations 8 built %d stations", len(d.Stations))
 	}
-	bases, refs := 0, 0
+	bases, refs, probes := 0, 0, 0
+	// Fleet-wide probe numbering stays unique.
+	seen := map[int]bool{}
 	for _, st := range d.Stations {
 		switch st.Role() {
 		case station.RoleBase:
@@ -122,20 +125,19 @@ func TestFleetNParameterisation(t *testing.T) {
 		case station.RoleReference:
 			refs++
 		}
+		for _, p := range d.StationProbes(st.Name()) {
+			if seen[p.ID()] {
+				t.Fatalf("duplicate probe ID %d across fleet", p.ID())
+			}
+			seen[p.ID()] = true
+			probes++
+		}
 	}
 	if bases != 7 || refs != 1 {
 		t.Fatalf("fleet-N shape: %d bases, %d refs", bases, refs)
 	}
-	if len(d.Probes) != 14 {
-		t.Fatalf("fleet cohort %d probes, want 7 bases x 2", len(d.Probes))
-	}
-	// Fleet-wide probe numbering stays unique.
-	seen := map[int]bool{}
-	for _, p := range d.Probes {
-		if seen[p.ID()] {
-			t.Fatalf("duplicate probe ID %d across fleet", p.ID())
-		}
-		seen[p.ID()] = true
+	if probes != 14 {
+		t.Fatalf("fleet cohort %d probes, want 7 bases x 2", probes)
 	}
 }
 
@@ -144,11 +146,13 @@ func TestWinterBlackoutFaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if soc := d.Base.Node().Battery.SoC(); soc > 0.51 {
+	base, _ := d.Station("base")
+	ref, _ := d.Station("ref")
+	if soc := base.Node().Battery.SoC(); soc > 0.51 {
 		t.Fatalf("blackout base starts at soc %.2f, want 0.5", soc)
 	}
 	// The café mains is gone: the reference fit keeps only its solar panel.
-	if got := len(d.Reference.Node().Bus.Chargers()); got != 1 {
+	if got := len(ref.Node().Bus.Chargers()); got != 1 {
 		t.Fatalf("blackout reference has %d chargers, want solar only", got)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/deploy"
+	"repro/internal/station"
 	"repro/internal/trace"
 )
 
@@ -27,11 +28,22 @@ func exportGrid() Grid {
 		Seeds:     SeedRange(1, 2),
 		Days:      2,
 		Collect: func(c Cell, d *deploy.Deployment) []*trace.Series {
+			base := firstBase(d)
 			s, _ := trace.Sample(d.Sim, 2*time.Hour, "base-volts", "V",
-				func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
+				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
 			return []*trace.Series{s}
 		},
 	}
+}
+
+// firstBase is the fleet's first base station in topology order.
+func firstBase(d *deploy.Deployment) *station.Station {
+	for _, st := range d.Stations {
+		if st.Role() == station.RoleBase {
+			return st
+		}
+	}
+	panic("no base station in the fleet")
 }
 
 func runExportGrid(t *testing.T, workers int) *Summary {

@@ -26,8 +26,9 @@ func mergeGrid() Grid {
 			}},
 		},
 		Collect: func(c Cell, d *deploy.Deployment) []*trace.Series {
+			base := firstBase(d)
 			s, _ := trace.Sample(d.Sim, 6*time.Hour, "base-volts", "V",
-				func(time.Time) float64 { return d.Base.Node().Bus.VoltageNow() })
+				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
 			return []*trace.Series{s}
 		},
 	}
