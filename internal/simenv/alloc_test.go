@@ -12,7 +12,7 @@ import (
 // waiting for the bench trajectory to notice.
 //
 // The same set of functions carries //glacvet:hotpath in simenv.go (At,
-// After, Cancel, Step, pushEvent, popEvent, allocSlot, freeSlot,
+// After, Cancel, Step, pushRun, popRun, popHead, allocSlot, freeSlot,
 // Ticker.tick, Rand): `make lint` rejects the allocation patterns
 // statically, these pins catch whatever slips past the lint at runtime.
 // Keep the two sets in sync.
@@ -67,6 +67,68 @@ func TestTickerSteadyStateAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("ticker reschedule allocates %.1f objects/op, want 0 (tick closure must be bound once)", avg)
+	}
+}
+
+func TestSameTimeBurstAllocFree(t *testing.T) {
+	s := New(1)
+	fn := func(time.Time) {}
+	burst := func() {
+		at := s.Now().Add(time.Second)
+		for i := 0; i < 1000; i++ {
+			s.At(at, "burst", fn)
+		}
+		for s.Step() {
+		}
+	}
+	burst() // the slot table and free list grow to the burst once
+	avg := testing.AllocsPerRun(20, burst)
+	if avg != 0 {
+		t.Fatalf("scheduling and draining a 1000-event burst allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+func TestAppendToDrainingRunAllocFree(t *testing.T) {
+	s := New(1)
+	fn := func(time.Time) {}
+	joined := true
+	appendNow := func(now time.Time) {
+		s.At(now, "appended", fn)
+		// "tail" is still queued, so a push would make a second heap key.
+		joined = joined && len(s.queue) == 1
+	}
+	cycle := func() {
+		at := s.Now().Add(time.Second)
+		s.At(at, "head", appendNow)
+		s.At(at, "tail", fn)
+		for s.Step() {
+		}
+	}
+	cycle()
+	avg := testing.AllocsPerRun(200, cycle)
+	if !joined {
+		t.Fatal("At(now) from a draining run's event opened a new run instead of appending")
+	}
+	if avg != 0 {
+		t.Fatalf("appending to the draining run allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+func TestCancelRunMiddleAllocFree(t *testing.T) {
+	s := New(1)
+	fn := func(time.Time) {}
+	cycle := func() {
+		at := s.Now().Add(time.Second)
+		s.At(at, "head", fn)
+		s.Cancel(s.At(at, "middle", fn))
+		s.At(at, "tail", fn)
+		for s.Step() {
+		}
+	}
+	cycle()
+	avg := testing.AllocsPerRun(200, cycle)
+	if avg != 0 {
+		t.Fatalf("cancelling the middle of a run allocates %.1f objects/op, want 0", avg)
 	}
 }
 

@@ -7,10 +7,17 @@
 // scheduled on a Simulator, which makes multi-month deployments run in
 // milliseconds and makes every run exactly reproducible from its seed.
 //
-// The event loop is engineered for allocation discipline: events are stored
-// by value in a hand-rolled binary heap (no container/heap interface
-// boxing), event identity lives in a reusable generation-stamped slot table
-// rather than per-event map entries, and tickers reschedule with a closure
+// The queue is a hand-rolled binary heap of runs (no container/heap
+// interface boxing). A run is a FIFO of events that share a timestamp and
+// were scheduled back to back, linked through their slots; the heap holds
+// one fixed-size key per run. Duty-cycled models put thousands of events on
+// the same instants, so most schedules append to a run and most executions
+// advance a run's head in place, and only a run's last event pays for a
+// sift. Execution order is exactly (time, schedule order).
+//
+// The event loop is engineered for allocation discipline: event payload and
+// identity live in a reusable generation-stamped slot table rather than
+// per-event boxes or map entries, and tickers reschedule with a closure
 // bound once at construction. Steady-state schedule/execute cycles perform
 // zero heap allocations (pinned by TestScheduleStepAllocFree), which is
 // what lets fleet-scale sweep campaigns run at memory-bandwidth speed
@@ -54,12 +61,14 @@ type EventFunc func(now time.Time)
 // can never affect an unrelated event that later reuses the slot.
 type EventID uint64
 
-// event is a heap element: the 24-byte ordering key plus the slot index
-// that holds the event's payload (time, callback, name). The payload lives
-// in the slot table, not the heap, because the sift loops move elements
-// O(log n) times each — at fleet scale, swapping an 80-byte struct with an
-// embedded time.Time was the kernel's single largest compute cost
-// (runtime.duffcopy + time.Time.Before dominated the CPU profile).
+// event is a heap element: the key of one *run* — every pending event
+// that shares a timestamp and was scheduled back to back. It holds the
+// 24-byte ordering key (time, first seq) plus the slot index of the run's
+// head; the rest of the run hangs off that slot through eventSlot.next. The
+// payload lives in the slot table, not the heap, because the sift loops
+// move elements O(log n) times each — at fleet scale, swapping an 80-byte
+// struct with an embedded time.Time was the kernel's single largest compute
+// cost (runtime.duffcopy + time.Time.Before dominated the CPU profile).
 type event struct {
 	// atSec/atNsec are at.Unix()/at.Nanosecond(), precomputed once at
 	// schedule time. Two integer compares are several times cheaper than
@@ -67,15 +76,17 @@ type event struct {
 	// call). Unlike UnixNano they cannot overflow, so events centuries
 	// out (exponential probe lifetimes) still order correctly.
 	atSec  int64
-	seq    uint64 // tie-break so same-time events run in schedule order
+	seq    uint64 // seq of the run's first event: orders same-time runs
 	atNsec int32
-	slot   uint32 // index into Simulator.slots holding the payload
+	slot   uint32 // index into Simulator.slots of the run's head
 }
 
-// eventQueue is a binary min-heap of event keys ordered by (at, seq). The
+// eventQueue is a binary min-heap of run keys ordered by (at, seq). The
 // sift routines are hand-rolled instead of using container/heap: the
-// interface-based API would box every pushed event onto the heap, which at
+// interface-based API would box every pushed key onto the heap, which at
 // fleet scale was the single largest allocation site in the simulator.
+// Keys stand for runs, so the heap holds one entry per run rather than one
+// per event, and only the pop of a run's last event sifts (popHead).
 type eventQueue []event
 
 func (q eventQueue) less(i, j int) bool {
@@ -90,7 +101,7 @@ func (q eventQueue) less(i, j int) bool {
 }
 
 //glacvet:hotpath
-func (s *Simulator) pushEvent(ev event) {
+func (s *Simulator) pushRun(ev event) {
 	s.queue = append(s.queue, ev)
 	q := s.queue
 	i := len(q) - 1
@@ -105,9 +116,8 @@ func (s *Simulator) pushEvent(ev event) {
 }
 
 //glacvet:hotpath
-func (s *Simulator) popEvent() event {
+func (s *Simulator) popRun() {
 	q := s.queue
-	ev := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
 	s.queue = q[:n]
@@ -128,7 +138,28 @@ func (s *Simulator) popEvent() event {
 		q[i], q[m] = q[m], q[i]
 		i = m
 	}
-	return ev
+}
+
+// popHead unlinks the earliest pending event — the head of the top run —
+// and returns its slot. While the run has more events the heap key stays
+// put with its head advanced; the run's last event pops the key. When that
+// run is the one At would append to, it is forgotten, so the next event at
+// its time starts a fresh run with a larger seq.
+//
+//glacvet:hotpath
+func (s *Simulator) popHead() uint32 {
+	top := &s.queue[0]
+	idx := top.slot
+	if next := s.slots[idx].next; next != noSlot {
+		top.slot = next
+	} else {
+		if idx == s.runTail {
+			s.runTail = noSlot
+		}
+		s.popRun()
+	}
+	s.pending--
+	return idx
 }
 
 // Slot states for the event identity table. A slot is free until At claims
@@ -140,16 +171,20 @@ const (
 	slotCancelled
 )
 
-// eventSlot carries an event's identity (generation + lifecycle state) and
-// its payload. Payload lives here rather than in the heap so heap elements
-// stay a compact fixed-size key; the fn/name references are dropped the
-// moment the slot is freed so the GC never sees residue from executed
-// events.
+// noSlot ends a run's chain of slots and marks "no run to append to".
+const noSlot = ^uint32(0)
+
+// eventSlot carries an event's identity (generation + lifecycle state), its
+// payload and its link to the next event of the same run. Payload lives
+// here rather than in the heap so heap elements stay a compact fixed-size
+// key; the fn/name references are dropped the moment the slot is freed so
+// the GC never sees residue from executed events.
 type eventSlot struct {
 	at    time.Time
 	fn    EventFunc
 	name  string
 	gen   uint32
+	next  uint32 // next slot of the run, or noSlot at its tail
 	state uint8
 }
 
@@ -179,8 +214,15 @@ type Simulator struct {
 	now       time.Time
 	queue     eventQueue
 	seq       uint64
+	pending   int // queued events, cancelled ones included
 	slots     []eventSlot
 	freeSlots []uint32
+	// The run At pushed most recently, while any of it is queued: its
+	// time and its tail slot (noSlot once the tail has popped). Only this
+	// run takes appends, so a run never gains an event out of seq order.
+	runSec    int64
+	runNsec   int32
+	runTail   uint32
 	stopped   bool
 	running   bool
 	processed uint64
@@ -199,7 +241,7 @@ func New(seed int64) *Simulator {
 
 // NewAt returns a Simulator whose clock starts at the given time.
 func NewAt(seed int64, start time.Time) *Simulator {
-	return &Simulator{now: start, seed: seed}
+	return &Simulator{now: start, seed: seed, runTail: noSlot}
 }
 
 var _ Clock = (*Simulator)(nil)
@@ -215,7 +257,7 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending reports how many events are queued (including cancelled ones that
 // have not yet been skipped).
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return s.pending }
 
 // Rand returns the deterministic random stream for the given name. Streams
 // are independent: drawing from one never perturbs another, so adding a new
@@ -268,8 +310,14 @@ func (s *Simulator) OnEvent(fn func(name string, at time.Time)) {
 // At schedules fn to run at the given absolute simulated time. Scheduling in
 // the past (or exactly now) runs the event at the current time, after any
 // events already queued for that time. Steady-state scheduling allocates
-// nothing: the event lives by value in the queue and its identity in a
-// recycled slot.
+// nothing: the event's payload and identity live in a recycled slot, and
+// the heap only grows when the event opens a new run.
+//
+// An event at the same instant as the previous At joins the tail of that
+// event's run, while the run is still queued, without touching the heap. That keeps (at, seq) order exactly: the most
+// recently pushed run holds the largest seq of all queued events, even
+// while it drains, and every earlier run at the same instant is closed for
+// good, so all of its events precede the appended one.
 //
 //glacvet:hotpath
 func (s *Simulator) At(at time.Time, name string, fn EventFunc) EventID {
@@ -280,17 +328,21 @@ func (s *Simulator) At(at time.Time, name string, fn EventFunc) EventID {
 		at = s.now
 	}
 	s.seq++
+	s.pending++
 	idx, id := s.allocSlot()
 	sl := &s.slots[idx]
 	sl.at = at
 	sl.fn = fn
 	sl.name = name
-	s.pushEvent(event{
-		atSec:  at.Unix(),
-		atNsec: int32(at.Nanosecond()),
-		seq:    s.seq,
-		slot:   idx,
-	})
+	sl.next = noSlot
+	atSec, atNsec := at.Unix(), int32(at.Nanosecond())
+	if s.runTail != noSlot && atSec == s.runSec && atNsec == s.runNsec {
+		s.slots[s.runTail].next = idx
+	} else {
+		s.pushRun(event{atSec: atSec, atNsec: atNsec, seq: s.seq, slot: idx})
+		s.runSec, s.runNsec = atSec, atNsec
+	}
+	s.runTail = idx
 	return id
 }
 
@@ -372,10 +424,10 @@ func (s *Simulator) Stop() { s.stopped = true }
 //glacvet:hotpath
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
-		ev := s.popEvent()
-		sl := &s.slots[ev.slot]
+		idx := s.popHead()
+		sl := &s.slots[idx]
 		at, fn, name := sl.at, sl.fn, sl.name
-		if s.freeSlot(ev.slot) {
+		if s.freeSlot(idx) {
 			continue
 		}
 		if at.After(s.now) {
@@ -427,12 +479,12 @@ func (s *Simulator) RunFor(d time.Duration) error {
 }
 
 // peek returns the time of the next live event, reaping any cancelled
-// events that have floated to the top of the heap.
+// events at the head of the top run.
 func (s *Simulator) peek() (time.Time, bool) {
 	for len(s.queue) > 0 {
 		sl := &s.slots[s.queue[0].slot]
 		if sl.state == slotCancelled {
-			s.freeSlot(s.popEvent().slot)
+			s.freeSlot(s.popHead())
 			continue
 		}
 		return sl.at, true

@@ -405,6 +405,45 @@ func TestPendingCountsCancelledUntilSkipped(t *testing.T) {
 	}
 }
 
+func TestPendingCountsCancelledInsideRun(t *testing.T) {
+	// A cancelled event in the middle of a 1000-event run stays counted
+	// until the pop that skips it, like one on its own heap key.
+	s := New(1)
+	at := s.Now().Add(time.Minute)
+	fn := func(time.Time) {}
+	var middle EventID
+	for i := 0; i < 1000; i++ {
+		id := s.At(at, "burst", fn)
+		if i == 500 {
+			middle = id
+		}
+	}
+	s.At(at.Add(time.Minute), "later", fn)
+	s.Cancel(middle)
+	if got := s.Pending(); got != 1001 {
+		t.Fatalf("Pending = %d after cancel, want 1001 (cancelled still queued)", got)
+	}
+	for i := 1; i <= 500; i++ {
+		s.Step()
+		if got, want := s.Pending(), 1001-i; got != want {
+			t.Fatalf("Pending = %d after %d steps, want %d", got, i, want)
+		}
+	}
+	s.Step() // skips the cancelled event, then runs the one after it
+	if got := s.Pending(); got != 499 {
+		t.Fatalf("Pending = %d after the skipping pop, want 499", got)
+	}
+	if err := s.RunFor(time.Hour); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	if got := s.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after run, want 0", got)
+	}
+	if s.Processed() != 1000 {
+		t.Fatalf("Processed = %d, want 1000", s.Processed())
+	}
+}
+
 func TestSameTimestampEventScheduledMidEventRunsLast(t *testing.T) {
 	// An event scheduled *during* an event for the current instant joins
 	// the back of the same-timestamp queue (schedule order, not LIFO).
