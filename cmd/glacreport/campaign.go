@@ -77,8 +77,7 @@ type campaignManifestItem struct {
 // restarts from where it stopped (-resume). Whatever the path — local, remote, sharded+merged,
 // interrupted+resumed — the final artifacts are byte-identical, because
 // everything refolds through the same reducer.
-func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM int,
-	sharded bool, remote []string, resume bool, cache *rescache.DiskCache, recordDir string) error {
+func runCampaign(dir string, seed int64, seeds, days, shardI, shardM int, sharded, resume bool, ex *cliutil.Exec) error {
 	if seeds < 1 {
 		return cliutil.Usagef("-seeds must be >= 1")
 	}
@@ -93,30 +92,29 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 	if sharded {
 		manifest.Shard = fmt.Sprintf("%d/%d", shardI, shardM)
 	}
-	checkpointed := len(remote) > 0 || resume
+	checkpointed := len(ex.Remote) > 0 || resume
 	for _, e := range campaign.Entries() {
 		if days > 0 && e.FixedHorizon {
 			fmt.Fprintf(os.Stderr, "glacreport %s: custom driver fixes its own horizon; -days %d ignored\n", e.ID, days)
 		}
 		g := e.Grid(seed, seeds, days)
-		if recordDir != "" {
+		if ex.RecordDir != "" {
 			// Campaign cells run under Drive/Observe/Collect hooks that shape
 			// the event stream, so the headers name the hook set: the logs
 			// diff and byte-compare across runs but refuse header-only replay.
-			if err := cliutil.RecordCells(&g, filepath.Join(recordDir, e.ID), evlog.Header{Hooks: campaign.HooksName(e.ID)}); err != nil {
+			if err := cliutil.RecordCells(&g, filepath.Join(ex.RecordDir, e.ID), evlog.Header{Hooks: campaign.HooksName(e.ID)}); err != nil {
 				return fmt.Errorf("campaign %s: %w", e.ID, err)
 			}
 		}
+		// The worker pool reattaches the entry's registered hook set on
+		// every shard request.
+		r := ex.Runner(campaign.HooksName(e.ID))
 		var sum *sweep.Summary
 		var err error
-		switch {
-		case checkpointed:
-			sum, err = distrib.RunResumable(g, e.ID, dir, campaignRunner(e.ID, workers, remote, cache),
-				campaignChunk(remote), resume, cliutil.Logf)
-		case sharded:
-			sum, err = sweep.RunShardWith(g, campaignRunner(e.ID, workers, nil, cache), shardI, shardM)
-		default:
-			sum, err = sweep.RunShardWith(g, campaignRunner(e.ID, workers, nil, cache), 0, 1)
+		if checkpointed {
+			sum, err = distrib.RunResumable(g, e.ID, dir, r, campaignChunk(ex.Remote), resume, cliutil.Logf)
+		} else {
+			sum, err = sweep.RunShardWith(g, r, shardI, shardM)
 		}
 		if err != nil {
 			return fmt.Errorf("campaign %s: %w", e.ID, err)
@@ -127,9 +125,9 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 		}
 		manifest.Experiments = append(manifest.Experiments, item)
 	}
-	if cache != nil {
-		manifest.Cache = &cacheManifest{Dir: cache.Dir(), Stats: cache.Stats()}
-		cliutil.LogCacheStats(cache)
+	if ex.Cache != nil {
+		manifest.Cache = &cacheManifest{Dir: ex.Cache.Dir(), Stats: ex.Cache.Stats()}
+		cliutil.LogCacheStats(ex.Cache)
 	}
 	if err := writeManifest(dir, manifest); err != nil {
 		return err
@@ -142,27 +140,6 @@ func runCampaign(dir string, seed int64, seeds, days, workers, shardI, shardM in
 		}
 	}
 	return nil
-}
-
-// campaignRunner selects the execute stage for one experiment: the distrib
-// worker pool when remote workers are given (with the entry's registered
-// hook set named on every shard request), the in-process pool — consulting
-// the result cache, when one is open — otherwise.
-func campaignRunner(id string, workers int, remote []string, cache *rescache.DiskCache) sweep.Runner {
-	if len(remote) == 0 {
-		lr := sweep.LocalRunner{Workers: workers}
-		if cache != nil {
-			// Guarded so a disabled cache stays a nil interface, not a
-			// typed-nil *DiskCache the runner would call.
-			lr.Cache = cache
-		}
-		return lr
-	}
-	return &distrib.RemoteRunner{
-		Workers: remote,
-		Hooks:   campaign.HooksName(id),
-		Logf:    cliutil.Logf,
-	}
 }
 
 // campaignChunk sizes the checkpoint granularity: big enough to keep a

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cliutil"
 	"repro/internal/rescache"
 )
 
@@ -72,16 +73,16 @@ func TestCampaignWarmCacheIsByteIdenticalAndSimulatesNothing(t *testing.T) {
 	uncached, cold, warm := t.TempDir(), t.TempDir(), t.TempDir()
 	cacheDir := t.TempDir()
 
-	if err := runCampaign(uncached, 42, 2, 3, 0, 0, 1, false, nil, false, nil, ""); err != nil {
+	if err := runCampaign(uncached, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCampaign(cold, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), ""); err != nil {
+	if err := runCampaign(cold, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{Cache: openTestCache(t, cacheDir)}); err != nil {
 		t.Fatal(err)
 	}
 	// The warm run records each simulated cell's event log, so the log
 	// files count the cells it simulated.
 	recordDir := t.TempDir()
-	if err := runCampaign(warm, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), recordDir); err != nil {
+	if err := runCampaign(warm, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{Cache: openTestCache(t, cacheDir), RecordDir: recordDir}); err != nil {
 		t.Fatal(err)
 	}
 	if logs, err := filepath.Glob(filepath.Join(recordDir, "*", "cell-*.evlog")); err != nil || len(logs) != 0 {
@@ -131,7 +132,7 @@ func TestCampaignWarmCacheIsByteIdenticalAndSimulatesNothing(t *testing.T) {
 func TestCampaignSurvivesPoisonedCache(t *testing.T) {
 	ref, got := t.TempDir(), t.TempDir()
 	cacheDir := t.TempDir()
-	if err := runCampaign(ref, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), ""); err != nil {
+	if err := runCampaign(ref, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{Cache: openTestCache(t, cacheDir)}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := filepath.Glob(filepath.Join(cacheDir, "v*", "*", "*.cell"))
@@ -151,7 +152,7 @@ func TestCampaignSurvivesPoisonedCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := runCampaign(got, 42, 2, 3, 0, 0, 1, false, nil, false, openTestCache(t, cacheDir), ""); err != nil {
+	if err := runCampaign(got, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{Cache: openTestCache(t, cacheDir)}); err != nil {
 		t.Fatal(err)
 	}
 	assertDirsIdenticalExceptManifest(t, ref, got)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cliutil"
 	"repro/internal/distrib"
 )
 
@@ -110,12 +111,12 @@ func assertDirsIdentical(t *testing.T, ref, got string) {
 // to the single-process campaign.
 func TestCampaignRemoteWithWorkerFailureByteIdentical(t *testing.T) {
 	ref := t.TempDir()
-	if err := runCampaign(ref, 42, 2, 3, 0, 0, 1, false, nil, false, nil, ""); err != nil {
+	if err := runCampaign(ref, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{}); err != nil {
 		t.Fatal(err)
 	}
 	remoteDir := t.TempDir()
 	pool := []string{startDeadWorker(t), startWorker(t), startWorker(t)}
-	if err := runCampaign(remoteDir, 42, 2, 3, 0, 0, 1, false, pool, false, nil, ""); err != nil {
+	if err := runCampaign(remoteDir, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{Remote: pool}); err != nil {
 		t.Fatal(err)
 	}
 	assertDirsIdentical(t, ref, remoteDir)
@@ -130,7 +131,7 @@ func TestCampaignRemoteWithWorkerFailureByteIdentical(t *testing.T) {
 // single-process campaign.
 func TestCampaignRemoteResumeAfterInterruptionByteIdentical(t *testing.T) {
 	ref := t.TempDir()
-	if err := runCampaign(ref, 42, 2, 3, 0, 0, 1, false, nil, false, nil, ""); err != nil {
+	if err := runCampaign(ref, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{}); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -139,7 +140,7 @@ func TestCampaignRemoteResumeAfterInterruptionByteIdentical(t *testing.T) {
 	var budget atomic.Int64
 	budget.Store(5)
 	dying := []string{startDyingWorker(t, &budget), startDyingWorker(t, &budget)}
-	if err := runCampaign(dir, 42, 2, 3, 0, 0, 1, false, dying, false, nil, ""); err == nil {
+	if err := runCampaign(dir, 42, 2, 3, 0, 1, false, false, &cliutil.Exec{Remote: dying}); err == nil {
 		t.Fatal("campaign on a dying pool reported success")
 	}
 	parts, err := filepath.Glob(filepath.Join(dir, distrib.PartsDirName, "*", "v*", "*", "*.cell"))
@@ -149,7 +150,7 @@ func TestCampaignRemoteResumeAfterInterruptionByteIdentical(t *testing.T) {
 	if len(parts) == 0 {
 		t.Fatal("interrupted campaign left no checkpoints")
 	}
-	if err := runCampaign(dir, 42, 2, 3, 0, 0, 1, false, []string{startWorker(t), startWorker(t)}, true, nil, ""); err != nil {
+	if err := runCampaign(dir, 42, 2, 3, 0, 1, false, true, &cliutil.Exec{Remote: []string{startWorker(t), startWorker(t)}}); err != nil {
 		t.Fatal(err)
 	}
 	assertDirsIdentical(t, ref, dir)

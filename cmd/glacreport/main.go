@@ -146,41 +146,27 @@ func campaignCmd(fs *flag.FlagSet) func([]string) error {
 	seed := fs.Int64("seed", 42, "simulation seed")
 	seeds := fs.Int("seeds", 3, "consecutive seeds per grid starting at -seed")
 	days := fs.Int("days", 0, "horizon override for grid experiments (0 = per-experiment default)")
-	workers := fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	shard := fs.String("shard", "", "run only shard i/m of every experiment grid and write partial artifacts")
-	remote := fs.String("remote", "", "comma-separated glacsim worker addresses to execute the grids on")
 	resume := fs.Bool("resume", false, "serve cells already cached under -dir/parts by an interrupted run and run only the rest")
-	recDir := fs.String("record-dir", "", "record each cell's event log into DIR/<exp-id>/cell-NNNN.evlog (implies -no-cache)")
-	cacheFlags := cliutil.CacheFlags(fs)
+	ex := cliutil.ExecFlags(fs)
 	return func([]string) error {
-		if *shard != "" && (*remote != "" || *resume) {
-			return cliutil.Usagef("-shard is exclusive with -remote/-resume: a remote or resumable campaign plans its own slices")
-		}
-		workerList, err := cliutil.ParseWorkerList(*remote)
-		if err != nil {
-			return cliutil.Usagef("-remote: %v", err)
-		}
-		if *workers != 0 && len(workerList) > 0 {
-			return cliutil.Usagef("-workers sizes the in-process pool; with -remote the workers size their own")
-		}
-		if *recDir != "" && len(workerList) > 0 {
-			return cliutil.Usagef("-record-dir records local execution; it cannot reach -remote workers")
-		}
-		if *recDir != "" && *resume {
+		if ex.RecordDir != "" && *resume {
 			return cliutil.Usagef("-record-dir needs every cell simulated; a -resume campaign skips checkpointed cells")
 		}
 		shardI, shardM, err := sweep.ParseShardSpec(*shard)
 		if err != nil {
 			return cliutil.Usagef("-shard: %v", err)
 		}
-		cache, err := cacheFlags.Open(len(workerList) > 0, *recDir != "")
-		if err != nil {
+		if err := ex.Open(); err != nil {
 			return err
+		}
+		if *shard != "" && (len(ex.Remote) > 0 || *resume) {
+			return cliutil.Usagef("-shard is exclusive with -remote/-resume: a remote or resumable campaign plans its own slices")
 		}
 		// *shard != "" rather than shardM > 1: an explicit -shard 0/1 is
 		// still a shard campaign (partial JSON + merge-aware manifest), so
 		// scripts parameterised over the shard count work at m=1 too.
-		return runCampaign(*dir, *seed, *seeds, *days, *workers, shardI, shardM, *shard != "", workerList, *resume, cache, *recDir)
+		return runCampaign(*dir, *seed, *seeds, *days, shardI, shardM, *shard != "", *resume, ex)
 	}
 }
 

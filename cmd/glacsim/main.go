@@ -62,7 +62,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/url"
 	"os"
 	"strings"
 	"time"
@@ -119,12 +118,12 @@ func runCmd(fs *flag.FlagSet) func([]string) error {
 		params := scenario.Params{Seed: sc.Seed, Stations: sc.Stations, Probes: sc.Probes, Days: sc.Days}
 		horizon := s.Horizon(params)
 		top := s.Topology(params)
-		apply, err := flagOverride(sc.Start, sc.SpecialFirst)
+		ov, err := flagOverride(sc.Start, sc.SpecialFirst)
 		if err != nil {
 			return err
 		}
-		if apply != nil {
-			apply(&top)
+		if ov.Apply != nil {
+			ov.Apply(&top)
 		}
 
 		d, err := deploy.Build(top)
@@ -204,11 +203,8 @@ func runCmd(fs *flag.FlagSet) func([]string) error {
 func sweepCmd(fs *flag.FlagSet) func([]string) error {
 	sc := cliutil.ScenarioFlags(fs)
 	seeds := fs.Int("seeds", 4, "consecutive seeds starting at -seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	shard := fs.String("shard", "", "run only shard i/m of the grid and write a partial summary")
-	remote := fs.String("remote", "", "comma-separated worker addresses to execute the grid on")
-	recDir := fs.String("record-dir", "", "record each cell's event log into this directory (implies -no-cache)")
-	cacheFlags := cliutil.CacheFlags(fs)
+	ex := cliutil.ExecFlags(fs)
 	out := cliutil.OutputFlags(fs)
 	return func([]string) error {
 		if err := out.Check(fs); err != nil {
@@ -224,18 +220,7 @@ func sweepCmd(fs *flag.FlagSet) func([]string) error {
 		if err != nil {
 			return err
 		}
-		remoteWorkers, err := cliutil.ParseWorkerList(*remote)
-		if err != nil {
-			return cliutil.Usagef("-remote: %v", err)
-		}
-		if *workers != 0 && len(remoteWorkers) > 0 {
-			return cliutil.Usagef("-workers sizes the in-process pool; with -remote the workers size their own")
-		}
-		if *recDir != "" && len(remoteWorkers) > 0 {
-			return cliutil.Usagef("-record-dir records local execution; it cannot reach -remote workers")
-		}
-		cache, err := cacheFlags.Open(len(remoteWorkers) > 0, *recDir != "")
-		if err != nil {
+		if err := ex.Open(); err != nil {
 			return err
 		}
 
@@ -253,44 +238,28 @@ func sweepCmd(fs *flag.FlagSet) func([]string) error {
 			g.Probes = []int{sc.Probes}
 		}
 		// -start and -special-first become one topology override applied to
-		// every cell.
-		apply, err := flagOverride(sc.Start, sc.SpecialFirst)
+		// every cell. Its Apply closure cannot cross the wire; remote workers
+		// rebuild it from its name through the registered hook set.
+		ov, err := flagOverride(sc.Start, sc.SpecialFirst)
 		if err != nil {
 			return err
 		}
-		if apply != nil {
-			g.Overrides = []sweep.Override{{Name: "flags", Apply: apply}}
+		hooks := ""
+		if ov.Name != "" {
+			g.Overrides = []sweep.Override{ov}
+			hooks = "glacsim/flags"
 		}
-		if *recDir != "" {
-			if err := cliutil.RecordCells(&g, *recDir, evlog.Header{Start: sc.Start, SpecialFirst: sc.SpecialFirst}); err != nil {
+		if ex.RecordDir != "" {
+			if err := cliutil.RecordCells(&g, ex.RecordDir, evlog.Header{Start: sc.Start, SpecialFirst: sc.SpecialFirst}); err != nil {
 				return err
 			}
 		}
-		var runner sweep.Runner
-		if len(remoteWorkers) > 0 {
-			rr := &distrib.RemoteRunner{Workers: remoteWorkers, Logf: cliutil.Logf}
-			if apply != nil {
-				// The Apply closure cannot cross the wire; the workers rebuild
-				// it from the same flag values through the registered hook set.
-				rr.Hooks = "glacsim/flags"
-				rr.HookArgs = flagsHookArgs(sc.Start, sc.SpecialFirst)
-			}
-			runner = rr
-		} else {
-			lr := sweep.LocalRunner{Workers: *workers}
-			if cache != nil {
-				// Guarded so a disabled cache stays a nil interface, not a
-				// typed-nil *DiskCache the runner would call.
-				lr.Cache = cache
-			}
-			runner = lr
-		}
-		sum, err := sweep.RunShardWith(g, runner, shardI, shardM)
+		sum, err := sweep.RunShardWith(g, ex.Runner(hooks), shardI, shardM)
 		if err != nil {
 			return err
 		}
-		if cache != nil {
-			cliutil.LogCacheStats(cache)
+		if ex.Cache != nil {
+			cliutil.LogCacheStats(ex.Cache)
 		}
 		what := "sweep summary"
 		if *shard != "" {
@@ -397,11 +366,8 @@ func workerCmd(fs *flag.FlagSet) func([]string) error {
 		if err != nil {
 			return fmt.Errorf("worker: %w", err)
 		}
-		w := &distrib.Worker{MaxShards: *maxShards, CellWorkers: *workers, Logf: cliutil.Logf}
+		w := &distrib.Worker{MaxShards: *maxShards, CellWorkers: *workers, Cache: cliutil.ResultCache(cache), Logf: cliutil.Logf}
 		if cache != nil {
-			// The assignment is guarded so a disabled cache stays a nil
-			// interface, not a typed-nil *DiskCache the worker would call.
-			w.Cache = cache
 			cliutil.Logf("glacsim worker: result cache at %s (%d entries)", cache.Dir(), cache.Len())
 		}
 		// The resolved address on stdout lets scripts use -listen 127.0.0.1:0
@@ -430,22 +396,61 @@ func parseShard(s string) (i, m int, err error) {
 	return i, m, nil
 }
 
+// dateLayout is the -start flag's date format.
+const dateLayout = "2006-01-02"
+
 // flagOverride turns the -start/-special-first flags into one topology
-// mutation shared by the single-run and sweep paths; nil when neither flag
-// is set.
-func flagOverride(start string, fixed bool) (func(*deploy.Topology), error) {
-	if start == "" && !fixed {
-		return nil, nil
+// override shared by the single-run and sweep paths; the zero Override
+// when neither flag is set. Its name carries the flag values canonically
+// (flagsName) and its Apply is parsed back from that name (flagsApply), so
+// the plan fingerprint, which hashes the name, covers everything the
+// override does.
+func flagOverride(start string, fixed bool) (sweep.Override, error) {
+	name, err := flagsName(start, fixed)
+	if err != nil || name == "" {
+		return sweep.Override{}, err
 	}
-	var t0 time.Time
+	apply, err := flagsApply(name)
+	return sweep.Override{Name: name, Apply: apply}, err
+}
+
+// flagsName renders the flag values as an override name:
+// "start=YYYY-MM-DD", "special-first" or both joined by "+"; "" when
+// neither flag is set.
+func flagsName(start string, fixed bool) (string, error) {
+	var parts []string
 	if start != "" {
-		var err error
-		if t0, err = time.Parse("2006-01-02", start); err != nil {
-			return nil, fmt.Errorf("bad -start: %w", err)
+		t0, err := time.Parse(dateLayout, start)
+		if err != nil {
+			return "", fmt.Errorf("bad -start: %w", err)
+		}
+		parts = append(parts, "start="+t0.Format(dateLayout))
+	}
+	if fixed {
+		parts = append(parts, "special-first")
+	}
+	return strings.Join(parts, "+"), nil
+}
+
+// flagsApply parses an override name flagsName built into the topology
+// mutation it names — the one definition of what the flags do, on either
+// side of the wire. A name flagsName would not produce is an error.
+func flagsApply(name string) (func(*deploy.Topology), error) {
+	var start string
+	fixed := false
+	for _, part := range strings.Split(name, "+") {
+		if date, ok := strings.CutPrefix(part, "start="); ok {
+			start = date
+		} else if part == "special-first" {
+			fixed = true
 		}
 	}
+	if canon, err := flagsName(start, fixed); err != nil || name == "" || canon != name {
+		return nil, fmt.Errorf("%q is not a -start/-special-first override name", name)
+	}
+	t0, _ := time.Parse(dateLayout, start) // flagsName validated a non-empty start
 	return func(top *deploy.Topology) {
-		if !t0.IsZero() {
+		if start != "" {
 			top.Start = t0
 		}
 		if fixed {
@@ -461,40 +466,20 @@ func init() {
 	distrib.RegisterHooks("glacsim/flags", flagsHooks)
 }
 
-// flagsHooks rebuilds the -start/-special-first topology override on the
-// worker side of the wire; the args string carries the flag values
-// url-encoded (flagsHookArgs).
-func flagsHooks(args string, g *sweep.Grid) error {
-	v, err := url.ParseQuery(args)
-	if err != nil {
-		return fmt.Errorf("bad flag args %q: %w", args, err)
-	}
-	apply, err := flagOverride(v.Get("start"), v.Get("special-first") == "1")
-	if err != nil {
-		return err
-	}
-	if apply == nil {
-		return fmt.Errorf("flag args %q carry no flags", args)
+// flagsHooks rebuilds the -start/-special-first override's Apply on the
+// worker side of the wire from the override's name.
+func flagsHooks(_ string, g *sweep.Grid) error {
+	if len(g.Overrides) == 0 {
+		return fmt.Errorf("grid has no -start/-special-first override")
 	}
 	for i := range g.Overrides {
-		if g.Overrides[i].Name == "flags" {
-			g.Overrides[i].Apply = apply
-			return nil
+		apply, err := flagsApply(g.Overrides[i].Name)
+		if err != nil {
+			return err
 		}
+		g.Overrides[i].Apply = apply
 	}
-	return fmt.Errorf("grid has no %q override to reattach the flags to", "flags")
-}
-
-// flagsHookArgs encodes the flag values for the glacsim/flags hook set.
-func flagsHookArgs(start string, fixed bool) string {
-	v := url.Values{}
-	if start != "" {
-		v.Set("start", start)
-	}
-	if fixed {
-		v.Set("special-first", "1")
-	}
-	return v.Encode()
+	return nil
 }
 
 // writeSummary encodes a summary to stdout or a file.

@@ -1,8 +1,8 @@
 // Package cliutil is the subcommand plumbing cmd/glacsim and
 // cmd/glacreport share: dispatch to one flag.FlagSet per subcommand, the
-// flag groups several subcommands register (scenario, result cache,
-// output encoding), and the usage-error type main maps to exit code 2,
-// distinct from runtime failures (exit 1).
+// flag groups several subcommands register (scenario, executor, result
+// cache, output encoding), and the usage-error type main maps to exit
+// code 2, distinct from runtime failures (exit 1).
 package cliutil
 
 import (
@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/deploy"
+	"repro/internal/distrib"
 	"repro/internal/evlog"
 	"repro/internal/rescache"
 	"repro/internal/sweep"
@@ -227,6 +228,71 @@ func (c *Cache) Open(remote, recording bool) (*rescache.DiskCache, error) {
 		return nil, err
 	}
 	return rescache.Open(dir, rescache.Options{MaxBytes: int64(c.MaxMB) << 20, Logf: Logf})
+}
+
+// ResultCache returns c as the sweep.ResultCache a runner or worker
+// consults: a disabled (nil) cache stays a nil interface, never a typed-nil
+// *DiskCache the runner would call.
+func ResultCache(c *rescache.DiskCache) sweep.ResultCache {
+	if c == nil {
+		return nil
+	}
+	return c
+}
+
+// Exec is the executor flag group of the subcommands that run sweeps
+// (glacsim sweep, glacreport campaign): where the cells execute — the
+// in-process pool or a -remote worker pool — plus the result cache and
+// per-cell event recording, which only in-process execution serves.
+type Exec struct {
+	Workers   int
+	RecordDir string
+	// Remote and Cache are filled by Open: the -remote worker list (nil
+	// runs in-process) and the opened result cache (nil = off).
+	Remote []string
+	Cache  *rescache.DiskCache
+
+	remote string
+	cache  *Cache
+}
+
+// ExecFlags registers the executor group, cache flags included, on fs.
+func ExecFlags(fs *flag.FlagSet) *Exec {
+	e := &Exec{}
+	fs.IntVar(&e.Workers, "workers", 0, "in-process worker pool size (0 = GOMAXPROCS)")
+	fs.StringVar(&e.remote, "remote", "", "comma-separated glacsim worker addresses to execute on")
+	fs.StringVar(&e.RecordDir, "record-dir", "", "record each simulated cell's event log under this directory (implies -no-cache)")
+	e.cache = CacheFlags(fs)
+	return e
+}
+
+// Open parses -remote, rejects the flags that only in-process execution
+// serves (-workers, -record-dir, -cache) when it is given, and opens the
+// result cache.
+func (e *Exec) Open() error {
+	remote, err := ParseWorkerList(e.remote)
+	if err != nil {
+		return Usagef("-remote: %v", err)
+	}
+	if e.Workers != 0 && len(remote) > 0 {
+		return Usagef("-workers sizes the in-process pool; with -remote the workers size their own")
+	}
+	if e.RecordDir != "" && len(remote) > 0 {
+		return Usagef("-record-dir records local execution; it cannot reach -remote workers")
+	}
+	e.Remote = remote
+	e.Cache, err = e.cache.Open(len(remote) > 0, e.RecordDir != "")
+	return err
+}
+
+// Runner returns the execute stage the flags select: the worker pool, with
+// the named hook set ("" for a declarative grid) reattached on every
+// shard, or the in-process pool consulting the result cache.
+func (e *Exec) Runner(hooks string) sweep.Runner {
+	if len(e.Remote) > 0 {
+		return &distrib.RemoteRunner{Workers: e.Remote, Hooks: hooks, Logf: Logf}
+	}
+	return sweep.LocalRunner{Workers: e.Workers, Cache: ResultCache(e.Cache)}
 }
 
 // LogCacheStats prints the post-run cache counters on stderr, so the

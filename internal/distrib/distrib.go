@@ -33,10 +33,10 @@ import (
 	"repro/internal/sweep"
 )
 
-// Hooks reattaches behavioural hooks to a grid decoded from the wire. The
-// args string travels verbatim in the shard request, letting one registered
-// hook set cover a small parameter family (e.g. CLI flag values) without a
-// registration per combination.
+// Hooks reattaches behavioural hooks to a grid decoded from the wire. A
+// hook set that covers a parameter family (e.g. CLI flag values) reads the
+// parameters from the grid's override names, which the plan fingerprint
+// hashes. args is always "".
 type Hooks func(args string, g *sweep.Grid) error
 
 var (

@@ -12,7 +12,7 @@ import (
 )
 
 // countingRunner wraps the local pool, counting executed cells and failing
-// every Run call after the first failAfter calls — the shape of a campaign
+// every call after the first failAfter calls — the shape of a campaign
 // interrupted mid-flight.
 type countingRunner struct {
 	mu        sync.Mutex
@@ -21,7 +21,7 @@ type countingRunner struct {
 	failAfter int // 0 = never fail
 }
 
-func (c *countingRunner) Run(g sweep.Grid, cells []sweep.Cell) ([]sweep.CellResult, error) {
+func (c *countingRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sweep.Cell) ([]sweep.CellResult, error) {
 	c.mu.Lock()
 	c.calls++
 	if c.failAfter > 0 && c.calls > c.failAfter {
@@ -30,7 +30,7 @@ func (c *countingRunner) Run(g sweep.Grid, cells []sweep.Cell) ([]sweep.CellResu
 	}
 	c.cellsRun += len(cells)
 	c.mu.Unlock()
-	return sweep.LocalRunner{Workers: 2}.Run(g, cells)
+	return sweep.LocalRunner{Workers: 2}.RunPlanned(g, fp, total, cells)
 }
 
 // checkpoints lists the cell entries of experiment "exp" under dir.

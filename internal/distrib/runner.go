@@ -1,8 +1,7 @@
 // RemoteRunner: the client side of the shard wire. It implements
-// sweep.Runner, so the whole local pipeline — Run, RunShardWith, the
-// campaign, RunResumable — distributes by swapping one value: Plan and
-// Reduce stay in the coordinating process, only Execute crosses the
-// network.
+// sweep.Runner, so the whole local pipeline — RunShardWith, the campaign,
+// RunResumable — distributes by swapping one value: Plan and Reduce stay
+// in the coordinating process, only Execute crosses the network.
 package distrib
 
 import (
@@ -49,11 +48,11 @@ type RemoteRunner struct {
 	// wedged-but-still-connected worker must be detected and its shard
 	// requeued.
 	ShardTimeout time.Duration
-	// Hooks / HookArgs name a hook set registered in the worker binary,
-	// reattached to the grid before planning; empty for declarative
-	// grids.
-	Hooks    string
-	HookArgs string
+	// Hooks names a hook set registered in the worker binary, reattached
+	// to the grid before planning; empty for declarative grids. The hook
+	// set reads its parameters from the grid itself (override names), so
+	// everything that shapes a cell travels in the fingerprinted plan.
+	Hooks string
 	// HTTP overrides the transport (tests inject short timeouts); nil
 	// selects http.DefaultClient. Shard executions can legitimately take
 	// minutes, so no default timeout is imposed — a dead worker shows up
@@ -135,11 +134,8 @@ var (
 // attempt and the worker earns no retirement strike.
 var errWorkerBusy = fmt.Errorf("worker at capacity")
 
-// Run implements sweep.Runner: execute the planned cells across the worker
-// pool and return their results in plan order. Per-cell build/run failures
-// travel inside the partial summaries as CellResult.Err, exactly as on a
-// local runner; Run itself errors only when shards cannot be executed at
-// all — an invalid grid, a shard out of attempts, or every worker dead.
+// Run plans g itself and executes cells through RunPlanned. It is not
+// part of sweep.Runner; it remains for callers that hold no plan identity.
 func (r *RemoteRunner) Run(g sweep.Grid, cells []sweep.Cell) ([]sweep.CellResult, error) {
 	plan, err := sweep.Plan(g)
 	if err != nil {
@@ -148,9 +144,11 @@ func (r *RemoteRunner) Run(g sweep.Grid, cells []sweep.Cell) ([]sweep.CellResult
 	return r.RunPlanned(g, sweep.Fingerprint(g, plan), len(plan), cells)
 }
 
-// RunPlanned is Run for coordinators that already planned the grid — a
-// resumed campaign iterating chunks, sweep.RunPlanned — so the plan
-// cross-product is not re-enumerated and re-hashed on every call.
+// RunPlanned implements sweep.Runner: execute the planned cells across the
+// worker pool and return their results in plan order. Per-cell build/run
+// failures travel inside the partial summaries as CellResult.Err, exactly
+// as on a local runner; RunPlanned itself errors only when shards cannot
+// be executed at all — a shard out of attempts, or every worker dead.
 func (r *RemoteRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sweep.Cell) ([]sweep.CellResult, error) {
 	if len(r.Workers) == 0 {
 		return nil, fmt.Errorf("distrib: remote runner has no workers")
@@ -389,7 +387,7 @@ func (r *RemoteRunner) dispatch(ctx context.Context, worker string, g sweep.Grid
 	}
 	body, err := json.Marshal(ShardRequest{
 		V: WireVersion, Fingerprint: fp, TotalCells: total, Indices: indices,
-		Grid: SpecOf(g), Hooks: r.Hooks, HookArgs: r.HookArgs,
+		Grid: SpecOf(g), Hooks: r.Hooks,
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,7 +79,7 @@ func TestRemoteRunnerShardMergesWithLocalShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part1, err := sweep.RunShard(g, 1, 2, 0)
+	part1, err := sweep.RunShardWith(g, sweep.LocalRunner{}, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,19 +256,16 @@ func TestRemoteRunnerNeedsWorkers(t *testing.T) {
 // registered hook set runs remotely and matches the locally hooked run.
 func TestRemoteRunnerCarriesHooks(t *testing.T) {
 	g := runnerGrid()
+	g.Overrides = []sweep.Override{{Name: "tag=7"}}
 	hooked := g
-	if err := testTagHooks(strconv.Itoa(7), &hooked); err != nil {
+	if err := testTagHooks("", &hooked); err != nil {
 		t.Fatal(err)
 	}
 	single, err := sweep.Run(hooked, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := &RemoteRunner{
-		Workers:  startWorkers(t, 2),
-		Hooks:    "disttest/tag",
-		HookArgs: "7",
-	}
+	remote := &RemoteRunner{Workers: startWorkers(t, 2), Hooks: "disttest/tag"}
 	// The coordinator sends the *declarative* grid; the worker reattaches
 	// the hooks from its registry.
 	distributed, err := sweep.RunShardWith(hooked, remote, 0, 1)

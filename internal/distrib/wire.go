@@ -15,8 +15,10 @@ import (
 )
 
 // WireVersion is the shard request protocol version; a worker refuses
-// requests from a different version instead of guessing.
-const WireVersion = 1
+// requests from a different version instead of guessing. Version 2 dropped
+// version 1's hook_args: a decoder ignores unknown fields, so without the
+// bump a version 1 coordinator's args would be silently lost.
+const WireVersion = 2
 
 // WeatherSpecJSON is one weather-axis value on the wire. weather.Config is
 // pure data (the whole climate derives from it and a clock), so it crosses
@@ -102,10 +104,8 @@ type ShardRequest struct {
 	Indices     []int    `json:"indices"`
 	Grid        GridSpec `json:"grid"`
 	// Hooks names the registered hook set the worker reattaches before
-	// planning; empty for a purely declarative grid. HookArgs travels to
-	// the hook set verbatim.
-	Hooks    string `json:"hooks,omitempty"`
-	HookArgs string `json:"hook_args,omitempty"`
+	// planning; empty for a purely declarative grid.
+	Hooks string `json:"hooks,omitempty"`
 }
 
 // BuildGrid rebuilds the executable grid of a request: the declarative
@@ -120,7 +120,7 @@ func (req ShardRequest) BuildGrid() (sweep.Grid, error) {
 		if !ok {
 			return sweep.Grid{}, fmt.Errorf("distrib: hook set %q not registered in this binary", req.Hooks)
 		}
-		if err := h(req.HookArgs, &g); err != nil {
+		if err := h("", &g); err != nil {
 			return sweep.Grid{}, fmt.Errorf("distrib: hook set %q: %w", req.Hooks, err)
 		}
 	}

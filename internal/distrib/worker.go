@@ -201,10 +201,9 @@ func (w *Worker) runShard(req ShardRequest) (*sweep.Summary, int, error) {
 // what the gate in serveShard is there to check.
 func (w *Worker) planFor(req ShardRequest, g sweep.Grid) ([]sweep.Cell, string, error) {
 	keyBytes, err := json.Marshal(struct {
-		Grid     GridSpec
-		Hooks    string
-		HookArgs string
-	}{req.Grid, req.Hooks, req.HookArgs})
+		Grid  GridSpec
+		Hooks string
+	}{req.Grid, req.Hooks})
 	if err != nil {
 		return nil, "", err
 	}

@@ -17,13 +17,17 @@ import (
 	"repro/internal/sweep"
 )
 
-// testTagHooks is a registered hook set for the tests: its args carry a
-// number the attached Drive reports as the "hook-tag" metric after the
-// cell's default run.
-func testTagHooks(args string, g *sweep.Grid) error {
-	tag, err := strconv.ParseFloat(args, 64)
+// testTagHooks is a registered hook set for the tests: it reads a number
+// from the grid's "tag=N" override name and attaches a Drive that reports
+// it as the "hook-tag" metric after the cell's default run.
+func testTagHooks(_ string, g *sweep.Grid) error {
+	if len(g.Overrides) != 1 {
+		return fmt.Errorf("want one tag override, have %d", len(g.Overrides))
+	}
+	name := g.Overrides[0].Name
+	tag, err := strconv.ParseFloat(strings.TrimPrefix(name, "tag="), 64)
 	if err != nil {
-		return fmt.Errorf("bad tag %q: %w", args, err)
+		return fmt.Errorf("bad tag override %q: %w", name, err)
 	}
 	g.Drive = func(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, error) {
 		if err := d.RunDays(c.Days); err != nil {
@@ -69,9 +73,9 @@ func init() {
 // shardRequest builds a request for the whole plan of g. An unplannable
 // grid yields a request carrying just its spec, which the worker must
 // reject with the Plan error.
-func shardRequest(t *testing.T, g sweep.Grid, hooks, hookArgs string) ShardRequest {
+func shardRequest(t *testing.T, g sweep.Grid, hooks string) ShardRequest {
 	t.Helper()
-	req := ShardRequest{V: WireVersion, Grid: SpecOf(g), Hooks: hooks, HookArgs: hookArgs}
+	req := ShardRequest{V: WireVersion, Grid: SpecOf(g), Hooks: hooks}
 	plan, err := sweep.Plan(g)
 	if err != nil {
 		return req
@@ -102,7 +106,7 @@ func TestWorkerServesShard(t *testing.T) {
 	srv := httptest.NewServer(&Worker{})
 	defer srv.Close()
 	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{5}, Days: 1}
-	resp := post(t, srv.URL, shardRequest(t, g, "", ""))
+	resp := post(t, srv.URL, shardRequest(t, g, ""))
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s", resp.Status)
@@ -141,7 +145,7 @@ func (p *slotProbe) Write(b []byte) (int, error) {
 func TestWorkerFreesSlotBeforeReplying(t *testing.T) {
 	w := &Worker{MaxShards: 1}
 	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{5}, Days: 1}
-	body, err := json.Marshal(shardRequest(t, g, "", ""))
+	body, err := json.Marshal(shardRequest(t, g, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,22 +217,39 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	resp, err = http.Post(srv.URL+"/shard", "application/json", strings.NewReader("{not json"))
 	check("malformed body", http.StatusBadRequest, "bad shard request", resp, err)
 
-	old := shardRequest(t, g, "", "")
+	old := shardRequest(t, g, "")
 	old.V = 99
 	check("wrong version", http.StatusBadRequest, "version 99", post(t, srv.URL, old), nil)
 
-	unknown := shardRequest(t, g, "no-such-hooks", "")
+	// A version 1 coordinator still sends hook_args, which this worker's
+	// decoder would silently drop; the version gate refuses it instead.
+	var v1 map[string]any
+	body, err := json.Marshal(shardRequest(t, g, ""))
+	if err == nil {
+		err = json.Unmarshal(body, &v1)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1["v"], v1["hook_args"] = 1, "start=2009-07-15"
+	if body, err = json.Marshal(v1); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(srv.URL+"/shard", "application/json", bytes.NewReader(body))
+	check("version 1 request", http.StatusBadRequest, "version 1", resp, err)
+
+	unknown := shardRequest(t, g, "no-such-hooks")
 	check("unknown hook set", http.StatusBadRequest, "not registered", post(t, srv.URL, unknown), nil)
 
-	drifted := shardRequest(t, g, "", "")
+	drifted := shardRequest(t, g, "")
 	drifted.Fingerprint = "feedfacefeedface"
 	check("fingerprint drift", http.StatusConflict, "plan mismatch", post(t, srv.URL, drifted), nil)
 
-	outOfRange := shardRequest(t, g, "", "")
+	outOfRange := shardRequest(t, g, "")
 	outOfRange.Indices = []int{0, 999}
 	check("index out of range", http.StatusBadRequest, "outside", post(t, srv.URL, outOfRange), nil)
 
-	empty := shardRequest(t, sweep.Grid{}, "", "")
+	empty := shardRequest(t, sweep.Grid{}, "")
 	check("invalid grid", http.StatusBadRequest, "no scenarios", post(t, srv.URL, empty), nil)
 }
 
@@ -240,7 +261,7 @@ func TestWorkerBoundsConcurrentShards(t *testing.T) {
 	srv := httptest.NewServer(&Worker{MaxShards: 1})
 	defer srv.Close()
 	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{5}, Days: 1}
-	req := shardRequest(t, g, "disttest/block", "")
+	req := shardRequest(t, g, "disttest/block")
 
 	firstDone := make(chan *http.Response)
 	go func() { firstDone <- post(t, srv.URL, req) }()
@@ -291,7 +312,7 @@ func TestWorkerHealthzReportsPlanFingerprint(t *testing.T) {
 	srv := httptest.NewServer(&Worker{})
 	defer srv.Close()
 	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{5}, Days: 1}
-	req := shardRequest(t, g, "", "")
+	req := shardRequest(t, g, "")
 	resp := post(t, srv.URL, req)
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -331,7 +352,7 @@ func TestWorkerPoolSharesOneCache(t *testing.T) {
 	defer second.Close()
 
 	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{5, 6}, Days: 1}
-	req := shardRequest(t, g, "", "")
+	req := shardRequest(t, g, "")
 	read := func(srv string) []byte {
 		resp := post(t, srv, req)
 		defer func() { _ = resp.Body.Close() }()

@@ -74,8 +74,3 @@ func MergeSummaries(parts ...*Summary) (*Summary, error) {
 	sum.TotalCells = total
 	return sum, nil
 }
-
-// Merge folds the receiver with more partial summaries; see MergeSummaries.
-func (s *Summary) Merge(others ...*Summary) (*Summary, error) {
-	return MergeSummaries(append([]*Summary{s}, others...)...)
-}

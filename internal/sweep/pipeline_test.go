@@ -128,7 +128,7 @@ func TestMergeEqualsSingleProcess(t *testing.T) {
 	const m = 3
 	parts := make([]*Summary, m)
 	for i := 0; i < m; i++ {
-		part, err := RunShard(g, i, m, 2)
+		part, err := RunShardWith(g, LocalRunner{Workers: 2}, i, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestMergeEqualsSingleProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, err := parts[0].Merge(parts[1:]...)
+	merged, err := MergeSummaries(parts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMergeFailureModes(t *testing.T) {
 	g := mergeGrid()
 	shard := func(i, m int) *Summary {
 		t.Helper()
-		part, err := RunShard(g, i, m, 2)
+		part, err := RunShardWith(g, LocalRunner{Workers: 2}, i, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestMergeFailureModes(t *testing.T) {
 	t.Run("mismatched fingerprints", func(t *testing.T) {
 		other := g
 		other.Seeds = SeedRange(100, 3)
-		o0, err := RunShard(other, 0, 3, 2)
+		o0, err := RunShardWith(other, LocalRunner{Workers: 2}, 0, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestWireRoundTripByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := RunShard(mergeGrid(), 1, 3, 2)
+	part, err := RunShardWith(mergeGrid(), LocalRunner{Workers: 2}, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,9 +189,6 @@ func Plan(g Grid) ([]Cell, error) {
 	return cells, nil
 }
 
-// Cells is Plan as a Grid method, kept for callers of the pre-pipeline API.
-func (g Grid) Cells() ([]Cell, error) { return Plan(g) }
-
 // Shard returns shard i of m of a plan: the cells whose global index is
 // congruent to i mod m. The slice is strided rather than contiguous so that
 // expensive outer-axis values (a long-horizon scenario, a big fleet) spread
@@ -262,11 +259,13 @@ func ParseShardSpec(s string) (i, m int, err error) {
 
 // Fingerprint returns a short stable hash of a plan — every cell's full
 // identity plus the weather axis configurations — recorded on each partial
-// summary so Merge can refuse to fold shards of different grids. It
-// identifies the declarative cell set; behavioural hooks (Override.Apply,
-// Drive, Observe, Collect) cannot be hashed, so keeping those identical
-// across shard processes is the caller's contract, exactly as it is for
-// re-running the same binary twice.
+// summary so Merge can refuse to fold shards of different grids, and
+// keying every result-cache entry. It identifies the declarative cell set,
+// so every value that shapes a cell must be part of that set: an axis
+// value, or the name of the override that applies it. Behavioural hooks
+// (Override.Apply, Drive, Observe, Collect) cannot be hashed; a hook may
+// only interpret what the plan already names, which keeps them identical
+// across processes running the same binary.
 func Fingerprint(g Grid, plan []Cell) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "cells=%d days=%d\n", len(plan), g.Days)

@@ -130,9 +130,9 @@ func (s *Summary) Complete() bool { return s.TotalCells == len(s.Cells) }
 
 // Reduce folds executed cells into a Summary: cells sorted by global
 // index, then per-configuration stats folded in that order so the result
-// is deterministic regardless of execution order. The caller (Run,
-// RunShard, Merge) stamps the plan's Fingerprint and TotalCells on the
-// returned summary.
+// is deterministic regardless of execution order. The caller
+// (RunPlanned, MergeSummaries) stamps the plan's Fingerprint and
+// TotalCells on the returned summary.
 func Reduce(results []CellResult) *Summary {
 	cells := make([]CellResult, len(results))
 	copy(cells, results)

@@ -1,6 +1,6 @@
 // The executor: a Runner turns planned cells into executed CellResults.
-// LocalRunner is the in-process bounded worker pool; Run and RunShard wire
-// the whole pipeline (Plan -> Runner -> Reduce) for the common cases.
+// LocalRunner is the in-process bounded worker pool; Run and RunShardWith
+// wire the whole pipeline (Plan -> Runner -> Reduce) for the common cases.
 package sweep
 
 import (
@@ -12,13 +12,17 @@ import (
 	"repro/internal/scenario"
 )
 
-// Runner executes planned cells. Implementations must preserve the plan's
+// Runner executes planned cells. The caller has planned the grid once and
+// hands over the plan's identity — its fingerprint and total cell count —
+// with the cells to run, so no runner re-enumerates the cross-product (a
+// cache keys its lookups by the fingerprint, a networked runner stamps it
+// on every shard request). Implementations must preserve the plan's
 // determinism contract: the result for a cell depends only on the grid and
 // the cell, never on scheduling, and results are returned in plan order
 // with their global Cell.Index intact — that index is what lets Merge fold
 // shards executed anywhere back into one summary.
 type Runner interface {
-	Run(g Grid, cells []Cell) ([]CellResult, error)
+	RunPlanned(g Grid, fingerprint string, totalCells int, cells []Cell) ([]CellResult, error)
 }
 
 // ResultCache is the pluggable result cache a LocalRunner consults before
@@ -44,33 +48,18 @@ type ResultCache interface {
 type LocalRunner struct {
 	// Workers bounds the pool; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Cache, when set, is consulted per cell before simulating and
-	// populated with freshly simulated results (errored cells are never
-	// cached: a failure is not a pure function of the plan). With a cache
-	// the runner needs the plan identity, so it implements PlannedRunner;
-	// the plain Run entry point plans once itself to recover it.
+	// Cache, when set, is consulted per cell before simulating, keyed by
+	// the plan fingerprint, and populated with freshly simulated results
+	// (errored cells are never cached: a failure is not a pure function of
+	// the plan).
 	Cache ResultCache
 }
 
-// Run executes the cells concurrently. Per-cell build/run failures are
-// recorded in the cell (and later counted in its group's Errors), not
-// returned — a 10,000-cell campaign should not abort because one
-// configuration fails to build.
-func (r LocalRunner) Run(g Grid, cells []Cell) ([]CellResult, error) {
-	if r.Cache == nil {
-		return r.runPool(g, cells), nil
-	}
-	plan, err := Plan(g)
-	if err != nil {
-		return nil, err
-	}
-	return r.RunPlanned(g, Fingerprint(g, plan), len(plan), cells)
-}
-
-// RunPlanned implements PlannedRunner: with a cache, the handed-over plan
-// fingerprint keys the lookups, so cached campaigns do not re-enumerate
-// the cross-product per chunk; without one it is exactly Run. The cached
-// case is RunCached's one-chunk case, over the same pool without a cache.
+// RunPlanned implements Runner: it executes the cells concurrently. Per-cell
+// build/run failures are recorded in the cell (and later counted in its
+// group's Errors), not returned — a 10,000-cell campaign should not abort
+// because one configuration fails to build. The cached case is RunCached's
+// one-chunk case, over the same pool without a cache.
 func (r LocalRunner) RunPlanned(g Grid, fingerprint string, totalCells int, cells []Cell) ([]CellResult, error) {
 	if r.Cache == nil {
 		return r.runPool(g, cells), nil
@@ -167,7 +156,7 @@ func RunCached(g Grid, r Runner, cache ResultCache, fingerprint string, totalCel
 		for k, i := range todo {
 			batch[k] = cells[i]
 		}
-		got, err := execute(g, r, fingerprint, totalCells, batch)
+		got, err := r.RunPlanned(g, fingerprint, totalCells, batch)
 		if err != nil {
 			return nil, err
 		}
@@ -188,24 +177,19 @@ func RunCached(g Grid, r Runner, cache ResultCache, fingerprint string, totalCel
 
 // Run executes the full grid locally: Plan, LocalRunner, Reduce. workers
 // <= 0 selects GOMAXPROCS. Run errors only on an invalid grid. It is the
-// one-shard special case of RunShard, so the full-run and shard paths can
-// never drift.
+// one-shard, in-process case of RunShardWith, so the full-run and shard
+// paths can never drift.
 func Run(g Grid, workers int) (*Summary, error) {
-	return RunShard(g, 0, 1, workers)
+	return RunShardWith(g, LocalRunner{Workers: workers}, 0, 1)
 }
 
-// RunShard executes shard i of m of the grid locally and reduces it into a
-// partial Summary: only the shard's cells, with their global indices, plus
-// the full plan's fingerprint and cell count so Merge can validate and
-// recombine it. Encode it with WriteJSON — that document is the shard wire
-// format ReadSummary decodes on the other side.
-func RunShard(g Grid, i, m, workers int) (*Summary, error) {
-	return RunShardWith(g, LocalRunner{Workers: workers}, i, m)
-}
-
-// RunShardWith is RunShard on an arbitrary Runner — the seam a networked
-// runner plugs into: Plan and Reduce stay in this process, only Execute
-// crosses to r (which may fan the cells out over remote workers).
+// RunShardWith executes shard i of m of the grid through r and reduces it
+// into a partial Summary: only the shard's cells, with their global
+// indices, plus the full plan's fingerprint and cell count so Merge can
+// validate and recombine it. Encode it with WriteJSON — that document is
+// the shard wire format ReadSummary decodes on the other side. Plan and
+// Reduce stay in this process; only Execute crosses to r, which may fan
+// the cells out over remote workers.
 func RunShardWith(g Grid, r Runner, i, m int) (*Summary, error) {
 	plan, err := Plan(g)
 	if err != nil {
@@ -218,24 +202,13 @@ func RunShardWith(g Grid, r Runner, i, m int) (*Summary, error) {
 	return RunPlanned(g, r, Fingerprint(g, plan), len(plan), cells)
 }
 
-// PlannedRunner is the optional fast path of a Runner whose own execution
-// needs the plan identity (a networked runner stamps it on every shard
-// request): callers that already planned hand it over instead of making
-// the runner re-enumerate and re-hash the cross-product.
-type PlannedRunner interface {
-	Runner
-	RunPlanned(g Grid, fingerprint string, totalCells int, cells []Cell) ([]CellResult, error)
-}
-
 // RunPlanned executes already-planned cells through r and reduces them
 // into a Summary stamped with the plan's identity — the shared tail of
 // every run entry point, and the seam for callers that have planned (and
 // fingerprinted) once and must not pay for it again per shard, such as a
-// worker daemon serving thousands of requests. A PlannedRunner receives
-// the plan identity instead of recomputing it; RunCached hands it over the
-// same way for every chunk.
+// worker daemon serving thousands of requests.
 func RunPlanned(g Grid, r Runner, fingerprint string, totalCells int, cells []Cell) (*Summary, error) {
-	results, err := execute(g, r, fingerprint, totalCells, cells)
+	results, err := r.RunPlanned(g, fingerprint, totalCells, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -243,14 +216,6 @@ func RunPlanned(g Grid, r Runner, fingerprint string, totalCells int, cells []Ce
 	sum.Fingerprint = fingerprint
 	sum.TotalCells = totalCells
 	return sum, nil
-}
-
-// execute runs cells through r, handing a PlannedRunner the plan identity.
-func execute(g Grid, r Runner, fingerprint string, totalCells int, cells []Cell) ([]CellResult, error) {
-	if pr, ok := r.(PlannedRunner); ok {
-		return pr.RunPlanned(g, fingerprint, totalCells, cells)
-	}
-	return r.Run(g, cells)
 }
 
 // runCell builds, runs and measures one independent deployment. The

@@ -10,8 +10,9 @@
 //     global cell indices.
 //   - Reduce folds executed cells into a Summary with per-metric
 //     mean/stddev/min/max for each configuration across its seeds, and
-//     Summary.Merge recombines partial summaries from any number of shards
-//     into the full-grid summary, byte-identical to a single-process run.
+//     MergeSummaries recombines partial summaries from any number of
+//     shards into the full-grid summary, byte-identical to a
+//     single-process run.
 //
 // Every cell builds its own independent Deployment (its own Simulator,
 // weather, server and fleet), so the determinism guarantee of DESIGN.md §3

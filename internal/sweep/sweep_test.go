@@ -28,7 +28,7 @@ func TestCellsEnumerationOrder(t *testing.T) {
 		Overrides: []Override{{Name: "a"}, {Name: "b"}},
 		Days:      5,
 	}
-	cells, err := g.Cells()
+	cells, err := Plan(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCellsEnumerationOrder(t *testing.T) {
 
 func TestCellsResolvesScenarioDefaultHorizon(t *testing.T) {
 	g := Grid{Scenarios: []string{"fleet-N"}, Seeds: []int64{1}}
-	cells, err := g.Cells()
+	cells, err := Plan(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCellsValidation(t *testing.T) {
 			Probes: []int{3, 3}}, "duplicate cohort size"},
 	}
 	for _, c := range cases {
-		if _, err := c.g.Cells(); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := Plan(c.g); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
