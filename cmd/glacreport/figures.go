@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -198,12 +197,3 @@ func countDips(s *trace.Series) int {
 	}
 	return dips
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-var _ = sort.Ints

@@ -8,43 +8,30 @@ package distrib
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/sweep"
-	"repro/internal/weather"
 )
 
 // WireVersion is the shard request protocol version; a worker refuses
 // requests from a different version instead of guessing. Version 2 dropped
-// version 1's hook_args: a decoder ignores unknown fields, so without the
-// bump a version 1 coordinator's args would be silently lost.
+// version 1's hook_args. The worker also refuses any field its request
+// schema lacks, so a request it would only partly understand is an error
+// at any version.
 const WireVersion = 2
 
-// WeatherSpecJSON is one weather-axis value on the wire. weather.Config is
-// pure data (the whole climate derives from it and a clock), so it crosses
-// as-is.
-//
-//glacvet:wire
-type WeatherSpecJSON struct {
-	Name   string         `json:"name"`
-	Config weather.Config `json:"config"`
-}
-
 // GridSpec is the declarative encoding of a sweep.Grid: the axes that
-// Fingerprint hashes, with durations as strings so they round-trip exactly.
-// Overrides carry names only — Apply functions, like the Drive/Observe/
-// Collect hooks, are reattached on the worker from a registered hook set.
+// Fingerprint hashes. Overrides carry names only — Apply functions, like
+// the Drive/Observe/Collect hooks, are reattached on the worker from a
+// registered hook set.
 //
 //glacvet:wire
 type GridSpec struct {
-	Scenarios      []string          `json:"scenarios"`
-	Seeds          []int64           `json:"seeds"`
-	Stations       []int             `json:"stations,omitempty"`
-	Probes         []int             `json:"probes,omitempty"`
-	Weathers       []WeatherSpecJSON `json:"weathers,omitempty"`
-	ProbeLifetimes []string          `json:"probe_lifetimes,omitempty"`
-	Overrides      []string          `json:"overrides,omitempty"`
-	Days           int               `json:"days,omitempty"`
+	Scenarios []string `json:"scenarios"`
+	Seeds     []int64  `json:"seeds"`
+	Stations  []int    `json:"stations,omitempty"`
+	Probes    []int    `json:"probes,omitempty"`
+	Overrides []string `json:"overrides,omitempty"`
+	Days      int      `json:"days,omitempty"`
 }
 
 // SpecOf extracts a grid's declarative spec for the wire.
@@ -52,12 +39,6 @@ func SpecOf(g sweep.Grid) GridSpec {
 	s := GridSpec{
 		Scenarios: g.Scenarios, Seeds: g.Seeds,
 		Stations: g.Stations, Probes: g.Probes, Days: g.Days,
-	}
-	for _, w := range g.Weathers {
-		s.Weathers = append(s.Weathers, WeatherSpecJSON{Name: w.Name, Config: w.Config})
-	}
-	for _, life := range g.ProbeLifetimes {
-		s.ProbeLifetimes = append(s.ProbeLifetimes, life.String())
 	}
 	for _, ov := range g.Overrides {
 		s.Overrides = append(s.Overrides, ov.Name)
@@ -69,25 +50,15 @@ func SpecOf(g sweep.Grid) GridSpec {
 // functions and the per-cell hooks are nil until a hook set reattaches
 // them; a grid that never had any runs as-is — exactly like a plain
 // glacsim sweep.
-func (s GridSpec) Grid() (sweep.Grid, error) {
+func (s GridSpec) Grid() sweep.Grid {
 	g := sweep.Grid{
 		Scenarios: s.Scenarios, Seeds: s.Seeds,
 		Stations: s.Stations, Probes: s.Probes, Days: s.Days,
 	}
-	for _, w := range s.Weathers {
-		g.Weathers = append(g.Weathers, sweep.WeatherSpec{Name: w.Name, Config: w.Config})
-	}
-	for _, lifeStr := range s.ProbeLifetimes {
-		life, err := time.ParseDuration(lifeStr)
-		if err != nil {
-			return sweep.Grid{}, fmt.Errorf("distrib: bad probe lifetime %q: %w", lifeStr, err)
-		}
-		g.ProbeLifetimes = append(g.ProbeLifetimes, life)
-	}
 	for _, name := range s.Overrides {
 		g.Overrides = append(g.Overrides, sweep.Override{Name: name})
 	}
-	return g, nil
+	return g
 }
 
 // ShardRequest is the body of POST /shard: run the cells at Indices of the
@@ -111,10 +82,7 @@ type ShardRequest struct {
 // BuildGrid rebuilds the executable grid of a request: the declarative
 // spec plus, when the request names one, the registered hook set.
 func (req ShardRequest) BuildGrid() (sweep.Grid, error) {
-	g, err := req.Grid.Grid()
-	if err != nil {
-		return sweep.Grid{}, err
-	}
+	g := req.Grid.Grid()
 	if req.Hooks != "" {
 		h, ok := LookupHooks(req.Hooks)
 		if !ok {

@@ -130,7 +130,11 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // serveShard decodes, validates and executes one shard request.
 func (w *Worker) serveShard(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
-	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+	// A field this worker does not know is part of a grid it cannot
+	// rebuild; dropping it would run a narrower grid than was asked for.
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		http.Error(rw, fmt.Sprintf("bad shard request: %v", err), http.StatusBadRequest)
 		return
 	}

@@ -221,22 +221,34 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	old.V = 99
 	check("wrong version", http.StatusBadRequest, "version 99", post(t, srv.URL, old), nil)
 
-	// A version 1 coordinator still sends hook_args, which this worker's
-	// decoder would silently drop; the version gate refuses it instead.
-	var v1 map[string]any
-	body, err := json.Marshal(shardRequest(t, g, ""))
-	if err == nil {
-		err = json.Unmarshal(body, &v1)
+	// A version 1 coordinator still sends hook_args, and a coordinator of
+	// the grid's former weather axis sends weathers: both are fields this
+	// worker cannot represent, so the decoder refuses them rather than
+	// run a narrower grid than was asked for.
+	withField := func(mutate func(req map[string]any)) []byte {
+		t.Helper()
+		var req map[string]any
+		body, err := json.Marshal(shardRequest(t, g, ""))
+		if err == nil {
+			err = json.Unmarshal(body, &req)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(req)
+		if body, err = json.Marshal(req); err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1["v"], v1["hook_args"] = 1, "start=2009-07-15"
-	if body, err = json.Marshal(v1); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(srv.URL+"/shard", "application/json", bytes.NewReader(body))
-	check("version 1 request", http.StatusBadRequest, "version 1", resp, err)
+	v1 := withField(func(req map[string]any) { req["v"], req["hook_args"] = 1, "start=2009-07-15" })
+	resp, err = http.Post(srv.URL+"/shard", "application/json", bytes.NewReader(v1))
+	check("version 1 request", http.StatusBadRequest, `unknown field "hook_args"`, resp, err)
+	wx := withField(func(req map[string]any) {
+		req["grid"].(map[string]any)["weathers"] = []any{map[string]any{"name": "dark-calm"}}
+	})
+	resp, err = http.Post(srv.URL+"/shard", "application/json", bytes.NewReader(wx))
+	check("unknown grid field", http.StatusBadRequest, `unknown field "weathers"`, resp, err)
 
 	unknown := shardRequest(t, g, "no-such-hooks")
 	check("unknown hook set", http.StatusBadRequest, "not registered", post(t, srv.URL, unknown), nil)
@@ -251,6 +263,15 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 
 	empty := shardRequest(t, sweep.Grid{}, "")
 	check("invalid grid", http.StatusBadRequest, "no scenarios", post(t, srv.URL, empty), nil)
+
+	// About 15 KB of distinct axis values multiply into 10⁹ cells; the
+	// worker must refuse the plan before it enumerates one.
+	huge := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: sweep.SeedRange(1, 1000),
+		Stations: make([]int, 1000), Probes: make([]int, 1000), Days: 1}
+	for i := range huge.Stations {
+		huge.Stations[i], huge.Probes[i] = i+1, i+1
+	}
+	check("oversized plan", http.StatusBadRequest, "more than", post(t, srv.URL, shardRequest(t, huge, "")), nil)
 }
 
 // The concurrency bound: with MaxShards 1 and a shard held in flight by

@@ -4,8 +4,7 @@
 // fingerprint-verification tests pin — so once a cell has been simulated
 // anywhere, any later campaign over the same plan can reuse it instead of
 // re-simulating. DiskCache is the on-disk store a sweep.LocalRunner and
-// the distrib worker daemon consult; the Cache interface is shaped so a
-// memcache/S3-backed store can slot in behind the same callers later.
+// the distrib worker daemon consult.
 //
 // Safety is the headline property, in three layers:
 //
@@ -64,14 +63,6 @@ type Stats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// Cache is a sweep.ResultCache that also reports its counters — the
-// interface a remote (memcache/S3-shaped) backend implements to slot in
-// where DiskCache does today.
-type Cache interface {
-	sweep.ResultCache
-	Stats() Stats
-}
-
 // Options configures Open.
 type Options struct {
 	// MaxBytes bounds the total payload+header bytes on disk; when a Put
@@ -104,8 +95,6 @@ type entry struct {
 	size int64
 	seq  int64
 }
-
-var _ Cache = (*DiskCache)(nil)
 
 // Open opens (creating if needed) the cache rooted at dir and indexes the
 // current format version's entries; other versions' directories are left

@@ -218,6 +218,36 @@ func TestWrongCellEntryIsRefused(t *testing.T) {
 	}
 }
 
+// An entry whose cell document carries a field the cell schema lacks
+// (written by another schema) cannot be represented faithfully, so even a
+// digest-valid frame of it is a miss, not a narrowed hit.
+func TestUnknownFieldEntryIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	cold := runWith(t, openCache(t, dir, Options{}))
+
+	for _, path := range entryFiles(t, dir) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := decodeEntry(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		widened := bytes.Replace(payload, []byte("{"), []byte(`{"start":"2009-07-15",`), 1)
+		if err := os.WriteFile(path, encodeEntry(widened), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := openCache(t, dir, Options{})
+	if warm := runWith(t, c); !bytes.Equal(cold, warm) {
+		t.Fatal("run over widened entries diverged from the clean run")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 || st.Stores != 2 {
+		t.Fatalf("widened-entry stats = %+v, want every Get a miss and every cell re-stored", st)
+	}
+}
+
 func TestFormatVersionDriftIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	runWith(t, openCache(t, dir, Options{}))

@@ -9,9 +9,9 @@ import (
 	"repro/internal/weather"
 )
 
-// The weather axis swaps named climates into cells: a dead-calm dark
-// config must observably change the cell's climate, and the axis must be
-// duplicate-rejected and label-carrying like every other axis.
+// A climate is varied per cell by an Override that sets the topology's
+// weather: a dead-calm dark config must observably change the cell's
+// climate, carry its name on the label and split into its own group.
 func TestWeatherAxis(t *testing.T) {
 	dark := weather.DefaultConfig(0) // seed 0 defers to the cell's topology seed
 	// weather.New fills zero fields with the Iceland defaults, so "almost
@@ -22,9 +22,9 @@ func TestWeatherAxis(t *testing.T) {
 		Scenarios: []string{"as-deployed-2008"},
 		Seeds:     []int64{3},
 		Days:      2,
-		Weathers: []WeatherSpec{
-			{Name: "iceland", Config: weather.DefaultConfig(0)},
-			{Name: "dark-calm", Config: dark},
+		Overrides: []Override{
+			{Name: "iceland"},
+			{Name: "dark-calm", Apply: func(top *deploy.Topology) { top.Weather = dark }},
 		},
 		Observe: func(c Cell, d *deploy.Deployment) []Metric {
 			noon := d.Sim.Now().Add(-12 * time.Hour)
@@ -36,48 +36,37 @@ func TestWeatherAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(sum.Cells) != 2 {
-		t.Fatalf("got %d cells, want 2 (one per weather config)", len(sum.Cells))
-	}
-	if sum.Cells[0].Cell.Weather != "iceland" || sum.Cells[1].Cell.Weather != "dark-calm" {
-		t.Fatalf("weather axis order wrong: %q, %q", sum.Cells[0].Cell.Weather, sum.Cells[1].Cell.Weather)
+		t.Fatalf("got %d cells, want 2 (one per climate)", len(sum.Cells))
 	}
 	sun, _ := sum.Cells[0].Metric("noon-sun")
 	darkSun, _ := sum.Cells[1].Metric("noon-sun")
 	if sun <= 5 || darkSun > 1 {
-		t.Fatalf("weather configs not applied per cell: iceland noon sun %v, dark-calm %v", sun, darkSun)
+		t.Fatalf("climate not applied per cell: iceland noon sun %v, dark-calm %v", sun, darkSun)
 	}
-	if !strings.Contains(sum.Cells[1].Cell.Label(), "wx=dark-calm") {
-		t.Fatalf("cell label %q does not carry the weather axis", sum.Cells[1].Cell.Label())
+	if !strings.Contains(sum.Cells[1].Cell.Label(), "ov=dark-calm") {
+		t.Fatalf("cell label %q does not carry the climate override", sum.Cells[1].Cell.Label())
 	}
-	if len(sum.Groups) != 2 || sum.Groups[1].Weather != "dark-calm" {
-		t.Fatalf("groups not split by weather config: %+v", sum.Groups)
-	}
-
-	for _, c := range []struct {
-		name string
-		ws   []WeatherSpec
-		want string
-	}{
-		{"duplicate", []WeatherSpec{{Name: "x"}, {Name: "x"}}, "duplicate weather config"},
-		{"unnamed", []WeatherSpec{{}}, "needs a name"},
-	} {
-		bad := Grid{Scenarios: []string{"dual-base"}, Seeds: []int64{1}, Weathers: c.ws}
-		if _, err := Plan(bad); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s weather axis: err = %v, want %q", c.name, err, c.want)
-		}
+	if len(sum.Groups) != 2 || sum.Groups[1].Override != "dark-calm" {
+		t.Fatalf("groups not split by climate: %+v", sum.Groups)
 	}
 }
 
-// The probe-lifetime axis sets the fleet-wide mean probe lifetime per
-// cell: an hour-lived cohort must end a two-day run with fewer probes
-// alive than a decades-lived one, and the axis is duplicate- and
-// non-positive-rejected.
+// A probe lifetime is varied per cell by an Override that sets the
+// fleet-wide mean: an hour-lived cohort must end a two-day run with fewer
+// probes alive than a decades-lived one, carry its name on the label and
+// split into its own group.
 func TestProbeLifetimeAxis(t *testing.T) {
+	lifetime := func(d time.Duration) func(*deploy.Topology) {
+		return func(top *deploy.Topology) { top.ProbeLifetime = d }
+	}
 	g := Grid{
-		Scenarios:      []string{"as-deployed-2008"},
-		Seeds:          []int64{5},
-		Days:           2,
-		ProbeLifetimes: []time.Duration{time.Hour, 50 * 365 * 24 * time.Hour},
+		Scenarios: []string{"as-deployed-2008"},
+		Seeds:     []int64{5},
+		Days:      2,
+		Overrides: []Override{
+			{Name: "hour-lived", Apply: lifetime(time.Hour)},
+			{Name: "decades-lived", Apply: lifetime(50 * 365 * 24 * time.Hour)},
+		},
 	}
 	sum, err := Run(g, 2)
 	if err != nil {
@@ -89,26 +78,12 @@ func TestProbeLifetimeAxis(t *testing.T) {
 	short, _ := sum.Cells[0].Metric("probes-alive")
 	long, _ := sum.Cells[1].Metric("probes-alive")
 	if short >= long {
-		t.Fatalf("hour-lived cohort has %v probes alive, decades-lived %v — lifetime axis not applied", short, long)
+		t.Fatalf("hour-lived cohort has %v probes alive, decades-lived %v — lifetime override not applied", short, long)
 	}
-	if !strings.Contains(sum.Cells[0].Cell.Label(), "life=1h") {
-		t.Fatalf("cell label %q does not carry the lifetime axis", sum.Cells[0].Cell.Label())
+	if !strings.Contains(sum.Cells[0].Cell.Label(), "ov=hour-lived") {
+		t.Fatalf("cell label %q does not carry the lifetime override", sum.Cells[0].Cell.Label())
 	}
-	if len(sum.Groups) != 2 || sum.Groups[0].ProbeLifetime != time.Hour {
+	if len(sum.Groups) != 2 || sum.Groups[0].Override != "hour-lived" {
 		t.Fatalf("groups not split by probe lifetime: %+v", sum.Groups)
-	}
-
-	for _, c := range []struct {
-		name  string
-		lives []time.Duration
-		want  string
-	}{
-		{"duplicate", []time.Duration{time.Hour, time.Hour}, "duplicate probe lifetime"},
-		{"non-positive", []time.Duration{-time.Hour}, "non-positive probe lifetime"},
-	} {
-		bad := Grid{Scenarios: []string{"dual-base"}, Seeds: []int64{1}, ProbeLifetimes: c.lives}
-		if _, err := Plan(bad); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s lifetime axis: err = %v, want %q", c.name, err, c.want)
-		}
 	}
 }

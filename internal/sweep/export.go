@@ -41,22 +41,14 @@ func csvFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// durationField renders an axis duration for CSV/JSON: empty when the axis
-// is not in play, else the exact time.Duration string (round-trips through
-// time.ParseDuration).
-func durationField(d time.Duration) string {
-	if d == 0 {
-		return ""
-	}
-	return d.String()
-}
-
 // WriteCellsCSV writes one flat table with a row per cell: the cell's
 // identity columns, its error if any, then one column per metric (the
 // union across all cells; a metric a cell lacks is an empty field).
 func (s *Summary) WriteCellsCSV(w io.Writer) error {
 	metrics := s.metricColumns()
 	cw := csv.NewWriter(w)
+	// weather and probe_lifetime are the removed grid axes, written empty
+	// so the table stays byte-identical to the one they used to fill.
 	header := append([]string{"index", "scenario", "seed", "stations", "probes",
 		"weather", "probe_lifetime", "override", "days", "err"}, metrics...)
 	if err := cw.Write(header); err != nil {
@@ -68,8 +60,7 @@ func (s *Summary) WriteCellsCSV(w io.Writer) error {
 		row = append(row[:0],
 			strconv.Itoa(c.Index), c.Scenario, strconv.FormatInt(c.Seed, 10),
 			strconv.Itoa(c.Stations), strconv.Itoa(c.Probes),
-			c.Weather, durationField(c.ProbeLifetime), c.Override,
-			strconv.Itoa(c.Days), cr.Err,
+			"", "", c.Override, strconv.Itoa(c.Days), cr.Err,
 		)
 		for _, name := range metrics {
 			if v, ok := cr.Metric(name); ok {
@@ -91,6 +82,7 @@ func (s *Summary) WriteCellsCSV(w io.Writer) error {
 // n/mean/stddev/min/max.
 func (s *Summary) WriteGroupsCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
+	// weather and probe_lifetime: always empty, as in WriteCellsCSV.
 	if err := cw.Write([]string{"scenario", "stations", "probes", "weather", "probe_lifetime",
 		"override", "days", "cells", "errors", "metric", "n", "mean", "stddev", "ci95", "min", "max"}); err != nil {
 		return err
@@ -100,8 +92,7 @@ func (s *Summary) WriteGroupsCSV(w io.Writer) error {
 		for _, st := range gr.Stats {
 			row = append(row[:0],
 				gr.Scenario, strconv.Itoa(gr.Stations), strconv.Itoa(gr.Probes),
-				gr.Weather, durationField(gr.ProbeLifetime),
-				gr.Override, strconv.Itoa(gr.Days),
+				"", "", gr.Override, strconv.Itoa(gr.Days),
 				strconv.Itoa(gr.N), strconv.Itoa(gr.Errors),
 				st.Name, strconv.Itoa(st.N),
 				csvFloat(st.Mean), csvFloat(st.Stddev), csvFloat(st.CI95),
@@ -131,8 +122,7 @@ func (s *Summary) WriteCSV(w io.Writer) error {
 
 // The JSON document schema — also the shard wire format ReadSummary
 // decodes (wire.go). Float fields are pointers so non-finite values encode
-// as null instead of erroring encoding/json out; axis durations are
-// time.Duration strings so they round-trip exactly.
+// as null instead of erroring encoding/json out.
 //
 //glacvet:wire
 type summaryJSON struct {
@@ -143,18 +133,16 @@ type summaryJSON struct {
 }
 
 type cellJSON struct {
-	Index         int          `json:"index"`
-	Scenario      string       `json:"scenario"`
-	Seed          int64        `json:"seed"`
-	Stations      int          `json:"stations,omitempty"`
-	Probes        int          `json:"probes,omitempty"`
-	Weather       string       `json:"weather,omitempty"`
-	ProbeLifetime string       `json:"probe_lifetime,omitempty"`
-	Override      string       `json:"override,omitempty"`
-	Days          int          `json:"days"`
-	Err           string       `json:"err,omitempty"`
-	Metrics       []metricJSON `json:"metrics,omitempty"`
-	Series        []seriesJSON `json:"series,omitempty"`
+	Index    int          `json:"index"`
+	Scenario string       `json:"scenario"`
+	Seed     int64        `json:"seed"`
+	Stations int          `json:"stations,omitempty"`
+	Probes   int          `json:"probes,omitempty"`
+	Override string       `json:"override,omitempty"`
+	Days     int          `json:"days"`
+	Err      string       `json:"err,omitempty"`
+	Metrics  []metricJSON `json:"metrics,omitempty"`
+	Series   []seriesJSON `json:"series,omitempty"`
 }
 
 type metricJSON struct {
@@ -174,16 +162,14 @@ type pointJSON struct {
 }
 
 type groupJSON struct {
-	Scenario      string      `json:"scenario"`
-	Stations      int         `json:"stations,omitempty"`
-	Probes        int         `json:"probes,omitempty"`
-	Weather       string      `json:"weather,omitempty"`
-	ProbeLifetime string      `json:"probe_lifetime,omitempty"`
-	Override      string      `json:"override,omitempty"`
-	Days          int         `json:"days"`
-	N             int         `json:"cells"`
-	Errors        int         `json:"errors,omitempty"`
-	Stats         []statsJSON `json:"stats"`
+	Scenario string      `json:"scenario"`
+	Stations int         `json:"stations,omitempty"`
+	Probes   int         `json:"probes,omitempty"`
+	Override string      `json:"override,omitempty"`
+	Days     int         `json:"days"`
+	N        int         `json:"cells"`
+	Errors   int         `json:"errors,omitempty"`
+	Stats    []statsJSON `json:"stats"`
 }
 
 type statsJSON struct {
@@ -213,7 +199,6 @@ func cellToJSON(cr CellResult) cellJSON {
 	cj := cellJSON{
 		Index: c.Index, Scenario: c.Scenario, Seed: c.Seed,
 		Stations: c.Stations, Probes: c.Probes,
-		Weather: c.Weather, ProbeLifetime: durationField(c.ProbeLifetime),
 		Override: c.Override, Days: c.Days, Err: cr.Err,
 	}
 	if len(cr.Metrics) > 0 {
@@ -258,7 +243,6 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 	for _, gr := range s.Groups {
 		gj := groupJSON{
 			Scenario: gr.Scenario, Stations: gr.Stations, Probes: gr.Probes,
-			Weather: gr.Weather, ProbeLifetime: durationField(gr.ProbeLifetime),
 			Override: gr.Override, Days: gr.Days, N: gr.N, Errors: gr.Errors,
 			Stats: make([]statsJSON, 0, len(gr.Stats)),
 		}

@@ -92,23 +92,16 @@ func TestFingerprintSeparatesGrids(t *testing.T) {
 	if Fingerprint(other, otherPlan) == fp {
 		t.Fatal("different seed axes fingerprint identically")
 	}
-	// The weather axis configs are part of the identity even though the
-	// cell tuples only carry the axis names.
-	wx := g
-	wx.Weathers = []WeatherSpec{{Name: "calm"}}
-	wxPlan, err := Plan(wx)
+	// An override is identified by its name, so renaming one is a
+	// different plan even though the cell count and order are unchanged.
+	renamed := g
+	renamed.Overrides = append([]Override{{Name: "nominal-2"}}, g.Overrides[1:]...)
+	renamedPlan, err := Plan(renamed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wx2 := wx
-	wx2.Weathers = []WeatherSpec{{Name: "calm"}}
-	wx2.Weathers[0].Config.MeanWind = 99
-	wx2Plan, err := Plan(wx2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Fingerprint(wx, wxPlan) == Fingerprint(wx2, wx2Plan) {
-		t.Fatal("same-named weather axes with different configs fingerprint identically")
+	if Fingerprint(renamed, renamedPlan) == fp {
+		t.Fatal("differently named overrides fingerprint identically")
 	}
 }
 

@@ -11,26 +11,21 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/scenario"
 )
 
 // Cell identifies one point of the grid cross-product. Index is the cell's
 // global position in the fixed enumeration order (scenario, then seed, then
-// stations, then probes, then weather, then probe lifetime, then override),
-// independent of worker count and shard split.
+// stations, then probes, then override), independent of worker count and
+// shard split.
 type Cell struct {
 	Index    int
 	Scenario string
 	Seed     int64
 	Stations int
 	Probes   int
-	// Weather names the weather-axis value ("" = the scenario's climate).
-	Weather string
-	// ProbeLifetime is the lifetime-axis value (0 = the scenario default).
-	ProbeLifetime time.Duration
-	Override      string
+	Override string
 	// Days is the resolved horizon: the grid's Days if set, else the
 	// scenario's default.
 	Days int
@@ -47,22 +42,22 @@ func (c Cell) Label() string {
 	if c.Probes > 0 {
 		fmt.Fprintf(&b, " probes=%d", c.Probes)
 	}
-	if c.Weather != "" {
-		fmt.Fprintf(&b, " wx=%s", c.Weather)
-	}
-	if c.ProbeLifetime > 0 {
-		fmt.Fprintf(&b, " life=%s", c.ProbeLifetime)
-	}
 	if c.Override != "" {
 		fmt.Fprintf(&b, " ov=%s", c.Override)
 	}
 	return b.String()
 }
 
+// maxPlanCells bounds the plan Plan will enumerate. A grid arrives from
+// the network in a shard request, and a few kilobytes of axis values can
+// multiply into billions of cells; the largest grid any CLI default, test
+// or benchmark builds is a few hundred cells.
+const maxPlanCells = 1 << 20
+
 // Plan validates the grid and enumerates its cross-product in the fixed
-// order: scenario (outer), seed, stations, probes, weather, probe
-// lifetime, override (inner). The returned slice is the full plan; Shard
-// slices it for distributed execution.
+// order: scenario (outer), seed, stations, probes, override (inner). The
+// returned slice is the full plan; Shard slices it for distributed
+// execution.
 func Plan(g Grid) ([]Cell, error) {
 	if len(g.Scenarios) == 0 {
 		return nil, fmt.Errorf("sweep: grid has no scenarios")
@@ -73,10 +68,19 @@ func Plan(g Grid) ([]Cell, error) {
 	if g.Days < 0 {
 		return nil, fmt.Errorf("sweep: negative horizon %d", g.Days)
 	}
+	// Size the plan before enumerating it, one factor at a time so the
+	// product cannot overflow on the way to the bound.
+	size := 1
+	for _, n := range []int{len(g.Scenarios), len(g.Seeds),
+		max(len(g.Stations), 1), max(len(g.Probes), 1), max(len(g.Overrides), 1)} {
+		if size > maxPlanCells/n {
+			return nil, fmt.Errorf("sweep: grid has more than %d cells", maxPlanCells)
+		}
+		size *= n
+	}
 	// Every axis must be duplicate-free: a repeated scenario, seed, fleet
-	// size, cohort size, weather config or lifetime would enumerate the
-	// same configuration twice, silently inflating the group's N and
-	// skewing the stddev fold.
+	// size, cohort size or override would enumerate the same configuration
+	// twice, silently inflating the group's N and skewing the stddev fold.
 	seenScen := make(map[string]bool, len(g.Scenarios))
 	for _, name := range g.Scenarios {
 		if seenScen[name] {
@@ -105,26 +109,6 @@ func Plan(g Grid) ([]Cell, error) {
 		}
 		seenProbes[p] = true
 	}
-	seenWX := make(map[string]bool, len(g.Weathers))
-	for i, w := range g.Weathers {
-		if w.Name == "" {
-			return nil, fmt.Errorf("sweep: weather config %d needs a name", i)
-		}
-		if seenWX[w.Name] {
-			return nil, fmt.Errorf("sweep: duplicate weather config %q on the weather axis", w.Name)
-		}
-		seenWX[w.Name] = true
-	}
-	seenLife := make(map[time.Duration]bool, len(g.ProbeLifetimes))
-	for _, life := range g.ProbeLifetimes {
-		if life <= 0 {
-			return nil, fmt.Errorf("sweep: non-positive probe lifetime %s on the lifetime axis", life)
-		}
-		if seenLife[life] {
-			return nil, fmt.Errorf("sweep: duplicate probe lifetime %s on the lifetime axis", life)
-		}
-		seenLife[life] = true
-	}
 	seen := make(map[string]bool, len(g.Overrides))
 	for i, ov := range g.Overrides {
 		if ov.Name == "" {
@@ -143,17 +127,6 @@ func Plan(g Grid) ([]Cell, error) {
 	if len(probes) == 0 {
 		probes = []int{0}
 	}
-	wxNames := []string{""}
-	if len(g.Weathers) > 0 {
-		wxNames = make([]string, len(g.Weathers))
-		for i, w := range g.Weathers {
-			wxNames[i] = w.Name
-		}
-	}
-	lifetimes := g.ProbeLifetimes
-	if len(lifetimes) == 0 {
-		lifetimes = []time.Duration{0}
-	}
 	ovNames := []string{""}
 	if len(g.Overrides) > 0 {
 		ovNames = make([]string, len(g.Overrides))
@@ -161,7 +134,7 @@ func Plan(g Grid) ([]Cell, error) {
 			ovNames[i] = ov.Name
 		}
 	}
-	var cells []Cell
+	cells := make([]Cell, 0, size)
 	for _, name := range g.Scenarios {
 		s, ok := scenario.Lookup(name)
 		if !ok {
@@ -171,16 +144,11 @@ func Plan(g Grid) ([]Cell, error) {
 		for _, seed := range g.Seeds {
 			for _, n := range stations {
 				for _, p := range probes {
-					for _, wx := range wxNames {
-						for _, life := range lifetimes {
-							for _, ov := range ovNames {
-								cells = append(cells, Cell{
-									Index: len(cells), Scenario: name, Seed: seed,
-									Stations: n, Probes: p, Weather: wx,
-									ProbeLifetime: life, Override: ov, Days: days,
-								})
-							}
-						}
+					for _, ov := range ovNames {
+						cells = append(cells, Cell{
+							Index: len(cells), Scenario: name, Seed: seed,
+							Stations: n, Probes: p, Override: ov, Days: days,
+						})
 					}
 				}
 			}
@@ -258,26 +226,25 @@ func ParseShardSpec(s string) (i, m int, err error) {
 }
 
 // Fingerprint returns a short stable hash of a plan — every cell's full
-// identity plus the weather axis configurations — recorded on each partial
-// summary so Merge can refuse to fold shards of different grids, and
-// keying every result-cache entry. It identifies the declarative cell set,
-// so every value that shapes a cell must be part of that set: an axis
-// value, or the name of the override that applies it. Behavioural hooks
+// identity — recorded on each partial summary so Merge can refuse to fold
+// shards of different grids, and keying every result-cache entry. It
+// identifies the declarative cell set, so every value that shapes a cell
+// must be part of that set: an axis value, or the name of the override
+// that applies it. Behavioural hooks
 // (Override.Apply, Drive, Observe, Collect) cannot be hashed; a hook may
 // only interpret what the plan already names, which keeps them identical
 // across processes running the same binary.
 func Fingerprint(g Grid, plan []Cell) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "cells=%d days=%d\n", len(plan), g.Days)
-	for _, w := range g.Weathers {
-		fmt.Fprintf(h, "wx %q %+v\n", w.Name, w.Config)
-	}
 	// %q on the string axes: a name containing the separator must not make
-	// two different plans hash identically.
+	// two different plans hash identically. The `""|0s` slots are the
+	// removed weather and probe-lifetime axes at their zero values, kept
+	// so every fingerprint (and so every cache entry and shard file) from
+	// before their removal still matches.
 	for _, c := range plan {
-		fmt.Fprintf(h, "%d|%q|%d|%d|%d|%q|%s|%q|%d\n",
-			c.Index, c.Scenario, c.Seed, c.Stations, c.Probes,
-			c.Weather, c.ProbeLifetime, c.Override, c.Days)
+		fmt.Fprintf(h, "%d|%q|%d|%d|%d|\"\"|0s|%q|%d\n",
+			c.Index, c.Scenario, c.Seed, c.Stations, c.Probes, c.Override, c.Days)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -11,7 +11,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/trace"
@@ -63,13 +62,11 @@ type Stats struct {
 // Group is one configuration of the grid — everything but the seed axis —
 // with its metrics folded across the N seeds that ran it.
 type Group struct {
-	Scenario      string
-	Stations      int
-	Probes        int
-	Weather       string
-	ProbeLifetime time.Duration
-	Override      string
-	Days          int
+	Scenario string
+	Stations int
+	Probes   int
+	Override string
+	Days     int
 	// N counts the cells folded into Stats; Errors counts cells excluded
 	// because they failed to build or run.
 	N, Errors int
@@ -85,12 +82,6 @@ func (gr Group) Label() string {
 	}
 	if gr.Probes > 0 {
 		fmt.Fprintf(&b, " probes=%d", gr.Probes)
-	}
-	if gr.Weather != "" {
-		fmt.Fprintf(&b, " wx=%s", gr.Weather)
-	}
-	if gr.ProbeLifetime > 0 {
-		fmt.Fprintf(&b, " life=%s", gr.ProbeLifetime)
 	}
 	if gr.Override != "" {
 		fmt.Fprintf(&b, " ov=%s", gr.Override)
@@ -148,14 +139,12 @@ func Reduce(results []CellResult) *Summary {
 		c := cr.Cell
 		// %q on the string axes: a name containing the separator must not
 		// collide two configurations into one fold.
-		key := fmt.Sprintf("%q|%d|%d|%q|%s|%q|%d",
-			c.Scenario, c.Stations, c.Probes, c.Weather, c.ProbeLifetime, c.Override, c.Days)
+		key := fmt.Sprintf("%q|%d|%d|%q|%d", c.Scenario, c.Stations, c.Probes, c.Override, c.Days)
 		a, ok := accs[key]
 		if !ok {
 			a = &acc{
 				group: Group{Scenario: c.Scenario, Stations: c.Stations,
-					Probes: c.Probes, Weather: c.Weather,
-					ProbeLifetime: c.ProbeLifetime, Override: c.Override, Days: c.Days},
+					Probes: c.Probes, Override: c.Override, Days: c.Days},
 				values: map[string][]float64{},
 			}
 			accs[key] = a

@@ -229,25 +229,6 @@ func (g Grid) runCell(c Cell) (cr CellResult) {
 		return cr
 	}
 	top := s.Topology(scenario.Params{Seed: c.Seed, Stations: c.Stations, Probes: c.Probes, Days: c.Days})
-	if c.Weather != "" {
-		found := false
-		for _, w := range g.Weathers {
-			if w.Name == c.Weather {
-				// A zero spec seed defers to the topology seed in resolve,
-				// keeping the weather axis seed-deterministic per cell.
-				top.Weather = w.Config
-				found = true
-				break
-			}
-		}
-		if !found {
-			cr.Err = fmt.Sprintf("weather config %q disappeared from the grid", c.Weather)
-			return cr
-		}
-	}
-	if c.ProbeLifetime > 0 {
-		top.ProbeLifetime = c.ProbeLifetime
-	}
 	for _, ov := range g.Overrides {
 		if ov.Name == c.Override && ov.Apply != nil {
 			ov.Apply(&top)

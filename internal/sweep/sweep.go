@@ -2,9 +2,11 @@
 // Plan / Execute / Reduce pipeline:
 //
 //   - Plan enumerates a declarative Grid — scenario names × seeds ×
-//     optional per-axis overrides (fleet size, cohort size, weather config,
-//     probe lifetime, named topology mutations) — into an ordered []Cell,
-//     and Shard slices that plan deterministically for distribution.
+//     optional fleet-size and cohort-size axes × named topology overrides —
+//     into an ordered []Cell, and Shard slices that plan deterministically
+//     for distribution. An Override is the one way to vary anything else
+//     about a cell (climate, probe lifetime, start date, faults): it names
+//     the change, and Fingerprint hashes the name.
 //   - A Runner executes cells; LocalRunner is the bounded worker pool that
 //     runs them in-process. A shard run executes only its slice, recording
 //     global cell indices.
@@ -21,14 +23,18 @@
 // are enumerated in a fixed order and results land by global cell index, so
 // the pipeline's output — String(), CSV and JSON alike — is byte-identical
 // for any worker count and any shard split.
+//
+// The grid once had weather and probe-lifetime axes of its own; both are
+// now Overrides. Their two slots stay in the byte formats, always empty:
+// the CSV headers keep the weather and probe_lifetime columns, and
+// Fingerprint hashes each cell with those slots at their old zero values,
+// so every artifact, fingerprint and result-cache entry written before the
+// axes went is still byte-identical and still a cache hit.
 package sweep
 
 import (
-	"time"
-
 	"repro/internal/deploy"
 	"repro/internal/trace"
-	"repro/internal/weather"
 )
 
 // Override is one value of the grid's override axis: a named topology
@@ -41,17 +47,6 @@ type Override struct {
 	// Apply mutates the cell's resolved topology before Build; nil means
 	// the topology is untouched.
 	Apply func(*deploy.Topology)
-}
-
-// WeatherSpec is one value of the grid's weather axis: a named climate
-// configuration swapped into each cell it parameterises. A zero Config.Seed
-// is filled with the cell's topology seed at build time, so the per-seed
-// determinism contract holds on every axis value.
-type WeatherSpec struct {
-	// Name labels the axis value in cells and summaries.
-	Name string
-	// Config is the climate the cell runs under.
-	Config weather.Config
 }
 
 // Metric is one named per-cell measurement.
@@ -73,12 +68,6 @@ type Grid struct {
 	// Probes is an optional per-base cohort-size axis; empty means the
 	// scenario default.
 	Probes []int
-	// Weathers is an optional axis of named climate configurations; empty
-	// means every cell runs the scenario's own climate.
-	Weathers []WeatherSpec
-	// ProbeLifetimes is an optional axis of fleet-wide mean probe
-	// lifetimes; empty means the topology (then probe) default.
-	ProbeLifetimes []time.Duration
 	// Overrides is an optional axis of named topology mutations; empty
 	// means every cell runs the unmodified topology.
 	Overrides []Override

@@ -68,6 +68,15 @@ func TestCellsResolvesScenarioDefaultHorizon(t *testing.T) {
 }
 
 func TestCellsValidation(t *testing.T) {
+	// 17 seeds × 61681 fleet sizes is one cell past Plan's size bound,
+	// which must be refused before the plan is allocated.
+	wide := make([]int, 61681)
+	for i := range wide {
+		wide[i] = i + 1
+	}
+	if 17*len(wide) != maxPlanCells+1 {
+		t.Fatalf("oversized grid has %d cells, want the bound plus one", 17*len(wide))
+	}
 	cases := []struct {
 		name string
 		g    Grid
@@ -89,6 +98,8 @@ func TestCellsValidation(t *testing.T) {
 			Stations: []int{4, 4}}, "duplicate fleet size"},
 		{"duplicate probes", Grid{Scenarios: []string{"dual-base"}, Seeds: []int64{1},
 			Probes: []int{3, 3}}, "duplicate cohort size"},
+		{"oversized plan", Grid{Scenarios: []string{"fleet-N"}, Seeds: SeedRange(1, 17),
+			Stations: wide}, "more than"},
 	}
 	for _, c := range cases {
 		if _, err := Plan(c.g); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -3,7 +3,9 @@
 // byte-identical and a decoded shard merges exactly like the in-memory
 // partial it came from. JSON nulls (the encoding of non-finite floats)
 // decode to NaN, which the reducer excludes and the encoders turn back
-// into null, closing the round trip.
+// into null, closing the round trip. Both decoders refuse fields the
+// schema does not have: a document from another schema must fail loudly,
+// not decode into a narrower summary or cell than the one it describes.
 package sweep
 
 import (
@@ -22,6 +24,7 @@ import (
 func ReadSummary(r io.Reader) (*Summary, error) {
 	var doc summaryJSON
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("sweep: decode summary: %w", err)
 	}
@@ -33,14 +36,9 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 		}
 		sum.Cells = append(sum.Cells, cr)
 	}
-	for i, gj := range doc.Groups {
-		life, err := parseLifetime(gj.ProbeLifetime)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: decode group %d: %w", i, err)
-		}
+	for _, gj := range doc.Groups {
 		gr := Group{
 			Scenario: gj.Scenario, Stations: gj.Stations, Probes: gj.Probes,
-			Weather: gj.Weather, ProbeLifetime: life,
 			Override: gj.Override, Days: gj.Days, N: gj.N, Errors: gj.Errors,
 		}
 		for _, st := range gj.Stats {
@@ -73,15 +71,10 @@ func ReadSummaryFile(path string) (*Summary, error) {
 // cellFromJSON decodes one cell wire document back into a CellResult —
 // the inverse of cellToJSON, shared by ReadSummary and DecodeCell.
 func cellFromJSON(cj cellJSON) (CellResult, error) {
-	life, err := parseLifetime(cj.ProbeLifetime)
-	if err != nil {
-		return CellResult{}, err
-	}
 	cr := CellResult{
 		Cell: Cell{
 			Index: cj.Index, Scenario: cj.Scenario, Seed: cj.Seed,
 			Stations: cj.Stations, Probes: cj.Probes,
-			Weather: cj.Weather, ProbeLifetime: life,
 			Override: cj.Override, Days: cj.Days,
 		},
 		Err: cj.Err,
@@ -100,6 +93,12 @@ func cellFromJSON(cj cellJSON) (CellResult, error) {
 			t, err := time.Parse(time.RFC3339, pj.T)
 			if err != nil {
 				return CellResult{}, fmt.Errorf("series %q point %d: %w", sj.Name, k, err)
+			}
+			// The encoder writes UTC, and an offset can carry a year-9999
+			// or year-0000 instant out of the four-digit years RFC 3339
+			// (and so this decoder) accepts.
+			if y := t.UTC().Year(); y < 0 || y > 9999 {
+				return CellResult{}, fmt.Errorf("series %q point %d: %s is outside years 0000-9999 in UTC", sj.Name, k, pj.T)
 			}
 			// Series.Add panics on non-monotonic samples; a corrupted
 			// shard file must be a decode error, not a crash.
@@ -134,7 +133,9 @@ func EncodeCell(w io.Writer, cr CellResult) error {
 // DecodeCell decodes one EncodeCell document.
 func DecodeCell(r io.Reader) (CellResult, error) {
 	var cj cellJSON
-	if err := json.NewDecoder(r).Decode(&cj); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cj); err != nil {
 		return CellResult{}, fmt.Errorf("sweep: decode cell: %w", err)
 	}
 	cr, err := cellFromJSON(cj)
@@ -151,16 +152,4 @@ func fromFinite(v *float64) float64 {
 		return math.NaN()
 	}
 	return *v
-}
-
-// parseLifetime inverts durationField.
-func parseLifetime(s string) (time.Duration, error) {
-	if s == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad probe lifetime %q: %w", s, err)
-	}
-	return d, nil
 }

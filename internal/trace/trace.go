@@ -240,13 +240,6 @@ func ASCIIChart(width, height int, series ...*Series) string {
 	return b.String()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Table renders rows of labelled values as an aligned ASCII table; used by
 // the report tool for Table I/II style output. A row wider than the header
 // is clamped to the header width, with the dropped cell count reported in
