@@ -51,7 +51,7 @@ func newBenchGPRS(sim *simenv.Simulator) *comms.GPRS {
 
 func BenchmarkTable1RadioModemTransfer(b *testing.B) {
 	sim := simenv.New(1)
-	m := comms.NewRadioModem(sim, nil, "bench", comms.DefaultRadioModemConfig())
+	m := comms.NewRadioModem(sim, "bench", comms.DefaultRadioModemConfig())
 	b.ResetTimer()
 	var d time.Duration
 	for i := 0; i < b.N; i++ {
@@ -230,7 +230,7 @@ func BenchmarkLifetimeContinuous(b *testing.B) {
 
 func BenchmarkArchCompareEnergy(b *testing.B) {
 	sim := simenv.New(1)
-	radio := comms.NewRadioModem(sim, nil, "m", comms.DefaultRadioModemConfig())
+	radio := comms.NewRadioModem(sim, "m", comms.DefaultRadioModemConfig())
 	const dayBytes = 12*165*1024 + 80*1024
 	gcfg := comms.DefaultGPRSConfig()
 	var ratio float64

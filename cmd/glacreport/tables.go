@@ -22,7 +22,7 @@ func tableI(seed int64) error {
 
 	gcfg := comms.DefaultGPRSConfig()
 	gprsT := float64(mb) * 8 * (1 + gcfg.Overhead) / gcfg.RateBps
-	radio := comms.NewRadioModem(sim, nil, "m", comms.DefaultRadioModemConfig())
+	radio := comms.NewRadioModem(sim, "m", comms.DefaultRadioModemConfig())
 	radioT := radio.TransferTime(mb).Seconds()
 
 	mW := func(w float64) string { return fmt.Sprintf("%.0f", w*1000) }
@@ -98,7 +98,7 @@ func expLifetime() error {
 // expArch reproduces the §II architecture energy comparison.
 func expArch(seed int64) error {
 	sim := simenv.New(seed)
-	radio := comms.NewRadioModem(sim, nil, "m", comms.DefaultRadioModemConfig())
+	radio := comms.NewRadioModem(sim, "m", comms.DefaultRadioModemConfig())
 	const dayBytes = 12*165*1024 + 80*1024
 
 	gcfg := comms.DefaultGPRSConfig()

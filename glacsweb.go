@@ -268,7 +268,7 @@ func CorruptInTransit(a Artifact, fraction float64, pick func(i int) float64) Ar
 // NewRadioModem returns one end of the §II 466 MHz radio-modem link the
 // Norway deployment relayed through, in its lab configuration.
 func NewRadioModem(sim *Simulator, name string) *comms.RadioModem {
-	return comms.NewRadioModem(sim, nil, name, comms.DefaultRadioModemConfig())
+	return comms.NewRadioModem(sim, name, comms.DefaultRadioModemConfig())
 }
 
 // Table I device characteristics (transfer rate bps, power W).

@@ -66,12 +66,6 @@ func hashNoise(seed int64, tag string, k uint64) float64 {
 	return simenv.HashNoise(seed, tag, k)
 }
 
-// BytesPerSecond converts a bit rate to an effective byte rate with the
-// given protocol overhead fraction.
-func BytesPerSecond(bps float64, overhead float64) float64 {
-	return bps / 8 / (1 + overhead)
-}
-
 // costLedger tracks metered data cost (GPRS is paid per megabyte).
 type costLedger struct {
 	bytes   int64

@@ -150,7 +150,7 @@ func TestGPRSLongTransfersDropSometimes(t *testing.T) {
 
 func TestRadioModemInterferenceDiurnal(t *testing.T) {
 	sim := simenv.New(1)
-	m := NewRadioModem(sim, nil, "cafe", LabRadioModemConfig())
+	m := NewRadioModem(sim, "cafe", LabRadioModemConfig())
 	night := m.InterferenceLevel(time.Date(2009, 3, 1, 3, 0, 0, 0, time.UTC))
 	day := m.InterferenceLevel(time.Date(2009, 3, 1, 15, 0, 0, 0, time.UTC))
 	if day <= night {
@@ -160,8 +160,8 @@ func TestRadioModemInterferenceDiurnal(t *testing.T) {
 
 func TestLabWorseThanGlacier(t *testing.T) {
 	sim := simenv.New(1)
-	lab := NewRadioModem(sim, nil, "lab", LabRadioModemConfig())
-	glacier := NewRadioModem(sim, nil, "ice", DefaultRadioModemConfig())
+	lab := NewRadioModem(sim, "lab", LabRadioModemConfig())
+	glacier := NewRadioModem(sim, "ice", DefaultRadioModemConfig())
 	ts := time.Date(2009, 3, 1, 14, 0, 0, 0, time.UTC)
 	if lab.InterferenceLevel(ts) <= glacier.InterferenceLevel(ts) {
 		t.Fatal("lab should be noisier than the glacier")
@@ -170,7 +170,7 @@ func TestLabWorseThanGlacier(t *testing.T) {
 
 func TestPPPSessionLifecycle(t *testing.T) {
 	sim := simenv.New(2)
-	m := NewRadioModem(sim, nil, "base", DefaultRadioModemConfig())
+	m := NewRadioModem(sim, "base", DefaultRadioModemConfig())
 	// Dial at low-interference night hours until a session comes up.
 	ts := time.Date(2009, 3, 1, 2, 0, 0, 0, time.UTC)
 	var s *PPPSession
@@ -206,7 +206,7 @@ func TestPPPSessionLifecycle(t *testing.T) {
 
 func TestPPPInterferenceDropsRecordCause(t *testing.T) {
 	sim := simenv.New(3)
-	m := NewRadioModem(sim, nil, "base", LabRadioModemConfig())
+	m := NewRadioModem(sim, "base", LabRadioModemConfig())
 	ts := time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC)
 	sawDrop := false
 	for i := 0; i < 300 && !sawDrop; i++ {
@@ -233,7 +233,7 @@ func TestPPPInterferenceDropsRecordCause(t *testing.T) {
 func TestRadioSlowerAndHungrierThanGPRS(t *testing.T) {
 	// The architectural argument of §II: GPRS moves data faster per watt.
 	sim := simenv.New(1)
-	m := NewRadioModem(sim, nil, "m", DefaultRadioModemConfig())
+	m := NewRadioModem(sim, "m", DefaultRadioModemConfig())
 	_, _, g := newGPRSRig(t, nil)
 	n := int64(1024 * 1024)
 	radioT, gprsT := m.TransferTime(n), g.TransferTime(n)

@@ -51,7 +51,6 @@ func DefaultGPRSConfig() GPRSConfig {
 // GPRS is a simulated GPRS modem switched by the station MCU.
 type GPRS struct {
 	sim  *simenv.Simulator
-	ctrl *mcu.MCU
 	wx   *weather.Model
 	name string
 	cfg  GPRSConfig
@@ -59,10 +58,6 @@ type GPRS struct {
 	powered  bool
 	attached bool
 	cost     costLedger
-
-	attachAttempts uint64
-	attachFailures uint64
-	drops          uint64
 }
 
 // NewGPRS constructs a modem bound to the MCU's gprs rail (defining it).
@@ -87,7 +82,7 @@ func NewGPRS(sim *simenv.Simulator, ctrl *mcu.MCU, wx *weather.Model, name strin
 	if cfg.CostPerMB == 0 {
 		cfg.CostPerMB = def.CostPerMB
 	}
-	g := &GPRS{sim: sim, ctrl: ctrl, wx: wx, name: name, cfg: cfg}
+	g := &GPRS{sim: sim, wx: wx, name: name, cfg: cfg}
 	g.cost.perMB = cfg.CostPerMB
 	ctrl.DefineRail(GPRSRail, cfg.PowerW)
 	ctrl.OnRail(GPRSRail, func(on bool, _ time.Time) {
@@ -120,12 +115,6 @@ func (g *GPRS) BytesSent() int64 { return g.cost.bytes }
 // CostAccrued returns the lifetime data cost at the configured tariff.
 func (g *GPRS) CostAccrued() float64 { return g.cost.accrued }
 
-// Drops returns the number of mid-transfer drops.
-func (g *GPRS) Drops() uint64 { return g.drops }
-
-// AttachFailures returns how many attach attempts found no signal.
-func (g *GPRS) AttachFailures() uint64 { return g.attachFailures }
-
 // SignalAvailable reports whether the cell network is usable at now. The
 // outage pattern is deterministic per (seed, day): a bad day is bad for
 // every attempt, which is how the real failures behaved (a wet antenna is
@@ -145,9 +134,7 @@ func (g *GPRS) Attach(now time.Time) error {
 	if !g.powered {
 		return errUnpowered(g.name)
 	}
-	g.attachAttempts++
 	if !g.SignalAvailable(now) {
-		g.attachFailures++
 		return ErrNoSignal
 	}
 	g.attached = true
@@ -181,7 +168,6 @@ func (g *GPRS) TryTransfer(now time.Time, n int64) TransferResult {
 		frac := hashNoise(g.sim.Seed(), "gprs-dropfrac-"+g.name, key)
 		sent := int64(float64(n) * frac)
 		g.cost.add(sent)
-		g.drops++
 		g.attached = false
 		return TransferResult{
 			Sent:    sent,

@@ -7,13 +7,6 @@ import (
 	"repro/internal/weather"
 )
 
-// ProbeRadioRail is the MCU rail powering the base station's probe
-// transceiver.
-const ProbeRadioRail = "proberadio"
-
-// ProbeRadioPowerW is the transceiver draw while powered.
-const ProbeRadioPowerW = 0.5
-
 // ProbeRadioConfig parameterises the base-station ↔ sub-glacial-probe
 // channel. The key seasonal behaviour from §III/§V: "radio communication
 // with the probes is better in the winter due to the drier ice conditions";

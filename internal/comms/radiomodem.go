@@ -5,11 +5,7 @@ import (
 	"time"
 
 	"repro/internal/simenv"
-	"repro/internal/weather"
 )
-
-// RadioRail is the MCU power-rail name used for the long-range radio modem.
-const RadioRail = "radiomodem"
 
 // DisconnectCause is why a PPP session over the radio link came down. The
 // paper's central observation is that the *reference station cannot see
@@ -51,8 +47,6 @@ type RadioModemConfig struct {
 	PowerW float64
 	// Overhead is the PPP + serial framing overhead fraction.
 	Overhead float64
-	// ConnectTime is modem training plus PPP negotiation.
-	ConnectTime time.Duration
 	// Environment scales interference: the lab was bad ("very unreliable
 	// with frequent drop outs"), the glacier noticeably better. 1.0 = lab.
 	Environment float64
@@ -67,7 +61,6 @@ func DefaultRadioModemConfig() RadioModemConfig {
 		RateBps:     RadioRateBps,
 		PowerW:      RadioPowerW,
 		Overhead:    0.18,
-		ConnectTime: 90 * time.Second,
 		Environment: 0.45,
 		DropPerHour: 1.2,
 	}
@@ -85,18 +78,14 @@ func LabRadioModemConfig() RadioModemConfig {
 // GPRS modem it is not bound to an MCU rail here, because the two ends live
 // on different stations; callers wire the rail themselves.
 type RadioModem struct {
-	sim  *simenv.Simulator
-	wx   *weather.Model
-	name string
-	cfg  RadioModemConfig
-
-	session *PPPSession
-	drops   uint64
-	bytes   int64
+	sim   *simenv.Simulator
+	name  string
+	cfg   RadioModemConfig
+	bytes int64
 }
 
 // NewRadioModem constructs one end of the radio link.
-func NewRadioModem(sim *simenv.Simulator, wx *weather.Model, name string, cfg RadioModemConfig) *RadioModem {
+func NewRadioModem(sim *simenv.Simulator, name string, cfg RadioModemConfig) *RadioModem {
 	def := DefaultRadioModemConfig()
 	if cfg.RateBps == 0 {
 		cfg.RateBps = def.RateBps
@@ -107,16 +96,13 @@ func NewRadioModem(sim *simenv.Simulator, wx *weather.Model, name string, cfg Ra
 	if cfg.Overhead == 0 {
 		cfg.Overhead = def.Overhead
 	}
-	if cfg.ConnectTime == 0 {
-		cfg.ConnectTime = def.ConnectTime
-	}
 	if cfg.Environment == 0 {
 		cfg.Environment = def.Environment
 	}
 	if cfg.DropPerHour == 0 {
 		cfg.DropPerHour = def.DropPerHour
 	}
-	return &RadioModem{sim: sim, wx: wx, name: name, cfg: cfg}
+	return &RadioModem{sim: sim, name: name, cfg: cfg}
 }
 
 // Name returns the modem name.
@@ -128,14 +114,8 @@ func (m *RadioModem) PowerW() float64 { return m.cfg.PowerW }
 // RateBps returns the payload rate.
 func (m *RadioModem) RateBps() float64 { return m.cfg.RateBps }
 
-// ConnectTime returns modem training plus PPP negotiation time.
-func (m *RadioModem) ConnectTime() time.Duration { return m.cfg.ConnectTime }
-
 // BytesSent returns the lifetime payload volume.
 func (m *RadioModem) BytesSent() int64 { return m.bytes }
-
-// Drops returns the number of interference drops.
-func (m *RadioModem) Drops() uint64 { return m.drops }
 
 // InterferenceLevel returns the local interference factor at now in [0,1].
 // The lab observation — "reliability was affected by the time of day which
@@ -155,9 +135,7 @@ func (m *RadioModem) Dial(now time.Time) (*PPPSession, error) {
 	if hashNoise(m.sim.Seed(), "radio-dial-"+m.name, key) < pFail {
 		return nil, ErrNoSignal
 	}
-	s := &PPPSession{modem: m, up: true}
-	m.session = s
-	return s, nil
+	return &PPPSession{modem: m, up: true}, nil
 }
 
 // TransferTime returns wire time for n payload bytes.
@@ -208,7 +186,6 @@ func (s *PPPSession) TryTransfer(now time.Time, n int64) TransferResult {
 		frac := hashNoise(m.sim.Seed(), "radio-dropfrac-"+m.name, key)
 		sent := int64(float64(n) * frac)
 		m.bytes += sent
-		m.drops++
 		s.up = false
 		s.cause = CauseInterference
 		return TransferResult{

@@ -51,9 +51,7 @@ type Battery struct {
 	cfg BatteryConfig
 	soc float64 // state of charge in [0,1]
 
-	drawnWh     float64 // lifetime energy delivered to loads
-	harvestedWh float64 // lifetime energy accepted from chargers
-	shedWh      float64 // charge energy rejected because the bank was full
+	shedWh float64 // charge energy rejected because the bank was full
 }
 
 // NewBattery constructs a battery bank. Zero cfg fields are defaulted.
@@ -91,12 +89,6 @@ func (b *Battery) RemainingWh() float64 { return b.soc * b.CapacityWh() }
 
 // Depleted reports whether the bank is fully exhausted.
 func (b *Battery) Depleted() bool { return b.soc <= 0 }
-
-// DrawnWh returns lifetime energy delivered to loads (Wh).
-func (b *Battery) DrawnWh() float64 { return b.drawnWh }
-
-// HarvestedWh returns lifetime energy accepted from chargers (Wh).
-func (b *Battery) HarvestedWh() float64 { return b.harvestedWh }
 
 // ShedWh returns charger energy rejected because the bank was full (Wh).
 func (b *Battery) ShedWh() float64 { return b.shedWh }
@@ -155,8 +147,6 @@ func (b *Battery) Transfer(loadW, chargeW, hours float64) float64 {
 		stored = 0
 	}
 	b.soc = stored / capWh
-	b.drawnWh += delivered
-	b.harvestedWh += inWh
 	return delivered
 }
 

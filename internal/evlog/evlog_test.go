@@ -2,6 +2,9 @@ package evlog
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +15,7 @@ import (
 
 // recordSim runs drive on a fresh simulator with a recorder attached and
 // returns the sealed log bytes.
-func recordSim(t *testing.T, hdr Header, seed int64, drive func(s *simenv.Simulator)) []byte {
+func recordSim(t testing.TB, hdr Header, seed int64, drive func(s *simenv.Simulator)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, hdr)
@@ -126,6 +129,79 @@ func TestTrailerCountMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "trailer promises") {
 		t.Fatalf("forged trailer count: err = %v", err)
 	}
+}
+
+// oneRecordLog hand-builds a sealed one-record log whose record carries
+// the given time deltas, with a correct chain byte and trailer, so only
+// the decoded values themselves can make it unreadable.
+func oneRecordLog(dSec, dNs int64) []byte {
+	p := binary.AppendVarint(nil, dSec)
+	p = binary.AppendVarint(p, dNs)
+	p = binary.AppendUvarint(p, 0) // introduce a name
+	p = binary.AppendUvarint(p, 4)
+	p = append(p, "tick"...)
+	chain := chainUpdate(fnvOffset, p)
+	p = append(p, byte(chain))
+	out := fmt.Appendf(nil, "%s %d {\"scenario\":\"synthetic\"}\n", Magic, FormatVersion)
+	out = binary.AppendUvarint(out, uint64(len(p)))
+	out = append(out, p...)
+	return fmt.Appendf(out, "\x00{\"records\":1,\"chain\":\"%016x\"}\n", chain)
+}
+
+// A record's running nanosecond must stay inside [0, 1e9): the writer
+// only ever stores time.Nanosecond(), so anything else is a forged or
+// damaged log, refused naming the record rather than truncated or kept.
+func TestReadRefusesImpossibleNanoseconds(t *testing.T) {
+	if _, err := Read(bytes.NewReader(oneRecordLog(5, 999_999_999))); err != nil {
+		t.Fatalf("in-range nanosecond refused: %v", err)
+	}
+	for _, dNs := range []int64{1 << 32, 2e9, -5} {
+		l, err := Read(bytes.NewReader(oneRecordLog(5, dNs)))
+		if err == nil {
+			t.Errorf("dNs=%d read cleanly as AtNsec=%d", dNs, l.Records[0].AtNsec)
+			continue
+		}
+		if !strings.Contains(err.Error(), "record 0: ") {
+			t.Errorf("dNs=%d: error %q does not name record 0", dNs, err)
+		}
+	}
+}
+
+// FuzzRead feeds arbitrary bytes to the log reader. It must never panic,
+// every record it accepts must carry a nanosecond in [0, 1e9), and an
+// accepted log written again through the Writer must decode to the same
+// header and records.
+func FuzzRead(f *testing.F) {
+	f.Add(recordSim(f, Header{Scenario: "synthetic", Seed: 7, Days: 1}, 7,
+		tickDrive(5, func(i int) string { return []string{"alpha", "beta"}[i%2] })))
+	f.Add(oneRecordLog(5, 2e9))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, l.Header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range l.Records {
+			if rec.AtNsec < 0 || rec.AtNsec >= 1e9 {
+				t.Fatalf("accepted record %s with AtNsec %d", rec, rec.AtNsec)
+			}
+			w.Observe(rec.Name, rec.At())
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-written log does not read: %v", err)
+		}
+		if again.Header != l.Header || !slices.Equal(again.Records, l.Records) {
+			t.Fatalf("re-written log decodes differently:\n%+v %v\n%+v %v", l.Header, l.Records, again.Header, again.Records)
+		}
+	})
 }
 
 func TestDiffIdenticalAndPerturbed(t *testing.T) {

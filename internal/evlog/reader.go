@@ -165,6 +165,9 @@ func decodePayload(payload []byte, idx uint64, names *[]string, prevSec, prevNs 
 	}
 	*prevSec += dSec
 	*prevNs += dNs
+	if *prevNs < 0 || *prevNs >= 1e9 {
+		return Record{}, fmt.Errorf("record %d: nanosecond %d outside [0, 1e9)", idx, *prevNs)
+	}
 	return Record{Seq: idx, AtSec: *prevSec, AtNsec: int32(*prevNs), Name: name}, nil
 }
 

@@ -83,9 +83,6 @@ func (v *Verifier) observe(name string, at time.Time) {
 	v.next++
 }
 
-// Checked reports how many events have matched so far.
-func (v *Verifier) Checked() int { return v.next }
-
 // Finish returns the first divergence, or nil for a step-for-step
 // equivalent run. Call it after the run completes: a run that ended
 // early (fewer events than the log) only shows up here.

@@ -74,7 +74,6 @@ func (f File) TransferTime(rateFraction float64) time.Duration {
 // Unit is a simulated dGPS receiver.
 type Unit struct {
 	sim     *simenv.Simulator
-	ctrl    *mcu.MCU
 	wx      *weather.Model
 	name    string
 	powered bool
@@ -84,7 +83,6 @@ type Unit struct {
 	readEv    simenv.EventID
 	reading   bool
 	readings  uint64
-	fixFails  uint64
 	salt      int64
 	onReading []func(f File)
 
@@ -100,7 +98,7 @@ type Unit struct {
 // New constructs a unit bound to the MCU's gps rail (defining the rail).
 // wx may be nil, in which case time fixes always succeed.
 func New(sim *simenv.Simulator, ctrl *mcu.MCU, wx *weather.Model, name string) *Unit {
-	u := &Unit{sim: sim, ctrl: ctrl, wx: wx, name: name, salt: sim.Seed()}
+	u := &Unit{sim: sim, wx: wx, name: name, salt: sim.Seed()}
 	u.readFn = u.readingDone
 	u.readName = name + ".reading"
 	u.satsTag = "sats/" + name
@@ -220,21 +218,15 @@ func (u *Unit) TimeFix(now time.Time) (time.Time, error) {
 	if u.wx != nil {
 		c := u.wx.Sample(now)
 		if c.Storm {
-			u.fixFails++
 			return time.Time{}, fmt.Errorf("dgps %s: no satellite lock (storm)", u.name)
 		}
 		if c.SnowDepthM > 2.3 {
-			u.fixFails++
 			return time.Time{}, fmt.Errorf("dgps %s: no satellite lock (antenna buried, %.1fm snow)", u.name, c.SnowDepthM)
 		}
 	}
 	if simenv.HashNoise(u.salt, u.fixTag, day) < 0.05 {
-		u.fixFails++
 		return time.Time{}, fmt.Errorf("dgps %s: no satellite lock (poor geometry)", u.name)
 	}
 	// GPS time is ground truth: the simulator's wall clock.
 	return u.sim.Now(), nil
 }
-
-// FixFailures reports how many time fixes have failed.
-func (u *Unit) FixFailures() uint64 { return u.fixFails }

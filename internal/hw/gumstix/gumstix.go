@@ -63,7 +63,6 @@ func FixedJob(name string, d time.Duration, run func(now time.Time)) Job {
 // MCU rail.
 type Host struct {
 	sim  *simenv.Simulator
-	ctrl *mcu.MCU
 	name string
 
 	powered bool
@@ -84,7 +83,6 @@ type Host struct {
 	curApply func(now time.Time)
 
 	onBoot []func(now time.Time)
-	onHalt []func(now time.Time)
 
 	// Bound-once callbacks and interned event names: the hot path schedules
 	// thousands of boots and job completions per simulated season, and
@@ -103,7 +101,7 @@ type Host struct {
 // New constructs a Host bound to the MCU's Gumstix rail. The rail must not
 // be defined yet; New defines it with the standard draw.
 func New(sim *simenv.Simulator, ctrl *mcu.MCU, name string) *Host {
-	h := &Host{sim: sim, ctrl: ctrl, name: name, bootDelay: DefaultBootDelay}
+	h := &Host{sim: sim, name: name, bootDelay: DefaultBootDelay}
 	h.bootName = name + ".boot"
 	h.bootFn = h.bootDone
 	h.jobDoneFn = h.jobDone
@@ -146,9 +144,6 @@ func (h *Host) QueueLen() int { return len(h.queue) - h.head }
 // OnBoot registers a callback fired each time userland comes up.
 func (h *Host) OnBoot(fn func(now time.Time)) { h.onBoot = append(h.onBoot, fn) }
 
-// OnHalt registers a callback fired each time power is removed.
-func (h *Host) OnHalt(fn func(now time.Time)) { h.onHalt = append(h.onHalt, fn) }
-
 //glacvet:hotpath
 func (h *Host) railChanged(on bool, now time.Time) {
 	if on == h.powered {
@@ -180,9 +175,6 @@ func (h *Host) railChanged(on bool, now time.Time) {
 	}
 	h.queue = h.queue[:0]
 	h.head = 0
-	for _, fn := range h.onHalt {
-		fn(now)
-	}
 }
 
 //glacvet:hotpath

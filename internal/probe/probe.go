@@ -150,9 +150,6 @@ func (p *Probe) ID() int { return p.cfg.ID }
 // Alive reports whether the probe is still operating at now.
 func (p *Probe) Alive(now time.Time) bool { return now.Before(p.failAt) }
 
-// FailAt returns the probe's permanent-failure time (for experiments).
-func (p *Probe) FailAt() time.Time { return p.failAt }
-
 //glacvet:hotpath
 func (p *Probe) sample(now time.Time) {
 	if !p.Alive(now) {

@@ -12,8 +12,7 @@
 // beacon used by the remote-update mechanism.
 //
 // The Server type is pure in-memory logic driven by explicit timestamps so
-// the simulator can use it directly; the HTTP front end in http.go exposes
-// the same operations for the real cmd/serverd binary.
+// the simulator can use it directly.
 package server
 
 import (

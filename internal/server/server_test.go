@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -117,77 +116,5 @@ func TestStationsSorted(t *testing.T) {
 	all := s.Stations()
 	if len(all) != 2 || all[0].Name != "base" || all[1].Name != "ref" {
 		t.Fatalf("stations %+v", all)
-	}
-}
-
-// --- HTTP front end ---
-
-func newHTTPRig(t *testing.T) (*Server, *Client) {
-	t.Helper()
-	srv := New()
-	h := NewHandler(srv)
-	h.SetClock(func() time.Time { return t0 })
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	return srv, &Client{BaseURL: ts.URL, Station: "base"}
-}
-
-func TestHTTPStateAndOverride(t *testing.T) {
-	srv, cl := newHTTPRig(t)
-	if err := cl.UploadState(power.State3); err != nil {
-		t.Fatal(err)
-	}
-	srv.UploadState("ref", power.State1, t0)
-	st, err := cl.FetchOverride()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != power.State1 {
-		t.Fatalf("override %v, want 1", st)
-	}
-}
-
-func TestHTTPUploadAndStatus(t *testing.T) {
-	srv, cl := newHTTPRig(t)
-	if err := cl.UploadData(12345); err != nil {
-		t.Fatal(err)
-	}
-	r, ok := srv.Station("base")
-	if !ok || r.BytesReceived != 12345 {
-		t.Fatalf("record %+v", r)
-	}
-}
-
-func TestHTTPSpecialRoundTrip(t *testing.T) {
-	srv, cl := newHTTPRig(t)
-	if _, ok, err := cl.FetchSpecial(); err != nil || ok {
-		t.Fatalf("unexpected special: ok=%v err=%v", ok, err)
-	}
-	srv.PushSpecial("base", "reboot", t0)
-	sp, ok, err := cl.FetchSpecial()
-	if err != nil || !ok || sp.Script != "reboot" {
-		t.Fatalf("special %+v ok=%v err=%v", sp, ok, err)
-	}
-}
-
-func TestHTTPMD5Beacon(t *testing.T) {
-	srv, cl := newHTTPRig(t)
-	if err := cl.ReportMD5("code.py", "deadbeef"); err != nil {
-		t.Fatal(err)
-	}
-	reps := srv.MD5Reports()
-	if len(reps) != 1 || reps[0].Artifact != "code.py" || reps[0].Sum != "deadbeef" {
-		t.Fatalf("reports %+v", reps)
-	}
-}
-
-func TestHTTPRejectsBadRequests(t *testing.T) {
-	_, cl := newHTTPRig(t)
-	bad := &Client{BaseURL: cl.BaseURL, Station: ""}
-	if err := bad.UploadState(power.State3); err == nil {
-		t.Fatal("missing station accepted")
-	}
-	if _, err := (&Client{BaseURL: cl.BaseURL, Station: "x"}).FetchOverride(); err != nil {
-		t.Fatalf("valid override request failed: %v", err)
 	}
 }

@@ -516,9 +516,6 @@ func (t *Ticker) Stop() {
 // Fires reports how many times the ticker has fired.
 func (t *Ticker) Fires() uint64 { return t.fires }
 
-// Period returns the tick period.
-func (t *Ticker) Period() time.Duration { return t.period }
-
 //glacvet:hotpath
 func (t *Ticker) tick(now time.Time) {
 	if t.done {

@@ -159,7 +159,6 @@ type Station struct {
 	channel *comms.ProbeChannel
 	probes  []*probe.Probe
 	fetcher fetcher
-	wired   *comms.WiredProbeLink
 
 	card  *storage.CFCard
 	spool *storage.Spool
@@ -254,7 +253,6 @@ func New(node *core.Node, srv *server.Server, channel *comms.ProbeChannel, probe
 		srv:         srv,
 		channel:     channel,
 		probes:      probes,
-		wired:       &comms.WiredProbeLink{},
 		card:        storage.NewCFCard(4 << 30), // the 4 GB CF card
 		spool:       storage.NewSpool(),
 		state:       cfg.InitialState,
@@ -326,9 +324,6 @@ func (s *Station) OnReport(fn func(RunReport)) { s.onReport = append(s.onReport,
 
 // SetRS232Health adjusts the dGPS drain-rate fraction (fault injection).
 func (s *Station) SetRS232Health(f float64) { s.rs232Health = f }
-
-// WiredProbe exposes the wired-probe link for failure injection.
-func (s *Station) WiredProbe() *comms.WiredProbeLink { return s.wired }
 
 // afterRecovery is the §IV completion hook: restart in state 0 with a
 // fresh schedule.

@@ -44,9 +44,6 @@ type CFCard struct {
 	capacity int64
 	files    map[string]*StoredFile
 	used     int64
-
-	corruptions int
-	recovered   int
 }
 
 // NewCFCard returns a card with the given capacity (the deployment used
@@ -58,14 +55,8 @@ func NewCFCard(capacity int64) *CFCard {
 	return &CFCard{capacity: capacity, files: make(map[string]*StoredFile)}
 }
 
-// Capacity returns the card capacity in bytes.
-func (c *CFCard) Capacity() int64 { return c.capacity }
-
 // Used returns the bytes in use.
 func (c *CFCard) Used() int64 { return c.used }
-
-// Free returns the bytes available.
-func (c *CFCard) Free() int64 { return c.capacity - c.used }
 
 // Write stores a file, replacing any previous version. It fails if the card
 // would overflow.
@@ -129,7 +120,6 @@ func (c *CFCard) Corrupt(name string) error {
 	}
 	if !f.corrupted {
 		f.corrupted = true
-		c.corruptions++
 	}
 	return nil
 }
@@ -143,7 +133,6 @@ func (c *CFCard) CorruptFraction(fraction float64, pick func(name string) float6
 		f := c.files[name]
 		if !f.corrupted && pick(name) < fraction {
 			f.corrupted = true
-			c.corruptions++
 			n++
 		}
 	}
@@ -172,7 +161,6 @@ func (c *CFCard) Recover(recoverP float64, pick func(name string) float64) (reco
 		}
 		if pick(name) < recoverP {
 			f.corrupted = false
-			c.recovered++
 			recovered++
 		} else {
 			lost++

@@ -92,7 +92,6 @@ type dayState struct {
 	valid  bool
 	dayIdx int
 
-	doy      int     // 1-based day of year for this unix day
 	dayMod15 float64 // position of this day inside its 15-day storm window
 
 	cloudA, cloudB float64 // cloud noise at day start / next day start
@@ -259,7 +258,6 @@ func (m *Model) deriveDay(st *dayState, dayIdx int) {
 
 	st.valid = true
 	st.dayIdx = dayIdx
-	st.doy = doy
 	st.dayMod15 = float64(dayIdx % 15)
 
 	st.cloudA = m.noise("cloud", dayIdx)

@@ -5,8 +5,8 @@
 //
 //   - wallclock: any use of time.Now / Since / Sleep / After and friends
 //     ties behaviour to the host clock. Simulated code reads the simenv
-//     clock; infrastructure that legitimately needs real time (HTTP
-//     retry pacing, an injectable nowFn) carries a justified allow.
+//     clock; infrastructure that legitimately needs real time (pacing
+//     on the distrib wire) carries a justified allow.
 //   - globalrand: package-level math/rand draws pull from one shared
 //     global stream, so adding a draw anywhere perturbs every trace.
 //     Randomness flows through named simenv.Rand streams instead.

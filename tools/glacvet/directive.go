@@ -29,6 +29,7 @@ const (
 	checkMaprange   = "maprange"
 	checkHotpath    = "hotpath"
 	checkWiretag    = "wiretag"
+	checkDeadexport = "deadexport"
 	checkAllow      = "allow" // suppression hygiene's own diagnostics
 )
 
@@ -39,6 +40,7 @@ var knownChecks = map[string]bool{
 	checkMaprange:   true,
 	checkHotpath:    true,
 	checkWiretag:    true,
+	checkDeadexport: true,
 }
 
 const determinismFamily = "determinism"

@@ -13,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // TestFixtureDiagnostics runs the full analysis over the fixture module
 // under testdata/src and compares every diagnostic — order, position,
 // check name and message — against the golden transcript. The fixtures
-// cover all four check families plus the suppression hygiene rules
+// cover all five check families plus the suppression hygiene rules
 // (unknown check, missing reason, stale allow, typo'd directive), and
 // each clean counterpart (sorted collect, presized append, justified
 // allow) proves the checks do not overreach.
@@ -79,6 +79,15 @@ func TestSuppressedChecks(t *testing.T) {
 	for _, f := range byFile["det/maprange.go"] {
 		if f.pos.Line >= 21 && f.pos.Line <= 28 {
 			t.Errorf("SortedNames (collect-then-sort) reported: %+v", f)
+		}
+	}
+	// A String method, a name only a test spells, and a justified allow
+	// all keep an otherwise unreferenced export from reporting.
+	for _, f := range byFile["internal/dead/dead.go"] {
+		for _, live := range []string{"String", "Peek", "Kept"} {
+			if strings.Contains(f.msg, live+" ") {
+				t.Errorf("deadexport reported live name %s: %+v", live, f)
+			}
 		}
 	}
 	for _, f := range byFile["hot/hot.go"] {

@@ -148,8 +148,9 @@ func goFilesIn(dir string) ([]string, error) {
 
 // expandPatterns turns CLI package patterns ("./internal/...", ".") into
 // the sorted list of module import paths they denote. A "/..." suffix
-// walks the subtree; testdata, hidden and underscore directories are
-// skipped, as is any directory without non-test Go files.
+// walks the subtree; testdata, hidden and underscore directories and
+// nested modules are skipped, as is any directory without non-test Go
+// files.
 func expandPatterns(modRoot, modPath string, patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
@@ -188,7 +189,7 @@ func expandPatterns(modRoot, modPath string, patterns []string) ([]string, error
 					return nil
 				}
 				base := d.Name()
-				if p != root && (base == "testdata" ||
+				if p != root && (base == "testdata" || isModuleDir(p) ||
 					strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
 					return filepath.SkipDir
 				}

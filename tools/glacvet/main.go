@@ -1,7 +1,7 @@
 // Command glacvet is the repository's own static analysis suite. It
 // type-checks the packages named on the command line (default: the
 // simulator tree — ./internal/..., ./cmd/... and the facade package) and
-// enforces four families of invariants that the golden files and
+// enforces five families of invariants that the golden files and
 // AllocsPerRun pins otherwise only catch at runtime:
 //
 //   - determinism: no wall-clock reads, no global math/rand draws, no
@@ -13,6 +13,8 @@
 //   - wire format: structs marked //glacvet:wire, and every struct they
 //     embed in their encoded output, must tag each exported field
 //     explicitly (check wiretag);
+//   - dead exports: an exported name under internal/ that nothing in the
+//     module, its tests or bench/ references (check deadexport);
 //   - suppression hygiene: //glacvet:allow is the only escape hatch and
 //     must name a real check, give a reason, and actually suppress
 //     something (check allow).
@@ -110,6 +112,9 @@ func runGlacvet(modRoot, modPath string, patterns []string) ([]finding, error) {
 		a.checkHotpath(pd)
 	}
 	a.checkWiretag()
+	if err := a.checkDeadexport(); err != nil {
+		return nil, err
+	}
 	a.suppress()
 	sort.Slice(a.findings, func(i, j int) bool {
 		if a.findings[i].pos == a.findings[j].pos {

@@ -1,0 +1,9 @@
+package dead
+
+import "testing"
+
+func TestPeek(t *testing.T) {
+	if Peek() == nil {
+		t.Fatal("nil counter")
+	}
+}
