@@ -44,9 +44,9 @@ func BenchmarkTable1GPRSTransfer(b *testing.B) {
 
 func newBenchGPRS(sim *simenv.Simulator) *comms.GPRS {
 	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1, CapacityAh: 500})
-	bus := energy.NewBus(sim, bat, nil, nil, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, nil, nil)
 	m := mcu.New(sim, bus, nil, mcu.DefaultConfig("bench-mcu"))
-	return comms.NewGPRS(sim, m, nil, "bench", comms.DefaultGPRSConfig())
+	return comms.NewGPRS(sim, m, nil, "bench")
 }
 
 func BenchmarkTable1RadioModemTransfer(b *testing.B) {
@@ -203,7 +203,7 @@ func BenchmarkFig6Conductivity(b *testing.B) {
 func BenchmarkLifetimeState3(b *testing.B) {
 	var days float64
 	for i := 0; i < b.N; i++ {
-		bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 36, InitialSoC: 1, SelfDischargePerDay: 0})
+		bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 		days = 0
 		for !bat.Depleted() && days < 1000 {
 			bat.Transfer(dgps.PowerW, 0, 1) // 1 h/day of dGPS
@@ -216,7 +216,7 @@ func BenchmarkLifetimeState3(b *testing.B) {
 func BenchmarkLifetimeContinuous(b *testing.B) {
 	var hours float64
 	for i := 0; i < b.N; i++ {
-		bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 36, InitialSoC: 1, SelfDischargePerDay: 0})
+		bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 		hours = 0
 		for !bat.Depleted() && hours < 10000 {
 			bat.Transfer(dgps.PowerW, 0, 1)
@@ -232,11 +232,10 @@ func BenchmarkArchCompareEnergy(b *testing.B) {
 	sim := simenv.New(1)
 	radio := comms.NewRadioModem(sim, "m", comms.DefaultRadioModemConfig())
 	const dayBytes = 12*165*1024 + 80*1024
-	gcfg := comms.DefaultGPRSConfig()
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gprsSecs := func(n int64) float64 { return float64(n) * 8 * (1 + gcfg.Overhead) / gcfg.RateBps }
+		gprsSecs := func(n int64) float64 { return float64(n) * 8 * (1 + comms.GPRSOverhead) / comms.GPRSRateBps }
 		relay := comms.RadioPowerW*2*radio.TransferTime(dayBytes).Hours() +
 			comms.GPRSPowerW*gprsSecs(2*dayBytes)/3600
 		dual := 2 * comms.GPRSPowerW * gprsSecs(dayBytes) / 3600
@@ -277,7 +276,7 @@ func BenchmarkBulkFetchAckSummer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		sim, ch, pr := benchSummerScenario(int64(i + 1))
-		f := protocol.NewAckFetcher(protocol.DefaultAckConfig())
+		f := protocol.NewAckFetcher()
 		b.StartTimer()
 		res = f.Fetch(sim.Now(), ch, pr, 6*time.Hour, nil)
 	}
@@ -375,7 +374,7 @@ func BenchmarkAblationDailyAverageVsMiddaySpot(b *testing.B) {
 		sim := simenv.NewAt(3, time.Date(2009, 6, 20, 0, 0, 0, 0, time.UTC))
 		wx := weather.New(weather.DefaultConfig(3))
 		bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 36, InitialSoC: 0.50})
-		bus := energy.NewBus(sim, bat, []energy.Charger{energy.NewSolarPanel(40)}, wx, energy.BusConfig{})
+		bus := energy.NewBus(sim, bat, []energy.Charger{energy.NewSolarPanel(40)}, wx)
 		m := mcu.New(sim, bus, wx, mcu.DefaultConfig("abl"))
 		if err := sim.RunFor(11*time.Hour + 55*time.Minute); err != nil {
 			b.Fatal(err)

@@ -50,7 +50,7 @@ func expBulkFetch(seed int64) error {
 		}
 	}
 	ack := func(sim *simenv.Simulator, ch *comms.ProbeChannel, pr *probe.Probe) protocol.Result {
-		return protocol.NewAckFetcher(protocol.DefaultAckConfig()).Fetch(sim.Now(), ch, pr, 6*time.Hour, nil)
+		return protocol.NewAckFetcher().Fetch(sim.Now(), ch, pr, 6*time.Hour, nil)
 	}
 
 	var rows [][]string

@@ -20,8 +20,7 @@ func tableI(seed int64) error {
 	sim := simenv.New(seed)
 	const mb = 1024 * 1024
 
-	gcfg := comms.DefaultGPRSConfig()
-	gprsT := float64(mb) * 8 * (1 + gcfg.Overhead) / gcfg.RateBps
+	gprsT := float64(mb) * 8 * (1 + comms.GPRSOverhead) / comms.GPRSRateBps
 	radio := comms.NewRadioModem(sim, "m", comms.DefaultRadioModemConfig())
 	radioT := radio.TransferTime(mb).Seconds()
 
@@ -76,7 +75,7 @@ func tableII() error {
 // five-minute readings/day) stretches it to ~117 days.
 func expLifetime() error {
 	duty := func(hoursPerDay float64) float64 {
-		b := energy.NewBattery(energy.BatteryConfig{CapacityAh: 36, InitialSoC: 1, SelfDischargePerDay: 0})
+		b := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 		days := 0.0
 		for !b.Depleted() && days < 10000 {
 			b.Transfer(dgps.PowerW, 0, hoursPerDay)
@@ -91,7 +90,8 @@ func expLifetime() error {
 	}
 	fmt.Print(trace.Table(
 		[]string{"dGPS duty cycle", "h/day on", "Days to deplete 36 Ah (sim)", "Paper"}, rows))
-	fmt.Println("\n(figures exclude every other component, as in the paper)")
+	fmt.Println("\n(figures exclude every other component, as in the paper; the bank's")
+	fmt.Println("default 0.05%/day self-discharge is included)")
 	return nil
 }
 
@@ -101,8 +101,7 @@ func expArch(seed int64) error {
 	radio := comms.NewRadioModem(sim, "m", comms.DefaultRadioModemConfig())
 	const dayBytes = 12*165*1024 + 80*1024
 
-	gcfg := comms.DefaultGPRSConfig()
-	gprsSecs := func(n int64) float64 { return float64(n) * 8 * (1 + gcfg.Overhead) / gcfg.RateBps }
+	gprsSecs := func(n int64) float64 { return float64(n) * 8 * (1 + comms.GPRSOverhead) / comms.GPRSRateBps }
 
 	radioT := radio.TransferTime(dayBytes).Hours()
 	relay := comms.RadioPowerW*2*radioT + comms.GPRSPowerW*gprsSecs(2*dayBytes)/3600

@@ -8,34 +8,14 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/evlog"
-	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
 
-// recordRun produces a recorded event log the way run -record does: a real
-// scenario run with a writer attached, sealed to a file.
-func recordRun(t *testing.T, path string, scen string, seed int64, days int) {
+// recordRun records a scenario run's event log to path through
+// run -record; args are the run's other flags.
+func recordRun(t *testing.T, path string, args ...string) {
 	t.Helper()
-	d, err := scenario.Build(scen, scenario.Params{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := evlog.NewWriter(f, evlog.Header{Scenario: scen, Seed: seed, Days: days})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Attach(d.Sim)
-	if err := d.RunDays(days); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := run(append([]string{"run", "-record", path}, args...)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -46,7 +26,7 @@ func recordRun(t *testing.T, path string, scen string, seed int64, days int) {
 func TestRunReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.evlog")
-	recordRun(t, path, "dual-base", 42, 1)
+	recordRun(t, path, "-scenario", "dual-base", "-seed", "42", "-days", "1")
 	if err := run([]string{"replay", path}); err != nil {
 		t.Fatalf("replay of a faithful recording failed: %v", err)
 	}
@@ -69,14 +49,32 @@ func TestRunReplay(t *testing.T) {
 	}
 }
 
+// run -start/-special-first is rebuilt on replay from the log's header
+// alone. flagsApply and evlog.Rebuild each say what the two flags do to a
+// topology; if they disagree, such a log diverges on replay.
+func TestRunRecordReplayWithFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flags.evlog")
+	recordRun(t, path, "-scenario", "dual-base", "-days", "2", "-start", "2009-07-15", "-special-first")
+	l, err := evlog.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Header.Start != "2009-07-15" || !l.Header.SpecialFirst {
+		t.Fatalf("header start %q, special-first %v; want the run's flags", l.Header.Start, l.Header.SpecialFirst)
+	}
+	if err := run([]string{"replay", path}); err != nil {
+		t.Fatalf("replay of a flagged recording failed: %v", err)
+	}
+}
+
 // evdiff: identical logs succeed; logs from different seeds fail naming
 // the first divergent event index.
 func TestRunEvdiff(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.evlog")
 	b := filepath.Join(dir, "b.evlog")
-	recordRun(t, a, "dual-base", 42, 1)
-	recordRun(t, b, "dual-base", 43, 1)
+	recordRun(t, a, "-scenario", "dual-base", "-seed", "42", "-days", "1")
+	recordRun(t, b, "-scenario", "dual-base", "-seed", "43", "-days", "1")
 	if err := run([]string{"evdiff", a, a}); err != nil {
 		t.Fatalf("evdiff of a log against itself failed: %v", err)
 	}

@@ -242,7 +242,7 @@ func NewFixedNackFetcher() *protocol.NackFetcher {
 
 // NewAckFetcher returns the stop-and-wait baseline.
 func NewAckFetcher() *protocol.AckFetcher {
-	return protocol.NewAckFetcher(protocol.DefaultAckConfig())
+	return protocol.NewAckFetcher()
 }
 
 // NewFetchState returns an empty cross-session fetch state.

@@ -29,6 +29,9 @@ const (
 	RadioPowerW  = 3.96
 )
 
+// GPRSOverhead is the GPRS protocol overhead fraction on payload bytes.
+const GPRSOverhead = 0.12
+
 // ErrNoSignal is returned when a modem cannot attach to its network at all
 // during the current window.
 var ErrNoSignal = errors.New("comms: no signal")
@@ -66,16 +69,18 @@ func hashNoise(seed int64, tag string, k uint64) float64 {
 	return simenv.HashNoise(seed, tag, k)
 }
 
+// gprsCostPerMB is the tariff used for the data-cost ledger.
+const gprsCostPerMB = 1.0
+
 // costLedger tracks metered data cost (GPRS is paid per megabyte).
 type costLedger struct {
 	bytes   int64
-	perMB   float64
 	accrued float64
 }
 
 func (c *costLedger) add(n int64) {
 	c.bytes += n
-	c.accrued += float64(n) / (1024 * 1024) * c.perMB
+	c.accrued += float64(n) / (1024 * 1024) * gprsCostPerMB
 }
 
 func (c *costLedger) String() string {

@@ -21,9 +21,9 @@ func newGPRSRig(t *testing.T, wx *weather.Model) (*simenv.Simulator, *mcu.MCU, *
 	if wx != nil {
 		sampler = wx
 	}
-	bus := energy.NewBus(sim, bat, nil, sampler, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, nil, sampler)
 	ctrl := mcu.New(sim, bus, sampler, mcu.DefaultConfig("mcu"))
-	g := NewGPRS(sim, ctrl, wx, "base-gprs", DefaultGPRSConfig())
+	g := NewGPRS(sim, ctrl, wx, "base-gprs")
 	return sim, ctrl, g
 }
 

@@ -11,49 +11,28 @@ import (
 // GPRSRail is the MCU power-rail name conventionally used for GPRS modems.
 const GPRSRail = "gprs"
 
-// GPRSConfig parameterises a GPRS modem and its cell environment.
-type GPRSConfig struct {
-	// RateBps is the payload rate; Table I says 5000 bps.
-	RateBps float64
-	// PowerW is the draw while the rail is up; Table I says 2.64 W.
-	PowerW float64
-	// AttachTime is the time to register on the network and bring up the
-	// session before payload can flow.
-	AttachTime time.Duration
-	// Overhead is the protocol overhead fraction on payload bytes.
-	Overhead float64
-	// BaseOutageP is the chance a given day's window has no usable signal.
-	BaseOutageP float64
-	// WetOutageP is added at full melt (summer is the weak season:
-	// "communications fail ... frequently, especially in the wetter summer").
-	WetOutageP float64
-	// DropPerHour is the chance per hour of connection of a mid-transfer
-	// drop.
-	DropPerHour float64
-	// CostPerMB is the tariff used for the data-cost ledger.
-	CostPerMB float64
-}
-
-// DefaultGPRSConfig returns the Iceland deployment values.
-func DefaultGPRSConfig() GPRSConfig {
-	return GPRSConfig{
-		RateBps:     GPRSRateBps,
-		PowerW:      GPRSPowerW,
-		AttachTime:  45 * time.Second,
-		Overhead:    0.12,
-		BaseOutageP: 0.06,
-		WetOutageP:  0.14,
-		DropPerHour: 0.35,
-		CostPerMB:   1.0,
-	}
-}
+// GPRS modem and cell-environment constants of the Iceland deployment.
+const (
+	// gprsAttachTime is the time to register on the network and bring up
+	// the session before payload can flow.
+	gprsAttachTime = 45 * time.Second
+	// gprsBaseOutageP is the chance a given day's window has no usable
+	// signal.
+	gprsBaseOutageP = 0.06
+	// gprsWetOutageP is added at full melt (summer is the weak season:
+	// "communications fail ... frequently, especially in the wetter
+	// summer").
+	gprsWetOutageP = 0.14
+	// gprsDropPerHour is the chance per hour of connection of a
+	// mid-transfer drop.
+	gprsDropPerHour = 0.35
+)
 
 // GPRS is a simulated GPRS modem switched by the station MCU.
 type GPRS struct {
 	sim  *simenv.Simulator
 	wx   *weather.Model
 	name string
-	cfg  GPRSConfig
 
 	powered  bool
 	attached bool
@@ -62,29 +41,9 @@ type GPRS struct {
 
 // NewGPRS constructs a modem bound to the MCU's gprs rail (defining it).
 // wx may be nil for an ideal cell environment.
-func NewGPRS(sim *simenv.Simulator, ctrl *mcu.MCU, wx *weather.Model, name string, cfg GPRSConfig) *GPRS {
-	def := DefaultGPRSConfig()
-	if cfg.RateBps == 0 {
-		cfg.RateBps = def.RateBps
-	}
-	if cfg.PowerW == 0 {
-		cfg.PowerW = def.PowerW
-	}
-	if cfg.AttachTime == 0 {
-		cfg.AttachTime = def.AttachTime
-	}
-	if cfg.Overhead == 0 {
-		cfg.Overhead = def.Overhead
-	}
-	if cfg.DropPerHour == 0 {
-		cfg.DropPerHour = def.DropPerHour
-	}
-	if cfg.CostPerMB == 0 {
-		cfg.CostPerMB = def.CostPerMB
-	}
-	g := &GPRS{sim: sim, wx: wx, name: name, cfg: cfg}
-	g.cost.perMB = cfg.CostPerMB
-	ctrl.DefineRail(GPRSRail, cfg.PowerW)
+func NewGPRS(sim *simenv.Simulator, ctrl *mcu.MCU, wx *weather.Model, name string) *GPRS {
+	g := &GPRS{sim: sim, wx: wx, name: name}
+	ctrl.DefineRail(GPRSRail, GPRSPowerW)
 	ctrl.OnRail(GPRSRail, func(on bool, _ time.Time) {
 		g.powered = on
 		if !on {
@@ -103,16 +62,13 @@ func (g *GPRS) Powered() bool { return g.powered }
 // Attached reports whether a data session is up.
 func (g *GPRS) Attached() bool { return g.attached }
 
-// RateBps returns the configured payload rate.
-func (g *GPRS) RateBps() float64 { return g.cfg.RateBps }
-
 // AttachTime returns the network attach latency.
-func (g *GPRS) AttachTime() time.Duration { return g.cfg.AttachTime }
+func (g *GPRS) AttachTime() time.Duration { return gprsAttachTime }
 
 // BytesSent returns the lifetime metered volume.
 func (g *GPRS) BytesSent() int64 { return g.cost.bytes }
 
-// CostAccrued returns the lifetime data cost at the configured tariff.
+// CostAccrued returns the lifetime data cost at the GPRS tariff.
 func (g *GPRS) CostAccrued() float64 { return g.cost.accrued }
 
 // SignalAvailable reports whether the cell network is usable at now. The
@@ -121,9 +77,9 @@ func (g *GPRS) CostAccrued() float64 { return g.cost.accrued }
 // wet all day).
 func (g *GPRS) SignalAvailable(now time.Time) bool {
 	day := uint64(now.Unix() / 86400)
-	p := g.cfg.BaseOutageP
+	p := gprsBaseOutageP
 	if g.wx != nil {
-		p += g.cfg.WetOutageP * g.wx.MeltIndex(now)
+		p += gprsWetOutageP * g.wx.MeltIndex(now)
 	}
 	return hashNoise(g.sim.Seed(), "gprs-outage-"+g.name, day) >= p
 }
@@ -146,7 +102,7 @@ func (g *GPRS) Detach() { g.attached = false }
 
 // TransferTime returns the wire time for n payload bytes.
 func (g *GPRS) TransferTime(n int64) time.Duration {
-	return transferTime(n, g.cfg.RateBps, g.cfg.Overhead)
+	return transferTime(n, GPRSRateBps, GPRSOverhead)
 }
 
 // TryTransfer attempts to move n payload bytes over the attached session.
@@ -158,7 +114,7 @@ func (g *GPRS) TryTransfer(now time.Time, n int64) TransferResult {
 	}
 	full := g.TransferTime(n)
 	// Drop probability grows with time on air.
-	pDrop := g.cfg.DropPerHour * full.Hours()
+	pDrop := gprsDropPerHour * full.Hours()
 	if pDrop > 0.90 {
 		pDrop = 0.90
 	}

@@ -7,34 +7,32 @@ import (
 	"repro/internal/weather"
 )
 
+// Probe-channel constants of the deployment.
+const (
+	// probeRateBps is the payload rate through 70 m of ice.
+	probeRateBps = 2400
+	// probeOverhead is framing overhead per packet.
+	probeOverhead = 0.25
+	// probeSummerLossP is the loss added to WinterLossP at full melt.
+	probeSummerLossP = 0.11
+	// probeRTT is the command/response turnaround latency.
+	probeRTT = 250 * time.Millisecond
+)
+
 // ProbeRadioConfig parameterises the base-station ↔ sub-glacial-probe
 // channel. The key seasonal behaviour from §III/§V: "radio communication
 // with the probes is better in the winter due to the drier ice conditions";
 // in summer, water in the ice raised loss to roughly 400 missed packets in
 // 3000 (≈13 %).
 type ProbeRadioConfig struct {
-	// RateBps is the payload rate through 70 m of ice.
-	RateBps float64
-	// Overhead is framing overhead per packet.
-	Overhead float64
 	// WinterLossP is the per-packet loss probability in dry winter ice.
 	WinterLossP float64
-	// SummerLossP is the additional loss at full melt.
-	SummerLossP float64
-	// RTT is the command/response turnaround latency.
-	RTT time.Duration
 }
 
 // DefaultProbeRadioConfig returns the deployment values: winter ~2.5 % loss
 // rising to ~13.5 % at the height of the melt season.
 func DefaultProbeRadioConfig() ProbeRadioConfig {
-	return ProbeRadioConfig{
-		RateBps:     2400,
-		Overhead:    0.25,
-		WinterLossP: 0.025,
-		SummerLossP: 0.11,
-		RTT:         250 * time.Millisecond,
-	}
+	return ProbeRadioConfig{WinterLossP: 0.025}
 }
 
 // ProbeChannel is the shared radio medium between a base station and its
@@ -53,21 +51,8 @@ type ProbeChannel struct {
 // NewProbeChannel constructs the channel; wx may be nil for a season-less
 // channel at winter loss rates.
 func NewProbeChannel(sim *simenv.Simulator, wx *weather.Model, cfg ProbeRadioConfig) *ProbeChannel {
-	def := DefaultProbeRadioConfig()
-	if cfg.RateBps == 0 {
-		cfg.RateBps = def.RateBps
-	}
-	if cfg.Overhead == 0 {
-		cfg.Overhead = def.Overhead
-	}
 	if cfg.WinterLossP == 0 {
-		cfg.WinterLossP = def.WinterLossP
-	}
-	if cfg.SummerLossP == 0 {
-		cfg.SummerLossP = def.SummerLossP
-	}
-	if cfg.RTT == 0 {
-		cfg.RTT = def.RTT
+		cfg.WinterLossP = DefaultProbeRadioConfig().WinterLossP
 	}
 	return &ProbeChannel{sim: sim, wx: wx, cfg: cfg}
 }
@@ -76,17 +61,17 @@ func NewProbeChannel(sim *simenv.Simulator, wx *weather.Model, cfg ProbeRadioCon
 func (c *ProbeChannel) LossRate(now time.Time) float64 {
 	p := c.cfg.WinterLossP
 	if c.wx != nil {
-		p += c.cfg.SummerLossP * c.wx.MeltIndex(now)
+		p += probeSummerLossP * c.wx.MeltIndex(now)
 	}
 	return clamp01(p)
 }
 
 // RTT returns the command/response turnaround latency.
-func (c *ProbeChannel) RTT() time.Duration { return c.cfg.RTT }
+func (c *ProbeChannel) RTT() time.Duration { return probeRTT }
 
 // PacketAirtime returns the wire time of a packet of n bytes.
 func (c *ProbeChannel) PacketAirtime(n int) time.Duration {
-	return transferTime(int64(n), c.cfg.RateBps, c.cfg.Overhead)
+	return transferTime(int64(n), probeRateBps, probeOverhead)
 }
 
 // Send transmits one packet of n bytes at now and reports whether it

@@ -39,39 +39,31 @@ func (c DisconnectCause) String() string {
 	}
 }
 
+// Radio-modem link constants; the rate and power are Table I's.
+const (
+	// radioOverhead is the PPP + serial framing overhead fraction.
+	radioOverhead = 0.18
+	// radioDropPerHour is the base mid-transfer drop rate per hour on air,
+	// before the time-of-day interference factor.
+	radioDropPerHour = 1.2
+)
+
 // RadioModemConfig parameterises the 500 mW 466 MHz long-range modem pair.
 type RadioModemConfig struct {
-	// RateBps is the payload rate; Table I says 2000 bps.
-	RateBps float64
-	// PowerW is the draw while powered; Table I says 3.96 W.
-	PowerW float64
-	// Overhead is the PPP + serial framing overhead fraction.
-	Overhead float64
 	// Environment scales interference: the lab was bad ("very unreliable
 	// with frequent drop outs"), the glacier noticeably better. 1.0 = lab.
 	Environment float64
-	// DropPerHour is the base mid-transfer drop rate per hour on air,
-	// before the time-of-day interference factor.
-	DropPerHour float64
 }
 
 // DefaultRadioModemConfig returns glacier-environment values.
 func DefaultRadioModemConfig() RadioModemConfig {
-	return RadioModemConfig{
-		RateBps:     RadioRateBps,
-		PowerW:      RadioPowerW,
-		Overhead:    0.18,
-		Environment: 0.45,
-		DropPerHour: 1.2,
-	}
+	return RadioModemConfig{Environment: 0.45}
 }
 
 // LabRadioModemConfig returns the lab environment where the modems were
 // first tested and found wanting.
 func LabRadioModemConfig() RadioModemConfig {
-	cfg := DefaultRadioModemConfig()
-	cfg.Environment = 1.0
-	return cfg
+	return RadioModemConfig{Environment: 1.0}
 }
 
 // RadioModem is one end of the long-range point-to-point link. Unlike the
@@ -86,33 +78,14 @@ type RadioModem struct {
 
 // NewRadioModem constructs one end of the radio link.
 func NewRadioModem(sim *simenv.Simulator, name string, cfg RadioModemConfig) *RadioModem {
-	def := DefaultRadioModemConfig()
-	if cfg.RateBps == 0 {
-		cfg.RateBps = def.RateBps
-	}
-	if cfg.PowerW == 0 {
-		cfg.PowerW = def.PowerW
-	}
-	if cfg.Overhead == 0 {
-		cfg.Overhead = def.Overhead
-	}
 	if cfg.Environment == 0 {
-		cfg.Environment = def.Environment
-	}
-	if cfg.DropPerHour == 0 {
-		cfg.DropPerHour = def.DropPerHour
+		cfg.Environment = DefaultRadioModemConfig().Environment
 	}
 	return &RadioModem{sim: sim, name: name, cfg: cfg}
 }
 
 // Name returns the modem name.
 func (m *RadioModem) Name() string { return m.name }
-
-// PowerW returns the modem's draw while powered.
-func (m *RadioModem) PowerW() float64 { return m.cfg.PowerW }
-
-// RateBps returns the payload rate.
-func (m *RadioModem) RateBps() float64 { return m.cfg.RateBps }
 
 // BytesSent returns the lifetime payload volume.
 func (m *RadioModem) BytesSent() int64 { return m.bytes }
@@ -140,7 +113,7 @@ func (m *RadioModem) Dial(now time.Time) (*PPPSession, error) {
 
 // TransferTime returns wire time for n payload bytes.
 func (m *RadioModem) TransferTime(n int64) time.Duration {
-	return transferTime(n, m.cfg.RateBps, m.cfg.Overhead)
+	return transferTime(n, RadioRateBps, radioOverhead)
 }
 
 // PPPSession is a point-to-point session over the radio link. Its Down/Up
@@ -177,7 +150,7 @@ func (s *PPPSession) TryTransfer(now time.Time, n int64) TransferResult {
 	}
 	m := s.modem
 	full := m.TransferTime(n)
-	pDrop := m.cfg.DropPerHour * full.Hours() * (0.4 + m.InterferenceLevel(now))
+	pDrop := radioDropPerHour * full.Hours() * (0.4 + m.InterferenceLevel(now))
 	if pDrop > 0.95 {
 		pDrop = 0.95
 	}

@@ -29,12 +29,8 @@ type NodeConfig struct {
 	Battery energy.BatteryConfig
 	// Chargers are the external power inputs (solar, wind, mains).
 	Chargers []energy.Charger
-	// Bus configures integration and brown-out thresholds.
-	Bus energy.BusConfig
 	// MCU configures the MSP430.
 	MCU mcu.Config
-	// GPRS configures the modem; zero value gets Table I defaults.
-	GPRS comms.GPRSConfig
 }
 
 // BaseStationConfig returns the base-station hardware fit: 10 W solar,
@@ -45,7 +41,6 @@ func BaseStationConfig(name string) NodeConfig {
 		Battery:  energy.DefaultBatteryConfig(),
 		Chargers: []energy.Charger{energy.NewSolarPanel(10), energy.NewWindTurbine(50)},
 		MCU:      mcu.DefaultConfig(name + ".mcu"),
-		GPRS:     comms.DefaultGPRSConfig(),
 	}
 }
 
@@ -57,7 +52,6 @@ func ReferenceStationConfig(name string) NodeConfig {
 		Battery:  energy.DefaultBatteryConfig(),
 		Chargers: []energy.Charger{energy.NewSolarPanel(20), energy.NewMainsCharger(60)},
 		MCU:      mcu.DefaultConfig(name + ".mcu"),
-		GPRS:     comms.DefaultGPRSConfig(),
 	}
 }
 
@@ -96,11 +90,11 @@ func NewNode(sim *simenv.Simulator, wx *weather.Model, cfg NodeConfig) *Node {
 		sampler = wx
 	}
 	bat := energy.NewBattery(cfg.Battery)
-	bus := energy.NewBus(sim, bat, cfg.Chargers, sampler, cfg.Bus)
+	bus := energy.NewBus(sim, bat, cfg.Chargers, sampler)
 	ctrl := mcu.New(sim, bus, sampler, cfg.MCU)
 	host := gumstix.New(sim, ctrl, cfg.Name+".gumstix")
 	gps := dgps.New(sim, ctrl, wx, cfg.Name+".gps")
-	modem := comms.NewGPRS(sim, ctrl, wx, cfg.Name+".gprs", cfg.GPRS)
+	modem := comms.NewGPRS(sim, ctrl, wx, cfg.Name+".gprs")
 	return &Node{
 		Name:    cfg.Name,
 		Sim:     sim,

@@ -19,20 +19,9 @@ func TestBuildValidation(t *testing.T) {
 	}}); err == nil {
 		t.Fatal("duplicate names accepted")
 	}
-	if _, err := Build(Topology{Seed: 1, Stations: []StationSpec{
-		{Name: "a", Role: station.RoleBase, NumProbes: 3, ProbeIDs: []int{21}},
-	}}); err == nil {
-		t.Fatal("mismatched ProbeIDs accepted")
-	}
 	if _, err := Build(Topology{Seed: 1, Stations: []StationSpec{BaseSpec("a", 1)},
 		Faults: []Fault{{Station: "ghost", Kind: FaultRS232, Value: 0.5}}}); err == nil {
 		t.Fatal("fault on unknown station accepted")
-	}
-	if _, err := Build(Topology{Seed: 1, Stations: []StationSpec{
-		{Name: "a", Role: station.RoleBase, NumProbes: 1, ProbeIDs: []int{30}},
-		{Name: "b", Role: station.RoleBase, NumProbes: 1, ProbeIDs: []int{30}},
-	}}); err == nil {
-		t.Fatal("probe ID pinned twice accepted")
 	}
 	if _, err := Build(Topology{Seed: 1, Stations: []StationSpec{BaseSpec("a", 1)},
 		Faults: []Fault{{Station: "a", Value: 0.5}}}); err == nil {
@@ -40,11 +29,11 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-// Auto-numbered probe IDs must never collide with pinned ones: every
-// probe's noise/lifetime stream is keyed on its ID.
+// Probe IDs are numbered fleet-wide, never per station: every probe's
+// noise/lifetime stream is keyed on its ID.
 func TestProbeIDsUniqueAcrossFleet(t *testing.T) {
 	d, err := Build(Topology{Seed: 1, Stations: []StationSpec{
-		{Name: "a", Role: station.RoleBase, NumProbes: 2, ProbeIDs: []int{21, 23}},
+		{Name: "a", Role: station.RoleBase, NumProbes: 2},
 		{Name: "b", Role: station.RoleBase, NumProbes: 3},
 	}})
 	if err != nil {

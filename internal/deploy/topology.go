@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/probe"
-	"repro/internal/protocol"
 	"repro/internal/server"
 	"repro/internal/simenv"
 	"repro/internal/station"
@@ -32,10 +31,6 @@ type StationSpec struct {
 	// NumProbes is the station's sub-glacial cohort size. Only base-role
 	// stations fetch probes; 0 means no cohort.
 	NumProbes int
-	// ProbeIDs pins the cohort's probe IDs. When empty, Build numbers the
-	// cohort from the fleet-wide counter (21, 22, ...). When set, its
-	// length must equal NumProbes.
-	ProbeIDs []int
 	// Runtime overrides the station runtime configuration. With Role
 	// left zero it is a partial override merged onto
 	// station.DefaultConfig(Role) — station.Config{SpecialFirst: true}
@@ -173,7 +168,6 @@ func (t Topology) resolve() (Topology, error) {
 	specs := make([]StationSpec, len(t.Stations))
 	copy(specs, t.Stations)
 	names := make(map[string]bool, len(specs))
-	pinnedIDs := map[int]bool{}
 	roleCount := map[station.Role]int{}
 	for i := range specs {
 		sp := &specs[i]
@@ -199,16 +193,6 @@ func (t Topology) resolve() (Topology, error) {
 			return t, fmt.Errorf("deploy: duplicate station name %q", sp.Name)
 		}
 		names[sp.Name] = true
-		if len(sp.ProbeIDs) > 0 && len(sp.ProbeIDs) != sp.NumProbes {
-			return t, fmt.Errorf("deploy: station %q pins %d probe IDs for a cohort of %d",
-				sp.Name, len(sp.ProbeIDs), sp.NumProbes)
-		}
-		for _, id := range sp.ProbeIDs {
-			if pinnedIDs[id] {
-				return t, fmt.Errorf("deploy: probe ID %d pinned twice across the fleet", id)
-			}
-			pinnedIDs[id] = true
-		}
 		if sp.ProbeLifetime == 0 {
 			sp.ProbeLifetime = t.ProbeLifetime
 		}
@@ -248,14 +232,8 @@ func Build(t Topology) (*Deployment, error) {
 		channels: make(map[string]*comms.ProbeChannel),
 	}
 
-	// Auto-numbered probe IDs skip any pinned ones so every probe's
-	// noise/lifetime stream stays unique across the fleet.
-	pinned := map[int]bool{}
-	for _, sp := range t.Stations {
-		for _, id := range sp.ProbeIDs {
-			pinned[id] = true
-		}
-	}
+	// Probe IDs are numbered fleet-wide so every probe's noise/lifetime
+	// stream stays unique.
 	nextProbeID := FirstProbeID
 	for _, sp := range t.Stations {
 		ncfg := nodeConfigFor(sp, t.Faults)
@@ -269,17 +247,8 @@ func Build(t Topology) (*Deployment, error) {
 			channel = comms.NewProbeChannel(sim, wx, comms.ProbeRadioConfig{})
 			probes = make([]*probe.Probe, 0, sp.NumProbes)
 			for i := 0; i < sp.NumProbes; i++ {
-				var id int
-				if len(sp.ProbeIDs) > 0 {
-					id = sp.ProbeIDs[i]
-				} else {
-					for pinned[nextProbeID] {
-						nextProbeID++
-					}
-					id = nextProbeID
-					nextProbeID++
-				}
-				pcfg := probe.DefaultConfig(id)
+				pcfg := probe.DefaultConfig(nextProbeID)
+				nextProbeID++
 				if sp.ProbeLifetime != 0 {
 					pcfg.MeanLifetime = sp.ProbeLifetime
 				}
@@ -312,9 +281,8 @@ func MustBuild(t Topology) *Deployment {
 // runtimeFor resolves the spec's runtime. An explicit config (Role set)
 // is honoured verbatim — it came from DefaultConfig or a caller who means
 // every field, including InitialState 0. A partial override (Role zero)
-// is merged onto the role's deployed defaults; only Fetch and
-// InitialState need filling here, station.New already defaults the other
-// zero fields.
+// is merged onto the role's deployed defaults; only InitialState needs
+// filling here, station.New already defaults the other zero fields.
 func runtimeFor(sp StationSpec) station.Config {
 	rt := sp.Runtime
 	explicit := rt.Role != 0
@@ -322,12 +290,8 @@ func runtimeFor(sp StationSpec) station.Config {
 	if explicit {
 		return rt
 	}
-	def := station.DefaultConfig(sp.Role)
-	if rt.Fetch == (protocol.NackConfig{}) {
-		rt.Fetch = def.Fetch
-	}
 	if rt.InitialState == 0 {
-		rt.InitialState = def.InitialState
+		rt.InitialState = station.DefaultConfig(sp.Role).InitialState
 	}
 	return rt
 }
@@ -344,9 +308,6 @@ func nodeConfigFor(sp StationSpec, faults []Fault) core.NodeConfig {
 		cfg = core.BaseStationConfig(sp.Name)
 	}
 	cfg.Name = sp.Name
-	if cfg.MCU.Name == "" {
-		cfg.MCU.Name = sp.Name + ".mcu"
-	}
 	for _, f := range faults {
 		if f.Station != "" && f.Station != sp.Name {
 			continue

@@ -22,7 +22,7 @@ func newAllocBus(sim *simenv.Simulator) *Bus {
 	bat := NewBattery(BatteryConfig{CapacityAh: 100, InitialSoC: 0.8})
 	chargers := []Charger{NewSolarPanel(40), NewWindTurbine(60)}
 	w := weather.New(weather.DefaultConfig(sim.Seed()))
-	return NewBus(sim, bat, chargers, w, DefaultBusConfig())
+	return NewBus(sim, bat, chargers, w)
 }
 
 func TestBusAdvanceAllocFree(t *testing.T) {

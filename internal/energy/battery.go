@@ -16,6 +16,10 @@ import (
 // NominalVolts is the nominal bus voltage of the deployment's battery banks.
 const NominalVolts = 12.0
 
+// internalOhms is the bank's effective internal resistance driving charge
+// rise and discharge sag of the terminal voltage.
+const internalOhms = 0.40
+
 // BatteryConfig parameterises a lead-acid battery bank.
 type BatteryConfig struct {
 	// CapacityAh is the bank capacity in amp-hours; the paper reasons about
@@ -23,9 +27,6 @@ type BatteryConfig struct {
 	CapacityAh float64
 	// InitialSoC is the starting state of charge in [0,1].
 	InitialSoC float64
-	// InternalOhms is the effective internal resistance driving charge rise
-	// and discharge sag of the terminal voltage.
-	InternalOhms float64
 	// ChargeEfficiency is the coulombic efficiency of charging, in (0,1].
 	ChargeEfficiency float64
 	// SelfDischargePerDay is the fraction of capacity lost per day at rest.
@@ -38,7 +39,6 @@ func DefaultBatteryConfig() BatteryConfig {
 	return BatteryConfig{
 		CapacityAh:          36,
 		InitialSoC:          0.9,
-		InternalOhms:        0.40,
 		ChargeEfficiency:    0.85,
 		SelfDischargePerDay: 0.0005,
 	}
@@ -59,9 +59,6 @@ func NewBattery(cfg BatteryConfig) *Battery {
 	def := DefaultBatteryConfig()
 	if cfg.CapacityAh == 0 {
 		cfg.CapacityAh = def.CapacityAh
-	}
-	if cfg.InternalOhms == 0 {
-		cfg.InternalOhms = def.InternalOhms
 	}
 	if cfg.ChargeEfficiency == 0 {
 		cfg.ChargeEfficiency = def.ChargeEfficiency
@@ -113,7 +110,7 @@ func (b *Battery) TerminalVoltage(loadW, chargeW float64) float64 {
 	v := b.RestVoltage()
 	netW := chargeW - loadW
 	amps := netW / NominalVolts
-	v += amps * b.cfg.InternalOhms
+	v += amps * internalOhms
 	return clamp(v, 9.0, 14.6)
 }
 

@@ -13,26 +13,17 @@ type Sampler interface {
 	Sample(ts time.Time) weather.Conditions
 }
 
-// BusConfig parameterises a station power bus.
-type BusConfig struct {
-	// Tick is the integration step; charger output is re-sampled each tick.
-	Tick time.Duration
-	// BrownoutVolts is the rest voltage below which the bus declares total
+// Bus constants, shared by every station's bus.
+const (
+	// busTick is the integration step; charger output is re-sampled each
+	// tick.
+	busTick = 5 * time.Minute
+	// brownoutVolts is the rest voltage below which the bus declares total
 	// power failure (the MSP430 loses its RAM schedule and RTC).
-	BrownoutVolts float64
-	// RecoverVolts is the rest voltage at which a failed bus comes back.
-	RecoverVolts float64
-}
-
-// DefaultBusConfig returns the configuration used by the deployment
-// scenarios.
-func DefaultBusConfig() BusConfig {
-	return BusConfig{
-		Tick:          5 * time.Minute,
-		BrownoutVolts: 10.9,
-		RecoverVolts:  11.9,
-	}
-}
+	brownoutVolts = 10.9
+	// recoverVolts is the rest voltage at which a failed bus comes back.
+	recoverVolts = 11.9
+)
 
 // Bus ties a battery, a set of chargers and a set of named switched loads
 // together on the simulator. Loads are expressed in watts and integrated
@@ -42,7 +33,6 @@ type Bus struct {
 	sim     *simenv.Simulator
 	battery *Battery
 	weather Sampler
-	cfg     BusConfig
 
 	loads      []loadEntry // sorted by name; deterministic iteration
 	consumedWh map[string]float64
@@ -69,22 +59,11 @@ type Bus struct {
 
 // NewBus constructs and starts a bus. The bus immediately begins its
 // integration ticker on sim.
-func NewBus(sim *simenv.Simulator, battery *Battery, chargers []Charger, sampler Sampler, cfg BusConfig) *Bus {
-	def := DefaultBusConfig()
-	if cfg.Tick == 0 {
-		cfg.Tick = def.Tick
-	}
-	if cfg.BrownoutVolts == 0 {
-		cfg.BrownoutVolts = def.BrownoutVolts
-	}
-	if cfg.RecoverVolts == 0 {
-		cfg.RecoverVolts = def.RecoverVolts
-	}
+func NewBus(sim *simenv.Simulator, battery *Battery, chargers []Charger, sampler Sampler) *Bus {
 	b := &Bus{
 		sim:        sim,
 		battery:    battery,
 		weather:    sampler,
-		cfg:        cfg,
 		consumedWh: make(map[string]float64),
 		lastUpdate: sim.Now(),
 		chargers:   append([]Charger(nil), chargers...),
@@ -96,7 +75,7 @@ func NewBus(sim *simenv.Simulator, battery *Battery, chargers []Charger, sampler
 			b.mains = append(b.mains, mc)
 		}
 	}
-	b.ticker = sim.Every(sim.Now().Add(cfg.Tick), cfg.Tick, "energy.tick", func(now time.Time) {
+	b.ticker = sim.Every(sim.Now().Add(busTick), busTick, "energy.tick", func(now time.Time) {
 		b.advance(now)
 	})
 	return b
@@ -279,14 +258,14 @@ func (b *Bus) advance(now time.Time) float64 {
 
 	rest := b.battery.RestVoltage()
 	switch {
-	case !b.failed && (b.battery.Depleted() || rest < b.cfg.BrownoutVolts):
+	case !b.failed && (b.battery.Depleted() || rest < brownoutVolts):
 		b.failed = true
 		b.failCount++
 		b.loads = b.loads[:0] // everything loses power
 		for _, fn := range b.onFail {
 			fn(now)
 		}
-	case b.failed && rest >= b.cfg.RecoverVolts:
+	case b.failed && rest >= recoverVolts:
 		b.failed = false
 		for _, fn := range b.onRestore {
 			fn(now)

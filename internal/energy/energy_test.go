@@ -115,7 +115,7 @@ func TestPaperContinuousGPSDepletesIn5Days(t *testing.T) {
 // The paper: in state 3 (12 dGPS readings/day ≈ 1 h/day on-time) the same
 // bank lasts ~117 days.
 func TestPaperState3GPSDepletesInAbout117Days(t *testing.T) {
-	b := NewBattery(BatteryConfig{CapacityAh: 36, InitialSoC: 1, SelfDischargePerDay: 0})
+	b := NewBattery(BatteryConfig{CapacityAh: 36, InitialSoC: 1})
 	days := 0.0
 	for !b.Depleted() {
 		b.Transfer(3.6, 0, 1.0) // 12 × 5-minute readings = 1 h/day
@@ -196,7 +196,7 @@ func newTestBus(t *testing.T, soc float64, chargers []Charger, cond weather.Cond
 	t.Helper()
 	sim := simenv.New(1)
 	bat := NewBattery(BatteryConfig{CapacityAh: 36, InitialSoC: soc})
-	bus := NewBus(sim, bat, chargers, constSampler{cond}, BusConfig{})
+	bus := NewBus(sim, bat, chargers, constSampler{cond})
 	return sim, bus
 }
 

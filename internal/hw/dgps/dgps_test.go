@@ -18,7 +18,7 @@ func newRig(t *testing.T, wx *weather.Model) (*simenv.Simulator, *mcu.MCU, *Unit
 	if wx != nil {
 		sampler = wx
 	}
-	bus := energy.NewBus(sim, bat, nil, sampler, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, nil, sampler)
 	ctrl := mcu.New(sim, bus, sampler, mcu.DefaultConfig("mcu"))
 	u := New(sim, ctrl, wx, "ref-gps")
 	return sim, ctrl, u
@@ -176,7 +176,7 @@ func TestTimeFixFailsUnderDeepSnowOrStorm(t *testing.T) {
 	wx := weather.New(weather.DefaultConfig(77))
 	sim := simenv.NewAt(77, time.Date(2009, 3, 25, 0, 0, 0, 0, time.UTC))
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 500, InitialSoC: 1})
-	bus := energy.NewBus(sim, bat, nil, wx, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, nil, wx)
 	ctrl := mcu.New(sim, bus, wx, mcu.DefaultConfig("mcu"))
 	u := New(sim, ctrl, wx, "gps")
 	ctrl.SetRail(Rail, true)
@@ -192,7 +192,7 @@ func TestTimeFixFailsUnderDeepSnowOrStorm(t *testing.T) {
 	// deterministic: same rig, same result.
 	sim2 := simenv.NewAt(77, time.Date(2009, 3, 25, 0, 0, 0, 0, time.UTC))
 	bat2 := energy.NewBattery(energy.BatteryConfig{CapacityAh: 500, InitialSoC: 1})
-	bus2 := energy.NewBus(sim2, bat2, nil, wx, energy.BusConfig{})
+	bus2 := energy.NewBus(sim2, bat2, nil, wx)
 	ctrl2 := mcu.New(sim2, bus2, wx, mcu.DefaultConfig("mcu"))
 	u2 := New(sim2, ctrl2, wx, "gps")
 	ctrl2.SetRail(Rail, true)

@@ -13,7 +13,7 @@ func newRig(t *testing.T) (*simenv.Simulator, *mcu.MCU, *Host) {
 	t.Helper()
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 200, InitialSoC: 1})
-	bus := energy.NewBus(sim, bat, nil, nil, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, nil, nil)
 	ctrl := mcu.New(sim, bus, nil, mcu.DefaultConfig("mcu"))
 	h := New(sim, ctrl, "base")
 	return sim, ctrl, h
@@ -167,7 +167,7 @@ func TestUptimeAccumulates(t *testing.T) {
 func TestGumstixDrawsTableIPower(t *testing.T) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 200, InitialSoC: 1})
-	bus := energy.NewBus(sim, bat, nil, nil, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, nil, nil)
 	ctrl := mcu.New(sim, bus, nil, mcu.DefaultConfig("mcu"))
 	_ = New(sim, ctrl, "base")
 	ctrl.SetRail(Rail, true)

@@ -30,13 +30,14 @@ var RTCEpoch = time.Date(1970, time.January, 1, 0, 0, 0, 0, time.UTC)
 // SampleInterval is the firmware's battery/housekeeping sampling period.
 const SampleInterval = 30 * time.Minute
 
+// sleepW is the quiescent draw of the MSP430 and Gumsense board. The whole
+// point of the platform is that this is tiny (~1 mW class).
+const sleepW = 0.003
+
 // Config parameterises an MSP430.
 type Config struct {
 	// Name prefixes the MCU's load and event names.
 	Name string
-	// SleepW is the quiescent draw of the MSP430 and Gumsense board. The
-	// whole point of the platform is that this is tiny (~1 mW class).
-	SleepW float64
 	// DriftPPM is RTC crystal drift in parts per million (positive = fast).
 	DriftPPM float64
 	// SampleBufferCap bounds the in-RAM housekeeping sample buffer.
@@ -45,7 +46,7 @@ type Config struct {
 
 // DefaultConfig returns the Gumsense values.
 func DefaultConfig(name string) Config {
-	return Config{Name: name, SleepW: 0.003, DriftPPM: 8, SampleBufferCap: 4096}
+	return Config{Name: name, DriftPPM: 8, SampleBufferCap: 4096}
 }
 
 // HousekeepingSample is one 30-minute firmware measurement. Pitch and roll
@@ -133,9 +134,6 @@ type MCU struct {
 // fail/restore, and starts it alive.
 func New(sim *simenv.Simulator, bus *energy.Bus, sampler energy.Sampler, cfg Config) *MCU {
 	def := DefaultConfig(cfg.Name)
-	if cfg.SleepW == 0 {
-		cfg.SleepW = def.SleepW
-	}
 	if cfg.SampleBufferCap == 0 {
 		cfg.SampleBufferCap = def.SampleBufferCap
 	}
@@ -191,7 +189,7 @@ func (m *MCU) start(now time.Time, cold bool) {
 		m.rtcBase = RTCEpoch
 	}
 	m.wallBase = now
-	m.bus.SetLoad(m.loadName(), m.cfg.SleepW)
+	m.bus.SetLoad(m.loadName(), sleepW)
 	m.sampleTicker = m.sim.Every(now.Add(SampleInterval), SampleInterval, m.sampleName, m.takeSample)
 	for _, fn := range m.onBoot {
 		fn(m.Now(), cold)

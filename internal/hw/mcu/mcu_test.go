@@ -14,7 +14,7 @@ func newRig(t *testing.T, soc float64) (*simenv.Simulator, *energy.Bus, *MCU) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 36, InitialSoC: soc})
 	wx := weather.New(weather.DefaultConfig(1))
-	bus := energy.NewBus(sim, bat, nil, wx, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, nil, wx)
 	m := New(sim, bus, wx, DefaultConfig("mcu"))
 	return sim, bus, m
 }
@@ -32,7 +32,7 @@ func TestRTCStartsCorrectOnColdStart(t *testing.T) {
 func TestRTCDrifts(t *testing.T) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
-	bus := energy.NewBus(sim, bat, nil, nil, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, nil, nil)
 	m := New(sim, bus, nil, Config{Name: "m", DriftPPM: 100})
 	if err := sim.RunFor(240 * time.Hour); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestHousekeepingSamplesEvery30Min(t *testing.T) {
 func TestSampleBufferBounded(t *testing.T) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
-	bus := energy.NewBus(sim, bat, nil, nil, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, nil, nil)
 	m := New(sim, bus, nil, Config{Name: "m", SampleBufferCap: 10})
 	if err := sim.RunFor(24 * time.Hour); err != nil { // 48 samples
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestBootHookRunsOnStartAndRestore(t *testing.T) {
 	sim := simenv.New(3)
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 2, InitialSoC: 0.3})
 	wx := weather.New(weather.DefaultConfig(3))
-	bus := energy.NewBus(sim, bat, []energy.Charger{energy.NewSolarPanel(30)}, wx, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, []energy.Charger{energy.NewSolarPanel(30)}, wx)
 	m := New(sim, bus, wx, DefaultConfig("m"))
 	var colds, warms int
 	m.OnBoot(func(_ time.Time, cold bool) {

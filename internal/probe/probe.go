@@ -52,8 +52,6 @@ type Reading struct {
 type Config struct {
 	// ID is the probe number (the paper's probes 21, 24, 25...).
 	ID int
-	// SampleInterval is the sensing period; defaults to hourly.
-	SampleInterval time.Duration
 	// BaseConductivityUS is the dry-winter conductivity floor.
 	BaseConductivityUS float64
 	// MeltConductivityUS is the additional conductivity at full melt.
@@ -73,7 +71,6 @@ func DefaultConfig(id int) Config {
 	n := noise(int64(id), "probecfg", 0)
 	return Config{
 		ID:                 id,
-		SampleInterval:     DefaultSampleInterval,
 		BaseConductivityUS: 0.8 + 1.6*n,
 		MeltConductivityUS: 7 + 8*noise(int64(id), "probecfg", 1),
 		BasalLagDays:       2 + 8*noise(int64(id), "probecfg", 2),
@@ -108,9 +105,6 @@ type Probe struct {
 // permanent-failure time is drawn deterministically from (sim seed, ID).
 func New(sim *simenv.Simulator, wx *weather.Model, cfg Config) *Probe {
 	def := DefaultConfig(cfg.ID)
-	if cfg.SampleInterval == 0 {
-		cfg.SampleInterval = def.SampleInterval
-	}
 	if cfg.BaseConductivityUS == 0 {
 		cfg.BaseConductivityUS = def.BaseConductivityUS
 	}
@@ -129,7 +123,7 @@ func New(sim *simenv.Simulator, wx *weather.Model, cfg Config) *Probe {
 	p := &Probe{sim: sim, wx: wx, cfg: cfg, oldest: 1, tilt: 2 + 6*noise(sim.Seed()+int64(cfg.ID), "tilt0", 0)}
 	// The base fetches daily, so a day of readings is the store's working
 	// size; longer offline stretches grow it once.
-	p.buf = make([]Reading, 0, min(cfg.BufferCap, int(24*time.Hour/cfg.SampleInterval)+1))
+	p.buf = make([]Reading, 0, min(cfg.BufferCap, int(24*time.Hour/DefaultSampleInterval)+1))
 
 	// Exponential failure time: -mean * ln(U).
 	u := noise(sim.Seed(), "probefail", uint64(cfg.ID))
@@ -139,7 +133,7 @@ func New(sim *simenv.Simulator, wx *weather.Model, cfg Config) *Probe {
 	life := time.Duration(-float64(cfg.MeanLifetime) * math.Log(u))
 	p.failAt = sim.Now().Add(life)
 
-	p.ticker = sim.Every(sim.Now().Add(cfg.SampleInterval), cfg.SampleInterval,
+	p.ticker = sim.Every(sim.Now().Add(DefaultSampleInterval), DefaultSampleInterval,
 		fmt.Sprintf("probe%d.sample", cfg.ID), p.sample)
 	return p
 }

@@ -10,30 +10,18 @@ import (
 // ackBytes is the size of a per-reading acknowledgement packet.
 const ackBytes = 8
 
-// AckConfig parameterises the conventional stop-and-wait baseline.
-type AckConfig struct {
-	// MaxRetries bounds retransmissions per reading.
-	MaxRetries int
-}
-
-// DefaultAckConfig returns the baseline configuration.
-func DefaultAckConfig() AckConfig { return AckConfig{MaxRetries: 10} }
+// ackMaxRetries bounds the stop-and-wait baseline's retransmissions per
+// reading.
+const ackMaxRetries = 10
 
 // AckFetcher is the conventional per-packet-acknowledged protocol the paper
 // replaced: each reading is sent, then acknowledged, and retransmitted on
 // timeout. It pays one round trip and one ACK packet per reading even on a
 // clean channel, which is exactly the overhead the ack-less design removes.
-type AckFetcher struct {
-	cfg AckConfig
-}
+type AckFetcher struct{}
 
 // NewAckFetcher constructs the baseline fetcher.
-func NewAckFetcher(cfg AckConfig) *AckFetcher {
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = DefaultAckConfig().MaxRetries
-	}
-	return &AckFetcher{cfg: cfg}
-}
+func NewAckFetcher() *AckFetcher { return &AckFetcher{} }
 
 // Fetch runs one stop-and-wait session against pr over ch with a time
 // budget. st carries the received-set across sessions and may be nil.
@@ -60,7 +48,7 @@ func (f *AckFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Prob
 
 	for _, r := range wanted {
 		delivered := false
-		for attempt := 0; attempt < f.cfg.MaxRetries; attempt++ {
+		for attempt := 0; attempt < ackMaxRetries; attempt++ {
 			// Data packet one way...
 			if !clock.spend(ch.PacketAirtime(probe.ReadingBytes), &res) {
 				return res

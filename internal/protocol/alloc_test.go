@@ -53,7 +53,7 @@ func TestNackFetchAllocFree(t *testing.T) {
 }
 
 func TestAckFetchAllocFree(t *testing.T) {
-	assertDailyFetchAllocFree(t, NewAckFetcher(DefaultAckConfig()).Fetch)
+	assertDailyFetchAllocFree(t, NewAckFetcher().Fetch)
 }
 
 // Got shares the State's buffer: it is valid until the next Fetch with the

@@ -111,6 +111,14 @@ type Result struct {
 // completion mark).
 const requestBytes = 16
 
+// NACK-fetch retry bounds.
+const (
+	// maxFullRefetches bounds repeated whole-stream retries per session.
+	maxFullRefetches = 2
+	// nackRetries bounds retransmission attempts per missing reading.
+	nackRetries = 6
+)
+
 // NackConfig parameterises the paper's ack-less fetcher.
 type NackConfig struct {
 	// FullRefetchFraction triggers a whole-stream retry when more than this
@@ -120,10 +128,6 @@ type NackConfig struct {
 	// individual re-requests are needed in one session, the session aborts
 	// with ErrNackOverflow. Zero means unlimited (the post-fix behaviour).
 	MaxNacks int
-	// MaxFullRefetches bounds repeated whole-stream retries per session.
-	MaxFullRefetches int
-	// NackRetries bounds retransmission attempts per missing reading.
-	NackRetries int
 }
 
 // DefaultNackConfig returns the as-deployed configuration, including the
@@ -132,8 +136,6 @@ func DefaultNackConfig() NackConfig {
 	return NackConfig{
 		FullRefetchFraction: 0.5,
 		MaxNacks:            256,
-		MaxFullRefetches:    2,
-		NackRetries:         6,
 	}
 }
 
@@ -157,12 +159,6 @@ func NewNackFetcher(cfg NackConfig) *NackFetcher {
 	def := DefaultNackConfig()
 	if cfg.FullRefetchFraction == 0 {
 		cfg.FullRefetchFraction = def.FullRefetchFraction
-	}
-	if cfg.MaxFullRefetches == 0 {
-		cfg.MaxFullRefetches = def.MaxFullRefetches
-	}
-	if cfg.NackRetries == 0 {
-		cfg.NackRetries = def.NackRetries
 	}
 	return &NackFetcher{cfg: cfg}
 }
@@ -201,7 +197,7 @@ func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Pro
 	// Heavy loss: "it would be as efficient to request them all again".
 	for res.MissedFirstPass > 0 &&
 		float64(countMissing(wanted, st)) > f.cfg.FullRefetchFraction*float64(len(wanted)) &&
-		res.FullRefetches < f.cfg.MaxFullRefetches {
+		res.FullRefetches < maxFullRefetches {
 		res.FullRefetches++
 		if !f.sendControl(ch, &clock, &res) || !f.stream(ch, &clock, wanted, st, &res) {
 			return res
@@ -221,7 +217,7 @@ func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Pro
 		res.Nacked++
 		// NACK request + retransmission; each retransmission can be lost
 		// too, so retry a bounded number of times within budget.
-		for attempt := 0; attempt < f.cfg.NackRetries; attempt++ {
+		for attempt := 0; attempt < nackRetries; attempt++ {
 			if !f.sendControl(ch, &clock, &res) {
 				return res
 			}

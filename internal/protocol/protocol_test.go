@@ -169,7 +169,7 @@ func TestFullRefetchOnHeavyLoss(t *testing.T) {
 
 func TestAckBaselineCompletes(t *testing.T) {
 	sim, ch, pr := winterRig(t, 12, 48)
-	f := NewAckFetcher(DefaultAckConfig())
+	f := NewAckFetcher()
 	res := f.Fetch(sim.Now(), ch, pr, 2*time.Hour, nil)
 	if !res.Complete {
 		t.Fatalf("ack baseline incomplete: %+v err=%v", len(res.Got), res.Err)
@@ -187,7 +187,7 @@ func TestNackBeatsAckOnTimeAndBytes(t *testing.T) {
 		if useNack {
 			return NewNackFetcher(FixedNackConfig()).Fetch(sim.Now(), ch, pr, 6*time.Hour, nil)
 		}
-		return NewAckFetcher(DefaultAckConfig()).Fetch(sim.Now(), ch, pr, 6*time.Hour, nil)
+		return NewAckFetcher().Fetch(sim.Now(), ch, pr, 6*time.Hour, nil)
 	}
 	nack, ack := run(true), run(false)
 	if !nack.Complete || !ack.Complete {
@@ -207,7 +207,7 @@ func TestNackBeatsAckOnTimeAndBytes(t *testing.T) {
 
 func TestAckFetcherRespectsBudget(t *testing.T) {
 	sim, ch, pr := summerRig(t, 14)
-	f := NewAckFetcher(DefaultAckConfig())
+	f := NewAckFetcher()
 	res := f.Fetch(sim.Now(), ch, pr, 5*time.Minute, nil)
 	if !errors.Is(res.Err, ErrBudgetExhausted) {
 		t.Fatalf("want ErrBudgetExhausted, got %v", res.Err)

@@ -14,7 +14,7 @@ func newRig(t *testing.T) (*simenv.Simulator, *mcu.MCU, *dgps.Unit) {
 	t.Helper()
 	sim := simenv.NewAt(1, time.Date(2009, 8, 1, 0, 0, 0, 0, time.UTC))
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 500, InitialSoC: 1})
-	bus := energy.NewBus(sim, bat, nil, nil, energy.BusConfig{})
+	bus := energy.NewBus(sim, bat, nil, nil)
 	m := mcu.New(sim, bus, nil, mcu.DefaultConfig("mcu"))
 	u := dgps.New(sim, m, nil, "gps")
 	return sim, m, u

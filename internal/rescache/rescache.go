@@ -217,7 +217,7 @@ func (c *DiskCache) Get(fingerprint string, cell sweep.Cell) (sweep.CellResult, 
 	path := c.entryPath(fingerprint, cell.Index)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		c.miss(fingerprint, cell.Index, false)
+		c.miss(fingerprint, cell.Index)
 		return sweep.CellResult{}, false
 	}
 	payload, err := decodeEntry(data)
@@ -236,7 +236,7 @@ func (c *DiskCache) Get(fingerprint string, cell sweep.Cell) (sweep.CellResult, 
 	// re-fills with a verified fresh result, and report a miss.
 	c.logf("rescache: %s: %v — treating as miss and removing the entry", path, err)
 	_ = os.Remove(path)
-	c.miss(fingerprint, cell.Index, true)
+	c.miss(fingerprint, cell.Index)
 	return sweep.CellResult{}, false
 }
 
@@ -259,7 +259,7 @@ func (c *DiskCache) hit(fingerprint string, index int, size int64) {
 
 // miss counts a miss, dropping the index entry when the file was removed
 // (corrupt) or found absent.
-func (c *DiskCache) miss(fingerprint string, index int, removed bool) {
+func (c *DiskCache) miss(fingerprint string, index int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := entryKey(fingerprint, index)
@@ -267,7 +267,6 @@ func (c *DiskCache) miss(fingerprint string, index int, removed bool) {
 		c.total -= e.size
 		delete(c.entries, key)
 	}
-	_ = removed
 	c.stats.Misses++
 }
 

@@ -23,6 +23,9 @@ const (
 	specialExecTime  = 1 * time.Minute
 )
 
+// logBaseBytes is the per-run log volume before per-reading output.
+const logBaseBytes = 4 * 1024
+
 // initWork binds the daily sequence's work closures, alarm callbacks and
 // method values once, at construction. The Fig 4 sequence enqueues the same
 // jobs every simulated day; before this, each day built a fresh closure (and
@@ -88,7 +91,7 @@ func (s *Station) initWork() {
 		return packageTime, func(done time.Time) {
 			// §VI log-volume lesson: per-reading debug output adds up fast
 			// on the first contact in months.
-			logBytes := s.cfg.LogBaseBytes + s.cfg.LogPerReadingBytes*int64(s.cur.ProbeReadings)
+			logBytes := logBaseBytes + s.cfg.LogPerReadingBytes*int64(s.cur.ProbeReadings)
 			s.spool.Add(storage.KindLog, "daily-log", logBytes, done)
 		}
 	}

@@ -60,15 +60,9 @@ type Config struct {
 	// execute the special command before any data transfer, so remote
 	// intervention can unblock a wedged station.
 	SpecialFirst bool
-	// Fetch configures the probe bulk-fetch protocol (base only).
-	Fetch protocol.NackConfig
-	// UseAckFetcher swaps in the stop-and-wait baseline (experiments).
-	UseAckFetcher bool
 	// RS232Health scales the dGPS drain rate (1 = nominal; small values
 	// model the intermittent cable behind the single-file deadlock).
 	RS232Health float64
-	// LogBaseBytes is per-run log volume before per-reading output.
-	LogBaseBytes int64
 	// LogPerReadingBytes models chatty per-reading debug output — the §VI
 	// lesson about a first contact in months producing >1 MB of logs.
 	LogPerReadingBytes int64
@@ -86,9 +80,7 @@ func DefaultConfig(role Role) Config {
 		Role:               role,
 		WatchdogLimit:      2 * time.Hour,
 		SpecialFirst:       false,
-		Fetch:              protocol.DefaultNackConfig(),
 		RS232Health:        1.0,
-		LogBaseBytes:       4 * 1024,
 		LogPerReadingBytes: 48,
 		InitialState:       power.State2,
 	}
@@ -158,7 +150,7 @@ type Station struct {
 	// Base-station extras.
 	channel *comms.ProbeChannel
 	probes  []*probe.Probe
-	fetcher fetcher
+	fetcher *protocol.NackFetcher
 
 	card  *storage.CFCard
 	spool *storage.Spool
@@ -211,13 +203,6 @@ type Station struct {
 // function.
 type workFn = func(now time.Time) (time.Duration, func(now time.Time))
 
-// fetcher is the probe-retrieval protocol a base station runs each day:
-// the paper's ack-less NACK fetch, or the stop-and-wait baseline.
-type fetcher interface {
-	Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Probe,
-		budget time.Duration, st *protocol.State) protocol.Result
-}
-
 // probeJob is a cached per-probe fetch job (name plus bound work closure).
 type probeJob struct {
 	name string
@@ -238,9 +223,6 @@ func New(node *core.Node, srv *server.Server, channel *comms.ProbeChannel, probe
 	if cfg.RS232Health == 0 {
 		cfg.RS232Health = def.RS232Health
 	}
-	if cfg.LogBaseBytes == 0 {
-		cfg.LogBaseBytes = def.LogBaseBytes
-	}
 	if cfg.LogPerReadingBytes == 0 {
 		cfg.LogPerReadingBytes = def.LogPerReadingBytes
 	}
@@ -257,11 +239,7 @@ func New(node *core.Node, srv *server.Server, channel *comms.ProbeChannel, probe
 		spool:       storage.NewSpool(),
 		state:       cfg.InitialState,
 		rs232Health: cfg.RS232Health,
-	}
-	if cfg.UseAckFetcher {
-		s.fetcher = protocol.NewAckFetcher(protocol.DefaultAckConfig())
-	} else {
-		s.fetcher = protocol.NewNackFetcher(cfg.Fetch)
+		fetcher:     protocol.NewNackFetcher(protocol.DefaultNackConfig()),
 	}
 	s.specials = NewSpecialRegistry(s)
 	s.rec = recovery.New(node.MCU, node.GPS, s.afterRecovery)

@@ -440,7 +440,7 @@ func TestLogVolumeScalesWithReadingsFetched(t *testing.T) {
 	r := newRig(t, rigOpts{probes: 1, cfg: cfg})
 	var logSizes []int64
 	r.st.OnReport(func(rep RunReport) {
-		logSizes = append(logSizes, cfg.LogBaseBytes+cfg.LogPerReadingBytes*int64(rep.ProbeReadings))
+		logSizes = append(logSizes, logBaseBytes+cfg.LogPerReadingBytes*int64(rep.ProbeReadings))
 	})
 	r.runDays(t, 2)
 	if len(logSizes) < 2 {
@@ -452,7 +452,7 @@ func TestLogVolumeScalesWithReadingsFetched(t *testing.T) {
 	if routine > 64*1024 {
 		t.Fatalf("routine day logs %d bytes, should be small", routine)
 	}
-	firstContact := cfg.LogBaseBytes + cfg.LogPerReadingBytes*3000
+	firstContact := logBaseBytes + cfg.LogPerReadingBytes*3000
 	if firstContact < 1<<20 {
 		t.Fatalf("3000-reading contact logs only %d bytes; lesson not reproducible", firstContact)
 	}

@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -81,43 +82,30 @@ func Plan(g Grid) ([]Cell, error) {
 	// Every axis must be duplicate-free: a repeated scenario, seed, fleet
 	// size, cohort size or override would enumerate the same configuration
 	// twice, silently inflating the group's N and skewing the stddev fold.
-	seenScen := make(map[string]bool, len(g.Scenarios))
-	for _, name := range g.Scenarios {
-		if seenScen[name] {
-			return nil, fmt.Errorf("sweep: duplicate scenario %q on the scenario axis", name)
-		}
-		seenScen[name] = true
+	if i := firstRepeat(g.Scenarios); i < len(g.Scenarios) {
+		return nil, fmt.Errorf("sweep: duplicate scenario %q on the scenario axis", g.Scenarios[i])
 	}
-	seenSeed := make(map[int64]bool, len(g.Seeds))
-	for _, seed := range g.Seeds {
-		if seenSeed[seed] {
-			return nil, fmt.Errorf("sweep: duplicate seed %d on the seed axis", seed)
-		}
-		seenSeed[seed] = true
+	if i := firstRepeat(g.Seeds); i < len(g.Seeds) {
+		return nil, fmt.Errorf("sweep: duplicate seed %d on the seed axis", g.Seeds[i])
 	}
-	seenStations := make(map[int]bool, len(g.Stations))
-	for _, n := range g.Stations {
-		if seenStations[n] {
-			return nil, fmt.Errorf("sweep: duplicate fleet size %d on the stations axis", n)
-		}
-		seenStations[n] = true
+	if i := firstRepeat(g.Stations); i < len(g.Stations) {
+		return nil, fmt.Errorf("sweep: duplicate fleet size %d on the stations axis", g.Stations[i])
 	}
-	seenProbes := make(map[int]bool, len(g.Probes))
-	for _, p := range g.Probes {
-		if seenProbes[p] {
-			return nil, fmt.Errorf("sweep: duplicate cohort size %d on the probes axis", p)
-		}
-		seenProbes[p] = true
+	if i := firstRepeat(g.Probes); i < len(g.Probes) {
+		return nil, fmt.Errorf("sweep: duplicate cohort size %d on the probes axis", g.Probes[i])
 	}
-	seen := make(map[string]bool, len(g.Overrides))
+	ovNames := make([]string, len(g.Overrides))
 	for i, ov := range g.Overrides {
-		if ov.Name == "" {
-			return nil, fmt.Errorf("sweep: override %d needs a name", i)
-		}
-		if seen[ov.Name] {
-			return nil, fmt.Errorf("sweep: duplicate override name %q", ov.Name)
-		}
-		seen[ov.Name] = true
+		ovNames[i] = ov.Name
+	}
+	// Scanning in axis order, an unnamed override before the first repeat
+	// is the first fault.
+	dup := firstRepeat(ovNames)
+	if i := slices.Index(ovNames[:dup], ""); i >= 0 {
+		return nil, fmt.Errorf("sweep: override %d needs a name", i)
+	}
+	if dup < len(ovNames) {
+		return nil, fmt.Errorf("sweep: duplicate override name %q", ovNames[dup])
 	}
 	stations := g.Stations
 	if len(stations) == 0 {
@@ -127,12 +115,8 @@ func Plan(g Grid) ([]Cell, error) {
 	if len(probes) == 0 {
 		probes = []int{0}
 	}
-	ovNames := []string{""}
-	if len(g.Overrides) > 0 {
-		ovNames = make([]string, len(g.Overrides))
-		for i, ov := range g.Overrides {
-			ovNames[i] = ov.Name
-		}
+	if len(ovNames) == 0 {
+		ovNames = []string{""}
 	}
 	cells := make([]Cell, 0, size)
 	for _, name := range g.Scenarios {
@@ -223,6 +207,19 @@ func ParseShardSpec(s string) (i, m int, err error) {
 		return 0, 0, fmt.Errorf("bad shard %q: index outside [0,%d)", s, m)
 	}
 	return i, m, nil
+}
+
+// firstRepeat returns the index of the first axis value that repeats an
+// earlier one, or len(vals) when the axis is duplicate-free.
+func firstRepeat[T comparable](vals []T) int {
+	seen := make(map[T]bool, len(vals))
+	for i, v := range vals {
+		if seen[v] {
+			return i
+		}
+		seen[v] = true
+	}
+	return len(vals)
 }
 
 // Fingerprint returns a short stable hash of a plan — every cell's full
