@@ -28,7 +28,9 @@ const PartsDirName = "parts"
 // (chunk <= 0 selects 8). Without resume the store is cleared first. A
 // damaged entry, or one from a different plan, is never served: it costs
 // a re-run of its cell, not the campaign. The returned summary is complete
-// and carries the plan's fingerprint.
+// and carries the plan's fingerprint. logf narrates progress and the
+// store's refusals; the store's lookups and writes call it from their own
+// goroutines, so it must be safe for concurrent use.
 func RunResumable(g sweep.Grid, id, dir string, r sweep.Runner, chunk int, resume bool, logf func(format string, a ...any)) (*sweep.Summary, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}

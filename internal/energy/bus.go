@@ -44,7 +44,6 @@ type Bus struct {
 	onRestore []func(now time.Time)
 	chargers  []Charger
 	mains     []*MainsCharger // resolved once at NewBus; see chargeAt
-	ticker    *simenv.Ticker
 
 	// Same-instant charge memo: advance, VoltageNow and ChargeW all need
 	// the charger output at the current tick, and the weather sample plus
@@ -75,14 +74,11 @@ func NewBus(sim *simenv.Simulator, battery *Battery, chargers []Charger, sampler
 			b.mains = append(b.mains, mc)
 		}
 	}
-	b.ticker = sim.Every(sim.Now().Add(busTick), busTick, "energy.tick", func(now time.Time) {
+	sim.Every(sim.Now().Add(busTick), busTick, "energy.tick", func(now time.Time) {
 		b.advance(now)
 	})
 	return b
 }
-
-// Stop halts the bus's integration ticker.
-func (b *Bus) Stop() { b.ticker.Stop() }
 
 // Battery returns the attached battery bank.
 func (b *Bus) Battery() *Battery { return b.battery }

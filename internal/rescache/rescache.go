@@ -25,7 +25,6 @@ package rescache
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -70,7 +69,8 @@ type Options struct {
 	// store fits (the entry just written survives). <= 0 means unbounded.
 	MaxBytes int64
 	// Logf, when set, narrates removals of corrupt entries and eviction
-	// sweeps.
+	// sweeps. Concurrent Gets and Puts call it from their own goroutines,
+	// so it must be safe for concurrent use.
 	Logf func(format string, a ...any)
 }
 
@@ -340,44 +340,30 @@ func (c *DiskCache) evictLocked(keep string) {
 //
 //	glacsweb-rescache <version> sha256=<hex digest> bytes=<len>\n<payload>
 func encodeEntry(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	hdr := fmt.Sprintf("%s %d sha256=%s bytes=%d\n",
-		entryMagic, FormatVersion, hex.EncodeToString(sum[:]), len(payload))
-	return append([]byte(hdr), payload...)
+	return append(entryHeader(payload), payload...)
 }
 
-// decodeEntry verifies an entry's frame and returns its payload. Every
-// failure names what drifted — the read path turns any of them into a
-// miss.
+// entryHeader is the one header line encodeEntry writes for payload.
+func entryHeader(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return fmt.Appendf(nil, "%s %d sha256=%x bytes=%d\n", entryMagic, FormatVersion, sum[:], len(payload))
+}
+
+// decodeEntry verifies an entry's frame and returns its payload. The
+// header line must be byte for byte the one encodeEntry writes for the
+// payload that follows it, so a drifted version, a truncated or corrupted
+// payload and a header no encoder writes (a signed or zero-padded number,
+// doubled or other white space) all fail, and the length field is never
+// parsed. The read path turns any failure into a miss.
 func decodeEntry(data []byte) ([]byte, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, fmt.Errorf("entry has no header line")
 	}
-	fields := strings.Fields(string(data[:nl]))
-	if len(fields) != 4 || fields[0] != entryMagic {
-		return nil, fmt.Errorf("entry header %q is not a %s frame", string(data[:nl]), entryMagic)
-	}
-	version, err := strconv.Atoi(fields[1])
-	if err != nil || version != FormatVersion {
-		return nil, fmt.Errorf("entry format version %q, this cache speaks %d", fields[1], FormatVersion)
-	}
-	digest, ok := strings.CutPrefix(fields[2], "sha256=")
-	if !ok {
-		return nil, fmt.Errorf("entry header digest field %q is not sha256", fields[2])
-	}
-	wantLen, err := strconv.Atoi(strings.TrimPrefix(fields[3], "bytes="))
-	if err != nil || !strings.HasPrefix(fields[3], "bytes=") {
-		return nil, fmt.Errorf("entry header length field %q is malformed", fields[3])
-	}
-	payload := data[nl+1:]
-	if len(payload) != wantLen {
-		return nil, fmt.Errorf("entry payload is %d bytes, header promises %d (truncated?)", len(payload), wantLen)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != digest {
-		return nil, fmt.Errorf("entry payload digest %s does not match header %s (corrupted)",
-			hex.EncodeToString(sum[:]), digest)
+	header, payload := data[:nl+1], data[nl+1:]
+	if want := entryHeader(payload); !bytes.Equal(header, want) {
+		return nil, fmt.Errorf("entry header %q is not %q, the header of its %d-byte payload (drifted format, truncated or corrupted)",
+			header, want, len(payload))
 	}
 	return payload, nil
 }

@@ -2,14 +2,19 @@ package rescache
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 // testGrid is a small real grid: 2 seeds x 1 scenario, short horizon.
@@ -54,6 +59,19 @@ func openCache(t *testing.T, dir string, opts Options) *DiskCache {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// logLines records Logf format strings. Gets fan out over the pool, so
+// the cache narrates from several goroutines at once.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, _ ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, format)
 }
 
 // entryFiles returns the current-format entry files under dir, sorted.
@@ -129,10 +147,8 @@ func TestPoisonedEntryIsAMissAndIsResimulated(t *testing.T) {
 		}
 	}
 
-	var logs []string
-	c := openCache(t, dir, Options{Logf: func(f string, a ...any) {
-		logs = append(logs, f)
-	}})
+	var log logLines
+	c := openCache(t, dir, Options{Logf: log.logf})
 	warm := runWith(t, c)
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("run over a poisoned cache diverged from the clean run")
@@ -141,7 +157,7 @@ func TestPoisonedEntryIsAMissAndIsResimulated(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 2 || st.Stores != 2 {
 		t.Fatalf("poisoned-cache stats = %+v, want every Get a miss and every cell re-stored", st)
 	}
-	if len(logs) == 0 {
+	if len(log.lines) == 0 {
 		t.Fatal("poisoned entries should be narrated via Logf")
 	}
 	// And the poison is gone: the re-stored entries now verify.
@@ -205,16 +221,14 @@ func TestWrongCellEntryIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var logs []string
-	c := openCache(t, dir, Options{Logf: func(f string, a ...any) {
-		logs = append(logs, f)
-	}})
+	var log logLines
+	c := openCache(t, dir, Options{Logf: log.logf})
 	runWith(t, c)
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Stores != 1 {
 		t.Fatalf("grafted-entry stats = %+v, want the grafted slot refused and refilled", st)
 	}
-	if len(logs) != 1 || !strings.Contains(logs[0], "miss") {
-		t.Fatalf("refusal should be narrated once, got %q", logs)
+	if len(log.lines) != 1 || !strings.Contains(log.lines[0], "miss") {
+		t.Fatalf("refusal should be narrated once, got %q", log.lines)
 	}
 }
 
@@ -364,4 +378,147 @@ func TestEntryFrameRoundTrip(t *testing.T) {
 			t.Errorf("%s: decodeEntry accepted a bad frame", tc.name)
 		}
 	}
+}
+
+// An entry is served only under the exact header encodeEntry writes for
+// its payload. Each row rewrites a valid entry's header into one that
+// names the same version, digest and length but that no encoder writes;
+// the entry must be refused, counted a miss and removed.
+func TestNonCanonicalHeaderIsAMiss(t *testing.T) {
+	cell := sweep.Cell{Index: 0, Scenario: "dual-base", Seed: 1, Days: 2}
+	for _, tc := range []struct {
+		name     string
+		from, to string // first occurrence replaced in the header line
+	}{
+		{"signed version", entryMagic + " 1 ", entryMagic + " +1 "},
+		{"zero-padded version", entryMagic + " 1 ", entryMagic + " 01 "},
+		{"signed length", " bytes=", " bytes=+"},
+		{"zero-padded length", " bytes=", " bytes=0"},
+		{"doubled space", entryMagic + " ", entryMagic + "  "},
+		{"tab separator", " sha256=", "\tsha256="},
+		{"carriage return", "\n", "\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := openCache(t, t.TempDir(), Options{})
+			c.Put("deadbeefdeadbeef", sweep.CellResult{Cell: cell, Metrics: []sweep.Metric{{Name: "runs", Value: 3}}})
+			files := entryFiles(t, c.Dir())
+			if len(files) != 1 {
+				t.Fatalf("got %d entries, want 1", len(files))
+			}
+			data, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.Get("deadbeefdeadbeef", cell); !ok {
+				t.Fatal("the canonical entry was refused")
+			}
+			nl := bytes.IndexByte(data, '\n') + 1
+			header := strings.Replace(string(data[:nl]), tc.from, tc.to, 1)
+			if header == string(data[:nl]) {
+				t.Fatalf("%q is not in header %q", tc.from, data[:nl])
+			}
+			mutated := append([]byte(header), data[nl:]...)
+			if _, err := decodeEntry(mutated); err == nil {
+				t.Fatalf("decodeEntry accepted header %q", header)
+			}
+			if err := os.WriteFile(files[0], mutated, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.Get("deadbeefdeadbeef", cell); ok {
+				t.Fatalf("Get served an entry under header %q", header)
+			}
+			if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
+				t.Fatalf("refused entry was not removed (stat: %v)", err)
+			}
+			if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+				t.Fatalf("stats = %+v, want the canonical hit and one miss", st)
+			}
+		})
+	}
+}
+
+// decodeEntry never sizes anything by the header's length field: a frame
+// promising 2^63 bytes costs what its short header costs.
+func TestHostileLengthDrivesNoAllocation(t *testing.T) {
+	payload := []byte(`{"index":0}` + "\n")
+	frame := encodeEntry(payload)
+	hostile := bytes.Replace(frame, []byte(" bytes=12\n"), []byte(" bytes=9223372036854775807\n"), 1)
+	if bytes.Equal(frame, hostile) {
+		t.Fatalf("length field not found in %q", frame)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 100 {
+		if _, err := decodeEntry(hostile); err == nil {
+			t.Fatal("decodeEntry accepted a frame promising 2^63 bytes")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4<<10 {
+		t.Fatalf("decodeEntry allocated %d bytes per hostile frame, want under 4 KiB", per)
+	}
+}
+
+// cellEntry is a real cache entry: the EncodeCell payload of a cell with a
+// collected series and a NaN metric, framed by encodeEntry.
+func cellEntry(t testing.TB) []byte {
+	t.Helper()
+	ser := trace.NewSeries("base-volts", "V")
+	t0 := time.Date(2008, 8, 1, 0, 0, 0, 0, time.UTC)
+	ser.Add(t0, 12.5)
+	ser.Add(t0.Add(time.Hour), math.NaN())
+	var buf bytes.Buffer
+	if err := sweep.EncodeCell(&buf, sweep.CellResult{
+		Cell:    sweep.Cell{Index: 3, Scenario: "dual-base", Seed: 7, Stations: 2, Override: "ov", Days: 2},
+		Metrics: []sweep.Metric{{Name: "runs", Value: 4}, {Name: "nan", Value: math.NaN()}},
+		Series:  []*trace.Series{ser},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return encodeEntry(buf.Bytes())
+}
+
+// FuzzDecodeEntry feeds arbitrary bytes to the entry frame decoder and,
+// through it, to the cell decoder. Neither may panic. A frame is accepted
+// only if encodeEntry would have written exactly those bytes, and the cell
+// an accepted frame holds is a fixed point after one re-encoding: encode,
+// frame, verify, decode and encode again give identical bytes, so an entry
+// read back and re-stored cannot drift.
+func FuzzDecodeEntry(f *testing.F) {
+	entry := cellEntry(f)
+	f.Add(entry)
+	f.Add(entry[:len(entry)/2])
+	f.Add(bytes.Replace(entry, []byte(entryMagic+" 1 "), []byte(entryMagic+" +1 "), 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := decodeEntry(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(data, encodeEntry(payload)) {
+			t.Fatalf("accepted a frame encodeEntry does not write:\n%q", data)
+		}
+		cr, err := sweep.DecodeCell(bytes.NewReader(payload))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := sweep.EncodeCell(&first, cr); err != nil {
+			t.Fatalf("re-encode of an accepted cell: %v", err)
+		}
+		again, err := decodeEntry(encodeEntry(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-framed entry does not verify: %v", err)
+		}
+		cr, err = sweep.DecodeCell(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("re-encoded cell does not decode: %v\n%s", err, again)
+		}
+		var second bytes.Buffer
+		if err := sweep.EncodeCell(&second, cr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encoding is not a fixed point:\n--- first\n%s\n--- second\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -8,6 +8,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"io"
@@ -231,6 +232,20 @@ func cellToJSON(cr CellResult) cellJSON {
 // document is the shard wire format: ReadSummary decodes it losslessly, so
 // partial summaries written by one process merge in another.
 func (s *Summary) WriteJSON(w io.Writer) error {
+	compact, err := json.Marshal(s.document())
+	if err != nil {
+		return err
+	}
+	// Indenting a summary slightly more than doubles it.
+	out := appendIndent(make([]byte, 0, 5*len(compact)/2), compact)
+	out = append(out, '\n')
+	_, err = w.Write(out)
+	return err
+}
+
+// document builds the summary's wire document, the value WriteJSON
+// encodes.
+func (s *Summary) document() summaryJSON {
 	doc := summaryJSON{
 		Fingerprint: s.Fingerprint,
 		TotalCells:  s.TotalCells,
@@ -255,11 +270,75 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 		}
 		doc.Groups = append(doc.Groups, gj)
 	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	_, err = w.Write(out)
-	return err
+	return doc
 }
+
+// appendIndent appends src, a compact document as json.Marshal writes it,
+// to dst with exactly the layout json.Indent(dst, src, "", "  ") gives it:
+// a newline and two spaces per level after every opening bracket and
+// comma and before every closing one, ": " after keys, and empty [] and
+// {} kept closed. It trusts src to be Marshal's valid, whitespace-free
+// output, so unlike json.Indent it does not re-validate what it copies;
+// strings, escapes included, and literals are copied verbatim.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	newline := func() {
+		dst = append(dst, '\n')
+		for n := 2 * depth; n > 0; n -= len(indentSpaces) {
+			dst = append(dst, indentSpaces[:min(n, len(indentSpaces))]...)
+		}
+	}
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			// The string ends at the first quote not escaped by an odd run
+			// of backslashes.
+			j := i + 1
+			for {
+				j += bytes.IndexByte(src[j:], '"')
+				k := j
+				for src[k-1] == '\\' {
+					k--
+				}
+				if (j-k)%2 == 0 {
+					break
+				}
+				j++
+			}
+			dst = append(dst, src[i:j+1]...)
+			i = j
+		case '{', '[':
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				dst = append(dst, c, src[i+1])
+				i++
+				continue
+			}
+			dst = append(dst, c)
+			depth++
+			newline()
+		case '}', ']':
+			depth--
+			newline()
+			dst = append(dst, c)
+		case ',':
+			dst = append(dst, c)
+			newline()
+		case ':':
+			dst = append(dst, ':', ' ')
+		default:
+			// A number or literal runs to the next comma or closing
+			// bracket.
+			j := i + 1
+			for j < len(src) && src[j] != ',' && src[j] != '}' && src[j] != ']' {
+				j++
+			}
+			dst = append(dst, src[i:j]...)
+			i = j - 1
+		}
+	}
+	return dst
+}
+
+// indentSpaces is appendIndent's supply of indentation, eight levels at a
+// time.
+const indentSpaces = "                "

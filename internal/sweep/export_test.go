@@ -306,3 +306,103 @@ func TestExportEmptySummary(t *testing.T) {
 		t.Fatalf("empty-summary CSV does not parse: %v", err)
 	}
 }
+
+// WriteJSON's one-pass indenter must lay a document out byte for byte as
+// json.MarshalIndent does, the encoder it replaced: on names that need
+// escaping, on empty arrays and on every shape of number and null.
+func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
+	t0 := time.Date(2008, 8, 1, 0, 0, 0, 0, time.UTC)
+	named := func(name string) *Summary {
+		ser := trace.NewSeries(name, name)
+		ser.Add(t0, 1)
+		return &Summary{
+			Fingerprint: name,
+			Cells: []CellResult{{
+				Cell:    Cell{Scenario: name, Seed: 1, Override: name, Days: 1},
+				Err:     name,
+				Metrics: []Metric{{Name: name, Value: 2}},
+				Series:  []*trace.Series{ser},
+			}},
+			Groups: []Group{{Scenario: name, Override: name, Days: 1, N: 1, Stats: []Stats{{Name: name, N: 1}}}},
+		}
+	}
+	metrics := func(vs ...float64) *Summary {
+		cr := CellResult{Cell: Cell{Scenario: "s", Seed: 1, Days: 1}}
+		st := Stats{Name: "m", N: len(vs)}
+		for _, v := range vs {
+			cr.Metrics = append(cr.Metrics, Metric{Name: "m", Value: v})
+		}
+		if len(vs) > 0 {
+			st.Mean, st.Stddev, st.CI95, st.Min, st.Max = vs[0], vs[0], vs[0], vs[0], vs[len(vs)-1]
+		}
+		return &Summary{TotalCells: 1, Cells: []CellResult{cr},
+			Groups: []Group{{Scenario: "s", Days: 1, N: 1, Stats: []Stats{st}}}}
+	}
+	cases := []struct {
+		name string
+		sum  *Summary
+	}{
+		// Every name carries JSON's structural bytes, so a string the
+		// indenter ends early shows up as misplaced layout.
+		{"quote", named(`say "a, b": [c] {d}`)},
+		{"backslash", named(`C:\dir\`)},
+		{"backslash before structure", named(`C:\, [x]: {y}\`)},
+		{"escaped quote after backslashes", named(`a\\", b\": [c]`)},
+		{"html", named("<probe> & <base>, [x]")},
+		{"line separators", named("a\u2028b\u2029c, [x]")},
+		{"control bytes", named("tab\tnl\ncr\rnul\x00esc\x1b, [x]")},
+		{"non-ASCII", named("Skaftafellsjökull ÿ 氷河 🧊, {x}")},
+		{"invalid UTF-8", named("bad\xffbyte, [x]")},
+		{"empty summary", &Summary{}},
+		{"empty series, points and stats", &Summary{
+			Cells:  []CellResult{{Cell: Cell{Scenario: "s", Days: 1}, Series: []*trace.Series{trace.NewSeries("none", "")}}},
+			Groups: []Group{{Scenario: "s", Days: 1}},
+		}},
+		{"empty groups", &Summary{Cells: []CellResult{{Cell: Cell{Scenario: "s", Days: 1}}}}},
+		{"nulls", metrics(math.NaN(), math.Inf(1), math.Inf(-1))},
+		{"numbers", metrics(-0.5, 1e-7, 1e21, 0, math.Copysign(0, -1), 123456789.125, -1e-300)},
+		{"non-finite series", nonFiniteSummary()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got bytes.Buffer
+			if err := tc.sum.WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.MarshalIndent(tc.sum.document(), "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n')
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("WriteJSON differs from MarshalIndent:\n--- got\n%s\n--- want\n%s", got.Bytes(), want)
+			}
+		})
+	}
+}
+
+// appendIndent on values the summary schema never produces — empty
+// objects, nested empties, bare scalars — still matches json.Indent.
+func TestAppendIndentMatchesJSONIndent(t *testing.T) {
+	for _, v := range []any{
+		map[string]any{},
+		[]any{},
+		map[string]any{"a": map[string]any{}, "b": []any{}, "c": []any{map[string]any{}, []any{}}},
+		[]any{[]any{[]any{1, "x"}}, nil, true, false},
+		"just a string",
+		-0.5,
+		nil,
+	} {
+		compact, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.Indent(&want, compact, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendIndent(nil, compact); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: appendIndent gave\n%s\nwant\n%s", compact, got, want.Bytes())
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/deploy"
 	"repro/internal/scenario"
@@ -33,8 +34,9 @@ type Runner interface {
 // of c under the fingerprinted plan would produce, with the decoded cell
 // identity verified against c. Anything less — a corrupt entry, a format
 // drift, an identity mismatch — must be a miss, never a served result.
-// Implementations must be safe for concurrent use (internal/rescache is
-// the on-disk content-addressed one).
+// Implementations must be safe for concurrent use: RunCached fans its
+// Gets out over a pool (internal/rescache is the on-disk
+// content-addressed one).
 type ResultCache interface {
 	// Get returns the cached result for cell c of the plan identified by
 	// fingerprint, or ok=false on any miss (absent, stale, corrupt).
@@ -71,35 +73,38 @@ func (r LocalRunner) RunPlanned(g Grid, fingerprint string, totalCells int, cell
 // its cell's position.
 func (r LocalRunner) runPool(g Grid, cells []Cell) []CellResult {
 	results := make([]CellResult, len(cells))
-	workers := r.Workers
+	fanOut(len(cells), r.Workers, func(i int) { results[i] = g.runCell(cells[i]) })
+	return results
+}
+
+// fanOut is the package's one bounded pool: it calls do(i) for every i in
+// [0, n) on up to workers goroutines (<= 0: GOMAXPROCS), capped at n, and
+// returns once every call has. Each worker claims the next index from a
+// shared counter, so a worker finishing a short item never waits on a
+// dispatcher to start the next one. do must write only state owned by
+// index i; the order the calls run in is not defined.
+func fanOut(n, workers int, do func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	// Buffer the full index list so dispatch never blocks a worker: with an
-	// unbuffered channel each hand-off serializes on the dispatching
-	// goroutine, and a worker finishing a short cell waits on it instead of
-	// starting the next one.
-	idx := make(chan int, len(cells))
-	for i := range cells {
-		idx <- i
-	}
-	close(idx)
+	workers = min(workers, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//glacvet:allow goroutine runPool is the bounded worker pool; results land at fixed indices so output order is worker-count independent
+		//glacvet:allow goroutine fanOut is the bounded worker pool; each call writes only its own index, so output order is worker-count independent
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				results[i] = g.runCell(cells[i])
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				do(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return results
 }
 
 // RunCached is the pipeline's one result-cache loop: every cell is looked
@@ -109,17 +114,19 @@ func (r LocalRunner) runPool(g Grid, cells []Cell) []CellResult {
 // Puts overlap the next chunk's run, so a chunked campaign does not stall
 // on their fsyncs; every Put has finished when RunCached returns, error or
 // not, so an interrupted run leaves its finished chunks on disk. When
-// nothing misses, r is never called. progress, when set, is told the miss
-// count after the lookups (done 0) and the cells run so far after each
-// chunk.
+// nothing misses, r is never called. The lookups fan out over the pool
+// (GOMAXPROCS), each landing at its cell's position, and the misses are
+// collected in plan order once all have returned. progress, when set, is
+// told the miss count after the lookups (done 0) and the cells run so far
+// after each chunk.
 func RunCached(g Grid, r Runner, cache ResultCache, fingerprint string, totalCells int, cells []Cell,
 	chunk int, progress func(done, misses int)) ([]CellResult, error) {
 	results := make([]CellResult, len(cells))
+	hit := make([]bool, len(cells))
+	fanOut(len(cells), 0, func(i int) { results[i], hit[i] = cache.Get(fingerprint, cells[i]) })
 	var misses []int
-	for i, c := range cells {
-		if cr, ok := cache.Get(fingerprint, c); ok {
-			results[i] = cr
-		} else {
+	for i, ok := range hit {
+		if !ok {
 			misses = append(misses, i)
 		}
 	}

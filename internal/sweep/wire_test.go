@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -75,7 +76,9 @@ func nonFiniteSummary() *Summary {
 // FuzzReadSummary feeds arbitrary bytes to the summary decoder. It must
 // never panic, and whatever it accepts must be a fixed point after one
 // re-encoding: encode, decode and encode again give identical bytes, so a
-// shard file read back and re-written cannot drift.
+// shard file read back and re-written cannot drift. The re-encoding must
+// also be byte for byte what json.MarshalIndent makes of the same
+// document, the oracle for WriteJSON's one-pass indenter.
 func FuzzReadSummary(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "sweep.json"))
 	if err != nil {
@@ -99,6 +102,13 @@ func FuzzReadSummary(f *testing.F) {
 		var first bytes.Buffer
 		if err := sum.WriteJSON(&first); err != nil {
 			t.Fatalf("re-encode of an accepted document: %v", err)
+		}
+		oracle, err := json.MarshalIndent(sum.document(), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oracle = append(oracle, '\n'); !bytes.Equal(first.Bytes(), oracle) {
+			t.Fatalf("WriteJSON differs from MarshalIndent:\n--- WriteJSON\n%s\n--- MarshalIndent\n%s", first.Bytes(), oracle)
 		}
 		again, err := ReadSummary(bytes.NewReader(first.Bytes()))
 		if err != nil {
