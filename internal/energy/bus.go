@@ -34,8 +34,7 @@ type Bus struct {
 	battery *Battery
 	weather Sampler
 
-	loads      []loadEntry // sorted by name; deterministic iteration
-	consumedWh map[string]float64
+	loads      []loadEntry // every load ever set, sorted by name; deterministic iteration
 	lastUpdate time.Time
 	failed     bool
 	failCount  int
@@ -56,14 +55,14 @@ type Bus struct {
 	lastChargeValid bool
 }
 
-// NewBus constructs and starts a bus. The bus immediately begins its
-// integration ticker on sim.
+// NewBus constructs and starts a bus. The bus joins sim's shared
+// integration tick: every bus built at the same instant advances from one
+// queue entry, in construction order, each as its own "energy.tick" event.
 func NewBus(sim *simenv.Simulator, battery *Battery, chargers []Charger, sampler Sampler) *Bus {
 	b := &Bus{
 		sim:        sim,
 		battery:    battery,
 		weather:    sampler,
-		consumedWh: make(map[string]float64),
 		lastUpdate: sim.Now(),
 		chargers:   append([]Charger(nil), chargers...),
 	}
@@ -74,7 +73,7 @@ func NewBus(sim *simenv.Simulator, battery *Battery, chargers []Charger, sampler
 			b.mains = append(b.mains, mc)
 		}
 	}
-	sim.Every(sim.Now().Add(busTick), busTick, "energy.tick", func(now time.Time) {
+	sim.Join(sim.Now().Add(busTick), busTick, "energy.tick", func(now time.Time) {
 		b.advance(now)
 	})
 	return b
@@ -98,14 +97,18 @@ func (b *Bus) OnPowerFail(fn func(now time.Time)) { b.onFail = append(b.onFail, 
 // OnPowerRestore registers a callback fired once when a failed bus recovers.
 func (b *Bus) OnPowerRestore(fn func(now time.Time)) { b.onRestore = append(b.onRestore, fn) }
 
-// loadEntry is one named draw on the bus. Loads live in a name-sorted
-// slice rather than a map so every fold over them — the total draw, the
-// pro-rata energy attribution — runs in one fixed order: float addition
-// rounds differently under reordering, and map iteration order would
-// leak that into voltage traces and goldens.
+// loadEntry is one named draw on the bus and its ledger cell. Loads live
+// in a name-sorted slice rather than a map so every fold over them — the
+// total draw, the pro-rata energy attribution — runs in one fixed order:
+// float addition rounds differently under reordering, and map iteration
+// order would leak that into voltage traces and goldens. A load switched
+// off keeps its entry at zero watts, so its lifetime energy stays in
+// place and advance credits each live load with an indexed add.
 type loadEntry struct {
-	name  string
-	watts float64
+	name       string
+	watts      float64 // 0 while off
+	consumedWh float64
+	credited   bool // whether advance ever attributed energy to it
 }
 
 // loadIndex returns the position of name in the sorted load list and
@@ -116,22 +119,21 @@ func (b *Bus) loadIndex(name string) (int, bool) {
 }
 
 // SetLoad sets the instantaneous draw of a named load in watts. A zero
-// wattage removes the load. Setting a load while the bus is failed is
+// wattage switches the load off. Setting a load while the bus is failed is
 // ignored — there is no power to supply it.
 func (b *Bus) SetLoad(name string, watts float64) {
 	b.advance(b.sim.Now())
 	if b.failed {
 		return
 	}
+	if watts <= 0 {
+		watts = 0
+	}
 	i, ok := b.loadIndex(name)
 	switch {
-	case watts <= 0:
-		if ok {
-			b.loads = append(b.loads[:i], b.loads[i+1:]...)
-		}
 	case ok:
 		b.loads[i].watts = watts
-	default:
+	case watts != 0:
 		b.loads = append(b.loads, loadEntry{})
 		copy(b.loads[i+1:], b.loads[i:])
 		b.loads[i] = loadEntry{name: name, watts: watts}
@@ -146,7 +148,8 @@ func (b *Bus) Load(name string) float64 {
 	return 0
 }
 
-// TotalLoadW returns the current total draw in watts.
+// TotalLoadW returns the current total draw in watts. Loads that are off
+// add an exact zero, so the sum is the one over live loads alone.
 func (b *Bus) TotalLoadW() float64 {
 	var sum float64
 	for _, l := range b.loads {
@@ -170,26 +173,32 @@ func (b *Bus) VoltageNow() float64 {
 }
 
 // ConsumedWh returns the lifetime energy attributed to a named load.
-func (b *Bus) ConsumedWh(name string) float64 { return b.consumedWh[name] }
+func (b *Bus) ConsumedWh(name string) float64 {
+	if i, ok := b.loadIndex(name); ok {
+		return b.loads[i].consumedWh
+	}
+	return 0
+}
 
-// TotalConsumedWh returns lifetime energy across all loads. The fold
-// runs over the name-sorted ledger: summing the map directly would round
-// in iteration order, which is not deterministic.
+// TotalConsumedWh returns lifetime energy across all loads, folded in
+// name order.
 func (b *Bus) TotalConsumedWh() float64 {
 	var sum float64
-	for _, e := range b.Ledger() {
-		sum += e.ConsumedWh
+	for _, l := range b.loads {
+		sum += l.consumedWh
 	}
 	return sum
 }
 
-// Ledger returns the per-load lifetime energy ledger sorted by name.
+// Ledger returns the per-load lifetime energy ledger sorted by name. A load
+// that was never credited any energy has no row.
 func (b *Bus) Ledger() []LedgerEntry {
-	entries := make([]LedgerEntry, 0, len(b.consumedWh))
-	for name, wh := range b.consumedWh {
-		entries = append(entries, LedgerEntry{Name: name, ConsumedWh: wh})
+	entries := make([]LedgerEntry, 0, len(b.loads))
+	for _, l := range b.loads {
+		if l.credited {
+			entries = append(entries, LedgerEntry{Name: l.name, ConsumedWh: l.consumedWh})
+		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	return entries
 }
 
@@ -245,10 +254,13 @@ func (b *Bus) advance(now time.Time) float64 {
 	}
 	delivered := b.battery.Transfer(loadW, chargeW, hours)
 
-	// Attribute delivered energy to loads pro rata, in name order.
+	// Attribute delivered energy to live loads pro rata, in name order.
 	if loadW > 0 && delivered > 0 {
-		for _, l := range b.loads {
-			b.consumedWh[l.name] += delivered * (l.watts / loadW)
+		for i := range b.loads {
+			if l := &b.loads[i]; l.watts > 0 {
+				l.consumedWh += delivered * (l.watts / loadW)
+				l.credited = true
+			}
 		}
 	}
 
@@ -257,7 +269,9 @@ func (b *Bus) advance(now time.Time) float64 {
 	case !b.failed && (b.battery.Depleted() || rest < brownoutVolts):
 		b.failed = true
 		b.failCount++
-		b.loads = b.loads[:0] // everything loses power
+		for i := range b.loads { // everything loses power
+			b.loads[i].watts = 0
+		}
 		for _, fn := range b.onFail {
 			fn(now)
 		}

@@ -78,7 +78,11 @@ type Unit struct {
 	name    string
 	powered bool
 
+	// files[fileHead:] is the CF card, oldest first. The drain deletes
+	// from the head, so the head only advances; the backing array is
+	// reused once it empties or fills.
 	files     []File
+	fileHead  int
 	nextID    uint64
 	readEv    simenv.EventID
 	reading   bool
@@ -162,6 +166,10 @@ func (u *Unit) recordFile(now time.Time) {
 	f := File{ID: u.nextID, Recorded: now, SizeBytes: size, Satellites: sats}
 	u.nextID++
 	u.readings++
+	if len(u.files) == cap(u.files) && u.fileHead > 0 {
+		n := copy(u.files, u.files[u.fileHead:])
+		u.files, u.fileHead = u.files[:n], 0
+	}
 	u.files = append(u.files, f)
 	for _, fn := range u.onReading {
 		fn(f)
@@ -170,30 +178,51 @@ func (u *Unit) recordFile(now time.Time) {
 
 // Files returns a copy of the internal CF card's file list, oldest first.
 func (u *Unit) Files() []File {
-	out := make([]File, len(u.files))
-	copy(out, u.files)
+	live := u.files[u.fileHead:]
+	out := make([]File, len(live))
+	copy(out, live)
 	return out
 }
 
+// Oldest returns the oldest file on the internal CF card — the next one a
+// file-by-file drain takes — without copying the list.
+func (u *Unit) Oldest() (File, bool) {
+	if u.fileHead == len(u.files) {
+		return File{}, false
+	}
+	return u.files[u.fileHead], true
+}
+
 // FileCount returns the number of files on the internal CF card.
-func (u *Unit) FileCount() int { return len(u.files) }
+func (u *Unit) FileCount() int { return len(u.files) - u.fileHead }
 
 // BacklogBytes returns the total size of undrained files.
 func (u *Unit) BacklogBytes() int64 {
 	var n int64
-	for _, f := range u.files {
+	for _, f := range u.files[u.fileHead:] {
 		n += int64(f.SizeBytes)
 	}
 	return n
 }
 
-// Delete removes a drained file from the internal CF card.
+// Delete removes a drained file from the internal CF card. Deleting the
+// oldest file, as the drain does, costs the same at any backlog.
 func (u *Unit) Delete(id uint64) error {
-	for i, f := range u.files {
-		if f.ID == id {
-			u.files = append(u.files[:i], u.files[i+1:]...)
-			return nil
+	live := u.files[u.fileHead:]
+	for i, f := range live {
+		if f.ID != id {
+			continue
 		}
+		if i == 0 {
+			u.fileHead++
+		} else {
+			copy(live[i:], live[i+1:])
+			u.files = u.files[:len(u.files)-1]
+		}
+		if u.fileHead == len(u.files) {
+			u.files, u.fileHead = u.files[:0], 0
+		}
+		return nil
 	}
 	return fmt.Errorf("dgps %s: no file %d on CF card", u.name, id)
 }

@@ -1,6 +1,7 @@
 package dgps
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -226,5 +227,66 @@ func TestOnReadingCallback(t *testing.T) {
 	}
 	if len(got) != 3 {
 		t.Fatalf("callback saw %d readings in 16m, want 3", len(got))
+	}
+}
+
+// TestCardMatchesListModel drives the CF card with recorded files and
+// deletes at its head, middle and tail, against a plain slice that deletes
+// by copying. The card keeps a head offset so a head delete costs the same
+// at any backlog; what it reports must not depend on that.
+func TestCardMatchesListModel(t *testing.T) {
+	sim, _, u := newRig(t, nil)
+	rng := rand.New(rand.NewSource(5))
+	var model []File
+	u.OnReading(func(f File) { model = append(model, f) })
+	for step := 0; step < 2000; step++ {
+		switch op := rng.Intn(4); {
+		case op == 0 || len(model) == 0:
+			u.InjectBacklog(1+rng.Intn(3), sim.Now())
+		default:
+			i := 0 // the drain's case: the oldest file
+			if op == 3 {
+				i = rng.Intn(len(model))
+			}
+			if err := u.Delete(model[i].ID); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			model = append(model[:i:i], model[i+1:]...)
+		}
+		got := u.Files()
+		if len(got) != len(model) || u.FileCount() != len(model) {
+			t.Fatalf("step %d: card holds %d files (count %d), model %d", step, len(got), u.FileCount(), len(model))
+		}
+		var bytes int64
+		for i := range model {
+			if got[i] != model[i] {
+				t.Fatalf("step %d: file %d is %+v, model %+v", step, i, got[i], model[i])
+			}
+			bytes += int64(model[i].SizeBytes)
+		}
+		if u.BacklogBytes() != bytes {
+			t.Fatalf("step %d: backlog %d bytes, model %d", step, u.BacklogBytes(), bytes)
+		}
+		oldest, ok := u.Oldest()
+		if ok != (len(model) > 0) || ok && oldest != model[0] {
+			t.Fatalf("step %d: Oldest() = %+v, %v; model head %v", step, oldest, ok, model)
+		}
+	}
+}
+
+// TestDrainOldestAllocFree pins the drain's steady state: recording a file
+// and draining the oldest one reuse the card's backing array.
+func TestDrainOldestAllocFree(t *testing.T) {
+	sim, _, u := newRig(t, nil)
+	u.InjectBacklog(64, sim.Now())
+	avg := testing.AllocsPerRun(500, func() {
+		u.InjectBacklog(1, sim.Now())
+		f, _ := u.Oldest()
+		if err := u.Delete(f.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("recording plus draining the oldest file allocates %.1f objects/op, want 0", avg)
 	}
 }

@@ -12,7 +12,8 @@ import (
 // must not touch the heap once the buffers and the alarm free list exist.
 //
 // The same set carries //glacvet:hotpath in mcu.go (takeSample,
-// DrainSamples, AlarmAt, newAlarm, releaseAlarm, armAlarm, fireAlarm):
+// DrainSamples, AlarmAt, newAlarm, releaseAlarm, armAlarm, fireAlarm,
+// SetRail, rail):
 // `make lint` rejects the allocation patterns statically, these pins catch
 // whatever slips past the lint at runtime. Keep the two sets in sync.
 
@@ -76,5 +77,26 @@ func TestAlarmArmFireAllocFree(t *testing.T) {
 	}
 	if fired != 202 { // warm-up + AllocsPerRun's own warm-up run + 200
 		t.Fatalf("alarm fired %d times, want 202", fired)
+	}
+}
+
+func TestRailSwitchAllocFree(t *testing.T) {
+	_, _, m := newRig(t, 1)
+	for _, name := range []string{"gumstix", "gps", "gprs"} {
+		m.DefineRail(name, 1)
+	}
+	calls := 0
+	m.OnRail("gprs", func(bool, time.Time) { calls++ })
+	cycle := func() {
+		m.SetRail("gprs", true)
+		m.SetRail("gprs", false)
+	}
+	cycle() // warm: the bus load entry for the rail
+	avg := testing.AllocsPerRun(200, cycle)
+	if avg != 0 {
+		t.Fatalf("switching a rail on and off allocates %.1f objects/op, want 0", avg)
+	}
+	if calls != 2*202 {
+		t.Fatalf("subscriber saw %d switches, want %d", calls, 2*202)
 	}
 }

@@ -103,10 +103,7 @@ type MCU struct {
 	// record's fireFn closure is bound once rather than once per arm.
 	freeAlarms []*alarm
 
-	rails    map[string]float64 // rail name -> watts while on
-	railLoad map[string]string  // rail name -> interned bus load name
-	railsOn  map[string]bool
-	railSubs map[string][]func(on bool, now time.Time)
+	rails []rail // in definition order
 
 	// Interned hot-path names and tags (rail switches, housekeeping samples
 	// and alarm arms otherwise rebuild the same strings all season).
@@ -146,10 +143,6 @@ func New(sim *simenv.Simulator, bus *energy.Bus, sampler energy.Sampler, cfg Con
 		sampler:    sampler,
 		cfg:        cfg,
 		alarms:     make(map[AlarmID]*alarm),
-		rails:      make(map[string]float64),
-		railLoad:   make(map[string]string),
-		railsOn:    make(map[string]bool),
-		railSubs:   make(map[string][]func(bool, time.Time)),
 		nv:         make(map[string]string),
 		alarmNames: make(map[string]string),
 	}
@@ -208,10 +201,10 @@ func (m *MCU) powerFail(now time.Time) {
 	if m.sampleTicker != nil {
 		m.sampleTicker.Stop()
 	}
-	for rail, on := range m.railsOn {
-		if on {
-			m.railsOn[rail] = false
-			for _, fn := range m.railSubs[rail] {
+	for i := range m.rails {
+		if r := &m.rails[i]; r.on {
+			r.on = false
+			for _, fn := range r.subs {
 				fn(false, now)
 			}
 		}
@@ -403,50 +396,84 @@ func (m *MCU) fireAlarm(a *alarm) {
 
 // --- Power rails ---
 
+// rail is one switched power rail: its draw, its bus load, its state and
+// its subscribers.
+type rail struct {
+	name  string
+	watts float64 // draw while on
+	load  string  // interned bus load name
+	on    bool
+	subs  []func(on bool, now time.Time)
+}
+
+// rail returns the named rail's record, or nil if it was never defined. A
+// board has a handful of rails, so a scan beats hashing the name.
+//
+//glacvet:hotpath
+func (m *MCU) rail(name string) *rail {
+	for i := range m.rails {
+		if m.rails[i].name == name {
+			return &m.rails[i]
+		}
+	}
+	return nil
+}
+
 // DefineRail declares a named switched rail and its on-state draw in watts.
-func (m *MCU) DefineRail(rail string, watts float64) {
+// Redefining a rail changes its draw.
+func (m *MCU) DefineRail(name string, watts float64) {
 	if watts < 0 {
 		panic(fmt.Sprintf("mcu: negative rail wattage %v", watts))
 	}
-	m.rails[rail] = watts
-	m.railLoad[rail] = m.cfg.Name + ".rail." + rail
+	if r := m.rail(name); r != nil {
+		r.watts = watts
+		return
+	}
+	m.rails = append(m.rails, rail{name: name, watts: watts, load: m.cfg.Name + ".rail." + name})
 }
 
-// OnRail subscribes to power changes of a rail (peripherals use this to know
-// when they gain or lose power).
-func (m *MCU) OnRail(rail string, fn func(on bool, now time.Time)) {
-	m.railSubs[rail] = append(m.railSubs[rail], fn)
+// OnRail subscribes to power changes of a defined rail (peripherals use
+// this to know when they gain or lose power).
+func (m *MCU) OnRail(name string, fn func(on bool, now time.Time)) {
+	r := m.rail(name)
+	if r == nil {
+		panic(fmt.Sprintf("mcu: undefined rail %q", name))
+	}
+	r.subs = append(r.subs, fn)
 }
 
 // SetRail switches a rail on or off. No-ops when the MCU is dead or the
 // state is unchanged.
 //
 //glacvet:hotpath
-func (m *MCU) SetRail(rail string, on bool) {
+func (m *MCU) SetRail(name string, on bool) {
 	if !m.alive {
 		return
 	}
-	w, ok := m.rails[rail]
-	if !ok {
+	r := m.rail(name)
+	if r == nil {
 		//glacvet:allow hotpath the Sprintf is on the panic path only; defined rails never reach it
-		panic(fmt.Sprintf("mcu: undefined rail %q", rail))
+		panic(fmt.Sprintf("mcu: undefined rail %q", name))
 	}
-	if m.railsOn[rail] == on {
+	if r.on == on {
 		return
 	}
-	m.railsOn[rail] = on
+	r.on = on
 	if on {
-		m.bus.SetLoad(m.railLoad[rail], w)
+		m.bus.SetLoad(r.load, r.watts)
 	} else {
-		m.bus.SetLoad(m.railLoad[rail], 0)
+		m.bus.SetLoad(r.load, 0)
 	}
-	for _, fn := range m.railSubs[rail] {
+	for _, fn := range r.subs {
 		fn(on, m.sim.Now())
 	}
 }
 
 // RailOn reports whether a rail is currently powered.
-func (m *MCU) RailOn(rail string) bool { return m.railsOn[rail] }
+func (m *MCU) RailOn(name string) bool {
+	r := m.rail(name)
+	return r != nil && r.on
+}
 
 // --- Housekeeping sampling ---
 

@@ -1,6 +1,7 @@
 package mcu
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -223,6 +224,47 @@ func TestRailsDropOnPowerFail(t *testing.T) {
 	if m.RailOn("gps") {
 		t.Fatal("rail still on after power loss")
 	}
+}
+
+// TestPowerFailDropsRailsInDefinitionOrder fails power on fresh MCUs and
+// checks that the rails' off-callbacks run in the order the rails were
+// defined, every time: a subscriber that schedules or aborts work on
+// power loss must see the same sequence in every run of a seed.
+func TestPowerFailDropsRailsInDefinitionOrder(t *testing.T) {
+	rails := []string{"gumstix", "gps", "gprs", "probe-radio"}
+	for trial := 0; trial < 20; trial++ {
+		sim, bus, m := newRig(t, 0.05)
+		var dropped []string
+		for _, name := range rails {
+			m.DefineRail(name, 0.5)
+			m.OnRail(name, func(on bool, _ time.Time) {
+				if !on {
+					dropped = append(dropped, name)
+				}
+			})
+			m.SetRail(name, true)
+		}
+		bus.SetLoad("drain", 80)
+		if err := sim.RunFor(24 * time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		if m.Alive() {
+			t.Fatal("MCU should be dead")
+		}
+		if !slices.Equal(dropped, rails) {
+			t.Fatalf("trial %d: rails dropped in order %v, want definition order %v", trial, dropped, rails)
+		}
+	}
+}
+
+func TestOnRailUndefinedPanics(t *testing.T) {
+	_, _, m := newRig(t, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for subscribing to an undefined rail")
+		}
+	}()
+	m.OnRail("nonexistent", func(bool, time.Time) {})
 }
 
 func TestBootHookRunsOnStartAndRestore(t *testing.T) {

@@ -81,6 +81,10 @@ type Server struct {
 	mu sync.Mutex
 
 	stations map[string]*StationRecord
+	// reported[st] counts the stations whose last state upload, at a
+	// non-zero time, reported st. The min-rule reads its lowest non-empty
+	// entry instead of scanning every record.
+	reported [power.State3 + 1]int
 	manual   map[string]power.State // researcher-set override per station
 	specials map[string][]Special
 	nextSpec uint64
@@ -97,14 +101,25 @@ func New() *Server {
 	}
 }
 
-// UploadState records a station's power state.
+// UploadState records a station's power state. An upload at the zero time
+// leaves the station out of the min-rule until it uploads again. st must
+// be a valid state.
 func (s *Server) UploadState(station string, st power.State, at time.Time) {
+	if !st.Valid() {
+		panic(fmt.Sprintf("server: station %s uploaded invalid power state %d", station, int(st)))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.record(station)
+	if !r.LastStateAt.IsZero() {
+		s.reported[r.LastState]--
+	}
 	r.LastState = st
 	r.LastStateAt = at
 	r.LastSeen = at
+	if !at.IsZero() {
+		s.reported[st]++
+	}
 }
 
 // UploadData records a data upload of the given volume.
@@ -127,20 +142,14 @@ func (s *Server) OverrideFor(station string, at time.Time) power.State {
 	r.LastSeen = at
 
 	st := power.State3
-	seen := false
-	for _, rec := range s.stations {
-		if rec.LastStateAt.IsZero() {
-			continue
+	for i, n := range s.reported {
+		if n > 0 {
+			st = power.State(i)
+			break
 		}
-		seen = true
-		st = power.MinState(st, rec.LastState)
 	}
 	if m, ok := s.manual[station]; ok {
 		st = power.MinState(st, m)
-		seen = true
-	}
-	if !seen {
-		return power.State3
 	}
 	return st
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -117,4 +118,63 @@ func TestStationsSorted(t *testing.T) {
 	if len(all) != 2 || all[0].Name != "base" || all[1].Name != "ref" {
 		t.Fatalf("stations %+v", all)
 	}
+}
+
+// TestOverrideMatchesBruteForceMin replays random state uploads (some at
+// the zero time, many re-uploads) and manual overrides, and after every
+// step checks OverrideFor against the min-rule computed from scratch over
+// Stations(): the minimum state of every station that has uploaded one at
+// a non-zero time, and the requester's manual override.
+func TestOverrideMatchesBruteForceMin(t *testing.T) {
+	names := []string{"base", "ref", "s2", "s3", "s4"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		manual := map[string]power.State{}
+		at := t0
+		for step := 0; step < 300; step++ {
+			name := names[rng.Intn(len(names))]
+			st := power.State(rng.Intn(4))
+			at = at.Add(time.Minute)
+			switch rng.Intn(6) {
+			case 0:
+				s.UploadState(name, st, time.Time{})
+			case 1:
+				s.SetManualOverride(name, st)
+				manual[name] = st
+			case 2:
+				s.ClearManualOverride(name)
+				delete(manual, name)
+			default:
+				s.UploadState(name, st, at)
+			}
+			asker := names[rng.Intn(len(names))]
+			want := power.State3
+			for _, r := range s.Stations() {
+				if !r.LastStateAt.IsZero() {
+					want = power.MinState(want, r.LastState)
+				}
+			}
+			if m, ok := manual[asker]; ok {
+				want = power.MinState(want, m)
+			}
+			queryAt := at
+			if rng.Intn(8) == 0 {
+				queryAt = time.Time{}
+			}
+			if got := s.OverrideFor(asker, queryAt); got != want {
+				t.Fatalf("seed %d step %d: OverrideFor(%s) = %v, brute-force min %v (stations %+v, manual %v)",
+					seed, step, asker, got, want, s.Stations(), manual)
+			}
+		}
+	}
+}
+
+func TestUploadInvalidStatePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for an out-of-range state")
+		}
+	}()
+	New().UploadState("base", power.State3+1, t0)
 }

@@ -12,10 +12,10 @@ import (
 // waiting for the bench trajectory to notice.
 //
 // The same set of functions carries //glacvet:hotpath in simenv.go (At,
-// After, Cancel, Step, pushRun, popRun, popHead, allocSlot, freeSlot,
-// Ticker.tick, Rand): `make lint` rejects the allocation patterns
-// statically, these pins catch whatever slips past the lint at runtime.
-// Keep the two sets in sync.
+// schedule, After, Cancel, Step, pushRun, popRun, popHead, allocSlot,
+// freeSlot, scheduleGroup, fireGroup, Ticker.tick, Rand): `make lint`
+// rejects the allocation patterns statically, these pins catch whatever
+// slips past the lint at runtime. Keep the two sets in sync.
 
 func TestScheduleStepAllocFree(t *testing.T) {
 	s := New(1)
@@ -67,6 +67,34 @@ func TestTickerSteadyStateAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("ticker reschedule allocates %.1f objects/op, want 0 (tick closure must be bound once)", avg)
+	}
+}
+
+// TestJoinGroupFireAllocFree pins a steady-state group fire: a hundred
+// members, each traced and counted, then the group's one reschedule.
+func TestJoinGroupFireAllocFree(t *testing.T) {
+	s := New(1)
+	fn := func(time.Time) {}
+	const members = 100
+	for i := 0; i < members; i++ {
+		s.Join(s.Now().Add(time.Second), time.Second, "grp", fn)
+	}
+	traced := 0
+	s.OnEvent(func(string, time.Time) { traced++ })
+	if !s.Step() { // first fire settles the slot table
+		t.Fatal("group did not fire")
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if !s.Step() {
+			t.Fatal("group stopped firing")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a group fire allocates %.1f objects/op, want 0", avg)
+	}
+	// AllocsPerRun runs the function once more than asked, to warm up.
+	if want := uint64(202 * members); s.Processed() != want || traced != int(want) {
+		t.Fatalf("processed %d, traced %d events, want %d: each member is its own event", s.Processed(), traced, want)
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // the run-coalesced queue has to get right: heavy timestamp ties, At(now)
 // and past-time At from inside a running event (appends to the run being
 // drained), cancels that hit a run's head, middle or tail or a stale ID,
-// Stop and resume mid-run, and tickers that stop themselves or are stopped.
+// Stop and resume mid-run, tickers that stop themselves or are stopped,
+// and Join groups: members that share an entry or start their own at
+// another phase, join from inside a fire, schedule At(now) or Stop.
 func FuzzEventOrder(f *testing.F) {
 	for _, seed := range [][]scriptOp{
 		// A burst at one instant, an intervening push, then a second
@@ -48,6 +50,24 @@ func FuzzEventOrder(f *testing.F) {
 		// its instant from the new clock, including one in the past.
 		{atOp(2 * time.Minute), atOp(2 * time.Minute), advanceOp(time.Minute),
 			atOp(time.Minute), atOp(time.Minute), atOp(-time.Minute), atOp(5 * time.Minute)},
+		// Two joins share an entry; after a partial run a late joiner at
+		// another phase starts its own group, and one due at the first
+		// group's next firing joins it.
+		{joinOp(time.Minute, 2*time.Minute), joinOp(time.Minute, 2*time.Minute), atOp(time.Minute),
+			advanceOp(2 * time.Minute), joinOp(0, 2*time.Minute), joinOp(time.Minute, 2*time.Minute),
+			atOp(time.Minute)},
+		// A member that schedules At(now) and a past-time At on its
+		// first firing, on the instant of a one-shot queued before it.
+		{atOp(time.Minute), joinOp(time.Minute, time.Minute, atOp(0), atOp(-time.Minute)),
+			joinOp(time.Minute, time.Minute), atOp(time.Minute)},
+		// A one-shot scheduled between two joins at one instant: the
+		// second join takes the first one's entry, ahead of the one-shot.
+		{joinOp(time.Minute, 5*time.Minute), atOp(time.Minute), joinOp(time.Minute, 5*time.Minute),
+			atOp(time.Minute)},
+		// A member that Stops the run and joins its own group's next
+		// firing from inside the fire, and a join from a one-shot.
+		{joinOp(time.Minute, time.Minute, scriptOp{kind: opStop}, joinOp(time.Minute, time.Minute)),
+			joinOp(time.Minute, time.Minute), atOp(2*time.Minute, joinOp(0, time.Minute))},
 	} {
 		data := encodeScript(seed)
 		if got := decodeScript(data); !reflect.DeepEqual(got, seed) {
@@ -78,15 +98,16 @@ const (
 	opEvery             // start a ticker
 	opTickerStop        // stop an earlier ticker
 	opAdvance           // top level only: run the simulator part of the way
+	opJoin              // join a group, with child ops run on the member's first firing
 )
 
 type scriptOp struct {
 	kind     int
-	offset   time.Duration // opAt/opEvery: start relative to now; opAdvance: span
-	period   time.Duration // opEvery
+	offset   time.Duration // opAt/opEvery/opJoin: start relative to now; opAdvance: span
+	period   time.Duration // opEvery/opJoin
 	ref      int           // opCancel/opTickerStop: index back from the newest; -1 is an unknown ID
 	selfStop int           // opEvery: stop the ticker from its own callback on this firing (0: never)
-	children []scriptOp    // opAt: run inside the event when it fires
+	children []scriptOp    // opAt/opJoin: run inside the event when it (first) fires
 }
 
 // Offsets repeat so that most events tie; negative ones schedule in the past.
@@ -122,10 +143,11 @@ func decodeScript(data []byte) []scriptOp {
 }
 
 // Opcodes of the byte encoding: an op is its opcode byte (mod 8) and then
-// its operands, one byte each. Opcodes 0-2 and an opAdvance below the top
+// its operands, one byte each. Opcodes 0-1 and an opAdvance below the top
 // level decode as opAt, so random bytes mostly schedule events.
 const (
 	codeAt         = 0
+	codeJoin       = 2
 	codeCancel     = 3
 	codeStop       = 4
 	codeEvery      = 5
@@ -159,8 +181,18 @@ func (r *scriptReader) op(depth int) scriptOp {
 		if depth == 0 {
 			return scriptOp{kind: opAdvance, offset: time.Duration(r.byte()%4) * time.Minute}
 		}
+	case codeJoin:
+		op := scriptOp{kind: opJoin, offset: scriptOffsets[r.byte()%8], period: scriptPeriods[r.byte()%3]}
+		r.children(&op, depth)
+		return op
 	}
 	op := scriptOp{kind: opAt, offset: scriptOffsets[r.byte()%8]}
+	r.children(&op, depth)
+	return op
+}
+
+// children decodes an opAt's or opJoin's child count and child ops.
+func (r *scriptReader) children(op *scriptOp, depth int) {
 	n := int(r.byte() % 4)
 	if depth >= scriptMaxDepth {
 		n = 0
@@ -168,7 +200,6 @@ func (r *scriptReader) op(depth int) scriptOp {
 	for i := 0; i < n && len(r.data) > 0 && r.ops < scriptMaxOps; i++ {
 		op.children = append(op.children, r.op(depth+1))
 	}
-	return op
 }
 
 // encodeScript is decodeScript's inverse for the seed corpus. Offsets and
@@ -201,6 +232,12 @@ func encodeScript(ops []scriptOp) []byte {
 			out = append(out, codeTickerStop, byte(op.ref))
 		case opAdvance:
 			out = append(out, codeAdvance, byte(op.offset/time.Minute))
+		case opJoin:
+			out = append(out, codeJoin, index(scriptOffsets[:], op.offset), index(scriptPeriods[:], op.period),
+				byte(len(op.children)))
+			for _, c := range op.children {
+				enc(c)
+			}
 		}
 	}
 	for _, op := range ops {
@@ -221,6 +258,10 @@ func everyOp(start, period time.Duration, selfStop int) scriptOp {
 	return scriptOp{kind: opEvery, offset: start, period: period, selfStop: selfStop}
 }
 
+func joinOp(start, period time.Duration, children ...scriptOp) scriptOp {
+	return scriptOp{kind: opJoin, offset: start, period: period, children: children}
+}
+
 // sched is the surface a script drives: the kernel, or the reference model.
 type sched interface {
 	now() time.Time
@@ -229,6 +270,10 @@ type sched interface {
 	cancelUnknown()
 	stop()
 	every(start time.Time, period time.Duration, name string, fn EventFunc) (stop func())
+	join(start time.Time, period time.Duration, name string, fn EventFunc)
+	// note appends a line to the executed-event log, so a group member
+	// can say which member it is.
+	note(line string)
 	// run runs to the horizon, resuming after each Stop, and returns the
 	// executed events so far.
 	run(until time.Time) []string
@@ -282,6 +327,21 @@ func (r *scriptRun) exec(op scriptOp, now time.Time) {
 			}
 		})
 		r.tickers = append(r.tickers, stop)
+	case opJoin:
+		r.n++
+		member := fmt.Sprintf("m%d", r.n)
+		children := op.children
+		fired := false
+		// Joins of one period share a name, so they can share a group.
+		r.s.join(now.Add(op.offset), op.period, "j"+op.period.String(), func(now time.Time) {
+			r.s.note(member)
+			if !fired {
+				fired = true
+				for _, c := range children {
+					r.exec(c, now)
+				}
+			}
+		})
 	case opTickerStop:
 		if len(r.tickers) > 0 {
 			r.tickers[len(r.tickers)-1-op.ref%len(r.tickers)]()
@@ -316,6 +376,10 @@ func (k *kernelSched) stop() { k.s.Stop() }
 func (k *kernelSched) every(start time.Time, period time.Duration, name string, fn EventFunc) func() {
 	return k.s.Every(start, period, name, fn).Stop
 }
+func (k *kernelSched) join(start time.Time, period time.Duration, name string, fn EventFunc) {
+	k.s.Join(start, period, name, fn)
+}
+func (k *kernelSched) note(line string) { k.log = append(k.log, line) }
 func (k *kernelSched) run(until time.Time) []string {
 	for {
 		err := k.s.Run(until)
@@ -329,11 +393,14 @@ func (k *kernelSched) run(until time.Time) []string {
 }
 
 // refSched is the reference model: a flat list of pending events, each run
-// in turn by a linear search for the least (time, schedule order).
+// in turn by a linear search for the least (time, schedule order). A Join
+// group is one pending event that runs its members in join order, each
+// logged as its own event, and then queues itself a period later.
 type refSched struct {
 	clock   time.Time
 	events  []refEvent
 	pending []int // indices into events, in schedule order
+	groups  []*refGroup
 	log     []string
 }
 
@@ -341,7 +408,15 @@ type refEvent struct {
 	at        time.Time
 	name      string
 	fn        EventFunc
+	group     *refGroup
 	cancelled bool
+}
+
+type refGroup struct {
+	next    time.Time
+	period  time.Duration
+	name    string
+	members []EventFunc
 }
 
 func newRefSched() *refSched { return &refSched{clock: Epoch} }
@@ -383,6 +458,25 @@ func (r *refSched) every(start time.Time, period time.Duration, name string, fn 
 		}
 	}
 }
+func (r *refSched) join(start time.Time, period time.Duration, name string, fn EventFunc) {
+	if start.Before(r.clock) {
+		start = r.clock
+	}
+	for _, g := range r.groups {
+		if g.next.Equal(start) && g.period == period && g.name == name {
+			g.members = append(g.members, fn)
+			return
+		}
+	}
+	g := &refGroup{next: start, period: period, name: name, members: []EventFunc{fn}}
+	r.groups = append(r.groups, g)
+	r.queueGroup(g)
+}
+func (r *refSched) queueGroup(g *refGroup) {
+	r.at(g.next, g.name, func(time.Time) {})
+	r.events[len(r.events)-1].group = g
+}
+func (r *refSched) note(line string) { r.log = append(r.log, line) }
 func (r *refSched) run(until time.Time) []string {
 	for {
 		best := -1
@@ -401,6 +495,15 @@ func (r *refSched) run(until time.Time) []string {
 		}
 		if ev.at.After(r.clock) {
 			r.clock = ev.at
+		}
+		if g := ev.group; g != nil {
+			g.next = r.clock.Add(g.period)
+			for _, fn := range g.members {
+				r.log = append(r.log, g.name+"@"+r.clock.Sub(Epoch).String())
+				fn(r.clock)
+			}
+			r.queueGroup(g)
+			continue
 		}
 		r.log = append(r.log, ev.name+"@"+r.clock.Sub(Epoch).String())
 		ev.fn(r.clock)

@@ -15,6 +15,11 @@
 // advance a run's head in place, and only a run's last event pays for a
 // sift. Execution order is exactly (time, schedule order).
 //
+// Periodic work that many components do on one beat can share a queue
+// entry: Join adds a member to the group due at the same instant under the
+// same name and period, and the group's one entry fires every member in
+// join order, each traced and counted as its own event.
+//
 // The event loop is engineered for allocation discipline: event payload and
 // identity live in a reusable generation-stamped slot table rather than
 // per-event boxes or map entries, and tickers reschedule with a closure
@@ -185,6 +190,7 @@ type eventSlot struct {
 	name  string
 	gen   uint32
 	next  uint32 // next slot of the run, or noSlot at its tail
+	group uint32 // 1 + index into Simulator.groups for a Join group's entry, else 0
 	state uint8
 }
 
@@ -231,6 +237,7 @@ type Simulator struct {
 	randMu  sync.Mutex // serializes stream creation; steady-state Rand reads are lock-free
 	rngs    atomic.Pointer[map[string]*rand.Rand]
 	tracers []func(name string, at time.Time)
+	groups  []*joinGroup // every Join group, in creation order
 }
 
 // New returns a Simulator whose clock starts at Epoch and whose random
@@ -324,6 +331,16 @@ func (s *Simulator) At(at time.Time, name string, fn EventFunc) EventID {
 	if fn == nil {
 		panic("simenv: nil EventFunc")
 	}
+	idx, id := s.schedule(at, name)
+	s.slots[idx].fn = fn
+	return id
+}
+
+// schedule queues an event with no payload yet at at (clamped to now) and
+// returns its slot; the caller fills in the fn or the group.
+//
+//glacvet:hotpath
+func (s *Simulator) schedule(at time.Time, name string) (uint32, EventID) {
 	if at.Before(s.now) {
 		at = s.now
 	}
@@ -332,7 +349,6 @@ func (s *Simulator) At(at time.Time, name string, fn EventFunc) EventID {
 	idx, id := s.allocSlot()
 	sl := &s.slots[idx]
 	sl.at = at
-	sl.fn = fn
 	sl.name = name
 	sl.next = noSlot
 	atSec, atNsec := at.Unix(), int32(at.Nanosecond())
@@ -343,7 +359,7 @@ func (s *Simulator) At(at time.Time, name string, fn EventFunc) EventID {
 		s.runSec, s.runNsec = atSec, atNsec
 	}
 	s.runTail = idx
-	return id
+	return idx, id
 }
 
 //glacvet:hotpath
@@ -374,6 +390,7 @@ func (s *Simulator) freeSlot(idx uint32) (cancelled bool) {
 	sl.gen++
 	sl.fn = nil
 	sl.name = ""
+	sl.group = 0
 	s.freeSlots = append(s.freeSlots, idx)
 	return cancelled
 }
@@ -401,6 +418,76 @@ func (s *Simulator) Every(start time.Time, period time.Duration, name string, fn
 	return t
 }
 
+// Join adds fn to the group of periodic members that first fire at start
+// (clamped to now) and then every period under name. Members whose next
+// firing is at the same instant, with the same name and period, share one
+// queue entry, which fires them in join order; a member joined at another
+// phase starts a group of its own. Groups are never merged, so a group
+// keeps the queue position its first member's schedule gave it.
+//
+// Each member is traced (OnEvent) and counted (Processed) as its own
+// event, exactly as if it had its own ticker, but the whole group runs in
+// one Step: a Stop issued inside a member takes effect after the group.
+// Members cannot be stopped; Join is for work that lasts as long as the
+// simulator, such as a power bus's integration tick.
+func (s *Simulator) Join(start time.Time, period time.Duration, name string, fn EventFunc) {
+	if period <= 0 {
+		panic(fmt.Sprintf("simenv: non-positive join period %v", period))
+	}
+	if fn == nil {
+		panic("simenv: nil EventFunc")
+	}
+	if start.Before(s.now) {
+		start = s.now
+	}
+	for _, g := range s.groups {
+		if g.next.Equal(start) && g.period == period && g.name == name {
+			g.members = append(g.members, fn)
+			return
+		}
+	}
+	g := &joinGroup{next: start, period: period, name: name, members: []EventFunc{fn}}
+	s.groups = append(s.groups, g)
+	s.scheduleGroup(uint32(len(s.groups)))
+}
+
+// joinGroup is the shared queue entry of Join members on one beat.
+type joinGroup struct {
+	next    time.Time // when the group's entry fires next
+	period  time.Duration
+	name    string
+	members []EventFunc // in join order
+}
+
+// scheduleGroup queues the entry of group gi (1-based) at its next firing.
+//
+//glacvet:hotpath
+func (s *Simulator) scheduleGroup(gi uint32) {
+	g := s.groups[gi-1]
+	idx, _ := s.schedule(g.next, g.name)
+	s.slots[idx].group = gi
+}
+
+// fireGroup runs every member of group gi in join order, each traced and
+// counted as its own event, then queues the group's next entry. The next
+// firing is set first, so a member joining from inside the fire at
+// now+period lands in this group.
+//
+//glacvet:hotpath
+func (s *Simulator) fireGroup(gi uint32) {
+	g := s.groups[gi-1]
+	now := s.now
+	g.next = now.Add(g.period)
+	for _, fn := range g.members {
+		for _, tr := range s.tracers {
+			tr(g.name, now)
+		}
+		s.processed++
+		fn(now)
+	}
+	s.scheduleGroup(gi)
+}
+
 // Cancel prevents a scheduled event from running. Cancelling an event that
 // already ran (or was already cancelled, or was never issued) is a no-op:
 // the ID's generation no longer matches its slot, so nothing is marked and
@@ -413,25 +500,31 @@ func (s *Simulator) Cancel(id EventID) {
 	}
 }
 
-// Stop halts Run after the currently executing event returns. A Stop issued
+// Stop halts Run after the currently executing event returns; inside a Join
+// member, after the member's whole group has run. A Stop issued
 // while no Run is in progress is honoured by the next Run, which returns
 // ErrStopped before executing any event; each Stop stops exactly one Run.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Step executes the next pending event, advancing the clock to its time.
-// It reports whether an event was executed.
+// It reports whether an event was executed. A Join group's entry executes
+// all of its members in one Step.
 //
 //glacvet:hotpath
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
 		idx := s.popHead()
 		sl := &s.slots[idx]
-		at, fn, name := sl.at, sl.fn, sl.name
+		at, fn, name, group := sl.at, sl.fn, sl.name, sl.group
 		if s.freeSlot(idx) {
 			continue
 		}
 		if at.After(s.now) {
 			s.now = at
+		}
+		if group != 0 {
+			s.fireGroup(group)
+			return true
 		}
 		for _, tr := range s.tracers {
 			tr(name, s.now)

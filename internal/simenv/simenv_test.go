@@ -2,6 +2,7 @@ package simenv
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,6 +173,69 @@ func TestTickerStopHaltsFiring(t *testing.T) {
 	}
 	if tk.Fires() != 3 {
 		t.Fatalf("Fires() = %d, want 3", tk.Fires())
+	}
+}
+
+// TestJoinSharesOneEntryPerBeat checks Join's contract: members on one
+// beat share a queue entry and run in join order, each traced and counted
+// as its own event, and a Stop from inside a member halts the run only
+// after the whole group.
+func TestJoinSharesOneEntryPerBeat(t *testing.T) {
+	s := New(1)
+	var ran []string
+	for _, m := range []string{"a", "b", "c"} {
+		s.Join(s.Now().Add(time.Minute), time.Minute, "beat", func(time.Time) {
+			ran = append(ran, m)
+			if m == "a" && len(ran) == 1 {
+				s.Stop()
+			}
+		})
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("three members on one beat hold %d queue entries, want 1", s.Pending())
+	}
+	var traced []string
+	s.OnEvent(func(name string, at time.Time) { traced = append(traced, name+"@"+at.Sub(Epoch).String()) })
+	if err := s.RunFor(time.Hour); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Run = %v, want ErrStopped", err)
+	}
+	if got := strings.Join(ran, ""); got != "abc" {
+		t.Fatalf("stopped run executed members %q, want the whole group abc", got)
+	}
+	if err := s.RunFor(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(ran, ""); got != "abcabcabc" {
+		t.Fatalf("members ran %q, want join order on every beat", got)
+	}
+	if s.Processed() != 9 || len(traced) != 9 || traced[8] != "beat@3m0s" {
+		t.Fatalf("processed %d, traced %v: want 9 events, one per member per beat", s.Processed(), traced)
+	}
+}
+
+// TestJoinAtAnotherPhaseStartsItsOwnGroup: a member whose first firing is
+// not the existing group's next one keeps its own entry (and its own
+// place in the queue), and a member due at the group's next firing joins.
+func TestJoinAtAnotherPhaseStartsItsOwnGroup(t *testing.T) {
+	s := New(1)
+	var ran []string
+	member := func(m string) EventFunc { return func(time.Time) { ran = append(ran, m) } }
+	s.Join(s.Now().Add(2*time.Minute), 2*time.Minute, "beat", member("a"))
+	if err := s.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	s.Join(s.Now().Add(2*time.Minute), 2*time.Minute, "beat", member("late")) // 3m: another phase
+	s.Join(s.Now().Add(time.Minute), 2*time.Minute, "beat", member("b"))      // 2m: joins a's group
+	s.Join(s.Now().Add(time.Minute), time.Minute, "beat", member("fast"))     // another period
+	if s.Pending() != 3 {
+		t.Fatalf("%d queue entries, want 3 groups", s.Pending())
+	}
+	if err := s.RunFor(3 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	// 2m: a b fast; 3m: late fast; 4m: a b fast.
+	if got := strings.Join(ran, " "); got != "a b fast late fast a b fast" {
+		t.Fatalf("ran %q", got)
 	}
 }
 

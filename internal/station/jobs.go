@@ -287,11 +287,10 @@ func (s *Station) continueGPSDrain() {
 }
 
 func (s *Station) gpsDrainWork(now time.Time) (time.Duration, func(time.Time)) {
-	files := s.node.GPS.Files()
-	if len(files) == 0 {
+	f, ok := s.node.GPS.Oldest()
+	if !ok {
 		return 0, nil
 	}
-	f := files[0]
 	// The deployed drain had no window awareness: it simply processed the
 	// next file and relied on the watchdog as the only bound. A file whose
 	// transfer outlives the window is killed mid-transfer (progress lost,

@@ -57,14 +57,14 @@ func (r *SpecialRegistry) Execute(script string, now time.Time) string {
 		s.rs232Health = f
 		return "ok rs232=" + fields[1]
 	case "skip-gps-file":
-		files := s.node.GPS.Files()
-		if len(files) == 0 {
+		f, ok := s.node.GPS.Oldest()
+		if !ok {
 			return "ok nothing-to-skip"
 		}
-		if err := s.node.GPS.Delete(files[0].ID); err != nil {
+		if err := s.node.GPS.Delete(f.ID); err != nil {
 			return "error: " + err.Error()
 		}
-		return fmt.Sprintf("ok skipped file %d (%d bytes)", files[0].ID, files[0].SizeBytes)
+		return fmt.Sprintf("ok skipped file %d (%d bytes)", f.ID, f.SizeBytes)
 	case "set-state":
 		if len(fields) != 2 {
 			return "error: set-state needs 0-3"

@@ -15,12 +15,15 @@
 //     explicit allow.
 //   - maprange: Go map iteration order is deliberately random. Ranging
 //     over a map is fine for commutative folds (counters, set inserts,
-//     min/max), but appending to a slice, writing output, or folding
-//     floats/strings leaks the order into observable state unless the
-//     collected keys are sorted afterwards in the same function.
+//     min/max), but appending to a slice, writing output, folding
+//     floats/strings, or calling through a function value (a callback
+//     whose effects the check cannot see) leaks the order into observable
+//     state unless the collected keys are sorted afterwards in the same
+//     function.
 package main
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -154,6 +157,11 @@ func (a *analysis) checkMapRange(pd *pkgData, rng *ast.RangeStmt, encl *ast.Bloc
 					"%s writes output while iterating a map; iteration order leaks into the stream (sort keys first)",
 					name)
 			}
+			if name, ok := funcValueCall(pd, n); ok {
+				a.reportf(a.fset.Position(n.Pos()), checkMaprange,
+					"call through function value %s while iterating a map runs its callbacks in iteration order (sort keys first)",
+					name)
+			}
 		case *ast.AssignStmt:
 			a.checkMapRangeFold(pd, rng, n)
 		}
@@ -251,6 +259,38 @@ func outputCall(pd *pkgData, call *ast.CallExpr) (string, bool) {
 	switch fn.Name() {
 	case "Write", "WriteString", "WriteByte", "WriteRune":
 		return fn.Name(), true
+	}
+	return "", false
+}
+
+// funcValueCall recognizes calls through a func-typed variable, struct
+// field or indexed element (fn(x), h.onDone(x), subs[i](x)): the callee is
+// a value chosen at run time, so the check cannot see what it does.
+// Declared functions, methods, builtins, conversions and immediately
+// invoked literals are not function values.
+func funcValueCall(pd *pkgData, call *ast.CallExpr) (string, bool) {
+	fun := ast.Unparen(call.Fun)
+	if tv, ok := pd.info.Types[fun]; ok && tv.IsType() {
+		return "", false // a conversion
+	}
+	switch f := fun.(type) {
+	case *ast.Ident:
+		if v, ok := pd.info.Uses[f].(*types.Var); ok {
+			return fmt.Sprintf("%q", v.Name()), true
+		}
+	case *ast.SelectorExpr:
+		if sel := pd.info.Selections[f]; sel != nil && sel.Kind() == types.FieldVal {
+			return fmt.Sprintf("field %q", f.Sel.Name), true
+		}
+		if _, ok := pd.info.Uses[f.Sel].(*types.Var); ok {
+			return fmt.Sprintf("%q", f.Sel.Name), true // a package-level func variable
+		}
+	case *ast.IndexExpr:
+		// f[T] instantiates a generic function; only an element of a
+		// slice, array or map of funcs is a function value.
+		if _, generic := pd.info.TypeOf(f.X).Underlying().(*types.Signature); !generic {
+			return "element", true
+		}
 	}
 	return "", false
 }

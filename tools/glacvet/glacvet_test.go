@@ -80,6 +80,9 @@ func TestSuppressedChecks(t *testing.T) {
 		if f.pos.Line >= 21 && f.pos.Line <= 28 {
 			t.Errorf("SortedNames (collect-then-sort) reported: %+v", f)
 		}
+		if f.pos.Line >= 93 && f.pos.Line <= 100 {
+			t.Errorf("Labels (declared function, method, conversion) reported: %+v", f)
+		}
 	}
 	// A String method, a name only a test spells, and a justified allow
 	// all keep an otherwise unreferenced export from reporting.

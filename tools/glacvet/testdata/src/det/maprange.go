@@ -1,6 +1,6 @@
-// Map-iteration cases: collecting without a sort, writing output and
-// non-commutative folds are findings; the collect-then-sort idiom and
-// commutative folds are not.
+// Map-iteration cases: collecting without a sort, writing output,
+// non-commutative folds and func-value calls are findings; sorted
+// collects, commutative folds and declared calls are not.
 package det
 
 import (
@@ -60,3 +60,43 @@ func Count(m map[string]int) int {
 	}
 	return n
 }
+
+// Rail is a switched rail with subscribers to its power changes.
+type Rail struct {
+	on     bool
+	notify func(on bool)
+	subs   []func(on bool)
+}
+
+// DropAll tells subscribers about power loss in map order — three
+// maprange findings: a func-typed loop variable, a field and an element.
+func DropAll(rails map[string]*Rail) {
+	for _, r := range rails {
+		r.on = false
+		for _, fn := range r.subs {
+			fn(false)
+		}
+		r.notify(false)
+		r.subs[0](false)
+	}
+}
+
+// Dispatch calls handlers held as map values — a maprange finding.
+func Dispatch(handlers map[string]func()) {
+	for _, h := range handlers {
+		h()
+	}
+}
+
+// Labels formats through a declared function, a method and a
+// conversion, then sorts — no finding.
+func Labels(rails map[string]*Rail) []string {
+	out := make([]string, 0, len(rails))
+	for name, r := range rails {
+		out = append(out, fmt.Sprint(name, r.state(), float64(len(r.subs))))
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (r *Rail) state() bool { return r.on }
