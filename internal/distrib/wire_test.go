@@ -1,9 +1,12 @@
 package distrib
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/deploy"
 	"repro/internal/sweep"
@@ -103,4 +106,80 @@ func TestRegisterHooksValidates(t *testing.T) {
 	// Registration survives the test binary's lifetime, so re-registering
 	// an init-registered set is the duplicate case (stable under -count).
 	mustPanic("duplicate", func() { RegisterHooks("disttest/tag", testTagHooks) })
+}
+
+// decodeAndPlan is the worker's /shard path short of running anything:
+// the request decoder and version check, BuildGrid, then Plan.
+func decodeAndPlan(data []byte) (ShardRequest, []sweep.Cell, error) {
+	req, err := decodeShardRequest(bytes.NewReader(data))
+	if err != nil {
+		return ShardRequest{}, nil, err
+	}
+	g, err := req.BuildGrid()
+	if err != nil {
+		return ShardRequest{}, nil, err
+	}
+	plan, err := sweep.Plan(g)
+	if err != nil {
+		return ShardRequest{}, nil, err
+	}
+	return req, plan, nil
+}
+
+// FuzzShardRequest feeds arbitrary bytes to the worker's /shard decode
+// path, with no simulation. It must never panic, and it must allocate no
+// more than a budget linear in the request plus one Cell per planned cell:
+// a request it refuses costs what its own bytes cost. A request it accepts
+// re-encodes to a fixed point: encoding it, decoding that and encoding
+// again give identical bytes, and both decodes plan the same cells.
+func FuzzShardRequest(f *testing.F) {
+	subset := shardRequest(f, sweep.Grid{Scenarios: []string{"dual-base"}, Seeds: sweep.SeedRange(1, 3), Days: 2}, "")
+	subset.Indices = []int{2, 0}
+	tagged := sweep.Grid{Scenarios: []string{"dual-base"}, Seeds: []int64{-1, 5},
+		Stations: []int{2}, Overrides: []sweep.Override{{Name: "tag=1.5"}}}
+	for _, req := range []ShardRequest{
+		shardRequest(f, specGrid(), ""),
+		shardRequest(f, tagged, "disttest/tag"),
+		subset,
+	} {
+		seed, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, _, err := decodeAndPlan(seed); err != nil {
+			f.Fatalf("seed %s refused: %v", seed, err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		req, plan, err := decodeAndPlan(data)
+		runtime.ReadMemStats(&after)
+		budget := 64*uint64(len(data)) + 64<<10 + uint64(len(plan))*uint64(unsafe.Sizeof(sweep.Cell{}))
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > budget {
+			t.Fatalf("%d-byte request planning %d cells allocated %d bytes, budget %d", len(data), len(plan), alloc, budget)
+		}
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, replan, err := decodeAndPlan(first)
+		if err != nil {
+			t.Fatalf("re-encoded request refused: %v\n%s", err, first)
+		}
+		second, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("re-encoding is not a fixed point:\n--- first\n%s\n--- second\n%s", first, second)
+		}
+		if !reflect.DeepEqual(plan, replan) {
+			t.Fatalf("re-encoded request plans differently:\n%v\n%v", plan, replan)
+		}
+	})
 }

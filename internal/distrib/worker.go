@@ -15,6 +15,7 @@ package distrib
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -129,18 +130,9 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 
 // serveShard decodes, validates and executes one shard request.
 func (w *Worker) serveShard(rw http.ResponseWriter, r *http.Request) {
-	var req ShardRequest
-	// A field this worker does not know is part of a grid it cannot
-	// rebuild; dropping it would run a narrower grid than was asked for.
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(rw, fmt.Sprintf("bad shard request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if req.V != WireVersion {
-		http.Error(rw, fmt.Sprintf("shard request version %d, this worker speaks %d", req.V, WireVersion),
-			http.StatusBadRequest)
+	req, err := decodeShardRequest(http.MaxBytesReader(rw, r.Body, maxRequestBytes))
+	if err != nil {
+		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if !w.acquire() {
@@ -162,6 +154,23 @@ func (w *Worker) serveShard(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.logf("distrib worker: served %d cells of plan %s", len(req.Indices), req.Fingerprint)
+}
+
+// decodeShardRequest decodes a POST /shard body and checks its protocol
+// version.
+func decodeShardRequest(r io.Reader) (ShardRequest, error) {
+	var req ShardRequest
+	// A field this worker does not know is part of a grid it cannot
+	// rebuild; dropping it would run a narrower grid than was asked for.
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return ShardRequest{}, fmt.Errorf("bad shard request: %v", err)
+	}
+	if req.V != WireVersion {
+		return ShardRequest{}, fmt.Errorf("shard request version %d, this worker speaks %d", req.V, WireVersion)
+	}
+	return req, nil
 }
 
 // runShard plans, verifies and executes one decoded shard request; on

@@ -73,7 +73,7 @@ func init() {
 // shardRequest builds a request for the whole plan of g. An unplannable
 // grid yields a request carrying just its spec, which the worker must
 // reject with the Plan error.
-func shardRequest(t *testing.T, g sweep.Grid, hooks string) ShardRequest {
+func shardRequest(t testing.TB, g sweep.Grid, hooks string) ShardRequest {
 	t.Helper()
 	req := ShardRequest{V: WireVersion, Grid: SpecOf(g), Hooks: hooks}
 	plan, err := sweep.Plan(g)

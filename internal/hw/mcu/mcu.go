@@ -16,7 +16,9 @@
 package mcu
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -102,6 +104,9 @@ type MCU struct {
 	// freeAlarms holds fired and cancelled alarm records for reuse, so a
 	// record's fireFn closure is bound once rather than once per arm.
 	freeAlarms []*alarm
+	// rearm is SetTime's scratch list of pending alarms, sorted into arm
+	// order so that alarms due at one instant keep their relative order.
+	rearm []*alarm
 
 	rails []rail // in definition order
 
@@ -232,12 +237,19 @@ func (m *MCU) Now() time.Time {
 }
 
 // SetTime sets the RTC (e.g. from a GPS fix) and re-arms pending alarms
-// against the corrected clock.
+// against the corrected clock, in the order they were armed: alarms due at
+// one RTC instant then fire in arm order, as they would have without the
+// correction.
 func (m *MCU) SetTime(t time.Time) {
 	m.mustBeAlive("SetTime")
 	m.rtcBase = t
 	m.wallBase = m.sim.Now()
+	m.rearm = m.rearm[:0]
 	for _, a := range m.alarms {
+		m.rearm = append(m.rearm, a)
+	}
+	slices.SortFunc(m.rearm, func(a, b *alarm) int { return cmp.Compare(a.id, b.id) })
+	for _, a := range m.rearm {
 		m.sim.Cancel(a.ev)
 		m.armAlarm(a)
 	}

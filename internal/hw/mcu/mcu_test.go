@@ -296,3 +296,26 @@ func TestBootHookRunsOnStartAndRestore(t *testing.T) {
 		t.Fatalf("no warm boots after %d failures (boots=%d)", bus.FailCount(), m.Boots())
 	}
 }
+
+// Alarms due at one RTC instant fire in the order they were armed, also
+// after SetTime re-arms them against a corrected clock. Each fresh MCU
+// re-arms from a fresh map, so 20 of them would expose an order drawn
+// from map iteration.
+func TestSetTimeKeepsArmOrderForSimultaneousAlarms(t *testing.T) {
+	for run := range 20 {
+		sim, _, m := newRig(t, 1)
+		due := m.Now().Add(time.Hour)
+		var fired []string
+		names := []string{"a", "b", "c", "d", "e"}
+		for _, name := range names {
+			m.AlarmAt(due, name, func(time.Time) { fired = append(fired, name) })
+		}
+		m.SetTime(sim.Now().Add(time.Minute))
+		if err := sim.RunFor(2 * time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(fired, names) {
+			t.Fatalf("run %d: alarms fired in order %v, want arm order %v", run, fired, names)
+		}
+	}
+}

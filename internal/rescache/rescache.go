@@ -37,10 +37,12 @@ import (
 )
 
 // FormatVersion is the entry encoding version, part of every key: bumping
-// it (a change to the cell wire format or the entry header) invalidates
-// every existing entry by construction — old entries live under the old
-// version's directory, which new readers never open.
-const FormatVersion = 1
+// it (a change to the cell payload encoding or the entry header)
+// invalidates every existing entry by construction — old entries live
+// under the old version's directory, which new readers never open.
+// Version 2 replaced version 1's JSON cell payload with the binary one
+// cell.go defines.
+const FormatVersion = 2
 
 // entryMagic heads every entry file, followed by the format version, the
 // payload digest and the payload length.
@@ -223,7 +225,7 @@ func (c *DiskCache) Get(fingerprint string, cell sweep.Cell) (sweep.CellResult, 
 	payload, err := decodeEntry(data)
 	if err == nil {
 		var cr sweep.CellResult
-		if cr, err = sweep.DecodeCell(bytes.NewReader(payload)); err == nil {
+		if cr, err = decodeCell(payload); err == nil {
 			if cr.Cell != cell {
 				err = fmt.Errorf("entry holds cell %s, not %s", cr.Cell.Label(), cell.Label())
 			} else {
@@ -280,12 +282,7 @@ func (c *DiskCache) Put(fingerprint string, cr sweep.CellResult) {
 		// unregistered in this binary, a hook error); never cache it.
 		return
 	}
-	var buf bytes.Buffer
-	if err := sweep.EncodeCell(&buf, cr); err != nil {
-		c.logf("rescache: encode cell %d of %s: %v — not cached", cr.Cell.Index, fingerprint, err)
-		return
-	}
-	data := encodeEntry(buf.Bytes())
+	data := encodeEntry(appendCell(nil, cr))
 	path := c.entryPath(fingerprint, cr.Cell.Index)
 	if err := writeAtomic(path, data); err != nil {
 		c.logf("rescache: store cell %d of %s: %v — not cached", cr.Cell.Index, fingerprint, err)

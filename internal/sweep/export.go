@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"strconv"
@@ -192,9 +193,7 @@ func finite(v float64) *float64 {
 }
 
 // cellToJSON encodes one executed cell — identity, metrics, collected
-// series — as its wire document. Shared by WriteJSON (cells inside a
-// summary) and EncodeCell (a standalone cell, the unit a result cache
-// stores).
+// series — as its wire document, a cell of the summary WriteJSON writes.
 func cellToJSON(cr CellResult) cellJSON {
 	c := cr.Cell
 	cj := cellJSON{
@@ -231,11 +230,40 @@ func cellToJSON(cr CellResult) cellJSON {
 // Timestamps are RFC 3339 UTC; non-finite floats become null. This
 // document is the shard wire format: ReadSummary decodes it losslessly, so
 // partial summaries written by one process merge in another.
+//
+// The cells are most of the document, so each is marshalled on the worker
+// pool and the parts are spliced, in plan order, into the marshalled rest;
+// the bytes are exactly json.MarshalIndent's of the whole document.
 func (s *Summary) WriteJSON(w io.Writer) error {
-	compact, err := json.Marshal(s.document())
+	parts := make([][]byte, len(s.Cells))
+	errs := make([]error, len(s.Cells))
+	fanOut(len(s.Cells), 0, func(i int) {
+		parts[i], errs[i] = json.Marshal(cellToJSON(s.Cells[i]))
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	rest, err := json.Marshal(s.head())
 	if err != nil {
 		return err
 	}
+	// The cells array opens after the fingerprint and total cell count,
+	// and is empty in rest. Only the fingerprint is a string ahead of it,
+	// and a string cannot hold this key's unescaped closing quote, so the
+	// first match is the array.
+	at := bytes.Index(rest, []byte(`"cells":[`)) + len(`"cells":[`)
+	size := len(rest) + len(parts)
+	for _, p := range parts {
+		size += len(p)
+	}
+	compact := append(make([]byte, 0, size), rest[:at]...)
+	for i, p := range parts {
+		if i > 0 {
+			compact = append(compact, ',')
+		}
+		compact = append(compact, p...)
+	}
+	compact = append(compact, rest[at:]...)
 	// Indenting a summary slightly more than doubles it.
 	out := appendIndent(make([]byte, 0, 5*len(compact)/2), compact)
 	out = append(out, '\n')
@@ -243,17 +271,26 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// document builds the summary's wire document, the value WriteJSON
-// encodes.
+// document builds the summary's whole wire document, the value whose
+// json.MarshalIndent bytes WriteJSON writes; the tests use it as the
+// oracle.
 func (s *Summary) document() summaryJSON {
+	doc := s.head()
+	doc.Cells = make([]cellJSON, 0, len(s.Cells))
+	for _, cr := range s.Cells {
+		doc.Cells = append(doc.Cells, cellToJSON(cr))
+	}
+	return doc
+}
+
+// head builds the summary's wire document with its cells list empty: the
+// plan identity and the groups.
+func (s *Summary) head() summaryJSON {
 	doc := summaryJSON{
 		Fingerprint: s.Fingerprint,
 		TotalCells:  s.TotalCells,
-		Cells:       make([]cellJSON, 0, len(s.Cells)),
+		Cells:       []cellJSON{},
 		Groups:      make([]groupJSON, 0, len(s.Groups)),
-	}
-	for _, cr := range s.Cells {
-		doc.Cells = append(doc.Cells, cellToJSON(cr))
 	}
 	for _, gr := range s.Groups {
 		gj := groupJSON{

@@ -5,9 +5,11 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -338,6 +340,22 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 		return &Summary{TotalCells: 1, Cells: []CellResult{cr},
 			Groups: []Group{{Scenario: "s", Days: 1, N: 1, Stats: []Stats{st}}}}
 	}
+	many := func(n int, fingerprint string, total int) *Summary {
+		sum := &Summary{Fingerprint: fingerprint, TotalCells: total}
+		for i := range n {
+			ser := trace.NewSeries(fmt.Sprintf("v%d", i), "V")
+			for k := range i % 4 {
+				ser.Add(t0.Add(time.Duration(k)*time.Hour), float64(i*k)/3)
+			}
+			sum.Cells = append(sum.Cells, CellResult{
+				Cell:    Cell{Index: i, Scenario: "s", Seed: int64(i), Stations: i % 3, Days: 1},
+				Metrics: []Metric{{Name: "m", Value: float64(i) / 7}, {Name: "nan", Value: math.NaN()}},
+				Series:  []*trace.Series{ser},
+			})
+		}
+		sum.Groups = []Group{{Scenario: "s", Days: 1, N: n, Stats: []Stats{{Name: "m", N: n, Mean: 1}}}}
+		return sum
+	}
 	cases := []struct {
 		name string
 		sum  *Summary
@@ -362,6 +380,13 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 		{"nulls", metrics(math.NaN(), math.Inf(1), math.Inf(-1))},
 		{"numbers", metrics(-0.5, 1e-7, 1e21, 0, math.Copysign(0, -1), 123456789.125, -1e-300)},
 		{"non-finite series", nonFiniteSummary()},
+		// The cells are marshalled on the pool: more of them than it has
+		// workers, each different, must still land in plan order.
+		{"more cells than workers", many(3*runtime.GOMAXPROCS(0)+1, "0123456789abcdef", 40)},
+		// An empty fingerprint and zero total are omitted, so the cells
+		// open the document.
+		{"omitted head", many(5, "", 0)},
+		{"cells key in the fingerprint", many(2, `"cells":[1],"groups":[`, 2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

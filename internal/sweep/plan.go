@@ -118,13 +118,19 @@ func Plan(g Grid) ([]Cell, error) {
 	if len(ovNames) == 0 {
 		ovNames = []string{""}
 	}
-	cells := make([]Cell, 0, size)
-	for _, name := range g.Scenarios {
+	// Resolve every scenario before sizing the plan, so a grid naming one
+	// this binary lacks is refused before its cells are allocated.
+	horizons := make([]int, len(g.Scenarios))
+	for i, name := range g.Scenarios {
 		s, ok := scenario.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("sweep: scenario %q not registered (have: %v)", name, scenario.Names())
 		}
-		days := s.Horizon(scenario.Params{Days: g.Days})
+		horizons[i] = s.Horizon(scenario.Params{Days: g.Days})
+	}
+	cells := make([]Cell, 0, size)
+	for i, name := range g.Scenarios {
+		days := horizons[i]
 		for _, seed := range g.Seeds {
 			for _, n := range stations {
 				for _, p := range probes {

@@ -3,6 +3,7 @@ package sweep
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -105,6 +106,27 @@ func TestCellsValidation(t *testing.T) {
 		if _, err := Plan(c.g); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
+	}
+}
+
+// A grid naming a scenario this binary lacks is refused before its plan
+// is sized: 2 scenarios × 8 seeds × 61681 fleet sizes, just under the
+// bound, with the second scenario unknown, allocate nothing like the
+// 68 MiB of cells they would fill.
+func TestUnknownScenarioAllocatesNoPlan(t *testing.T) {
+	wide := make([]int, 61681)
+	for i := range wide {
+		wide[i] = i + 1
+	}
+	g := Grid{Scenarios: []string{"fleet-N", "no-such"}, Seeds: SeedRange(1, 8), Stations: wide}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Plan(g); err == nil || !strings.Contains(err.Error(), "not registered") {
+		t.Fatalf("err = %v, want the unknown scenario refused", err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Fatalf("refused plan allocated %d bytes, want under 8 MiB", alloc)
 	}
 }
 

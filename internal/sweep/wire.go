@@ -3,9 +3,9 @@
 // byte-identical and a decoded shard merges exactly like the in-memory
 // partial it came from. JSON nulls (the encoding of non-finite floats)
 // decode to NaN, which the reducer excludes and the encoders turn back
-// into null, closing the round trip. Both decoders refuse fields the
+// into null, closing the round trip. The decoder refuses fields the
 // schema does not have: a document from another schema must fail loudly,
-// not decode into a narrower summary or cell than the one it describes.
+// not decode into a narrower summary than the one it describes.
 package sweep
 
 import (
@@ -69,7 +69,7 @@ func ReadSummaryFile(path string) (*Summary, error) {
 }
 
 // cellFromJSON decodes one cell wire document back into a CellResult —
-// the inverse of cellToJSON, shared by ReadSummary and DecodeCell.
+// the inverse of cellToJSON.
 func cellFromJSON(cj cellJSON) (CellResult, error) {
 	cr := CellResult{
 		Cell: Cell{
@@ -110,37 +110,6 @@ func cellFromJSON(cj cellJSON) (CellResult, error) {
 			ser.Add(t, fromFinite(pj.V))
 		}
 		cr.Series = append(cr.Series, ser)
-	}
-	return cr, nil
-}
-
-// EncodeCell writes one executed cell as a standalone JSON document — the
-// same encoding a cell has inside a WriteJSON summary, without the
-// surrounding plan identity. It is the unit a result cache stores: the
-// plan fingerprint and cell index key the entry from outside, and
-// DecodeCell recovers the result losslessly (decode → re-encode is
-// byte-identical, like the summary wire format it shares code with).
-func EncodeCell(w io.Writer, cr CellResult) error {
-	out, err := json.Marshal(cellToJSON(cr))
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	_, err = w.Write(out)
-	return err
-}
-
-// DecodeCell decodes one EncodeCell document.
-func DecodeCell(r io.Reader) (CellResult, error) {
-	var cj cellJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cj); err != nil {
-		return CellResult{}, fmt.Errorf("sweep: decode cell: %w", err)
-	}
-	cr, err := cellFromJSON(cj)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("sweep: decode cell: %w", err)
 	}
 	return cr, nil
 }
