@@ -51,7 +51,7 @@ func newBenchGPRS(sim *simenv.Simulator) *comms.GPRS {
 
 func BenchmarkTable1RadioModemTransfer(b *testing.B) {
 	sim := simenv.New(1)
-	m := comms.NewRadioModem(sim, "bench", comms.DefaultRadioModemConfig())
+	m := comms.NewRadioModem(sim, "bench")
 	b.ResetTimer()
 	var d time.Duration
 	for i := 0; i < b.N; i++ {
@@ -230,7 +230,7 @@ func BenchmarkLifetimeContinuous(b *testing.B) {
 
 func BenchmarkArchCompareEnergy(b *testing.B) {
 	sim := simenv.New(1)
-	radio := comms.NewRadioModem(sim, "m", comms.DefaultRadioModemConfig())
+	radio := comms.NewRadioModem(sim, "m")
 	const dayBytes = 12*165*1024 + 80*1024
 	var ratio float64
 	b.ResetTimer()
@@ -435,11 +435,11 @@ func BenchmarkAblationWatchdog(b *testing.B) {
 		cfg.RS232Health = 0.0005 // a file takes ~16 h: hopelessly wedged
 		st := benchNewStation(node, srv, cfg)
 		st.Node().GPS.InjectBacklog(1, sim.Now())
-		before := node.Battery.RemainingWh()
+		before := node.Battery.SoC() * node.Battery.CapacityWh()
 		if err := sim.RunFor(48 * time.Hour); err != nil {
 			b.Fatal(err)
 		}
-		return before - node.Battery.RemainingWh()
+		return before - node.Battery.SoC()*node.Battery.CapacityWh()
 	}
 	var with, without float64
 	for i := 0; i < b.N; i++ {

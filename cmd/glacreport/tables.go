@@ -21,7 +21,7 @@ func tableI(seed int64) error {
 	const mb = 1024 * 1024
 
 	gprsT := float64(mb) * 8 * (1 + comms.GPRSOverhead) / comms.GPRSRateBps
-	radio := comms.NewRadioModem(sim, "m", comms.DefaultRadioModemConfig())
+	radio := comms.NewRadioModem(sim, "m")
 	radioT := radio.TransferTime(mb).Seconds()
 
 	mW := func(w float64) string { return fmt.Sprintf("%.0f", w*1000) }
@@ -98,7 +98,7 @@ func expLifetime() error {
 // expArch reproduces the §II architecture energy comparison.
 func expArch(seed int64) error {
 	sim := simenv.New(seed)
-	radio := comms.NewRadioModem(sim, "m", comms.DefaultRadioModemConfig())
+	radio := comms.NewRadioModem(sim, "m")
 	const dayBytes = 12*165*1024 + 80*1024
 
 	gprsSecs := func(n int64) float64 { return float64(n) * 8 * (1 + comms.GPRSOverhead) / comms.GPRSRateBps }
@@ -119,7 +119,7 @@ func expArch(seed int64) error {
 	fails := 0
 	ts := time.Date(2009, 3, 1, 12, 0, 0, 0, time.UTC)
 	for d := 0; d < 30; d++ {
-		if _, err := radio.Dial(ts.AddDate(0, 0, d)); err != nil {
+		if err := radio.Dial(ts.AddDate(0, 0, d)); err != nil {
 			fails++
 		}
 	}

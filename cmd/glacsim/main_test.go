@@ -88,6 +88,8 @@ func TestCLISurface(t *testing.T) {
 		{"sweep -days 1 -remote ,", true},
 		{"sweep -days 1 -record-dir DIR/r -cache DIR/c", true},
 		{"sweep -days 1 -cache DIR/c -no-cache", true},
+		{"sweep -days 1 -cache DIR/c -cache-max-mb -5", true},
+		{"sweep -days 1 -cache DIR/c -cache-max-mb 17592186044417", true},
 		{"merge -o DIR/m.json DIR/s0.json", true},
 		{"merge -seeds 2 DIR/s0.json", true},
 		{"replay", true},

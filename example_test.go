@@ -625,7 +625,7 @@ func ExampleNewRadioModem() {
 	// for a simulated month and count failures.
 	fails := 0
 	for day := 0; day < 30; day++ {
-		if _, err := radio.Dial(sim.Now().Add(time.Duration(day) * 24 * time.Hour)); err != nil {
+		if err := radio.Dial(sim.Now().Add(time.Duration(day) * 24 * time.Hour)); err != nil {
 			fails++
 		}
 	}

@@ -266,9 +266,9 @@ func CorruptInTransit(a Artifact, fraction float64, pick func(i int) float64) Ar
 }
 
 // NewRadioModem returns one end of the §II 466 MHz radio-modem link the
-// Norway deployment relayed through, in its lab configuration.
+// Norway deployment relayed through, at the glacier's interference level.
 func NewRadioModem(sim *Simulator, name string) *comms.RadioModem {
-	return comms.NewRadioModem(sim, name, comms.DefaultRadioModemConfig())
+	return comms.NewRadioModem(sim, name)
 }
 
 // Table I device characteristics (transfer rate bps, power W).

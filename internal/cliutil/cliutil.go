@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -215,8 +216,12 @@ func CacheFlags(fs *flag.FlagSet) *Cache {
 // Open opens the result cache the flags select; nil means caching is
 // off. A remote run consults the workers' caches, and a recording run
 // must simulate every cell to have events to record, so neither opens a
-// local cache, and an explicit -cache with either is a usage error.
+// local cache, and an explicit -cache with either is a usage error. So is
+// a -cache-max-mb below zero or beyond what a byte count can hold.
 func (c *Cache) Open(remote, recording bool) (*rescache.DiskCache, error) {
+	if c.MaxMB < 0 || int64(c.MaxMB) > math.MaxInt64>>20 {
+		return nil, Usagef("-cache-max-mb %d is outside 0 (unbounded) to %d MiB", c.MaxMB, int64(math.MaxInt64>>20))
+	}
 	if c.Dir != "" && remote {
 		return nil, Usagef("-cache caches local execution; with -remote give the workers -cache instead")
 	}

@@ -65,12 +65,6 @@ func (g *GPRS) Attached() bool { return g.attached }
 // AttachTime returns the network attach latency.
 func (g *GPRS) AttachTime() time.Duration { return gprsAttachTime }
 
-// BytesSent returns the lifetime metered volume.
-func (g *GPRS) BytesSent() int64 { return g.cost.bytes }
-
-// CostAccrued returns the lifetime data cost at the GPRS tariff.
-func (g *GPRS) CostAccrued() float64 { return g.cost.accrued }
-
 // SignalAvailable reports whether the cell network is usable at now. The
 // outage pattern is deterministic per (seed, day): a bad day is bad for
 // every attempt, which is how the real failures behaved (a wet antenna is

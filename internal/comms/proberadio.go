@@ -42,10 +42,7 @@ type ProbeChannel struct {
 	wx  *weather.Model
 	cfg ProbeRadioConfig
 
-	seq       uint64
-	sent      uint64
-	lost      uint64
-	bytesSent int64
+	seq uint64
 }
 
 // NewProbeChannel constructs the channel; wx may be nil for a season-less
@@ -74,36 +71,9 @@ func (c *ProbeChannel) PacketAirtime(n int) time.Duration {
 	return transferTime(int64(n), probeRateBps, probeOverhead)
 }
 
-// Send transmits one packet of n bytes at now and reports whether it
-// arrived. Loss draws are deterministic in (seed, sequence number).
-func (c *ProbeChannel) Send(now time.Time, n int) bool {
+// Send transmits one packet at now and reports whether it arrived. Loss
+// draws are deterministic in (seed, sequence number), whatever the size.
+func (c *ProbeChannel) Send(now time.Time) bool {
 	c.seq++
-	c.sent++
-	c.bytesSent += int64(n)
-	if hashNoise(c.sim.Seed(), "probe-loss", c.seq) < c.LossRate(now) {
-		c.lost++
-		return false
-	}
-	return true
+	return hashNoise(c.sim.Seed(), "probe-loss", c.seq) >= c.LossRate(now)
 }
-
-// Stats returns lifetime packet counts: sent, lost, and payload bytes.
-func (c *ProbeChannel) Stats() (sent, lost uint64, bytes int64) {
-	return c.sent, c.lost, c.bytesSent
-}
-
-// WiredProbeLink is the serial link to the wired probe — the single point
-// of failure whose loss §V describes (months offline until repair). It has
-// no loss process; it either works or has failed outright.
-type WiredProbeLink struct {
-	failed bool
-}
-
-// Fail marks the cable broken (deep-snow damage in the deployment).
-func (w *WiredProbeLink) Fail() { w.failed = true }
-
-// Repair restores the cable (the field visit).
-func (w *WiredProbeLink) Repair() { w.failed = false }
-
-// OK reports whether the cable works.
-func (w *WiredProbeLink) OK() bool { return !w.failed }

@@ -43,15 +43,25 @@ func TestNodeRailsControlPeripherals(t *testing.T) {
 	}
 }
 
+// newDrainNode builds a base node, without weather so nothing charges it,
+// whose battery does not self-discharge: every Wh its state of charge
+// loses from the returned start went to a load.
+func newDrainNode(sim *simenv.Simulator) (*Node, float64) {
+	cfg := BaseStationConfig("base")
+	cfg.Battery.SelfDischargePerDay = 1e-12
+	n := NewNode(sim, nil, cfg)
+	return n, n.Battery.SoC()
+}
+
 func TestNodeSleepDrawIsTiny(t *testing.T) {
 	// The whole point of the platform: everything off, the node draws
 	// almost nothing.
 	sim := simenv.New(1)
-	n := NewNode(sim, nil, BaseStationConfig("base"))
+	n, soc0 := newDrainNode(sim)
 	if err := sim.RunFor(24 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	drawn := n.Bus.TotalConsumedWh()
+	drawn := (soc0 - n.Battery.SoC()) * n.Battery.CapacityWh()
 	if drawn > 0.5 { // 3 mW × 24 h ≈ 0.07 Wh
 		t.Fatalf("sleeping node drew %v Wh in a day", drawn)
 	}
@@ -59,12 +69,13 @@ func TestNodeSleepDrawIsTiny(t *testing.T) {
 
 func TestNodePoweredDayDrawsTableIPower(t *testing.T) {
 	sim := simenv.New(1)
-	n := NewNode(sim, nil, BaseStationConfig("base"))
+	n, soc0 := newDrainNode(sim)
 	n.MCU.SetRail(gumstix.Rail, true)
 	if err := sim.RunFor(10 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	got := n.Bus.ConsumedWh("base.mcu.rail." + gumstix.Rail)
+	// The sleeping MCU adds about 0.03 Wh to the gumstix's draw.
+	got := (soc0 - n.Battery.SoC()) * n.Battery.CapacityWh()
 	if got < 8.5 || got > 9.5 { // 0.9 W × 10 h
 		t.Fatalf("gumstix drew %v Wh in 10 h, want ~9 (Table I 900 mW)", got)
 	}

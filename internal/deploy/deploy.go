@@ -13,7 +13,6 @@ package deploy
 import (
 	"time"
 
-	"repro/internal/comms"
 	"repro/internal/probe"
 	"repro/internal/server"
 	"repro/internal/simenv"
@@ -39,7 +38,6 @@ type Deployment struct {
 
 	byName   map[string]*station.Station
 	probesBy map[string][]*probe.Probe
-	channels map[string]*comms.ProbeChannel
 }
 
 // Station returns the named station.
@@ -55,18 +53,6 @@ func (d *Deployment) StationNames() []string {
 		names[i] = sp.Name
 	}
 	return names
-}
-
-// StationProbes returns the named station's own cohort (nil for
-// reference stations).
-func (d *Deployment) StationProbes(name string) []*probe.Probe {
-	return d.probesBy[name]
-}
-
-// ProbeChannel returns the named base station's radio cell (nil for
-// stations without a cohort).
-func (d *Deployment) ProbeChannel(name string) *comms.ProbeChannel {
-	return d.channels[name]
 }
 
 // RunDays advances the deployment by whole days.

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/power"
 	"repro/internal/station"
 )
@@ -156,7 +158,7 @@ func TestProbeAttritionOverAYear(t *testing.T) {
 		t.Fatal(err)
 	}
 	alive := 0
-	for _, p := range d.StationProbes("base") {
+	for _, p := range d.probesBy["base"] {
 		if p.Alive(d.Sim.Now()) {
 			alive++
 		}
@@ -193,16 +195,33 @@ func TestYearLongDeploymentSurvives(t *testing.T) {
 
 // The paper's pair: "base" carries the seven-probe cohort and the one
 // radio cell, "ref" has neither, and a zero Start means DefaultStart.
+// TestMainsBlackoutKeepsOnlySolar checks the hardware fit the mains
+// blackout fault hands to the named station's bus: the reference fit less
+// its café mains charger. Other stations keep their fit.
+func TestMainsBlackoutKeepsOnlySolar(t *testing.T) {
+	faults := []Fault{{Station: "ref", Kind: FaultMainsBlackout}}
+	full := core.ReferenceStationConfig("ref").Chargers
+	got := nodeConfigFor(ReferenceSpec("ref"), faults).Chargers
+	if len(got) != len(full)-1 {
+		t.Fatalf("blackout reference has %d chargers, want %d", len(got), len(full)-1)
+	}
+	for _, ch := range got {
+		if _, mains := ch.(*energy.MainsCharger); mains {
+			t.Fatal("blackout reference kept its mains charger")
+		}
+	}
+	if other := nodeConfigFor(ReferenceSpec("ref2"), faults).Chargers; len(other) != len(full) {
+		t.Fatalf("untargeted reference has %d chargers, want %d", len(other), len(full))
+	}
+}
+
 func TestAsDeployedDefaults(t *testing.T) {
 	d := MustBuild(AsDeployed(9))
 	if got := d.StationNames(); !reflect.DeepEqual(got, []string{"base", "ref"}) {
 		t.Fatalf("station names %v", got)
 	}
-	if len(d.StationProbes("base")) != 7 || d.StationProbes("ref") != nil {
-		t.Fatalf("cohort wrong: %d base, %d ref", len(d.StationProbes("base")), len(d.StationProbes("ref")))
-	}
-	if d.ProbeChannel("base") == nil || d.ProbeChannel("ref") != nil {
-		t.Fatal("probe channel wiring wrong")
+	if len(d.probesBy["base"]) != 7 || d.probesBy["ref"] != nil {
+		t.Fatalf("cohort wrong: %d base, %d ref", len(d.probesBy["base"]), len(d.probesBy["ref"]))
 	}
 	if !d.Sim.Now().Equal(DefaultStart) {
 		t.Fatalf("start %v", d.Sim.Now())

@@ -41,7 +41,7 @@ func TestProbeIDsUniqueAcrossFleet(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, name := range d.StationNames() {
-		for _, p := range d.StationProbes(name) {
+		for _, p := range d.probesBy[name] {
 			if seen[p.ID()] {
 				t.Fatalf("duplicate probe ID %d across fleet", p.ID())
 			}
@@ -212,12 +212,8 @@ func TestResultStationLookupAndString(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := d.Result()
-	sr, ok := res.Station("base-01")
-	if !ok || sr.Stats.Runs != 3 {
-		t.Fatalf("result lookup: ok=%v runs=%d", ok, sr.Stats.Runs)
-	}
-	if _, ok := res.Station("ghost"); ok {
-		t.Fatal("result lookup of unknown station succeeded")
+	if sr := res.Stations[0]; sr.Name != "base-01" || sr.Stats.Runs != 3 {
+		t.Fatalf("first station result: %s runs=%d", sr.Name, sr.Stats.Runs)
 	}
 	out := res.String()
 	for _, want := range []string{"base-01", "base-02", "ref-01", "fleet:"} {

@@ -112,16 +112,6 @@ func (d *Deployment) Result() Result {
 	return r
 }
 
-// Station returns the named station's result.
-func (r Result) Station(name string) (StationResult, bool) {
-	for _, sr := range r.Stations {
-		if sr.Name == name {
-			return sr, true
-		}
-	}
-	return StationResult{}, false
-}
-
 // String renders the result as a deterministic fleet summary.
 func (r Result) String() string {
 	var b strings.Builder

@@ -229,7 +229,6 @@ func Build(t Topology) (*Deployment, error) {
 		Topology: t,
 		byName:   make(map[string]*station.Station, len(t.Stations)),
 		probesBy: make(map[string][]*probe.Probe, len(t.Stations)),
-		channels: make(map[string]*comms.ProbeChannel),
 	}
 
 	// Probe IDs are numbered fleet-wide so every probe's noise/lifetime
@@ -262,9 +261,6 @@ func Build(t Topology) (*Deployment, error) {
 		d.Stations = append(d.Stations, st)
 		d.byName[sp.Name] = st
 		d.probesBy[sp.Name] = probes
-		if channel != nil {
-			d.channels[sp.Name] = channel
-		}
 	}
 	return d, nil
 }

@@ -65,7 +65,7 @@ func TestRunResumableCompletesAndCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sum.Complete() {
+	if sum.TotalCells != len(sum.Cells) {
 		t.Fatal("summary incomplete")
 	}
 	single, err := sweep.Run(g, 0)
@@ -260,7 +260,7 @@ func TestRunResumableFreshRunClearsStaleCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume after a fresh rerun: %v", err)
 	}
-	if !sum.Complete() {
+	if sum.TotalCells != len(sum.Cells) {
 		t.Fatal("resumed summary incomplete")
 	}
 	if resumed.cellsRun != 0 {

@@ -72,23 +72,14 @@ func NewBattery(cfg BatteryConfig) *Battery {
 	return &Battery{cfg: cfg, soc: cfg.InitialSoC}
 }
 
-// Config returns the effective configuration.
-func (b *Battery) Config() BatteryConfig { return b.cfg }
-
 // SoC returns the state of charge in [0,1].
 func (b *Battery) SoC() float64 { return b.soc }
 
 // CapacityWh returns the bank's capacity in watt-hours at nominal voltage.
 func (b *Battery) CapacityWh() float64 { return b.cfg.CapacityAh * NominalVolts }
 
-// RemainingWh returns the stored energy in watt-hours at nominal voltage.
-func (b *Battery) RemainingWh() float64 { return b.soc * b.CapacityWh() }
-
 // Depleted reports whether the bank is fully exhausted.
 func (b *Battery) Depleted() bool { return b.soc <= 0 }
-
-// ShedWh returns charger energy rejected because the bank was full (Wh).
-func (b *Battery) ShedWh() float64 { return b.shedWh }
 
 // RestVoltage returns the open-circuit voltage at the current state of
 // charge: ~11.8 V empty to ~12.85 V full, the standard lead-acid curve.

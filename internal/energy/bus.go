@@ -79,15 +79,6 @@ func NewBus(sim *simenv.Simulator, battery *Battery, chargers []Charger, sampler
 	return b
 }
 
-// Battery returns the attached battery bank.
-func (b *Bus) Battery() *Battery { return b.battery }
-
-// Chargers returns the attached chargers (do not mutate).
-func (b *Bus) Chargers() []Charger { return b.chargers }
-
-// Failed reports whether the bus is currently in total power failure.
-func (b *Bus) Failed() bool { return b.failed }
-
 // FailCount reports how many total power failures have occurred.
 func (b *Bus) FailCount() int { return b.failCount }
 
@@ -97,18 +88,14 @@ func (b *Bus) OnPowerFail(fn func(now time.Time)) { b.onFail = append(b.onFail, 
 // OnPowerRestore registers a callback fired once when a failed bus recovers.
 func (b *Bus) OnPowerRestore(fn func(now time.Time)) { b.onRestore = append(b.onRestore, fn) }
 
-// loadEntry is one named draw on the bus and its ledger cell. Loads live
-// in a name-sorted slice rather than a map so every fold over them — the
-// total draw, the pro-rata energy attribution — runs in one fixed order:
+// loadEntry is one named draw on the bus. Loads live in a name-sorted
+// slice rather than a map so the total-draw fold runs in one fixed order:
 // float addition rounds differently under reordering, and map iteration
 // order would leak that into voltage traces and goldens. A load switched
-// off keeps its entry at zero watts, so its lifetime energy stays in
-// place and advance credits each live load with an indexed add.
+// off keeps its entry at zero watts, an exact zero in the fold.
 type loadEntry struct {
-	name       string
-	watts      float64 // 0 while off
-	consumedWh float64
-	credited   bool // whether advance ever attributed energy to it
+	name  string
+	watts float64 // 0 while off
 }
 
 // loadIndex returns the position of name in the sorted load list and
@@ -140,14 +127,6 @@ func (b *Bus) SetLoad(name string, watts float64) {
 	}
 }
 
-// Load returns the current draw of a named load in watts.
-func (b *Bus) Load(name string) float64 {
-	if i, ok := b.loadIndex(name); ok {
-		return b.loads[i].watts
-	}
-	return 0
-}
-
 // TotalLoadW returns the current total draw in watts. Loads that are off
 // add an exact zero, so the sum is the one over live loads alone.
 func (b *Bus) TotalLoadW() float64 {
@@ -170,42 +149,6 @@ func (b *Bus) ChargeW() float64 {
 func (b *Bus) VoltageNow() float64 {
 	chargeW := b.advance(b.sim.Now())
 	return b.battery.TerminalVoltage(b.TotalLoadW(), chargeW)
-}
-
-// ConsumedWh returns the lifetime energy attributed to a named load.
-func (b *Bus) ConsumedWh(name string) float64 {
-	if i, ok := b.loadIndex(name); ok {
-		return b.loads[i].consumedWh
-	}
-	return 0
-}
-
-// TotalConsumedWh returns lifetime energy across all loads, folded in
-// name order.
-func (b *Bus) TotalConsumedWh() float64 {
-	var sum float64
-	for _, l := range b.loads {
-		sum += l.consumedWh
-	}
-	return sum
-}
-
-// Ledger returns the per-load lifetime energy ledger sorted by name. A load
-// that was never credited any energy has no row.
-func (b *Bus) Ledger() []LedgerEntry {
-	entries := make([]LedgerEntry, 0, len(b.loads))
-	for _, l := range b.loads {
-		if l.credited {
-			entries = append(entries, LedgerEntry{Name: l.name, ConsumedWh: l.consumedWh})
-		}
-	}
-	return entries
-}
-
-// LedgerEntry is one row of the per-load energy ledger.
-type LedgerEntry struct {
-	Name       string
-	ConsumedWh float64
 }
 
 // chargeAt computes the charger output at ts, memoized per distinct
@@ -252,17 +195,7 @@ func (b *Bus) advance(now time.Time) float64 {
 	if b.failed {
 		loadW = 0
 	}
-	delivered := b.battery.Transfer(loadW, chargeW, hours)
-
-	// Attribute delivered energy to live loads pro rata, in name order.
-	if loadW > 0 && delivered > 0 {
-		for i := range b.loads {
-			if l := &b.loads[i]; l.watts > 0 {
-				l.consumedWh += delivered * (l.watts / loadW)
-				l.credited = true
-			}
-		}
-	}
+	b.battery.Transfer(loadW, chargeW, hours)
 
 	rest := b.battery.RestVoltage()
 	switch {

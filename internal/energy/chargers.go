@@ -129,16 +129,6 @@ func (m *MainsCharger) OutputW(weather.Conditions) float64 {
 	return 0
 }
 
-// TurbinePowerAt exposes the turbine power curve for tests and reports.
-func (t *WindTurbine) TurbinePowerAt(windMS float64) float64 {
-	return t.OutputW(weather.Conditions{WindSpeed: windMS})
-}
-
-// PanelPowerAt exposes the panel curve for tests and reports.
-func (p *SolarPanel) PanelPowerAt(irradiance float64) float64 {
-	return p.OutputW(weather.Conditions{SolarIrradiance: irradiance})
-}
-
 // CombinedOutputW sums charger outputs for the given conditions.
 func CombinedOutputW(chargers []Charger, c weather.Conditions) float64 {
 	var sum float64

@@ -81,14 +81,12 @@ type Unit struct {
 	// files[fileHead:] is the CF card, oldest first. The drain deletes
 	// from the head, so the head only advances; the backing array is
 	// reused once it empties or fills.
-	files     []File
-	fileHead  int
-	nextID    uint64
-	readEv    simenv.EventID
-	reading   bool
-	readings  uint64
-	salt      int64
-	onReading []func(f File)
+	files    []File
+	fileHead int
+	nextID   uint64
+	readEv   simenv.EventID
+	reading  bool
+	salt     int64
 
 	// Bound once at construction: the unit records a reading every five
 	// minutes while powered, and building a closure plus two name strings
@@ -117,12 +115,6 @@ func (u *Unit) Name() string { return u.name }
 
 // Powered reports whether the unit has power.
 func (u *Unit) Powered() bool { return u.powered }
-
-// Readings reports how many readings have completed over the unit's life.
-func (u *Unit) Readings() uint64 { return u.readings }
-
-// OnReading registers a callback fired as each reading file is recorded.
-func (u *Unit) OnReading(fn func(f File)) { u.onReading = append(u.onReading, fn) }
 
 //glacvet:hotpath
 func (u *Unit) railChanged(on bool, now time.Time) {
@@ -165,15 +157,11 @@ func (u *Unit) recordFile(now time.Time) {
 	size := int(float64(BaseReadingBytes) * (0.70 + 0.04*float64(sats)))
 	f := File{ID: u.nextID, Recorded: now, SizeBytes: size, Satellites: sats}
 	u.nextID++
-	u.readings++
 	if len(u.files) == cap(u.files) && u.fileHead > 0 {
 		n := copy(u.files, u.files[u.fileHead:])
 		u.files, u.fileHead = u.files[:n], 0
 	}
 	u.files = append(u.files, f)
-	for _, fn := range u.onReading {
-		fn(f)
-	}
 }
 
 // Files returns a copy of the internal CF card's file list, oldest first.
@@ -195,15 +183,6 @@ func (u *Unit) Oldest() (File, bool) {
 
 // FileCount returns the number of files on the internal CF card.
 func (u *Unit) FileCount() int { return len(u.files) - u.fileHead }
-
-// BacklogBytes returns the total size of undrained files.
-func (u *Unit) BacklogBytes() int64 {
-	var n int64
-	for _, f := range u.files[u.fileHead:] {
-		n += int64(f.SizeBytes)
-	}
-	return n
-}
 
 // Delete removes a drained file from the internal CF card. Deleting the
 // oldest file, as the drain does, costs the same at any backlog.

@@ -212,21 +212,23 @@ func TestInjectBacklog(t *testing.T) {
 	if u.FileCount() != 252 {
 		t.Fatalf("backlog %d, want 252", u.FileCount())
 	}
-	if u.BacklogBytes() < 30*1024*1024 {
-		t.Fatalf("backlog bytes %d implausibly small", u.BacklogBytes())
+	var backlog int64
+	for _, f := range u.Files() {
+		backlog += int64(f.SizeBytes)
+	}
+	if backlog < 30*1024*1024 {
+		t.Fatalf("backlog bytes %d implausibly small", backlog)
 	}
 }
 
-func TestOnReadingCallback(t *testing.T) {
+func TestPoweredUnitRecordsEveryFiveMinutes(t *testing.T) {
 	sim, ctrl, u := newRig(t, nil)
-	var got []File
-	u.OnReading(func(f File) { got = append(got, f) })
 	ctrl.SetRail(Rail, true)
 	if err := sim.RunFor(16 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("callback saw %d readings in 16m, want 3", len(got))
+	if n := u.FileCount(); n != 3 {
+		t.Fatalf("unit recorded %d files in 16m, want 3", n)
 	}
 }
 
@@ -238,11 +240,13 @@ func TestCardMatchesListModel(t *testing.T) {
 	sim, _, u := newRig(t, nil)
 	rng := rand.New(rand.NewSource(5))
 	var model []File
-	u.OnReading(func(f File) { model = append(model, f) })
 	for step := 0; step < 2000; step++ {
 		switch op := rng.Intn(4); {
 		case op == 0 || len(model) == 0:
-			u.InjectBacklog(1+rng.Intn(3), sim.Now())
+			k := 1 + rng.Intn(3)
+			u.InjectBacklog(k, sim.Now())
+			files := u.Files() // the k new recordings are the card's tail
+			model = append(model, files[len(files)-k:]...)
 		default:
 			i := 0 // the drain's case: the oldest file
 			if op == 3 {
@@ -257,15 +261,10 @@ func TestCardMatchesListModel(t *testing.T) {
 		if len(got) != len(model) || u.FileCount() != len(model) {
 			t.Fatalf("step %d: card holds %d files (count %d), model %d", step, len(got), u.FileCount(), len(model))
 		}
-		var bytes int64
 		for i := range model {
 			if got[i] != model[i] {
 				t.Fatalf("step %d: file %d is %+v, model %+v", step, i, got[i], model[i])
 			}
-			bytes += int64(model[i].SizeBytes)
-		}
-		if u.BacklogBytes() != bytes {
-			t.Fatalf("step %d: backlog %d bytes, model %d", step, u.BacklogBytes(), bytes)
 		}
 		oldest, ok := u.Oldest()
 		if ok != (len(model) > 0) || ok && oldest != model[0] {

@@ -54,11 +54,6 @@ func checkJob(j Job) {
 	}
 }
 
-// FixedJob builds a Job with a constant duration.
-func FixedJob(name string, d time.Duration, run func(now time.Time)) Job {
-	return Job{Name: name, Duration: func(time.Time) time.Duration { return d }, Run: run}
-}
-
 // Host is a simulated Gumstix. Construct with New; drive it by switching its
 // MCU rail.
 type Host struct {
@@ -67,9 +62,6 @@ type Host struct {
 
 	powered bool
 	booted  bool
-	boots   int
-	aborts  int
-	done    int
 
 	// queue[head:] are the waiting jobs. A head index (rather than
 	// re-slicing or prepending) lets pops and front-pushes reuse the same
@@ -94,8 +86,6 @@ type Host struct {
 	jobNames  map[string]string
 
 	bootDelay time.Duration
-	uptime    time.Duration
-	upSince   time.Time
 }
 
 // New constructs a Host bound to the MCU's Gumstix rail. The rail must not
@@ -117,30 +107,6 @@ func (h *Host) Name() string { return h.name }
 // Powered reports whether the rail is up.
 func (h *Host) Powered() bool { return h.powered }
 
-// Booted reports whether userland is ready.
-func (h *Host) Booted() bool { return h.booted }
-
-// Boots reports how many completed boots have occurred.
-func (h *Host) Boots() int { return h.boots }
-
-// AbortedJobs reports how many jobs were killed by power loss.
-func (h *Host) AbortedJobs() int { return h.aborts }
-
-// CompletedJobs reports how many jobs ran to completion.
-func (h *Host) CompletedJobs() int { return h.done }
-
-// Uptime returns the cumulative powered time.
-func (h *Host) Uptime() time.Duration {
-	u := h.uptime
-	if h.powered {
-		u += h.sim.Now().Sub(h.upSince)
-	}
-	return u
-}
-
-// QueueLen returns the number of jobs waiting (excluding the running job).
-func (h *Host) QueueLen() int { return len(h.queue) - h.head }
-
 // OnBoot registers a callback fired each time userland comes up.
 func (h *Host) OnBoot(fn func(now time.Time)) { h.onBoot = append(h.onBoot, fn) }
 
@@ -151,19 +117,16 @@ func (h *Host) railChanged(on bool, now time.Time) {
 	}
 	h.powered = on
 	if on {
-		h.upSince = now
 		h.sim.After(h.bootDelay, h.bootName, h.bootFn)
 		return
 	}
 	// Power removed: abort everything.
-	h.uptime += now.Sub(h.upSince)
 	h.booted = false
 	if h.running {
 		h.sim.Cancel(h.curEv)
 		if h.cur.Abort != nil {
 			h.cur.Abort(now)
 		}
-		h.aborts++
 		h.running = false
 		h.cur = Job{}
 		h.curApply = nil
@@ -183,7 +146,6 @@ func (h *Host) bootDone(bootNow time.Time) {
 		return
 	}
 	h.booted = true
-	h.boots++
 	for _, fn := range h.onBoot {
 		fn(bootNow)
 	}
@@ -233,11 +195,6 @@ func (h *Host) EnqueueFront(j Job) {
 	}
 }
 
-// Do enqueues a fixed-duration job.
-func (h *Host) Do(name string, d time.Duration, run func(now time.Time)) {
-	h.Enqueue(FixedJob(name, d, run))
-}
-
 //glacvet:hotpath
 func (h *Host) pump(now time.Time) {
 	if h.running || !h.booted || h.head >= len(h.queue) {
@@ -274,7 +231,6 @@ func (h *Host) jobDone(doneNow time.Time) {
 	h.running = false
 	h.cur = Job{}
 	h.curApply = nil
-	h.done++
 	if j.Work != nil {
 		if apply != nil {
 			apply(doneNow)

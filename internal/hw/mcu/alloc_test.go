@@ -55,8 +55,8 @@ func TestSampleFullBufferAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("sampling into a full buffer allocates %.1f objects/op, want 0", avg)
 	}
-	if m.SampleCount() != 64 || m.DroppedSamples() != 100+21*300-64 {
-		t.Fatalf("full buffer holds %d samples, dropped %d", m.SampleCount(), m.DroppedSamples())
+	if buffered(m) != 64 || m.dropped != 100+21*300-64 {
+		t.Fatalf("full buffer holds %d samples, dropped %d", buffered(m), m.dropped)
 	}
 }
 

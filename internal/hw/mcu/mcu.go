@@ -19,7 +19,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/energy"
@@ -127,7 +126,6 @@ type MCU struct {
 	nv map[string]string
 
 	onBoot []func(rtcNow time.Time, coldStart bool)
-	boots  int
 
 	sampleTicker *simenv.Ticker
 }
@@ -165,9 +163,6 @@ func New(sim *simenv.Simulator, bus *energy.Bus, sampler energy.Sampler, cfg Con
 // Alive reports whether the MCU has power.
 func (m *MCU) Alive() bool { return m.alive }
 
-// Boots reports how many times the MCU has (re)started, including the first.
-func (m *MCU) Boots() int { return m.boots }
-
 // OnBoot registers a firmware boot hook, invoked on initial start and after
 // every recovery from total power loss. coldStart is true only for the very
 // first start (when the RTC was set on the bench before deployment).
@@ -177,7 +172,6 @@ func (m *MCU) OnBoot(fn func(rtcNow time.Time, coldStart bool)) {
 
 func (m *MCU) start(now time.Time, cold bool) {
 	m.alive = true
-	m.boots++
 	if cold {
 		// Bench-set clock: starts correct.
 		m.rtcBase = now
@@ -264,12 +258,6 @@ func (m *MCU) ClockError() time.Duration {
 
 // NVPut writes a key to flash; survives power loss.
 func (m *MCU) NVPut(key, value string) { m.nv[key] = value }
-
-// NVGet reads a key from flash.
-func (m *MCU) NVGet(key string) (string, bool) {
-	v, ok := m.nv[key]
-	return v, ok
-}
 
 // SetLastRun records the last successful run time in flash (RFC 3339).
 func (m *MCU) SetLastRun(t time.Time) {
@@ -371,17 +359,6 @@ func (m *MCU) CancelAlarm(id AlarmID) {
 	m.releaseAlarm(a)
 }
 
-// PendingAlarms returns the names of pending alarms, sorted; used by tests
-// and the status reports.
-func (m *MCU) PendingAlarms() []string {
-	names := make([]string, 0, len(m.alarms))
-	for _, a := range m.alarms {
-		names = append(names, a.name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 //glacvet:hotpath
 func (m *MCU) armAlarm(a *alarm) {
 	// Convert RTC alarm time to wall time using the current anchoring.
@@ -481,12 +458,6 @@ func (m *MCU) SetRail(name string, on bool) {
 	}
 }
 
-// RailOn reports whether a rail is currently powered.
-func (m *MCU) RailOn(name string) bool {
-	r := m.rail(name)
-	return r != nil && r.on
-}
-
 // --- Housekeeping sampling ---
 
 //glacvet:hotpath
@@ -536,12 +507,6 @@ func (m *MCU) DrainSamples() []HousekeepingSample {
 	m.samples, m.sampleHead = m.samples[:0], 0
 	return out
 }
-
-// SampleCount returns the number of buffered housekeeping samples.
-func (m *MCU) SampleCount() int { return len(m.samples) - m.sampleHead }
-
-// DroppedSamples returns how many samples were lost to buffer overflow.
-func (m *MCU) DroppedSamples() int { return m.dropped }
 
 func (m *MCU) mustBeAlive(op string) {
 	if !m.alive {

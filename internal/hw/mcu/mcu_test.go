@@ -1,6 +1,7 @@
 package mcu
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -56,19 +57,22 @@ func TestSetTimeCorrectsClock(t *testing.T) {
 	}
 }
 
+// buffered is the number of housekeeping samples awaiting a drain.
+func buffered(m *MCU) int { return len(m.samples) - m.sampleHead }
+
 func TestHousekeepingSamplesEvery30Min(t *testing.T) {
 	sim, _, m := newRig(t, 1)
 	if err := sim.RunFor(6 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.SampleCount(); n != 12 {
+	if n := buffered(m); n != 12 {
 		t.Fatalf("%d samples after 6h, want 12", n)
 	}
 	s := m.DrainSamples()
 	if len(s) != 12 {
 		t.Fatalf("drained %d", len(s))
 	}
-	if m.SampleCount() != 0 {
+	if buffered(m) != 0 {
 		t.Fatal("buffer not cleared by drain")
 	}
 	if s[0].BatteryVolts < 11 || s[0].BatteryVolts > 14.7 {
@@ -84,10 +88,10 @@ func TestSampleBufferBounded(t *testing.T) {
 	if err := sim.RunFor(24 * time.Hour); err != nil { // 48 samples
 		t.Fatal(err)
 	}
-	if n := m.SampleCount(); n != 10 {
+	if n := buffered(m); n != 10 {
 		t.Fatalf("buffer holds %d, cap 10", n)
 	}
-	if m.DroppedSamples() == 0 {
+	if m.dropped == 0 {
 		t.Fatal("overflow not recorded")
 	}
 }
@@ -129,8 +133,8 @@ func TestPowerLossResetsRTCAndClearsSchedule(t *testing.T) {
 	if m.Alive() {
 		t.Fatal("MCU survived total depletion")
 	}
-	if len(m.PendingAlarms()) != 0 {
-		t.Fatalf("alarms survived: %v", m.PendingAlarms())
+	if len(m.alarms) != 0 {
+		t.Fatalf("%d alarms survived", len(m.alarms))
 	}
 	if err := sim.RunFor(300 * time.Hour); err != nil { // solar/wind recharge
 		t.Fatal(err)
@@ -167,7 +171,7 @@ func TestNVStoreSurvivesPowerLoss(t *testing.T) {
 	if err := sim.RunFor(400 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := m.NVGet("last-run"); !ok || v != "2009-09-22T12:00:00Z" {
+	if v, ok := m.nv["last-run"]; !ok || v != "2009-09-22T12:00:00Z" {
 		t.Fatalf("NV store lost across power cycle: %q %v", v, ok)
 	}
 }
@@ -177,17 +181,18 @@ func TestRailSwitching(t *testing.T) {
 	m.DefineRail("gps", 3.6)
 	var events []bool
 	m.OnRail("gps", func(on bool, _ time.Time) { events = append(events, on) })
+	sleeping := bus.TotalLoadW()
 	m.SetRail("gps", true)
-	if !m.RailOn("gps") {
+	if !m.rail("gps").on {
 		t.Fatal("rail not on")
 	}
-	if bus.Load("mcu.rail.gps") != 3.6 {
-		t.Fatalf("bus load %v, want 3.6", bus.Load("mcu.rail.gps"))
+	if got := bus.TotalLoadW() - sleeping; math.Abs(got-3.6) > 1e-12 {
+		t.Fatalf("rail added %v W to the bus, want 3.6", got)
 	}
 	m.SetRail("gps", true) // no-op
 	m.SetRail("gps", false)
-	if bus.Load("mcu.rail.gps") != 0 {
-		t.Fatal("rail load not removed")
+	if got := bus.TotalLoadW(); got != sleeping {
+		t.Fatalf("bus draws %v W with the rail off, want %v", got, sleeping)
 	}
 	if len(events) != 2 || !events[0] || events[1] {
 		t.Fatalf("rail events %v, want [true false]", events)
@@ -221,7 +226,7 @@ func TestRailsDropOnPowerFail(t *testing.T) {
 	if last {
 		t.Fatal("rail subscriber not told about power loss")
 	}
-	if m.RailOn("gps") {
+	if m.rail("gps").on {
 		t.Fatal("rail still on after power loss")
 	}
 }
@@ -293,7 +298,7 @@ func TestBootHookRunsOnStartAndRestore(t *testing.T) {
 		t.Fatal("no power failure induced")
 	}
 	if warms == 0 {
-		t.Fatalf("no warm boots after %d failures (boots=%d)", bus.FailCount(), m.Boots())
+		t.Fatalf("no warm boots after %d failures", bus.FailCount())
 	}
 }
 

@@ -34,15 +34,15 @@ func TestSampleAndConfirmAllocFree(t *testing.T) {
 			now = now.Add(time.Hour)
 			p.sample(now)
 		}
-		p.MarkComplete(p.LastSeq())
+		p.MarkComplete(p.nextSeq)
 	}
 	day() // warm: the weather model's day cache
 	avg := testing.AllocsPerRun(50, day)
 	if avg != 0 {
 		t.Fatalf("a day of sampling plus confirmation allocates %.1f objects/op, want 0", avg)
 	}
-	if p.PendingCount() != 0 || p.DroppedReadings() != 0 {
-		t.Fatalf("pending %d dropped %d after confirmed days", p.PendingCount(), p.DroppedReadings())
+	if p.PendingCount() != 0 || p.dropped != 0 {
+		t.Fatalf("pending %d dropped %d after confirmed days", p.PendingCount(), p.dropped)
 	}
 }
 
@@ -66,7 +66,7 @@ func TestSampleFullBufferAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("sampling into a full store allocates %.1f objects/op, want 0", avg)
 	}
-	if p.PendingCount() != 40 || p.PendingView()[0].Seq != p.LastSeq()-39 {
+	if p.PendingCount() != 40 || p.PendingView()[0].Seq != p.nextSeq-39 {
 		t.Fatalf("full store holds %d readings from seq %d, want the newest 40",
 			p.PendingCount(), p.PendingView()[0].Seq)
 	}

@@ -223,14 +223,6 @@ func (p *Probe) PendingCount() int {
 	return len(p.buf) - p.head
 }
 
-// Pending returns a copy of unconfirmed readings, oldest first.
-func (p *Probe) Pending() []Reading {
-	src := p.PendingView()
-	out := make([]Reading, len(src))
-	copy(out, src)
-	return out
-}
-
 // PendingView returns the unconfirmed readings, oldest first, without
 // copying: the slice aliases the probe's store. It is valid until the
 // probe next samples or MarkComplete runs, and callers must not modify
@@ -259,15 +251,6 @@ func (p *Probe) MarkComplete(seq uint64) {
 	}
 	p.compact(i)
 }
-
-// CompletedThrough returns the highest confirmed sequence number.
-func (p *Probe) CompletedThrough() uint64 { return p.completed }
-
-// LastSeq returns the newest recorded sequence number.
-func (p *Probe) LastSeq() uint64 { return p.nextSeq }
-
-// DroppedReadings returns how many readings were lost to buffer overflow.
-func (p *Probe) DroppedReadings() int { return p.dropped }
 
 func noise(seed int64, tag string, k uint64) float64 {
 	return simenv.HashNoise(seed, tag, k)

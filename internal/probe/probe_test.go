@@ -34,7 +34,7 @@ func TestReadingsSequential(t *testing.T) {
 	if err := sim.RunFor(24 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range p.Pending() {
+	for i, r := range p.PendingView() {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("reading %d has seq %d", i, r.Seq)
 		}
@@ -95,13 +95,13 @@ func TestMarkCompleteAdvancesPending(t *testing.T) {
 	if n := p.PendingCount(); n != 4 {
 		t.Fatalf("pending %d after completing through 6 of 10, want 4", n)
 	}
-	if p.Pending()[0].Seq != 7 {
-		t.Fatalf("first pending seq %d, want 7", p.Pending()[0].Seq)
+	if p.PendingView()[0].Seq != 7 {
+		t.Fatalf("first pending seq %d, want 7", p.PendingView()[0].Seq)
 	}
 	// MarkComplete never regresses.
 	p.MarkComplete(2)
-	if p.CompletedThrough() != 6 {
-		t.Fatalf("completion regressed to %d", p.CompletedThrough())
+	if p.completed != 6 {
+		t.Fatalf("completion regressed to %d", p.completed)
 	}
 }
 
@@ -115,12 +115,6 @@ func TestPendingViewBySeq(t *testing.T) {
 	view := p.PendingView()
 	if len(view) != 3 || view[0].Seq != 3 || view[2].Seq != 5 {
 		t.Fatalf("pending view after completing through 2 of 5: %+v", view)
-	}
-	// The view aliases the store; Pending is the copying form.
-	cp := p.Pending()
-	cp[0].Seq = 99
-	if p.PendingView()[0].Seq != 3 {
-		t.Fatal("Pending() returned the store itself, not a copy")
 	}
 }
 
@@ -171,10 +165,10 @@ func TestStoreEquivalence(t *testing.T) {
 		if v := p.PendingView(); len(v) > 0 {
 			first = v[0].Seq
 		}
-		if p.PendingCount() != st.pending || p.DroppedReadings() != st.dropped ||
-			p.LastSeq() != st.lastSeq || first != st.firstPending {
+		if p.PendingCount() != st.pending || p.dropped != st.dropped ||
+			p.nextSeq != st.lastSeq || first != st.firstPending {
 			t.Fatalf("step %d (+%dh, mark %d): pending %d dropped %d last %d first %d, want %d %d %d %d",
-				i, st.hours, st.mark, p.PendingCount(), p.DroppedReadings(), p.LastSeq(), first,
+				i, st.hours, st.mark, p.PendingCount(), p.dropped, p.nextSeq, first,
 				st.pending, st.dropped, st.lastSeq, st.firstPending)
 		}
 	}
@@ -211,11 +205,11 @@ func TestBufferOverflowDropsOldest(t *testing.T) {
 	if p.PendingCount() != 10 {
 		t.Fatalf("buffer holds %d, cap 10", p.PendingCount())
 	}
-	if p.DroppedReadings() != 20 {
-		t.Fatalf("dropped %d, want 20", p.DroppedReadings())
+	if p.dropped != 20 {
+		t.Fatalf("dropped %d, want 20", p.dropped)
 	}
-	if p.Pending()[0].Seq != 21 {
-		t.Fatalf("oldest surviving seq %d, want 21", p.Pending()[0].Seq)
+	if p.PendingView()[0].Seq != 21 {
+		t.Fatalf("oldest surviving seq %d, want 21", p.PendingView()[0].Seq)
 	}
 }
 
@@ -249,7 +243,7 @@ func TestPressureAndTiltPhysical(t *testing.T) {
 	if err := sim.RunFor(90 * 24 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range p.Pending() {
+	for _, r := range p.PendingView() {
 		if r.PressureKPa < 500 || r.PressureKPa > 800 {
 			t.Fatalf("pressure %v kPa implausible for 70 m depth", r.PressureKPa)
 		}

@@ -54,14 +54,14 @@ func (f *AckFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Prob
 				return res
 			}
 			res.AirBytes += probe.ReadingBytes
-			dataOK := ch.Send(clock.now, probe.ReadingBytes)
+			dataOK := ch.Send(clock.now)
 			// ...then the ACK (or a timeout if the data was lost).
 			if dataOK {
 				if !clock.spend(ch.PacketAirtime(ackBytes)+ch.RTT(), &res) {
 					return res
 				}
 				res.AirBytes += ackBytes
-				if ch.Send(clock.now, ackBytes) {
+				if ch.Send(clock.now) {
 					delivered = true
 					break
 				}

@@ -225,7 +225,7 @@ func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Pro
 				return res
 			}
 			res.AirBytes += probe.ReadingBytes
-			if ch.Send(clock.now, probe.ReadingBytes) {
+			if ch.Send(clock.now) {
 				st.receive(r, &res)
 				break
 			}
@@ -250,7 +250,7 @@ func (f *NackFetcher) stream(ch *comms.ProbeChannel, clock *budget, wanted []pro
 			return false
 		}
 		res.AirBytes += probe.ReadingBytes
-		if ch.Send(clock.now, probe.ReadingBytes) {
+		if ch.Send(clock.now) {
 			st.receive(r, res)
 		}
 	}

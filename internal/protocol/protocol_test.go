@@ -76,6 +76,7 @@ func TestSummerBulkFetchHitsDeployedNackBug(t *testing.T) {
 	if pr.PendingCount() < 2900 {
 		t.Fatalf("rig produced only %d readings", pr.PendingCount())
 	}
+	held, oldest := pr.PendingCount(), pr.PendingView()[0].Seq
 	f := NewNackFetcher(DefaultNackConfig())
 	res := f.Fetch(sim.Now(), ch, pr, 2*time.Hour, nil)
 	if res.MissedFirstPass < 250 || res.MissedFirstPass > 560 {
@@ -87,8 +88,9 @@ func TestSummerBulkFetchHitsDeployedNackBug(t *testing.T) {
 	if res.Complete {
 		t.Fatal("session complete despite overflow abort")
 	}
-	// "Fortunately the task was not marked as complete in the probes."
-	if pr.CompletedThrough() != 0 {
+	// "Fortunately the task was not marked as complete in the probes": a
+	// completion would have released the confirmed readings.
+	if pr.PendingCount() != held || pr.PendingView()[0].Seq != oldest {
 		t.Fatal("probe marked complete despite aborted session")
 	}
 }
@@ -235,7 +237,7 @@ func TestPropertyFetchYieldsUniquePendingSeqs(t *testing.T) {
 	for seed := int64(20); seed < 26; seed++ {
 		sim, ch, pr := winterRig(t, seed, 200)
 		pendingSet := map[uint64]bool{}
-		for _, r := range pr.Pending() {
+		for _, r := range pr.PendingView() {
 			pendingSet[r.Seq] = true
 		}
 		res := NewNackFetcher(FixedNackConfig()).Fetch(sim.Now(), ch, pr, 4*time.Hour, nil)
@@ -258,7 +260,7 @@ func TestPropertyFetchYieldsUniquePendingSeqs(t *testing.T) {
 func TestPropertyMultiSessionUnionExact(t *testing.T) {
 	sim, ch, pr := summerRig(t, 30)
 	want := map[uint64]bool{}
-	for _, r := range pr.Pending() {
+	for _, r := range pr.PendingView() {
 		want[r.Seq] = true
 	}
 	st := NewState()

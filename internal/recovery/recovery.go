@@ -61,9 +61,6 @@ func New(m *mcu.MCU, gps *dgps.Unit, done func(rtcNow time.Time)) *Coordinator {
 // Stats returns a copy of the recovery counters.
 func (c *Coordinator) Stats() Stats { return c.stats }
 
-// InProgress reports whether a recovery is underway.
-func (c *Coordinator) InProgress() bool { return c.inProgress }
-
 // CheckAndRecover runs the boot-time clock check. It returns true if the
 // clock was suspect and a recovery was started; the done callback fires
 // (possibly days later) when the clock is trusted again. If the clock is

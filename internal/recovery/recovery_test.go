@@ -46,7 +46,7 @@ func TestSuspectClockRecoversViaGPS(t *testing.T) {
 	if !c.CheckAndRecover() {
 		t.Fatal("suspect clock not detected")
 	}
-	if !c.InProgress() {
+	if !c.inProgress {
 		t.Fatal("recovery not in progress")
 	}
 	if err := sim.RunFor(time.Hour); err != nil {
@@ -61,7 +61,7 @@ func TestSuspectClockRecoversViaGPS(t *testing.T) {
 	if e := m.ClockError(); e > time.Minute || e < -time.Minute {
 		t.Fatalf("clock error %v after recovery", e)
 	}
-	if m.RailOn(dgps.Rail) {
+	if u.Powered() {
 		t.Fatal("GPS left powered after recovery")
 	}
 	if st := c.Stats(); st.Recovered != 1 || st.FixAttempts < 1 {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,8 +117,6 @@ func TestFleetNParameterisation(t *testing.T) {
 		t.Fatalf("fleet-N -stations 8 built %d stations", len(d.Stations))
 	}
 	bases, refs, probes := 0, 0, 0
-	// Fleet-wide probe numbering stays unique.
-	seen := map[int]bool{}
 	for _, st := range d.Stations {
 		switch st.Role() {
 		case station.RoleBase:
@@ -125,13 +124,11 @@ func TestFleetNParameterisation(t *testing.T) {
 		case station.RoleReference:
 			refs++
 		}
-		for _, p := range d.StationProbes(st.Name()) {
-			if seen[p.ID()] {
-				t.Fatalf("duplicate probe ID %d across fleet", p.ID())
-			}
-			seen[p.ID()] = true
-			probes++
-		}
+	}
+	// deploy's TestProbeIDsUniqueAcrossFleet checks the fleet-wide
+	// numbering; the cohort sizes come from the built Result.
+	for _, sr := range d.Result().Stations {
+		probes += sr.ProbesTotal
 	}
 	if bases != 7 || refs != 1 {
 		t.Fatalf("fleet-N shape: %d bases, %d refs", bases, refs)
@@ -151,8 +148,11 @@ func TestWinterBlackoutFaultsApplied(t *testing.T) {
 	if soc := base.Node().Battery.SoC(); soc > 0.51 {
 		t.Fatalf("blackout base starts at soc %.2f, want 0.5", soc)
 	}
-	// The café mains is gone: the reference fit keeps only its solar panel.
-	if got := len(ref.Node().Bus.Chargers()); got != 1 {
-		t.Fatalf("blackout reference has %d chargers, want solar only", got)
+	// The café mains is gone from the reference fit (deploy's
+	// TestMainsBlackoutKeepsOnlySolar checks what the fault removes).
+	sc, _ := Lookup("winter-blackout")
+	faults := sc.Topology(Params{Seed: 4}).Faults
+	if !slices.Contains(faults, deploy.Fault{Station: ref.Name(), Kind: deploy.FaultMainsBlackout}) {
+		t.Fatalf("blackout faults %+v lack the reference's mains blackout", faults)
 	}
 }

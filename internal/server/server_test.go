@@ -64,7 +64,7 @@ func TestSpecialsFIFOAndPop(t *testing.T) {
 	s := New()
 	id1 := s.PushSpecial("base", "echo one", t0)
 	id2 := s.PushSpecial("base", "echo two", t0)
-	if s.PendingSpecials("base") != 2 {
+	if len(s.specials["base"]) != 2 {
 		t.Fatal("pending count wrong")
 	}
 	sp, ok := s.FetchSpecial("base", t0)

@@ -159,15 +159,3 @@ func TestCancelRunMiddleAllocFree(t *testing.T) {
 		t.Fatalf("cancelling the middle of a run allocates %.1f objects/op, want 0", avg)
 	}
 }
-
-func TestRandHandleDrawAllocFree(t *testing.T) {
-	s := New(1)
-	r := s.Rand("hot") // the handle a hot path hoists out of its loop
-	avg := testing.AllocsPerRun(200, func() {
-		_ = r.Float64()
-		_ = s.Rand("hot") // repeated lookups are lock-free map hits
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state Rand draw allocates %.1f objects/op, want 0", avg)
-	}
-}

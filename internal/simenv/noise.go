@@ -6,10 +6,11 @@ import (
 )
 
 // HashNoise returns a deterministic uniform value in [0, 1) keyed on
-// (seed, tag, k). Unlike a shared *rand.Rand stream, hash noise is a pure
-// function: adding an unrelated stochastic process elsewhere can never
-// change an existing trace, which keeps deployment scenarios reproducible
-// as the simulation grows.
+// (seed, tag, k). It is the only source of randomness in the models (glacvet
+// rejects any math/rand import). Unlike a stream, whose draws depend on how
+// many came before, hash noise is a pure function: adding an unrelated
+// stochastic process elsewhere can never change an existing trace, which
+// keeps deployment scenarios reproducible as the simulation grows.
 //
 // FNV alone mixes short, similar keys poorly in its high bits (the last
 // byte only passes through one multiply), so the digest is passed through a

@@ -1,9 +1,9 @@
 // Package simenv provides the deterministic discrete-event simulation kernel
 // used by every simulated subsystem in the Glacsweb reproduction.
 //
-// The kernel is deliberately small: a virtual clock, a priority queue of
-// timestamped events, and a family of named deterministic random-number
-// streams. All hardware, weather and link models are built as events
+// The kernel is deliberately small: a virtual clock and a priority queue
+// of timestamped events; randomness is HashNoise, a pure function of the
+// seed. All hardware, weather and link models are built as events
 // scheduled on a Simulator, which makes multi-month deployments run in
 // milliseconds and makes every run exactly reproducible from its seed.
 //
@@ -32,10 +32,6 @@ package simenv
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -234,14 +230,12 @@ type Simulator struct {
 	processed uint64
 	seed      int64
 
-	randMu  sync.Mutex // serializes stream creation; steady-state Rand reads are lock-free
-	rngs    atomic.Pointer[map[string]*rand.Rand]
 	tracers []func(name string, at time.Time)
 	groups  []*joinGroup // every Join group, in creation order
 }
 
-// New returns a Simulator whose clock starts at Epoch and whose random
-// streams derive from seed.
+// New returns a Simulator whose clock starts at Epoch, for a run whose
+// randomness derives from seed.
 func New(seed int64) *Simulator {
 	return NewAt(seed, Epoch)
 }
@@ -261,49 +255,6 @@ func (s *Simulator) Seed() int64 { return s.seed }
 
 // Processed reports how many events have executed so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
-
-// Pending reports how many events are queued (including cancelled ones that
-// have not yet been skipped).
-func (s *Simulator) Pending() int { return s.pending }
-
-// Rand returns the deterministic random stream for the given name. Streams
-// are independent: drawing from one never perturbs another, so adding a new
-// stochastic process to a model does not change existing traces.
-//
-// The returned *rand.Rand is a stable handle for the simulator's lifetime —
-// hot paths should call Rand once and hold the handle, which makes
-// steady-state draws free of any lookup. Rand itself is cheap to call
-// repeatedly too: the stream table is copy-on-write, so lookups after the
-// first take no lock and hash nothing.
-//
-//glacvet:hotpath
-func (s *Simulator) Rand(name string) *rand.Rand {
-	if m := s.rngs.Load(); m != nil {
-		if r, ok := (*m)[name]; ok {
-			return r
-		}
-	}
-	s.randMu.Lock()
-	defer s.randMu.Unlock()
-	old := s.rngs.Load()
-	if old != nil {
-		if r, ok := (*old)[name]; ok {
-			return r
-		}
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	r := rand.New(rand.NewSource(s.seed ^ int64(h.Sum64()))) //nolint:gosec // simulation, not crypto
-	next := make(map[string]*rand.Rand, 8)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[name] = r
-	s.rngs.Store(&next)
-	return r
-}
 
 // OnEvent registers a tracer invoked before each event runs. Used by tests
 // and the trace package to observe scheduling without changing behaviour,
@@ -594,7 +545,6 @@ type Ticker struct {
 	tickFn EventFunc // t.tick bound once, so rescheduling allocates no closure
 	id     EventID
 	done   bool
-	fires  uint64
 }
 
 // Stop cancels all future firings of the ticker.
@@ -606,15 +556,11 @@ func (t *Ticker) Stop() {
 	t.sim.Cancel(t.id)
 }
 
-// Fires reports how many times the ticker has fired.
-func (t *Ticker) Fires() uint64 { return t.fires }
-
 //glacvet:hotpath
 func (t *Ticker) tick(now time.Time) {
 	if t.done {
 		return
 	}
-	t.fires++
 	t.fn(now)
 	if t.done { // fn may have stopped us
 		return

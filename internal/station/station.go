@@ -271,10 +271,6 @@ func (s *Station) Name() string { return s.node.Name }
 // Role returns the station's configured role.
 func (s *Station) Role() Role { return s.cfg.Role }
 
-// Probes returns the station's sub-glacial cohort (nil for reference
-// stations).
-func (s *Station) Probes() []*probe.Probe { return s.probes }
-
 // State returns the station's current effective power state.
 func (s *Station) State() power.State { return s.state }
 
@@ -283,9 +279,6 @@ func (s *Station) Stats() Stats { return s.stats }
 
 // Spool exposes the upload spool (tests, experiments).
 func (s *Station) Spool() *storage.Spool { return s.spool }
-
-// Card exposes the CF card (tests, experiments).
-func (s *Station) Card() *storage.CFCard { return s.card }
 
 // Recovery exposes the §IV coordinator's stats.
 func (s *Station) Recovery() recovery.Stats { return s.rec.Stats() }

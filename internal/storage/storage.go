@@ -3,22 +3,13 @@
 // upload spool that survives failed GPRS sessions ("if for any reason the
 // communications fail the data is stored locally until it can be sent
 // onwards").
-//
-// The CF card supports corruption injection and best-effort recovery,
-// reproducing the §VII lesson: "the CF card used to store the readings from
-// the previous year had become corrupted ... it proved possible to recover
-// the data".
 package storage
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
-
-// ErrCorrupted is returned when reading a corrupted file.
-var ErrCorrupted = errors.New("storage: file corrupted")
 
 // ErrNotFound is returned when a file does not exist.
 var ErrNotFound = errors.New("storage: file not found")
@@ -35,8 +26,6 @@ type StoredFile struct {
 	Data []byte
 	// Created is when the file was written.
 	Created time.Time
-
-	corrupted bool
 }
 
 // CFCard is a simulated compact-flash card.
@@ -54,9 +43,6 @@ func NewCFCard(capacity int64) *CFCard {
 	}
 	return &CFCard{capacity: capacity, files: make(map[string]*StoredFile)}
 }
-
-// Used returns the bytes in use.
-func (c *CFCard) Used() int64 { return c.used }
 
 // Write stores a file, replacing any previous version. It fails if the card
 // would overflow.
@@ -76,97 +62,15 @@ func (c *CFCard) Write(name string, size int64, data []byte, now time.Time) erro
 	return nil
 }
 
-// Read returns a file's metadata and content. Corrupted files return
-// ErrCorrupted.
+// Read returns a file's metadata and content.
 func (c *CFCard) Read(name string) (StoredFile, error) {
 	f, ok := c.files[name]
 	if !ok {
 		return StoredFile{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if f.corrupted {
-		return StoredFile{}, fmt.Errorf("%w: %q", ErrCorrupted, name)
-	}
 	out := *f
 	out.Data = append([]byte(nil), f.Data...)
 	return out, nil
-}
-
-// Delete removes a file; deleting a missing file is an error.
-func (c *CFCard) Delete(name string) error {
-	f, ok := c.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	c.used -= f.Size
-	delete(c.files, name)
-	return nil
-}
-
-// List returns file names sorted lexicographically.
-func (c *CFCard) List() []string {
-	names := make([]string, 0, len(c.files))
-	for n := range c.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Corrupt marks a single file corrupted (targeted failure injection).
-func (c *CFCard) Corrupt(name string) error {
-	f, ok := c.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if !f.corrupted {
-		f.corrupted = true
-	}
-	return nil
-}
-
-// CorruptFraction corrupts roughly the given fraction of files using the
-// provided picker (deterministic when fed hash noise). It returns how many
-// files were newly corrupted.
-func (c *CFCard) CorruptFraction(fraction float64, pick func(name string) float64) int {
-	n := 0
-	for _, name := range c.List() {
-		f := c.files[name]
-		if !f.corrupted && pick(name) < fraction {
-			f.corrupted = true
-			n++
-		}
-	}
-	return n
-}
-
-// CorruptedCount returns the number of currently corrupted files.
-func (c *CFCard) CorruptedCount() int {
-	n := 0
-	for _, f := range c.files {
-		if f.corrupted {
-			n++
-		}
-	}
-	return n
-}
-
-// Recover attempts data recovery on every corrupted file, in the spirit of
-// the successful field recovery. recoverP in [0,1] is the per-file success
-// probability evaluated via the picker; returns (recovered, lost).
-func (c *CFCard) Recover(recoverP float64, pick func(name string) float64) (recovered, lost int) {
-	for _, name := range c.List() {
-		f := c.files[name]
-		if !f.corrupted {
-			continue
-		}
-		if pick(name) < recoverP {
-			f.corrupted = false
-			recovered++
-		} else {
-			lost++
-		}
-	}
-	return recovered, lost
 }
 
 // Spool is the persistent upload queue: everything waiting to go to
@@ -175,7 +79,6 @@ func (c *CFCard) Recover(recoverP float64, pick func(name string) float64) (reco
 type Spool struct {
 	items  []Item
 	nextID uint64
-	sent   int64 // lifetime bytes confirmed sent
 }
 
 // ItemKind classifies spooled data.
@@ -234,15 +137,6 @@ func (s *Spool) Add(kind ItemKind, name string, bytes int64, now time.Time) uint
 // Len returns the number of queued items.
 func (s *Spool) Len() int { return len(s.items) }
 
-// PendingBytes returns the total queued volume.
-func (s *Spool) PendingBytes() int64 {
-	var n int64
-	for _, it := range s.items {
-		n += it.Bytes
-	}
-	return n
-}
-
 // Peek returns the oldest item without removing it.
 func (s *Spool) Peek() (Item, bool) {
 	if len(s.items) == 0 {
@@ -262,21 +156,9 @@ func (s *Spool) Items() []Item {
 func (s *Spool) MarkSent(id uint64) error {
 	for i, it := range s.items {
 		if it.ID == id {
-			s.sent += it.Bytes
 			s.items = append(s.items[:i], s.items[i+1:]...)
 			return nil
 		}
 	}
 	return fmt.Errorf("%w: spool item %d", ErrNotFound, id)
-}
-
-// SentBytes returns the lifetime confirmed-upload volume.
-func (s *Spool) SentBytes() int64 { return s.sent }
-
-// OldestAge returns how long the oldest item has been waiting, or zero.
-func (s *Spool) OldestAge(now time.Time) time.Duration {
-	if len(s.items) == 0 {
-		return 0
-	}
-	return now.Sub(s.items[0].Created)
 }

@@ -116,9 +116,6 @@ type Summary struct {
 	Groups     []Group
 }
 
-// Complete reports whether the summary covers its whole plan.
-func (s *Summary) Complete() bool { return s.TotalCells == len(s.Cells) }
-
 // Reduce folds executed cells into a Summary: cells sorted by global
 // index, then per-configuration stats folded in that order so the result
 // is deterministic regardless of execution order. The caller

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -90,15 +89,6 @@ func (s *Series) MinMax() (lo, hi float64, ok bool) {
 		hi = math.Max(hi, p.V)
 	}
 	return lo, hi, true
-}
-
-// At returns the last value at or before t; ok is false if none exists.
-func (s *Series) At(t time.Time) (float64, bool) {
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T.After(t) })
-	if i == 0 {
-		return 0, false
-	}
-	return s.points[i-1].V, true
 }
 
 // Window returns the sub-series within [from, to].

@@ -49,21 +49,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestAt(t *testing.T) {
-	s := NewSeries("x", "")
-	s.Add(t0, 1)
-	s.Add(t0.Add(time.Hour), 2)
-	if _, ok := s.At(t0.Add(-time.Second)); ok {
-		t.Fatal("At before first sample returned ok")
-	}
-	if v, _ := s.At(t0.Add(30 * time.Minute)); v != 1 {
-		t.Fatalf("At mid = %v", v)
-	}
-	if v, _ := s.At(t0.Add(2 * time.Hour)); v != 2 {
-		t.Fatalf("At end = %v", v)
-	}
-}
-
 func TestWindow(t *testing.T) {
 	s := NewSeries("x", "")
 	for i := 0; i < 10; i++ {

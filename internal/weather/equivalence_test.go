@@ -19,7 +19,7 @@ type referenceModel struct {
 }
 
 func newReference(cfg Config) *referenceModel {
-	return &referenceModel{cfg: New(cfg).Config()} // same zero-field defaulting
+	return &referenceModel{cfg: New(cfg).cfg} // same zero-field defaulting
 }
 
 func (m *referenceModel) Sample(ts time.Time) Conditions {

@@ -162,9 +162,6 @@ func New(cfg Config) *Model {
 	}
 }
 
-// Config returns the model's effective configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // Sample returns the conditions at time ts. It is deterministic in (cfg, ts):
 // the memos only ever hold values a cold computation would produce.
 //
@@ -324,6 +321,8 @@ func meltIndexAt(doy float64) float64 {
 // SolarElevation returns the solar elevation angle in radians for the given
 // latitude (degrees), day of year and hour of day (UTC ~ solar time at the
 // site's longitude, an adequate approximation for an energy model).
+//
+//glacvet:allow deadexport the plain solar-geometry formula equivalence_test checks the memoized Sample against
 func SolarElevation(latDeg float64, doy int, hod float64) float64 {
 	lat := latDeg * math.Pi / 180
 	decl := -23.44 * math.Pi / 180 * math.Cos(2*math.Pi*(float64(doy)+10)/365.25)

@@ -167,7 +167,7 @@ func TestPropertyConditionsPhysical(t *testing.T) {
 		c := m.Sample(ts)
 		return c.SolarIrradiance >= 0 && c.SolarIrradiance <= 1000 &&
 			c.WindSpeed >= 0 && c.WindSpeed < 60 &&
-			c.SnowDepthM >= 0 && c.SnowDepthM <= m.Config().MaxSnowDepthM+0.01 &&
+			c.SnowDepthM >= 0 && c.SnowDepthM <= m.cfg.MaxSnowDepthM+0.01 &&
 			c.MeltIndex >= 0 && c.MeltIndex <= 1 &&
 			c.AirTempC > -40 && c.AirTempC < 25
 	}
@@ -196,7 +196,7 @@ func TestWinterWindierThanSummerOnAverage(t *testing.T) {
 
 func TestDefaultConfigFillsZeroFields(t *testing.T) {
 	m := New(Config{Seed: 3})
-	cfg := m.Config()
+	cfg := m.cfg
 	if cfg.LatitudeDeg == 0 || cfg.PeakIrradiance == 0 || cfg.MeanWind == 0 ||
 		cfg.MaxSnowDepthM == 0 || cfg.StormsPerMonth == 0 {
 		t.Fatalf("zero fields not defaulted: %+v", cfg)

@@ -1,38 +1,34 @@
 // The deadexport check is the internal counterpart of the facade's
 // TestFacadeNamesAreExercised. It reports an exported func, method, const,
 // var or type declared in a non-test file under <module>/internal/ unless
-// a package of the module (all of ./..., whatever the patterns) uses it,
-// by the type checker's Uses; an identifier of that name appears in a
-// _test.go file or a nested module such as bench/ (parsed, not
-// type-checked); for a method, an interface in the loaded packages or
-// their imports declares that name (String, Error); or a justified
-// //glacvet:allow deadexport keeps it.
+// the type checker resolves a use of that very object in one of three
+// sources: a package of the module (all of ./..., whatever the patterns);
+// a non-test package of a nested module such as bench/; or the module
+// root's example_test.go, the facade's documented Examples, checked as
+// the external test package. Identifiers in other _test.go files never
+// count, and a same-spelled name that resolves to another object is not a
+// use. A method also stays when an interface in the loaded packages or
+// their imports declares its name (String, Error), and a justified
+// //glacvet:allow deadexport keeps anything else.
 package main
 
 import (
-	"go/ast"
-	"go/parser"
+	"fmt"
 	"go/types"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 )
 
 func (a *analysis) checkDeadexport() error {
-	l := a.loader
-	paths, err := expandPatterns(l.modRoot, l.modPath, []string{"./..."})
+	sources, err := a.useSources()
 	if err != nil {
 		return err
 	}
 	used := map[types.Object]bool{}
 	ifaceMethods := map[string]bool{"Error": true} // the universe's error
 	seen := map[*types.Package]bool{}
-	for _, path := range paths {
-		pd, err := l.load(path)
-		if err != nil {
-			return err
-		}
+	for _, pd := range sources {
 		for _, obj := range pd.info.Uses { // selectors' Sel idents included
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin() // a method of an instantiated generic type
@@ -44,18 +40,14 @@ func (a *analysis) checkDeadexport() error {
 		}
 		collectInterfaceMethods(ifaceMethods, pd.pkg, seen)
 	}
-	outside, err := a.namesOutsideModule()
-	if err != nil {
-		return err
-	}
 
-	internal := l.modPath + "/internal"
+	internal := a.loader.modPath + "/internal"
 	for _, pd := range a.scanned {
 		if pd.path != internal && !strings.HasPrefix(pd.path, internal+"/") {
 			continue
 		}
 		for id, obj := range pd.info.Defs {
-			if obj == nil || !obj.Exported() || used[obj] || outside[obj.Name()] {
+			if obj == nil || !obj.Exported() || used[obj] {
 				continue
 			}
 			kind, name := strings.Fields(types.ObjectString(obj, nil))[0], obj.Name()
@@ -69,11 +61,66 @@ func (a *analysis) checkDeadexport() error {
 				continue // a field, parameter or local
 			}
 			a.reportf(a.fset.Position(id.Pos()), checkDeadexport,
-				"exported %s %s is never referenced in the module, its tests or bench/; delete it with the state only it reads",
+				"exported %s %s has no type-checked use in the module, a nested module or the root Examples; delete it with the state only it reads",
 				kind, name)
 		}
 	}
 	return nil
+}
+
+// useSources type-checks every package whose uses keep an export alive:
+// each package of the module, each non-test package of a nested module
+// (testdata, hidden and underscore directories are skipped, as the go tool
+// skips them), and the root's example_test.go as package <module>_test.
+// A nested module's path must mirror its directory (bench/ is
+// <module>/bench), so the loader resolves its imports like the module's.
+func (a *analysis) useSources() ([]*pkgData, error) {
+	l := a.loader
+	paths, err := expandPatterns(l.modRoot, l.modPath, []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	err = filepath.WalkDir(l.modRoot, func(p string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || p == l.modRoot {
+			return err
+		}
+		if base := d.Name(); base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") {
+			return filepath.SkipDir
+		}
+		if !isModuleDir(p) {
+			return nil
+		}
+		mod, err := modulePath(filepath.Join(p, "go.mod"))
+		if err != nil {
+			return err
+		}
+		if rel, _ := filepath.Rel(l.modRoot, p); mod != l.modPath+"/"+filepath.ToSlash(rel) {
+			return fmt.Errorf("nested module %s at %s: its path must be %s/%s", mod, p, l.modPath, filepath.ToSlash(rel))
+		}
+		more, err := expandPatterns(p, mod, []string{"./..."})
+		paths = append(paths, more...)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []*pkgData
+	for _, path := range paths {
+		pd, err := l.load(path)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pd)
+	}
+	const examples = "example_test.go"
+	if _, err := os.Stat(filepath.Join(l.modRoot, examples)); err == nil {
+		pd, err := l.check(l.modPath+"_test", l.modRoot, []string{examples})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pd)
+	}
+	return out, nil
 }
 
 // collectInterfaceMethods records the method names of every interface type
@@ -99,46 +146,6 @@ func addInterfaceMethods(names map[string]bool, t types.Type) {
 			names[iface.Method(i).Name()] = true
 		}
 	}
-}
-
-// namesOutsideModule collects every identifier spelled in the module's
-// _test.go files and in the Go files of nested modules (bench/). Testdata,
-// hidden and underscore directories are skipped, as the go tool skips them.
-func (a *analysis) namesOutsideModule() (map[string]bool, error) {
-	root := a.loader.modRoot
-	names := map[string]bool{}
-	var nested []string // nested module roots; WalkDir visits each before its files
-	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
-		if err != nil || p == root {
-			return err
-		}
-		base := d.Name()
-		if d.IsDir() {
-			if base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") {
-				return filepath.SkipDir
-			}
-			if isModuleDir(p) {
-				nested = append(nested, p+string(filepath.Separator))
-			}
-			return nil
-		}
-		inNested := slices.ContainsFunc(nested, func(r string) bool { return strings.HasPrefix(p, r) })
-		if !strings.HasSuffix(base, "_test.go") && !(inNested && strings.HasSuffix(base, ".go")) {
-			return nil
-		}
-		f, err := parser.ParseFile(a.fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				names[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
-	return names, err
 }
 
 func isModuleDir(dir string) bool {

@@ -7,9 +7,12 @@
 //     ties behaviour to the host clock. Simulated code reads the simenv
 //     clock; infrastructure that legitimately needs real time (pacing
 //     on the distrib wire) carries a justified allow.
-//   - globalrand: package-level math/rand draws pull from one shared
-//     global stream, so adding a draw anywhere perturbs every trace.
-//     Randomness flows through named simenv.Rand streams instead.
+//   - globalrand: an import of math/rand or math/rand/v2 brings in a
+//     stream whose draws depend on call order (the global one) or on
+//     state threaded through the model (a constructed one), so adding a
+//     draw anywhere perturbs every later one. Everything stochastic is
+//     derived from simenv.HashNoise, a pure function of the seed and a
+//     name, instead.
 //   - goroutine: a go statement breaks the single simulation goroutine;
 //     only the sweep/distrib worker pools may launch them, each under an
 //     explicit allow.
@@ -38,24 +41,14 @@ var wallclockFuncs = map[string]bool{
 	"NewTicker": true, "NewTimer": true,
 }
 
-// globalrandFuncs are the package-level math/rand (and v2) draw functions
-// backed by the shared global source. Constructors (New, NewSource,
-// NewPCG, NewChaCha8, NewZipf) build independent streams and stay legal —
-// simenv itself derives its named streams that way.
-var globalrandFuncs = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "NormFloat64": true,
-	"ExpFloat64": true, "Perm": true, "Shuffle": true, "Seed": true,
-	"Read": true,
-	// math/rand/v2 spellings.
-	"IntN": true, "Int32": true, "Int32N": true, "Int64": true,
-	"Int64N": true, "UintN": true, "Uint": true, "Uint32N": true,
-	"Uint64N": true, "N": true,
-}
-
 func (a *analysis) checkDeterminism(pd *pkgData) {
 	for _, file := range pd.files {
+		for _, imp := range file.Imports {
+			if path := imp.Path.Value; path == `"math/rand"` || path == `"math/rand/v2"` {
+				a.reportf(a.fset.Position(imp.Pos()), checkGlobalrand,
+					"import of %s draws outside the seed; derive randomness from simenv.HashNoise", path)
+			}
+		}
 		// Pre-collect every function body so a map range can find its
 		// innermost enclosing function by position containment (that
 		// bounds the search for a later sort of collected keys).
@@ -84,7 +77,7 @@ func (a *analysis) checkDeterminism(pd *pkgData) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				a.checkForbiddenRef(pd, n)
+				a.checkWallclockRef(pd, n)
 			case *ast.GoStmt:
 				a.report(a.fset.Position(n.Pos()), checkGoroutine,
 					"go statement escapes the single simulation goroutine "+
@@ -97,32 +90,19 @@ func (a *analysis) checkDeterminism(pd *pkgData) {
 	}
 }
 
-// checkForbiddenRef flags references (calls or value uses — nowFn:
-// time.Now counts) to wall-clock time functions and global math/rand
-// draws.
-func (a *analysis) checkForbiddenRef(pd *pkgData, sel *ast.SelectorExpr) {
+// checkWallclockRef flags references (calls or value uses — nowFn:
+// time.Now counts) to wall-clock time functions.
+func (a *analysis) checkWallclockRef(pd *pkgData, sel *ast.SelectorExpr) {
 	fn, ok := pd.info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !wallclockFuncs[fn.Name()] {
 		return
 	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return // methods (e.g. (*rand.Rand).Intn, time.Time.Sub) are fine
+	if fn.Signature().Recv() != nil {
+		return // methods (time.Time.Sub, ...) are fine
 	}
-	pos := a.fset.Position(sel.Pos())
-	switch fn.Pkg().Path() {
-	case "time":
-		if wallclockFuncs[fn.Name()] {
-			a.reportf(pos, checkWallclock,
-				"time.%s reads the wall clock; simulated code must derive time from the simenv clock",
-				fn.Name())
-		}
-	case "math/rand", "math/rand/v2":
-		if globalrandFuncs[fn.Name()] {
-			a.reportf(pos, checkGlobalrand,
-				"package-level rand.%s draws from the shared global stream; use a named simenv Rand stream",
-				fn.Name())
-		}
-	}
+	a.reportf(a.fset.Position(sel.Pos()), checkWallclock,
+		"time.%s reads the wall clock; simulated code must derive time from the simenv clock",
+		fn.Name())
 }
 
 // checkMapRange flags order-sensitive map iteration. encl is the body of

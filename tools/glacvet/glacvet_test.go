@@ -72,7 +72,7 @@ func TestSuppressedChecks(t *testing.T) {
 	// goroutine finding in det/det.go (Paced), no finding at all inside
 	// Good/Family/Guard, no maprange finding for the sorted collector.
 	for _, f := range byFile["det/det.go"] {
-		if f.check == checkGoroutine && f.pos.Line > 38 {
+		if f.check == checkGoroutine && f.pos.Line > 33 {
 			t.Errorf("Paced's justified goroutine was not suppressed: %+v", f)
 		}
 	}
@@ -84,13 +84,26 @@ func TestSuppressedChecks(t *testing.T) {
 			t.Errorf("Labels (declared function, method, conversion) reported: %+v", f)
 		}
 	}
-	// A String method, a name only a test spells, and a justified allow
-	// all keep an otherwise unreferenced export from reporting.
+	// A String method, a justified allow, and a type-checked use in the
+	// nested module or the root's Examples keep an export from reporting.
+	// A test's use keeps nothing: Peek is reported, and so is Timer.Stop
+	// although the test calls Ticker.Stop, and so is Spelled although the
+	// nested module declares and calls a Spelled of its own.
+	reported := map[string]bool{}
 	for _, f := range byFile["internal/dead/dead.go"] {
-		for _, live := range []string{"String", "Peek", "Kept"} {
-			if strings.Contains(f.msg, live+" ") {
-				t.Errorf("deadexport reported live name %s: %+v", live, f)
-			}
+		if f.check == checkDeadexport {
+			fields := strings.Fields(f.msg)
+			reported[fields[2]] = true // "exported <kind> <name> ..."
+		}
+	}
+	for _, live := range []string{"Counter.String", "Kept", "Ticker.Stop", "Used", "Documented"} {
+		if reported[live] {
+			t.Errorf("deadexport reported live name %s", live)
+		}
+	}
+	for _, dead := range []string{"Peek", "Orphan", "Counter.Reset", "Timer.Stop", "Spelled"} {
+		if !reported[dead] {
+			t.Errorf("deadexport kept %s, which only a test or a same-spelled name uses", dead)
 		}
 	}
 	for _, f := range byFile["hot/hot.go"] {

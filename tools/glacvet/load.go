@@ -101,6 +101,17 @@ func (l *loader) load(path string) (*pkgData, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
+	pd, err := l.check(path, dir, names)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = pd
+	return pd, nil
+}
+
+// check parses the named files of dir and type-checks them as package
+// path.
+func (l *loader) check(path, dir string, names []string) (*pkgData, error) {
 	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil,
@@ -121,9 +132,7 @@ func (l *loader) load(path string) (*pkgData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", path, err)
 	}
-	pd := &pkgData{path: path, dir: dir, files: files, pkg: pkg, info: info}
-	l.pkgs[path] = pd
-	return pd, nil
+	return &pkgData{path: path, dir: dir, files: files, pkg: pkg, info: info}, nil
 }
 
 // goFilesIn lists the non-test Go files of dir, sorted for stable builds.

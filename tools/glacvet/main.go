@@ -4,7 +4,7 @@
 // enforces five families of invariants that the golden files and
 // AllocsPerRun pins otherwise only catch at runtime:
 //
-//   - determinism: no wall-clock reads, no global math/rand draws, no
+//   - determinism: no wall-clock reads, no math/rand import, no
 //     goroutine launches, no order-sensitive map iteration in simulation
 //     code (checks wallclock, globalrand, goroutine, maprange);
 //   - hotpath: functions marked //glacvet:hotpath — the zero-alloc
@@ -13,8 +13,9 @@
 //   - wire format: structs marked //glacvet:wire, and every struct they
 //     embed in their encoded output, must tag each exported field
 //     explicitly (check wiretag);
-//   - dead exports: an exported name under internal/ that nothing in the
-//     module, its tests or bench/ references (check deadexport);
+//   - dead exports: an exported name under internal/ with no type-checked
+//     use in the module, a nested module such as bench/, or the root
+//     Examples; other tests do not count (check deadexport);
 //   - suppression hygiene: //glacvet:allow is the only escape hatch and
 //     must name a real check, give a reason, and actually suppress
 //     something (check allow).

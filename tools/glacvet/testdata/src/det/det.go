@@ -1,6 +1,5 @@
-// Package det exercises the determinism family: wall-clock reads, global
-// rand draws and goroutine launches are findings; constructors and
-// justified uses are not.
+// Package det exercises the determinism family: wall-clock reads, math/rand
+// imports and goroutine launches are findings; justified uses are not.
 package det
 
 import (
@@ -21,14 +20,10 @@ func Backoff() {
 // Clock stores a reference (not a call) to time.Now — still a finding.
 var Clock = time.Now
 
-// Jitter draws from the shared global stream — a globalrand finding.
+// Jitter draws from the shared global stream; the import above is the
+// globalrand finding.
 func Jitter() int {
 	return rand.Intn(10)
-}
-
-// Stream builds an independent source: constructors stay legal.
-func Stream(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
 }
 
 // Launch breaks the single simulation goroutine — a goroutine finding.

@@ -6,4 +6,5 @@ func TestPeek(t *testing.T) {
 	if Peek() == nil {
 		t.Fatal("nil counter")
 	}
+	new(Ticker).Stop()
 }
