@@ -81,6 +81,9 @@ func runCampaign(dir string, seed int64, seeds, days, shardI, shardM int, sharde
 	if seeds < 1 {
 		return cliutil.Usagef("-seeds must be >= 1")
 	}
+	if days < 0 {
+		return cliutil.Usagef("-days must be >= 0")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("create artifact dir: %w", err)
 	}

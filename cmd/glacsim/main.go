@@ -98,12 +98,13 @@ func run(args []string) error {
 
 // runCmd simulates one scenario.
 func runCmd(fs *flag.FlagSet) func([]string) error {
-	sc := cliutil.ScenarioFlags(fs)
+	scenarioRun := cliutil.ScenarioFlags(fs)
 	verbose := fs.Bool("v", false, "print every daily run report")
 	csvPath := fs.String("csv", "", "write the first base station's voltage trace as CSV")
 	record := fs.String("record", "", "record the run's event log to a file")
 	return func([]string) error {
-		if err := sc.Check(); err != nil {
+		r, err := scenarioRun()
+		if err != nil {
 			return err
 		}
 		if *record != "" && *csvPath != "" {
@@ -111,21 +112,10 @@ func runCmd(fs *flag.FlagSet) func([]string) error {
 			// rebuilt from nothing but the log's header — could never reproduce.
 			return cliutil.Usagef("-record captures replayable runs; it cannot combine with -csv")
 		}
-		s, ok := scenario.Lookup(sc.Name)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (try glacsim list)", sc.Name)
-		}
-		params := scenario.Params{Seed: sc.Seed, Stations: sc.Stations, Probes: sc.Probes, Days: sc.Days}
-		horizon := s.Horizon(params)
-		top := s.Topology(params)
-		ov, err := flagOverride(sc.Start, sc.SpecialFirst)
+		top, horizon, err := r.Topology()
 		if err != nil {
 			return err
 		}
-		if ov.Apply != nil {
-			ov.Apply(&top)
-		}
-
 		d, err := deploy.Build(top)
 		if err != nil {
 			return err
@@ -137,8 +127,8 @@ func runCmd(fs *flag.FlagSet) func([]string) error {
 			// The header carries everything replay needs to rebuild this run:
 			// the flag surface is exactly the rebuildable surface.
 			if rec, finish, err = cliutil.RecordTo(*record, evlog.Header{
-				Scenario: s.Name, Seed: sc.Seed, Stations: sc.Stations, Probes: sc.Probes,
-				Days: horizon, Start: sc.Start, SpecialFirst: sc.SpecialFirst,
+				Scenario: r.Scenario, Seed: r.Params.Seed, Stations: r.Params.Stations, Probes: r.Params.Probes,
+				Days: horizon, Start: r.Start, SpecialFirst: r.SpecialFirst,
 			}, d); err != nil {
 				return err
 			}
@@ -175,7 +165,7 @@ func runCmd(fs *flag.FlagSet) func([]string) error {
 			return err
 		}
 
-		fmt.Printf("=== scenario %s: %d simulated days ===\n", s.Name, horizon)
+		fmt.Printf("=== scenario %s: %d simulated days ===\n", r.Scenario, horizon)
 		fmt.Print(d.Result())
 		if rec != nil {
 			fmt.Printf("event log (%d events) written to %s\n", rec.Records(), *record)
@@ -201,7 +191,7 @@ func runCmd(fs *flag.FlagSet) func([]string) error {
 // at m=1) — locally or, with -remote, across a worker pool — and writes
 // the summary in the requested encoding.
 func sweepCmd(fs *flag.FlagSet) func([]string) error {
-	sc := cliutil.ScenarioFlags(fs)
+	scenarioRun := cliutil.ScenarioFlags(fs)
 	seeds := fs.Int("seeds", 4, "consecutive seeds starting at -seed")
 	shard := fs.String("shard", "", "run only shard i/m of the grid and write a partial summary")
 	ex := cliutil.ExecFlags(fs)
@@ -210,7 +200,8 @@ func sweepCmd(fs *flag.FlagSet) func([]string) error {
 		if err := out.Check(fs); err != nil {
 			return err
 		}
-		if err := sc.Check(); err != nil {
+		r, err := scenarioRun()
+		if err != nil {
 			return err
 		}
 		if *seeds < 1 {
@@ -225,22 +216,22 @@ func sweepCmd(fs *flag.FlagSet) func([]string) error {
 		}
 
 		var names []string
-		for _, n := range strings.Split(sc.Name, ",") {
+		for _, n := range strings.Split(r.Scenario, ",") {
 			if n = strings.TrimSpace(n); n != "" {
 				names = append(names, n)
 			}
 		}
-		g := sweep.Grid{Scenarios: names, Seeds: sweep.SeedRange(sc.Seed, *seeds), Days: sc.Days}
-		if sc.Stations > 0 {
-			g.Stations = []int{sc.Stations}
+		g := sweep.Grid{Scenarios: names, Seeds: sweep.SeedRange(r.Params.Seed, *seeds), Days: r.Params.Days}
+		if r.Params.Stations > 0 {
+			g.Stations = []int{r.Params.Stations}
 		}
-		if sc.Probes > 0 {
-			g.Probes = []int{sc.Probes}
+		if r.Params.Probes > 0 {
+			g.Probes = []int{r.Params.Probes}
 		}
 		// -start and -special-first become one topology override applied to
 		// every cell. Its Apply closure cannot cross the wire; remote workers
 		// rebuild it from its name through the registered hook set.
-		ov, err := flagOverride(sc.Start, sc.SpecialFirst)
+		ov, err := flagOverride(r.Start, r.SpecialFirst)
 		if err != nil {
 			return err
 		}
@@ -250,7 +241,7 @@ func sweepCmd(fs *flag.FlagSet) func([]string) error {
 			hooks = "glacsim/flags"
 		}
 		if ex.RecordDir != "" {
-			if err := cliutil.RecordCells(&g, ex.RecordDir, evlog.Header{Start: sc.Start, SpecialFirst: sc.SpecialFirst}); err != nil {
+			if err := cliutil.RecordCells(&g, ex.RecordDir, evlog.Header{Start: r.Start, SpecialFirst: r.SpecialFirst}); err != nil {
 				return err
 			}
 		}
@@ -396,19 +387,16 @@ func parseShard(s string) (i, m int, err error) {
 	return i, m, nil
 }
 
-// dateLayout is the -start flag's date format.
-const dateLayout = "2006-01-02"
-
 // flagOverride turns the -start/-special-first flags into one topology
-// override shared by the single-run and sweep paths; the zero Override
-// when neither flag is set. Its name carries the flag values canonically
-// (flagsName) and its Apply is parsed back from that name (flagsApply), so
-// the plan fingerprint, which hashes the name, covers everything the
-// override does.
+// override for every sweep cell; the zero Override when neither flag is
+// set. Its name carries the flag values canonically (flagsName) and its
+// Apply is parsed back from that name (flagsApply), so the plan
+// fingerprint, which hashes the name, covers everything the override
+// does.
 func flagOverride(start string, fixed bool) (sweep.Override, error) {
-	name, err := flagsName(start, fixed)
-	if err != nil || name == "" {
-		return sweep.Override{}, err
+	name := flagsName(start, fixed)
+	if name == "" {
+		return sweep.Override{}, nil
 	}
 	apply, err := flagsApply(name)
 	return sweep.Override{Name: name, Apply: apply}, err
@@ -417,49 +405,33 @@ func flagOverride(start string, fixed bool) (sweep.Override, error) {
 // flagsName renders the flag values as an override name:
 // "start=YYYY-MM-DD", "special-first" or both joined by "+"; "" when
 // neither flag is set.
-func flagsName(start string, fixed bool) (string, error) {
+func flagsName(start string, fixed bool) string {
 	var parts []string
 	if start != "" {
-		t0, err := time.Parse(dateLayout, start)
-		if err != nil {
-			return "", fmt.Errorf("bad -start: %w", err)
-		}
-		parts = append(parts, "start="+t0.Format(dateLayout))
+		parts = append(parts, "start="+start)
 	}
 	if fixed {
 		parts = append(parts, "special-first")
 	}
-	return strings.Join(parts, "+"), nil
+	return strings.Join(parts, "+")
 }
 
-// flagsApply parses an override name flagsName built into the topology
-// mutation it names — the one definition of what the flags do, on either
-// side of the wire. A name flagsName would not produce is an error.
+// flagsApply parses an override name flagsName built back into the
+// scenario.Run adjustment it names, on either side of the wire. A name
+// flagsName would not produce, or a malformed start date, is an error.
 func flagsApply(name string) (func(*deploy.Topology), error) {
-	var start string
-	fixed := false
+	var r scenario.Run
 	for _, part := range strings.Split(name, "+") {
 		if date, ok := strings.CutPrefix(part, "start="); ok {
-			start = date
+			r.Start = date
 		} else if part == "special-first" {
-			fixed = true
+			r.SpecialFirst = true
 		}
 	}
-	if canon, err := flagsName(start, fixed); err != nil || name == "" || canon != name {
+	if name == "" || flagsName(r.Start, r.SpecialFirst) != name {
 		return nil, fmt.Errorf("%q is not a -start/-special-first override name", name)
 	}
-	t0, _ := time.Parse(dateLayout, start) // flagsName validated a non-empty start
-	return func(top *deploy.Topology) {
-		if start != "" {
-			top.Start = t0
-		}
-		if fixed {
-			// Partial runtime overrides merge with the role defaults in Build.
-			for i := range top.Stations {
-				top.Stations[i].Runtime.SpecialFirst = true
-			}
-		}
-	}, nil
+	return r.Adjust()
 }
 
 func init() {

@@ -115,7 +115,7 @@ func TestFlagsOverrideName(t *testing.T) {
 	}
 	top := deploy.Topology{Stations: []deploy.StationSpec{{}, {}}}
 	ov.Apply(&top)
-	if got := top.Start.Format(dateLayout); got != "2009-07-15" {
+	if got := top.Start.Format("2006-01-02"); got != "2009-07-15" {
 		t.Errorf("Apply set start %s", got)
 	}
 	for i, st := range top.Stations {

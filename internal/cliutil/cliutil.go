@@ -19,6 +19,7 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/evlog"
 	"repro/internal/rescache"
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
 
@@ -136,34 +137,26 @@ func Logf(format string, a ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", a...)
 }
 
-// Scenario is the scenario flag group: what a run or a sweep simulates.
-type Scenario struct {
-	Name                   string
-	Seed                   int64
-	Days, Stations, Probes int
-	Start                  string
-	SpecialFirst           bool
-}
-
-// ScenarioFlags registers the scenario group on fs.
-func ScenarioFlags(fs *flag.FlagSet) *Scenario {
-	s := &Scenario{}
-	fs.StringVar(&s.Name, "scenario", "as-deployed-2008", "registered scenario name (see list); a sweep takes a comma-separated list")
-	fs.Int64Var(&s.Seed, "seed", 42, "simulation seed (a sweep's first seed)")
-	fs.IntVar(&s.Days, "days", 0, "simulated days to run (0 = the scenario's default horizon)")
-	fs.IntVar(&s.Stations, "stations", 0, "fleet size for parameterised scenarios (fleet-N)")
-	fs.IntVar(&s.Probes, "probes", 0, "per-base probe cohort size (0 = scenario default)")
-	fs.StringVar(&s.Start, "start", "", "start date override (YYYY-MM-DD; empty = scenario default)")
-	fs.BoolVar(&s.SpecialFirst, "special-first", false, "apply the §VI special-before-upload fix on every station")
-	return s
-}
-
-// Check rejects negative sizes and horizons.
-func (s *Scenario) Check() error {
-	if s.Days < 0 || s.Stations < 0 || s.Probes < 0 {
-		return Usagef("-days, -stations and -probes must be >= 0")
+// ScenarioFlags registers the scenario flag group on fs, bound into one
+// scenario.Run (a sweep reads its Scenario as a comma-separated list).
+// The returned function, called after parsing, yields that Run or a usage
+// error for a negative size or horizon.
+func ScenarioFlags(fs *flag.FlagSet) func() (scenario.Run, error) {
+	r := &scenario.Run{}
+	p := &r.Params
+	fs.StringVar(&r.Scenario, "scenario", "as-deployed-2008", "registered scenario name (see list); a sweep takes a comma-separated list")
+	fs.Int64Var(&p.Seed, "seed", 42, "simulation seed (a sweep's first seed)")
+	fs.IntVar(&p.Days, "days", 0, "simulated days to run (0 = the scenario's default horizon)")
+	fs.IntVar(&p.Stations, "stations", 0, "fleet size for parameterised scenarios (fleet-N)")
+	fs.IntVar(&p.Probes, "probes", 0, "per-base probe cohort size (0 = scenario default)")
+	fs.StringVar(&r.Start, "start", "", "start date override (YYYY-MM-DD; empty = scenario default)")
+	fs.BoolVar(&r.SpecialFirst, "special-first", false, "apply the §VI special-before-upload fix on every station")
+	return func() (scenario.Run, error) {
+		if p.Days < 0 || p.Stations < 0 || p.Probes < 0 {
+			return scenario.Run{}, Usagef("-days, -stations and -probes must be >= 0")
+		}
+		return *r, nil
 	}
-	return nil
 }
 
 // Output is the output flag group: the encoding of a sweep summary and

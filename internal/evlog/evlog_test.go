@@ -76,6 +76,29 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// The header line of a log with every header field set is pinned byte
+// for byte, and reads back equal: no golden log carries stations, probes,
+// start, special-first, fingerprint and hooks at once.
+func TestHeaderLineWithEveryField(t *testing.T) {
+	hdr := Header{
+		Scenario: "fleet-N", Seed: 42, Stations: 3, Probes: 2, Days: 2,
+		Start: "2009-07-15", SpecialFirst: true, Fingerprint: "0123456789abcdef", Hooks: "campaign/x5",
+	}
+	data := recordSim(t, hdr, 42, tickDrive(2, constName("")))
+	const want = `glacsweb-evlog 1 {"scenario":"fleet-N","seed":42,"stations":3,"probes":2,"days":2,` +
+		`"start":"2009-07-15","special_first":true,"fingerprint":"0123456789abcdef","hooks":"campaign/x5"}`
+	if line, _, _ := strings.Cut(string(data), "\n"); line != want {
+		t.Fatalf("header line\n%s\nwant\n%s", line, want)
+	}
+	l, err := Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Header != hdr {
+		t.Fatalf("header read back as %+v, want %+v", l.Header, hdr)
+	}
+}
+
 // Corrupting any single record byte must fail the read naming that exact
 // record: the per-record chain check byte localizes the damage.
 func TestCorruptionNamesTheRecord(t *testing.T) {

@@ -101,29 +101,20 @@ func Rebuild(h Header) (*deploy.Deployment, int, error) {
 	if h.Hooks != "" {
 		return nil, 0, fmt.Errorf("evlog: log was recorded under the %q hook set; only plain scenario runs can be rebuilt from a header", h.Hooks)
 	}
-	s, ok := scenario.Lookup(h.Scenario)
-	if !ok {
-		return nil, 0, fmt.Errorf("evlog: scenario %q is not registered in this binary (have: %v)", h.Scenario, scenario.Names())
-	}
-	p := scenario.Params{Seed: h.Seed, Stations: h.Stations, Probes: h.Probes, Days: h.Days}
-	top := s.Topology(p)
-	if h.Start != "" {
-		t0, err := time.Parse("2006-01-02", h.Start)
-		if err != nil {
-			return nil, 0, fmt.Errorf("evlog: header start date %q: %w", h.Start, err)
-		}
-		top.Start = t0
-	}
-	if h.SpecialFirst {
-		for i := range top.Stations {
-			top.Stations[i].Runtime.SpecialFirst = true
-		}
+	top, days, err := scenario.Run{
+		Scenario:     h.Scenario,
+		Params:       scenario.Params{Seed: h.Seed, Stations: h.Stations, Probes: h.Probes, Days: h.Days},
+		Start:        h.Start,
+		SpecialFirst: h.SpecialFirst,
+	}.Topology()
+	if err != nil {
+		return nil, 0, fmt.Errorf("evlog: rebuild from header: %w", err)
 	}
 	d, err := deploy.Build(top)
 	if err != nil {
 		return nil, 0, fmt.Errorf("evlog: rebuild %s: %w", h.Scenario, err)
 	}
-	return d, s.Horizon(p), nil
+	return d, days, nil
 }
 
 // Verify rebuilds the run described by the log's header, replays it

@@ -26,32 +26,14 @@ const PowerW = 0.9
 // DefaultBootDelay is the time from rail-up to userland ready.
 const DefaultBootDelay = 35 * time.Second
 
-// Job is one unit of work on the host. Duration is evaluated when the job
-// starts (so it can depend on how much data accumulated); Run fires at
-// completion; Abort (optional) fires if power is lost mid-job.
-//
-// Work is the allocation-friendly alternative to the Duration/Run pair: it
-// runs when the job starts, returns the simulated duration the job occupies,
-// and optionally a completion function the host applies when the job
-// finishes. A job must set either Work, or both Duration and Run — not a mix.
+// Job is one unit of work on the host. Work runs when the job starts (so
+// the duration can depend on how much data accumulated) and returns the
+// simulated duration the job occupies, plus an optional completion
+// function the host applies when the job finishes. A power cut mid-job
+// drops the job: its completion never runs.
 type Job struct {
-	Name     string
-	Duration func(now time.Time) time.Duration
-	Run      func(now time.Time)
-	Abort    func(now time.Time)
-	Work     func(now time.Time) (time.Duration, func(now time.Time))
-}
-
-func checkJob(j Job) {
-	if j.Work != nil {
-		if j.Duration != nil || j.Run != nil {
-			panic("gumstix: job must set Work or Duration+Run, not both")
-		}
-		return
-	}
-	if j.Duration == nil || j.Run == nil {
-		panic("gumstix: job needs Duration and Run")
-	}
+	Name string
+	Work func(now time.Time) (time.Duration, func(now time.Time))
 }
 
 // Host is a simulated Gumstix. Construct with New; drive it by switching its
@@ -71,7 +53,6 @@ type Host struct {
 	head     int
 	running  bool
 	curEv    simenv.EventID
-	cur      Job
 	curApply func(now time.Time)
 
 	onBoot []func(now time.Time)
@@ -111,7 +92,7 @@ func (h *Host) Powered() bool { return h.powered }
 func (h *Host) OnBoot(fn func(now time.Time)) { h.onBoot = append(h.onBoot, fn) }
 
 //glacvet:hotpath
-func (h *Host) railChanged(on bool, now time.Time) {
+func (h *Host) railChanged(on bool, _ time.Time) {
 	if on == h.powered {
 		return
 	}
@@ -124,11 +105,7 @@ func (h *Host) railChanged(on bool, now time.Time) {
 	h.booted = false
 	if h.running {
 		h.sim.Cancel(h.curEv)
-		if h.cur.Abort != nil {
-			h.cur.Abort(now)
-		}
 		h.running = false
-		h.cur = Job{}
 		h.curApply = nil
 	}
 	// Clear the queue but keep the backing array; zero the dropped slots so
@@ -162,7 +139,6 @@ func (h *Host) Enqueue(j Job) {
 	if !h.powered {
 		return
 	}
-	checkJob(j)
 	h.queue = append(h.queue, j)
 	if h.booted {
 		h.pump(h.sim.Now())
@@ -179,7 +155,6 @@ func (h *Host) EnqueueFront(j Job) {
 	if !h.powered {
 		return
 	}
-	checkJob(j)
 	if h.head > 0 {
 		// A pop freed a slot at the front; continuation chains (drain next
 		// file, upload next item) land here and never reallocate.
@@ -208,13 +183,8 @@ func (h *Host) pump(now time.Time) {
 		h.head = 0
 	}
 	h.running = true
-	h.cur = j
-	var d time.Duration
-	if j.Work != nil {
-		d, h.curApply = j.Work(now)
-	} else {
-		d = j.Duration(now)
-	}
+	d, apply := j.Work(now)
+	h.curApply = apply
 	if d < 0 {
 		d = 0
 	}
@@ -226,17 +196,11 @@ func (h *Host) jobDone(doneNow time.Time) {
 	if !h.booted { // power vanished; abort path already handled
 		return
 	}
-	j := h.cur
 	apply := h.curApply
 	h.running = false
-	h.cur = Job{}
 	h.curApply = nil
-	if j.Work != nil {
-		if apply != nil {
-			apply(doneNow)
-		}
-	} else {
-		j.Run(doneNow)
+	if apply != nil {
+		apply(doneNow)
 	}
 	h.pump(doneNow)
 }

@@ -122,8 +122,9 @@ type MCU struct {
 	sampleHead int
 	dropped    int
 
-	// nv is the non-volatile flash store: survives power loss.
-	nv map[string]string
+	// lastRun is the last successful run time kept in flash, to the
+	// second; it survives power loss. Zero means none recorded yet.
+	lastRun time.Time
 
 	onBoot []func(rtcNow time.Time, coldStart bool)
 
@@ -146,7 +147,6 @@ func New(sim *simenv.Simulator, bus *energy.Bus, sampler energy.Sampler, cfg Con
 		sampler:    sampler,
 		cfg:        cfg,
 		alarms:     make(map[AlarmID]*alarm),
-		nv:         make(map[string]string),
 		alarmNames: make(map[string]string),
 	}
 	// The Gumstix drains the buffer daily: size it for a day of samples.
@@ -256,35 +256,14 @@ func (m *MCU) ClockError() time.Duration {
 
 // --- Non-volatile store ---
 
-// NVPut writes a key to flash; survives power loss.
-func (m *MCU) NVPut(key, value string) { m.nv[key] = value }
-
-// SetLastRun records the last successful run time in flash (RFC 3339).
-func (m *MCU) SetLastRun(t time.Time) {
-	m.NVPut("last-run", t.UTC().Format(time.RFC3339))
-}
-
-// LastRun returns the recorded last successful run time, if any.
-func (m *MCU) LastRun() (time.Time, bool) {
-	v, ok := m.nv["last-run"]
-	if !ok {
-		return time.Time{}, false
-	}
-	t, err := time.Parse(time.RFC3339, v)
-	if err != nil {
-		return time.Time{}, false
-	}
-	return t, true
-}
+// SetLastRun records the last successful run time in flash, to the
+// second.
+func (m *MCU) SetLastRun(t time.Time) { m.lastRun = t.Truncate(time.Second) }
 
 // ClockSuspect reports whether the RTC is behind the recorded last
 // successful run — the paper's test for "the RTC is not to be trusted".
 func (m *MCU) ClockSuspect() bool {
-	last, ok := m.LastRun()
-	if !ok {
-		return false
-	}
-	return m.Now().Before(last)
+	return !m.lastRun.IsZero() && m.Now().Before(m.lastRun)
 }
 
 // --- Alarms (RAM schedule) ---

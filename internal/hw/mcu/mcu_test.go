@@ -164,15 +164,32 @@ func TestClockSuspectDetectsReset(t *testing.T) {
 	}
 }
 
+// The flash keeps whole seconds: a clock between the recorded run's whole
+// second and its exact instant is not behind it.
+func TestClockSuspectToTheSecond(t *testing.T) {
+	_, _, m := newRig(t, 1)
+	whole := time.Date(2009, time.September, 22, 12, 0, 0, 0, time.UTC)
+	m.SetLastRun(whole.Add(700 * time.Millisecond))
+	m.SetTime(whole.Add(300 * time.Millisecond))
+	if m.ClockSuspect() {
+		t.Fatal("clock inside the recorded run's second flagged suspect")
+	}
+	m.SetTime(whole.Add(-time.Millisecond))
+	if !m.ClockSuspect() {
+		t.Fatal("clock behind the recorded run's second not flagged suspect")
+	}
+}
+
 func TestNVStoreSurvivesPowerLoss(t *testing.T) {
 	sim, bus, m := newRig(t, 0.08)
-	m.NVPut("last-run", "2009-09-22T12:00:00Z")
+	last := time.Date(2009, time.September, 22, 12, 0, 0, 0, time.UTC)
+	m.SetLastRun(last)
 	bus.SetLoad("drain", 60)
 	if err := sim.RunFor(400 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := m.nv["last-run"]; !ok || v != "2009-09-22T12:00:00Z" {
-		t.Fatalf("NV store lost across power cycle: %q %v", v, ok)
+	if !m.lastRun.Equal(last) {
+		t.Fatalf("last run %v after a power cycle, want %v", m.lastRun, last)
 	}
 }
 

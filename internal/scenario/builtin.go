@@ -6,9 +6,10 @@ import (
 	"repro/internal/deploy"
 )
 
-// The built-in catalogue. Every entry is deterministic in (name, Params).
-func init() {
-	MustRegister(Scenario{
+// catalogue is the fixed scenario table, sorted by name. Every entry is
+// deterministic in (name, Params).
+var catalogue = []Scenario{
+	{
 		Name:        "as-deployed-2008",
 		Description: "the paper's Fig 3 pair: one base with the 7-probe cohort, one reference, Sept 2008 start",
 		DefaultDays: 120,
@@ -19,9 +20,8 @@ func init() {
 			}
 			return t
 		},
-	})
-
-	MustRegister(Scenario{
+	},
+	{
 		Name:        "dual-base",
 		Description: "two glacier bases with independent probe cohorts sharing one reference and one server",
 		DefaultDays: 90,
@@ -39,9 +39,8 @@ func init() {
 				},
 			}
 		},
-	})
-
-	MustRegister(Scenario{
+	},
+	{
 		Name:        "fleet-N",
 		Description: "parameterised fleet: one reference plus N-1 bases (-stations N, default 4), small cohorts",
 		DefaultDays: 30,
@@ -52,9 +51,8 @@ func init() {
 			}
 			return deploy.FleetTopology(p.Seed, n, p.Probes)
 		},
-	})
-
-	MustRegister(Scenario{
+	},
+	{
 		Name:        "probe-heavy",
 		Description: "one base drowning in probes (21 by default): stresses the fetch window and §VI log volume",
 		DefaultDays: 60,
@@ -71,9 +69,8 @@ func init() {
 				},
 			}
 		},
-	})
-
-	MustRegister(Scenario{
+	},
+	{
 		Name:        "winter-blackout",
 		Description: "November start, café mains dead all season, both banks half-charged: the power design's worst case",
 		DefaultDays: 150,
@@ -95,5 +92,5 @@ func init() {
 				},
 			}
 		},
-	})
+	},
 }

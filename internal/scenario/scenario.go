@@ -1,15 +1,17 @@
-// Package scenario is a named catalogue of deployment topologies. A
-// Scenario binds a name to a parameterised Topology plus a default horizon
-// and any injected faults, so tools (cmd/glacsim), examples and benchmarks
-// can all run the same deployments by name instead of re-wiring fleets by
-// hand. The package registry is seeded with the built-in catalogue in
-// builtin.go; callers may Register their own.
+// Package scenario is the fixed catalogue of named deployment topologies
+// and the one owner of what a named run builds. A Scenario binds a name
+// to a parameterised Topology plus a default horizon and any injected
+// faults; a Run adds the start date and the §VI special-first fix a run
+// may set on any scenario. Tools (cmd/glacsim), event-log replay, the
+// sweep engine, examples and benchmarks all build their runs through
+// Run.Topology instead of re-wiring fleets by hand. The catalogue is the
+// table in builtin.go.
 package scenario
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"time"
 
 	"repro/internal/deploy"
 )
@@ -37,9 +39,9 @@ func (s Scenario) Horizon(p Params) int {
 	return s.DefaultDays
 }
 
-// Scenario is one named, registered deployment shape.
+// Scenario is one named deployment shape of the catalogue.
 type Scenario struct {
-	// Name is the registry key (e.g. "as-deployed-2008").
+	// Name is the catalogue key (e.g. "as-deployed-2008").
 	Name string
 	// Description is a one-line summary for listings.
 	Description string
@@ -49,68 +51,23 @@ type Scenario struct {
 	Topology func(p Params) deploy.Topology
 }
 
-var registry = struct {
-	sync.Mutex
-	byName map[string]Scenario
-}{byName: make(map[string]Scenario)}
-
-// Register adds a scenario to the catalogue. Registering an empty name, a
-// nil topology or a name already taken is an error.
-func Register(s Scenario) error {
-	if s.Name == "" {
-		return fmt.Errorf("scenario: empty name")
-	}
-	if s.Topology == nil {
-		return fmt.Errorf("scenario %q: nil topology", s.Name)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.byName[s.Name]; dup {
-		return fmt.Errorf("scenario %q: already registered", s.Name)
-	}
-	registry.byName[s.Name] = s
-	return nil
-}
-
-// MustRegister is Register for the built-in catalogue; it panics on error.
-func MustRegister(s Scenario) {
-	if err := Register(s); err != nil {
-		panic(err)
-	}
-}
-
-// unregister removes a scenario; test hook only.
-func unregister(name string) {
-	registry.Lock()
-	defer registry.Unlock()
-	delete(registry.byName, name)
-}
-
 // Lookup returns the named scenario.
 func Lookup(name string) (Scenario, bool) {
-	registry.Lock()
-	defer registry.Unlock()
-	s, ok := registry.byName[name]
-	return s, ok
-}
-
-// List returns every registered scenario sorted by name.
-func List() []Scenario {
-	registry.Lock()
-	defer registry.Unlock()
-	out := make([]Scenario, 0, len(registry.byName))
-	for _, s := range registry.byName {
-		out = append(out, s)
+	for _, s := range catalogue {
+		if s.Name == name {
+			return s, true
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return Scenario{}, false
 }
 
-// Names returns every registered scenario name, sorted.
+// List returns every scenario sorted by name.
+func List() []Scenario { return slices.Clone(catalogue) }
+
+// Names returns every scenario name, sorted.
 func Names() []string {
-	ss := List()
-	names := make([]string, len(ss))
-	for i, s := range ss {
+	names := make([]string, len(catalogue))
+	for i, s := range catalogue {
 		names[i] = s.Name
 	}
 	return names
@@ -118,9 +75,63 @@ func Names() []string {
 
 // Build looks a scenario up and wires its deployment.
 func Build(name string, p Params) (*deploy.Deployment, error) {
-	s, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("scenario %q: not registered (have: %v)", name, Names())
+	top, _, err := Run{Scenario: name, Params: p}.Topology()
+	if err != nil {
+		return nil, err
 	}
-	return deploy.Build(s.Topology(p))
+	return deploy.Build(top)
+}
+
+// Run is the whole description of a named run: what the scenario flag
+// group of the CLIs sets and what an event log's header records, so that
+// a run rebuilt from either builds the same topology.
+type Run struct {
+	// Scenario is the catalogue name.
+	Scenario string
+	Params   Params
+	// Start is a "YYYY-MM-DD" start date ("" = the scenario's own).
+	Start string
+	// SpecialFirst applies the §VI special-before-upload fix on every
+	// station.
+	SpecialFirst bool
+}
+
+// Topology resolves r into the topology it runs and its horizon in days.
+func (r Run) Topology() (deploy.Topology, int, error) {
+	s, ok := Lookup(r.Scenario)
+	if !ok {
+		return deploy.Topology{}, 0, fmt.Errorf("scenario %q: not registered (have: %v)", r.Scenario, Names())
+	}
+	adjust, err := r.Adjust()
+	if err != nil {
+		return deploy.Topology{}, 0, err
+	}
+	top := s.Topology(r.Params)
+	adjust(&top)
+	return top, s.Horizon(r.Params), nil
+}
+
+// Adjust returns the change r's Start and SpecialFirst make to a
+// topology, or an error for a malformed start date. It is the one place
+// either is interpreted. It ignores Scenario and Params, so a sweep
+// override can apply it to each cell's own topology.
+func (r Run) Adjust() (func(*deploy.Topology), error) {
+	var t0 time.Time
+	if r.Start != "" {
+		var err error
+		if t0, err = time.Parse("2006-01-02", r.Start); err != nil {
+			return nil, fmt.Errorf("scenario: bad start date: %w", err)
+		}
+	}
+	return func(top *deploy.Topology) {
+		if r.Start != "" {
+			top.Start = t0
+		}
+		if r.SpecialFirst {
+			// Partial runtime overrides merge with the role defaults in Build.
+			for i := range top.Stations {
+				top.Stations[i].Runtime.SpecialFirst = true
+			}
+		}
+	}, nil
 }

@@ -2,8 +2,8 @@ package scenario
 
 import (
 	"slices"
-	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/station"
@@ -43,46 +43,45 @@ func TestBuiltinCatalogue(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicatesAndBadInput(t *testing.T) {
-	if err := Register(Scenario{Name: "as-deployed-2008", Topology: func(Params) deploy.Topology { return deploy.AsDeployed(1) }}); err == nil {
-		t.Fatal("duplicate register accepted")
-	} else if !strings.Contains(err.Error(), "already registered") {
-		t.Fatalf("wrong duplicate error: %v", err)
-	}
-	if err := Register(Scenario{Name: "", Topology: func(Params) deploy.Topology { return deploy.AsDeployed(1) }}); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := Register(Scenario{Name: "no-topology"}); err == nil {
-		t.Fatal("nil topology accepted")
-	}
-}
-
-func TestRegisterAndBuildCustom(t *testing.T) {
-	s := Scenario{
-		Name:        "test-solo-base",
-		Description: "one base, no reference",
-		DefaultDays: 7,
-		Topology: func(p Params) deploy.Topology {
-			return deploy.Topology{Seed: p.Seed, Stations: []deploy.StationSpec{deploy.BaseSpec("solo", 2)}}
-		},
-	}
-	if err := Register(s); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { unregister(s.Name) })
-	d, err := Build("test-solo-base", Params{Seed: 5})
+// A Run's start date and special-first fix reach every station of the
+// scenario's topology, and its horizon is the scenario's unless Days is set.
+func TestRunTopology(t *testing.T) {
+	r := Run{Scenario: "dual-base", Params: Params{Seed: 5}, Start: "2009-07-15", SpecialFirst: true}
+	top, days, err := r.Topology()
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, ok := d.Station("solo")
-	if len(d.Stations) != 1 || !ok || solo.Role() != station.RoleBase {
-		t.Fatalf("solo build wrong: %d stations", len(d.Stations))
+	if want := time.Date(2009, time.July, 15, 0, 0, 0, 0, time.UTC); !top.Start.Equal(want) || days != 90 {
+		t.Fatalf("start %v, %d days; want %v, 90", top.Start, days, want)
 	}
-	if err := d.RunDays(2); err != nil {
+	for _, st := range top.Stations {
+		if !st.Runtime.SpecialFirst {
+			t.Fatalf("station %s without special-first", st.Name)
+		}
+	}
+	plain, days, err := Run{Scenario: "dual-base", Params: Params{Seed: 5, Days: 3}}.Topology()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if solo.Stats().Runs != 2 {
-		t.Fatalf("solo base ran %d days", solo.Stats().Runs)
+	if !plain.Start.IsZero() || plain.Stations[0].Runtime.SpecialFirst || days != 3 {
+		t.Fatalf("plain run with Days 3: start %v, %d days", plain.Start, days)
+	}
+	for _, bad := range []Run{
+		{Scenario: "no-such-scenario"},
+		{Scenario: "dual-base", Start: "15/07/2009"},
+		{Scenario: "dual-base", Start: "2009-7-15"},
+	} {
+		if _, _, err := bad.Topology(); err == nil {
+			t.Errorf("%+v resolved", bad)
+		}
+	}
+}
+
+// The catalogue is fixed: changing what List returns changes nothing else.
+func TestListIsACopy(t *testing.T) {
+	List()[0].Name = "changed"
+	if Names()[0] == "changed" {
+		t.Fatal("List exposed the catalogue itself")
 	}
 }
 

@@ -44,13 +44,6 @@ var Epoch = time.Date(2008, time.September, 1, 0, 0, 0, 0, time.UTC)
 // via Stop rather than by reaching its horizon or draining its queue.
 var ErrStopped = errors.New("simenv: simulation stopped")
 
-// Clock exposes the current simulated time. Components hold a Clock rather
-// than a *Simulator when they only need to read time, which keeps them
-// trivially testable.
-type Clock interface {
-	Now() time.Time
-}
-
 // EventFunc is the body of a scheduled event. It runs at its scheduled
 // simulated time on the single simulation goroutine.
 type EventFunc func(now time.Time)
@@ -244,8 +237,6 @@ func New(seed int64) *Simulator {
 func NewAt(seed int64, start time.Time) *Simulator {
 	return &Simulator{now: start, seed: seed, runTail: noSlot}
 }
-
-var _ Clock = (*Simulator)(nil)
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() time.Time { return s.now }

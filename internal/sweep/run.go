@@ -230,12 +230,14 @@ func RunPlanned(g Grid, r Runner, fingerprint string, totalCells int, cells []Ce
 // behind any return path.
 func (g Grid) runCell(c Cell) (cr CellResult) {
 	cr = CellResult{Cell: c}
-	s, ok := scenario.Lookup(c.Scenario)
-	if !ok {
-		cr.Err = fmt.Sprintf("scenario %q disappeared from the registry", c.Scenario)
+	top, _, err := scenario.Run{
+		Scenario: c.Scenario,
+		Params:   scenario.Params{Seed: c.Seed, Stations: c.Stations, Probes: c.Probes, Days: c.Days},
+	}.Topology()
+	if err != nil {
+		cr.Err = err.Error()
 		return cr
 	}
-	top := s.Topology(scenario.Params{Seed: c.Seed, Stations: c.Stations, Probes: c.Probes, Days: c.Days})
 	for _, ov := range g.Overrides {
 		if ov.Name == c.Override && ov.Apply != nil {
 			ov.Apply(&top)
