@@ -45,7 +45,7 @@ func BenchmarkTable1GPRSTransfer(b *testing.B) {
 func newBenchGPRS(sim *simenv.Simulator) *comms.GPRS {
 	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1, CapacityAh: 500})
 	bus := energy.NewBus(sim, bat, nil, nil)
-	m := mcu.New(sim, bus, nil, mcu.DefaultConfig("bench-mcu"))
+	m := mcu.New(sim, bus, mcu.DefaultConfig("bench-mcu"))
 	return comms.NewGPRS(sim, m, nil, "bench")
 }
 
@@ -291,7 +291,7 @@ func BenchmarkWatchdogBacklogDrainDay(b *testing.B) {
 		b.StopTimer()
 		d := deploy.MustBuild(deploy.AsDeployed(int64(i + 1)))
 		base, _ := d.Station("base")
-		base.Node().GPS.InjectBacklog(252, d.Sim.Now())
+		base.Node().GPS.InjectBacklog(252)
 		b.StartTimer()
 		if err := d.RunDays(1); err != nil {
 			b.Fatal(err)
@@ -308,7 +308,7 @@ func BenchmarkSyncOverrideFor(b *testing.B) {
 	srv.UploadState("ref", power.State2, t0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = srv.OverrideFor("base", t0)
+		_ = srv.OverrideFor("base")
 	}
 }
 
@@ -375,7 +375,7 @@ func BenchmarkAblationDailyAverageVsMiddaySpot(b *testing.B) {
 		wx := weather.New(weather.DefaultConfig(3))
 		bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 36, InitialSoC: 0.50})
 		bus := energy.NewBus(sim, bat, []energy.Charger{energy.NewSolarPanel(40)}, wx)
-		m := mcu.New(sim, bus, wx, mcu.DefaultConfig("abl"))
+		m := mcu.New(sim, bus, mcu.DefaultConfig("abl"))
 		if err := sim.RunFor(11*time.Hour + 55*time.Minute); err != nil {
 			b.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func BenchmarkAblationWatchdog(b *testing.B) {
 		cfg.WatchdogLimit = watchdog
 		cfg.RS232Health = 0.0005 // a file takes ~16 h: hopelessly wedged
 		st := benchNewStation(node, srv, cfg)
-		st.Node().GPS.InjectBacklog(1, sim.Now())
+		st.Node().GPS.InjectBacklog(1)
 		before := node.Battery.SoC() * node.Battery.CapacityWh()
 		if err := sim.RunFor(48 * time.Hour); err != nil {
 			b.Fatal(err)

@@ -129,7 +129,7 @@ func expWatchdog(seed int64) error {
 		return sim, st, srv
 	}
 	sim, st, _ := mk(station.DefaultConfig(station.RoleBase))
-	st.Node().GPS.InjectBacklog(21*12, sim.Now())
+	st.Node().GPS.InjectBacklog(21 * 12)
 	days := 0
 	for st.Node().GPS.FileCount() > 12 && days < 30 {
 		if err := sim.RunFor(24 * time.Hour); err != nil {
@@ -145,13 +145,13 @@ func expWatchdog(seed int64) error {
 		cfg.RS232Health = 0.002
 		cfg.SpecialFirst = specialFirst
 		sim, st, srv := mk(cfg)
-		st.Node().GPS.InjectBacklog(3, sim.Now())
+		st.Node().GPS.InjectBacklog(3)
 		stuck := map[uint64]bool{}
 		for _, f := range st.Node().GPS.Files() {
 			stuck[f.ID] = true
 		}
 		if rescue {
-			srv.PushSpecial("base", "set-rs232 1.0", sim.Now())
+			srv.PushSpecial("base", "set-rs232 1.0")
 		}
 		if err := sim.RunFor(5 * 24 * time.Hour); err != nil {
 			return err.Error()

@@ -73,6 +73,8 @@ func TestCLISurface(t *testing.T) {
 		{"run -days 1 extra", true},
 		{"run -days -1", true},
 		{"run -record DIR/a.evlog -csv DIR/v.csv", true},
+		{"run -scenario as-deployed-2008 -stations 5 -days 1", true},
+		{"run -scenario fleet-N -stations 1 -days 1", true},
 		{"sweep -days 1 -v", true},
 		{"sweep -days 1 -csv DIR/v.csv", true},
 		{"sweep -days 1 -record DIR/a.evlog", true},
@@ -80,6 +82,8 @@ func TestCLISurface(t *testing.T) {
 		{"sweep -days 1 -o DIR/s.txt", true},
 		{"sweep -days 1 -out xml", true},
 		{"sweep -days 1 -seeds 0", true},
+		{"sweep -scenario as-deployed-2008 -stations 5 -seeds 1 -days 1", true},
+		{"sweep -scenario fleet-N,dual-base -stations 2 -seeds 1 -days 1", true},
 		{"sweep -days 1 -shard 2/2", true},
 		{"sweep -days 1 -remote h:1 -workers 2", true},
 		{"sweep -days 1 -remote h:1 -cache DIR/c", true},
@@ -105,6 +109,7 @@ func TestCLISurface(t *testing.T) {
 		{"run -h", false},
 		{"run -scenario dual-base -days 1 -record DIR/a.evlog", false},
 		{"run -scenario dual-base -days 1 -csv DIR/v.csv", false},
+		{"run -scenario dual-base -stations 3 -days 1", false},
 		{"replay DIR/a.evlog", false},
 		{"evdiff DIR/a.evlog DIR/a.evlog", false},
 		{"sweep -scenario dual-base -seeds 2 -days 1 -shard 0/2 -out json -o DIR/s0.json", false},

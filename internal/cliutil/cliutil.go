@@ -140,7 +140,8 @@ func Logf(format string, a ...any) {
 // ScenarioFlags registers the scenario flag group on fs, bound into one
 // scenario.Run (a sweep reads its Scenario as a comma-separated list).
 // The returned function, called after parsing, yields that Run or a usage
-// error for a negative size or horizon.
+// error for a negative size or horizon, or for a -stations that a named
+// scenario does not build.
 func ScenarioFlags(fs *flag.FlagSet) func() (scenario.Run, error) {
 	r := &scenario.Run{}
 	p := &r.Params
@@ -154,6 +155,12 @@ func ScenarioFlags(fs *flag.FlagSet) func() (scenario.Run, error) {
 	return func() (scenario.Run, error) {
 		if p.Days < 0 || p.Stations < 0 || p.Probes < 0 {
 			return scenario.Run{}, Usagef("-days, -stations and -probes must be >= 0")
+		}
+		for _, name := range strings.Split(r.Scenario, ",") {
+			one := scenario.Run{Scenario: strings.TrimSpace(name), Params: *p}
+			if _, _, err := one.Topology(); errors.Is(err, scenario.ErrStations) {
+				return scenario.Run{}, Usagef("%v", err)
+			}
 		}
 		return *r, nil
 	}

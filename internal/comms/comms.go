@@ -41,8 +41,6 @@ var ErrDropped = errors.New("comms: link dropped mid-transfer")
 
 // TransferResult describes how a transfer attempt ended.
 type TransferResult struct {
-	// Sent is the number of payload bytes that made it across.
-	Sent int64
 	// Elapsed is the time the attempt occupied, whether or not it finished.
 	Elapsed time.Duration
 	// Err is nil on success, ErrDropped on a mid-transfer failure.

@@ -100,8 +100,8 @@ func (g *GPRS) TransferTime(n int64) time.Duration {
 }
 
 // TryTransfer attempts to move n payload bytes over the attached session.
-// On a mid-transfer drop, Sent and Elapsed reflect the partial progress and
-// the session is detached. Metered cost accrues on bytes actually sent.
+// On a mid-transfer drop, Elapsed reflects the partial progress and the
+// session is detached. Metered cost accrues on bytes actually sent.
 func (g *GPRS) TryTransfer(now time.Time, n int64) TransferResult {
 	if !g.powered || !g.attached {
 		return TransferResult{Err: errUnpowered(g.name)}
@@ -120,13 +120,12 @@ func (g *GPRS) TryTransfer(now time.Time, n int64) TransferResult {
 		g.cost.add(sent)
 		g.attached = false
 		return TransferResult{
-			Sent:    sent,
 			Elapsed: time.Duration(float64(full) * frac),
 			Err:     ErrDropped,
 		}
 	}
 	g.cost.add(n)
-	return TransferResult{Sent: n, Elapsed: full}
+	return TransferResult{Elapsed: full}
 }
 
 func errUnpowered(name string) error {

@@ -59,10 +59,6 @@ func ReferenceStationConfig(name string) NodeConfig {
 type Node struct {
 	// Name identifies the node.
 	Name string
-	// Sim is the simulator everything runs on.
-	Sim *simenv.Simulator
-	// WX is the site weather (may be nil in bench rigs).
-	WX *weather.Model
 	// Battery is the bank.
 	Battery *energy.Battery
 	// Bus is the power bus.
@@ -91,14 +87,12 @@ func NewNode(sim *simenv.Simulator, wx *weather.Model, cfg NodeConfig) *Node {
 	}
 	bat := energy.NewBattery(cfg.Battery)
 	bus := energy.NewBus(sim, bat, cfg.Chargers, sampler)
-	ctrl := mcu.New(sim, bus, sampler, cfg.MCU)
+	ctrl := mcu.New(sim, bus, cfg.MCU)
 	host := gumstix.New(sim, ctrl, cfg.Name+".gumstix")
 	gps := dgps.New(sim, ctrl, wx, cfg.Name+".gps")
 	modem := comms.NewGPRS(sim, ctrl, wx, cfg.Name+".gprs")
 	return &Node{
 		Name:    cfg.Name,
-		Sim:     sim,
-		WX:      wx,
 		Battery: bat,
 		Bus:     bus,
 		MCU:     ctrl,
@@ -120,18 +114,12 @@ type Snapshot struct {
 	SoC float64
 	// Volts is the terminal voltage under present load.
 	Volts float64
-	// LoadW is the total draw.
-	LoadW float64
-	// ChargeW is the charger input.
-	ChargeW float64
 }
 
 // Snapshot returns the current electrical state.
 func (n *Node) Snapshot() Snapshot {
 	return Snapshot{
-		SoC:     n.Battery.SoC(),
-		Volts:   n.Bus.VoltageNow(),
-		LoadW:   n.Bus.TotalLoadW(),
-		ChargeW: n.Bus.ChargeW(),
+		SoC:   n.Battery.SoC(),
+		Volts: n.Bus.VoltageNow(),
 	}
 }

@@ -114,9 +114,6 @@ func TestSnapshotPlausible(t *testing.T) {
 	if s.Volts < 11 || s.Volts > 15 {
 		t.Fatalf("Volts %v", s.Volts)
 	}
-	if s.LoadW < 0 {
-		t.Fatalf("LoadW %v", s.LoadW)
-	}
 }
 
 func TestNodeNamePanics(t *testing.T) {

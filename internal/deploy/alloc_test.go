@@ -9,7 +9,9 @@ import (
 // the probe data path (probe store, fetchers, MCU housekeeping buffer,
 // alarm records) reused its buffers: 70.9 KB allocated per station-day on
 // the second day of an 8-station fleet (go1.24, linux/amd64). The same
-// measurement now reads about 22 KB, and about 11 KB from the third day on.
+// measurement now reads about 7 KB, and about 3 KB from the third day on
+// (about 18 KB and 7 KB while the MCU still sampled enclosure channels
+// and the station kept a CF-card map and named its spool items).
 const baselineBytesPerStationDay = 70900
 
 // TestFleetDayAllocBudget is the fleet-level counterpart of the per-layer

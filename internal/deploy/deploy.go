@@ -17,7 +17,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/simenv"
 	"repro/internal/station"
-	"repro/internal/weather"
 )
 
 // DefaultStart is the deployment scenarios' t0: the 2008 field season.
@@ -27,8 +26,6 @@ var DefaultStart = time.Date(2008, time.September, 1, 0, 0, 0, 0, time.UTC)
 type Deployment struct {
 	// Sim is the shared simulator.
 	Sim *simenv.Simulator
-	// WX is the site weather.
-	WX *weather.Model
 	// Server is Southampton.
 	Server *server.Server
 	// Topology is the resolved topology the fleet was built from.

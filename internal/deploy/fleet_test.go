@@ -75,7 +75,7 @@ func TestPartialRuntimeOverrideMerges(t *testing.T) {
 	// And the override itself took effect: the special-first early comms
 	// session runs, so a queued special executes even though the §VI
 	// as-deployed ordering would also work — observe via the server.
-	d.Server.PushSpecial("b", "echo hi", d.Sim.Now())
+	d.Server.PushSpecial("b", "echo hi")
 	if err := d.RunDays(1); err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,6 @@ func Build(t Topology) (*Deployment, error) {
 	srv := server.New()
 	d := &Deployment{
 		Sim:      sim,
-		WX:       wx,
 		Server:   srv,
 		Topology: t,
 		byName:   make(map[string]*station.Station, len(t.Stations)),

@@ -137,11 +137,6 @@ func (b *Bus) TotalLoadW() float64 {
 	return sum
 }
 
-// ChargeW returns the charger output at the current instant.
-func (b *Bus) ChargeW() float64 {
-	return b.chargeAt(b.sim.Now())
-}
-
 // VoltageNow returns the terminal voltage under the present load and charge;
 // this is what the MSP430's ADC samples every 30 minutes. The charge wattage
 // comes straight out of advance — the old shape re-sampled weather and

@@ -3,6 +3,7 @@ package evlog
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -383,5 +384,12 @@ func TestRebuildRefusals(t *testing.T) {
 	_, _, err := Rebuild(Header{Scenario: "dual-base", Hooks: "campaign/x5-sync-lag"})
 	if err == nil || !strings.Contains(err.Error(), "hook set") {
 		t.Fatalf("hook-driven log rebuilt: err = %v", err)
+	}
+	// A header whose fleet size the scenario never built (earlier tools
+	// recorded -stations without honouring it) is refused, not replayed
+	// at the scenario's own size.
+	_, _, err = Rebuild(Header{Scenario: "as-deployed-2008", Stations: 5, Days: 1})
+	if !errors.Is(err, scenario.ErrStations) || !strings.Contains(err.Error(), `"as-deployed-2008" builds 2 stations, not 5`) {
+		t.Fatalf("stations-5 as-deployed header: err = %v", err)
 	}
 }

@@ -49,12 +49,8 @@ const TimeFixDelay = 45 * time.Second
 type File struct {
 	// ID is a unique sequence number on this unit.
 	ID uint64
-	// Recorded is the true (GPS) time the reading completed.
-	Recorded time.Time
-	// SizeBytes is the file size.
+	// SizeBytes is the file size, which grows with the satellites in view.
 	SizeBytes int
-	// Satellites is the satellite count during the reading.
-	Satellites int
 }
 
 // TransferTime returns how long draining this file over RS-232 takes at the
@@ -147,15 +143,15 @@ func (u *Unit) readingDone(doneNow time.Time) {
 		return
 	}
 	u.reading = false
-	u.recordFile(doneNow)
+	u.recordFile()
 	u.startReading(doneNow) // continuous until switched off
 }
 
 //glacvet:hotpath
-func (u *Unit) recordFile(now time.Time) {
+func (u *Unit) recordFile() {
 	sats := 6 + int(simenv.HashNoise(u.salt, u.satsTag, u.nextID)*8) // 6..13 satellites
 	size := int(float64(BaseReadingBytes) * (0.70 + 0.04*float64(sats)))
-	f := File{ID: u.nextID, Recorded: now, SizeBytes: size, Satellites: sats}
+	f := File{ID: u.nextID, SizeBytes: size}
 	u.nextID++
 	if len(u.files) == cap(u.files) && u.fileHead > 0 {
 		n := copy(u.files, u.files[u.fileHead:])
@@ -208,9 +204,9 @@ func (u *Unit) Delete(id uint64) error {
 
 // InjectBacklog records n synthetic historical files directly onto the CF
 // card; used by the watchdog-backlog experiments.
-func (u *Unit) InjectBacklog(n int, at time.Time) {
+func (u *Unit) InjectBacklog(n int) {
 	for i := 0; i < n; i++ {
-		u.recordFile(at)
+		u.recordFile()
 	}
 }
 

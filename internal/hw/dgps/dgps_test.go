@@ -20,7 +20,7 @@ func newRig(t *testing.T, wx *weather.Model) (*simenv.Simulator, *mcu.MCU, *Unit
 		sampler = wx
 	}
 	bus := energy.NewBus(sim, bat, nil, sampler)
-	ctrl := mcu.New(sim, bus, sampler, mcu.DefaultConfig("mcu"))
+	ctrl := mcu.New(sim, bus, mcu.DefaultConfig("mcu"))
 	u := New(sim, ctrl, wx, "ref-gps")
 	return sim, ctrl, u
 }
@@ -88,6 +88,9 @@ func TestFileSizesNearPaperValue(t *testing.T) {
 	if len(files) < 50 {
 		t.Fatalf("only %d files", len(files))
 	}
+	// 6..13 satellites in view bound the size.
+	sized := func(sats int) int { return int(float64(BaseReadingBytes) * (0.70 + 0.04*float64(sats))) }
+	lo, hi := sized(6), sized(13)
 	var sum float64
 	varies := false
 	for _, f := range files {
@@ -95,8 +98,8 @@ func TestFileSizesNearPaperValue(t *testing.T) {
 		if f.SizeBytes != files[0].SizeBytes {
 			varies = true
 		}
-		if f.Satellites < 6 || f.Satellites > 13 {
-			t.Fatalf("satellite count %d out of range", f.Satellites)
+		if f.SizeBytes < lo || f.SizeBytes > hi {
+			t.Fatalf("file size %d outside the 6..13-satellite range [%d, %d]", f.SizeBytes, lo, hi)
 		}
 	}
 	mean := sum / float64(len(files))
@@ -178,7 +181,7 @@ func TestTimeFixFailsUnderDeepSnowOrStorm(t *testing.T) {
 	sim := simenv.NewAt(77, time.Date(2009, 3, 25, 0, 0, 0, 0, time.UTC))
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 500, InitialSoC: 1})
 	bus := energy.NewBus(sim, bat, nil, wx)
-	ctrl := mcu.New(sim, bus, wx, mcu.DefaultConfig("mcu"))
+	ctrl := mcu.New(sim, bus, mcu.DefaultConfig("mcu"))
 	u := New(sim, ctrl, wx, "gps")
 	ctrl.SetRail(Rail, true)
 	if err := sim.RunFor(10 * time.Minute); err != nil {
@@ -194,7 +197,7 @@ func TestTimeFixFailsUnderDeepSnowOrStorm(t *testing.T) {
 	sim2 := simenv.NewAt(77, time.Date(2009, 3, 25, 0, 0, 0, 0, time.UTC))
 	bat2 := energy.NewBattery(energy.BatteryConfig{CapacityAh: 500, InitialSoC: 1})
 	bus2 := energy.NewBus(sim2, bat2, nil, wx)
-	ctrl2 := mcu.New(sim2, bus2, wx, mcu.DefaultConfig("mcu"))
+	ctrl2 := mcu.New(sim2, bus2, mcu.DefaultConfig("mcu"))
 	u2 := New(sim2, ctrl2, wx, "gps")
 	ctrl2.SetRail(Rail, true)
 	if err := sim2.RunFor(10 * time.Minute); err != nil {
@@ -207,8 +210,8 @@ func TestTimeFixFailsUnderDeepSnowOrStorm(t *testing.T) {
 }
 
 func TestInjectBacklog(t *testing.T) {
-	sim, _, u := newRig(t, nil)
-	u.InjectBacklog(252, sim.Now()) // 21 days × 12
+	_, _, u := newRig(t, nil)
+	u.InjectBacklog(252) // 21 days × 12
 	if u.FileCount() != 252 {
 		t.Fatalf("backlog %d, want 252", u.FileCount())
 	}
@@ -237,14 +240,14 @@ func TestPoweredUnitRecordsEveryFiveMinutes(t *testing.T) {
 // by copying. The card keeps a head offset so a head delete costs the same
 // at any backlog; what it reports must not depend on that.
 func TestCardMatchesListModel(t *testing.T) {
-	sim, _, u := newRig(t, nil)
+	_, _, u := newRig(t, nil)
 	rng := rand.New(rand.NewSource(5))
 	var model []File
 	for step := 0; step < 2000; step++ {
 		switch op := rng.Intn(4); {
 		case op == 0 || len(model) == 0:
 			k := 1 + rng.Intn(3)
-			u.InjectBacklog(k, sim.Now())
+			u.InjectBacklog(k)
 			files := u.Files() // the k new recordings are the card's tail
 			model = append(model, files[len(files)-k:]...)
 		default:
@@ -276,10 +279,10 @@ func TestCardMatchesListModel(t *testing.T) {
 // TestDrainOldestAllocFree pins the drain's steady state: recording a file
 // and draining the oldest one reuse the card's backing array.
 func TestDrainOldestAllocFree(t *testing.T) {
-	sim, _, u := newRig(t, nil)
-	u.InjectBacklog(64, sim.Now())
+	_, _, u := newRig(t, nil)
+	u.InjectBacklog(64)
 	avg := testing.AllocsPerRun(500, func() {
-		u.InjectBacklog(1, sim.Now())
+		u.InjectBacklog(1)
 		f, _ := u.Oldest()
 		if err := u.Delete(f.ID); err != nil {
 			t.Fatal(err)

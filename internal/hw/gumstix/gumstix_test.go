@@ -20,7 +20,7 @@ func newRig(t *testing.T) (*simenv.Simulator, *mcu.MCU, *Host) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 200, InitialSoC: 1})
 	bus := energy.NewBus(sim, bat, nil, nil)
-	ctrl := mcu.New(sim, bus, nil, mcu.DefaultConfig("mcu"))
+	ctrl := mcu.New(sim, bus, mcu.DefaultConfig("mcu"))
 	h := New(sim, ctrl, "base")
 	return sim, ctrl, h
 }
@@ -142,7 +142,7 @@ func TestRebootRunsJobsAgain(t *testing.T) {
 func TestUptimeAccumulates(t *testing.T) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 200, InitialSoC: 1, SelfDischargePerDay: 1e-12})
-	ctrl := mcu.New(sim, energy.NewBus(sim, bat, nil, nil), nil, mcu.DefaultConfig("mcu"))
+	ctrl := mcu.New(sim, energy.NewBus(sim, bat, nil, nil), mcu.DefaultConfig("mcu"))
 	_ = New(sim, ctrl, "base")
 	ctrl.SetRail(Rail, true)
 	if err := sim.RunFor(2 * time.Hour); err != nil {
@@ -163,7 +163,7 @@ func TestGumstixDrawsTableIPower(t *testing.T) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 200, InitialSoC: 1, SelfDischargePerDay: 1e-12})
 	bus := energy.NewBus(sim, bat, nil, nil)
-	ctrl := mcu.New(sim, bus, nil, mcu.DefaultConfig("mcu"))
+	ctrl := mcu.New(sim, bus, mcu.DefaultConfig("mcu"))
 	_ = New(sim, ctrl, "base")
 	ctrl.SetRail(Rail, true)
 	if err := sim.RunFor(10 * time.Hour); err != nil {

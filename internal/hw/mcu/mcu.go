@@ -2,10 +2,9 @@
 //
 // The MSP430 is the always-on half of the dual-processor platform: it keeps
 // the real-time clock, holds the wake-up schedule in RAM, samples the battery
-// voltage (and enclosure temperature/humidity) every thirty minutes, and
-// switches power to every peripheral including the Gumstix itself. Its two
-// crucial failure semantics, both described in §IV of the paper, are
-// reproduced exactly:
+// voltage every thirty minutes, and switches power to every peripheral
+// including the Gumstix itself. Its two crucial failure semantics, both
+// described in §IV of the paper, are reproduced exactly:
 //
 //   - On total power loss the RAM schedule is lost and the RTC resets to the
 //     Unix epoch (01/01/1970 00:00), so on recovery the clock reads a time
@@ -50,33 +49,14 @@ func DefaultConfig(name string) Config {
 	return Config{Name: name, DriftPPM: 8, SampleBufferCap: 4096}
 }
 
-// HousekeepingSample is one 30-minute firmware measurement. Pitch and roll
-// are the §VII future-work sensors ("so that the enclosure's movement as
-// the ice melts can be tracked"): the mast settles as the surface ablates.
-type HousekeepingSample struct {
-	// RTC is the sample timestamp as the MCU's clock saw it.
-	RTC time.Time
-	// BatteryVolts is the terminal voltage measured by the ADC.
-	BatteryVolts float64
-	// TempC is the enclosure internal temperature.
-	TempC float64
-	// HumidityPct is the enclosure internal relative humidity.
-	HumidityPct float64
-	// PitchDeg is the enclosure pitch from level.
-	PitchDeg float64
-	// RollDeg is the enclosure roll from level.
-	RollDeg float64
-}
-
 // AlarmID identifies a scheduled RTC alarm.
 type AlarmID uint64
 
 type alarm struct {
-	id   AlarmID
-	rtc  time.Time // alarm time in RTC time
-	name string
-	fn   func(rtcNow time.Time)
-	ev   simenv.EventID
+	id  AlarmID
+	rtc time.Time // alarm time in RTC time
+	fn  func(rtcNow time.Time)
+	ev  simenv.EventID
 
 	// evName is interned and fireFn is bound once per record, which the
 	// MCU's free list recycles, so neither arming nor the SetTime re-arms
@@ -88,10 +68,9 @@ type alarm struct {
 // MCU is a simulated MSP430 attached to a power bus. All methods must be
 // called from the simulation goroutine.
 type MCU struct {
-	sim     *simenv.Simulator
-	bus     *energy.Bus
-	sampler energy.Sampler
-	cfg     Config
+	sim *simenv.Simulator
+	bus *energy.Bus
+	cfg Config
 
 	alive bool
 	// rtcBase/wallBase anchor the RTC: rtcNow = rtcBase + (wall-wallBase)*(1+drift).
@@ -109,16 +88,15 @@ type MCU struct {
 
 	rails []rail // in definition order
 
-	// Interned hot-path names and tags (rail switches, housekeeping samples
-	// and alarm arms otherwise rebuild the same strings all season).
+	// Interned hot-path names (housekeeping samples and alarm arms
+	// otherwise rebuild the same strings all season).
 	sampleName string
 	alarmNames map[string]string
-	pitchTag   string
-	rollTag    string
 
-	// samples[sampleHead:] is the housekeeping buffer. The backing array
-	// is reused across daily drains and full-buffer drops.
-	samples    []HousekeepingSample
+	// samples[sampleHead:] is the housekeeping buffer of battery voltages
+	// read by the ADC. The backing array is reused across daily drains
+	// and full-buffer drops.
+	samples    []float64
 	sampleHead int
 	dropped    int
 
@@ -133,7 +111,7 @@ type MCU struct {
 
 // New constructs an MCU, attaches its sleep load to the bus, wires power
 // fail/restore, and starts it alive.
-func New(sim *simenv.Simulator, bus *energy.Bus, sampler energy.Sampler, cfg Config) *MCU {
+func New(sim *simenv.Simulator, bus *energy.Bus, cfg Config) *MCU {
 	def := DefaultConfig(cfg.Name)
 	if cfg.SampleBufferCap == 0 {
 		cfg.SampleBufferCap = def.SampleBufferCap
@@ -144,16 +122,13 @@ func New(sim *simenv.Simulator, bus *energy.Bus, sampler energy.Sampler, cfg Con
 	m := &MCU{
 		sim:        sim,
 		bus:        bus,
-		sampler:    sampler,
 		cfg:        cfg,
 		alarms:     make(map[AlarmID]*alarm),
 		alarmNames: make(map[string]string),
 	}
 	// The Gumstix drains the buffer daily: size it for a day of samples.
-	m.samples = make([]HousekeepingSample, 0, min(cfg.SampleBufferCap, int(24*time.Hour/SampleInterval)+1))
+	m.samples = make([]float64, 0, min(cfg.SampleBufferCap, int(24*time.Hour/SampleInterval)+1))
 	m.sampleName = cfg.Name + ".sample"
-	m.pitchTag = cfg.Name + "/pitch"
-	m.rollTag = cfg.Name + "/roll"
 	bus.OnPowerFail(m.powerFail)
 	bus.OnPowerRestore(m.powerRestore)
 	m.start(sim.Now(), true)
@@ -276,7 +251,7 @@ func (m *MCU) AlarmAt(rtc time.Time, name string, fn func(rtcNow time.Time)) Ala
 	m.mustBeAlive("AlarmAt")
 	m.nextAlarm++
 	a := m.newAlarm()
-	a.id, a.rtc, a.name, a.fn = m.nextAlarm, rtc, name, fn
+	a.id, a.rtc, a.fn = m.nextAlarm, rtc, fn
 	a.evName = m.alarmEventName(name)
 	m.alarms[a.id] = a
 	m.armAlarm(a)
@@ -440,29 +415,9 @@ func (m *MCU) SetRail(name string, on bool) {
 // --- Housekeeping sampling ---
 
 //glacvet:hotpath
-func (m *MCU) takeSample(now time.Time) {
+func (m *MCU) takeSample(time.Time) {
 	if !m.alive {
 		return
-	}
-	var temp, hum float64 = -5, 70
-	var pitch, roll float64
-	if m.sampler != nil {
-		c := m.sampler.Sample(now)
-		temp = c.AirTempC + 4 // enclosure runs warm
-		hum = 55 + 30*c.MeltIndex
-		// The mast settles as the surface melts out from under its feet:
-		// a slow melt-driven lean plus wind buffeting.
-		k := uint64(now.Unix() / 1800)
-		pitch = 5*c.MeltIndex + 0.4*(simenv.HashNoise(m.sim.Seed(), m.pitchTag, k)-0.5)
-		roll = 2.5*c.MeltIndex + 0.3*(simenv.HashNoise(m.sim.Seed(), m.rollTag, k)-0.5)
-	}
-	s := HousekeepingSample{
-		RTC:          m.Now(),
-		BatteryVolts: m.bus.VoltageNow(),
-		TempC:        temp,
-		HumidityPct:  hum,
-		PitchDeg:     pitch,
-		RollDeg:      roll,
 	}
 	if len(m.samples)-m.sampleHead >= m.cfg.SampleBufferCap {
 		m.sampleHead++ // drop the oldest without giving up its slot
@@ -472,7 +427,7 @@ func (m *MCU) takeSample(now time.Time) {
 		n := copy(m.samples, m.samples[m.sampleHead:])
 		m.samples, m.sampleHead = m.samples[:n], 0
 	}
-	m.samples = append(m.samples, s)
+	m.samples = append(m.samples, m.bus.VoltageNow())
 }
 
 // DrainSamples returns and clears the housekeeping buffer — the daily
@@ -481,7 +436,7 @@ func (m *MCU) takeSample(now time.Time) {
 // it straight away and copy anything kept longer.
 //
 //glacvet:hotpath
-func (m *MCU) DrainSamples() []HousekeepingSample {
+func (m *MCU) DrainSamples() []float64 {
 	out := m.samples[m.sampleHead:]
 	m.samples, m.sampleHead = m.samples[:0], 0
 	return out

@@ -17,7 +17,7 @@ func newRig(t *testing.T, soc float64) (*simenv.Simulator, *energy.Bus, *MCU) {
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 36, InitialSoC: soc})
 	wx := weather.New(weather.DefaultConfig(1))
 	bus := energy.NewBus(sim, bat, nil, wx)
-	m := New(sim, bus, wx, DefaultConfig("mcu"))
+	m := New(sim, bus, DefaultConfig("mcu"))
 	return sim, bus, m
 }
 
@@ -35,7 +35,7 @@ func TestRTCDrifts(t *testing.T) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 	bus := energy.NewBus(sim, bat, nil, nil)
-	m := New(sim, bus, nil, Config{Name: "m", DriftPPM: 100})
+	m := New(sim, bus, Config{Name: "m", DriftPPM: 100})
 	if err := sim.RunFor(240 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestHousekeepingSamplesEvery30Min(t *testing.T) {
 	if buffered(m) != 0 {
 		t.Fatal("buffer not cleared by drain")
 	}
-	if s[0].BatteryVolts < 11 || s[0].BatteryVolts > 14.7 {
-		t.Fatalf("implausible voltage sample %v", s[0].BatteryVolts)
+	if s[0] < 11 || s[0] > 14.7 {
+		t.Fatalf("implausible voltage sample %v", s[0])
 	}
 }
 
@@ -84,7 +84,7 @@ func TestSampleBufferBounded(t *testing.T) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 	bus := energy.NewBus(sim, bat, nil, nil)
-	m := New(sim, bus, nil, Config{Name: "m", SampleBufferCap: 10})
+	m := New(sim, bus, Config{Name: "m", SampleBufferCap: 10})
 	if err := sim.RunFor(24 * time.Hour); err != nil { // 48 samples
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestBootHookRunsOnStartAndRestore(t *testing.T) {
 	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 2, InitialSoC: 0.3})
 	wx := weather.New(weather.DefaultConfig(3))
 	bus := energy.NewBus(sim, bat, []energy.Charger{energy.NewSolarPanel(30)}, wx)
-	m := New(sim, bus, wx, DefaultConfig("m"))
+	m := New(sim, bus, DefaultConfig("m"))
 	var colds, warms int
 	m.OnBoot(func(_ time.Time, cold bool) {
 		if cold {

@@ -19,11 +19,7 @@
 // state in which it does not do communications").
 package power
 
-import (
-	"fmt"
-
-	"repro/internal/hw/mcu"
-)
+import "fmt"
 
 // State is a Table II power state. The numeric values 0–3 are the paper's
 // own and are meaningful (lower = more conservative), so this enum
@@ -110,15 +106,15 @@ func StateForVoltage(avgVolts float64) State {
 // DailyAverage computes the mean battery voltage over a day of
 // housekeeping samples. It returns false if there are no samples (e.g.
 // first run after a power failure cleared the buffer).
-func DailyAverage(samples []mcu.HousekeepingSample) (float64, bool) {
-	if len(samples) == 0 {
+func DailyAverage(volts []float64) (float64, bool) {
+	if len(volts) == 0 {
 		return 0, false
 	}
 	var sum float64
-	for _, s := range samples {
-		sum += s.BatteryVolts
+	for _, v := range volts {
+		sum += v
 	}
-	return sum / float64(len(samples)), true
+	return sum / float64(len(volts)), true
 }
 
 // ApplyOverride combines the local voltage-derived state with the server's

@@ -3,9 +3,6 @@ package power
 import (
 	"testing"
 	"testing/quick"
-	"time"
-
-	"repro/internal/hw/mcu"
 )
 
 // Table II, row by row.
@@ -60,8 +57,7 @@ func TestThresholdAccessor(t *testing.T) {
 }
 
 func TestDailyAverage(t *testing.T) {
-	mk := func(v float64) mcu.HousekeepingSample { return mcu.HousekeepingSample{BatteryVolts: v} }
-	avg, ok := DailyAverage([]mcu.HousekeepingSample{mk(12.0), mk(13.0), mk(12.5)})
+	avg, ok := DailyAverage([]float64{12.0, 13.0, 12.5})
 	if !ok || avg != 12.5 {
 		t.Fatalf("avg %v ok=%v", avg, ok)
 	}
@@ -165,12 +161,12 @@ func TestPropertyStateMonotoneInVoltage(t *testing.T) {
 // The Fig 5 scenario: a healthy battery averaged over a day lands in
 // state 3; a sagging one in state 2; the override holds it down.
 func TestFig5StateSelection(t *testing.T) {
-	day := func(base float64) []mcu.HousekeepingSample {
-		var out []mcu.HousekeepingSample
+	day := func(base float64) []float64 {
+		var out []float64
 		for i := 0; i < 48; i++ {
 			// diurnal swing ±0.3 V around base
 			v := base + 0.3*float64(i%24-12)/12
-			out = append(out, mcu.HousekeepingSample{RTC: time.Time{}, BatteryVolts: v})
+			out = append(out, v)
 		}
 		return out
 	}

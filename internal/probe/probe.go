@@ -36,16 +36,9 @@ const ReadingBytes = 64
 type Reading struct {
 	// Seq is the probe-local sequence number, starting at 1.
 	Seq uint64
-	// At is the probe's timestamp for the reading.
-	At time.Time
-	// ConductivityUS is electrical conductivity in µS.
+	// ConductivityUS is electrical conductivity in µS, the Fig 6 signal
+	// and the one channel the model synthesises.
 	ConductivityUS float64
-	// TiltDeg is the probe's tilt from vertical in degrees.
-	TiltDeg float64
-	// PressureKPa is water/ice pressure at the probe.
-	PressureKPa float64
-	// TempC is the probe's internal temperature.
-	TempC float64
 }
 
 // Config parameterises a probe.
@@ -98,7 +91,6 @@ type Probe struct {
 
 	failAt time.Time
 	ticker *simenv.Ticker
-	tilt   float64
 }
 
 // New constructs a probe and starts its sampling schedule. The probe's
@@ -120,7 +112,7 @@ func New(sim *simenv.Simulator, wx *weather.Model, cfg Config) *Probe {
 	if cfg.BufferCap == 0 {
 		cfg.BufferCap = def.BufferCap
 	}
-	p := &Probe{sim: sim, wx: wx, cfg: cfg, oldest: 1, tilt: 2 + 6*noise(sim.Seed()+int64(cfg.ID), "tilt0", 0)}
+	p := &Probe{sim: sim, wx: wx, cfg: cfg, oldest: 1}
 	// The base fetches daily, so a day of readings is the store's working
 	// size; longer offline stretches grow it once.
 	p.buf = make([]Reading, 0, min(cfg.BufferCap, int(24*time.Hour/DefaultSampleInterval)+1))
@@ -153,11 +145,7 @@ func (p *Probe) sample(now time.Time) {
 	p.nextSeq++
 	r := Reading{
 		Seq:            p.nextSeq,
-		At:             now,
 		ConductivityUS: p.ConductivityAt(now),
-		TiltDeg:        p.tiltAt(),
-		PressureKPa:    p.pressureAt(now),
-		TempC:          -0.5 + 0.3*noise(p.sim.Seed()+int64(p.cfg.ID), "ptemp", p.nextSeq),
 	}
 	if p.nextSeq-p.oldest >= uint64(p.cfg.BufferCap) {
 		// Flash is full: the oldest reading goes, confirmed or not. An
@@ -197,23 +185,6 @@ func (p *Probe) ConductivityAt(now time.Time) float64 {
 	}
 	n := noise(p.sim.Seed()+int64(p.cfg.ID), "cond", uint64(now.Unix()/3600))
 	return p.cfg.BaseConductivityUS + p.cfg.MeltConductivityUS*melt + 0.4*(n-0.5)
-}
-
-func (p *Probe) tiltAt() float64 {
-	// Slow random walk: ice deformation reorients the probe.
-	step := noise(p.sim.Seed()+int64(p.cfg.ID), "tiltw", p.nextSeq) - 0.5
-	p.tilt = math.Max(0, math.Min(90, p.tilt+0.05*step))
-	return p.tilt
-}
-
-func (p *Probe) pressureAt(now time.Time) float64 {
-	base := 70.0 * 9.0 // ~70 m of ice ≈ 630 kPa
-	melt := 0.0
-	if p.wx != nil {
-		melt = p.wx.MeltIndex(now)
-	}
-	n := noise(p.sim.Seed()+int64(p.cfg.ID), "press", uint64(now.Unix()/3600))
-	return base + 40*melt + 8*(n-0.5)
 }
 
 // --- Reading store / protocol server side ---

@@ -235,20 +235,3 @@ func TestSurvivalMatchesPaperCohort(t *testing.T) {
 		t.Fatal("survival not decreasing")
 	}
 }
-
-func TestPressureAndTiltPhysical(t *testing.T) {
-	wx := weather.New(weather.DefaultConfig(2))
-	sim := simenv.NewAt(2, time.Date(2009, 1, 1, 0, 0, 0, 0, time.UTC))
-	p := New(sim, wx, immortal(24))
-	if err := sim.RunFor(90 * 24 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range p.PendingView() {
-		if r.PressureKPa < 500 || r.PressureKPa > 800 {
-			t.Fatalf("pressure %v kPa implausible for 70 m depth", r.PressureKPa)
-		}
-		if r.TiltDeg < 0 || r.TiltDeg > 90 {
-			t.Fatalf("tilt %v out of range", r.TiltDeg)
-		}
-	}
-}

@@ -29,8 +29,6 @@ const RetryInterval = 24 * time.Hour
 
 // Stats counts recovery activity for reports and tests.
 type Stats struct {
-	// Checks is how many boot-time clock checks ran.
-	Checks int
 	// Triggered is how many checks found a suspect clock.
 	Triggered int
 	// FixAttempts counts GPS time-fix attempts.
@@ -66,7 +64,6 @@ func (c *Coordinator) Stats() Stats { return c.stats }
 // (possibly days later) when the clock is trusted again. If the clock is
 // healthy it returns false and does nothing.
 func (c *Coordinator) CheckAndRecover() bool {
-	c.stats.Checks++
 	if !c.mcu.ClockSuspect() {
 		return false
 	}

@@ -9,6 +9,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -22,6 +23,7 @@ type Params struct {
 	// Seed drives every stochastic process.
 	Seed int64
 	// Stations sets the fleet size for parameterised scenarios (fleet-N).
+	// Any other non-zero value must equal the size the scenario builds.
 	Stations int
 	// Probes overrides the per-base cohort size.
 	Probes int
@@ -96,6 +98,11 @@ type Run struct {
 	SpecialFirst bool
 }
 
+// ErrStations marks a Run whose non-zero Params.Stations differs from the
+// fleet its scenario builds: a size the scenario cannot honour is refused
+// rather than silently replaced.
+var ErrStations = errors.New("station count mismatch")
+
 // Topology resolves r into the topology it runs and its horizon in days.
 func (r Run) Topology() (deploy.Topology, int, error) {
 	s, ok := Lookup(r.Scenario)
@@ -107,6 +114,9 @@ func (r Run) Topology() (deploy.Topology, int, error) {
 		return deploy.Topology{}, 0, err
 	}
 	top := s.Topology(r.Params)
+	if n := r.Params.Stations; n != 0 && n != len(top.Stations) {
+		return deploy.Topology{}, 0, fmt.Errorf("%w: scenario %q builds %d stations, not %d", ErrStations, r.Scenario, len(top.Stations), n)
+	}
 	adjust(&top)
 	return top, s.Horizon(r.Params), nil
 }

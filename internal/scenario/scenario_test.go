@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,6 +76,31 @@ func TestRunTopology(t *testing.T) {
 	} {
 		if _, _, err := bad.Topology(); err == nil {
 			t.Errorf("%+v resolved", bad)
+		}
+	}
+	// A fleet size is honoured or refused, never silently replaced.
+	for _, c := range []struct {
+		scenario string
+		stations int
+		built    int // 0: refused
+	}{
+		{"as-deployed-2008", 2, 2},
+		{"as-deployed-2008", 5, 0},
+		{"dual-base", 3, 3},
+		{"dual-base", 2, 0},
+		{"probe-heavy", 1, 0},
+		{"fleet-N", 5, 5},
+		{"fleet-N", 2, 2},
+		{"fleet-N", 1, 0}, // FleetTopology's floor is two stations
+	} {
+		top, _, err := Run{Scenario: c.scenario, Params: Params{Stations: c.stations}}.Topology()
+		switch {
+		case c.built == 0 && !errors.Is(err, ErrStations):
+			t.Errorf("%s with %d stations: err %v, want ErrStations", c.scenario, c.stations, err)
+		case c.built == 0 && !strings.Contains(err.Error(), fmt.Sprintf("%q builds", c.scenario)):
+			t.Errorf("%s with %d stations: %q does not name the scenario and its count", c.scenario, c.stations, err)
+		case c.built != 0 && (err != nil || len(top.Stations) != c.built):
+			t.Errorf("%s with %d stations: %d built, err %v", c.scenario, c.stations, len(top.Stations), err)
 		}
 	}
 }

@@ -32,8 +32,6 @@ type StationRecord struct {
 	LastState power.State
 	// LastStateAt is when LastState arrived.
 	LastStateAt time.Time
-	// LastSeen is the last contact of any kind.
-	LastSeen time.Time
 	// BytesReceived is the lifetime data volume from this station.
 	BytesReceived int64
 	// Uploads counts data upload calls.
@@ -42,18 +40,12 @@ type StationRecord struct {
 
 // Special is a remote command script queued for a station.
 type Special struct {
-	// ID identifies the script.
-	ID uint64
 	// Script is the shell payload.
 	Script string
-	// Queued is when it was posted.
-	Queued time.Time
 }
 
 // MD5Report is one checksum beacon from a station.
 type MD5Report struct {
-	// Station is the reporter.
-	Station string
 	// Artifact names the downloaded file.
 	Artifact string
 	// Sum is the hex digest the station computed.
@@ -64,15 +56,15 @@ type MD5Report struct {
 
 // SpecialOutput is the (day-delayed) log output of an executed special.
 type SpecialOutput struct {
-	// Station is the executor.
-	Station string
-	// SpecialID identifies which script produced the output.
-	SpecialID uint64
 	// Output is the captured text.
 	Output string
 	// ExecutedAt is when the script ran on the station.
+	//
+	//glacvet:allow deadexport oracle for §VI's 24 h special-output feedback delay, read by station tests
 	ExecutedAt time.Time
 	// ReceivedAt is when the output reached Southampton.
+	//
+	//glacvet:allow deadexport oracle for §VI's 24 h special-output feedback delay, read by station tests
 	ReceivedAt time.Time
 }
 
@@ -87,7 +79,6 @@ type Server struct {
 	reported [power.State3 + 1]int
 	manual   map[string]power.State // researcher-set override per station
 	specials map[string][]Special
-	nextSpec uint64
 	md5s     []MD5Report
 	outputs  []SpecialOutput
 }
@@ -116,30 +107,28 @@ func (s *Server) UploadState(station string, st power.State, at time.Time) {
 	}
 	r.LastState = st
 	r.LastStateAt = at
-	r.LastSeen = at
 	if !at.IsZero() {
 		s.reported[st]++
 	}
 }
 
 // UploadData records a data upload of the given volume.
-func (s *Server) UploadData(station string, bytes int64, at time.Time) {
+func (s *Server) UploadData(station string, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.record(station)
 	r.BytesReceived += bytes
 	r.Uploads++
-	r.LastSeen = at
 }
 
 // OverrideFor returns the override state for a station: the minimum of
 // every station's last-reported state and any manual override set for the
 // requester. With no information at all it returns State3 (no restriction).
-func (s *Server) OverrideFor(station string, at time.Time) power.State {
+// Asking makes the station known to the server.
+func (s *Server) OverrideFor(station string) power.State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.record(station)
-	r.LastSeen = at
+	s.record(station)
 
 	st := power.State3
 	for i, n := range s.reported {
@@ -169,21 +158,19 @@ func (s *Server) ClearManualOverride(station string) {
 	delete(s.manual, station)
 }
 
-// PushSpecial queues a command script for a station and returns its ID.
-func (s *Server) PushSpecial(station, script string, at time.Time) uint64 {
+// PushSpecial queues a command script for a station.
+func (s *Server) PushSpecial(station, script string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextSpec++
-	s.specials[station] = append(s.specials[station], Special{ID: s.nextSpec, Script: script, Queued: at})
-	return s.nextSpec
+	s.specials[station] = append(s.specials[station], Special{Script: script})
 }
 
 // FetchSpecial pops the oldest pending special for the station, if any.
-func (s *Server) FetchSpecial(station string, at time.Time) (Special, bool) {
+// Asking makes the station known to the server.
+func (s *Server) FetchSpecial(station string) (Special, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.record(station)
-	r.LastSeen = at
+	s.record(station)
 	q := s.specials[station]
 	if len(q) == 0 {
 		return Special{}, false
@@ -198,8 +185,8 @@ func (s *Server) FetchSpecial(station string, at time.Time) (Special, bool) {
 func (s *Server) ReportMD5(station, artifact, sum string, at time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.record(station).LastSeen = at
-	s.md5s = append(s.md5s, MD5Report{Station: station, Artifact: artifact, Sum: sum, At: at})
+	s.record(station) // a beacon makes the station known to the server
+	s.md5s = append(s.md5s, MD5Report{Artifact: artifact, Sum: sum, At: at})
 }
 
 // MD5Reports returns all beacons, oldest first.

@@ -14,17 +14,17 @@ func TestOverrideIsMinOfStations(t *testing.T) {
 	s := New()
 	s.UploadState("base", power.State3, t0)
 	s.UploadState("ref", power.State2, t0.Add(time.Minute))
-	if got := s.OverrideFor("base", t0.Add(2*time.Minute)); got != power.State2 {
+	if got := s.OverrideFor("base"); got != power.State2 {
 		t.Fatalf("override %v, want min(3,2)=2", got)
 	}
-	if got := s.OverrideFor("ref", t0.Add(2*time.Minute)); got != power.State2 {
+	if got := s.OverrideFor("ref"); got != power.State2 {
 		t.Fatalf("override for ref %v, want 2", got)
 	}
 }
 
 func TestOverrideDefaultsToState3(t *testing.T) {
 	s := New()
-	if got := s.OverrideFor("base", t0); got != power.State3 {
+	if got := s.OverrideFor("base"); got != power.State3 {
 		t.Fatalf("override with no data %v, want 3", got)
 	}
 }
@@ -34,56 +34,53 @@ func TestManualOverride(t *testing.T) {
 	s.UploadState("base", power.State3, t0)
 	s.UploadState("ref", power.State3, t0)
 	s.SetManualOverride("base", power.State2)
-	if got := s.OverrideFor("base", t0); got != power.State2 {
+	if got := s.OverrideFor("base"); got != power.State2 {
 		t.Fatalf("manual override ignored: %v", got)
 	}
 	// Manual override is per-station.
-	if got := s.OverrideFor("ref", t0); got != power.State3 {
+	if got := s.OverrideFor("ref"); got != power.State3 {
 		t.Fatalf("ref saw base's manual override: %v", got)
 	}
 	s.ClearManualOverride("base")
-	if got := s.OverrideFor("base", t0); got != power.State3 {
+	if got := s.OverrideFor("base"); got != power.State3 {
 		t.Fatalf("cleared override still applied: %v", got)
 	}
 }
 
 func TestUploadDataAccumulates(t *testing.T) {
 	s := New()
-	s.UploadData("base", 1000, t0)
-	s.UploadData("base", 500, t0.Add(time.Hour))
+	s.UploadData("base", 1000)
+	s.UploadData("base", 500)
 	r, ok := s.Station("base")
 	if !ok || r.BytesReceived != 1500 || r.Uploads != 2 {
 		t.Fatalf("record %+v", r)
-	}
-	if !r.LastSeen.Equal(t0.Add(time.Hour)) {
-		t.Fatalf("last seen %v", r.LastSeen)
 	}
 }
 
 func TestSpecialsFIFOAndPop(t *testing.T) {
 	s := New()
-	id1 := s.PushSpecial("base", "echo one", t0)
-	id2 := s.PushSpecial("base", "echo two", t0)
+	s.PushSpecial("base", "echo one")
+	s.PushSpecial("base", "echo two")
 	if len(s.specials["base"]) != 2 {
 		t.Fatal("pending count wrong")
 	}
-	sp, ok := s.FetchSpecial("base", t0)
-	if !ok || sp.ID != id1 || sp.Script != "echo one" {
+	sp, ok := s.FetchSpecial("base")
+	if !ok || sp.Script != "echo one" {
 		t.Fatalf("first special %+v", sp)
 	}
-	sp, ok = s.FetchSpecial("base", t0)
-	if !ok || sp.ID != id2 {
+	sp, ok = s.FetchSpecial("base")
+	if !ok || sp.Script != "echo two" {
 		t.Fatalf("second special %+v", sp)
 	}
-	if _, ok := s.FetchSpecial("base", t0); ok {
+	if _, ok := s.FetchSpecial("base"); ok {
 		t.Fatal("third fetch returned a special")
 	}
 }
 
 func TestSpecialsPerStation(t *testing.T) {
 	s := New()
-	s.PushSpecial("base", "x", t0)
-	if _, ok := s.FetchSpecial("ref", t0); ok {
+	s.PushSpecial("base", "x")
+	if _, ok := s.FetchSpecial("ref"); ok {
 		t.Fatal("ref received base's special")
 	}
 }
@@ -92,14 +89,14 @@ func TestMD5ReportsRecorded(t *testing.T) {
 	s := New()
 	s.ReportMD5("base", "probe-fetcher", "abc123", t0)
 	reps := s.MD5Reports()
-	if len(reps) != 1 || reps[0].Sum != "abc123" || reps[0].Station != "base" {
+	if len(reps) != 1 || reps[0].Sum != "abc123" || reps[0].Artifact != "probe-fetcher" {
 		t.Fatalf("reports %+v", reps)
 	}
 }
 
 func TestSpecialOutputDelayedPath(t *testing.T) {
 	s := New()
-	s.ReportSpecialOutput(SpecialOutput{Station: "base", SpecialID: 1, Output: "ok",
+	s.ReportSpecialOutput(SpecialOutput{Output: "ok",
 		ExecutedAt: t0, ReceivedAt: t0.Add(24 * time.Hour)})
 	outs := s.SpecialOutputs()
 	if len(outs) != 1 {
@@ -158,11 +155,7 @@ func TestOverrideMatchesBruteForceMin(t *testing.T) {
 			if m, ok := manual[asker]; ok {
 				want = power.MinState(want, m)
 			}
-			queryAt := at
-			if rng.Intn(8) == 0 {
-				queryAt = time.Time{}
-			}
-			if got := s.OverrideFor(asker, queryAt); got != want {
+			if got := s.OverrideFor(asker); got != want {
 				t.Fatalf("seed %d step %d: OverrideFor(%s) = %v, brute-force min %v (stations %+v, manual %v)",
 					seed, step, asker, got, want, s.Stations(), manual)
 			}

@@ -70,7 +70,7 @@ func (s *Station) initWork() {
 	mcuReadingsDone := func(done time.Time) {
 		s.cur.LocalState = local
 		if n > 0 {
-			s.spool.Add(storage.KindHousekeeping, "housekeeping", int64(n)*24, done)
+			s.spool.Add(storage.KindHousekeeping, int64(n)*24)
 		}
 		s.continueAfterPowerState(done, local)
 	}
@@ -88,11 +88,11 @@ func (s *Station) initWork() {
 
 	// --- Fig 4, step: "Package data to be sent" ---
 	s.packageFn = func(now time.Time) (time.Duration, func(time.Time)) {
-		return packageTime, func(done time.Time) {
+		return packageTime, func(time.Time) {
 			// §VI log-volume lesson: per-reading debug output adds up fast
 			// on the first contact in months.
 			logBytes := logBaseBytes + s.cfg.LogPerReadingBytes*int64(s.cur.ProbeReadings)
-			s.spool.Add(storage.KindLog, "daily-log", logBytes, done)
+			s.spool.Add(storage.KindLog, logBytes)
 		}
 	}
 
@@ -110,8 +110,8 @@ func (s *Station) initWork() {
 	s.uploadStateFn = s.transferWork(stateMsgBytes, func(done time.Time) {
 		s.srv.UploadState(s.node.Name, s.commsLocal, done)
 	})
-	s.overrideFn = s.transferWork(overrideMsgBytes, func(done time.Time) {
-		ov := s.srv.OverrideFor(s.node.Name, done)
+	s.overrideFn = s.transferWork(overrideMsgBytes, func(time.Time) {
+		ov := s.srv.OverrideFor(s.node.Name)
 		s.cur.Override = ov
 		s.cur.OverrideFetched = true
 	})
@@ -145,7 +145,7 @@ func (s *Station) initWork() {
 		if !res.Completed() {
 			return res.Elapsed, func(time.Time) { s.commsFailed() }
 		}
-		sp, ok := s.srv.FetchSpecial(s.node.Name, now)
+		sp, ok := s.srv.FetchSpecial(s.node.Name)
 		if !ok {
 			return res.Elapsed, nil
 		}
@@ -163,7 +163,7 @@ func (s *Station) initWork() {
 			}
 			res := s.node.Modem.TryTransfer(attachDone, specialMsgBytes)
 			if res.Completed() {
-				if sp, ok := s.srv.FetchSpecial(s.node.Name, attachDone); ok {
+				if sp, ok := s.srv.FetchSpecial(s.node.Name); ok {
 					s.executeSpecial(sp, attachDone)
 				}
 			}
@@ -211,18 +211,13 @@ func (s *Station) buildProbeJobs() {
 		// (tomorrow at the earliest) overwrites res and reuses st's buffer
 		// behind res.Got.
 		var res protocol.Result
-		apply := func(done time.Time) {
+		apply := func(time.Time) {
 			s.cur.ProbeReadings += len(res.Got)
 			if s.cfg.Priority != nil {
 				s.dayReadings = append(s.dayReadings, res.Got...)
 			}
-			if res.Err != nil {
-				s.cur.ProbeFetchErr = res.Err
-			}
 			if len(res.Got) > 0 {
-				name := fmt.Sprintf("probe%d-%d", pr.ID(), res.Got[0].Seq)
-				bytes := int64(len(res.Got)) * 24 // packed record size
-				s.spool.Add(storage.KindProbeData, name, bytes, done)
+				s.spool.Add(storage.KindProbeData, int64(len(res.Got))*24) // packed record size
 			}
 		}
 		work := func(now time.Time) (time.Duration, func(time.Time)) {
@@ -250,10 +245,8 @@ func (s *Station) continueAfterPowerState(now time.Time, local power.State) {
 	plan := power.PlanFor(local)
 
 	// §VII extension: score the day's data before deciding silence.
-	var reason string
 	if s.cfg.Priority != nil {
-		s.cur.Priority, reason = s.cfg.Priority.Evaluate(s.dayReadings)
-		s.cur.PriorityReason = reason
+		s.cur.Priority = s.cfg.Priority.Evaluate(s.dayReadings)
 	}
 	s.dayReadings = s.dayReadings[:0]
 
@@ -261,7 +254,7 @@ func (s *Station) continueAfterPowerState(now time.Time, local power.State) {
 	// unless the data warrants forcing a marginal-power session.
 	if !plan.GPRS {
 		if s.cfg.Priority != nil && s.cur.Priority >= ForceCommsThreshold {
-			s.enqueueForcedComms(local, reason)
+			s.enqueueForcedComms(local)
 		}
 		s.enqueueFinish()
 		return
@@ -299,15 +292,12 @@ func (s *Station) gpsDrainWork(now time.Time) (time.Duration, func(time.Time)) {
 	// every day, comms never happen, and no remote command can land unless
 	// specials execute before the transfer.
 	t := f.TransferTime(s.rs232Health)
-	return t, func(done time.Time) {
-		name := fmt.Sprintf("dgps-%d", f.ID)
-		if err := s.card.Write(name, int64(f.SizeBytes), nil, done); err == nil {
-			s.spool.Add(storage.KindDGPSFile, name, int64(f.SizeBytes), done)
-			_ = s.node.GPS.Delete(f.ID)
-			s.cur.GPSFilesDrained++
-			// More files? Keep draining inside the window.
-			s.continueGPSDrain()
-		}
+	return t, func(time.Time) {
+		s.spool.Add(storage.KindDGPSFile, int64(f.SizeBytes))
+		_ = s.node.GPS.Delete(f.ID)
+		s.cur.GPSFilesDrained++
+		// More files? Keep draining inside the window.
+		s.continueGPSDrain()
 	}
 }
 
@@ -380,16 +370,15 @@ func (s *Station) uploadWork(now time.Time) (time.Duration, func(time.Time)) {
 		return 0, nil // leave it spooled; file-by-file, day by day
 	}
 	res := s.node.Modem.TryTransfer(now, item.Bytes)
-	return res.Elapsed, func(done time.Time) {
+	return res.Elapsed, func(time.Time) {
 		if !res.Completed() {
 			// Drop-out: session is gone; everything else waits.
 			s.commsFailed()
 			return
 		}
-		s.srv.UploadData(s.node.Name, item.Bytes, done)
+		s.srv.UploadData(s.node.Name, item.Bytes)
 		_ = s.spool.MarkSent(item.ID)
 		s.cur.UploadedBytes += item.Bytes
-		s.cur.UploadedItems++
 		s.enqueueWorkFront("upload-data", s.uploadFn)
 	}
 }

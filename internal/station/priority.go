@@ -1,7 +1,6 @@
 package station
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/comms"
@@ -14,7 +13,7 @@ import (
 // base station to analyse the data collected and prioritise it, forcing
 // communication even if the available power is marginal if the data
 // warrants it". It inspects the day's freshly fetched probe readings and
-// returns a priority in [0,1] with a human-readable reason.
+// returns a priority in [0,1].
 //
 // The as-deployed system has no evaluator (Config.Priority nil): power
 // state 0 always means silence. With an evaluator configured, a priority at
@@ -23,7 +22,7 @@ import (
 type PriorityEvaluator interface {
 	// Evaluate scores the day's readings. The station reuses the slice
 	// the next day, so an evaluator must not keep it past the call.
-	Evaluate(readings []probe.Reading) (priority float64, reason string)
+	Evaluate(readings []probe.Reading) (priority float64)
 }
 
 // ForceCommsThreshold is the priority at or above which a state-0 day still
@@ -47,28 +46,26 @@ func NewConductivitySpikeEvaluator() *ConductivitySpikeEvaluator {
 }
 
 // Evaluate implements PriorityEvaluator.
-func (e *ConductivitySpikeEvaluator) Evaluate(readings []probe.Reading) (float64, string) {
+func (e *ConductivitySpikeEvaluator) Evaluate(readings []probe.Reading) float64 {
 	var worst float64
-	var at time.Time
 	for _, r := range readings {
 		if r.ConductivityUS > worst {
 			worst = r.ConductivityUS
-			at = r.At
 		}
 	}
 	if worst >= e.SpikeUS {
-		return 1, fmt.Sprintf("conductivity spike %.1f uS at %s", worst, at.Format("2006-01-02 15:04"))
+		return 1
 	}
 	if e.SpikeUS > 0 && worst > 0 {
-		return worst / e.SpikeUS * 0.5, "" // background level, never forces
+		return worst / e.SpikeUS * 0.5 // background level, never forces
 	}
-	return 0, ""
+	return 0
 }
 
 // enqueueForcedComms runs the §VII marginal-power session: attach, upload
 // the power state and the priority data, detach. No GPS drain, no full
 // spool flush — the minimum spend that gets the event out today.
-func (s *Station) enqueueForcedComms(local power.State, reason string) {
+func (s *Station) enqueueForcedComms(local power.State) {
 	s.enqueueWork("forced-comms", func(now time.Time) (time.Duration, func(time.Time)) {
 		s.node.MCU.SetRail(comms.GPRSRail, true)
 		return s.node.Modem.AttachTime(), func(done time.Time) {
@@ -94,12 +91,10 @@ func (s *Station) enqueueForcedComms(local power.State, reason string) {
 				if !res.Completed() {
 					return
 				}
-				s.srv.UploadData(s.node.Name, item.Bytes, done)
+				s.srv.UploadData(s.node.Name, item.Bytes)
 				_ = s.spool.MarkSent(item.ID)
 				s.cur.UploadedBytes += item.Bytes
-				s.cur.UploadedItems++
 			}
-			_ = reason
 		}
 	})
 }

@@ -2,7 +2,6 @@ package station
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/energy"
 	"repro/internal/power"
@@ -12,26 +11,17 @@ import (
 func TestConductivitySpikeEvaluator(t *testing.T) {
 	e := NewConductivitySpikeEvaluator()
 	quiet := []probe.Reading{{ConductivityUS: 1.2}, {ConductivityUS: 2.0}}
-	p, reason := e.Evaluate(quiet)
-	if p >= ForceCommsThreshold {
+	if p := e.Evaluate(quiet); p >= ForceCommsThreshold {
 		t.Fatalf("quiet readings scored %v", p)
 	}
-	if reason != "" {
-		t.Fatalf("quiet readings got a reason %q", reason)
-	}
-	spike := append(quiet, probe.Reading{ConductivityUS: 12.5, At: time.Date(2009, 4, 1, 3, 0, 0, 0, time.UTC)})
-	p, reason = e.Evaluate(spike)
-	if p < ForceCommsThreshold {
+	spike := append(quiet, probe.Reading{ConductivityUS: 12.5})
+	if p := e.Evaluate(spike); p < ForceCommsThreshold {
 		t.Fatalf("spike scored only %v", p)
-	}
-	if reason == "" {
-		t.Fatal("spike got no reason")
 	}
 }
 
 func TestEvaluatorEmptyReadings(t *testing.T) {
-	p, _ := NewConductivitySpikeEvaluator().Evaluate(nil)
-	if p != 0 {
+	if p := NewConductivitySpikeEvaluator().Evaluate(nil); p != 0 {
 		t.Fatalf("no readings scored %v", p)
 	}
 }
@@ -39,11 +29,11 @@ func TestEvaluatorEmptyReadings(t *testing.T) {
 // spikeEvaluator forces full priority unconditionally (test double).
 type spikeEvaluator struct{}
 
-func (spikeEvaluator) Evaluate(rs []probe.Reading) (float64, string) {
+func (spikeEvaluator) Evaluate(rs []probe.Reading) float64 {
 	if len(rs) == 0 {
-		return 0, ""
+		return 0
 	}
-	return 1, "test spike"
+	return 1
 }
 
 // The §VII extension end to end: a station whose battery only allows
@@ -112,7 +102,7 @@ func TestForcedCommsSkipsGPSDrain(t *testing.T) {
 		probes:   1,
 		cfg:      cfg,
 	})
-	r.st.Node().GPS.InjectBacklog(5, r.sim.Now())
+	r.st.Node().GPS.InjectBacklog(5)
 	r.runDays(t, 1)
 	rep := r.st.Reports()[0]
 	if rep.LocalState != power.State0 {
@@ -120,28 +110,5 @@ func TestForcedCommsSkipsGPSDrain(t *testing.T) {
 	}
 	if rep.GPSFilesDrained != 0 {
 		t.Fatal("forced marginal-power session drained dGPS files")
-	}
-}
-
-// Pitch/roll future-work sensors: flat in winter, leaning in summer melt.
-func TestHousekeepingPitchRollTrackMelt(t *testing.T) {
-	winter := newRig(t, rigOpts{seed: 4, start: time.Date(2009, 1, 10, 0, 0, 0, 0, time.UTC)})
-	winter.runDays(t, 1)
-	summer := newRig(t, rigOpts{seed: 4, start: time.Date(2009, 7, 10, 0, 0, 0, 0, time.UTC)})
-	summer.runDays(t, 1)
-
-	maxPitch := func(r *rig) float64 {
-		samples := r.st.Node().MCU.DrainSamples()
-		var m float64
-		for _, s := range samples {
-			if s.PitchDeg > m {
-				m = s.PitchDeg
-			}
-		}
-		return m
-	}
-	w, s := maxPitch(winter), maxPitch(summer)
-	if s <= w+1 {
-		t.Fatalf("summer pitch %v not clearly above winter %v (melt settling)", s, w)
 	}
 }

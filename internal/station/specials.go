@@ -99,12 +99,7 @@ func (r *SpecialRegistry) Execute(script string, now time.Time) string {
 func (s *Station) executeSpecial(sp server.Special, now time.Time) {
 	out := s.specials.Execute(sp.Script, now)
 	s.stats.SpecialsExecuted++
-	if s.cur != nil {
-		s.cur.SpecialExecuted = sp.ID
-	}
 	s.pendingOutputs = append(s.pendingOutputs, server.SpecialOutput{
-		Station:    s.node.Name,
-		SpecialID:  sp.ID,
 		Output:     out,
 		ExecutedAt: now,
 	})

@@ -100,18 +100,12 @@ type RunReport struct {
 	Effective power.State
 	// ProbeReadings is how many probe readings arrived (base only).
 	ProbeReadings int
-	// ProbeFetchErr carries a fetch failure, if any.
-	ProbeFetchErr error
 	// GPSFilesDrained counts dGPS files moved off the unit this run.
 	GPSFilesDrained int
 	// UploadedBytes is the volume confirmed to Southampton.
 	UploadedBytes int64
-	// UploadedItems counts spool items confirmed sent.
-	UploadedItems int
 	// CommsOK reports whether the GPRS session worked at all.
 	CommsOK bool
-	// SpecialExecuted is the ID of the special run this cycle (0 = none).
-	SpecialExecuted uint64
 	// WatchdogTripped reports whether the 2 h limit cut the run short.
 	WatchdogTripped bool
 	// WallElapsed is how long the Gumstix was up.
@@ -119,8 +113,6 @@ type RunReport struct {
 	// Priority is the day's data-priority score (§VII extension; 0 when
 	// the evaluator is disabled).
 	Priority float64
-	// PriorityReason explains a non-zero priority.
-	PriorityReason string
 	// ForcedComms reports a marginal-power session forced by priority.
 	ForcedComms bool
 }
@@ -152,7 +144,6 @@ type Station struct {
 	probes  []*probe.Probe
 	fetcher *protocol.NackFetcher
 
-	card  *storage.CFCard
 	spool *storage.Spool
 	rec   *recovery.Coordinator
 
@@ -235,7 +226,6 @@ func New(node *core.Node, srv *server.Server, channel *comms.ProbeChannel, probe
 		srv:         srv,
 		channel:     channel,
 		probes:      probes,
-		card:        storage.NewCFCard(4 << 30), // the 4 GB CF card
 		spool:       storage.NewSpool(),
 		state:       cfg.InitialState,
 		rs232Health: cfg.RS232Health,

@@ -220,7 +220,7 @@ func TestSpoolRetainedAcrossCommsFailure(t *testing.T) {
 			pendingAfterFail = r.st.Spool().Len()
 			return
 		}
-		if failedDay && rep.CommsOK && rep.UploadedItems > 0 {
+		if failedDay && rep.CommsOK && rep.UploadedBytes > 0 {
 			recoveredAfterFail = true
 		}
 	})
@@ -239,7 +239,7 @@ func TestSpoolRetainedAcrossCommsFailure(t *testing.T) {
 func TestWatchdogTripsOnHugeBacklogAndBacklogClears(t *testing.T) {
 	r := newRig(t, rigOpts{probes: 0})
 	// ~21 days of state-3 backlog appears at once (the paper's threshold).
-	r.st.Node().GPS.InjectBacklog(21*12, r.sim.Now())
+	r.st.Node().GPS.InjectBacklog(21 * 12)
 	start := r.st.Node().GPS.FileCount()
 	r.runDays(t, 1)
 	rep := r.st.Reports()[0]
@@ -265,13 +265,13 @@ func TestSingleFileDeadlockWithoutFixAndRescueWithFix(t *testing.T) {
 		cfg.RS232Health = 0.002 // ~4 h per 165 KB file: exceeds any window
 		cfg.SpecialFirst = specialFirst
 		r := newRig(t, rigOpts{probes: 0, cfg: cfg, seed: 5})
-		r.st.Node().GPS.InjectBacklog(5, r.sim.Now())
+		r.st.Node().GPS.InjectBacklog(5)
 		injected := make(map[uint64]bool)
 		for _, f := range r.st.Node().GPS.Files() {
 			injected[f.ID] = true
 		}
 		if rescue {
-			r.srv.PushSpecial("base", "set-rs232 1.0", r.sim.Now())
+			r.srv.PushSpecial("base", "set-rs232 1.0")
 		}
 		r.runDays(t, 6)
 		left := 0
@@ -294,7 +294,7 @@ func TestSingleFileDeadlockWithoutFixAndRescueWithFix(t *testing.T) {
 
 func TestSpecialOutputArrivesNextDay(t *testing.T) {
 	r := newRig(t, rigOpts{probes: 0})
-	r.srv.PushSpecial("base", "noop", r.sim.Now())
+	r.srv.PushSpecial("base", "noop")
 	r.runDays(t, 4)
 	outs := r.srv.SpecialOutputs()
 	if len(outs) == 0 {
@@ -312,7 +312,7 @@ func TestSpecialFirstShortensFeedback(t *testing.T) {
 	cfg := DefaultConfig(RoleBase)
 	cfg.SpecialFirst = true
 	r := newRig(t, rigOpts{probes: 0, cfg: cfg})
-	r.srv.PushSpecial("base", "noop", r.sim.Now())
+	r.srv.PushSpecial("base", "noop")
 	r.runDays(t, 4)
 	outs := r.srv.SpecialOutputs()
 	if len(outs) == 0 {

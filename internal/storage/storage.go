@@ -1,77 +1,15 @@
-// Package storage models the station's on-board storage: the 4 GB compact
-// flash card that buffers data between communication windows, and the
-// upload spool that survives failed GPRS sessions ("if for any reason the
-// communications fail the data is stored locally until it can be sent
-// onwards").
+// Package storage models the station's upload spool, which survives
+// failed GPRS sessions ("if for any reason the communications fail the
+// data is stored locally until it can be sent onwards").
 package storage
 
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
-// ErrNotFound is returned when a file does not exist.
-var ErrNotFound = errors.New("storage: file not found")
-
-// StoredFile is one file on the CF card. Payload bytes are modeled by size;
-// Data optionally carries real content (used by the update mechanism).
-type StoredFile struct {
-	// Name is the file path on the card.
-	Name string
-	// Size is the file size in bytes.
-	Size int64
-	// Data optionally holds real content; len(Data) need not equal Size
-	// for bulk sensor files where only volume matters.
-	Data []byte
-	// Created is when the file was written.
-	Created time.Time
-}
-
-// CFCard is a simulated compact-flash card.
-type CFCard struct {
-	capacity int64
-	files    map[string]*StoredFile
-	used     int64
-}
-
-// NewCFCard returns a card with the given capacity (the deployment used
-// 4 GB cards).
-func NewCFCard(capacity int64) *CFCard {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("storage: non-positive CF capacity %d", capacity))
-	}
-	return &CFCard{capacity: capacity, files: make(map[string]*StoredFile)}
-}
-
-// Write stores a file, replacing any previous version. It fails if the card
-// would overflow.
-func (c *CFCard) Write(name string, size int64, data []byte, now time.Time) error {
-	if size < 0 {
-		return fmt.Errorf("storage: negative size for %q", name)
-	}
-	var old int64
-	if f, ok := c.files[name]; ok {
-		old = f.Size
-	}
-	if c.used-old+size > c.capacity {
-		return fmt.Errorf("storage: card full writing %q (%d used of %d)", name, c.used, c.capacity)
-	}
-	c.used += size - old
-	c.files[name] = &StoredFile{Name: name, Size: size, Data: append([]byte(nil), data...), Created: now}
-	return nil
-}
-
-// Read returns a file's metadata and content.
-func (c *CFCard) Read(name string) (StoredFile, error) {
-	f, ok := c.files[name]
-	if !ok {
-		return StoredFile{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	out := *f
-	out.Data = append([]byte(nil), f.Data...)
-	return out, nil
-}
+// ErrNotFound is returned when a spool item does not exist.
+var ErrNotFound = errors.New("storage: not found")
 
 // Spool is the persistent upload queue: everything waiting to go to
 // Southampton. Items are kept in arrival order and only removed once the
@@ -116,21 +54,17 @@ type Item struct {
 	ID uint64
 	// Kind classifies the payload.
 	Kind ItemKind
-	// Name describes the payload (e.g. dGPS file name).
-	Name string
 	// Bytes is the payload size.
 	Bytes int64
-	// Created is when the item was spooled.
-	Created time.Time
 }
 
 // NewSpool returns an empty spool.
 func NewSpool() *Spool { return &Spool{} }
 
 // Add spools an item and returns its ID.
-func (s *Spool) Add(kind ItemKind, name string, bytes int64, now time.Time) uint64 {
+func (s *Spool) Add(kind ItemKind, bytes int64) uint64 {
 	s.nextID++
-	s.items = append(s.items, Item{ID: s.nextID, Kind: kind, Name: name, Bytes: bytes, Created: now})
+	s.items = append(s.items, Item{ID: s.nextID, Kind: kind, Bytes: bytes})
 	return s.nextID
 }
 

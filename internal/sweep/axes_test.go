@@ -28,7 +28,7 @@ func TestWeatherAxis(t *testing.T) {
 		},
 		Observe: func(c Cell, d *deploy.Deployment) []Metric {
 			noon := d.Sim.Now().Add(-12 * time.Hour)
-			return []Metric{{Name: "noon-sun", Value: d.WX.Sample(noon).SolarIrradiance}}
+			return []Metric{{Name: "noon-sun", Value: weather.New(d.Topology.Weather).Sample(noon).SolarIrradiance}}
 		},
 	}
 	sum, err := Run(g, 2)

@@ -66,8 +66,6 @@ type Installer struct {
 
 // InstallEvent records one attempted installation.
 type InstallEvent struct {
-	// Name is the artifact name.
-	Name string
 	// Version is the artifact's label (empty on corrupt downloads).
 	Version string
 	// At is when the attempt happened.
@@ -104,15 +102,15 @@ func (i *Installer) Install(got Artifact, m Manifest, at time.Time, beacon Beaco
 		beacon(got.Name, sum)
 	}
 	if got.Name != m.Name {
-		i.history = append(i.history, InstallEvent{Name: got.Name, At: at})
+		i.history = append(i.history, InstallEvent{At: at})
 		return fmt.Errorf("update: artifact %q does not match manifest %q", got.Name, m.Name)
 	}
 	if sum != m.MD5 {
-		i.history = append(i.history, InstallEvent{Name: got.Name, At: at})
+		i.history = append(i.history, InstallEvent{At: at})
 		return fmt.Errorf("%w: got %s want %s", ErrChecksumMismatch, sum, m.MD5)
 	}
 	i.installed[got.Name] = got
-	i.history = append(i.history, InstallEvent{Name: got.Name, Version: got.Version, At: at, OK: true})
+	i.history = append(i.history, InstallEvent{Version: got.Version, At: at, OK: true})
 	return nil
 }
 

@@ -39,15 +39,10 @@ func (m *referenceModel) Sample(ts time.Time) Conditions {
 		irr *= math.Max(0, 1-(snow-1.5))
 	}
 
-	wind := m.windSpeed(ts, storm)
-	temp := m.temperature(doy, hod, storm)
-
 	return Conditions{
 		SolarIrradiance: irr,
-		WindSpeed:       wind,
-		AirTempC:        temp,
+		WindSpeed:       m.windSpeed(ts, storm),
 		SnowDepthM:      snow,
-		MeltIndex:       m.meltIndex(ts),
 		Storm:           storm,
 	}
 }
@@ -101,16 +96,6 @@ func (m *referenceModel) windSpeed(ts time.Time, storm bool) float64 {
 		v = math.Max(v, 18+12*m.noise("gust", day))
 	}
 	return v
-}
-
-func (m *referenceModel) temperature(doy int, hod float64, storm bool) float64 {
-	seasonal := -8 + 10*math.Sin(2*math.Pi*(float64(doy)-110)/365.25)
-	diurnal := 2.5 * math.Sin(2*math.Pi*(hod-9)/24)
-	t := seasonal + diurnal
-	if storm {
-		t -= 3
-	}
-	return t
 }
 
 func (m *referenceModel) snowDepth(doy int) float64 {

@@ -1,8 +1,8 @@
 // Package weather provides a synthetic but physically plausible climate model
 // for the Vatnajökull deployment site (~64°N). It substitutes for the real
 // Iceland weather that drove the paper's field results: solar irradiance and
-// wind speed feed the charging model, temperature and snow depth gate the
-// wind turbine and bury antennas, and the melt-water index drives both the
+// wind speed feed the charging model, snow depth gates the wind turbine and
+// buries antennas, and the melt-water index drives both the
 // summer degradation of the probe radio link and the end-of-winter
 // conductivity rise shown in the paper's Fig 6.
 //
@@ -36,13 +36,8 @@ type Conditions struct {
 	SolarIrradiance float64
 	// WindSpeed at turbine height, m/s.
 	WindSpeed float64
-	// AirTempC is air temperature in °C.
-	AirTempC float64
 	// SnowDepthM is snow depth over the station, metres.
 	SnowDepthM float64
-	// MeltIndex is 0 in deep winter rising towards 1 in high summer; it
-	// proxies the amount of surface melt water reaching the glacier bed.
-	MeltIndex float64
 	// Storm reports whether a storm is in progress (high wind, no sun).
 	Storm bool
 }
@@ -84,9 +79,8 @@ const dayCacheSize = 3
 
 // dayState is everything Sample needs for one UTC day that does not vary
 // within the day: the noise endpoints the intra-day interpolations run
-// between, the solar declination products, the seasonal wind/temperature
-// terms, the snow depth and melt index, and the day's storm-window
-// decision. Every field is a pure function of (config, dayIdx), so a
+// between, the solar declination products, the seasonal wind term, the
+// snow depth, and the day's storm-window decision. Every field is a pure function of (config, dayIdx), so a
 // cached state is indistinguishable from a recomputed one.
 type dayState struct {
 	valid  bool
@@ -99,13 +93,11 @@ type dayState struct {
 	gust           float64 // storm gust noise (only set when stormOccurs)
 
 	snow float64 // snow depth, constant within a day
-	melt float64 // melt index, constant within a day
 
 	sinLatSinDecl float64 // sin(lat)·sin(decl) for this day
 	cosLatCosDecl float64 // cos(lat)·cos(decl) for this day
 
 	windSeasonal float64 // 1 + 0.35·cos(2π·doy/365.25)
-	tempSeasonal float64 // -8 + 10·sin(2π·(doy-110)/365.25)
 
 	stormOccurs          bool    // this day's 15-day window contains a storm
 	stormStart, stormEnd float64 // active range in day-in-window units
@@ -127,9 +119,8 @@ type Model struct {
 	days [dayCacheSize]dayState
 
 	// Same-instant memo: callers sample identical timestamps repeatedly
-	// (every station's bus ticks at the same instants, and the MCU reads
-	// weather and then bus voltage at one instant), so the last returned
-	// Conditions short-circuits the whole derivation.
+	// (every station's bus ticks at the same instants), so the last
+	// returned Conditions short-circuits the whole derivation.
 	lastValid bool
 	lastNano  int64
 	lastCond  Conditions
@@ -211,17 +202,10 @@ func (m *Model) Sample(ts time.Time) Conditions {
 		wind = math.Max(wind, 18+12*st.gust)
 	}
 
-	temp := st.tempSeasonal + 2.5*math.Sin(2*math.Pi*(hod-9)/24)
-	if storm {
-		temp -= 3
-	}
-
 	cond := Conditions{
 		SolarIrradiance: irr,
 		WindSpeed:       wind,
-		AirTempC:        temp,
 		SnowDepthM:      snow,
-		MeltIndex:       st.melt,
 		Storm:           storm,
 	}
 	m.lastNano, m.lastCond, m.lastValid = nano, cond, true
@@ -263,14 +247,12 @@ func (m *Model) deriveDay(st *dayState, dayIdx int) {
 	st.windB = m.noise("wind", dayIdx+1)
 
 	st.snow = snowDepthAt(m.cfg.MaxSnowDepthM, doy)
-	st.melt = meltIndexAt(float64(doy))
 
 	decl := -23.44 * math.Pi / 180 * math.Cos(2*math.Pi*(float64(doy)+10)/365.25)
 	st.sinLatSinDecl = m.sinLat * math.Sin(decl)
 	st.cosLatCosDecl = m.cosLat * math.Cos(decl)
 
 	st.windSeasonal = 1 + 0.35*math.Cos(2*math.Pi*float64(doy)/365.25)
-	st.tempSeasonal = -8 + 10*math.Sin(2*math.Pi*(float64(doy)-110)/365.25)
 
 	// Storms are placed deterministically: each ~15-day window contains a
 	// storm with probability StormsPerMonth/2, lasting 1-3 days. A window's

@@ -168,8 +168,7 @@ func TestPropertyConditionsPhysical(t *testing.T) {
 		return c.SolarIrradiance >= 0 && c.SolarIrradiance <= 1000 &&
 			c.WindSpeed >= 0 && c.WindSpeed < 60 &&
 			c.SnowDepthM >= 0 && c.SnowDepthM <= m.cfg.MaxSnowDepthM+0.01 &&
-			c.MeltIndex >= 0 && c.MeltIndex <= 1 &&
-			c.AirTempC > -40 && c.AirTempC < 25
+			m.MeltIndex(ts) >= 0 && m.MeltIndex(ts) <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -10,10 +10,23 @@
 // use. A method also stays when an interface in the loaded packages or
 // their imports declares its name (String, Error), and a justified
 // //glacvet:allow deadexport keeps anything else.
+//
+// An exported struct field declared there needs more than a use: it
+// needs a read in the same three sources. Writes keep nothing alive: the
+// left side of =, := or an op-assign, the operand of ++/--, and the key of
+// a keyed composite literal. A write into a field of a struct held by
+// value (x.F.G = v) writes F too; a write through any other field reads
+// it. Three uses read every field a struct holds by value: comparing it
+// with == or !=, using it as a map key, and passing it (or a pointer to
+// it) as an interface argument, where fmt or encoding/json read it by
+// reflection. Fields of //glacvet:wire types and of the types they reach
+// (the wiretag closure) are exempt, since encoding/json reads them.
 package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -26,9 +39,11 @@ func (a *analysis) checkDeadexport() error {
 		return err
 	}
 	used := map[types.Object]bool{}
+	read := map[*types.Var]bool{}
 	ifaceMethods := map[string]bool{"Error": true} // the universe's error
 	seen := map[*types.Package]bool{}
 	for _, pd := range sources {
+		collectFieldReads(pd, read)
 		for _, obj := range pd.info.Uses { // selectors' Sel idents included
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin() // a method of an instantiated generic type
@@ -41,13 +56,33 @@ func (a *analysis) checkDeadexport() error {
 		collectInterfaceMethods(ifaceMethods, pd.pkg, seen)
 	}
 
+	wire := map[*types.Var]bool{}
+	for named := range a.wire {
+		markFields(wire, named)
+	}
 	internal := a.loader.modPath + "/internal"
 	for _, pd := range a.scanned {
 		if pd.path != internal && !strings.HasPrefix(pd.path, internal+"/") {
 			continue
 		}
+		owners := fieldOwners(pd)
 		for id, obj := range pd.info.Defs {
-			if obj == nil || !obj.Exported() || used[obj] {
+			if obj == nil || !obj.Exported() {
+				continue
+			}
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				if !read[v] && !wire[v] {
+					name := v.Name()
+					if owner := owners[v]; owner != "" {
+						name = owner + "." + name
+					}
+					a.reportf(a.fset.Position(id.Pos()), checkDeadexport,
+						"exported field %s has no type-checked read in the module, a nested module or the root Examples; delete it with the work that only fills it",
+						name)
+				}
+				continue
+			}
+			if used[obj] {
 				continue
 			}
 			kind, name := strings.Fields(types.ObjectString(obj, nil))[0], obj.Name()
@@ -66,6 +101,146 @@ func (a *analysis) checkDeadexport() error {
 		}
 	}
 	return nil
+}
+
+// collectFieldReads adds to read every struct field that pd's code reads:
+// a field use in no write position, an embedded field a promoted
+// selection passes through, and every by-value field of a struct that is
+// compared with == or !=, used as a map key or passed as an interface
+// argument.
+func collectFieldReads(pd *pkgData, read map[*types.Var]bool) {
+	written := map[*ast.Ident]bool{}
+	var write func(e ast.Expr)
+	write = func(e ast.Expr) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok || pd.info.Selections[sel] == nil || pd.info.Selections[sel].Kind() != types.FieldVal {
+			return
+		}
+		written[sel.Sel] = true
+		if _, ok := pd.info.TypeOf(sel.X).Underlying().(*types.Struct); ok {
+			write(sel.X) // the write lands inside the struct sel.X holds by value
+		}
+	}
+	for _, f := range pd.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.CompositeLit:
+				t := pd.info.TypeOf(n)
+				if p, ok := t.Underlying().(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				if _, ok := t.Underlying().(*types.Struct); ok {
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written[id] = true
+							}
+						}
+					}
+				}
+			case *ast.CallExpr:
+				sig, ok := pd.info.TypeOf(n.Fun).Underlying().(*types.Signature)
+				if !ok {
+					break // a conversion
+				}
+				for i, arg := range n.Args {
+					if n.Ellipsis.IsValid() && i == len(n.Args)-1 {
+						break // a variadic slice passed whole
+					}
+					if types.IsInterface(paramType(sig, i)) {
+						t := pd.info.TypeOf(arg)
+						if p, ok := t.Underlying().(*types.Pointer); ok {
+							t = p.Elem()
+						}
+						markFields(read, t)
+					}
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					markFields(read, pd.info.TypeOf(n.X))
+					markFields(read, pd.info.TypeOf(n.Y))
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range pd.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			read[v.Origin()] = true
+		}
+	}
+	for _, sel := range pd.info.Selections {
+		t, path := sel.Recv(), sel.Index()
+		for _, i := range path[:len(path)-1] {
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			f := t.Underlying().(*types.Struct).Field(i)
+			read[f.Origin()] = true
+			t = f.Type()
+		}
+	}
+	for _, tv := range pd.info.Types {
+		if tv.Type == nil {
+			continue
+		}
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			markFields(read, m.Key())
+		}
+	}
+}
+
+// paramType is the type of the i'th argument of a call to sig, the
+// element type for the arguments a variadic parameter collects.
+func paramType(sig *types.Signature, i int) types.Type {
+	params := sig.Params()
+	if sig.Variadic() && i >= params.Len()-1 {
+		if s, ok := params.At(params.Len() - 1).Type().(*types.Slice); ok {
+			return s.Elem()
+		}
+	}
+	return params.At(i).Type()
+}
+
+// markFields adds every field t holds by value to set: the fields of a
+// struct, recursively through struct and array fields, and those of an
+// array's element.
+func markFields(set map[*types.Var]bool, t types.Type) {
+	if t == nil {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			set[f.Origin()] = true
+			markFields(set, f.Type())
+		}
+	case *types.Array:
+		markFields(set, u.Elem())
+	}
+}
+
+// fieldOwners names the declared type of each field of pd's named struct
+// types, for the report; a field of an anonymous struct has no owner.
+func fieldOwners(pd *pkgData) map[*types.Var]string {
+	owners := map[*types.Var]string{}
+	for _, obj := range pd.info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					owners[st.Field(i)] = tn.Name()
+				}
+			}
+		}
+	}
+	return owners
 }
 
 // useSources type-checks every package whose uses keep an export alive:

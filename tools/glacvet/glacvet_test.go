@@ -106,6 +106,29 @@ func TestSuppressedChecks(t *testing.T) {
 			t.Errorf("deadexport kept %s, which only a test or a same-spelled name uses", dead)
 		}
 	}
+	// A field stays only if something outside the tests reads it. Writes
+	// (assignments, op-assigns, ++, composite-literal keys, a write into a
+	// by-value field) keep nothing; a self-read append, ==, a map key, an
+	// interface argument, a write through a pointer, a promoted selection,
+	// the wire closure and a justified allow each keep a field.
+	fields := map[string]bool{}
+	for _, f := range byFile["internal/dead/fields.go"] {
+		if f.check == checkDeadexport {
+			fields[strings.Fields(f.msg)[2]] = true
+		}
+	}
+	for _, live := range []string{"Gauge.Log", "Gauge.Shown", "Gauge.Justified", "Pair.Left", "Pair.Right",
+		"Key.Site", "Key.Day", "Printed.Text", "Outer.Ptr", "Record.Payload", "Wrapped.Base", "Base.Depth"} {
+		if fields[live] {
+			t.Errorf("deadexport reported read field %s", live)
+		}
+	}
+	for _, dead := range []string{"Gauge.Set", "Gauge.Bumped", "Gauge.Counted", "Gauge.Keyed", "Gauge.Tested",
+		"Outer.Box", "Inner.Level"} {
+		if !fields[dead] {
+			t.Errorf("deadexport kept %s, which only writes or a test read", dead)
+		}
+	}
 	for _, f := range byFile["hot/hot.go"] {
 		if strings.Contains(f.msg, "Presized") || strings.Contains(f.msg, "Pure") ||
 			strings.Contains(f.msg, "Cold") {

@@ -15,7 +15,9 @@
 //     explicitly (check wiretag);
 //   - dead exports: an exported name under internal/ with no type-checked
 //     use in the module, a nested module such as bench/, or the root
-//     Examples; other tests do not count (check deadexport);
+//     Examples, and an exported struct field there with no such read;
+//     writes and other tests do not count, and wire types are exempt
+//     (check deadexport);
 //   - suppression hygiene: //glacvet:allow is the only escape hatch and
 //     must name a real check, give a reason, and actually suppress
 //     something (check allow).
@@ -29,6 +31,7 @@ package main
 import (
 	"fmt"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -86,6 +89,7 @@ type analysis struct {
 	scanned  []*pkgData
 	findings []finding
 	allows   map[allowKey][]*allowDir
+	wire     map[*types.Named]bool // the wiretag closure, filled by checkWiretag
 }
 
 // runGlacvet loads the packages the patterns denote and runs every check

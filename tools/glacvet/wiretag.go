@@ -57,9 +57,9 @@ func (a *analysis) checkWiretag() {
 			}
 		}
 	}
-	seen := map[*types.Named]bool{}
+	a.wire = map[*types.Named]bool{}
 	for _, named := range roots {
-		a.checkWireStruct(named, seen)
+		a.checkWireStruct(named, a.wire)
 	}
 }
 
