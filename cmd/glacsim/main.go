@@ -309,7 +309,7 @@ func replayCmd(*flag.FlagSet) func([]string) error {
 		if div != nil {
 			return fmt.Errorf("replay of %s diverged: %w", path, div)
 		}
-		fmt.Printf("replay of %s: %d events verified, zero divergences\n", path, len(l.Records))
+		fmt.Printf("replay of %s: %d events verified, zero divergences\n", path, l.Len())
 		return nil
 	}
 }
@@ -331,7 +331,7 @@ func evdiffCmd(*flag.FlagSet) func([]string) error {
 		}
 		d := evlog.Diff(a, b)
 		if d == nil {
-			fmt.Printf("logs identical: %d events\n", len(a.Records))
+			fmt.Printf("logs identical: %d events\n", a.Len())
 			return nil
 		}
 		fmt.Println(d.Report(a, b))

@@ -158,7 +158,7 @@ func ScenarioFlags(fs *flag.FlagSet) func() (scenario.Run, error) {
 		}
 		for _, name := range strings.Split(r.Scenario, ",") {
 			one := scenario.Run{Scenario: strings.TrimSpace(name), Params: *p}
-			if _, _, err := one.Topology(); errors.Is(err, scenario.ErrStations) {
+			if err := one.Check(); errors.Is(err, scenario.ErrStations) {
 				return scenario.Run{}, Usagef("%v", err)
 			}
 		}

@@ -136,7 +136,7 @@ func FuzzShardRequest(f *testing.F) {
 	subset := shardRequest(f, sweep.Grid{Scenarios: []string{"dual-base"}, Seeds: sweep.SeedRange(1, 3), Days: 2}, "")
 	subset.Indices = []int{2, 0}
 	tagged := sweep.Grid{Scenarios: []string{"dual-base"}, Seeds: []int64{-1, 5},
-		Stations: []int{2}, Overrides: []sweep.Override{{Name: "tag=1.5"}}}
+		Stations: []int{3}, Overrides: []sweep.Override{{Name: "tag=1.5"}}}
 	for _, req := range []ShardRequest{
 		shardRequest(f, specGrid(), ""),
 		shardRequest(f, tagged, "disttest/tag"),

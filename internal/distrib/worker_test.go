@@ -124,6 +124,28 @@ func TestWorkerServesShard(t *testing.T) {
 	}
 }
 
+// A shard of a grid whose fleet size its scenario does not build is
+// refused with a 4xx naming the scenario, not served as cells that each
+// carry the failure. The request is the one a coordinator whose planner
+// accepted the grid would send: its one cell, fingerprinted.
+func TestWorkerRefusesAFleetSizeTheScenarioDoesNotBuild(t *testing.T) {
+	srv := httptest.NewServer(&Worker{})
+	defer srv.Close()
+	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{5}, Stations: []int{5}, Days: 1}
+	plan := []sweep.Cell{{Scenario: "as-deployed-2008", Seed: 5, Stations: 5, Days: 1}}
+	req := ShardRequest{V: WireVersion, Grid: SpecOf(g), Fingerprint: sweep.Fingerprint(g, plan), TotalCells: 1, Indices: []int{0}}
+	resp := post(t, srv.URL, req)
+	defer func() { _ = resp.Body.Close() }()
+	body := new(bytes.Buffer)
+	_, _ = body.ReadFrom(resp.Body)
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("status %s, want a 4xx refusal (%s)", resp.Status, strings.TrimSpace(body.String()))
+	}
+	if want := `scenario "as-deployed-2008" builds 2 stations, not 5`; !strings.Contains(body.String(), want) {
+		t.Fatalf("refusal %q does not say %q", strings.TrimSpace(body.String()), want)
+	}
+}
+
 // slotProbe is a ResponseWriter that records the worker's in-flight shard
 // count each time the reply body is written.
 type slotProbe struct {

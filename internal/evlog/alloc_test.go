@@ -1,10 +1,14 @@
 package evlog
 
 import (
+	"bytes"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/simenv"
 )
 
@@ -67,5 +71,80 @@ func TestRecordingOnSteadyStateAllocFree(t *testing.T) {
 	}
 	if w.Err() != nil {
 		t.Fatal(w.Err())
+	}
+}
+
+// syntheticLog writes a sealed log of n events cycling through the same
+// five names, one every 1.5 s of simulated time.
+func syntheticLog(t testing.TB, n int) []byte {
+	t.Helper()
+	names := []string{"tick", "mcu.sample", "gps.reading", "gumstix.job.upload", "probe.fetch"}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Scenario: "synthetic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		w.Observe(names[i%len(names)], simenv.Epoch.Add(time.Duration(i)*1500*time.Millisecond))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The reader's pin: decoding allocates per log and per distinct name,
+// never per record. The record table is sized by one frame walk and
+// allocated once, so a log ten times longer with the same names costs
+// the same number of allocations. The collector is off while it counts:
+// a collection cycle allocates for itself, and the longer log's bigger
+// table would start more of them.
+func TestDecodeAllocsDoNotGrowWithRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		data := syntheticLog(t, n)
+		runtime.GC() // finish any cycle the log's writing started
+		return testing.AllocsPerRun(20, func() {
+			if _, err := decode(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(5_000), allocs(50_000)
+	if small != large {
+		t.Fatalf("decoding 5,000 records allocates %.0f objects, 50,000 allocate %.0f: allocations grow with the log", small, large)
+	}
+}
+
+// BenchmarkRead decodes one recorded built-in scenario at its default
+// horizon: the read step of every replay.
+func BenchmarkRead(b *testing.B) {
+	d, err := scenario.Build("dual-base", scenario.Params{Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Scenario: "dual-base", Seed: 42, Days: 90})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.Attach(d.Sim)
+	if err := d.RunDays(90); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := Read(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -30,21 +30,18 @@ type DiffResult struct {
 // every record matches (same count, same times, same names).
 func Diff(a, b *Log) *DiffResult {
 	note := headerNote(a.Header, b.Header)
-	n := len(a.Records)
-	if len(b.Records) < n {
-		n = len(b.Records)
-	}
+	n := min(a.Len(), b.Len())
 	for i := 0; i < n; i++ {
-		ra, rb := a.Records[i], b.Records[i]
+		ra, rb := a.Record(i), b.Record(i)
 		if ra.Name != rb.Name || ra.AtSec != rb.AtSec || ra.AtNsec != rb.AtNsec {
 			return &DiffResult{Index: uint64(i), A: ra, HaveA: true, B: rb, HaveB: true, HeaderNote: note}
 		}
 	}
 	switch {
-	case len(a.Records) > n:
-		return &DiffResult{Index: uint64(n), A: a.Records[n], HaveA: true, HeaderNote: note}
-	case len(b.Records) > n:
-		return &DiffResult{Index: uint64(n), B: b.Records[n], HaveB: true, HeaderNote: note}
+	case a.Len() > n:
+		return &DiffResult{Index: uint64(n), A: a.Record(n), HaveA: true, HeaderNote: note}
+	case b.Len() > n:
+		return &DiffResult{Index: uint64(n), B: b.Record(n), HaveB: true, HeaderNote: note}
 	}
 	return nil
 }
@@ -102,15 +99,15 @@ func (d *DiffResult) Report(a, b *Log) string {
 	}
 	fmt.Fprintf(&sb, "context (events %d..%d):\n", lo, d.Index)
 	for i := lo; i <= int(d.Index); i++ {
-		line := func(tag string, recs []Record) {
-			if i < len(recs) {
-				fmt.Fprintf(&sb, "  %s %s\n", tag, recs[i])
+		line := func(tag string, l *Log) {
+			if i < l.Len() {
+				fmt.Fprintf(&sb, "  %s %s\n", tag, l.Record(i))
 			} else {
 				fmt.Fprintf(&sb, "  %s %d: (log ended)\n", tag, i)
 			}
 		}
-		line("A", a.Records)
-		line("B", b.Records)
+		line("A", a)
+		line("B", b)
 	}
 	return strings.TrimSuffix(sb.String(), "\n")
 }

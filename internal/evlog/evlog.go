@@ -36,12 +36,12 @@
 //	byte     chain check: the low byte of the running FNV-64a digest
 //	         folded over every preceding payload byte of the log
 //
-// Event names repeat heavily (a fleet run has tens of distinct names over
-// tens of thousands of events), so the name table keeps steady-state
-// records at a handful of bytes. The chain byte makes the log
-// self-verifying at record granularity: flipping any byte breaks the
-// chain at that record, so a reader names the exact event index that was
-// corrupted rather than failing with a bad diff later. The trailer seals
+// Event names repeat heavily (a run has a few dozen to a few thousand
+// distinct names over tens of thousands of events), so the name table
+// keeps steady-state records at a handful of bytes. The chain byte makes
+// the log self-verifying at record granularity: flipping any byte breaks
+// the chain at that record, so a reader names the exact event index that
+// was corrupted rather than failing with a bad diff later. The trailer seals
 // the whole file with the record count and the full 64-bit final digest.
 //
 // The header carries everything needed to re-run a plain scenario run

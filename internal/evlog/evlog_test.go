@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -56,14 +55,15 @@ func TestRoundTrip(t *testing.T) {
 	if l.Header != hdr {
 		t.Fatalf("header round-tripped as %+v, want %+v", l.Header, hdr)
 	}
-	if len(l.Records) != len(names) {
-		t.Fatalf("decoded %d records, want %d", len(l.Records), len(names))
+	if l.Len() != len(names) {
+		t.Fatalf("decoded %d records, want %d", l.Len(), len(names))
 	}
 	if l.Trailer.Records != uint64(len(names)) {
 		t.Fatalf("trailer records = %d, want %d", l.Trailer.Records, len(names))
 	}
 	start := simenv.Epoch
-	for i, r := range l.Records {
+	for i := range l.Len() {
+		r := l.Record(i)
 		if r.Seq != uint64(i) {
 			t.Errorf("record %d: seq %d", i, r.Seq)
 		}
@@ -108,8 +108,8 @@ func TestCorruptionNamesTheRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(clean.Records) != 50 {
-		t.Fatalf("recorded %d events, want 50", len(clean.Records))
+	if clean.Len() != 50 {
+		t.Fatalf("recorded %d events, want 50", clean.Len())
 	}
 	// Find the start of the record stream (after the header line), then
 	// corrupt one byte inside a mid-stream record. Steady-state records
@@ -182,7 +182,7 @@ func TestReadRefusesImpossibleNanoseconds(t *testing.T) {
 	for _, dNs := range []int64{1 << 32, 2e9, -5} {
 		l, err := Read(bytes.NewReader(oneRecordLog(5, dNs)))
 		if err == nil {
-			t.Errorf("dNs=%d read cleanly as AtNsec=%d", dNs, l.Records[0].AtNsec)
+			t.Errorf("dNs=%d read cleanly as AtNsec=%d", dNs, l.Record(0).AtNsec)
 			continue
 		}
 		if !strings.Contains(err.Error(), "record 0: ") {
@@ -209,7 +209,8 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range l.Records {
+		for i := range l.Len() {
+			rec := l.Record(i)
 			if rec.AtNsec < 0 || rec.AtNsec >= 1e9 {
 				t.Fatalf("accepted record %s with AtNsec %d", rec, rec.AtNsec)
 			}
@@ -222,30 +223,35 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-written log does not read: %v", err)
 		}
-		if again.Header != l.Header || !slices.Equal(again.Records, l.Records) {
-			t.Fatalf("re-written log decodes differently:\n%+v %v\n%+v %v", l.Header, l.Records, again.Header, again.Records)
+		if again.Header != l.Header || again.Len() != l.Len() {
+			t.Fatalf("re-written log decodes differently:\n%+v %d records\n%+v %d records", l.Header, l.Len(), again.Header, again.Len())
+		}
+		for i := range l.Len() {
+			if got, want := again.Record(i), l.Record(i); got != want {
+				t.Fatalf("re-written log decodes record %d as %+v, want %+v", i, got, want)
+			}
 		}
 	})
 }
 
 func TestDiffIdenticalAndPerturbed(t *testing.T) {
 	hdr := Header{Scenario: "synthetic", Seed: 3}
-	mk := func(pick func(int) string) *Log {
-		data := recordSim(t, hdr, 3, tickDrive(10, pick))
+	mk := func(n int, pick func(int) string) *Log {
+		data := recordSim(t, hdr, 3, tickDrive(n, pick))
 		l, err := Read(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return l
 	}
-	base := mk(func(int) string { return "tick" })
-	same := mk(func(int) string { return "tick" })
+	base := mk(10, func(int) string { return "tick" })
+	same := mk(10, func(int) string { return "tick" })
 	if d := Diff(base, same); d != nil {
 		t.Fatalf("identical logs diff as %+v", d)
 	}
 	// Perturb exactly one event: the 5th executed event (index 4) runs
 	// under a different name.
-	perturbed := mk(func(i int) string {
+	perturbed := mk(10, func(i int) string {
 		if i == 4 {
 			return "tock"
 		}
@@ -258,18 +264,42 @@ func TestDiffIdenticalAndPerturbed(t *testing.T) {
 	if d.Index != 4 || !d.HaveA || !d.HaveB || d.A.Name != "tick" || d.B.Name != "tock" {
 		t.Fatalf("diff = %+v, want divergence at event 4 tick/tock", d)
 	}
-	report := d.Report(base, perturbed)
-	for _, want := range []string{"event 4", "tick", "tock"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("diff report %q lacks %q", report, want)
-		}
+	// The report is pinned byte for byte: it is what evdiff prints.
+	const wantReport = `logs diverge at event 4:
+  A 4: tick at 2008-09-01T00:00:05Z
+  B 4: tock at 2008-09-01T00:00:05Z
+context (events 1..4):
+  A 1: tick at 2008-09-01T00:00:02Z
+  B 1: tick at 2008-09-01T00:00:02Z
+  A 2: tick at 2008-09-01T00:00:03Z
+  B 2: tick at 2008-09-01T00:00:03Z
+  A 3: tick at 2008-09-01T00:00:04Z
+  B 3: tick at 2008-09-01T00:00:04Z
+  A 4: tick at 2008-09-01T00:00:05Z
+  B 4: tock at 2008-09-01T00:00:05Z`
+	if report := d.Report(base, perturbed); report != wantReport {
+		t.Errorf("diff report\n%s\nwant\n%s", report, wantReport)
 	}
-	// One log a strict prefix of the other: divergence at the tail.
-	short := mk(func(int) string { return "tick" })
-	short.Records = short.Records[:7]
+	// One log a strict prefix of the other (the same run recorded for 7
+	// events): divergence at the tail.
+	short := mk(7, func(int) string { return "tick" })
 	d = Diff(base, short)
 	if d == nil || d.Index != 7 || !d.HaveA || d.HaveB {
 		t.Fatalf("prefix diff = %+v, want A-only divergence at 7", d)
+	}
+	const wantPrefix = `log B ends at event 7; A continues with:
+  A 7: tick at 2008-09-01T00:00:08Z
+context (events 4..7):
+  A 4: tick at 2008-09-01T00:00:05Z
+  B 4: tick at 2008-09-01T00:00:05Z
+  A 5: tick at 2008-09-01T00:00:06Z
+  B 5: tick at 2008-09-01T00:00:06Z
+  A 6: tick at 2008-09-01T00:00:07Z
+  B 6: tick at 2008-09-01T00:00:07Z
+  A 7: tick at 2008-09-01T00:00:08Z
+  B 7: (log ended)`
+	if report := d.Report(base, short); report != wantPrefix {
+		t.Errorf("prefix report\n%s\nwant\n%s", report, wantPrefix)
 	}
 }
 
@@ -300,8 +330,8 @@ func TestVerifierCatchesPerturbation(t *testing.T) {
 	if d == nil || d.Index != 4 || d.Want.Name != "tick" || d.Got.Name != "rogue" {
 		t.Fatalf("divergence = %+v, want tick/rogue at event 4", d)
 	}
-	if !strings.Contains(d.Error(), "event 4") {
-		t.Fatalf("divergence error %q does not name event 4", d)
+	if got, want := d.Error(), "event 4: expected tick at 2008-09-01T00:00:05Z, got rogue at 2008-09-01T00:00:05Z"; got != want {
+		t.Fatalf("divergence error %q, want %q", got, want)
 	}
 	if got := s.Processed(); got != 5 {
 		t.Fatalf("simulation ran %d events past the divergence, want stop after 5", got)
@@ -313,6 +343,20 @@ func TestVerifierCatchesPerturbation(t *testing.T) {
 	d = v.Finish()
 	if d == nil || d.Index != 6 || !d.HaveWant || d.HaveGot {
 		t.Fatalf("early-end divergence = %+v, want log-only at 6", d)
+	}
+	if got, want := d.Error(), "event 6: the run ended after 6 events but the log expects tick at 2008-09-01T00:00:07Z"; got != want {
+		t.Fatalf("early-end divergence error %q, want %q", got, want)
+	}
+	// A run that goes on past the log diverges at its first extra event.
+	s = simenv.New(1)
+	v = AttachVerifier(s, l)
+	tickDrive(12, constName(""))(s)
+	d = v.Finish()
+	if d == nil || d.Index != 10 || d.HaveWant || !d.HaveGot {
+		t.Fatalf("late-end divergence = %+v, want run-only at 10", d)
+	}
+	if got, want := d.Error(), "event 10: the log ends at 10 events but the run executed tick at 2008-09-01T00:00:11Z"; got != want {
+		t.Fatalf("late-end divergence error %q, want %q", got, want)
 	}
 }
 
@@ -345,7 +389,7 @@ func TestVerifyScenarioRun(t *testing.T) {
 		return l
 	}
 	l := record(42)
-	if len(l.Records) == 0 {
+	if l.Len() == 0 {
 		t.Fatal("scenario run recorded no events")
 	}
 	div, err := Verify(l)

@@ -11,20 +11,46 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 )
 
-// Log is a fully decoded, fully verified event log.
+// Log is a fully decoded, fully verified event log. Its records are
+// read through Len and Record.
 type Log struct {
 	Header  Header
 	Trailer Trailer
-	Records []Record
+
+	// names is the interned name table in introduction order: a few
+	// dozen to a few thousand strings. recs holds one entry per record,
+	// indexed by Seq, that names its event by an index into names, so
+	// the table is one allocation with no pointers for the garbage
+	// collector to scan.
+	names []string
+	recs  []entry
 
 	// chainFinal is the recomputed final digest, checked against the
 	// trailer's.
 	chainFinal uint64
+}
+
+// entry is one decoded record: its execution time and the index of its
+// name in Log.names. Seq is not stored because it is the entry's index.
+type entry struct {
+	sec  int64
+	nsec int32
+	name uint32
+}
+
+// Len returns the number of records in the log.
+func (l *Log) Len() int { return len(l.recs) }
+
+// Record returns the record at index i, 0 <= i < Len().
+func (l *Log) Record(i int) Record {
+	e := l.recs[i]
+	return Record{Seq: uint64(i), AtSec: e.sec, AtNsec: e.nsec, Name: l.names[e.name]}
 }
 
 // ReadFile reads and verifies the event log at path.
@@ -33,7 +59,7 @@ func ReadFile(path string) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("evlog: %w", err)
 	}
-	l, err := Read(bytes.NewReader(data))
+	l, err := decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("evlog: %s: %w", path, err)
 	}
@@ -43,10 +69,19 @@ func ReadFile(path string) (*Log, error) {
 // Read decodes an event log, verifying the header, every record's chain
 // check byte, and the trailer's record count and final digest.
 func Read(r io.Reader) (*Log, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	// io.Copy lets a reader that holds the log in memory (a bytes.Reader
+	// or a bytes.Buffer) write it in one piece, so the buffer is
+	// allocated once at its final size instead of grown as io.ReadAll
+	// grows it.
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, fmt.Errorf("read log: %w", err)
 	}
+	return decode(buf.Bytes())
+}
+
+// decode decodes and verifies a whole log held in memory.
+func decode(data []byte) (*Log, error) {
 	l := &Log{}
 	body, err := l.parseHeader(data)
 	if err != nil {
@@ -85,15 +120,17 @@ func (l *Log) parseHeader(data []byte) ([]byte, error) {
 // parseRecords decodes the framed record stream up to (and consuming)
 // the terminator frame, verifying each record's chain check byte.
 func (l *Log) parseRecords(data []byte) ([]byte, error) {
+	if n := countFrames(data); n >= 0 {
+		l.recs = make([]entry, 0, n)
+	}
 	var (
-		names   []string
 		chain   uint64 = fnvOffset
 		prevSec int64
 		prevNs  int64
 		i       int
 	)
 	for {
-		idx := uint64(len(l.Records))
+		idx := uint64(len(l.recs))
 		if i >= len(data) {
 			return nil, fmt.Errorf("record %d: log truncated before its terminator", idx)
 		}
@@ -111,64 +148,87 @@ func (l *Log) parseRecords(data []byte) ([]byte, error) {
 		}
 		payload := data[i : i+int(frameLen)]
 		i += int(frameLen)
-		rec, err := decodePayload(payload, idx, &names, &prevSec, &prevNs, &chain)
+		e, err := decodePayload(payload, idx, &l.names, &prevSec, &prevNs, &chain)
 		if err != nil {
 			return nil, err
 		}
-		l.Records = append(l.Records, rec)
+		l.recs = append(l.recs, e)
 	}
 }
 
+// countFrames walks the frame lengths of a record stream up to its
+// terminator and returns the number of records, so parseRecords can size
+// the table once. It returns -1 for a stream whose framing is broken:
+// the decode pass then reports the fault at its record.
+func countFrames(data []byte) int {
+	n := 0
+	for i := 0; i < len(data); n++ {
+		frameLen, k := binary.Uvarint(data[i:])
+		if k <= 0 {
+			return -1
+		}
+		i += k
+		if frameLen == 0 {
+			return n
+		}
+		if uint64(len(data)-i) < frameLen {
+			return -1
+		}
+		i += int(frameLen)
+	}
+	return -1
+}
+
 // decodePayload decodes and chain-verifies one record payload.
-func decodePayload(payload []byte, idx uint64, names *[]string, prevSec, prevNs *int64, chain *uint64) (Record, error) {
+func decodePayload(payload []byte, idx uint64, names *[]string, prevSec, prevNs *int64, chain *uint64) (entry, error) {
 	if len(payload) < 2 {
-		return Record{}, fmt.Errorf("record %d: payload of %d bytes is impossibly short", idx, len(payload))
+		return entry{}, fmt.Errorf("record %d: payload of %d bytes is impossibly short", idx, len(payload))
 	}
 	body, check := payload[:len(payload)-1], payload[len(payload)-1]
 	dSec, n := binary.Varint(body)
 	if n <= 0 {
-		return Record{}, fmt.Errorf("record %d: malformed time delta", idx)
+		return entry{}, fmt.Errorf("record %d: malformed time delta", idx)
 	}
 	body = body[n:]
 	dNs, n := binary.Varint(body)
 	if n <= 0 {
-		return Record{}, fmt.Errorf("record %d: malformed nanosecond delta", idx)
+		return entry{}, fmt.Errorf("record %d: malformed nanosecond delta", idx)
 	}
 	body = body[n:]
 	id, n := binary.Uvarint(body)
 	if n <= 0 {
-		return Record{}, fmt.Errorf("record %d: malformed name reference", idx)
+		return entry{}, fmt.Errorf("record %d: malformed name reference", idx)
 	}
 	body = body[n:]
-	var name string
 	switch {
 	case id == 0:
 		nameLen, n := binary.Uvarint(body)
 		if n <= 0 || uint64(len(body)-n) < nameLen {
-			return Record{}, fmt.Errorf("record %d: malformed name introduction", idx)
+			return entry{}, fmt.Errorf("record %d: malformed name introduction", idx)
+		}
+		if uint64(len(*names)) > math.MaxUint32 {
+			return entry{}, fmt.Errorf("record %d: more than %d interned names", idx, uint64(math.MaxUint32)+1)
 		}
 		body = body[n:]
-		name = string(body[:nameLen])
+		*names = append(*names, string(body[:nameLen]))
 		body = body[nameLen:]
-		*names = append(*names, name)
-	case id <= uint64(len(*names)):
-		name = (*names)[id-1]
-	default:
-		return Record{}, fmt.Errorf("record %d: name reference %d beyond the %d interned names", idx, id, len(*names))
+		id = uint64(len(*names))
+	case id > uint64(len(*names)):
+		return entry{}, fmt.Errorf("record %d: name reference %d beyond the %d interned names", idx, id, len(*names))
 	}
 	if len(body) != 0 {
-		return Record{}, fmt.Errorf("record %d: %d trailing payload bytes", idx, len(body))
+		return entry{}, fmt.Errorf("record %d: %d trailing payload bytes", idx, len(body))
 	}
 	*chain = chainUpdate(*chain, payload[:len(payload)-1])
 	if byte(*chain) != check {
-		return Record{}, fmt.Errorf("record %d: chain check mismatch — the log is corrupted at this record", idx)
+		return entry{}, fmt.Errorf("record %d: chain check mismatch — the log is corrupted at this record", idx)
 	}
 	*prevSec += dSec
 	*prevNs += dNs
 	if *prevNs < 0 || *prevNs >= 1e9 {
-		return Record{}, fmt.Errorf("record %d: nanosecond %d outside [0, 1e9)", idx, *prevNs)
+		return entry{}, fmt.Errorf("record %d: nanosecond %d outside [0, 1e9)", idx, *prevNs)
 	}
-	return Record{Seq: idx, AtSec: *prevSec, AtNsec: int32(*prevNs), Name: name}, nil
+	return entry{sec: *prevSec, nsec: int32(*prevNs), name: uint32(id - 1)}, nil
 }
 
 // parseTrailer verifies the trailer line against the decoded records.
@@ -183,8 +243,8 @@ func (l *Log) parseTrailer(data []byte) error {
 	if rest := data[nl+1:]; len(rest) != 0 {
 		return fmt.Errorf("%d bytes after the trailer", len(rest))
 	}
-	if l.Trailer.Records != uint64(len(l.Records)) {
-		return fmt.Errorf("trailer promises %d records, log decodes %d", l.Trailer.Records, len(l.Records))
+	if l.Trailer.Records != uint64(len(l.recs)) {
+		return fmt.Errorf("trailer promises %d records, log decodes %d", l.Trailer.Records, len(l.recs))
 	}
 	if got := fmt.Sprintf("%016x", l.chainFinal); got != l.Trailer.Chain {
 		return fmt.Errorf("final chain digest %s does not match the trailer's %s", got, l.Trailer.Chain)

@@ -51,44 +51,45 @@ func (d *Divergence) Error() string {
 // returns the verdict.
 type Verifier struct {
 	sim  *simenv.Simulator
-	recs []Record
+	log  *Log
 	next int
 	div  *Divergence
 }
 
 // AttachVerifier registers a verifier for l's records on the simulator.
 func AttachVerifier(sim *simenv.Simulator, l *Log) *Verifier {
-	v := &Verifier{sim: sim, recs: l.Records}
+	v := &Verifier{sim: sim, log: l}
 	sim.OnEvent(v.observe)
 	return v
 }
 
-// observe compares one executed event against the log.
+// observe compares one executed event against the log. It builds a
+// Record only at a divergence.
 func (v *Verifier) observe(name string, at time.Time) {
 	if v.div != nil {
 		return
 	}
-	got := Record{Seq: uint64(v.next), AtSec: at.Unix(), AtNsec: int32(at.Nanosecond()), Name: name}
-	if v.next >= len(v.recs) {
-		v.div = &Divergence{Index: got.Seq, Got: got, HaveGot: true}
-		v.sim.Stop()
-		return
+	sec, nsec := at.Unix(), int32(at.Nanosecond())
+	if v.next < len(v.log.recs) {
+		want := v.log.recs[v.next]
+		if want.sec == sec && want.nsec == nsec && v.log.names[want.name] == name {
+			v.next++
+			return
+		}
 	}
-	want := v.recs[v.next]
-	if want.Name != name || want.AtSec != got.AtSec || want.AtNsec != got.AtNsec {
-		v.div = &Divergence{Index: got.Seq, Want: want, HaveWant: true, Got: got, HaveGot: true}
-		v.sim.Stop()
-		return
+	v.div = &Divergence{Index: uint64(v.next), Got: Record{Seq: uint64(v.next), AtSec: sec, AtNsec: nsec, Name: name}, HaveGot: true}
+	if v.next < len(v.log.recs) {
+		v.div.Want, v.div.HaveWant = v.log.Record(v.next), true
 	}
-	v.next++
+	v.sim.Stop()
 }
 
 // Finish returns the first divergence, or nil for a step-for-step
 // equivalent run. Call it after the run completes: a run that ended
 // early (fewer events than the log) only shows up here.
 func (v *Verifier) Finish() *Divergence {
-	if v.div == nil && v.next < len(v.recs) {
-		v.div = &Divergence{Index: uint64(v.next), Want: v.recs[v.next], HaveWant: true}
+	if v.div == nil && v.next < len(v.log.recs) {
+		v.div = &Divergence{Index: uint64(v.next), Want: v.log.Record(v.next), HaveWant: true}
 	}
 	return v.div
 }

@@ -20,6 +20,7 @@ var catalogue = []Scenario{
 			}
 			return t
 		},
+		fleet: func(Params) int { return 2 },
 	},
 	{
 		Name:        "dual-base",
@@ -39,18 +40,16 @@ var catalogue = []Scenario{
 				},
 			}
 		},
+		fleet: func(Params) int { return 3 },
 	},
 	{
 		Name:        "fleet-N",
 		Description: "parameterised fleet: one reference plus N-1 bases (-stations N, default 4), small cohorts",
 		DefaultDays: 30,
 		Topology: func(p Params) deploy.Topology {
-			n := p.Stations
-			if n == 0 {
-				n = 4
-			}
-			return deploy.FleetTopology(p.Seed, n, p.Probes)
+			return deploy.FleetTopology(p.Seed, fleetSize(p), p.Probes)
 		},
+		fleet: fleetSize,
 	},
 	{
 		Name:        "probe-heavy",
@@ -69,6 +68,7 @@ var catalogue = []Scenario{
 				},
 			}
 		},
+		fleet: func(Params) int { return 2 },
 	},
 	{
 		Name:        "winter-blackout",
@@ -92,5 +92,16 @@ var catalogue = []Scenario{
 				},
 			}
 		},
+		fleet: func(Params) int { return 2 },
 	},
+}
+
+// fleetSize is the size of fleet-N's fleet: -stations N, 4 by default,
+// and never fewer than two stations (a base and the reference), the
+// floor deploy.FleetTopology holds to.
+func fleetSize(p Params) int {
+	if p.Stations == 0 {
+		return 4
+	}
+	return max(p.Stations, 2)
 }

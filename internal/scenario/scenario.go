@@ -51,6 +51,9 @@ type Scenario struct {
 	DefaultDays int
 	// Topology builds the declarative fleet for the given parameters.
 	Topology func(p Params) deploy.Topology
+	// fleet returns the number of stations Topology builds for p, so a
+	// fleet size is checked without building the fleet.
+	fleet func(p Params) int
 }
 
 // Lookup returns the named scenario.
@@ -105,20 +108,39 @@ var ErrStations = errors.New("station count mismatch")
 
 // Topology resolves r into the topology it runs and its horizon in days.
 func (r Run) Topology() (deploy.Topology, int, error) {
-	s, ok := Lookup(r.Scenario)
-	if !ok {
-		return deploy.Topology{}, 0, fmt.Errorf("scenario %q: not registered (have: %v)", r.Scenario, Names())
-	}
-	adjust, err := r.Adjust()
+	s, adjust, err := r.resolve()
 	if err != nil {
 		return deploy.Topology{}, 0, err
 	}
 	top := s.Topology(r.Params)
-	if n := r.Params.Stations; n != 0 && n != len(top.Stations) {
-		return deploy.Topology{}, 0, fmt.Errorf("%w: scenario %q builds %d stations, not %d", ErrStations, r.Scenario, len(top.Stations), n)
-	}
 	adjust(&top)
 	return top, s.Horizon(r.Params), nil
+}
+
+// Check reports whether r describes a run its scenario builds: a
+// registered scenario, a well-formed start date and a fleet size the
+// scenario honours. It builds no topology, so a planner checks a fleet
+// of any size at the same cost.
+func (r Run) Check() error {
+	_, _, err := r.resolve()
+	return err
+}
+
+// resolve looks r's scenario up and checks r against it, returning the
+// scenario and the change r's Start and SpecialFirst make.
+func (r Run) resolve() (Scenario, func(*deploy.Topology), error) {
+	s, ok := Lookup(r.Scenario)
+	if !ok {
+		return Scenario{}, nil, fmt.Errorf("scenario %q: not registered (have: %v)", r.Scenario, Names())
+	}
+	adjust, err := r.Adjust()
+	if err != nil {
+		return Scenario{}, nil, err
+	}
+	if n, built := r.Params.Stations, s.fleet(r.Params); n != 0 && n != built {
+		return Scenario{}, nil, fmt.Errorf("%w: scenario %q builds %d stations, not %d", ErrStations, r.Scenario, built, n)
+	}
+	return s, adjust, nil
 }
 
 // Adjust returns the change r's Start and SpecialFirst make to a

@@ -105,6 +105,20 @@ func TestRunTopology(t *testing.T) {
 	}
 }
 
+// Run.Check and Run.Topology judge a fleet size by each scenario's fleet
+// count, which Check reads without building the fleet: it must be the
+// size of the fleet Topology builds.
+func TestFleetCountIsTheBuiltFleet(t *testing.T) {
+	for _, s := range catalogue {
+		for _, n := range []int{-1, 0, 1, 2, 3, 4, 5, 17} {
+			p := Params{Seed: 3, Stations: n, Probes: 2}
+			if built := len(s.Topology(p).Stations); s.fleet(p) != built {
+				t.Errorf("%s with %d stations: fleet %d, Topology builds %d", s.Name, n, s.fleet(p), built)
+			}
+		}
+	}
+}
+
 // The catalogue is fixed: changing what List returns changes nothing else.
 func TestListIsACopy(t *testing.T) {
 	List()[0].Name = "changed"

@@ -128,6 +128,21 @@ func Plan(g Grid) ([]Cell, error) {
 		}
 		horizons[i] = s.Horizon(scenario.Params{Days: g.Days})
 	}
+	// Check each (scenario, stations, probes) point of the grid against
+	// the run it names, without building its topology: a fleet size a
+	// scenario does not build would otherwise plan cells that each fail
+	// alone, and the run would succeed with no result. The axes are
+	// duplicate-free, so each point is checked once, whatever the seeds.
+	for _, name := range g.Scenarios {
+		for _, n := range stations {
+			for _, p := range probes {
+				r := scenario.Run{Scenario: name, Params: scenario.Params{Stations: n, Probes: p}}
+				if err := r.Check(); err != nil {
+					return nil, fmt.Errorf("sweep: grid point %s stations=%d probes=%d: %w", name, n, p, err)
+				}
+			}
+		}
+	}
 	cells := make([]Cell, 0, size)
 	for i, name := range g.Scenarios {
 		days := horizons[i]

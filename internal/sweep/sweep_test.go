@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -106,6 +107,36 @@ func TestCellsValidation(t *testing.T) {
 		if _, err := Plan(c.g); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
+	}
+}
+
+// A fleet size a scenario does not build is refused when the grid is
+// planned, naming the grid point, rather than planned into cells that
+// each fail alone while the run returns no error.
+func TestPlanRefusesAFleetSizeTheScenarioDoesNotBuild(t *testing.T) {
+	for _, c := range []struct {
+		g    Grid
+		want string
+	}{
+		{Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{5}, Stations: []int{5}},
+			`grid point as-deployed-2008 stations=5 probes=0: station count mismatch: scenario "as-deployed-2008" builds 2 stations, not 5`},
+		{Grid{Scenarios: []string{"dual-base", "fleet-N"}, Seeds: SeedRange(1, 3), Stations: []int{3, 1}, Probes: []int{2}},
+			`grid point dual-base stations=1 probes=2: station count mismatch: scenario "dual-base" builds 3 stations, not 1`},
+		{Grid{Scenarios: []string{"fleet-N"}, Seeds: []int64{1}, Stations: []int{8, 1}},
+			`grid point fleet-N stations=1 probes=0: station count mismatch: scenario "fleet-N" builds 2 stations, not 1`},
+	} {
+		_, err := Plan(c.g)
+		if !errors.Is(err, scenario.ErrStations) || err.Error() != "sweep: "+c.want {
+			t.Errorf("Plan(%+v): err = %v, want sweep: %s", c.g, err, c.want)
+		}
+		if _, err := Run(c.g, 1); !errors.Is(err, scenario.ErrStations) {
+			t.Errorf("Run(%+v): err = %v, want the grid refused", c.g, err)
+		}
+	}
+	// The sizes each scenario does build still plan.
+	g := Grid{Scenarios: []string{"fleet-N"}, Seeds: []int64{1}, Stations: []int{2, 1000}, Days: 1}
+	if cells, err := Plan(g); err != nil || len(cells) != 2 {
+		t.Fatalf("fleet-N at 2 and 1000 stations: %d cells, err %v", len(cells), err)
 	}
 }
 
