@@ -11,16 +11,28 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment tables")
 
-// goldenExperiments pins glacreport experiment text tables byte for byte,
-// extending the golden-trace harness (internal/scenario, internal/sweep)
-// to the report tool itself. x4 is the pick: pure §VI arithmetic plus
-// three deterministic deployment runs, so any drift in the dGPS model,
-// the watchdog, special ordering or the table renderer shows up here.
-var goldenExperiments = []struct {
-	name string
-	run  func() error
-}{
-	{"x4-watchdog", func() error { return expWatchdog(42) }},
+// goldenNames names the golden file of every `glacreport exp` ID at
+// seed 42, so each experiment's stdout is pinned byte for byte: the
+// paper's tables and figures (t*, f*), the x-series claims and ext1. Any
+// drift in a model constant, the climate, the protocols or the table
+// renderer shows up here.
+var goldenNames = map[string]string{
+	"t1":   "t1-components",
+	"t2":   "t2-power-states",
+	"f3":   "f3-architecture",
+	"f4":   "f4-daily-flow",
+	"f5":   "f5-diurnal-voltage",
+	"f6":   "f6-conductivity",
+	"x1":   "x1-lifetime",
+	"x2":   "x2-relay-vs-gprs",
+	"x3":   "x3-bulk-fetch",
+	"x4":   "x4-watchdog",
+	"x5":   "x5-sync-lag",
+	"x6":   "x6-recovery",
+	"x7":   "x7-survival",
+	"x8":   "x8-update",
+	"x9":   "x9-fleet",
+	"ext1": "ext1-priority",
 }
 
 // TestGoldenExperimentTables captures each experiment's stdout and
@@ -28,10 +40,18 @@ var goldenExperiments = []struct {
 //
 //	go test ./cmd/glacreport -run TestGoldenExperimentTables -update
 func TestGoldenExperimentTables(t *testing.T) {
-	for _, g := range goldenExperiments {
-		t.Run(g.name, func(t *testing.T) {
-			got := captureStdout(t, g.run)
-			path := filepath.Join("testdata", "golden", g.name+".txt")
+	exps := experiments(42)
+	if len(exps) != len(goldenNames) {
+		t.Fatalf("%d experiments, %d golden names: give every experiment a golden", len(exps), len(goldenNames))
+	}
+	for _, e := range exps {
+		name, ok := goldenNames[e.id]
+		if !ok {
+			t.Fatalf("experiment %s has no golden name", e.id)
+		}
+		t.Run(name, func(t *testing.T) {
+			got := captureStdout(t, e.run)
+			path := filepath.Join("testdata", "golden", name+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -48,7 +68,7 @@ func TestGoldenExperimentTables(t *testing.T) {
 			if got != string(want) {
 				t.Errorf("%s diverged from its golden table.\n--- got:\n%s--- want:\n%s"+
 					"If the change is intentional, regenerate with: go test ./cmd/glacreport -run TestGoldenExperimentTables -update",
-					g.name, got, want)
+					name, got, want)
 			}
 		})
 	}
