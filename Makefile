@@ -26,9 +26,10 @@ vet:
 	go vet ./...
 
 # lint runs tools/glacvet, the repo's own static analysis suite: the
-# determinism, hotpath, wiretag, deadexport (unused exports and exported
-# fields nothing reads) and allow-hygiene checks (see DESIGN.md §10).
-# Nonzero exit on any finding.
+# determinism, hotpath, wiretag, deadexport (unused exports, fields
+# nothing reads, exported fields nothing outside their package sets or
+# reads) and allow-hygiene checks (see DESIGN.md §10). Nonzero exit on
+# any finding.
 lint:
 	go run ./tools/glacvet ./internal/... ./cmd/... .
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/comms"
-	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/energy"
 	"repro/internal/hw/dgps"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/server"
 	"repro/internal/simenv"
-	"repro/internal/station"
 	"repro/internal/sweep"
 	"repro/internal/update"
 	"repro/internal/weather"
@@ -43,9 +41,9 @@ func BenchmarkTable1GPRSTransfer(b *testing.B) {
 }
 
 func newBenchGPRS(sim *simenv.Simulator) *comms.GPRS {
-	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1, CapacityAh: 500})
+	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 	bus := energy.NewBus(sim, bat, nil, nil)
-	m := mcu.New(sim, bus, mcu.DefaultConfig("bench-mcu"))
+	m := mcu.New(sim, bus, "bench-mcu")
 	return comms.NewGPRS(sim, m, nil, "bench")
 }
 
@@ -186,7 +184,7 @@ func BenchmarkFig5VoltageModel(b *testing.B) {
 // --- Fig 6: conductivity model ---
 
 func BenchmarkFig6Conductivity(b *testing.B) {
-	wx := weather.New(weather.DefaultConfig(2))
+	wx := weather.New(2)
 	sim := simenv.NewAt(2, time.Date(2009, 1, 27, 0, 0, 0, 0, time.UTC))
 	cfg := probe.DefaultConfig(21)
 	cfg.MeanLifetime = 50 * 365 * 24 * time.Hour
@@ -247,7 +245,7 @@ func BenchmarkArchCompareEnergy(b *testing.B) {
 // --- X3: bulk fetch protocols ---
 
 func benchSummerScenario(seed int64) (*simenv.Simulator, *comms.ProbeChannel, *probe.Probe) {
-	wx := weather.New(weather.DefaultConfig(seed))
+	wx := weather.New(seed)
 	sim := simenv.NewAt(seed, time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC))
 	cfg := probe.DefaultConfig(21)
 	cfg.MeanLifetime = 50 * 365 * 24 * time.Hour
@@ -255,7 +253,7 @@ func benchSummerScenario(seed int64) (*simenv.Simulator, *comms.ProbeChannel, *p
 	if err := sim.RunFor(125 * 24 * time.Hour); err != nil {
 		panic(err)
 	}
-	return sim, comms.NewProbeChannel(sim, wx, comms.ProbeRadioConfig{}), pr
+	return sim, comms.NewProbeChannel(sim, wx), pr
 }
 
 func BenchmarkBulkFetchNackSummer(b *testing.B) {
@@ -372,10 +370,10 @@ func BenchmarkAblationDailyAverageVsMiddaySpot(b *testing.B) {
 		// Fixed seed: this is a scenario reproduction (a clear June day),
 		// not a stochastic sweep — cloudy seeds hide the diurnal peak.
 		sim := simenv.NewAt(3, time.Date(2009, 6, 20, 0, 0, 0, 0, time.UTC))
-		wx := weather.New(weather.DefaultConfig(3))
-		bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 36, InitialSoC: 0.50})
+		wx := weather.New(3)
+		bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 0.50})
 		bus := energy.NewBus(sim, bat, []energy.Charger{energy.NewSolarPanel(40)}, wx)
-		m := mcu.New(sim, bus, mcu.DefaultConfig("abl"))
+		m := mcu.New(sim, bus, "abl")
 		if err := sim.RunFor(11*time.Hour + 55*time.Minute); err != nil {
 			b.Fatal(err)
 		}
@@ -389,83 +387,4 @@ func BenchmarkAblationDailyAverageVsMiddaySpot(b *testing.B) {
 	}
 	b.ReportMetric(spotState, "state-from-midday-spot")
 	b.ReportMetric(avgState, "state-from-daily-average")
-}
-
-// BenchmarkAblationFullRefetchThreshold measures the §V "request them all
-// again" heuristic on a catastrophic channel: with the whole-stream retry
-// enabled the session needs far fewer expensive individual NACK round
-// trips.
-func BenchmarkAblationFullRefetchThreshold(b *testing.B) {
-	run := func(seed int64, enabled bool) protocol.Result {
-		sim := simenv.NewAt(seed, time.Date(2009, 7, 1, 0, 0, 0, 0, time.UTC))
-		cfg := probe.DefaultConfig(25)
-		cfg.MeanLifetime = 50 * 365 * 24 * time.Hour
-		pr := probe.New(sim, nil, cfg)
-		if err := sim.RunFor(200 * time.Hour); err != nil {
-			b.Fatal(err)
-		}
-		ch := comms.NewProbeChannel(sim, nil, comms.ProbeRadioConfig{WinterLossP: 0.6})
-		fcfg := protocol.FixedNackConfig()
-		if !enabled {
-			fcfg.FullRefetchFraction = 1.01 // never triggers
-		}
-		return protocol.NewNackFetcher(fcfg).Fetch(sim.Now(), ch, pr, 12*time.Hour, nil)
-	}
-	var withNacks, withoutNacks float64
-	for i := 0; i < b.N; i++ {
-		withNacks = float64(run(int64(i+1), true).Nacked)
-		withoutNacks = float64(run(int64(i+1), false).Nacked)
-	}
-	b.ReportMetric(withNacks, "nacks-with-refetch")
-	b.ReportMetric(withoutNacks, "nacks-without-refetch")
-}
-
-// BenchmarkAblationWatchdog measures what the two-hour watchdog saves when
-// a transfer wedges: without it, a hung RS-232 drain pins the Gumstix and
-// dGPS on the battery indefinitely ("the system does not remain running
-// until its batteries are depleted").
-func BenchmarkAblationWatchdog(b *testing.B) {
-	run := func(seed int64, watchdog time.Duration) float64 {
-		sim := simenv.NewAt(seed, time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC))
-		srv := server.New()
-		ncfg := benchBaseConfig("base")
-		node := benchNewNode(sim, ncfg)
-		cfg := benchStationConfig()
-		cfg.WatchdogLimit = watchdog
-		cfg.RS232Health = 0.0005 // a file takes ~16 h: hopelessly wedged
-		st := benchNewStation(node, srv, cfg)
-		st.Node().GPS.InjectBacklog(1)
-		before := node.Battery.SoC() * node.Battery.CapacityWh()
-		if err := sim.RunFor(48 * time.Hour); err != nil {
-			b.Fatal(err)
-		}
-		return before - node.Battery.SoC()*node.Battery.CapacityWh()
-	}
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		with = run(int64(i+1), 2*time.Hour)
-		without = run(int64(i+1), 300*time.Hour) // effectively no watchdog
-	}
-	b.ReportMetric(with, "Wh-burned-2days-with-watchdog")
-	b.ReportMetric(without, "Wh-burned-2days-without")
-}
-
-// Helpers for the ablation benches: build a bare station without weather so
-// the only energy story is the wedged transfer itself.
-func benchBaseConfig(name string) core.NodeConfig {
-	cfg := core.BaseStationConfig(name)
-	cfg.Chargers = nil // no charging: measure pure drain
-	return cfg
-}
-
-func benchNewNode(sim *simenv.Simulator, cfg core.NodeConfig) *core.Node {
-	return core.NewNode(sim, nil, cfg)
-}
-
-func benchStationConfig() station.Config {
-	return station.DefaultConfig(station.RoleBase)
-}
-
-func benchNewStation(node *core.Node, srv *server.Server, cfg station.Config) *station.Station {
-	return station.New(node, srv, nil, nil, cfg)
 }

@@ -54,6 +54,7 @@ func TestCLISurface(t *testing.T) {
 		{"campaign -record-dir DIR/r -cache DIR/cache", true},
 		{"campaign -seeds 0 -dir DIR/c", true},
 		{"campaign -days -3 -dir DIR/c", true},
+		{"campaign -workers -5 -dir DIR/c", true},
 		{"merge", true},
 		{"merge -seeds 2 DIR/s0", true},
 		{"merge -shard 0/2 DIR/s0", true},

@@ -32,7 +32,7 @@ func expBulkFetch(seed int64) error {
 		if summer {
 			start = time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC) // fetch lands in July melt
 		}
-		wx := weather.New(weather.DefaultConfig(seed))
+		wx := weather.New(seed)
 		sim := simenv.NewAt(seed, start)
 		cfg := probe.DefaultConfig(21)
 		cfg.MeanLifetime = 50 * 365 * 24 * time.Hour
@@ -40,7 +40,7 @@ func expBulkFetch(seed int64) error {
 		if err := sim.RunFor(125 * 24 * time.Hour); err != nil {
 			panic(err)
 		}
-		return sim, comms.NewProbeChannel(sim, wx, comms.ProbeRadioConfig{}), pr
+		return sim, comms.NewProbeChannel(sim, wx), pr
 	}
 
 	type fetchFn func(sim *simenv.Simulator, ch *comms.ProbeChannel, pr *probe.Probe) protocol.Result
@@ -122,7 +122,7 @@ func expWatchdog(seed int64) error {
 	// Multi-day drain of the 21-day backlog on a live station.
 	mk := func(cfg station.Config) (*simenv.Simulator, *station.Station, *server.Server) {
 		sim := simenv.NewAt(seed, time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC))
-		wx := weather.New(weather.DefaultConfig(seed))
+		wx := weather.New(seed)
 		srv := server.New()
 		node := core.NewNode(sim, wx, core.BaseStationConfig("base"))
 		st := station.New(node, srv, nil, nil, cfg)
@@ -227,7 +227,7 @@ func expSyncLag(seed int64) error {
 // expRecovery forces total depletion and reports the §IV recovery sequence.
 func expRecovery(seed int64) error {
 	sim := simenv.NewAt(seed, time.Date(2009, 5, 1, 0, 0, 0, 0, time.UTC))
-	wx := weather.New(weather.DefaultConfig(seed))
+	wx := weather.New(seed)
 	srv := server.New()
 	ncfg := core.BaseStationConfig("base")
 	ncfg.Battery.InitialSoC = 0.15
@@ -389,13 +389,13 @@ func expPriority(seed int64) error {
 			cfg.Priority = station.NewConductivitySpikeEvaluator()
 		}
 		sim := simenv.NewAt(seed, time.Date(2009, 7, 1, 0, 0, 0, 0, time.UTC))
-		wx := weather.New(weather.DefaultConfig(seed))
+		wx := weather.New(seed)
 		srv := server.New()
 		ncfg := core.BaseStationConfig("base")
 		ncfg.Battery.InitialSoC = 0.02 // marginal power: local state 0
 		ncfg.Chargers = nil
 		node := core.NewNode(sim, wx, ncfg)
-		ch := comms.NewProbeChannel(sim, wx, comms.ProbeRadioConfig{})
+		ch := comms.NewProbeChannel(sim, wx)
 		pcfg := probe.DefaultConfig(21)
 		pcfg.BaseConductivityUS = 4
 		pcfg.MeltConductivityUS = 12 // July melt pushes readings over 8 µS

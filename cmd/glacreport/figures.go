@@ -140,7 +140,7 @@ func fig5(seed int64) error {
 // fig6 reproduces the three-probe conductivity traces from late January to
 // late April: flat through winter, rising as melt water reaches the bed.
 func fig6(seed int64) error {
-	wx := weather.New(weather.DefaultConfig(seed))
+	wx := weather.New(seed)
 	sim := simenv.NewAt(seed, time.Date(2009, 1, 27, 0, 0, 0, 0, time.UTC))
 	ids := []int{21, 24, 25}
 	series := make([]*trace.Series, len(ids))

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +20,26 @@ func recordRun(t *testing.T, path string, args ...string) {
 	if err := run(append([]string{"run", "-record", path}, args...)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readHeader decodes the JSON header of the log at path, the third field
+// of its first line ("glacsweb-evlog VERSION {...}").
+func readHeader(t *testing.T, path string) evlog.Header {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _, _ := bytes.Cut(data, []byte("\n"))
+	fields := strings.SplitN(string(line), " ", 3)
+	var h evlog.Header
+	if len(fields) != 3 || fields[0] != evlog.Magic {
+		t.Fatalf("%s: first line %q is not an event-log header", path, line)
+	}
+	if err := json.Unmarshal([]byte(fields[2]), &h); err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // The replay acceptance criteria: a faithful log
@@ -55,12 +77,8 @@ func TestRunReplay(t *testing.T) {
 func TestRunRecordReplayWithFlags(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flags.evlog")
 	recordRun(t, path, "-scenario", "dual-base", "-days", "2", "-start", "2009-07-15", "-special-first")
-	l, err := evlog.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Header.Start != "2009-07-15" || !l.Header.SpecialFirst {
-		t.Fatalf("header start %q, special-first %v; want the run's flags", l.Header.Start, l.Header.SpecialFirst)
+	if h := readHeader(t, path); h.Start != "2009-07-15" || !h.SpecialFirst {
+		t.Fatalf("header start %q, special-first %v; want the run's flags", h.Start, h.SpecialFirst)
 	}
 	if err := run([]string{"replay", path}); err != nil {
 		t.Fatalf("replay of a flagged recording failed: %v", err)
@@ -108,11 +126,9 @@ func TestRecordCellHook(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l.Header.Fingerprint != fp {
-			t.Errorf("cell %d: header fingerprint %q, want the plan's %q", i, l.Header.Fingerprint, fp)
-		}
-		if l.Header.Seed != int64(i+1) {
-			t.Errorf("cell %d: header seed %d, want %d", i, l.Header.Seed, i+1)
+		if h := readHeader(t, path); h.Fingerprint != fp || h.Seed != int64(i+1) {
+			t.Errorf("cell %d: header fingerprint %q seed %d, want the plan's %q and seed %d",
+				i, h.Fingerprint, h.Seed, fp, i+1)
 		}
 		div, err := evlog.Verify(l)
 		if err != nil {

@@ -349,6 +349,9 @@ func workerCmd(fs *flag.FlagSet) func([]string) error {
 		if *listen == "" {
 			return cliutil.Usagef("worker needs -listen ADDR")
 		}
+		if *maxShards < 0 || *workers < 0 {
+			return cliutil.Usagef("-max-shards and -workers must be >= 0 (0 = the default)")
+		}
 		cache, err := cacheFlags.Open(false, false)
 		if err != nil {
 			return err

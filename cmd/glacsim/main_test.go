@@ -82,6 +82,7 @@ func TestCLISurface(t *testing.T) {
 		{"sweep -days 1 -o DIR/s.txt", true},
 		{"sweep -days 1 -out xml", true},
 		{"sweep -days 1 -seeds 0", true},
+		{"sweep -days 1 -workers -3", true},
 		{"sweep -scenario as-deployed-2008 -stations 5 -seeds 1 -days 1", true},
 		{"sweep -scenario fleet-N,dual-base -stations 2 -seeds 1 -days 1", true},
 		{"sweep -days 1 -shard 2/2", true},
@@ -102,6 +103,8 @@ func TestCLISurface(t *testing.T) {
 		{"worker", true},
 		{"worker -listen :0 -days 1", true},
 		{"worker -listen :0 -remote h:1", true},
+		{"worker -listen 127.0.0.1:0 -max-shards -1", true},
+		{"worker -listen 127.0.0.1:0 -workers -2", true},
 		{"list -days 1", true},
 		{"list x", true},
 

@@ -149,6 +149,35 @@ func ExampleBuild() {
 	//  server answering each station with the fleet's minimum reported state)
 }
 
+// The §VI feedback delay. A special command's output reaches Southampton
+// with a station's upload, and as deployed the station runs its specials
+// after that upload, so the output waits for the next day's session. The
+// paper's suggested reordering, specials first, lands it the same session.
+func ExampleDeployment_specialOutput() {
+	for _, first := range []bool{false, true} {
+		top := repro.Topology{Seed: 3, Stations: []repro.StationSpec{
+			repro.BaseSpec("base", 0),
+			repro.ReferenceSpec("ref"),
+		}}
+		top.Stations[0].Runtime.SpecialFirst = first
+		d, err := repro.Build(top)
+		if err != nil {
+			panic(err)
+		}
+		d.Server.PushSpecial("base", "noop")
+		if err := d.RunDays(4); err != nil {
+			panic(err)
+		}
+		for _, o := range d.Server.SpecialOutputs() {
+			fmt.Printf("special-first=%-5v ran %s, output at Southampton %v later\n",
+				first, o.ExecutedAt.Format("Jan 2 15:04"), o.ReceivedAt.Sub(o.ExecutedAt).Round(time.Minute))
+		}
+	}
+	// Output:
+	// special-first=false ran Sep 1 12:13, output at Southampton 25h4m0s later
+	// special-first=true  ran Sep 1 12:01, output at Southampton 12m0s later
+}
+
 // The parallel experiment engine. One field season is one data point; a
 // grid turns a question ("how much data does a fleet deployed on
 // half-charged batteries lose?") into scenarios x seeds x a fault-injection

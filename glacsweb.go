@@ -167,7 +167,7 @@ func NewSimulator(seed int64, start time.Time) *Simulator {
 
 // NewWeather returns the synthetic Iceland climate for a seed.
 func NewWeather(seed int64) *weather.Model {
-	return weather.New(weather.DefaultConfig(seed))
+	return weather.New(seed)
 }
 
 // NewNode assembles a Gumsense node on a simulator with a hardware fit
@@ -216,7 +216,7 @@ var ErrNackOverflow = protocol.ErrNackOverflow
 // NewProbeChannel returns the probe radio medium (wx may be nil for a
 // permanent dry-winter channel).
 func NewProbeChannel(sim *Simulator, wx *weather.Model) *ProbeChannel {
-	return comms.NewProbeChannel(sim, wx, comms.ProbeRadioConfig{})
+	return comms.NewProbeChannel(sim, wx)
 }
 
 // DefaultProbeConfig returns per-probe parameters for an ID (the paper's

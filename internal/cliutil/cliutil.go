@@ -24,13 +24,13 @@ import (
 )
 
 // UsageError marks a bad command line.
-type UsageError struct{ Msg string }
+type UsageError struct{ msg string }
 
-func (e UsageError) Error() string { return e.Msg }
+func (e UsageError) Error() string { return e.msg }
 
 // Usagef returns a formatted UsageError.
 func Usagef(format string, a ...any) error {
-	return UsageError{Msg: fmt.Sprintf(format, a...)}
+	return UsageError{msg: fmt.Sprintf(format, a...)}
 }
 
 // IsUsage reports whether err is (or wraps) a UsageError.
@@ -199,17 +199,17 @@ const CacheEnv = "GLACSWEB_CACHE"
 
 // Cache is the result-cache flag group.
 type Cache struct {
-	Dir   string
-	Off   bool
-	MaxMB int
+	dir   string
+	off   bool
+	maxMB int
 }
 
 // CacheFlags registers the cache group on fs.
 func CacheFlags(fs *flag.FlagSet) *Cache {
 	c := &Cache{}
-	fs.StringVar(&c.Dir, "cache", "", "result cache directory (default $"+CacheEnv+"): serve already-simulated cells from disk")
-	fs.BoolVar(&c.Off, "no-cache", false, "ignore $"+CacheEnv+" and simulate every cell")
-	fs.IntVar(&c.MaxMB, "cache-max-mb", 0, "result cache size bound in MiB, LRU-evicted (0 = unbounded)")
+	fs.StringVar(&c.dir, "cache", "", "result cache directory (default $"+CacheEnv+"): serve already-simulated cells from disk")
+	fs.BoolVar(&c.off, "no-cache", false, "ignore $"+CacheEnv+" and simulate every cell")
+	fs.IntVar(&c.maxMB, "cache-max-mb", 0, "result cache size bound in MiB, LRU-evicted (0 = unbounded)")
 	return c
 }
 
@@ -219,20 +219,20 @@ func CacheFlags(fs *flag.FlagSet) *Cache {
 // local cache, and an explicit -cache with either is a usage error. So is
 // a -cache-max-mb below zero or beyond what a byte count can hold.
 func (c *Cache) Open(remote, recording bool) (*rescache.DiskCache, error) {
-	if c.MaxMB < 0 || int64(c.MaxMB) > math.MaxInt64>>20 {
-		return nil, Usagef("-cache-max-mb %d is outside 0 (unbounded) to %d MiB", c.MaxMB, int64(math.MaxInt64>>20))
+	if c.maxMB < 0 || int64(c.maxMB) > math.MaxInt64>>20 {
+		return nil, Usagef("-cache-max-mb %d is outside 0 (unbounded) to %d MiB", c.maxMB, int64(math.MaxInt64>>20))
 	}
-	if c.Dir != "" && remote {
+	if c.dir != "" && remote {
 		return nil, Usagef("-cache caches local execution; with -remote give the workers -cache instead")
 	}
-	if c.Dir != "" && recording {
+	if c.dir != "" && recording {
 		return nil, Usagef("-record-dir needs every cell simulated; it cannot combine with -cache")
 	}
-	dir, err := ResolveCacheDir(c.Dir, c.Off)
+	dir, err := ResolveCacheDir(c.dir, c.off)
 	if err != nil || dir == "" || remote || recording {
 		return nil, err
 	}
-	return rescache.Open(dir, rescache.Options{MaxBytes: int64(c.MaxMB) << 20, Logf: Logf})
+	return rescache.Open(dir, rescache.Options{MaxBytes: int64(c.maxMB) << 20, Logf: Logf})
 }
 
 // ResultCache returns c as the sweep.ResultCache a runner or worker
@@ -250,36 +250,39 @@ func ResultCache(c *rescache.DiskCache) sweep.ResultCache {
 // in-process pool or a -remote worker pool — plus the result cache and
 // per-cell event recording, which only in-process execution serves.
 type Exec struct {
-	Workers   int
 	RecordDir string
 	// Remote and Cache are filled by Open: the -remote worker list (nil
 	// runs in-process) and the opened result cache (nil = off).
 	Remote []string
 	Cache  *rescache.DiskCache
 
-	remote string
-	cache  *Cache
+	workers int
+	remote  string
+	cache   *Cache
 }
 
 // ExecFlags registers the executor group, cache flags included, on fs.
 func ExecFlags(fs *flag.FlagSet) *Exec {
 	e := &Exec{}
-	fs.IntVar(&e.Workers, "workers", 0, "in-process worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&e.workers, "workers", 0, "in-process worker pool size (0 = GOMAXPROCS)")
 	fs.StringVar(&e.remote, "remote", "", "comma-separated glacsim worker addresses to execute on")
 	fs.StringVar(&e.RecordDir, "record-dir", "", "record each simulated cell's event log under this directory (implies -no-cache)")
 	e.cache = CacheFlags(fs)
 	return e
 }
 
-// Open parses -remote, rejects the flags that only in-process execution
-// serves (-workers, -record-dir, -cache) when it is given, and opens the
-// result cache.
+// Open parses -remote, rejects a negative -workers and the flags that only
+// in-process execution serves (-workers, -record-dir, -cache) when -remote
+// is given, and opens the result cache.
 func (e *Exec) Open() error {
+	if e.workers < 0 {
+		return Usagef("-workers %d is negative (0 = GOMAXPROCS)", e.workers)
+	}
 	remote, err := ParseWorkerList(e.remote)
 	if err != nil {
 		return Usagef("-remote: %v", err)
 	}
-	if e.Workers != 0 && len(remote) > 0 {
+	if e.workers != 0 && len(remote) > 0 {
 		return Usagef("-workers sizes the in-process pool; with -remote the workers size their own")
 	}
 	if e.RecordDir != "" && len(remote) > 0 {
@@ -297,7 +300,7 @@ func (e *Exec) Runner(hooks string) sweep.Runner {
 	if len(e.Remote) > 0 {
 		return &distrib.RemoteRunner{Workers: e.Remote, Hooks: hooks, Logf: Logf}
 	}
-	return sweep.LocalRunner{Workers: e.Workers, Cache: ResultCache(e.Cache)}
+	return sweep.LocalRunner{Workers: e.workers, Cache: ResultCache(e.Cache)}
 }
 
 // LogCacheStats prints the post-run cache counters on stderr, so the

@@ -110,7 +110,7 @@ func TestResolveCacheDirRejectsContradiction(t *testing.T) {
 // as a usage error, and no local cache for remote or recording runs.
 func TestOpenCache(t *testing.T) {
 	open := func(dir string, off, remote, recording bool) (*rescache.DiskCache, error) {
-		return (&Cache{Dir: dir, Off: off}).Open(remote, recording)
+		return (&Cache{dir: dir, off: off}).Open(remote, recording)
 	}
 	t.Setenv(CacheEnv, "")
 	if c, err := open("", false, false, false); c != nil || err != nil {

@@ -15,7 +15,6 @@ package comms
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/simenv"
@@ -43,12 +42,12 @@ var ErrDropped = errors.New("comms: link dropped mid-transfer")
 type TransferResult struct {
 	// Elapsed is the time the attempt occupied, whether or not it finished.
 	Elapsed time.Duration
-	// Err is nil on success, ErrDropped on a mid-transfer failure.
-	Err error
+	// err is nil on success, ErrDropped on a mid-transfer failure.
+	err error
 }
 
 // Completed reports whether the whole payload was transferred.
-func (r TransferResult) Completed() bool { return r.Err == nil }
+func (r TransferResult) Completed() bool { return r.err == nil }
 
 // transferTime returns the wire time for n bytes at rate bps, including a
 // fractional protocol overhead.
@@ -65,22 +64,4 @@ func transferTime(n int64, bps float64, overhead float64) time.Duration {
 // adding unrelated randomness elsewhere cannot change an outage pattern.
 func hashNoise(seed int64, tag string, k uint64) float64 {
 	return simenv.HashNoise(seed, tag, k)
-}
-
-// gprsCostPerMB is the tariff used for the data-cost ledger.
-const gprsCostPerMB = 1.0
-
-// costLedger tracks metered data cost (GPRS is paid per megabyte).
-type costLedger struct {
-	bytes   int64
-	accrued float64
-}
-
-func (c *costLedger) add(n int64) {
-	c.bytes += n
-	c.accrued += float64(n) / (1024 * 1024) * gprsCostPerMB
-}
-
-func (c *costLedger) String() string {
-	return fmt.Sprintf("%.2f MB, cost %.2f", float64(c.bytes)/(1024*1024), c.accrued)
 }

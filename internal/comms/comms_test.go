@@ -16,13 +16,13 @@ import (
 func newGPRSRig(t *testing.T, wx *weather.Model) (*simenv.Simulator, *mcu.MCU, *GPRS) {
 	t.Helper()
 	sim := simenv.New(1)
-	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 500, InitialSoC: 1})
+	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 	var sampler energy.Sampler
 	if wx != nil {
 		sampler = wx
 	}
 	bus := energy.NewBus(sim, bat, nil, sampler)
-	ctrl := mcu.New(sim, bus, mcu.DefaultConfig("mcu"))
+	ctrl := mcu.New(sim, bus, "mcu")
 	g := NewGPRS(sim, ctrl, wx, "base-gprs")
 	return sim, ctrl, g
 }
@@ -64,14 +64,11 @@ func TestGPRSAttachAndTransfer(t *testing.T) {
 		t.Fatalf("attach: %v", err)
 	}
 	res := g.TryTransfer(sim.Now(), 10*1024)
-	if res.Err != nil {
-		t.Fatalf("small transfer failed: %v", res.Err)
+	if res.err != nil {
+		t.Fatalf("small transfer failed: %v", res.err)
 	}
-	if g.cost.bytes != 10*1024 {
-		t.Fatalf("ledger %d, want the whole 10KiB sent", g.cost.bytes)
-	}
-	if g.cost.accrued <= 0 {
-		t.Fatal("no cost accrued on metered link")
+	if want := g.TransferTime(10 * 1024); res.Elapsed != want {
+		t.Fatalf("transfer took %v, want the whole 10KiB's %v", res.Elapsed, want)
 	}
 }
 
@@ -93,7 +90,7 @@ func TestGPRSPowerLossDetaches(t *testing.T) {
 }
 
 func TestGPRSOutagesMoreCommonInSummer(t *testing.T) {
-	wx := weather.New(weather.DefaultConfig(3))
+	wx := weather.New(3)
 	sim, _, g := newGPRSRig(t, wx)
 	countOutages := func(start time.Time) int {
 		n := 0
@@ -120,11 +117,10 @@ func TestGPRSLongTransfersDropSometimes(t *testing.T) {
 		if g.SignalAvailable(sim.Now()) {
 			if err := g.Attach(sim.Now()); err == nil {
 				tries++
-				before := g.cost.bytes
 				res := g.TryTransfer(sim.Now(), 2*1024*1024) // ~1h on air
-				if errors.Is(res.Err, ErrDropped) {
+				if errors.Is(res.err, ErrDropped) {
 					drops++
-					if g.cost.bytes-before >= 2*1024*1024 {
+					if res.Elapsed >= g.TransferTime(2*1024*1024) {
 						t.Fatal("drop reported but full payload sent")
 					}
 					if res.Elapsed <= 0 {
@@ -174,9 +170,9 @@ func TestRadioSlowerAndHungrierThanGPRS(t *testing.T) {
 }
 
 func TestProbeChannelSeasonalLoss(t *testing.T) {
-	wx := weather.New(weather.DefaultConfig(4))
+	wx := weather.New(4)
 	sim := simenv.New(4)
-	c := NewProbeChannel(sim, wx, ProbeRadioConfig{})
+	c := NewProbeChannel(sim, wx)
 	winter := c.LossRate(time.Date(2009, 1, 15, 12, 0, 0, 0, time.UTC))
 	summer := c.LossRate(time.Date(2009, 7, 10, 12, 0, 0, 0, time.UTC))
 	if winter > 0.04 {
@@ -188,9 +184,9 @@ func TestProbeChannelSeasonalLoss(t *testing.T) {
 }
 
 func TestProbeChannelEmpiricalLossMatchesRate(t *testing.T) {
-	wx := weather.New(weather.DefaultConfig(5))
+	wx := weather.New(5)
 	sim := simenv.New(5)
-	c := NewProbeChannel(sim, wx, ProbeRadioConfig{})
+	c := NewProbeChannel(sim, wx)
 	ts := time.Date(2009, 7, 10, 12, 0, 0, 0, time.UTC) // summer
 	lost := 0
 	const n = 3000
@@ -207,9 +203,9 @@ func TestProbeChannelEmpiricalLossMatchesRate(t *testing.T) {
 
 func TestProbeChannelDeterministic(t *testing.T) {
 	run := func() []bool {
-		wx := weather.New(weather.DefaultConfig(9))
+		wx := weather.New(9)
 		sim := simenv.New(9)
-		c := NewProbeChannel(sim, wx, ProbeRadioConfig{})
+		c := NewProbeChannel(sim, wx)
 		ts := time.Date(2009, 7, 1, 12, 0, 0, 0, time.UTC)
 		var out []bool
 		for i := 0; i < 200; i++ {
@@ -226,7 +222,7 @@ func TestProbeChannelDeterministic(t *testing.T) {
 }
 
 func TestTransferResultCompleted(t *testing.T) {
-	if (TransferResult{Err: ErrDropped}).Completed() {
+	if (TransferResult{err: ErrDropped}).Completed() {
 		t.Fatal("dropped transfer reports completed")
 	}
 	if !(TransferResult{Elapsed: time.Second}).Completed() {
@@ -252,7 +248,7 @@ func TestPropertyTransferTimeMonotone(t *testing.T) {
 // Property: packet airtime scales linearly with size.
 func TestPropertyPacketAirtimeLinear(t *testing.T) {
 	sim := simenv.New(1)
-	c := NewProbeChannel(sim, nil, ProbeRadioConfig{})
+	c := NewProbeChannel(sim, nil)
 	one := c.PacketAirtime(100)
 	f := func(k uint8) bool {
 		n := int(k%50) + 1

@@ -36,7 +36,6 @@ type GPRS struct {
 
 	powered  bool
 	attached bool
-	cost     costLedger
 }
 
 // NewGPRS constructs a modem bound to the MCU's gprs rail (defining it).
@@ -101,10 +100,10 @@ func (g *GPRS) TransferTime(n int64) time.Duration {
 
 // TryTransfer attempts to move n payload bytes over the attached session.
 // On a mid-transfer drop, Elapsed reflects the partial progress and the
-// session is detached. Metered cost accrues on bytes actually sent.
+// session is detached.
 func (g *GPRS) TryTransfer(now time.Time, n int64) TransferResult {
 	if !g.powered || !g.attached {
-		return TransferResult{Err: errUnpowered(g.name)}
+		return TransferResult{err: errUnpowered(g.name)}
 	}
 	full := g.TransferTime(n)
 	// Drop probability grows with time on air.
@@ -116,28 +115,24 @@ func (g *GPRS) TryTransfer(now time.Time, n int64) TransferResult {
 	if hashNoise(g.sim.Seed(), "gprs-drop-"+g.name, key) < pDrop {
 		// Dropped partway: uniform fraction of progress.
 		frac := hashNoise(g.sim.Seed(), "gprs-dropfrac-"+g.name, key)
-		sent := int64(float64(n) * frac)
-		g.cost.add(sent)
 		g.attached = false
 		return TransferResult{
 			Elapsed: time.Duration(float64(full) * frac),
-			Err:     ErrDropped,
+			err:     ErrDropped,
 		}
 	}
-	g.cost.add(n)
 	return TransferResult{Elapsed: full}
 }
 
 func errUnpowered(name string) error {
-	return &NotReadyError{Device: name}
+	return &NotReadyError{device: name}
 }
 
 // NotReadyError reports an operation on an unpowered or unattached device.
 type NotReadyError struct {
-	// Device is the device name.
-	Device string
+	device string
 }
 
 func (e *NotReadyError) Error() string {
-	return "comms: " + e.Device + " not powered/attached"
+	return "comms: " + e.device + " not powered/attached"
 }

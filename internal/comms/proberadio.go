@@ -7,56 +7,43 @@ import (
 	"repro/internal/weather"
 )
 
-// Probe-channel constants of the deployment.
+// Probe-channel constants of the deployment. The key seasonal behaviour
+// from §III/§V: "radio communication with the probes is better in the
+// winter due to the drier ice conditions"; in summer, water in the ice
+// raised loss to roughly 400 missed packets in 3000 (≈13 %).
 const (
 	// probeRateBps is the payload rate through 70 m of ice.
 	probeRateBps = 2400
 	// probeOverhead is framing overhead per packet.
 	probeOverhead = 0.25
-	// probeSummerLossP is the loss added to WinterLossP at full melt.
+	// probeWinterLossP is the per-packet loss probability in dry winter
+	// ice, ~2.5 %.
+	probeWinterLossP float64 = 0.025
+	// probeSummerLossP is the loss added to probeWinterLossP at full
+	// melt, for ~13.5 % at the height of the melt season.
 	probeSummerLossP = 0.11
 	// probeRTT is the command/response turnaround latency.
 	probeRTT = 250 * time.Millisecond
 )
-
-// ProbeRadioConfig parameterises the base-station ↔ sub-glacial-probe
-// channel. The key seasonal behaviour from §III/§V: "radio communication
-// with the probes is better in the winter due to the drier ice conditions";
-// in summer, water in the ice raised loss to roughly 400 missed packets in
-// 3000 (≈13 %).
-type ProbeRadioConfig struct {
-	// WinterLossP is the per-packet loss probability in dry winter ice.
-	WinterLossP float64
-}
-
-// DefaultProbeRadioConfig returns the deployment values: winter ~2.5 % loss
-// rising to ~13.5 % at the height of the melt season.
-func DefaultProbeRadioConfig() ProbeRadioConfig {
-	return ProbeRadioConfig{WinterLossP: 0.025}
-}
 
 // ProbeChannel is the shared radio medium between a base station and its
 // sub-glacial probes.
 type ProbeChannel struct {
 	sim *simenv.Simulator
 	wx  *weather.Model
-	cfg ProbeRadioConfig
 
 	seq uint64
 }
 
 // NewProbeChannel constructs the channel; wx may be nil for a season-less
 // channel at winter loss rates.
-func NewProbeChannel(sim *simenv.Simulator, wx *weather.Model, cfg ProbeRadioConfig) *ProbeChannel {
-	if cfg.WinterLossP == 0 {
-		cfg.WinterLossP = DefaultProbeRadioConfig().WinterLossP
-	}
-	return &ProbeChannel{sim: sim, wx: wx, cfg: cfg}
+func NewProbeChannel(sim *simenv.Simulator, wx *weather.Model) *ProbeChannel {
+	return &ProbeChannel{sim: sim, wx: wx}
 }
 
 // LossRate returns the per-packet loss probability at now.
 func (c *ProbeChannel) LossRate(now time.Time) float64 {
-	p := c.cfg.WinterLossP
+	p := probeWinterLossP
 	if c.wx != nil {
 		p += probeSummerLossP * c.wx.MeltIndex(now)
 	}

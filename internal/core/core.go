@@ -29,8 +29,6 @@ type NodeConfig struct {
 	Battery energy.BatteryConfig
 	// Chargers are the external power inputs (solar, wind, mains).
 	Chargers []energy.Charger
-	// MCU configures the MSP430.
-	MCU mcu.Config
 }
 
 // BaseStationConfig returns the base-station hardware fit: 10 W solar,
@@ -40,7 +38,6 @@ func BaseStationConfig(name string) NodeConfig {
 		Name:     name,
 		Battery:  energy.DefaultBatteryConfig(),
 		Chargers: []energy.Charger{energy.NewSolarPanel(10), energy.NewWindTurbine(50)},
-		MCU:      mcu.DefaultConfig(name + ".mcu"),
 	}
 }
 
@@ -51,7 +48,6 @@ func ReferenceStationConfig(name string) NodeConfig {
 		Name:     name,
 		Battery:  energy.DefaultBatteryConfig(),
 		Chargers: []energy.Charger{energy.NewSolarPanel(20), energy.NewMainsCharger(60)},
-		MCU:      mcu.DefaultConfig(name + ".mcu"),
 	}
 }
 
@@ -78,16 +74,13 @@ func NewNode(sim *simenv.Simulator, wx *weather.Model, cfg NodeConfig) *Node {
 	if cfg.Name == "" {
 		panic("core: node needs a name")
 	}
-	if cfg.MCU.Name == "" {
-		cfg.MCU.Name = cfg.Name + ".mcu"
-	}
 	var sampler energy.Sampler
 	if wx != nil {
 		sampler = wx
 	}
 	bat := energy.NewBattery(cfg.Battery)
 	bus := energy.NewBus(sim, bat, cfg.Chargers, sampler)
-	ctrl := mcu.New(sim, bus, cfg.MCU)
+	ctrl := mcu.New(sim, bus, cfg.Name+".mcu")
 	host := gumstix.New(sim, ctrl, cfg.Name+".gumstix")
 	gps := dgps.New(sim, ctrl, wx, cfg.Name+".gps")
 	modem := comms.NewGPRS(sim, ctrl, wx, cfg.Name+".gprs")

@@ -13,7 +13,7 @@ import (
 
 func TestNewNodeWiresEverything(t *testing.T) {
 	sim := simenv.New(1)
-	wx := weather.New(weather.DefaultConfig(1))
+	wx := weather.New(1)
 	n := NewNode(sim, wx, BaseStationConfig("base"))
 	if n.Battery == nil || n.Bus == nil || n.MCU == nil || n.Host == nil || n.GPS == nil || n.Modem == nil {
 		t.Fatalf("node incompletely wired: %+v", n)
@@ -43,13 +43,11 @@ func TestNodeRailsControlPeripherals(t *testing.T) {
 	}
 }
 
-// newDrainNode builds a base node, without weather so nothing charges it,
-// whose battery does not self-discharge: every Wh its state of charge
-// loses from the returned start went to a load.
+// newDrainNode builds a base node without weather, so nothing charges
+// it: every Wh its state of charge loses from the returned start went to
+// a load or to the bank's self-discharge (about 0.2 Wh a day).
 func newDrainNode(sim *simenv.Simulator) (*Node, float64) {
-	cfg := BaseStationConfig("base")
-	cfg.Battery.SelfDischargePerDay = 1e-12
-	n := NewNode(sim, nil, cfg)
+	n := NewNode(sim, nil, BaseStationConfig("base"))
 	return n, n.Battery.SoC()
 }
 
@@ -102,7 +100,7 @@ func TestReferenceConfigHasMains(t *testing.T) {
 
 func TestSnapshotPlausible(t *testing.T) {
 	sim := simenv.New(1)
-	wx := weather.New(weather.DefaultConfig(1))
+	wx := weather.New(1)
 	n := NewNode(sim, wx, BaseStationConfig("base"))
 	if err := sim.RunFor(6 * time.Hour); err != nil {
 		t.Fatal(err)

@@ -28,8 +28,6 @@ type Deployment struct {
 	Sim *simenv.Simulator
 	// Server is Southampton.
 	Server *server.Server
-	// Topology is the resolved topology the fleet was built from.
-	Topology Topology
 	// Stations is the fleet, in topology order.
 	Stations []*station.Station
 
@@ -45,9 +43,9 @@ func (d *Deployment) Station(name string) (*station.Station, bool) {
 
 // StationNames returns the fleet's names in topology order.
 func (d *Deployment) StationNames() []string {
-	names := make([]string, len(d.Topology.Stations))
-	for i, sp := range d.Topology.Stations {
-		names[i] = sp.Name
+	names := make([]string, len(d.Stations))
+	for i, st := range d.Stations {
+		names[i] = st.Name()
 	}
 	return names
 }

@@ -33,8 +33,8 @@ func TestBuildValidation(t *testing.T) {
 // noise/lifetime stream is keyed on its ID.
 func TestProbeIDsUniqueAcrossFleet(t *testing.T) {
 	d, err := Build(Topology{Seed: 1, Stations: []StationSpec{
-		{Name: "a", Role: station.RoleBase, NumProbes: 2},
-		{Name: "b", Role: station.RoleBase, NumProbes: 3},
+		{name: "a", role: station.RoleBase, NumProbes: 2},
+		{name: "b", role: station.RoleBase, NumProbes: 3},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestProbeIDsUniqueAcrossFleet(t *testing.T) {
 // silently replacing them wholesale.
 func TestPartialRuntimeOverrideMerges(t *testing.T) {
 	d, err := Build(Topology{Seed: 1, Stations: []StationSpec{
-		{Name: "b", Role: station.RoleBase, NumProbes: 1,
+		{name: "b", role: station.RoleBase, NumProbes: 1,
 			Runtime: station.Config{SpecialFirst: true}},
 	}})
 	if err != nil {
@@ -90,7 +90,7 @@ func TestExplicitRuntimeKeepsState0(t *testing.T) {
 	rt := station.DefaultConfig(station.RoleBase)
 	rt.InitialState = power.State0
 	d, err := Build(Topology{Seed: 1, Stations: []StationSpec{
-		{Name: "b", Role: station.RoleBase, Runtime: rt},
+		{name: "b", role: station.RoleBase, Runtime: rt},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -102,9 +102,9 @@ func TestExplicitRuntimeKeepsState0(t *testing.T) {
 
 func TestBuildDefaultNamesAndLookup(t *testing.T) {
 	d, err := Build(Topology{Seed: 1, Stations: []StationSpec{
-		{Role: station.RoleBase, NumProbes: 1},
-		{Role: station.RoleBase},
-		{Role: station.RoleReference},
+		{role: station.RoleBase, NumProbes: 1},
+		{role: station.RoleBase},
+		{role: station.RoleReference},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ type Result struct {
 // Result snapshots the deployment.
 func (d *Deployment) Result() Result {
 	now := d.Sim.Now()
-	r := Result{Seed: d.Topology.Seed, Now: now}
+	r := Result{Seed: d.Sim.Seed(), Now: now}
 	for _, st := range d.Stations {
 		name := st.Name()
 		stats := st.Stats()

@@ -22,12 +22,12 @@ const FirstProbeID = 21
 // fit, probe cohort and runtime overrides. The zero value of every field
 // means "the as-deployed default for the role".
 type StationSpec struct {
-	// Name is the fleet-unique station name — how the Southampton server
+	// name is the fleet-unique station name — how the Southampton server
 	// identifies it. Empty names are filled in by Build ("base", "base2",
 	// ..., "ref", "ref2", ...).
-	Name string
-	// Role selects base or reference behaviour.
-	Role station.Role
+	name string
+	// role selects base or reference behaviour; zero means base.
+	role station.Role
 	// NumProbes is the station's sub-glacial cohort size. Only base-role
 	// stations fetch probes; 0 means no cohort.
 	NumProbes int
@@ -43,9 +43,6 @@ type StationSpec struct {
 	// fit (core.BaseStationConfig / core.ReferenceStationConfig). The
 	// node name is always forced to the spec name.
 	Hardware *core.NodeConfig
-	// ProbeLifetime overrides the cohort's mean lifetime (0 = the
-	// topology-wide value, then the probe default).
-	ProbeLifetime time.Duration
 }
 
 // FaultKind enumerates the injectable deployment faults.
@@ -103,22 +100,18 @@ type Topology struct {
 	Start time.Time
 	// Stations declares the fleet, in order.
 	Stations []StationSpec
-	// Weather overrides the climate; zero value gets the Iceland defaults.
-	Weather weather.Config
-	// ProbeLifetime overrides every cohort's mean lifetime (0 = default).
-	ProbeLifetime time.Duration
 	// Faults are injected at build time.
 	Faults []Fault
 }
 
 // BaseSpec returns a base-station spec with a probe cohort.
 func BaseSpec(name string, numProbes int) StationSpec {
-	return StationSpec{Name: name, Role: station.RoleBase, NumProbes: numProbes}
+	return StationSpec{name: name, role: station.RoleBase, NumProbes: numProbes}
 }
 
 // ReferenceSpec returns a reference-station spec.
 func ReferenceSpec(name string) StationSpec {
-	return StationSpec{Name: name, Role: station.RoleReference}
+	return StationSpec{name: name, role: station.RoleReference}
 }
 
 // AsDeployed returns the paper's Fig 3 topology: one base station with the
@@ -160,42 +153,31 @@ func (t Topology) resolve() (Topology, error) {
 	if t.Start.IsZero() {
 		t.Start = DefaultStart
 	}
-	if t.Weather.Seed == 0 {
-		w := t.Weather
-		w.Seed = t.Seed
-		t.Weather = w
-	}
 	specs := make([]StationSpec, len(t.Stations))
 	copy(specs, t.Stations)
 	names := make(map[string]bool, len(specs))
 	roleCount := map[station.Role]int{}
 	for i := range specs {
 		sp := &specs[i]
-		if sp.Role == 0 {
-			sp.Role = station.RoleBase
+		if sp.role == 0 {
+			sp.role = station.RoleBase
 		}
-		if sp.Role != station.RoleBase && sp.Role != station.RoleReference {
-			return t, fmt.Errorf("deploy: station %d has unknown role %d", i, sp.Role)
-		}
-		roleCount[sp.Role]++
-		if sp.Name == "" {
+		roleCount[sp.role]++
+		if sp.name == "" {
 			prefix := "base"
-			if sp.Role == station.RoleReference {
+			if sp.role == station.RoleReference {
 				prefix = "ref"
 			}
-			if n := roleCount[sp.Role]; n > 1 {
-				sp.Name = fmt.Sprintf("%s%d", prefix, n)
+			if n := roleCount[sp.role]; n > 1 {
+				sp.name = fmt.Sprintf("%s%d", prefix, n)
 			} else {
-				sp.Name = prefix
+				sp.name = prefix
 			}
 		}
-		if names[sp.Name] {
-			return t, fmt.Errorf("deploy: duplicate station name %q", sp.Name)
+		if names[sp.name] {
+			return t, fmt.Errorf("deploy: duplicate station name %q", sp.name)
 		}
-		names[sp.Name] = true
-		if sp.ProbeLifetime == 0 {
-			sp.ProbeLifetime = t.ProbeLifetime
-		}
+		names[sp.name] = true
 	}
 	for _, f := range t.Faults {
 		switch f.Kind {
@@ -220,12 +202,11 @@ func Build(t Topology) (*Deployment, error) {
 	}
 
 	sim := simenv.NewAt(t.Seed, t.Start)
-	wx := weather.New(t.Weather)
+	wx := weather.New(t.Seed)
 	srv := server.New()
 	d := &Deployment{
 		Sim:      sim,
 		Server:   srv,
-		Topology: t,
 		byName:   make(map[string]*station.Station, len(t.Stations)),
 		probesBy: make(map[string][]*probe.Probe, len(t.Stations)),
 	}
@@ -241,25 +222,21 @@ func Build(t Topology) (*Deployment, error) {
 		// only to their base, exactly as stations talk only to Southampton.
 		var channel *comms.ProbeChannel
 		var probes []*probe.Probe
-		if sp.Role == station.RoleBase && sp.NumProbes > 0 {
-			channel = comms.NewProbeChannel(sim, wx, comms.ProbeRadioConfig{})
+		if sp.role == station.RoleBase && sp.NumProbes > 0 {
+			channel = comms.NewProbeChannel(sim, wx)
 			probes = make([]*probe.Probe, 0, sp.NumProbes)
 			for i := 0; i < sp.NumProbes; i++ {
-				pcfg := probe.DefaultConfig(nextProbeID)
+				probes = append(probes, probe.New(sim, wx, probe.DefaultConfig(nextProbeID)))
 				nextProbeID++
-				if sp.ProbeLifetime != 0 {
-					pcfg.MeanLifetime = sp.ProbeLifetime
-				}
-				probes = append(probes, probe.New(sim, wx, pcfg))
 			}
 		}
 
 		st := station.New(node, srv, channel, probes, runtimeFor(sp))
-		applyStationFaults(st, sp.Name, t.Faults)
+		applyStationFaults(st, sp.name, t.Faults)
 
 		d.Stations = append(d.Stations, st)
-		d.byName[sp.Name] = st
-		d.probesBy[sp.Name] = probes
+		d.byName[sp.name] = st
+		d.probesBy[sp.name] = probes
 	}
 	return d, nil
 }
@@ -281,12 +258,12 @@ func MustBuild(t Topology) *Deployment {
 func runtimeFor(sp StationSpec) station.Config {
 	rt := sp.Runtime
 	explicit := rt.Role != 0
-	rt.Role = sp.Role
+	rt.Role = sp.role
 	if explicit {
 		return rt
 	}
 	if rt.InitialState == 0 {
-		rt.InitialState = station.DefaultConfig(sp.Role).InitialState
+		rt.InitialState = station.DefaultConfig(sp.role).InitialState
 	}
 	return rt
 }
@@ -297,14 +274,14 @@ func nodeConfigFor(sp StationSpec, faults []Fault) core.NodeConfig {
 	var cfg core.NodeConfig
 	if sp.Hardware != nil {
 		cfg = *sp.Hardware
-	} else if sp.Role == station.RoleReference {
-		cfg = core.ReferenceStationConfig(sp.Name)
+	} else if sp.role == station.RoleReference {
+		cfg = core.ReferenceStationConfig(sp.name)
 	} else {
-		cfg = core.BaseStationConfig(sp.Name)
+		cfg = core.BaseStationConfig(sp.name)
 	}
-	cfg.Name = sp.Name
+	cfg.Name = sp.name
 	for _, f := range faults {
-		if f.Station != "" && f.Station != sp.Name {
+		if f.Station != "" && f.Station != sp.name {
 			continue
 		}
 		switch f.Kind {

@@ -24,30 +24,12 @@ import (
 // are cut into shards (small index batches), queued, and pulled by one
 // dispatch loop per worker; a shard that fails — connection dropped,
 // non-200 status, mismatched fingerprint, mangled cells — is requeued for
-// any other worker, up to Attempts tries, and a worker that keeps failing
-// retires from the pool. The zero value is not usable: Workers is
+// any other worker, up to shardAttempts tries, and a worker that keeps
+// failing retires from the pool. The zero value is not usable: Workers is
 // required.
 type RemoteRunner struct {
 	// Workers lists worker base URLs ("host:port" or "http://host:port").
 	Workers []string
-	// Attempts caps tries per shard before the run fails with a
-	// descriptive error naming the shard; <= 0 selects 3.
-	Attempts int
-	// ShardCells sets cells per shard request; <= 0 auto-sizes to
-	// roughly 4 shards per worker, so a lost worker costs a fraction of
-	// the plan and the pool load-balances.
-	ShardCells int
-	// WorkerFails retires a worker after that many consecutive failures;
-	// <= 0 selects 3. Retiring is per-run: the next Run tries every
-	// worker afresh.
-	WorkerFails int
-	// ShardTimeout bounds one shard dispatch end to end — request,
-	// execution on the worker, response. 0 means no bound: shard
-	// runtimes are unbounded in general, and a worker that dies shows up
-	// as a dropped connection without any timer. Set it when a
-	// wedged-but-still-connected worker must be detected and its shard
-	// requeued.
-	ShardTimeout time.Duration
 	// Hooks names a hook set registered in the worker binary, reattached
 	// to the grid before planning; empty for declarative grids. The hook
 	// set reads its parameters from the grid itself (override names), so
@@ -92,19 +74,18 @@ func (r *RemoteRunner) logf(format string, a ...any) {
 	}
 }
 
-func (r *RemoteRunner) attempts() int {
-	if r.Attempts > 0 {
-		return r.Attempts
-	}
-	return 3
-}
-
-func (r *RemoteRunner) workerFails() int {
-	if r.WorkerFails > 0 {
-		return r.WorkerFails
-	}
-	return 3
-}
+// The pool's failure bounds.
+const (
+	// shardAttempts caps tries per shard before the run fails with a
+	// descriptive error naming the shard.
+	shardAttempts = 3
+	// workerFails retires a worker after that many consecutive failures.
+	// Retiring is per-run: the next Run tries every worker afresh.
+	workerFails = 3
+	// shardsPerWorker sizes shards to roughly this many per worker, so a
+	// lost worker costs a fraction of the plan and the pool load-balances.
+	shardsPerWorker = 4
+)
 
 // baseURL normalises a worker address to a URL. Trailing slashes go for
 // every form — "host:port/" would otherwise produce "//shard" paths that
@@ -160,13 +141,8 @@ func (r *RemoteRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sw
 	// Cut the cells into shards: small enough that work spreads across
 	// the pool and a retry repeats a fraction of the plan, large enough
 	// to amortise a request per shard.
-	per := r.ShardCells
-	if per <= 0 {
-		per = (len(cells) + 4*len(r.Workers) - 1) / (4 * len(r.Workers))
-		if per < 1 {
-			per = 1
-		}
-	}
+	n := shardsPerWorker * len(r.Workers)
+	per := (len(cells) + n - 1) / n
 	var jobs []*job
 	for start := 0; start < len(cells); start += per {
 		end := start + per
@@ -266,10 +242,10 @@ func (r *RemoteRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sw
 						j.attempts++
 						j.lastWorker = worker
 						j.errs = append(j.errs, fmt.Sprintf("%s: %v", worker, err))
-						exhausted := j.attempts >= r.attempts()
+						exhausted := j.attempts >= shardAttempts
 						if exhausted && runErr == nil {
 							runErr = fmt.Errorf("distrib: shard %s failed %d of %d attempts: %s",
-								j.describe(), j.attempts, r.attempts(), strings.Join(j.errs, "; "))
+								j.describe(), j.attempts, shardAttempts, strings.Join(j.errs, "; "))
 						}
 						mu.Unlock()
 						if exhausted {
@@ -277,9 +253,9 @@ func (r *RemoteRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sw
 							return
 						}
 						r.logf("distrib: worker %s failed shard %s (attempt %d/%d): %v — requeued",
-							worker, j.describe(), j.attempts, r.attempts(), err)
+							worker, j.describe(), j.attempts, shardAttempts, err)
 						queue <- j
-						if consecutive >= r.workerFails() {
+						if consecutive >= workerFails {
 							state := fmt.Sprintf("%d consecutive failures; %s", consecutive, r.healthz(worker))
 							mu.Lock()
 							retired[worker] = state
@@ -391,11 +367,6 @@ func (r *RemoteRunner) dispatch(ctx context.Context, worker string, g sweep.Grid
 	})
 	if err != nil {
 		return nil, err
-	}
-	if r.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.ShardTimeout)
-		defer cancel()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/shard", bytes.NewReader(body))
 	if err != nil {

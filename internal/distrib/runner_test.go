@@ -54,7 +54,7 @@ func encodeAll(t *testing.T, sum *sweep.Summary) (text string, csv, js []byte) {
 // single-process run.
 func TestRemoteRunnerByteIdenticalToLocal(t *testing.T) {
 	g := runnerGrid()
-	remote := &RemoteRunner{Workers: startWorkers(t, 2), ShardCells: 1}
+	remote := &RemoteRunner{Workers: startWorkers(t, 2)}
 	distributed, err := sweep.RunShardWith(g, remote, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -147,51 +147,51 @@ func stallWorker(t *testing.T, d time.Duration) string {
 	return srv.URL
 }
 
-// The requeue property: with a pool of one healthy worker and three faulty
-// ones (dropped connections, wrong fingerprints, timeouts), every shard
+// The requeue property: with a pool of one healthy worker and one faulty
+// one (dropped connections, wrong fingerprints or timeouts), every shard
 // still completes — requeued onto the healthy worker — and the summary is
-// byte-identical to the single-process run.
+// byte-identical to the single-process run. The hand-off rule keeps the
+// faulty worker off a shard it just failed, so no shard fails twice.
 func TestRemoteRunnerRequeuesFromFaultyWorkers(t *testing.T) {
 	g := runnerGrid()
-	var mu sync.Mutex
-	var log []string
-	remote := &RemoteRunner{
-		Workers: []string{
-			dropWorkers0(t),
-			wrongFingerprintWorker(t),
-			stallWorker(t, 5*time.Second),
-			startWorkers(t, 1)[0],
-		},
-		ShardCells: 1,
-		Attempts:   8,
-		HTTP:       &http.Client{Timeout: 300 * time.Millisecond},
-		Logf: func(format string, a ...any) {
-			mu.Lock()
-			log = append(log, fmt.Sprintf(format, a...))
-			mu.Unlock()
-		},
-	}
-	distributed, err := sweep.RunShardWith(g, remote, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	single, err := sweep.Run(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if distributed.String() != single.String() {
-		t.Fatal("summary survived the faulty pool but is not byte-identical")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	requeues := 0
-	for _, line := range log {
-		if strings.Contains(line, "requeued") {
-			requeues++
+	for name, faulty := range map[string]string{
+		"dropped":           dropWorkers0(t),
+		"wrong-fingerprint": wrongFingerprintWorker(t),
+		"timeout":           stallWorker(t, 5*time.Second),
+	} {
+		var mu sync.Mutex
+		var log []string
+		remote := &RemoteRunner{
+			Workers: []string{faulty, startWorkers(t, 1)[0]},
+			HTTP:    &http.Client{Timeout: 300 * time.Millisecond},
+			Logf: func(format string, a ...any) {
+				mu.Lock()
+				log = append(log, fmt.Sprintf(format, a...))
+				mu.Unlock()
+			},
 		}
-	}
-	if requeues == 0 {
-		t.Fatal("no shard was ever requeued — the faulty workers were never exercised")
+		distributed, err := sweep.RunShardWith(g, remote, 0, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if distributed.String() != single.String() {
+			t.Fatalf("%s: summary survived the faulty pool but is not byte-identical", name)
+		}
+		requeues := 0
+		mu.Lock()
+		for _, line := range log {
+			if strings.Contains(line, "requeued") {
+				requeues++
+			}
+		}
+		mu.Unlock()
+		if requeues == 0 {
+			t.Fatalf("%s: no shard was ever requeued — the faulty worker was never exercised", name)
+		}
 	}
 }
 
@@ -203,19 +203,17 @@ func dropWorkers0(t *testing.T) string { return dropWorker(t) }
 
 // Exhausted retries are a terminal, descriptive error: it names the shard
 // (global indices and first cell), the attempt count, and each failure.
+// A one-cell plan is one shard, so its third failure ends the run before
+// either worker reaches its retirement strike.
 func TestRemoteRunnerExhaustedRetries(t *testing.T) {
-	g := runnerGrid()
-	remote := &RemoteRunner{
-		Workers:    []string{dropWorker(t), wrongFingerprintWorker(t)},
-		ShardCells: 4, // one shard holding the whole plan
-		Attempts:   2,
-	}
+	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{11}, Days: 2}
+	remote := &RemoteRunner{Workers: []string{dropWorker(t), wrongFingerprintWorker(t)}}
 	_, err := sweep.RunShardWith(g, remote, 0, 1)
 	if err == nil {
 		t.Fatal("run through an all-faulty pool succeeded")
 	}
 	msg := err.Error()
-	for _, want := range []string{"cells [0 1 2 3]", "as-deployed-2008 seed=11", "2 of 2 attempts"} {
+	for _, want := range []string{"cells [0]", "as-deployed-2008 seed=11", "3 of 3 attempts", "0123456789abcdef"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("terminal error %q does not name %q", msg, want)
 		}
@@ -231,12 +229,9 @@ func TestRemoteRunnerAllWorkersDead(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	_ = l.Close() // nothing listens here any more
-	remote := &RemoteRunner{
-		Workers:     []string{addr},
-		ShardCells:  1,
-		Attempts:    100, // the retire path must trigger, not the attempt cap
-		WorkerFails: 2,
-	}
+	// Four one-cell shards: the worker fails three of them once each and
+	// retires before any shard runs out of attempts.
+	remote := &RemoteRunner{Workers: []string{addr}}
 	_, err = sweep.RunShardWith(runnerGrid(), remote, 0, 1)
 	if err == nil {
 		t.Fatal("run with no live workers succeeded")
@@ -300,20 +295,16 @@ func busyThenHealthyWorker(t *testing.T, n int64) string {
 	return srv.URL
 }
 
-// A 503 is backpressure, not failure: with a per-shard attempt cap of 1 —
-// where any attempt-burning failure would be terminal — a run against a
-// worker that reports busy twice must still complete, and the worker must
-// not be retired for it.
+// A 503 is backpressure, not failure: a one-cell run against a worker
+// that reports busy as often as a shard has attempts and a worker has
+// strikes must still complete — burning an attempt or striking the worker
+// on each 503 would end it.
 func TestRemoteRunnerBusyWorkerBurnsNoAttempts(t *testing.T) {
 	oldDelay := busyDelay
 	busyDelay = time.Millisecond
 	defer func() { busyDelay = oldDelay }()
-	g := runnerGrid()
-	remote := &RemoteRunner{
-		Workers:    []string{busyThenHealthyWorker(t, 2)},
-		ShardCells: 1,
-		Attempts:   1,
-	}
+	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{11}, Days: 2}
+	remote := &RemoteRunner{Workers: []string{busyThenHealthyWorker(t, max(shardAttempts, workerFails))}}
 	distributed, err := sweep.RunShardWith(g, remote, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +328,7 @@ func TestRemoteRunnerPermanentlyBusyPoolErrors(t *testing.T) {
 		http.Error(w, "worker at capacity", http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(srv.Close)
-	remote := &RemoteRunner{Workers: []string{srv.URL}, ShardCells: 1}
+	remote := &RemoteRunner{Workers: []string{srv.URL}}
 	_, err := sweep.RunShardWith(runnerGrid(), remote, 0, 1)
 	if err == nil {
 		t.Fatal("permanently busy pool reported success")
@@ -349,21 +340,17 @@ func TestRemoteRunnerPermanentlyBusyPoolErrors(t *testing.T) {
 
 // The hand-off rule: with exactly as many shards as workers and one dead
 // worker, the dead worker must not re-grab the shard it just failed and
-// exhaust its attempt cap alone — the healthy worker finishes it. With
-// Attempts=2, two consecutive dead-worker failures of one shard would be
-// terminal, so success here proves the hand-off.
+// exhaust its attempt cap alone — the healthy worker finishes it. Three
+// consecutive dead-worker failures of one shard would be terminal, so
+// success here proves the hand-off.
 func TestRemoteRunnerHandsFailedShardToOtherWorkers(t *testing.T) {
 	oldHandoff := handoffDelay
 	handoffDelay = time.Millisecond
 	defer func() { handoffDelay = oldHandoff }()
-	g := runnerGrid()
+	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: sweep.SeedRange(11, 2), Days: 2}
 	for i := 0; i < 3; i++ { // the race is scheduling-dependent; repeat
-		remote := &RemoteRunner{
-			Workers:     []string{dropWorker(t), startWorkers(t, 1)[0]},
-			ShardCells:  2, // 4 cells -> 2 jobs: one per worker
-			Attempts:    2,
-			WorkerFails: 10, // the dead worker stays in the pool, testing the hand-off not retirement
-		}
+		// Two one-cell shards: one per worker.
+		remote := &RemoteRunner{Workers: []string{dropWorker(t), startWorkers(t, 1)[0]}}
 		distributed, err := sweep.RunShardWith(g, remote, 0, 1)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
@@ -378,40 +365,13 @@ func TestRemoteRunnerHandsFailedShardToOtherWorkers(t *testing.T) {
 	}
 }
 
-// ShardTimeout turns a wedged-but-connected worker into a requeue instead
-// of a hang: the stalled worker's shard times out and the healthy worker
-// completes it.
-func TestRemoteRunnerShardTimeoutUnwedgesRun(t *testing.T) {
-	oldHandoff := handoffDelay
-	handoffDelay = time.Millisecond
-	defer func() { handoffDelay = oldHandoff }()
-	g := runnerGrid()
-	remote := &RemoteRunner{
-		Workers:      []string{stallWorker(t, time.Hour), startWorkers(t, 1)[0]},
-		ShardCells:   2,
-		Attempts:     4,
-		ShardTimeout: 2 * time.Second,
-	}
-	distributed, err := sweep.RunShardWith(g, remote, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := sweep.Run(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if distributed.String() != single.String() {
-		t.Fatal("summary differs after timing out the wedged worker")
-	}
-}
-
 // Worker addresses in every documented form — host:port, full URL, with
 // or without trailing slashes — reach /shard, not //shard.
 func TestRemoteRunnerNormalisesWorkerAddresses(t *testing.T) {
 	healthy := startWorkers(t, 1)[0] // a full http://host:port URL
 	hostPort := strings.TrimPrefix(healthy, "http://")
 	for _, addr := range []string{healthy, healthy + "/", hostPort, hostPort + "/"} {
-		remote := &RemoteRunner{Workers: []string{addr}, Attempts: 1}
+		remote := &RemoteRunner{Workers: []string{addr}}
 		g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{5}, Days: 1}
 		if _, err := sweep.RunShardWith(g, remote, 0, 1); err != nil {
 			t.Errorf("worker address %q: %v", addr, err)
@@ -431,18 +391,15 @@ func TestRemoteRunnerRetirementQuotesHealthz(t *testing.T) {
 		http.Error(w, "shard handler exploded", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	remote := &RemoteRunner{
-		Workers:     []string{srv.URL},
-		ShardCells:  1,
-		Attempts:    100, // the retire path must trigger, not the attempt cap
-		WorkerFails: 2,
-	}
+	// Four one-cell shards: the worker fails three of them once each and
+	// retires before any shard runs out of attempts.
+	remote := &RemoteRunner{Workers: []string{srv.URL}}
 	_, err := sweep.RunShardWith(runnerGrid(), remote, 0, 1)
 	if err == nil {
 		t.Fatal("run through a failing pool succeeded")
 	}
 	msg := err.Error()
-	for _, want := range []string{"retired after 2 consecutive failures", "healthz", "feedfacefeedface", `"max_shards":7`} {
+	for _, want := range []string{"retired after 3 consecutive failures", "healthz", "feedfacefeedface", `"max_shards":7`} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("terminal error %q does not carry %q", msg, want)
 		}

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/deploy"
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
 
@@ -162,6 +163,30 @@ func FuzzShardRequest(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		// The gate is sweep.Plan alone: every (scenario, stations, probes)
+		// point of an accepted plan must build, at the fleet size it
+		// names. Fleets over 64 stations are skipped to keep the fuzzer
+		// fast.
+		type point struct {
+			scenario         string
+			stations, probes int
+		}
+		built := map[point]bool{}
+		for _, c := range plan {
+			pt := point{c.Scenario, c.Stations, c.Probes}
+			if pt.stations > 64 || built[pt] {
+				continue
+			}
+			built[pt] = true
+			run := scenario.Run{Scenario: c.Scenario, Params: scenario.Params{Seed: c.Seed, Stations: c.Stations, Probes: c.Probes}}
+			top, _, err := run.Topology()
+			if err != nil {
+				t.Fatalf("plan accepted cell %s, which does not build: %v", c.Label(), err)
+			}
+			if c.Stations != 0 && len(top.Stations) != c.Stations {
+				t.Fatalf("plan accepted cell %s, which builds %d stations", c.Label(), len(top.Stations))
+			}
 		}
 		first, err := json.Marshal(req)
 		if err != nil {

@@ -19,9 +19,9 @@ import (
 // slips past the lint at runtime. Keep the two sets in sync.
 
 func newAllocBus(sim *simenv.Simulator) *Bus {
-	bat := NewBattery(BatteryConfig{CapacityAh: 100, InitialSoC: 0.8})
+	bat := NewBattery(BatteryConfig{InitialSoC: 0.8})
 	chargers := []Charger{NewSolarPanel(40), NewWindTurbine(60)}
-	w := weather.New(weather.DefaultConfig(sim.Seed()))
+	w := weather.New(sim.Seed())
 	return NewBus(sim, bat, chargers, w)
 }
 

@@ -20,63 +20,48 @@ const NominalVolts = 12.0
 // rise and discharge sag of the terminal voltage.
 const internalOhms = 0.40
 
+// The deployment's lead-acid bank: the paper reasons about a 36 Ah
+// reserve.
+const (
+	// capacityAh is the bank capacity in amp-hours.
+	capacityAh float64 = 36
+	// chargeEfficiency is the coulombic efficiency of charging, in (0,1].
+	chargeEfficiency float64 = 0.85
+	// selfDischargePerDay is the fraction of capacity lost per day at rest.
+	selfDischargePerDay float64 = 0.0005
+)
+
 // BatteryConfig parameterises a lead-acid battery bank.
 type BatteryConfig struct {
-	// CapacityAh is the bank capacity in amp-hours; the paper reasons about
-	// a 36 Ah reserve.
-	CapacityAh float64
 	// InitialSoC is the starting state of charge in [0,1].
 	InitialSoC float64
-	// ChargeEfficiency is the coulombic efficiency of charging, in (0,1].
-	ChargeEfficiency float64
-	// SelfDischargePerDay is the fraction of capacity lost per day at rest.
-	SelfDischargePerDay float64
 }
 
-// DefaultBatteryConfig returns the 36 Ah bank used throughout the paper's
-// calculations.
+// DefaultBatteryConfig returns the deployed bank's starting charge.
 func DefaultBatteryConfig() BatteryConfig {
-	return BatteryConfig{
-		CapacityAh:          36,
-		InitialSoC:          0.9,
-		ChargeEfficiency:    0.85,
-		SelfDischargePerDay: 0.0005,
-	}
+	return BatteryConfig{InitialSoC: 0.9}
 }
 
 // Battery is a lead-acid battery bank with amp-hour book-keeping and a
 // terminal-voltage model. It is not safe for concurrent use; in the
 // simulation it is only touched from the event loop.
 type Battery struct {
-	cfg BatteryConfig
 	soc float64 // state of charge in [0,1]
-
-	shedWh float64 // charge energy rejected because the bank was full
 }
 
-// NewBattery constructs a battery bank. Zero cfg fields are defaulted.
+// NewBattery constructs a battery bank.
 func NewBattery(cfg BatteryConfig) *Battery {
-	def := DefaultBatteryConfig()
-	if cfg.CapacityAh == 0 {
-		cfg.CapacityAh = def.CapacityAh
-	}
-	if cfg.ChargeEfficiency == 0 {
-		cfg.ChargeEfficiency = def.ChargeEfficiency
-	}
-	if cfg.SelfDischargePerDay == 0 {
-		cfg.SelfDischargePerDay = def.SelfDischargePerDay
-	}
 	if cfg.InitialSoC < 0 || cfg.InitialSoC > 1 {
 		panic(fmt.Sprintf("energy: InitialSoC %v out of [0,1]", cfg.InitialSoC))
 	}
-	return &Battery{cfg: cfg, soc: cfg.InitialSoC}
+	return &Battery{soc: cfg.InitialSoC}
 }
 
 // SoC returns the state of charge in [0,1].
 func (b *Battery) SoC() float64 { return b.soc }
 
 // CapacityWh returns the bank's capacity in watt-hours at nominal voltage.
-func (b *Battery) CapacityWh() float64 { return b.cfg.CapacityAh * NominalVolts }
+func (b *Battery) CapacityWh() float64 { return capacityAh * NominalVolts }
 
 // Depleted reports whether the bank is fully exhausted.
 func (b *Battery) Depleted() bool { return b.soc <= 0 }
@@ -119,16 +104,15 @@ func (b *Battery) Transfer(loadW, chargeW, hours float64) float64 {
 	}
 	capWh := b.CapacityWh()
 
-	inWh := chargeW * hours * b.cfg.ChargeEfficiency
+	inWh := chargeW * hours * chargeEfficiency
 	outWh := loadW * hours
-	selfWh := capWh * b.cfg.SelfDischargePerDay * hours / 24
+	selfWh := capWh * selfDischargePerDay * hours / 24
 
 	stored := b.soc * capWh
 	avail := stored + inWh - selfWh
 	delivered := math.Min(outWh, math.Max(0, avail))
 	stored = avail - delivered
 	if stored > capWh {
-		b.shedWh += stored - capWh
 		stored = capWh
 	}
 	if stored < 0 {

@@ -20,18 +20,17 @@ type Charger interface {
 // SolarPanel models a photovoltaic panel. Output scales with irradiance and
 // is already extinguished by deep snow inside the weather model.
 type SolarPanel struct {
-	// RatedW is the panel's rated output at 1000 W/m².
-	RatedW float64
-	// Derating covers dirt, angle and regulator losses.
-	Derating float64
+	ratedW float64 // rated output at 1000 W/m²
 }
 
 var _ Charger = (*SolarPanel)(nil)
 
-// NewSolarPanel returns a panel with the given rating and a default 0.8
-// derating factor.
+// solarDerating covers dirt, angle and regulator losses.
+const solarDerating float64 = 0.8
+
+// NewSolarPanel returns a panel with the given rating.
 func NewSolarPanel(ratedW float64) *SolarPanel {
-	return &SolarPanel{RatedW: ratedW, Derating: 0.8}
+	return &SolarPanel{ratedW: ratedW}
 }
 
 // Name implements Charger.
@@ -39,7 +38,7 @@ func (p *SolarPanel) Name() string { return "solar" }
 
 // OutputW implements Charger.
 func (p *SolarPanel) OutputW(c weather.Conditions) float64 {
-	return p.RatedW * p.Derating * c.SolarIrradiance / 1000
+	return p.ratedW * solarDerating * c.SolarIrradiance / 1000
 }
 
 // WindTurbine models a small horizontal-axis turbine with cut-in, rated and
@@ -47,26 +46,24 @@ func (p *SolarPanel) OutputW(c weather.Conditions) float64 {
 // the Norway architecture could rely on winter wind power but Iceland could
 // not.
 type WindTurbine struct {
-	// RatedW is the output at and above rated wind speed.
-	RatedW float64
-	// CutInMS, RatedMS, CutOutMS are the usual power-curve speeds, m/s.
-	CutInMS, RatedMS, CutOutMS float64
-	// SnowStopM is the snow depth at which the turbine is fully stopped.
-	SnowStopM float64
+	ratedW float64 // output at and above rated wind speed
 }
 
 var _ Charger = (*WindTurbine)(nil)
 
-// NewWindTurbine returns a turbine with the given rating and a power curve
-// typical of the deployment's 50 W unit.
+// The power curve of the deployment's 50 W unit.
+const (
+	// cutInMS, ratedMS and cutOutMS are the usual power-curve speeds, m/s.
+	cutInMS  float64 = 3
+	ratedMS  float64 = 12
+	cutOutMS float64 = 25
+	// snowStopM is the snow depth at which the turbine is fully stopped.
+	snowStopM float64 = 2.2
+)
+
+// NewWindTurbine returns a turbine with the given rating.
 func NewWindTurbine(ratedW float64) *WindTurbine {
-	return &WindTurbine{
-		RatedW:    ratedW,
-		CutInMS:   3,
-		RatedMS:   12,
-		CutOutMS:  25,
-		SnowStopM: 2.2,
-	}
+	return &WindTurbine{ratedW: ratedW}
 }
 
 // Name implements Charger.
@@ -75,21 +72,21 @@ func (t *WindTurbine) Name() string { return "wind" }
 // OutputW implements Charger.
 func (t *WindTurbine) OutputW(c weather.Conditions) float64 {
 	v := c.WindSpeed
-	if v < t.CutInMS || v >= t.CutOutMS {
+	if v < cutInMS || v >= cutOutMS {
 		return 0
 	}
 	var frac float64
-	if v >= t.RatedMS {
+	if v >= ratedMS {
 		frac = 1
 	} else {
 		// Cubic between cut-in and rated.
-		x := (v - t.CutInMS) / (t.RatedMS - t.CutInMS)
+		x := (v - cutInMS) / (ratedMS - cutInMS)
 		frac = x * x * x
 	}
-	out := t.RatedW * frac
+	out := t.ratedW * frac
 	// Snow/rime progressively stops the machine over the last metre of burial.
-	if c.SnowDepthM > t.SnowStopM-1 {
-		k := (t.SnowStopM - c.SnowDepthM) / 1.0
+	if c.SnowDepthM > snowStopM-1 {
+		k := (snowStopM - c.SnowDepthM) / 1.0
 		out *= clamp(k, 0, 1)
 	}
 	return out
@@ -98,20 +95,23 @@ func (t *WindTurbine) OutputW(c weather.Conditions) float64 {
 // MainsCharger models the café mains feed available to the reference
 // station only during the tourist season (April–September in the paper).
 type MainsCharger struct {
-	// RatedW is the charger output while mains is live.
-	RatedW float64
-	// SeasonStartDay and SeasonEndDay bound the live window (day of year).
-	SeasonStartDay, SeasonEndDay int
+	ratedW float64 // output while mains is live
 	// dayOfYear is injected by the bus when sampling; see OutputAt.
 	dayOfYear int
 }
 
 var _ Charger = (*MainsCharger)(nil)
 
-// NewMainsCharger returns the café charger: live April (day 91) through
+// The café's live window, as days of the year: April (day 91) through
 // September (day 273).
+const (
+	mainsSeasonStartDay = 91
+	mainsSeasonEndDay   = 273
+)
+
+// NewMainsCharger returns the café charger with the given rating.
 func NewMainsCharger(ratedW float64) *MainsCharger {
-	return &MainsCharger{RatedW: ratedW, SeasonStartDay: 91, SeasonEndDay: 273}
+	return &MainsCharger{ratedW: ratedW}
 }
 
 // Name implements Charger.
@@ -123,8 +123,8 @@ func (m *MainsCharger) SetDayOfYear(doy int) { m.dayOfYear = doy }
 
 // OutputW implements Charger.
 func (m *MainsCharger) OutputW(weather.Conditions) float64 {
-	if m.dayOfYear >= m.SeasonStartDay && m.dayOfYear <= m.SeasonEndDay {
-		return m.RatedW
+	if m.dayOfYear >= mainsSeasonStartDay && m.dayOfYear <= mainsSeasonEndDay {
+		return m.ratedW
 	}
 	return 0
 }

@@ -51,23 +51,24 @@ func TestTerminalVoltageClamped(t *testing.T) {
 }
 
 func TestTransferConservesEnergy(t *testing.T) {
-	b := NewBattery(BatteryConfig{CapacityAh: 36, InitialSoC: 1, SelfDischargePerDay: 1e-12})
+	b := NewBattery(BatteryConfig{InitialSoC: 1})
 	before := b.SoC() * b.CapacityWh()
 	delivered := b.Transfer(10, 0, 2) // 10 W for 2 h
 	after := b.SoC() * b.CapacityWh()
 	if math.Abs(delivered-20) > 1e-9 {
 		t.Fatalf("delivered %v Wh, want 20", delivered)
 	}
-	if math.Abs((before-after)-20) > 0.01 {
-		t.Fatalf("stored energy dropped by %v Wh, want ~20", before-after)
+	want := 20 + b.CapacityWh()*selfDischargePerDay*2/24 // plus 2 h of self-discharge
+	if math.Abs((before-after)-want) > 1e-9 {
+		t.Fatalf("stored energy dropped by %v Wh, want %v", before-after, want)
 	}
 }
 
 func TestTransferTruncatesAtEmpty(t *testing.T) {
-	b := NewBattery(BatteryConfig{CapacityAh: 1, InitialSoC: 0.5}) // 6 Wh stored
-	delivered := b.Transfer(100, 0, 1)                             // asks for 100 Wh
-	if delivered > 6.01 {
-		t.Fatalf("delivered %v Wh from a 6 Wh store", delivered)
+	b := NewBattery(BatteryConfig{InitialSoC: 0.5}) // 216 Wh stored
+	delivered := b.Transfer(500, 0, 1)              // asks for 500 Wh
+	if delivered > 216.01 {
+		t.Fatalf("delivered %v Wh from a 216 Wh store", delivered)
 	}
 	if !b.Depleted() {
 		t.Fatal("battery should be depleted")
@@ -75,29 +76,26 @@ func TestTransferTruncatesAtEmpty(t *testing.T) {
 }
 
 func TestTransferShedsWhenFull(t *testing.T) {
-	b := NewBattery(BatteryConfig{CapacityAh: 1, InitialSoC: 1})
+	b := NewBattery(BatteryConfig{InitialSoC: 1})
 	b.Transfer(0, 100, 1)
-	if b.SoC() > 1 {
-		t.Fatalf("SoC %v exceeded 1", b.SoC())
-	}
-	if b.shedWh == 0 {
-		t.Fatal("overcharge energy not recorded as shed")
+	if b.SoC() != 1 {
+		t.Fatalf("SoC %v after overcharging a full bank, want exactly 1", b.SoC())
 	}
 }
 
 func TestChargeEfficiencyApplied(t *testing.T) {
-	b := NewBattery(BatteryConfig{CapacityAh: 100, InitialSoC: 0.1, ChargeEfficiency: 0.5, SelfDischargePerDay: 1e-12})
+	b := NewBattery(BatteryConfig{InitialSoC: 0.1})
 	before := b.SoC() * b.CapacityWh()
-	b.Transfer(0, 10, 1) // 10 Wh in at 50% efficiency
+	b.Transfer(0, 10, 1) // 10 Wh in at 85% efficiency, less an hour of self-discharge
 	gained := b.SoC()*b.CapacityWh() - before
-	if math.Abs(gained-5) > 0.01 {
-		t.Fatalf("gained %v Wh from 10 Wh at 0.5 efficiency, want 5", gained)
+	if want := 10*chargeEfficiency - b.CapacityWh()*selfDischargePerDay/24; math.Abs(gained-want) > 1e-9 {
+		t.Fatalf("gained %v Wh from 10 Wh at %v efficiency, want %v", gained, chargeEfficiency, want)
 	}
 }
 
 // The paper: a 3.6 W dGPS left on continuously depletes 36 Ah in ~5 days.
 func TestPaperContinuousGPSDepletesIn5Days(t *testing.T) {
-	b := NewBattery(BatteryConfig{CapacityAh: 36, InitialSoC: 1, SelfDischargePerDay: 1e-12})
+	b := NewBattery(BatteryConfig{InitialSoC: 1})
 	hours := 0.0
 	for !b.Depleted() {
 		b.Transfer(3.6, 0, 1)
@@ -115,7 +113,7 @@ func TestPaperContinuousGPSDepletesIn5Days(t *testing.T) {
 // The paper: in state 3 (12 dGPS readings/day ≈ 1 h/day on-time) the same
 // bank lasts ~117 days.
 func TestPaperState3GPSDepletesInAbout117Days(t *testing.T) {
-	b := NewBattery(BatteryConfig{CapacityAh: 36, InitialSoC: 1})
+	b := NewBattery(BatteryConfig{InitialSoC: 1})
 	days := 0.0
 	for !b.Depleted() {
 		b.Transfer(3.6, 0, 1.0) // 12 × 5-minute readings = 1 h/day
@@ -198,7 +196,7 @@ func (s constSampler) Sample(time.Time) weather.Conditions { return s.c }
 func newTestBus(t *testing.T, soc float64, chargers []Charger, cond weather.Conditions) (*simenv.Simulator, *Bus) {
 	t.Helper()
 	sim := simenv.New(1)
-	bat := NewBattery(BatteryConfig{CapacityAh: 36, InitialSoC: soc})
+	bat := NewBattery(BatteryConfig{InitialSoC: soc})
 	bus := NewBus(sim, bat, chargers, constSampler{cond})
 	return sim, bus
 }
@@ -212,7 +210,7 @@ func drainedWh(bus, idle *Bus) float64 {
 
 func TestBusIntegratesLoad(t *testing.T) {
 	sim, bus := newTestBus(t, 1, nil, weather.Conditions{})
-	idle := NewBus(sim, NewBattery(BatteryConfig{CapacityAh: 36, InitialSoC: 1}), nil, constSampler{})
+	idle := NewBus(sim, NewBattery(BatteryConfig{InitialSoC: 1}), nil, constSampler{})
 	bus.SetLoad("gumstix", 0.9)
 	if err := sim.RunFor(10 * time.Hour); err != nil {
 		t.Fatalf("RunFor: %v", err)
@@ -224,7 +222,7 @@ func TestBusIntegratesLoad(t *testing.T) {
 
 func TestBusRemoveLoadStopsConsumption(t *testing.T) {
 	sim, bus := newTestBus(t, 1, nil, weather.Conditions{})
-	idle := NewBus(sim, NewBattery(BatteryConfig{CapacityAh: 36, InitialSoC: 1}), nil, constSampler{})
+	idle := NewBus(sim, NewBattery(BatteryConfig{InitialSoC: 1}), nil, constSampler{})
 	bus.SetLoad("x", 5)
 	if err := sim.RunFor(time.Hour); err != nil {
 		t.Fatal(err)
@@ -314,7 +312,7 @@ func TestPropertySoCBounded(t *testing.T) {
 		Load, Charge uint8
 		Minutes      uint8
 	}) bool {
-		b := NewBattery(BatteryConfig{CapacityAh: 10, InitialSoC: 0.5})
+		b := NewBattery(BatteryConfig{InitialSoC: 0.5})
 		for _, op := range ops {
 			b.Transfer(float64(op.Load), float64(op.Charge), float64(op.Minutes)/60)
 			if b.SoC() < 0 || b.SoC() > 1 {
@@ -334,7 +332,7 @@ func TestPropertyDeliveredLERequested(t *testing.T) {
 		load := float64(loadRaw%1000) / 10
 		soc := float64(socRaw%1001) / 1000
 		h := float64(minutes) / 60
-		b := NewBattery(BatteryConfig{CapacityAh: 36, InitialSoC: soc})
+		b := NewBattery(BatteryConfig{InitialSoC: soc})
 		delivered := b.Transfer(load, 0, h)
 		return delivered <= load*h+1e-9
 	}

@@ -10,38 +10,38 @@ import (
 
 // DiffResult describes the first divergence between two logs. A nil
 // *DiffResult from Diff means the logs' records are identical (headers
-// may still differ; see HeaderNote on a non-nil result).
+// may still differ; a non-nil result notes it).
 type DiffResult struct {
 	// Index is the first record index where the logs disagree.
 	Index uint64
-	// A is log A's record at Index (valid iff HaveA: A may end first).
-	A     Record
-	HaveA bool
-	// B is log B's record at Index (valid iff HaveB).
-	B     Record
-	HaveB bool
-	// HeaderNote is non-empty when the logs' headers describe different
+	// a is log A's record at Index (valid iff haveA: A may end first).
+	a     Record
+	haveA bool
+	// b is log B's record at Index (valid iff haveB).
+	b     Record
+	haveB bool
+	// headerNote is non-empty when the logs' headers describe different
 	// runs — a diff of different scenarios or seeds is almost certainly
 	// comparing the wrong files, so the report says so up front.
-	HeaderNote string
+	headerNote string
 }
 
 // Diff compares two logs and returns the first divergence, or nil when
 // every record matches (same count, same times, same names).
 func Diff(a, b *Log) *DiffResult {
-	note := headerNote(a.Header, b.Header)
+	note := headerNote(a.header, b.header)
 	n := min(a.Len(), b.Len())
 	for i := 0; i < n; i++ {
 		ra, rb := a.Record(i), b.Record(i)
 		if ra.Name != rb.Name || ra.AtSec != rb.AtSec || ra.AtNsec != rb.AtNsec {
-			return &DiffResult{Index: uint64(i), A: ra, HaveA: true, B: rb, HaveB: true, HeaderNote: note}
+			return &DiffResult{Index: uint64(i), a: ra, haveA: true, b: rb, haveB: true, headerNote: note}
 		}
 	}
 	switch {
 	case a.Len() > n:
-		return &DiffResult{Index: uint64(n), A: a.Record(n), HaveA: true, HeaderNote: note}
+		return &DiffResult{Index: uint64(n), a: a.Record(n), haveA: true, headerNote: note}
 	case b.Len() > n:
-		return &DiffResult{Index: uint64(n), B: b.Record(n), HaveB: true, HeaderNote: note}
+		return &DiffResult{Index: uint64(n), b: b.Record(n), haveB: true, headerNote: note}
 	}
 	return nil
 }
@@ -82,16 +82,16 @@ const diffContext = 3
 // logs, for the CLI and CI to print.
 func (d *DiffResult) Report(a, b *Log) string {
 	var sb strings.Builder
-	if d.HeaderNote != "" {
-		fmt.Fprintf(&sb, "note: %s\n", d.HeaderNote)
+	if d.headerNote != "" {
+		fmt.Fprintf(&sb, "note: %s\n", d.headerNote)
 	}
 	switch {
-	case d.HaveA && d.HaveB:
-		fmt.Fprintf(&sb, "logs diverge at event %d:\n  A %s\n  B %s\n", d.Index, d.A, d.B)
-	case d.HaveA:
-		fmt.Fprintf(&sb, "log B ends at event %d; A continues with:\n  A %s\n", d.Index, d.A)
+	case d.haveA && d.haveB:
+		fmt.Fprintf(&sb, "logs diverge at event %d:\n  A %s\n  B %s\n", d.Index, d.a, d.b)
+	case d.haveA:
+		fmt.Fprintf(&sb, "log B ends at event %d; A continues with:\n  A %s\n", d.Index, d.a)
 	default:
-		fmt.Fprintf(&sb, "log A ends at event %d; B continues with:\n  B %s\n", d.Index, d.B)
+		fmt.Fprintf(&sb, "log A ends at event %d; B continues with:\n  B %s\n", d.Index, d.b)
 	}
 	lo := 0
 	if d.Index > diffContext {

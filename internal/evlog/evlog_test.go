@@ -52,14 +52,14 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Header != hdr {
-		t.Fatalf("header round-tripped as %+v, want %+v", l.Header, hdr)
+	if l.header != hdr {
+		t.Fatalf("header round-tripped as %+v, want %+v", l.header, hdr)
 	}
 	if l.Len() != len(names) {
 		t.Fatalf("decoded %d records, want %d", l.Len(), len(names))
 	}
-	if l.Trailer.Records != uint64(len(names)) {
-		t.Fatalf("trailer records = %d, want %d", l.Trailer.Records, len(names))
+	if l.trailer.Records != uint64(len(names)) {
+		t.Fatalf("trailer records = %d, want %d", l.trailer.Records, len(names))
 	}
 	start := simenv.Epoch
 	for i := range l.Len() {
@@ -95,8 +95,8 @@ func TestHeaderLineWithEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Header != hdr {
-		t.Fatalf("header read back as %+v, want %+v", l.Header, hdr)
+	if l.header != hdr {
+		t.Fatalf("header read back as %+v, want %+v", l.header, hdr)
 	}
 }
 
@@ -205,7 +205,7 @@ func FuzzRead(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		w, err := NewWriter(&buf, l.Header)
+		w, err := NewWriter(&buf, l.header)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,8 +223,8 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-written log does not read: %v", err)
 		}
-		if again.Header != l.Header || again.Len() != l.Len() {
-			t.Fatalf("re-written log decodes differently:\n%+v %d records\n%+v %d records", l.Header, l.Len(), again.Header, again.Len())
+		if again.header != l.header || again.Len() != l.Len() {
+			t.Fatalf("re-written log decodes differently:\n%+v %d records\n%+v %d records", l.header, l.Len(), again.header, again.Len())
 		}
 		for i := range l.Len() {
 			if got, want := again.Record(i), l.Record(i); got != want {
@@ -261,7 +261,7 @@ func TestDiffIdenticalAndPerturbed(t *testing.T) {
 	if d == nil {
 		t.Fatal("perturbed log diffs clean")
 	}
-	if d.Index != 4 || !d.HaveA || !d.HaveB || d.A.Name != "tick" || d.B.Name != "tock" {
+	if d.Index != 4 || !d.haveA || !d.haveB || d.a.Name != "tick" || d.b.Name != "tock" {
 		t.Fatalf("diff = %+v, want divergence at event 4 tick/tock", d)
 	}
 	// The report is pinned byte for byte: it is what evdiff prints.
@@ -284,7 +284,7 @@ context (events 1..4):
 	// events): divergence at the tail.
 	short := mk(7, func(int) string { return "tick" })
 	d = Diff(base, short)
-	if d == nil || d.Index != 7 || !d.HaveA || d.HaveB {
+	if d == nil || d.Index != 7 || !d.haveA || d.haveB {
 		t.Fatalf("prefix diff = %+v, want A-only divergence at 7", d)
 	}
 	const wantPrefix = `log B ends at event 7; A continues with:
@@ -402,7 +402,7 @@ func TestVerifyScenarioRun(t *testing.T) {
 	// Lie about the seed: the rebuilt run draws different noise and must
 	// part ways with the recording at a definite event.
 	lied := *l
-	lied.Header.Seed = 43
+	lied.header.Seed = 43
 	div, err = Verify(&lied)
 	if err != nil {
 		t.Fatal(err)

@@ -20,8 +20,8 @@ import (
 // Log is a fully decoded, fully verified event log. Its records are
 // read through Len and Record.
 type Log struct {
-	Header  Header
-	Trailer Trailer
+	header  Header
+	trailer Trailer
 
 	// names is the interned name table in introduction order: a few
 	// dozen to a few thousand strings. recs holds one entry per record,
@@ -111,7 +111,7 @@ func (l *Log) parseHeader(data []byte) ([]byte, error) {
 	if err != nil || v != FormatVersion {
 		return nil, fmt.Errorf("log format version %q, this reader speaks %d", version, FormatVersion)
 	}
-	if err := json.Unmarshal([]byte(meta), &l.Header); err != nil {
+	if err := json.Unmarshal([]byte(meta), &l.header); err != nil {
 		return nil, fmt.Errorf("header metadata %q: %w", meta, err)
 	}
 	return data[nl+1:], nil
@@ -237,17 +237,17 @@ func (l *Log) parseTrailer(data []byte) error {
 	if nl < 0 {
 		return fmt.Errorf("log truncated inside its trailer (recorded but never closed?)")
 	}
-	if err := json.Unmarshal(data[:nl], &l.Trailer); err != nil {
+	if err := json.Unmarshal(data[:nl], &l.trailer); err != nil {
 		return fmt.Errorf("trailer %q: %w", data[:nl], err)
 	}
 	if rest := data[nl+1:]; len(rest) != 0 {
 		return fmt.Errorf("%d bytes after the trailer", len(rest))
 	}
-	if l.Trailer.Records != uint64(len(l.recs)) {
-		return fmt.Errorf("trailer promises %d records, log decodes %d", l.Trailer.Records, len(l.recs))
+	if l.trailer.Records != uint64(len(l.recs)) {
+		return fmt.Errorf("trailer promises %d records, log decodes %d", l.trailer.Records, len(l.recs))
 	}
-	if got := fmt.Sprintf("%016x", l.chainFinal); got != l.Trailer.Chain {
-		return fmt.Errorf("final chain digest %s does not match the trailer's %s", got, l.Trailer.Chain)
+	if got := fmt.Sprintf("%016x", l.chainFinal); got != l.trailer.Chain {
+		return fmt.Errorf("final chain digest %s does not match the trailer's %s", got, l.trailer.Chain)
 	}
 	return nil
 }

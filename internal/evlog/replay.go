@@ -123,7 +123,7 @@ func Rebuild(h Header) (*deploy.Deployment, int, error) {
 // step-for-step equivalent run). The error return is for infrastructure
 // failures — an unknown scenario, a hook-driven log — never a mismatch.
 func Verify(l *Log) (*Divergence, error) {
-	d, days, err := Rebuild(l.Header)
+	d, days, err := Rebuild(l.header)
 	if err != nil {
 		return nil, err
 	}

@@ -14,13 +14,13 @@ import (
 func newRig(t *testing.T, wx *weather.Model) (*simenv.Simulator, *mcu.MCU, *Unit) {
 	t.Helper()
 	sim := simenv.New(1)
-	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 500, InitialSoC: 1})
+	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 	var sampler energy.Sampler
 	if wx != nil {
 		sampler = wx
 	}
 	bus := energy.NewBus(sim, bat, nil, sampler)
-	ctrl := mcu.New(sim, bus, mcu.DefaultConfig("mcu"))
+	ctrl := mcu.New(sim, bus, "mcu")
 	u := New(sim, ctrl, wx, "ref-gps")
 	return sim, ctrl, u
 }
@@ -177,11 +177,11 @@ func TestTimeFixFailsUnpowered(t *testing.T) {
 }
 
 func TestTimeFixFailsUnderDeepSnowOrStorm(t *testing.T) {
-	wx := weather.New(weather.DefaultConfig(77))
+	wx := weather.New(77)
 	sim := simenv.NewAt(77, time.Date(2009, 3, 25, 0, 0, 0, 0, time.UTC))
-	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 500, InitialSoC: 1})
+	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 	bus := energy.NewBus(sim, bat, nil, wx)
-	ctrl := mcu.New(sim, bus, mcu.DefaultConfig("mcu"))
+	ctrl := mcu.New(sim, bus, "mcu")
 	u := New(sim, ctrl, wx, "gps")
 	ctrl.SetRail(Rail, true)
 	if err := sim.RunFor(10 * time.Minute); err != nil {
@@ -195,9 +195,9 @@ func TestTimeFixFailsUnderDeepSnowOrStorm(t *testing.T) {
 	// Whether or not this date is buried under this seed, failures must be
 	// deterministic: same rig, same result.
 	sim2 := simenv.NewAt(77, time.Date(2009, 3, 25, 0, 0, 0, 0, time.UTC))
-	bat2 := energy.NewBattery(energy.BatteryConfig{CapacityAh: 500, InitialSoC: 1})
+	bat2 := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 	bus2 := energy.NewBus(sim2, bat2, nil, wx)
-	ctrl2 := mcu.New(sim2, bus2, mcu.DefaultConfig("mcu"))
+	ctrl2 := mcu.New(sim2, bus2, "mcu")
 	u2 := New(sim2, ctrl2, wx, "gps")
 	ctrl2.SetRail(Rail, true)
 	if err := sim2.RunFor(10 * time.Minute); err != nil {

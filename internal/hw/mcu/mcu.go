@@ -34,20 +34,13 @@ const SampleInterval = 30 * time.Minute
 // point of the platform is that this is tiny (~1 mW class).
 const sleepW = 0.003
 
-// Config parameterises an MSP430.
-type Config struct {
-	// Name prefixes the MCU's load and event names.
-	Name string
-	// DriftPPM is RTC crystal drift in parts per million (positive = fast).
-	DriftPPM float64
-	// SampleBufferCap bounds the in-RAM housekeeping sample buffer.
-	SampleBufferCap int
-}
-
-// DefaultConfig returns the Gumsense values.
-func DefaultConfig(name string) Config {
-	return Config{Name: name, DriftPPM: 8, SampleBufferCap: 4096}
-}
+// The Gumsense MSP430's fit.
+const (
+	// driftPPM is RTC crystal drift in parts per million (positive = fast).
+	driftPPM float64 = 8
+	// sampleBufferCap bounds the in-RAM housekeeping sample buffer.
+	sampleBufferCap = 4096
+)
 
 // AlarmID identifies a scheduled RTC alarm.
 type AlarmID uint64
@@ -68,9 +61,9 @@ type alarm struct {
 // MCU is a simulated MSP430 attached to a power bus. All methods must be
 // called from the simulation goroutine.
 type MCU struct {
-	sim *simenv.Simulator
-	bus *energy.Bus
-	cfg Config
+	sim  *simenv.Simulator
+	bus  *energy.Bus
+	name string // prefixes the MCU's load and event names
 
 	alive bool
 	// rtcBase/wallBase anchor the RTC: rtcNow = rtcBase + (wall-wallBase)*(1+drift).
@@ -98,7 +91,6 @@ type MCU struct {
 	// and full-buffer drops.
 	samples    []float64
 	sampleHead int
-	dropped    int
 
 	// lastRun is the last successful run time kept in flash, to the
 	// second; it survives power loss. Zero means none recorded yet.
@@ -109,26 +101,19 @@ type MCU struct {
 	sampleTicker *simenv.Ticker
 }
 
-// New constructs an MCU, attaches its sleep load to the bus, wires power
-// fail/restore, and starts it alive.
-func New(sim *simenv.Simulator, bus *energy.Bus, cfg Config) *MCU {
-	def := DefaultConfig(cfg.Name)
-	if cfg.SampleBufferCap == 0 {
-		cfg.SampleBufferCap = def.SampleBufferCap
-	}
-	if cfg.Name == "" {
-		cfg.Name = "mcu"
-	}
+// New constructs an MCU named name, attaches its sleep load to the bus,
+// wires power fail/restore, and starts it alive.
+func New(sim *simenv.Simulator, bus *energy.Bus, name string) *MCU {
 	m := &MCU{
 		sim:        sim,
 		bus:        bus,
-		cfg:        cfg,
+		name:       name,
 		alarms:     make(map[AlarmID]*alarm),
 		alarmNames: make(map[string]string),
 	}
 	// The Gumstix drains the buffer daily: size it for a day of samples.
-	m.samples = make([]float64, 0, min(cfg.SampleBufferCap, int(24*time.Hour/SampleInterval)+1))
-	m.sampleName = cfg.Name + ".sample"
+	m.samples = make([]float64, 0, min(sampleBufferCap, int(24*time.Hour/SampleInterval)+1))
+	m.sampleName = name + ".sample"
 	bus.OnPowerFail(m.powerFail)
 	bus.OnPowerRestore(m.powerRestore)
 	m.start(sim.Now(), true)
@@ -189,7 +174,7 @@ func (m *MCU) powerRestore(now time.Time) {
 	m.start(now, false)
 }
 
-func (m *MCU) loadName() string { return m.cfg.Name + ".sleep" }
+func (m *MCU) loadName() string { return m.name + ".sleep" }
 
 // --- RTC ---
 
@@ -201,7 +186,7 @@ func (m *MCU) Now() time.Time {
 		return RTCEpoch
 	}
 	elapsed := m.sim.Now().Sub(m.wallBase)
-	driftAdj := time.Duration(float64(elapsed) * m.cfg.DriftPPM / 1e6)
+	driftAdj := time.Duration(float64(elapsed) * driftPPM / 1e6)
 	return m.rtcBase.Add(elapsed + driftAdj)
 }
 
@@ -292,7 +277,7 @@ func (m *MCU) alarmEventName(name string) string {
 		return s
 	}
 	//glacvet:allow hotpath interning miss path: the concat runs once per distinct alarm name, not per arm
-	s := m.cfg.Name + ".alarm." + name
+	s := m.name + ".alarm." + name
 	m.alarmNames[name] = s
 	return s
 }
@@ -372,7 +357,7 @@ func (m *MCU) DefineRail(name string, watts float64) {
 		r.watts = watts
 		return
 	}
-	m.rails = append(m.rails, rail{name: name, watts: watts, load: m.cfg.Name + ".rail." + name})
+	m.rails = append(m.rails, rail{name: name, watts: watts, load: m.name + ".rail." + name})
 }
 
 // OnRail subscribes to power changes of a defined rail (peripherals use
@@ -419,9 +404,8 @@ func (m *MCU) takeSample(time.Time) {
 	if !m.alive {
 		return
 	}
-	if len(m.samples)-m.sampleHead >= m.cfg.SampleBufferCap {
+	if len(m.samples)-m.sampleHead >= sampleBufferCap {
 		m.sampleHead++ // drop the oldest without giving up its slot
-		m.dropped++
 	}
 	if len(m.samples) == cap(m.samples) && m.sampleHead > 0 {
 		n := copy(m.samples, m.samples[m.sampleHead:])
@@ -444,6 +428,6 @@ func (m *MCU) DrainSamples() []float64 {
 
 func (m *MCU) mustBeAlive(op string) {
 	if !m.alive {
-		panic(fmt.Sprintf("mcu %s: %s on dead MCU", m.cfg.Name, op))
+		panic(fmt.Sprintf("mcu %s: %s on dead MCU", m.name, op))
 	}
 }

@@ -14,10 +14,10 @@ import (
 func newRig(t *testing.T, soc float64) (*simenv.Simulator, *energy.Bus, *MCU) {
 	t.Helper()
 	sim := simenv.New(1)
-	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 36, InitialSoC: soc})
-	wx := weather.New(weather.DefaultConfig(1))
+	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: soc})
+	wx := weather.New(1)
 	bus := energy.NewBus(sim, bat, nil, wx)
-	m := New(sim, bus, DefaultConfig("mcu"))
+	m := New(sim, bus, "mcu")
 	return sim, bus, m
 }
 
@@ -35,14 +35,14 @@ func TestRTCDrifts(t *testing.T) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 	bus := energy.NewBus(sim, bat, nil, nil)
-	m := New(sim, bus, Config{Name: "m", DriftPPM: 100})
+	m := New(sim, bus, "m")
 	if err := sim.RunFor(240 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	// 100 ppm over 240h = 86.4s fast.
+	// 8 ppm over 240h = 6.912s fast.
 	e := m.ClockError()
-	if e < 80*time.Second || e > 95*time.Second {
-		t.Fatalf("clock error %v after 240h at 100ppm, want ~86s", e)
+	if e < 6800*time.Millisecond || e > 7000*time.Millisecond {
+		t.Fatalf("clock error %v after 240h at %v ppm, want ~6.9s", e, driftPPM)
 	}
 }
 
@@ -84,15 +84,14 @@ func TestSampleBufferBounded(t *testing.T) {
 	sim := simenv.New(1)
 	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 	bus := energy.NewBus(sim, bat, nil, nil)
-	m := New(sim, bus, Config{Name: "m", SampleBufferCap: 10})
-	if err := sim.RunFor(24 * time.Hour); err != nil { // 48 samples
-		t.Fatal(err)
+	m := New(sim, bus, "m")
+	now := sim.Now()
+	for i := 0; i < sampleBufferCap+10; i++ {
+		now = now.Add(SampleInterval)
+		m.takeSample(now)
 	}
-	if n := buffered(m); n != 10 {
-		t.Fatalf("buffer holds %d, cap 10", n)
-	}
-	if m.dropped == 0 {
-		t.Fatal("overflow not recorded")
+	if n := buffered(m); n != sampleBufferCap {
+		t.Fatalf("buffer holds %d, cap %d", n, sampleBufferCap)
 	}
 }
 
@@ -291,10 +290,10 @@ func TestOnRailUndefinedPanics(t *testing.T) {
 
 func TestBootHookRunsOnStartAndRestore(t *testing.T) {
 	sim := simenv.New(3)
-	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 2, InitialSoC: 0.3})
-	wx := weather.New(weather.DefaultConfig(3))
+	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 0.3})
+	wx := weather.New(3)
 	bus := energy.NewBus(sim, bat, []energy.Charger{energy.NewSolarPanel(30)}, wx)
-	m := New(sim, bus, DefaultConfig("m"))
+	m := New(sim, bus, "m")
 	var colds, warms int
 	m.OnBoot(func(_ time.Time, cold bool) {
 		if cold {

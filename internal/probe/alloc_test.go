@@ -18,16 +18,14 @@ import (
 // these pins catch whatever slips past the lint at runtime. Keep the two
 // sets in sync.
 
-func allocProbe(t *testing.T, bufferCap int) (*simenv.Simulator, *Probe) {
+func allocProbe(t *testing.T) (*simenv.Simulator, *Probe) {
 	t.Helper()
 	sim := simenv.NewAt(3, time.Date(2009, 6, 1, 0, 0, 0, 0, time.UTC))
-	cfg := immortal(21)
-	cfg.BufferCap = bufferCap
-	return sim, New(sim, weather.New(weather.DefaultConfig(3)), cfg)
+	return sim, New(sim, weather.New(3), immortal(21))
 }
 
 func TestSampleAndConfirmAllocFree(t *testing.T) {
-	sim, p := allocProbe(t, 0)
+	sim, p := allocProbe(t)
 	now := sim.Now()
 	day := func() {
 		for h := 0; h < 24; h++ {
@@ -41,22 +39,24 @@ func TestSampleAndConfirmAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("a day of sampling plus confirmation allocates %.1f objects/op, want 0", avg)
 	}
-	if p.PendingCount() != 0 || p.dropped != 0 {
-		t.Fatalf("pending %d dropped %d after confirmed days", p.PendingCount(), p.dropped)
+	if p.PendingCount() != 0 || p.oldest != 1 {
+		t.Fatalf("pending %d, oldest seq in flash %d after confirmed days; want 0 and none dropped",
+			p.PendingCount(), p.oldest)
 	}
 }
 
 func TestSampleFullBufferAllocFree(t *testing.T) {
-	sim, p := allocProbe(t, 40)
+	sim, p := allocProbe(t)
 	now := sim.Now()
 	// Fill the flash with unconfirmed readings, then keep sampling: every
 	// new reading drops the oldest.
-	for h := 0; h < 60; h++ {
+	for h := 0; h < bufferCap+20; h++ {
 		now = now.Add(time.Hour)
 		p.sample(now)
 	}
-	// Each op spans several store lengths, so an amortized regrowth (a
-	// drop that gives up a slot of capacity) shows in the per-op count.
+	// The runs together take 4000 readings past a full flash, several
+	// compactions of the store's backing array, so an amortized regrowth
+	// (a drop that gives up a slot of capacity) shows in the per-op count.
 	avg := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 200; i++ {
 			now = now.Add(time.Hour)
@@ -66,8 +66,8 @@ func TestSampleFullBufferAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("sampling into a full store allocates %.1f objects/op, want 0", avg)
 	}
-	if p.PendingCount() != 40 || p.PendingView()[0].Seq != p.nextSeq-39 {
-		t.Fatalf("full store holds %d readings from seq %d, want the newest 40",
-			p.PendingCount(), p.PendingView()[0].Seq)
+	if p.PendingCount() != bufferCap || p.PendingView()[0].Seq != p.nextSeq-bufferCap+1 {
+		t.Fatalf("full store holds %d readings from seq %d, want the newest %d",
+			p.PendingCount(), p.PendingView()[0].Seq, bufferCap)
 	}
 }

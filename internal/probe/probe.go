@@ -41,10 +41,13 @@ type Reading struct {
 	ConductivityUS float64
 }
 
+// bufferCap is how many readings the probe's flash holds.
+const bufferCap = 20000
+
 // Config parameterises a probe.
 type Config struct {
-	// ID is the probe number (the paper's probes 21, 24, 25...).
-	ID int
+	// id is the probe number (the paper's probes 21, 24, 25...).
+	id int
 	// BaseConductivityUS is the dry-winter conductivity floor.
 	BaseConductivityUS float64
 	// MeltConductivityUS is the additional conductivity at full melt.
@@ -54,8 +57,6 @@ type Config struct {
 	// MeanLifetime is the exponential-survival mean life. The paper's
 	// 4/7-after-one-year gives a mean of ~1.8 years.
 	MeanLifetime time.Duration
-	// BufferCap bounds the reading store (flash size).
-	BufferCap int
 }
 
 // DefaultConfig returns plausible per-probe parameters, varied by ID so a
@@ -63,12 +64,11 @@ type Config struct {
 func DefaultConfig(id int) Config {
 	n := noise(int64(id), "probecfg", 0)
 	return Config{
-		ID:                 id,
+		id:                 id,
 		BaseConductivityUS: 0.8 + 1.6*n,
 		MeltConductivityUS: 7 + 8*noise(int64(id), "probecfg", 1),
 		BasalLagDays:       2 + 8*noise(int64(id), "probecfg", 2),
 		MeanLifetime:       time.Duration(1.8 * 365.25 * 24 * float64(time.Hour)),
-		BufferCap:          20000,
 	}
 }
 
@@ -80,45 +80,29 @@ type Probe struct {
 
 	// buf[head:] holds the unconfirmed readings, oldest first. Confirmed
 	// readings leave memory at MarkComplete; the flash they would still
-	// occupy is tracked logically through oldest, so the BufferCap
+	// occupy is tracked logically through oldest, so the bufferCap
 	// drop-oldest rule counts them exactly as a store that kept them.
 	buf       []Reading
 	head      int
 	oldest    uint64 // oldest seq still held in (logical) flash
 	nextSeq   uint64
 	completed uint64 // highest seq the base has confirmed received
-	dropped   int
 
 	failAt time.Time
 	ticker *simenv.Ticker
 }
 
-// New constructs a probe and starts its sampling schedule. The probe's
-// permanent-failure time is drawn deterministically from (sim seed, ID).
+// New constructs a probe from cfg, which DefaultConfig makes, and starts
+// its sampling schedule. The probe's permanent-failure time is drawn
+// deterministically from (sim seed, ID).
 func New(sim *simenv.Simulator, wx *weather.Model, cfg Config) *Probe {
-	def := DefaultConfig(cfg.ID)
-	if cfg.BaseConductivityUS == 0 {
-		cfg.BaseConductivityUS = def.BaseConductivityUS
-	}
-	if cfg.MeltConductivityUS == 0 {
-		cfg.MeltConductivityUS = def.MeltConductivityUS
-	}
-	if cfg.BasalLagDays == 0 {
-		cfg.BasalLagDays = def.BasalLagDays
-	}
-	if cfg.MeanLifetime == 0 {
-		cfg.MeanLifetime = def.MeanLifetime
-	}
-	if cfg.BufferCap == 0 {
-		cfg.BufferCap = def.BufferCap
-	}
 	p := &Probe{sim: sim, wx: wx, cfg: cfg, oldest: 1}
 	// The base fetches daily, so a day of readings is the store's working
 	// size; longer offline stretches grow it once.
-	p.buf = make([]Reading, 0, min(cfg.BufferCap, int(24*time.Hour/DefaultSampleInterval)+1))
+	p.buf = make([]Reading, 0, min(bufferCap, int(24*time.Hour/DefaultSampleInterval)+1))
 
 	// Exponential failure time: -mean * ln(U).
-	u := noise(sim.Seed(), "probefail", uint64(cfg.ID))
+	u := noise(sim.Seed(), "probefail", uint64(cfg.id))
 	if u < 1e-12 {
 		u = 1e-12
 	}
@@ -126,12 +110,12 @@ func New(sim *simenv.Simulator, wx *weather.Model, cfg Config) *Probe {
 	p.failAt = sim.Now().Add(life)
 
 	p.ticker = sim.Every(sim.Now().Add(DefaultSampleInterval), DefaultSampleInterval,
-		fmt.Sprintf("probe%d.sample", cfg.ID), p.sample)
+		fmt.Sprintf("probe%d.sample", cfg.id), p.sample)
 	return p
 }
 
 // ID returns the probe number.
-func (p *Probe) ID() int { return p.cfg.ID }
+func (p *Probe) ID() int { return p.cfg.id }
 
 // Alive reports whether the probe is still operating at now.
 func (p *Probe) Alive(now time.Time) bool { return now.Before(p.failAt) }
@@ -147,14 +131,13 @@ func (p *Probe) sample(now time.Time) {
 		Seq:            p.nextSeq,
 		ConductivityUS: p.ConductivityAt(now),
 	}
-	if p.nextSeq-p.oldest >= uint64(p.cfg.BufferCap) {
+	if p.nextSeq-p.oldest >= bufferCap {
 		// Flash is full: the oldest reading goes, confirmed or not. An
 		// unconfirmed one is buf[head]; a confirmed one is already gone.
 		if p.oldest > p.completed {
 			p.head++
 		}
 		p.oldest++
-		p.dropped++
 	}
 	if r.Seq <= p.completed {
 		return // already confirmed by a MarkComplete past LastSeq
@@ -183,7 +166,7 @@ func (p *Probe) ConductivityAt(now time.Time) float64 {
 	if p.wx != nil {
 		melt = p.wx.MeltIndex(now.Add(-lag))
 	}
-	n := noise(p.sim.Seed()+int64(p.cfg.ID), "cond", uint64(now.Unix()/3600))
+	n := noise(p.sim.Seed()+int64(p.cfg.id), "cond", uint64(now.Unix()/3600))
 	return p.cfg.BaseConductivityUS + p.cfg.MeltConductivityUS*melt + 0.4*(n-0.5)
 }
 

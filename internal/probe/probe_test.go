@@ -42,7 +42,7 @@ func TestReadingsSequential(t *testing.T) {
 }
 
 func TestConductivityWinterLowSummerHigh(t *testing.T) {
-	wx := weather.New(weather.DefaultConfig(2))
+	wx := weather.New(2)
 	sim := simenv.NewAt(2, time.Date(2009, 1, 1, 0, 0, 0, 0, time.UTC))
 	p := New(sim, wx, immortal(21))
 	feb := p.ConductivityAt(time.Date(2009, 2, 10, 12, 0, 0, 0, time.UTC))
@@ -57,7 +57,7 @@ func TestConductivityWinterLowSummerHigh(t *testing.T) {
 
 func TestConductivityRampsAtEndOfWinter(t *testing.T) {
 	// Fig 6 shows the Jan-Apr window: flat, then rising in spring.
-	wx := weather.New(weather.DefaultConfig(2))
+	wx := weather.New(2)
 	sim := simenv.NewAt(2, time.Date(2009, 1, 27, 0, 0, 0, 0, time.UTC))
 	p := New(sim, wx, immortal(24))
 	mean := func(m time.Month, d int) float64 {
@@ -75,7 +75,7 @@ func TestConductivityRampsAtEndOfWinter(t *testing.T) {
 }
 
 func TestProbesDiffer(t *testing.T) {
-	wx := weather.New(weather.DefaultConfig(2))
+	wx := weather.New(2)
 	sim := simenv.NewAt(2, time.Date(2009, 1, 1, 0, 0, 0, 0, time.UTC))
 	a := New(sim, wx, immortal(21))
 	b := New(sim, wx, immortal(25))
@@ -119,38 +119,39 @@ func TestPendingViewBySeq(t *testing.T) {
 }
 
 // TestStoreEquivalence pins the flash-occupancy rule of the reading store
-// across MarkComplete: confirmed readings leave memory, but BufferCap still
+// across MarkComplete: confirmed readings leave memory, but bufferCap still
 // counts them until the drop-oldest rule would have evicted them from a
-// store that kept every reading. The expected rows are literals measured on
-// that keep-everything store, so a compaction that shifts a drop fails here.
+// store that kept every reading. That store holds the newest bufferCap
+// readings, and the pending ones are those of them past the highest
+// confirmation, so the expected rows are its arithmetic in C = bufferCap
+// (a shift of one drop fails here).
 func TestStoreEquivalence(t *testing.T) {
-	cfg := immortal(21)
-	cfg.BufferCap = 10
+	const C = bufferCap
 	sim := simenv.New(1)
-	p := New(sim, nil, cfg)
+	p := New(sim, nil, immortal(21))
 	steps := []struct {
 		hours                 int    // sample for this many hours, then
 		mark                  uint64 // MarkComplete(mark) when non-zero
-		pending, dropped      int
+		pending               int
 		lastSeq, firstPending uint64 // firstPending 0: nothing pending
 	}{
-		{4, 0, 4, 0, 4, 1},
-		{0, 3, 1, 0, 4, 4},
-		{6, 0, 7, 0, 10, 4},   // full: 3 confirmed + 7 pending
-		{2, 0, 9, 2, 12, 4},   // drops confirmed 1, 2
-		{3, 0, 10, 5, 15, 6},  // drops confirmed 3, then pending 4, 5
-		{0, 15, 0, 5, 15, 0},  // everything confirmed, flash still full
-		{5, 0, 5, 10, 20, 16}, // each new reading evicts a confirmed one
-		{0, 17, 3, 10, 20, 18},
-		{12, 0, 10, 22, 32, 23},
-		{0, 40, 0, 22, 32, 0}, // completion past LastSeq
-		{3, 0, 0, 25, 35, 0},  // new readings already count as confirmed
-		{10, 0, 5, 35, 45, 41},
-		{0, 2, 5, 35, 45, 41}, // completion never regresses
-		{0, 44, 1, 35, 45, 45},
-		{25, 0, 10, 60, 70, 61},
-		{0, 60, 10, 60, 70, 61}, // below the oldest pending: nothing leaves
-		{1, 0, 10, 61, 71, 62},
+		{4, 0, 4, 4, 1},
+		{0, 3, 1, 4, 4},
+		{C - 4, 0, C - 3, C, 4},  // full: 3 confirmed + C-3 pending
+		{2, 0, C - 1, C + 2, 4},  // drops confirmed 1, 2
+		{3, 0, C, C + 5, 6},      // drops confirmed 3, then pending 4, 5
+		{0, C + 5, 0, C + 5, 0},  // everything confirmed, flash still full
+		{5, 0, 5, C + 10, C + 6}, // each new reading evicts a confirmed one
+		{0, C + 7, 3, C + 10, C + 8},
+		{C + 2, 0, C, 2*C + 12, C + 13},
+		{0, 2*C + 20, 0, 2*C + 12, 0}, // completion past LastSeq
+		{3, 0, 0, 2*C + 15, 0},        // new readings already count as confirmed
+		{10, 0, 5, 2*C + 25, 2*C + 21},
+		{0, 2, 5, 2*C + 25, 2*C + 21}, // completion never regresses
+		{0, 2*C + 24, 1, 2*C + 25, 2*C + 25},
+		{C + 15, 0, C, 3*C + 40, 2*C + 41},
+		{0, 2*C + 40, C, 3*C + 40, 2*C + 41}, // below the oldest pending: nothing leaves
+		{1, 0, C, 3*C + 41, 2*C + 42},
 	}
 	for i, st := range steps {
 		if st.hours > 0 {
@@ -165,11 +166,10 @@ func TestStoreEquivalence(t *testing.T) {
 		if v := p.PendingView(); len(v) > 0 {
 			first = v[0].Seq
 		}
-		if p.PendingCount() != st.pending || p.dropped != st.dropped ||
-			p.nextSeq != st.lastSeq || first != st.firstPending {
-			t.Fatalf("step %d (+%dh, mark %d): pending %d dropped %d last %d first %d, want %d %d %d %d",
-				i, st.hours, st.mark, p.PendingCount(), p.dropped, p.nextSeq, first,
-				st.pending, st.dropped, st.lastSeq, st.firstPending)
+		if p.PendingCount() != st.pending || p.nextSeq != st.lastSeq || first != st.firstPending {
+			t.Fatalf("step %d (+%dh, mark %d): pending %d last %d first %d, want %d %d %d",
+				i, st.hours, st.mark, p.PendingCount(), p.nextSeq, first,
+				st.pending, st.lastSeq, st.firstPending)
 		}
 	}
 }
@@ -195,20 +195,15 @@ func TestProbeStopsSamplingAfterFailure(t *testing.T) {
 }
 
 func TestBufferOverflowDropsOldest(t *testing.T) {
-	cfg := immortal(21)
-	cfg.BufferCap = 10
 	sim := simenv.New(1)
-	p := New(sim, nil, cfg)
-	if err := sim.RunFor(30 * time.Hour); err != nil {
+	p := New(sim, nil, immortal(21))
+	if err := sim.RunFor((bufferCap + 20) * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if p.PendingCount() != 10 {
-		t.Fatalf("buffer holds %d, cap 10", p.PendingCount())
+	if p.PendingCount() != bufferCap {
+		t.Fatalf("buffer holds %d, cap %d", p.PendingCount(), bufferCap)
 	}
-	if p.dropped != 20 {
-		t.Fatalf("dropped %d, want 20", p.dropped)
-	}
-	if p.PendingView()[0].Seq != 21 {
+	if p.PendingView()[0].Seq != 21 { // the first 20 readings were dropped
 		t.Fatalf("oldest surviving seq %d, want 21", p.PendingView()[0].Seq)
 	}
 }

@@ -10,7 +10,7 @@
 // communications window or the two-hour watchdog resumes on subsequent days
 // with the base requesting only what it is still missing. The deployed code
 // also had an untested limit: re-requesting ~400 individual readings "could
-// fail", which is reproduced as MaxNacks.
+// fail", which DefaultNackConfig reproduces.
 //
 // A conventional stop-and-wait ACK protocol is implemented as the baseline
 // the evaluation compares against.
@@ -39,8 +39,8 @@ var ErrBudgetExhausted = errors.New("protocol: time budget exhausted")
 // daily sessions — this is what makes multi-day convergence work after an
 // interrupted fetch.
 type State struct {
-	// Have is the set of sequence numbers already safely received.
-	Have map[uint64]struct{}
+	// have is the set of sequence numbers already safely received.
+	have map[uint64]struct{}
 
 	// Scratch the fetchers reuse from session to session: wanted is the
 	// list of readings a session still needs, got backs Result.Got.
@@ -50,11 +50,11 @@ type State struct {
 
 // NewState returns an empty per-probe fetch state.
 func NewState() *State {
-	return &State{Have: make(map[uint64]struct{})}
+	return &State{have: make(map[uint64]struct{})}
 }
 
 func (s *State) has(seq uint64) bool {
-	_, ok := s.Have[seq]
+	_, ok := s.have[seq]
 	return ok
 }
 
@@ -80,7 +80,7 @@ func (s *State) begin(pending []probe.Reading) Result {
 //
 //glacvet:hotpath
 func (s *State) receive(r probe.Reading, res *Result) {
-	s.Have[r.Seq] = struct{}{}
+	s.have[r.Seq] = struct{}{}
 	res.Got = append(res.Got, r)
 }
 
@@ -95,8 +95,8 @@ type Result struct {
 	MissedFirstPass int
 	// Nacked is how many individual re-requests were issued.
 	Nacked int
-	// FullRefetches counts whole-stream retries triggered by heavy loss.
-	FullRefetches int
+	// fullRefetches counts whole-stream retries triggered by heavy loss.
+	fullRefetches int
 	// AirBytes is the payload volume that crossed the channel (both ways).
 	AirBytes int64
 	// Elapsed is the channel time the session occupied.
@@ -113,39 +113,35 @@ const requestBytes = 16
 
 // NACK-fetch retry bounds.
 const (
+	// fullRefetchFraction triggers a whole-stream retry when more than
+	// this fraction of the wanted readings is still missing after the
+	// first pass.
+	fullRefetchFraction float64 = 0.5
 	// maxFullRefetches bounds repeated whole-stream retries per session.
 	maxFullRefetches = 2
 	// nackRetries bounds retransmission attempts per missing reading.
 	nackRetries = 6
 )
 
-// NackConfig parameterises the paper's ack-less fetcher.
+// NackConfig selects the paper's ack-less fetcher as deployed or as fixed.
 type NackConfig struct {
-	// FullRefetchFraction triggers a whole-stream retry when more than this
-	// fraction of the wanted readings is still missing after the first pass.
-	FullRefetchFraction float64
-	// MaxNacks reproduces the deployed bug: if more than this many
+	// maxNacks reproduces the deployed bug: if more than this many
 	// individual re-requests are needed in one session, the session aborts
 	// with ErrNackOverflow. Zero means unlimited (the post-fix behaviour).
-	MaxNacks int
+	maxNacks int
 }
 
 // DefaultNackConfig returns the as-deployed configuration, including the
 // untested 256-NACK limit that failed in the field.
 func DefaultNackConfig() NackConfig {
-	return NackConfig{
-		FullRefetchFraction: 0.5,
-		MaxNacks:            256,
-	}
+	return NackConfig{maxNacks: 256}
 }
 
 // FixedNackConfig returns the post-fix configuration with the NACK limit
 // removed ("small adjustments could be made ... to try different
 // strategies").
 func FixedNackConfig() NackConfig {
-	cfg := DefaultNackConfig()
-	cfg.MaxNacks = 0
-	return cfg
+	return NackConfig{}
 }
 
 // NackFetcher is the paper's ack-less bulk fetcher.
@@ -153,13 +149,8 @@ type NackFetcher struct {
 	cfg NackConfig
 }
 
-// NewNackFetcher constructs the fetcher; zero cfg fields get defaults
-// except MaxNacks, whose zero value means unlimited.
+// NewNackFetcher constructs the fetcher.
 func NewNackFetcher(cfg NackConfig) *NackFetcher {
-	def := DefaultNackConfig()
-	if cfg.FullRefetchFraction == 0 {
-		cfg.FullRefetchFraction = def.FullRefetchFraction
-	}
 	return &NackFetcher{cfg: cfg}
 }
 
@@ -196,9 +187,9 @@ func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Pro
 
 	// Heavy loss: "it would be as efficient to request them all again".
 	for res.MissedFirstPass > 0 &&
-		float64(countMissing(wanted, st)) > f.cfg.FullRefetchFraction*float64(len(wanted)) &&
-		res.FullRefetches < maxFullRefetches {
-		res.FullRefetches++
+		float64(countMissing(wanted, st)) > fullRefetchFraction*float64(len(wanted)) &&
+		res.fullRefetches < maxFullRefetches {
+		res.fullRefetches++
 		if !f.sendControl(ch, &clock, &res) || !f.stream(ch, &clock, wanted, st, &res) {
 			return res
 		}
@@ -209,7 +200,7 @@ func (f *NackFetcher) Fetch(now time.Time, ch *comms.ProbeChannel, pr *probe.Pro
 		if st.has(r.Seq) {
 			continue
 		}
-		if f.cfg.MaxNacks > 0 && res.Nacked >= f.cfg.MaxNacks {
+		if f.cfg.maxNacks > 0 && res.Nacked >= f.cfg.maxNacks {
 			// The deployed bug: the process fails beyond its tested size.
 			res.Err = ErrNackOverflow
 			return res
@@ -287,9 +278,9 @@ func markComplete(ch *comms.ProbeChannel, clock *budget, pr *probe.Probe,
 		res.AirBytes += requestBytes
 		pr.MarkComplete(highest)
 		res.Complete = true
-		for seq := range st.Have {
+		for seq := range st.have {
 			if seq <= highest {
-				delete(st.Have, seq)
+				delete(st.have, seq)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // offline and a mid-July channel at the paper's ~13% summer loss.
 func summerRig(t *testing.T, seed int64) (*simenv.Simulator, *comms.ProbeChannel, *probe.Probe) {
 	t.Helper()
-	wx := weather.New(weather.DefaultConfig(seed))
+	wx := weather.New(seed)
 	sim := simenv.NewAt(seed, time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC))
 	cfg := probe.DefaultConfig(21)
 	cfg.MeanLifetime = 100 * 365 * 24 * time.Hour
@@ -23,13 +23,13 @@ func summerRig(t *testing.T, seed int64) (*simenv.Simulator, *comms.ProbeChannel
 	if err := sim.RunFor(125 * 24 * time.Hour); err != nil { // ~3000 hourly readings
 		t.Fatal(err)
 	}
-	ch := comms.NewProbeChannel(sim, wx, comms.ProbeRadioConfig{})
+	ch := comms.NewProbeChannel(sim, wx)
 	return sim, ch, pr
 }
 
 func winterRig(t *testing.T, seed int64, hours int) (*simenv.Simulator, *comms.ProbeChannel, *probe.Probe) {
 	t.Helper()
-	wx := weather.New(weather.DefaultConfig(seed))
+	wx := weather.New(seed)
 	sim := simenv.NewAt(seed, time.Date(2009, 1, 5, 0, 0, 0, 0, time.UTC))
 	cfg := probe.DefaultConfig(24)
 	cfg.MeanLifetime = 100 * 365 * 24 * time.Hour
@@ -37,7 +37,7 @@ func winterRig(t *testing.T, seed int64, hours int) (*simenv.Simulator, *comms.P
 	if err := sim.RunFor(time.Duration(hours) * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	ch := comms.NewProbeChannel(sim, wx, comms.ProbeRadioConfig{})
+	ch := comms.NewProbeChannel(sim, wx)
 	return sim, ch, pr
 }
 
@@ -153,20 +153,31 @@ func TestBudgetExhaustionPreservesData(t *testing.T) {
 }
 
 func TestFullRefetchOnHeavyLoss(t *testing.T) {
-	// Force a catastrophic channel so >50% of the first pass is lost.
-	sim := simenv.NewAt(11, time.Date(2009, 7, 1, 0, 0, 0, 0, time.UTC))
-	cfg := probe.DefaultConfig(25)
-	cfg.MeanLifetime = 100 * 365 * 24 * time.Hour
-	pr := probe.New(sim, nil, cfg)
-	if err := sim.RunFor(100 * time.Hour); err != nil {
-		t.Fatal(err)
+	// A one-reading session that loses its only packet has lost all of its
+	// first pass, over the full-refetch fraction: the fetcher must stream
+	// again before it falls back to individual NACKs. The seeds are walked
+	// until the mid-July channel drops that packet.
+	for seed := int64(1); seed <= 100; seed++ {
+		wx := weather.New(seed)
+		sim := simenv.NewAt(seed, time.Date(2009, 7, 15, 0, 0, 0, 0, time.UTC))
+		cfg := probe.DefaultConfig(25)
+		cfg.MeanLifetime = 100 * 365 * 24 * time.Hour
+		pr := probe.New(sim, wx, cfg)
+		if err := sim.RunFor(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		ch := comms.NewProbeChannel(sim, wx)
+		res := NewNackFetcher(FixedNackConfig()).Fetch(sim.Now(), ch, pr, 4*time.Hour, nil)
+		if res.MissedFirstPass == 0 {
+			continue
+		}
+		if res.fullRefetches == 0 {
+			t.Fatalf("seed %d: no full refetch after losing the whole first pass (%d/%d)",
+				seed, res.MissedFirstPass, pr.PendingCount())
+		}
+		return
 	}
-	ch := comms.NewProbeChannel(sim, nil, comms.ProbeRadioConfig{WinterLossP: 0.6})
-	f := NewNackFetcher(FixedNackConfig())
-	res := f.Fetch(sim.Now(), ch, pr, 4*time.Hour, nil)
-	if res.FullRefetches == 0 {
-		t.Fatalf("no full refetch despite 60%% loss (missed %d/100)", res.MissedFirstPass)
-	}
+	t.Fatal("no seed lost the session's only packet")
 }
 
 func TestAckBaselineCompletes(t *testing.T) {
@@ -299,7 +310,7 @@ func TestStateTrimmedAfterCompletion(t *testing.T) {
 	if !res.Complete {
 		t.Fatalf("fetch incomplete: %v", res.Err)
 	}
-	if len(st.Have) != 0 {
-		t.Fatalf("state still holds %d seqs after completion", len(st.Have))
+	if len(st.have) != 0 {
+		t.Fatalf("state still holds %d seqs after completion", len(st.have))
 	}
 }

@@ -45,8 +45,7 @@ type Coordinator struct {
 	gps  *dgps.Unit
 	done func(rtcNow time.Time)
 
-	stats      Stats
-	inProgress bool
+	stats Stats
 }
 
 // New builds a coordinator. done is invoked once the clock is trusted
@@ -71,7 +70,6 @@ func (c *Coordinator) CheckAndRecover() bool {
 	// CheckAndRecover only runs from boot hooks, where any previous
 	// attempt's alarms have been wiped with the rest of RAM — so a recovery
 	// already "in progress" must be re-kicked, not skipped.
-	c.inProgress = true
 	c.attemptFix()
 	return true
 }
@@ -97,7 +95,6 @@ func (c *Coordinator) attemptFix() {
 		}
 		c.mcu.SetTime(fixed)
 		c.mcu.SetLastRun(fixed) // the clock is now trusted
-		c.inProgress = false
 		c.stats.Recovered++
 		if c.done != nil {
 			c.done(c.mcu.Now())

@@ -13,9 +13,9 @@ import (
 func newRig(t *testing.T) (*simenv.Simulator, *mcu.MCU, *dgps.Unit) {
 	t.Helper()
 	sim := simenv.NewAt(1, time.Date(2009, 8, 1, 0, 0, 0, 0, time.UTC))
-	bat := energy.NewBattery(energy.BatteryConfig{CapacityAh: 500, InitialSoC: 1})
+	bat := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 	bus := energy.NewBus(sim, bat, nil, nil)
-	m := mcu.New(sim, bus, mcu.DefaultConfig("mcu"))
+	m := mcu.New(sim, bus, "mcu")
 	u := dgps.New(sim, m, nil, "gps")
 	return sim, m, u
 }
@@ -46,8 +46,8 @@ func TestSuspectClockRecoversViaGPS(t *testing.T) {
 	if !c.CheckAndRecover() {
 		t.Fatal("suspect clock not detected")
 	}
-	if !c.inProgress {
-		t.Fatal("recovery not in progress")
+	if st := c.Stats(); st.Triggered != 1 || st.Recovered != 0 {
+		t.Fatalf("stats %+v right after the check, want one recovery started and none finished", st)
 	}
 	if err := sim.RunFor(time.Hour); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ var catalogue = []Scenario{
 		Name:        "as-deployed-2008",
 		Description: "the paper's Fig 3 pair: one base with the 7-probe cohort, one reference, Sept 2008 start",
 		DefaultDays: 120,
-		Topology: func(p Params) deploy.Topology {
+		topology: func(p Params) deploy.Topology {
 			t := deploy.AsDeployed(p.Seed)
 			if p.Probes > 0 {
 				t.Stations[0].NumProbes = p.Probes
@@ -26,7 +26,7 @@ var catalogue = []Scenario{
 		Name:        "dual-base",
 		Description: "two glacier bases with independent probe cohorts sharing one reference and one server",
 		DefaultDays: 90,
-		Topology: func(p Params) deploy.Topology {
+		topology: func(p Params) deploy.Topology {
 			probes := 7
 			if p.Probes > 0 {
 				probes = p.Probes
@@ -46,7 +46,7 @@ var catalogue = []Scenario{
 		Name:        "fleet-N",
 		Description: "parameterised fleet: one reference plus N-1 bases (-stations N, default 4), small cohorts",
 		DefaultDays: 30,
-		Topology: func(p Params) deploy.Topology {
+		topology: func(p Params) deploy.Topology {
 			return deploy.FleetTopology(p.Seed, fleetSize(p), p.Probes)
 		},
 		fleet: fleetSize,
@@ -55,7 +55,7 @@ var catalogue = []Scenario{
 		Name:        "probe-heavy",
 		Description: "one base drowning in probes (21 by default): stresses the fetch window and §VI log volume",
 		DefaultDays: 60,
-		Topology: func(p Params) deploy.Topology {
+		topology: func(p Params) deploy.Topology {
 			probes := 21
 			if p.Probes > 0 {
 				probes = p.Probes
@@ -74,7 +74,7 @@ var catalogue = []Scenario{
 		Name:        "winter-blackout",
 		Description: "November start, café mains dead all season, both banks half-charged: the power design's worst case",
 		DefaultDays: 150,
-		Topology: func(p Params) deploy.Topology {
+		topology: func(p Params) deploy.Topology {
 			probes := 7
 			if p.Probes > 0 {
 				probes = p.Probes

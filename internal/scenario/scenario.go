@@ -49,9 +49,9 @@ type Scenario struct {
 	Description string
 	// DefaultDays is the suggested run horizon.
 	DefaultDays int
-	// Topology builds the declarative fleet for the given parameters.
-	Topology func(p Params) deploy.Topology
-	// fleet returns the number of stations Topology builds for p, so a
+	// topology builds the declarative fleet for the given parameters.
+	topology func(p Params) deploy.Topology
+	// fleet returns the number of stations topology builds for p, so a
 	// fleet size is checked without building the fleet.
 	fleet func(p Params) int
 }
@@ -112,7 +112,7 @@ func (r Run) Topology() (deploy.Topology, int, error) {
 	if err != nil {
 		return deploy.Topology{}, 0, err
 	}
-	top := s.Topology(r.Params)
+	top := s.topology(r.Params)
 	adjust(&top)
 	return top, s.Horizon(r.Params), nil
 }

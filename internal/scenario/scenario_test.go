@@ -57,9 +57,9 @@ func TestRunTopology(t *testing.T) {
 	if want := time.Date(2009, time.July, 15, 0, 0, 0, 0, time.UTC); !top.Start.Equal(want) || days != 90 {
 		t.Fatalf("start %v, %d days; want %v, 90", top.Start, days, want)
 	}
-	for _, st := range top.Stations {
+	for i, st := range top.Stations {
 		if !st.Runtime.SpecialFirst {
-			t.Fatalf("station %s without special-first", st.Name)
+			t.Fatalf("station %d without special-first", i)
 		}
 	}
 	plain, days, err := Run{Scenario: "dual-base", Params: Params{Seed: 5, Days: 3}}.Topology()
@@ -112,7 +112,7 @@ func TestFleetCountIsTheBuiltFleet(t *testing.T) {
 	for _, s := range catalogue {
 		for _, n := range []int{-1, 0, 1, 2, 3, 4, 5, 17} {
 			p := Params{Seed: 3, Stations: n, Probes: 2}
-			if built := len(s.Topology(p).Stations); s.fleet(p) != built {
+			if built := len(s.topology(p).Stations); s.fleet(p) != built {
 				t.Errorf("%s with %d stations: fleet %d, Topology builds %d", s.Name, n, s.fleet(p), built)
 			}
 		}
@@ -192,7 +192,7 @@ func TestWinterBlackoutFaultsApplied(t *testing.T) {
 	// The café mains is gone from the reference fit (deploy's
 	// TestMainsBlackoutKeepsOnlySolar checks what the fault removes).
 	sc, _ := Lookup("winter-blackout")
-	faults := sc.Topology(Params{Seed: 4}).Faults
+	faults := sc.topology(Params{Seed: 4}).Faults
 	if !slices.Contains(faults, deploy.Fault{Station: ref.Name(), Kind: deploy.FaultMainsBlackout}) {
 		t.Fatalf("blackout faults %+v lack the reference's mains blackout", faults)
 	}

@@ -30,8 +30,8 @@ type StationRecord struct {
 	Name string
 	// LastState is the most recent power state the station uploaded.
 	LastState power.State
-	// LastStateAt is when LastState arrived.
-	LastStateAt time.Time
+	// lastStateAt is when LastState arrived.
+	lastStateAt time.Time
 	// BytesReceived is the lifetime data volume from this station.
 	BytesReceived int64
 	// Uploads counts data upload calls.
@@ -59,12 +59,8 @@ type SpecialOutput struct {
 	// Output is the captured text.
 	Output string
 	// ExecutedAt is when the script ran on the station.
-	//
-	//glacvet:allow deadexport oracle for §VI's 24 h special-output feedback delay, read by station tests
 	ExecutedAt time.Time
 	// ReceivedAt is when the output reached Southampton.
-	//
-	//glacvet:allow deadexport oracle for §VI's 24 h special-output feedback delay, read by station tests
 	ReceivedAt time.Time
 }
 
@@ -102,11 +98,11 @@ func (s *Server) UploadState(station string, st power.State, at time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.record(station)
-	if !r.LastStateAt.IsZero() {
+	if !r.lastStateAt.IsZero() {
 		s.reported[r.LastState]--
 	}
 	r.LastState = st
-	r.LastStateAt = at
+	r.lastStateAt = at
 	if !at.IsZero() {
 		s.reported[st]++
 	}
@@ -206,8 +202,6 @@ func (s *Server) ReportSpecialOutput(o SpecialOutput) {
 }
 
 // SpecialOutputs returns all recorded special outputs.
-//
-//glacvet:allow deadexport oracle for §VI's 24 h special-output feedback delay, read by station tests
 func (s *Server) SpecialOutputs() []SpecialOutput {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -148,7 +148,7 @@ func TestOverrideMatchesBruteForceMin(t *testing.T) {
 			asker := names[rng.Intn(len(names))]
 			want := power.State3
 			for _, r := range s.Stations() {
-				if !r.LastStateAt.IsZero() {
+				if !r.lastStateAt.IsZero() {
 					want = power.MinState(want, r.LastState)
 				}
 			}

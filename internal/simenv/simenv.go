@@ -152,7 +152,6 @@ func (s *Simulator) popHead() uint32 {
 		}
 		s.popRun()
 	}
-	s.pending--
 	return idx
 }
 
@@ -209,7 +208,6 @@ type Simulator struct {
 	now       time.Time
 	queue     eventQueue
 	seq       uint64
-	pending   int // queued events, cancelled ones included
 	slots     []eventSlot
 	freeSlots []uint32
 	// The run At pushed most recently, while any of it is queued: its
@@ -287,7 +285,6 @@ func (s *Simulator) schedule(at time.Time, name string) (uint32, EventID) {
 		at = s.now
 	}
 	s.seq++
-	s.pending++
 	idx, id := s.allocSlot()
 	sl := &s.slots[idx]
 	sl.at = at

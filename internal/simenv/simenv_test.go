@@ -188,8 +188,8 @@ func TestJoinSharesOneEntryPerBeat(t *testing.T) {
 			}
 		})
 	}
-	if s.pending != 1 {
-		t.Fatalf("three members on one beat hold %d queue entries, want 1", s.pending)
+	if queued(s) != 1 {
+		t.Fatalf("three members on one beat hold %d queue entries, want 1", queued(s))
 	}
 	var traced []string
 	s.OnEvent(func(name string, at time.Time) { traced = append(traced, name+"@"+at.Sub(Epoch).String()) })
@@ -224,8 +224,8 @@ func TestJoinAtAnotherPhaseStartsItsOwnGroup(t *testing.T) {
 	s.Join(s.Now().Add(2*time.Minute), 2*time.Minute, "beat", member("late")) // 3m: another phase
 	s.Join(s.Now().Add(time.Minute), 2*time.Minute, "beat", member("b"))      // 2m: joins a's group
 	s.Join(s.Now().Add(time.Minute), time.Minute, "beat", member("fast"))     // another period
-	if s.pending != 3 {
-		t.Fatalf("%d queue entries, want 3 groups", s.pending)
+	if queued(s) != 3 {
+		t.Fatalf("%d queue entries, want 3 groups", queued(s))
 	}
 	if err := s.RunFor(3 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -303,6 +303,12 @@ func slotsIn(s *Simulator, state uint8) int {
 		}
 	}
 	return n
+}
+
+// queued counts the events in s's queue, cancelled ones included: a
+// cancelled slot stays in the queue until the pop that reaps it.
+func queued(s *Simulator) int {
+	return slotsIn(s, slotPending) + slotsIn(s, slotCancelled)
 }
 
 func TestCancelAfterExecutionIsNoOp(t *testing.T) {
@@ -430,13 +436,13 @@ func TestPendingCountsCancelledUntilSkipped(t *testing.T) {
 	s.After(3*time.Minute, "c", func(time.Time) {})
 	s.Cancel(id)
 	// Cancelled events stay queued until a pop skips them.
-	if got := s.pending; got != 3 {
+	if got := queued(s); got != 3 {
 		t.Fatalf("Pending = %d before run, want 3 (cancelled still queued)", got)
 	}
 	if err := s.RunFor(time.Hour); err != nil {
 		t.Fatalf("RunFor: %v", err)
 	}
-	if got := s.pending; got != 0 {
+	if got := queued(s); got != 0 {
 		t.Fatalf("Pending = %d after run, want 0", got)
 	}
 	if s.Processed() != 2 {
@@ -459,23 +465,23 @@ func TestPendingCountsCancelledInsideRun(t *testing.T) {
 	}
 	s.At(at.Add(time.Minute), "later", fn)
 	s.Cancel(middle)
-	if got := s.pending; got != 1001 {
+	if got := queued(s); got != 1001 {
 		t.Fatalf("Pending = %d after cancel, want 1001 (cancelled still queued)", got)
 	}
 	for i := 1; i <= 500; i++ {
 		s.Step()
-		if got, want := s.pending, 1001-i; got != want {
+		if got, want := queued(s), 1001-i; got != want {
 			t.Fatalf("Pending = %d after %d steps, want %d", got, i, want)
 		}
 	}
 	s.Step() // skips the cancelled event, then runs the one after it
-	if got := s.pending; got != 499 {
+	if got := queued(s); got != 499 {
 		t.Fatalf("Pending = %d after the skipping pop, want 499", got)
 	}
 	if err := s.RunFor(time.Hour); err != nil {
 		t.Fatalf("RunFor: %v", err)
 	}
-	if got := s.pending; got != 0 {
+	if got := queued(s); got != 0 {
 		t.Fatalf("Pending = %d after run, want 0", got)
 	}
 	if s.Processed() != 1000 {

@@ -23,8 +23,14 @@ const (
 	specialExecTime  = 1 * time.Minute
 )
 
-// logBaseBytes is the per-run log volume before per-reading output.
-const logBaseBytes = 4 * 1024
+// The §VI log volume: a per-run base plus chatty per-reading debug output,
+// the lesson about a first contact in months producing >1 MB of logs.
+const (
+	// logBaseBytes is the per-run log volume before per-reading output.
+	logBaseBytes = 4 * 1024
+	// logPerReadingBytes is the debug output per probe reading fetched.
+	logPerReadingBytes int64 = 48
+)
 
 // initWork binds the daily sequence's work closures, alarm callbacks and
 // method values once, at construction. The Fig 4 sequence enqueues the same
@@ -91,7 +97,7 @@ func (s *Station) initWork() {
 		return packageTime, func(time.Time) {
 			// §VI log-volume lesson: per-reading debug output adds up fast
 			// on the first contact in months.
-			logBytes := logBaseBytes + s.cfg.LogPerReadingBytes*int64(s.cur.ProbeReadings)
+			logBytes := logBaseBytes + logPerReadingBytes*int64(s.cur.ProbeReadings)
 			s.spool.Add(storage.KindLog, logBytes)
 		}
 	}
@@ -246,14 +252,14 @@ func (s *Station) continueAfterPowerState(now time.Time, local power.State) {
 
 	// §VII extension: score the day's data before deciding silence.
 	if s.cfg.Priority != nil {
-		s.cur.Priority = s.cfg.Priority.Evaluate(s.dayReadings)
+		s.cur.priority = s.cfg.Priority.Evaluate(s.dayReadings)
 	}
 	s.dayReadings = s.dayReadings[:0]
 
 	// Flowchart: "Power state = 0?" → yes → stop (no GPS drain, no GPRS) —
 	// unless the data warrants forcing a marginal-power session.
 	if !plan.GPRS {
-		if s.cfg.Priority != nil && s.cur.Priority >= ForceCommsThreshold {
+		if s.cfg.Priority != nil && s.cur.priority >= ForceCommsThreshold {
 			s.enqueueForcedComms(local)
 		}
 		s.enqueueFinish()

@@ -32,32 +32,32 @@ const ForceCommsThreshold = 0.8
 // ConductivitySpikeEvaluator flags sudden basal-conductivity excursions —
 // the signature of melt water reaching the bed, the event the glaciologists
 // care most about catching promptly.
-type ConductivitySpikeEvaluator struct {
-	// SpikeUS is the conductivity above which a reading is an event.
-	SpikeUS float64
-}
+type ConductivitySpikeEvaluator struct{}
 
 var _ PriorityEvaluator = (*ConductivitySpikeEvaluator)(nil)
 
-// NewConductivitySpikeEvaluator returns the default evaluator: anything
-// above 8 µS is a full-priority event.
+// spikeUS is the conductivity above which a reading is a full-priority
+// event.
+const spikeUS float64 = 8
+
+// NewConductivitySpikeEvaluator returns the evaluator.
 func NewConductivitySpikeEvaluator() *ConductivitySpikeEvaluator {
-	return &ConductivitySpikeEvaluator{SpikeUS: 8}
+	return &ConductivitySpikeEvaluator{}
 }
 
 // Evaluate implements PriorityEvaluator.
-func (e *ConductivitySpikeEvaluator) Evaluate(readings []probe.Reading) float64 {
+func (*ConductivitySpikeEvaluator) Evaluate(readings []probe.Reading) float64 {
 	var worst float64
 	for _, r := range readings {
 		if r.ConductivityUS > worst {
 			worst = r.ConductivityUS
 		}
 	}
-	if worst >= e.SpikeUS {
+	if worst >= spikeUS {
 		return 1
 	}
-	if e.SpikeUS > 0 && worst > 0 {
-		return worst / e.SpikeUS * 0.5 // background level, never forces
+	if worst > 0 {
+		return worst / spikeUS * 0.5 // background level, never forces
 	}
 	return 0
 }

@@ -83,8 +83,8 @@ func TestPriorityRecordedButNotForcedAboveState0(t *testing.T) {
 	if rep.LocalState == power.State0 {
 		t.Skip("battery landed in state 0")
 	}
-	if rep.Priority != 1 {
-		t.Fatalf("priority not recorded: %v", rep.Priority)
+	if rep.priority != 1 {
+		t.Fatalf("priority not recorded: %v", rep.priority)
 	}
 	if rep.ForcedComms {
 		t.Fatal("forced-comms flag set on a normal day")

@@ -49,13 +49,14 @@ func (r Role) String() string {
 	}
 }
 
+// watchdogLimit is the §VI safety timeout: it "prevents the system from
+// running for more than two hours at a time".
+const watchdogLimit = 2 * time.Hour
+
 // Config parameterises a station runtime.
 type Config struct {
 	// Role selects base or reference behaviour.
 	Role Role
-	// WatchdogLimit is the §VI safety timeout: "prevents the system from
-	// running for more than two hours at a time".
-	WatchdogLimit time.Duration
 	// SpecialFirst applies the paper's suggested reordering: fetch and
 	// execute the special command before any data transfer, so remote
 	// intervention can unblock a wedged station.
@@ -63,9 +64,6 @@ type Config struct {
 	// RS232Health scales the dGPS drain rate (1 = nominal; small values
 	// model the intermittent cable behind the single-file deadlock).
 	RS232Health float64
-	// LogPerReadingBytes models chatty per-reading debug output — the §VI
-	// lesson about a first contact in months producing >1 MB of logs.
-	LogPerReadingBytes int64
 	// InitialState is the power state assumed on first boot.
 	InitialState power.State
 	// Priority enables the paper's §VII extension: when the day's probe
@@ -77,12 +75,10 @@ type Config struct {
 // DefaultConfig returns the as-deployed configuration.
 func DefaultConfig(role Role) Config {
 	return Config{
-		Role:               role,
-		WatchdogLimit:      2 * time.Hour,
-		SpecialFirst:       false,
-		RS232Health:        1.0,
-		LogPerReadingBytes: 48,
-		InitialState:       power.State2,
+		Role:         role,
+		SpecialFirst: false,
+		RS232Health:  1.0,
+		InitialState: power.State2,
 	}
 }
 
@@ -110,9 +106,9 @@ type RunReport struct {
 	WatchdogTripped bool
 	// WallElapsed is how long the Gumstix was up.
 	WallElapsed time.Duration
-	// Priority is the day's data-priority score (§VII extension; 0 when
+	// priority is the day's data-priority score (§VII extension; 0 when
 	// the evaluator is disabled).
-	Priority float64
+	priority float64
 	// ForcedComms reports a marginal-power session forced by priority.
 	ForcedComms bool
 }
@@ -208,14 +204,8 @@ func New(node *core.Node, srv *server.Server, channel *comms.ProbeChannel, probe
 	if cfg.Role == 0 {
 		cfg.Role = RoleBase
 	}
-	if cfg.WatchdogLimit == 0 {
-		cfg.WatchdogLimit = def.WatchdogLimit
-	}
 	if cfg.RS232Health == 0 {
 		cfg.RS232Health = def.RS232Health
-	}
-	if cfg.LogPerReadingBytes == 0 {
-		cfg.LogPerReadingBytes = def.LogPerReadingBytes
 	}
 	// A zero InitialState is power.State0, which is a legitimate starting
 	// point (§IV restarts there), so it is taken at face value; use
@@ -355,7 +345,7 @@ func (s *Station) dailyWake(rtcNow time.Time) {
 	m.AlarmAt(simenv.NextMidday(rtcNow), "daily-wake", s.dailyWakeFn)
 
 	// The §VI watchdog: no run may exceed two hours.
-	s.wdID = m.AlarmAfter(s.cfg.WatchdogLimit, "watchdog", s.watchdogFn)
+	s.wdID = m.AlarmAfter(watchdogLimit, "watchdog", s.watchdogFn)
 
 	m.SetRail(gumstix.Rail, true)
 }
@@ -383,7 +373,7 @@ func (s *Station) onGumstixBoot(now time.Time) {
 // small safety margin for the finish step.
 func (s *Station) remainingWindow(now time.Time) time.Duration {
 	elapsed := now.Sub(s.watchdogArmedAt)
-	left := s.cfg.WatchdogLimit - elapsed - 5*time.Minute
+	left := watchdogLimit - elapsed - 5*time.Minute
 	if left < 0 {
 		return 0
 	}

@@ -50,7 +50,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 	sim := simenv.NewAt(o.seed, o.start)
 	var wx *weather.Model
 	if !o.noWeather {
-		wx = weather.New(weather.DefaultConfig(o.seed))
+		wx = weather.New(o.seed)
 	}
 	srv := server.New()
 
@@ -64,7 +64,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 	var channel *comms.ProbeChannel
 	var probes []*probe.Probe
 	if o.probes > 0 {
-		channel = comms.NewProbeChannel(sim, wx, comms.ProbeRadioConfig{})
+		channel = comms.NewProbeChannel(sim, wx)
 		for i := 0; i < o.probes; i++ {
 			pcfg := probe.DefaultConfig(21 + i)
 			pcfg.MeanLifetime = 50 * 365 * 24 * time.Hour
@@ -438,26 +438,25 @@ func TestRunReportWallElapsedBounded(t *testing.T) {
 // contact in months produce a huge log upload ("over 1 megabyte of log
 // data can be produced"), while routine days stay small.
 func TestLogVolumeScalesWithReadingsFetched(t *testing.T) {
-	cfg := DefaultConfig(RoleBase)
-	cfg.LogPerReadingBytes = 400 // the unconsidered per-reading verbosity
-	r := newRig(t, rigOpts{probes: 1, cfg: cfg})
+	r := newRig(t, rigOpts{probes: 1})
 	var logSizes []int64
 	r.st.OnReport(func(rep RunReport) {
-		logSizes = append(logSizes, logBaseBytes+cfg.LogPerReadingBytes*int64(rep.ProbeReadings))
+		logSizes = append(logSizes, logBaseBytes+logPerReadingBytes*int64(rep.ProbeReadings))
 	})
 	r.runDays(t, 2)
 	if len(logSizes) < 2 {
 		t.Fatal("need two runs")
 	}
-	// A routine 24-reading day logs ~14 KB at this verbosity; a
-	// 3000-reading first contact logs >1 MB — the paper's lesson.
+	// A routine 24-reading day logs ~5 KB; the first contact after a
+	// winter offline, ~3000 readings from each of the seven deployed
+	// probes, logs over a megabyte — the paper's lesson.
 	routine := logSizes[1]
 	if routine > 64*1024 {
 		t.Fatalf("routine day logs %d bytes, should be small", routine)
 	}
-	firstContact := logBaseBytes + cfg.LogPerReadingBytes*3000
-	if firstContact < 1<<20 {
-		t.Fatalf("3000-reading contact logs only %d bytes; lesson not reproducible", firstContact)
+	firstContact := logBaseBytes + logPerReadingBytes*7*3000
+	if firstContact < 1_000_000 {
+		t.Fatalf("first contact logs only %d bytes; lesson not reproducible", firstContact)
 	}
 }
 

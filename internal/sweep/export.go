@@ -271,18 +271,6 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// document builds the summary's whole wire document, the value whose
-// json.MarshalIndent bytes WriteJSON writes; the tests use it as the
-// oracle.
-func (s *Summary) document() summaryJSON {
-	doc := s.head()
-	doc.Cells = make([]cellJSON, 0, len(s.Cells))
-	for _, cr := range s.Cells {
-		doc.Cells = append(doc.Cells, cellToJSON(cr))
-	}
-	return doc
-}
-
 // head builds the summary's wire document with its cells list empty: the
 // plan identity and the groups.
 func (s *Summary) head() summaryJSON {

@@ -309,6 +309,18 @@ func TestExportEmptySummary(t *testing.T) {
 	}
 }
 
+// document builds the summary's whole wire document, the value whose
+// json.MarshalIndent bytes WriteJSON writes: the oracle for its one-pass
+// indenter.
+func (s *Summary) document() summaryJSON {
+	doc := s.head()
+	doc.Cells = make([]cellJSON, 0, len(s.Cells))
+	for _, cr := range s.Cells {
+		doc.Cells = append(doc.Cells, cellToJSON(cr))
+	}
+	return doc
+}
+
 // WriteJSON's one-pass indenter must lay a document out byte for byte as
 // json.MarshalIndent does, the encoder it replaced: on names that need
 // escaping, on empty arrays and on every shape of number and null.

@@ -16,7 +16,7 @@ import (
 // whatever slips past the lint at runtime. Keep the two sets in sync.
 
 func TestSampleAllocFree(t *testing.T) {
-	m := New(DefaultConfig(1))
+	m := New(1)
 	base := time.Date(2008, 11, 5, 0, 0, 0, 0, time.UTC)
 	// Warm the day cache for the days the loop will touch.
 	m.Sample(base)
@@ -34,7 +34,7 @@ func TestSampleAllocFree(t *testing.T) {
 }
 
 func TestSampleDayMissAllocFree(t *testing.T) {
-	m := New(DefaultConfig(2))
+	m := New(2)
 	base := time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC)
 	day := 0
 	avg := testing.AllocsPerRun(300, func() {
@@ -54,7 +54,7 @@ func TestSampleDayMissAllocFree(t *testing.T) {
 // day-memoization optimises — compare with the reference implementation in
 // equivalence_test.go for the unmemoized cost.
 func BenchmarkWeatherSample(b *testing.B) {
-	m := New(DefaultConfig(1))
+	m := New(1)
 	base := time.Date(2008, 11, 5, 0, 0, 0, 0, time.UTC)
 	// 288 instants = one day of 5-minute bus ticks, the deployment cadence.
 	instants := make([]time.Time, 288)
@@ -71,7 +71,7 @@ func BenchmarkWeatherSample(b *testing.B) {
 // BenchmarkWeatherSample: the original per-call derivation kept in
 // equivalence_test.go. The ratio between the two is the day cache's win.
 func BenchmarkWeatherSampleReference(b *testing.B) {
-	m := newReference(DefaultConfig(1))
+	m := newReference(1)
 	base := time.Date(2008, 11, 5, 0, 0, 0, 0, time.UTC)
 	instants := make([]time.Time, 288)
 	for i := range instants {

@@ -6,7 +6,7 @@
 // summer degradation of the probe radio link and the end-of-winter
 // conductivity rise shown in the paper's Fig 6.
 //
-// Sample is a pure function of (config, time): it derives all stochastic
+// Sample is a pure function of (seed, time): it derives all stochastic
 // texture from hash noise keyed on the day number, so callers may sample any
 // instants in any order and always observe the same climate trace for a
 // given seed.
@@ -16,7 +16,7 @@
 // seasonal terms, the storm window) in a small day cache, plus the last
 // Conditions it returned, because the simulation samples the same day
 // hundreds of times and the same instant once per station. The memos hold
-// only values that are themselves pure functions of (config, time), so a
+// only values that are themselves pure functions of (seed, time), so a
 // hit is bit-identical to a recomputation — TestSampleMatchesReference
 // pins that against an unmemoized reference over a full simulated year.
 // The memos make a Model single-goroutine: confine each Model to the
@@ -42,33 +42,23 @@ type Conditions struct {
 	Storm bool
 }
 
-// Config parameterises the climate model.
-type Config struct {
-	// Seed selects the stochastic texture (storm placement, cloud noise).
-	Seed int64 `json:"seed"`
-	// LatitudeDeg of the site; Vatnajökull is ~64.3°N.
-	LatitudeDeg float64 `json:"latitude_deg"`
-	// PeakIrradiance is clear-sky summer midday irradiance, W/m².
-	PeakIrradiance float64 `json:"peak_irradiance"`
-	// MeanWind is the annual mean wind speed, m/s.
-	MeanWind float64 `json:"mean_wind"`
-	// MaxSnowDepthM is the late-winter snow pack depth, metres.
-	MaxSnowDepthM float64 `json:"max_snow_depth_m"`
-	// StormsPerMonth is the expected number of multi-day storms per month.
-	StormsPerMonth float64 `json:"storms_per_month"`
-}
-
-// DefaultConfig returns values tuned for the Iceland deployment site.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:           seed,
-		LatitudeDeg:    64.3,
-		PeakIrradiance: 650,
-		MeanWind:       7.5,
-		MaxSnowDepthM:  2.5,
-		StormsPerMonth: 2.0,
-	}
-}
+// The Vatnajökull site's climate. The constants are typed so that every
+// product they enter rounds as the float64 arithmetic it replaced.
+const (
+	// latitudeDeg of the site, ~64.3°N.
+	latitudeDeg float64 = 64.3
+	// peakIrradiance is clear-sky summer midday irradiance, W/m².
+	peakIrradiance float64 = 650
+	// meanWind is the annual mean wind speed, m/s.
+	meanWind float64 = 7.5
+	// maxSnowDepthM is the late-winter snow pack depth, metres.
+	maxSnowDepthM float64 = 2.5
+	// stormsPerMonth is the expected number of multi-day storms per month.
+	stormsPerMonth float64 = 2.0
+	// stormP is the per-window storm probability, stormsPerMonth/2
+	// clamped to 1.
+	stormP = min(stormsPerMonth/2, 1)
+)
 
 // dayCacheSize is the number of per-day derived states a Model retains,
 // direct-mapped on the day index. Three entries cover the steady state —
@@ -80,7 +70,7 @@ const dayCacheSize = 3
 // dayState is everything Sample needs for one UTC day that does not vary
 // within the day: the noise endpoints the intra-day interpolations run
 // between, the solar declination products, the seasonal wind term, the
-// snow depth, and the day's storm-window decision. Every field is a pure function of (config, dayIdx), so a
+// snow depth, and the day's storm-window decision. Every field is a pure function of (seed, dayIdx), so a
 // cached state is indistinguishable from a recomputed one.
 type dayState struct {
 	valid  bool
@@ -103,17 +93,16 @@ type dayState struct {
 	stormStart, stormEnd float64 // active range in day-in-window units
 }
 
-// Model is a climate model with immutable configuration and small internal
+// Model is the site climate for one seed, with small internal
 // derived-state memos. Confine each Model to a single goroutine — in
 // practice the simulator goroutine that owns the deployment, which is how
 // every constructor in this repository already wires it.
 type Model struct {
-	cfg Config
+	// seed selects the stochastic texture (storm placement, cloud noise).
+	seed int64
 
 	// Latitude trig is independent of time; hoisted out of Sample.
 	sinLat, cosLat float64
-	// stormP is the clamped per-window storm probability.
-	stormP float64
 
 	// days is the direct-mapped per-day state cache (see dayState).
 	days [dayCacheSize]dayState
@@ -126,34 +115,17 @@ type Model struct {
 	lastCond  Conditions
 }
 
-// New constructs a Model. Zero fields in cfg are filled from DefaultConfig.
-func New(cfg Config) *Model {
-	def := DefaultConfig(cfg.Seed)
-	if cfg.LatitudeDeg == 0 {
-		cfg.LatitudeDeg = def.LatitudeDeg
-	}
-	if cfg.PeakIrradiance == 0 {
-		cfg.PeakIrradiance = def.PeakIrradiance
-	}
-	if cfg.MeanWind == 0 {
-		cfg.MeanWind = def.MeanWind
-	}
-	if cfg.MaxSnowDepthM == 0 {
-		cfg.MaxSnowDepthM = def.MaxSnowDepthM
-	}
-	if cfg.StormsPerMonth == 0 {
-		cfg.StormsPerMonth = def.StormsPerMonth
-	}
-	lat := cfg.LatitudeDeg * math.Pi / 180
+// New constructs the site's climate Model for a seed.
+func New(seed int64) *Model {
+	lat := latitudeDeg * math.Pi / 180
 	return &Model{
-		cfg:    cfg,
+		seed:   seed,
 		sinLat: math.Sin(lat),
 		cosLat: math.Cos(lat),
-		stormP: clamp(cfg.StormsPerMonth/2, 0, 1),
 	}
 }
 
-// Sample returns the conditions at time ts. It is deterministic in (cfg, ts):
+// Sample returns the conditions at time ts. It is deterministic in (seed, ts):
 // the memos only ever hold values a cold computation would produce.
 //
 //glacvet:hotpath
@@ -177,13 +149,14 @@ func (m *Model) Sample(ts time.Time) Conditions {
 
 	// Clear-sky irradiance from solar elevation. The asin/sin pair looks
 	// redundant around the cached declination products, but goldens pin
-	// the exact float sequence of the original SolarElevation-based path.
+	// the exact float sequence of the original solarElevation-based path
+	// (equivalence_test.go).
 	hourAngle := (hod - 12) / 24 * 2 * math.Pi
 	sinElev := st.sinLatSinDecl + st.cosLatCosDecl*math.Cos(hourAngle)
 	elev := math.Asin(clamp(sinElev, -1, 1))
 	var clearSky float64
 	if elev > 0 {
-		clearSky = m.cfg.PeakIrradiance * math.Sin(elev)
+		clearSky = peakIrradiance * math.Sin(elev)
 	}
 	irr := clearSky * (1 - 0.85*cloud)
 
@@ -197,7 +170,7 @@ func (m *Model) Sample(ts time.Time) Conditions {
 	// Weibull-ish wind: mean wind scaled by [0.2, 2.2] texture; winter is
 	// windier (the seasonal factor is cached per day).
 	base := st.windA*(1-frac) + st.windB*frac
-	wind := m.cfg.MeanWind * st.windSeasonal * (0.2 + 2.0*base)
+	wind := meanWind * st.windSeasonal * (0.2 + 2.0*base)
 	if storm {
 		wind = math.Max(wind, 18+12*st.gust)
 	}
@@ -246,7 +219,7 @@ func (m *Model) deriveDay(st *dayState, dayIdx int) {
 	st.windA = m.noise("wind", dayIdx)
 	st.windB = m.noise("wind", dayIdx+1)
 
-	st.snow = snowDepthAt(m.cfg.MaxSnowDepthM, doy)
+	st.snow = snowDepthAt(maxSnowDepthM, doy)
 
 	decl := -23.44 * math.Pi / 180 * math.Cos(2*math.Pi*(float64(doy)+10)/365.25)
 	st.sinLatSinDecl = m.sinLat * math.Sin(decl)
@@ -259,7 +232,7 @@ func (m *Model) deriveDay(st *dayState, dayIdx int) {
 	// storm never crosses into the next window (start < 12, length < 3), so
 	// the day's window decision is all Sample needs.
 	window := dayIdx / 15
-	st.stormOccurs = m.noise("storm-occur", window) < m.stormP
+	st.stormOccurs = m.noise("storm-occur", window) < stormP
 	if st.stormOccurs {
 		st.stormStart = m.noise("storm-start", window) * 12 // day in window
 		st.stormEnd = st.stormStart + (1 + m.noise("storm-len", window)*2)
@@ -300,19 +273,6 @@ func meltIndexAt(doy float64) float64 {
 	}
 }
 
-// SolarElevation returns the solar elevation angle in radians for the given
-// latitude (degrees), day of year and hour of day (UTC ~ solar time at the
-// site's longitude, an adequate approximation for an energy model).
-//
-//glacvet:allow deadexport the plain solar-geometry formula equivalence_test checks the memoized Sample against
-func SolarElevation(latDeg float64, doy int, hod float64) float64 {
-	lat := latDeg * math.Pi / 180
-	decl := -23.44 * math.Pi / 180 * math.Cos(2*math.Pi*(float64(doy)+10)/365.25)
-	hourAngle := (hod - 12) / 24 * 2 * math.Pi
-	sinElev := math.Sin(lat)*math.Sin(decl) + math.Cos(lat)*math.Cos(decl)*math.Cos(hourAngle)
-	return math.Asin(clamp(sinElev, -1, 1))
-}
-
 // snowDepthAt models accumulation from October to April and melt May-
 // September, as a fraction of the configured maximum depth.
 func snowDepthAt(max float64, doy int) float64 {
@@ -336,7 +296,7 @@ func snowDepthAt(max float64, doy int) float64 {
 
 // noise returns a deterministic uniform [0,1) value keyed on (seed, tag, k).
 func (m *Model) noise(tag string, k int) float64 {
-	return simenv.HashNoise(m.cfg.Seed, tag, uint64(k))
+	return simenv.HashNoise(m.seed, tag, uint64(k))
 }
 
 // splitDay resolves ts to its unix day index and hour-of-day, the two

@@ -12,8 +12,8 @@ func date(y int, m time.Month, d, h int) time.Time {
 }
 
 func TestSampleDeterministic(t *testing.T) {
-	m1 := New(DefaultConfig(5))
-	m2 := New(DefaultConfig(5))
+	m1 := New(5)
+	m2 := New(5)
 	ts := date(2009, 3, 14, 15)
 	if m1.Sample(ts) != m2.Sample(ts) {
 		t.Fatal("same seed, same time gave different conditions")
@@ -21,7 +21,7 @@ func TestSampleDeterministic(t *testing.T) {
 }
 
 func TestSampleOrderIndependent(t *testing.T) {
-	m := New(DefaultConfig(5))
+	m := New(5)
 	a := date(2009, 6, 1, 12)
 	b := date(2009, 1, 1, 12)
 	first := m.Sample(a)
@@ -33,8 +33,8 @@ func TestSampleOrderIndependent(t *testing.T) {
 }
 
 func TestDifferentSeedsDiffer(t *testing.T) {
-	a := New(DefaultConfig(1))
-	b := New(DefaultConfig(2))
+	a := New(1)
+	b := New(2)
 	same := 0
 	for d := 0; d < 30; d++ {
 		ts := date(2009, 5, 1, 12).AddDate(0, 0, d)
@@ -48,7 +48,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestWinterNightHasNoSun(t *testing.T) {
-	m := New(DefaultConfig(1))
+	m := New(1)
 	c := m.Sample(date(2009, 1, 5, 0))
 	if c.SolarIrradiance != 0 {
 		t.Fatalf("midnight January irradiance = %v, want 0", c.SolarIrradiance)
@@ -56,7 +56,7 @@ func TestWinterNightHasNoSun(t *testing.T) {
 }
 
 func TestSummerMiddayBeatsWinterMidday(t *testing.T) {
-	m := New(DefaultConfig(1))
+	m := New(1)
 	var summer, winter float64
 	for d := 0; d < 20; d++ {
 		summer += m.Sample(date(2009, 6, 10+0, 12).AddDate(0, 0, d)).SolarIrradiance
@@ -68,7 +68,7 @@ func TestSummerMiddayBeatsWinterMidday(t *testing.T) {
 }
 
 func TestDiurnalSolarPeaksNearMidday(t *testing.T) {
-	m := New(DefaultConfig(3))
+	m := New(3)
 	day := date(2009, 7, 1, 0)
 	best, bestHour := -1.0, -1
 	for h := 0; h < 24; h++ {
@@ -83,7 +83,7 @@ func TestDiurnalSolarPeaksNearMidday(t *testing.T) {
 }
 
 func TestSnowDeepInLateWinterBareInAugust(t *testing.T) {
-	m := New(DefaultConfig(1))
+	m := New(1)
 	late := m.Sample(date(2009, 3, 20, 12)).SnowDepthM
 	aug := m.Sample(date(2009, 8, 15, 12)).SnowDepthM
 	if late < 1.0 {
@@ -95,18 +95,18 @@ func TestSnowDeepInLateWinterBareInAugust(t *testing.T) {
 }
 
 func TestDeepSnowExtinguishesSolar(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.MaxSnowDepthM = 3.0
-	m := New(cfg)
-	// Find a late-March midday; snow ~3m should kill the panel completely.
-	c := m.Sample(date(2009, 4, 10, 12))
-	if c.SnowDepthM > 2.5 && c.SolarIrradiance > 1 {
-		t.Fatalf("irradiance %v under %.2fm of snow, want ~0", c.SolarIrradiance, c.SnowDepthM)
+	m := New(1)
+	// Mid-April (day 105) is the peak of the pack: maxSnowDepthM of snow
+	// buries the panel completely, even at midday.
+	c := m.Sample(date(2009, 4, 15, 12))
+	if c.SnowDepthM != maxSnowDepthM || c.SolarIrradiance != 0 {
+		t.Fatalf("irradiance %v under %.2fm of snow, want 0 under the full %.1fm pack",
+			c.SolarIrradiance, c.SnowDepthM, maxSnowDepthM)
 	}
 }
 
 func TestMeltIndexZeroInWinterPositiveInSummer(t *testing.T) {
-	m := New(DefaultConfig(1))
+	m := New(1)
 	if got := m.MeltIndex(date(2009, 2, 1, 12)); got != 0 {
 		t.Fatalf("February melt index = %v, want 0", got)
 	}
@@ -116,7 +116,7 @@ func TestMeltIndexZeroInWinterPositiveInSummer(t *testing.T) {
 }
 
 func TestMeltIndexRampsThroughSpring(t *testing.T) {
-	m := New(DefaultConfig(1))
+	m := New(1)
 	apr := m.MeltIndex(date(2009, 4, 20, 12))
 	may := m.MeltIndex(date(2009, 5, 20, 12))
 	jun := m.MeltIndex(date(2009, 6, 20, 12))
@@ -126,7 +126,7 @@ func TestMeltIndexRampsThroughSpring(t *testing.T) {
 }
 
 func TestStormsOccurAndRaiseWind(t *testing.T) {
-	m := New(DefaultConfig(42))
+	m := New(42)
 	storms := 0
 	maxWind := 0.0
 	ts := date(2008, 10, 1, 0)
@@ -152,7 +152,7 @@ func TestSolarElevationBounds(t *testing.T) {
 	f := func(doy16 uint16, hodRaw uint16) bool {
 		doy := int(doy16%365) + 1
 		hod := float64(hodRaw%2400) / 100
-		e := SolarElevation(64.3, doy, hod)
+		e := solarElevation(latitudeDeg, doy, hod)
 		return e >= -math.Pi/2 && e <= math.Pi/2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -161,13 +161,13 @@ func TestSolarElevationBounds(t *testing.T) {
 }
 
 func TestPropertyConditionsPhysical(t *testing.T) {
-	m := New(DefaultConfig(11))
+	m := New(11)
 	f := func(hours uint32) bool {
 		ts := date(2008, 9, 1, 0).Add(time.Duration(hours%(24*730)) * time.Hour)
 		c := m.Sample(ts)
 		return c.SolarIrradiance >= 0 && c.SolarIrradiance <= 1000 &&
 			c.WindSpeed >= 0 && c.WindSpeed < 60 &&
-			c.SnowDepthM >= 0 && c.SnowDepthM <= m.cfg.MaxSnowDepthM+0.01 &&
+			c.SnowDepthM >= 0 && c.SnowDepthM <= maxSnowDepthM+0.01 &&
 			m.MeltIndex(ts) >= 0 && m.MeltIndex(ts) <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -176,7 +176,7 @@ func TestPropertyConditionsPhysical(t *testing.T) {
 }
 
 func TestWinterWindierThanSummerOnAverage(t *testing.T) {
-	m := New(DefaultConfig(9))
+	m := New(9)
 	mean := func(month time.Month) float64 {
 		var sum float64
 		n := 0
@@ -190,14 +190,5 @@ func TestWinterWindierThanSummerOnAverage(t *testing.T) {
 	}
 	if w, s := mean(time.January), mean(time.July); w <= s {
 		t.Fatalf("January mean wind %v <= July %v; seasonality inverted", w, s)
-	}
-}
-
-func TestDefaultConfigFillsZeroFields(t *testing.T) {
-	m := New(Config{Seed: 3})
-	cfg := m.cfg
-	if cfg.LatitudeDeg == 0 || cfg.PeakIrradiance == 0 || cfg.MeanWind == 0 ||
-		cfg.MaxSnowDepthM == 0 || cfg.StormsPerMonth == 0 {
-		t.Fatalf("zero fields not defaulted: %+v", cfg)
 	}
 }

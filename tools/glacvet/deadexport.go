@@ -11,16 +11,28 @@
 // their imports declares its name (String, Error), and a justified
 // //glacvet:allow deadexport keeps anything else.
 //
-// An exported struct field declared there needs more than a use: it
-// needs a read in the same three sources. Writes keep nothing alive: the
-// left side of =, := or an op-assign, the operand of ++/--, and the key of
-// a keyed composite literal. A write into a field of a struct held by
-// value (x.F.G = v) writes F too; a write through any other field reads
-// it. Three uses read every field a struct holds by value: comparing it
-// with == or !=, using it as a map key, and passing it (or a pointer to
-// it) as an interface argument, where fmt or encoding/json read it by
-// reflection. Fields of //glacvet:wire types and of the types they reach
-// (the wiretag closure) are exempt, since encoding/json reads them.
+// A struct field declared there, exported or not, needs more than a use:
+// it needs a read in the same three sources (for an unexported field,
+// that is its own package's non-test code). Writes keep nothing alive:
+// the left side of =, := or an op-assign, x.f = append(x.f, ...), the
+// operand of ++/--, and the key of a keyed composite literal. A write into
+// a field of a struct held by value (x.F.G = v) writes F too; a write
+// through any other field reads it. Comparing a struct with == or != and
+// using it as a map key read every field it holds by value; passing a
+// value as an interface argument, where fmt or encoding/json read it by
+// reflection, reads every field reflection reaches from it, through
+// structs, pointers, arrays, slices and maps.
+//
+// An exported field also needs a type-checked read or write outside its
+// declaring package, in the same three sources. That is DESIGN.md §2's
+// config rule: a field exists while code outside its package sets it, and
+// a value only the package itself sets is a package constant (or, when
+// the package sets several values, an unexported field). Besides the
+// writes above, a positional composite-literal element and &x.F count.
+//
+// Fields of //glacvet:wire types and of the types they reach (the wiretag
+// closure) are exempt from both field rules, since encoding/json reads
+// and writes them.
 package main
 
 import (
@@ -40,10 +52,21 @@ func (a *analysis) checkDeadexport() error {
 	}
 	used := map[types.Object]bool{}
 	read := map[*types.Var]bool{}
+	outside := map[*types.Var]bool{}               // fields used outside their package
 	ifaceMethods := map[string]bool{"Error": true} // the universe's error
 	seen := map[*types.Package]bool{}
 	for _, pd := range sources {
-		collectFieldReads(pd, read)
+		reads, writes := collectFieldUses(pd)
+		for _, set := range []map[*types.Var]bool{reads, writes} {
+			for v := range set {
+				if v.Pkg() != pd.pkg {
+					outside[v] = true
+				}
+			}
+		}
+		for v := range reads {
+			read[v] = true
+		}
 		for _, obj := range pd.info.Uses { // selectors' Sel idents included
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin() // a method of an instantiated generic type
@@ -67,22 +90,31 @@ func (a *analysis) checkDeadexport() error {
 		}
 		owners := fieldOwners(pd)
 		for id, obj := range pd.info.Defs {
-			if obj == nil || !obj.Exported() {
-				continue
-			}
 			if v, ok := obj.(*types.Var); ok && v.IsField() {
-				if !read[v] && !wire[v] {
-					name := v.Name()
-					if owner := owners[v]; owner != "" {
-						name = owner + "." + name
-					}
+				owner, named := owners[v]
+				if wire[v] || v.Name() == "_" || !(v.Exported() || named) {
+					continue
+				}
+				name := v.Name()
+				if owner != "" {
+					name = owner + "." + name
+				}
+				switch {
+				case !read[v] && v.Exported():
 					a.reportf(a.fset.Position(id.Pos()), checkDeadexport,
 						"exported field %s has no type-checked read in the module, a nested module or the root Examples; delete it with the work that only fills it",
 						name)
+				case !read[v]:
+					a.reportf(a.fset.Position(id.Pos()), checkDeadexport,
+						"field %s has no read in its package's non-test code; delete it with the work that only fills it", name)
+				case v.Exported() && named && !outside[v]:
+					a.reportf(a.fset.Position(id.Pos()), checkDeadexport,
+						"exported field %s is set and read only inside package %s; make a value only the package sets a package constant, or unexport the field",
+						name, pd.pkg.Name())
 				}
 				continue
 			}
-			if used[obj] {
+			if obj == nil || !obj.Exported() || used[obj] {
 				continue
 			}
 			kind, name := strings.Fields(types.ObjectString(obj, nil))[0], obj.Name()
@@ -93,7 +125,7 @@ func (a *analysis) checkDeadexport() error {
 				recv := types.TypeString(fn.Signature().Recv().Type(), types.RelativeTo(pd.pkg))
 				kind, name = "method", strings.TrimPrefix(recv, "*")+"."+name
 			} else if obj.Parent() != pd.pkg.Scope() {
-				continue // a field, parameter or local
+				continue // a parameter or local
 			}
 			a.reportf(a.fset.Position(id.Pos()), checkDeadexport,
 				"exported %s %s has no type-checked use in the module, a nested module or the root Examples; delete it with the state only it reads",
@@ -103,12 +135,15 @@ func (a *analysis) checkDeadexport() error {
 	return nil
 }
 
-// collectFieldReads adds to read every struct field that pd's code reads:
-// a field use in no write position, an embedded field a promoted
-// selection passes through, and every by-value field of a struct that is
-// compared with == or !=, used as a map key or passed as an interface
-// argument.
-func collectFieldReads(pd *pkgData, read map[*types.Var]bool) {
+// collectFieldUses returns the struct fields that pd's code reads and
+// those it writes. A read is a field use in no write position, an
+// embedded field a promoted selection passes through, every by-value
+// field of a struct that is compared with == or != or used as a map key,
+// and every field reflection reaches from an interface argument. A write is a field on the left of an
+// assignment, a self-append or ++/--, a composite-literal element (keyed
+// or positional), or a by-value field that a write lands inside.
+func collectFieldUses(pd *pkgData) (reads, writes map[*types.Var]bool) {
+	reads, writes = map[*types.Var]bool{}, map[*types.Var]bool{}
 	written := map[*ast.Ident]bool{}
 	var write func(e ast.Expr)
 	write = func(e ast.Expr) {
@@ -125,8 +160,13 @@ func collectFieldReads(pd *pkgData, read map[*types.Var]bool) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
+				for i, lhs := range n.Lhs {
 					write(lhs)
+					if len(n.Rhs) == len(n.Lhs) {
+						if arg := selfAppend(pd, lhs, n.Rhs[i]); arg != nil {
+							write(arg)
+						}
+					}
 				}
 			case *ast.IncDecStmt:
 				write(n.X)
@@ -135,12 +175,14 @@ func collectFieldReads(pd *pkgData, read map[*types.Var]bool) {
 				if p, ok := t.Underlying().(*types.Pointer); ok {
 					t = p.Elem()
 				}
-				if _, ok := t.Underlying().(*types.Struct); ok {
-					for _, el := range n.Elts {
+				if st, ok := t.Underlying().(*types.Struct); ok {
+					for i, el := range n.Elts {
 						if kv, ok := el.(*ast.KeyValueExpr); ok {
 							if id, ok := kv.Key.(*ast.Ident); ok {
 								written[id] = true
 							}
+						} else {
+							writes[st.Field(i).Origin()] = true
 						}
 					}
 				}
@@ -154,25 +196,25 @@ func collectFieldReads(pd *pkgData, read map[*types.Var]bool) {
 						break // a variadic slice passed whole
 					}
 					if types.IsInterface(paramType(sig, i)) {
-						t := pd.info.TypeOf(arg)
-						if p, ok := t.Underlying().(*types.Pointer); ok {
-							t = p.Elem()
-						}
-						markFields(read, t)
+						markReachable(reads, pd.info.TypeOf(arg), map[types.Type]bool{})
 					}
 				}
 			case *ast.BinaryExpr:
 				if n.Op == token.EQL || n.Op == token.NEQ {
-					markFields(read, pd.info.TypeOf(n.X))
-					markFields(read, pd.info.TypeOf(n.Y))
+					markFields(reads, pd.info.TypeOf(n.X))
+					markFields(reads, pd.info.TypeOf(n.Y))
 				}
 			}
 			return true
 		})
 	}
 	for id, obj := range pd.info.Uses {
-		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
-			read[v.Origin()] = true
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			if written[id] {
+				writes[v.Origin()] = true
+			} else {
+				reads[v.Origin()] = true
+			}
 		}
 	}
 	for _, sel := range pd.info.Selections {
@@ -182,7 +224,7 @@ func collectFieldReads(pd *pkgData, read map[*types.Var]bool) {
 				t = p.Elem()
 			}
 			f := t.Underlying().(*types.Struct).Field(i)
-			read[f.Origin()] = true
+			reads[f.Origin()] = true
 			t = f.Type()
 		}
 	}
@@ -191,9 +233,26 @@ func collectFieldReads(pd *pkgData, read map[*types.Var]bool) {
 			continue
 		}
 		if m, ok := tv.Type.Underlying().(*types.Map); ok {
-			markFields(read, m.Key())
+			markFields(reads, m.Key())
 		}
 	}
+	return reads, writes
+}
+
+// selfAppend returns the first argument of rhs when rhs appends to lhs
+// itself, as in x.f = append(x.f, v): that argument is part of the write.
+func selfAppend(pd *pkgData, lhs, rhs ast.Expr) ast.Expr {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || pd.info.Uses[id] != types.Universe.Lookup("append") {
+		return nil
+	}
+	if types.ExprString(ast.Unparen(call.Args[0])) != types.ExprString(ast.Unparen(lhs)) {
+		return nil
+	}
+	return call.Args[0]
 }
 
 // paramType is the type of the i'th argument of a call to sig, the
@@ -224,6 +283,33 @@ func markFields(set map[*types.Var]bool, t types.Type) {
 		}
 	case *types.Array:
 		markFields(set, u.Elem())
+	}
+}
+
+// markReachable adds to set every struct field a reflective reader such
+// as encoding/json reaches from a value of type t: through structs,
+// pointers, arrays, slices and maps.
+func markReachable(set map[*types.Var]bool, t types.Type, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			set[f.Origin()] = true
+			markReachable(set, f.Type(), seen)
+		}
+	case *types.Pointer:
+		markReachable(set, u.Elem(), seen)
+	case *types.Array:
+		markReachable(set, u.Elem(), seen)
+	case *types.Slice:
+		markReachable(set, u.Elem(), seen)
+	case *types.Map:
+		markReachable(set, u.Key(), seen)
+		markReachable(set, u.Elem(), seen)
 	}
 }
 

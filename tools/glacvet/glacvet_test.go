@@ -107,26 +107,53 @@ func TestSuppressedChecks(t *testing.T) {
 		}
 	}
 	// A field stays only if something outside the tests reads it. Writes
-	// (assignments, op-assigns, ++, composite-literal keys, a write into a
-	// by-value field) keep nothing; a self-read append, ==, a map key, an
-	// interface argument, a write through a pointer, a promoted selection,
-	// the wire closure and a justified allow each keep a field.
-	fields := map[string]bool{}
-	for _, f := range byFile["internal/dead/fields.go"] {
-		if f.check == checkDeadexport {
-			fields[strings.Fields(f.msg)[2]] = true
+	// (assignments, op-assigns, ++, composite-literal keys, a self-append,
+	// a write into a by-value field) keep nothing; ==, a map key, an
+	// interface argument (through slices and pointers too), a write
+	// through a pointer, a promoted selection,
+	// the wire closure and a justified allow each keep a field. The rule
+	// holds for unexported fields too, read in their package's own code.
+	unread := map[string]bool{}    // the read rule
+	localOnly := map[string]bool{} // the config rule
+	for _, file := range []string{"internal/dead/fields.go", "internal/dead/config.go", "internal/dead/state.go"} {
+		for _, f := range byFile[file] {
+			if f.check != checkDeadexport {
+				continue
+			}
+			name := strings.Fields(strings.TrimPrefix(f.msg, "exported "))[1]
+			if strings.Contains(f.msg, "only inside package") {
+				localOnly[name] = true
+			} else {
+				unread[name] = true
+			}
 		}
 	}
-	for _, live := range []string{"Gauge.Log", "Gauge.Shown", "Gauge.Justified", "Pair.Left", "Pair.Right",
-		"Key.Site", "Key.Day", "Printed.Text", "Outer.Ptr", "Record.Payload", "Wrapped.Base", "Base.Depth"} {
-		if fields[live] {
+	for _, live := range []string{"Gauge.Shown", "Gauge.Justified", "Pair.Left", "Pair.Right",
+		"Key.Site", "Key.Day", "Printed.Text", "Shelf.Items", "Item.Label", "Outer.Ptr", "Record.Payload", "Wrapped.Base", "Base.Depth",
+		"Config.Rate", "Config.Limit", "Plan.Config", "Plan.Name", "meter.total"} {
+		if unread[live] {
 			t.Errorf("deadexport reported read field %s", live)
 		}
 	}
-	for _, dead := range []string{"Gauge.Set", "Gauge.Bumped", "Gauge.Counted", "Gauge.Keyed", "Gauge.Tested",
-		"Outer.Box", "Inner.Level"} {
-		if !fields[dead] {
+	for _, dead := range []string{"Gauge.Set", "Gauge.Bumped", "Gauge.Counted", "Gauge.Keyed", "Gauge.Log",
+		"Gauge.Tested", "Outer.Box", "Inner.Level", "meter.count", "meter.samples", "meter.peak"} {
+		if !unread[dead] {
 			t.Errorf("deadexport kept %s, which only writes or a test read", dead)
+		}
+	}
+	// The config rule: an exported field also needs a read or write from
+	// outside its package. A keyed or positional literal, ++, &x.F and a
+	// write through a by-value field each count; wire fields are exempt,
+	// and so is every field the read rule already reports.
+	for _, kept := range []string{"Config.Rate", "Config.Step", "Config.Depth", "Plan.Config", "Spread.Lo",
+		"Spread.Hi", "Record.Payload", "Gauge.Shown", "Pair.Left", "Base.Depth"} {
+		if localOnly[kept] {
+			t.Errorf("deadexport reported %s, which code outside its package uses", kept)
+		}
+	}
+	for _, local := range []string{"Config.Limit", "Plan.Name"} {
+		if !localOnly[local] {
+			t.Errorf("deadexport kept %s, which only its own package sets and reads", local)
 		}
 	}
 	for _, f := range byFile["hot/hot.go"] {

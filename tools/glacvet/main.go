@@ -15,9 +15,11 @@
 //     explicitly (check wiretag);
 //   - dead exports: an exported name under internal/ with no type-checked
 //     use in the module, a nested module such as bench/, or the root
-//     Examples, and an exported struct field there with no such read;
-//     writes and other tests do not count, and wire types are exempt
-//     (check deadexport);
+//     Examples; a struct field there, exported or unexported, with no
+//     such read; and an exported field that no code outside its package
+//     reads or writes (DESIGN.md §2's config rule). Writes and other
+//     tests do not count as reads, and wire types are exempt (check
+//     deadexport);
 //   - suppression hygiene: //glacvet:allow is the only escape hatch and
 //     must name a real check, give a reason, and actually suppress
 //     something (check allow).

@@ -7,3 +7,11 @@ func ExampleDocumented() {
 	dead.Documented()
 	// Output:
 }
+
+// A write through Plan's by-value Config writes Plan.Config from outside
+// package dead.
+func ExamplePlan() {
+	var p dead.Plan
+	p.Config.Rate = 2
+	// Output:
+}

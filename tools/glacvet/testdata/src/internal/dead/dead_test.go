@@ -7,7 +7,7 @@ func TestPeek(t *testing.T) {
 		t.Fatal("nil counter")
 	}
 	new(Ticker).Stop()
-	if (Gauge{}).Tested != 0 {
-		t.Fatal("gauge not zero")
+	if (Gauge{}).Tested != 0 || (meter{}).peak != 0 {
+		t.Fatal("gauge or meter not zero")
 	}
 }

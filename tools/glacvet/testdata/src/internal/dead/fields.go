@@ -2,13 +2,17 @@ package dead
 
 import "fmt"
 
+// Every type in this file is also written from the nested module
+// (tool/main.go's touch), so the config rule stays quiet here and only
+// the read rule speaks.
+
 // Gauge's fields cover the write positions: only a read keeps a field.
 type Gauge struct {
 	Set     int   // assigned only: reported
 	Bumped  int   // op-assigned only: reported
 	Counted int   // incremented only: reported
 	Keyed   int   // a composite-literal key only: reported
-	Log     []int // appended to itself, a self-read: not reported
+	Log     []int // appended to itself only, a self-append write: reported
 	Shown   int   // read below: not reported
 	Tested  int   // read only by dead_test.go: reported
 
@@ -42,6 +46,15 @@ var seen = map[Key]bool{}
 type Printed struct{ Text string }
 
 func show(p Printed) string { return fmt.Sprint(p) }
+
+// Shelf goes to fmt too, and reflection follows its slice to every Item:
+// neither field is reported.
+type Shelf struct{ Items []*Item }
+
+// Item is reached only through Shelf's slice of pointers.
+type Item struct{ Label string }
+
+func list(s Shelf) string { return fmt.Sprint(s) }
 
 // Outer reaches one Inner through a pointer and holds another by value.
 type Outer struct {
