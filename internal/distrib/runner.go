@@ -102,12 +102,14 @@ func baseURL(addr string) string {
 // before it asks again, and busyRetire bounds how long it keeps asking (a
 // pool that is permanently saturated by someone else must eventually be an
 // error, not a spin). handoffDelay paces a worker waiting for someone else
-// to take a shard it just failed. Variables so tests can tighten the
-// pacing.
+// to take a shard it just failed. retryDelay is a failing worker's backoff
+// per consecutive failure before it reads the queue again. Variables so
+// tests can tighten the pacing.
 var (
 	busyDelay    = 250 * time.Millisecond
 	busyRetire   = 40
 	handoffDelay = 50 * time.Millisecond
+	retryDelay   = 100 * time.Millisecond
 )
 
 // errWorkerBusy marks a 503 from the worker's concurrent-shard bound:
@@ -269,7 +271,7 @@ func (r *RemoteRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sw
 						case <-done:
 							return
 						//glacvet:allow wallclock retry backoff so a dead worker cannot race the healthy pool to the queue
-						case <-time.After(time.Duration(consecutive) * 100 * time.Millisecond):
+						case <-time.After(time.Duration(consecutive) * retryDelay):
 						}
 						continue
 					}

@@ -342,11 +342,13 @@ func TestRemoteRunnerPermanentlyBusyPoolErrors(t *testing.T) {
 // worker, the dead worker must not re-grab the shard it just failed and
 // exhaust its attempt cap alone — the healthy worker finishes it. Three
 // consecutive dead-worker failures of one shard would be terminal, so
-// success here proves the hand-off.
+// success here proves the hand-off. The retry backoff is all but removed,
+// so only the hand-off rule keeps the dead worker off its own shard while
+// the healthy one is still busy with the other.
 func TestRemoteRunnerHandsFailedShardToOtherWorkers(t *testing.T) {
-	oldHandoff := handoffDelay
-	handoffDelay = time.Millisecond
-	defer func() { handoffDelay = oldHandoff }()
+	oldHandoff, oldRetry := handoffDelay, retryDelay
+	handoffDelay, retryDelay = time.Millisecond, time.Microsecond
+	defer func() { handoffDelay, retryDelay = oldHandoff, oldRetry }()
 	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: sweep.SeedRange(11, 2), Days: 2}
 	for i := 0; i < 3; i++ { // the race is scheduling-dependent; repeat
 		// Two one-cell shards: one per worker.

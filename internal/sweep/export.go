@@ -8,30 +8,32 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // metricColumns returns the union of metric names across every cell, in
-// first-seen order (deterministic, since cells are in enumeration order).
-func (s *Summary) metricColumns() []string {
+// first-seen order (deterministic, since cells are in enumeration order),
+// and each name's position in that list.
+func (s *Summary) metricColumns() ([]string, map[string]int) {
 	var names []string
-	seen := map[string]bool{}
+	column := map[string]int{}
 	for _, cr := range s.Cells {
 		for _, m := range cr.Metrics {
-			if !seen[m.Name] {
-				seen[m.Name] = true
+			if _, ok := column[m.Name]; !ok {
+				column[m.Name] = len(names)
 				names = append(names, m.Name)
 			}
 		}
 	}
-	return names
+	return names, column
 }
 
 // csvFloat renders a value for a CSV field: shortest exact representation,
@@ -43,40 +45,52 @@ func csvFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// cellIdentityColumns are the cells table's columns ahead of the metrics.
+// weather and probe_lifetime are the removed grid axes, written empty so
+// the table stays byte-identical to the one they used to fill.
+var cellIdentityColumns = []string{"index", "scenario", "seed", "stations", "probes",
+	"weather", "probe_lifetime", "override", "days", "err"}
+
 // WriteCellsCSV writes one flat table with a row per cell: the cell's
 // identity columns, its error if any, then one column per metric (the
-// union across all cells; a metric a cell lacks is an empty field).
+// union across all cells; a metric a cell lacks is an empty field). The
+// rows' fields are formatted on the worker pool; encoding/csv then writes
+// the rows in plan order.
 func (s *Summary) WriteCellsCSV(w io.Writer) error {
-	metrics := s.metricColumns()
+	metrics, column := s.metricColumns()
 	cw := csv.NewWriter(w)
-	// weather and probe_lifetime are the removed grid axes, written empty
-	// so the table stays byte-identical to the one they used to fill.
-	header := append([]string{"index", "scenario", "seed", "stations", "probes",
-		"weather", "probe_lifetime", "override", "days", "err"}, metrics...)
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write(slices.Concat(cellIdentityColumns, metrics)); err != nil {
 		return err
 	}
-	row := make([]string, 0, len(header))
-	for _, cr := range s.Cells {
-		c := cr.Cell
-		row = append(row[:0],
-			strconv.Itoa(c.Index), c.Scenario, strconv.FormatInt(c.Seed, 10),
-			strconv.Itoa(c.Stations), strconv.Itoa(c.Probes),
-			"", "", c.Override, strconv.Itoa(c.Days), cr.Err,
-		)
-		for _, name := range metrics {
-			if v, ok := cr.Metric(name); ok {
-				row = append(row, csvFloat(v))
-			} else {
-				row = append(row, "")
-			}
-		}
+	width := len(cellIdentityColumns) + len(metrics)
+	rows := make([][]string, len(s.Cells))
+	fanOut(len(s.Cells), 0, func(i int) { rows[i] = cellRow(s.Cells[i], column, width) })
+	for _, row := range rows {
 		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// cellRow formats one cell's row of the cells table, width fields wide.
+// column maps a metric name to its position among the metric columns; a
+// metric the cell lacks stays an empty field.
+func cellRow(cr CellResult, column map[string]int, width int) []string {
+	c := cr.Cell
+	row := append(make([]string, 0, width),
+		strconv.Itoa(c.Index), c.Scenario, strconv.FormatInt(c.Seed, 10),
+		strconv.Itoa(c.Stations), strconv.Itoa(c.Probes),
+		"", "", c.Override, strconv.Itoa(c.Days), cr.Err,
+	)[:width]
+	// Backwards, so that of two metrics with one name the first fills the
+	// column, as a Metric lookup finds it.
+	for k := len(cr.Metrics) - 1; k >= 0; k-- {
+		m := cr.Metrics[k]
+		row[len(cellIdentityColumns)+column[m.Name]] = csvFloat(m.Value)
+	}
+	return row
 }
 
 // WriteGroupsCSV writes one flat table with a row per (configuration,
@@ -123,8 +137,10 @@ func (s *Summary) WriteCSV(w io.Writer) error {
 }
 
 // The JSON document schema — also the shard wire format ReadSummary
-// decodes (wire.go). Float fields are pointers so non-finite values encode
-// as null instead of erroring encoding/json out.
+// decodes (wire.go). WriteJSON writes, without reflection, exactly the
+// bytes json.MarshalIndent(doc, "", "  ") makes of these structs. Float
+// fields are pointers so a JSON null, the encoding of a non-finite value,
+// decodes apart from every number.
 //
 //glacvet:wire
 type summaryJSON struct {
@@ -184,46 +200,6 @@ type statsJSON struct {
 	Max    *float64 `json:"max"`
 }
 
-// finite returns &v, or nil (→ JSON null) for NaN/±Inf.
-func finite(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
-}
-
-// cellToJSON encodes one executed cell — identity, metrics, collected
-// series — as its wire document, a cell of the summary WriteJSON writes.
-func cellToJSON(cr CellResult) cellJSON {
-	c := cr.Cell
-	cj := cellJSON{
-		Index: c.Index, Scenario: c.Scenario, Seed: c.Seed,
-		Stations: c.Stations, Probes: c.Probes,
-		Override: c.Override, Days: c.Days, Err: cr.Err,
-	}
-	if len(cr.Metrics) > 0 {
-		cj.Metrics = make([]metricJSON, 0, len(cr.Metrics))
-		for _, m := range cr.Metrics {
-			cj.Metrics = append(cj.Metrics, metricJSON{Name: m.Name, Value: finite(m.Value)})
-		}
-	}
-	for _, ser := range cr.Series {
-		if ser == nil {
-			continue
-		}
-		// Exact-capacity points, iterated via PointAt so the series is not
-		// copied wholesale just to encode it. Points stays non-nil (empty
-		// series encode as [] rather than null).
-		sj := seriesJSON{Name: ser.Name, Unit: ser.Unit, Points: make([]pointJSON, 0, ser.Len())}
-		for i, n := 0, ser.Len(); i < n; i++ {
-			p := ser.PointAt(i)
-			sj.Points = append(sj.Points, pointJSON{T: p.T.UTC().Format(time.RFC3339), V: finite(p.V)})
-		}
-		cj.Series = append(cj.Series, sj)
-	}
-	return cj
-}
-
 // WriteJSON writes the whole summary — every cell with its metrics and
 // collected series points, every group with its folded stats, plus the
 // plan fingerprint and total cell count — as one indented JSON document.
@@ -231,139 +207,254 @@ func cellToJSON(cr CellResult) cellJSON {
 // document is the shard wire format: ReadSummary decodes it losslessly, so
 // partial summaries written by one process merge in another.
 //
-// The cells are most of the document, so each is marshalled on the worker
-// pool and the parts are spliced, in plan order, into the marshalled rest;
-// the bytes are exactly json.MarshalIndent's of the whole document.
+// The document is appended directly, already indented, into one buffer.
+// The cells, most of it, are appended on the worker pool, each into its
+// own slot of the buffer sized for the most it can take, and the slots
+// are then closed up in plan order between the head and the groups. Keys
+// follow the wire structs' order and omitempty tags, so the bytes are
+// exactly json.MarshalIndent's of the whole document.
 func (s *Summary) WriteJSON(w io.Writer) error {
+	// slots[i] is where cell i's slot starts, counted from the cells
+	// array's opening bracket; each slot has room for the separator
+	// ahead of the cell.
+	slots := make([]int, len(s.Cells)+1)
+	for i, cr := range s.Cells {
+		slots[i+1] = slots[i] + len(",\n    ") + cellSize(cr)
+	}
+	room := slots[len(s.Cells)]
+	// The head is its fingerprint and at most 96 bytes of keys and total;
+	// Grow below still makes the room if escaping outruns that.
+	b := append(make([]byte, 0, 96+len(s.Fingerprint)+room+groupsSize(s.Groups)), '{')
+	if s.Fingerprint != "" {
+		b = appendString(appendKey(b, 1, "fingerprint"), s.Fingerprint)
+	}
+	if s.TotalCells != 0 {
+		b = strconv.AppendInt(appendKey(b, 1, "total_cells"), int64(s.TotalCells), 10)
+	}
+	b = slices.Grow(append(appendKey(b, 1, "cells"), '['), room)
+	cells := b[len(b) : len(b)+room]
 	parts := make([][]byte, len(s.Cells))
-	errs := make([]error, len(s.Cells))
 	fanOut(len(s.Cells), 0, func(i int) {
-		parts[i], errs[i] = json.Marshal(cellToJSON(s.Cells[i]))
-	})
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	rest, err := json.Marshal(s.head())
-	if err != nil {
-		return err
-	}
-	// The cells array opens after the fingerprint and total cell count,
-	// and is empty in rest. Only the fingerprint is a string ahead of it,
-	// and a string cannot hold this key's unescaped closing quote, so the
-	// first match is the array.
-	at := bytes.Index(rest, []byte(`"cells":[`)) + len(`"cells":[`)
-	size := len(rest) + len(parts)
-	for _, p := range parts {
-		size += len(p)
-	}
-	compact := append(make([]byte, 0, size), rest[:at]...)
-	for i, p := range parts {
+		part := cells[slots[i]:slots[i]:slots[i+1]]
 		if i > 0 {
-			compact = append(compact, ',')
+			part = append(part, ',')
 		}
-		compact = append(compact, p...)
+		parts[i] = appendCell(append(part, newlineIndent[:1+2*2]...), s.Cells[i])
+	})
+	// Each part moves down to close the gap its predecessors left; one
+	// that outgrew its slot lives in its own array and is copied in.
+	for _, p := range parts {
+		b = append(b, p...)
 	}
-	compact = append(compact, rest[at:]...)
-	// Indenting a summary slightly more than doubles it.
-	out := appendIndent(make([]byte, 0, 5*len(compact)/2), compact)
-	out = append(out, '\n')
-	_, err = w.Write(out)
+	b = appendClose(b, 1, ']')
+	b = append(appendKey(b, 1, "groups"), '[')
+	for _, gr := range s.Groups {
+		b = appendGroup(appendBreak(b, 2), gr)
+	}
+	b = appendClose(appendClose(b, 1, ']'), 0, '}')
+	_, err := w.Write(append(b, '\n'))
 	return err
 }
 
-// head builds the summary's wire document with its cells list empty: the
-// plan identity and the groups.
-func (s *Summary) head() summaryJSON {
-	doc := summaryJSON{
-		Fingerprint: s.Fingerprint,
-		TotalCells:  s.TotalCells,
-		Cells:       []cellJSON{},
-		Groups:      make([]groupJSON, 0, len(s.Groups)),
+// Byte budgets for presizing an appended cell or group, each the most an
+// item takes, with the comma and line break ahead of it (a cell's are
+// WriteJSON's to count), when its strings need no escaping and its times
+// fall in years 0000–9999 (an int is at most 20 bytes, a float 25), so a
+// cell's slot never overflows with its points.
+const (
+	cellJSONBytes   = 320
+	metricJSONBytes = 96
+	seriesJSONBytes = 128
+	pointJSONBytes  = 120
+	groupJSONBytes  = 288
+	statsJSONBytes  = 320
+)
+
+// cellSize is the room appendCell is given for cr.
+func cellSize(cr CellResult) int {
+	n := cellJSONBytes + len(cr.Cell.Scenario) + len(cr.Cell.Override) + len(cr.Err)
+	for _, m := range cr.Metrics {
+		n += metricJSONBytes + len(m.Name)
 	}
-	for _, gr := range s.Groups {
-		gj := groupJSON{
-			Scenario: gr.Scenario, Stations: gr.Stations, Probes: gr.Probes,
-			Override: gr.Override, Days: gr.Days, N: gr.N, Errors: gr.Errors,
-			Stats: make([]statsJSON, 0, len(gr.Stats)),
+	for _, ser := range cr.Series {
+		if ser != nil {
+			n += seriesJSONBytes + len(ser.Name) + len(ser.Unit) + pointJSONBytes*ser.Len()
 		}
-		for _, st := range gr.Stats {
-			gj.Stats = append(gj.Stats, statsJSON{
-				Name: st.Name, N: st.N,
-				Mean: finite(st.Mean), Stddev: finite(st.Stddev), CI95: finite(st.CI95),
-				Min: finite(st.Min), Max: finite(st.Max),
-			})
-		}
-		doc.Groups = append(doc.Groups, gj)
 	}
-	return doc
+	return n
 }
 
-// appendIndent appends src, a compact document as json.Marshal writes it,
-// to dst with exactly the layout json.Indent(dst, src, "", "  ") gives it:
-// a newline and two spaces per level after every opening bracket and
-// comma and before every closing one, ": " after keys, and empty [] and
-// {} kept closed. It trusts src to be Marshal's valid, whitespace-free
-// output, so unlike json.Indent it does not re-validate what it copies;
-// strings, escapes included, and literals are copied verbatim.
-func appendIndent(dst, src []byte) []byte {
-	depth := 0
-	newline := func() {
-		dst = append(dst, '\n')
-		for n := 2 * depth; n > 0; n -= len(indentSpaces) {
-			dst = append(dst, indentSpaces[:min(n, len(indentSpaces))]...)
+// groupsSize is the room the groups take in the document.
+func groupsSize(groups []Group) int {
+	n := 0
+	for _, gr := range groups {
+		n += groupJSONBytes + len(gr.Scenario) + len(gr.Override)
+		for _, st := range gr.Stats {
+			n += statsJSONBytes + len(st.Name)
 		}
 	}
-	for i := 0; i < len(src); i++ {
-		switch c := src[i]; c {
-		case '"':
-			// The string ends at the first quote not escaped by an odd run
-			// of backslashes.
-			j := i + 1
-			for {
-				j += bytes.IndexByte(src[j:], '"')
-				k := j
-				for src[k-1] == '\\' {
-					k--
-				}
-				if (j-k)%2 == 0 {
-					break
-				}
-				j++
-			}
-			dst = append(dst, src[i:j+1]...)
-			i = j
-		case '{', '[':
-			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
-				dst = append(dst, c, src[i+1])
-				i++
+	return n
+}
+
+// appendCell appends one executed cell — identity, metrics, collected
+// series — as the cellJSON object at depth 2, where cells sit in the
+// document: its opening brace with no indent before it, its members at
+// depth 3.
+func appendCell(b []byte, cr CellResult) []byte {
+	c := cr.Cell
+	b = append(b, '{')
+	b = strconv.AppendInt(appendKey(b, 3, "index"), int64(c.Index), 10)
+	b = appendString(appendKey(b, 3, "scenario"), c.Scenario)
+	b = strconv.AppendInt(appendKey(b, 3, "seed"), c.Seed, 10)
+	if c.Stations != 0 {
+		b = strconv.AppendInt(appendKey(b, 3, "stations"), int64(c.Stations), 10)
+	}
+	if c.Probes != 0 {
+		b = strconv.AppendInt(appendKey(b, 3, "probes"), int64(c.Probes), 10)
+	}
+	if c.Override != "" {
+		b = appendString(appendKey(b, 3, "override"), c.Override)
+	}
+	b = strconv.AppendInt(appendKey(b, 3, "days"), int64(c.Days), 10)
+	if cr.Err != "" {
+		b = appendString(appendKey(b, 3, "err"), cr.Err)
+	}
+	if len(cr.Metrics) > 0 {
+		b = append(appendKey(b, 3, "metrics"), '[')
+		for _, m := range cr.Metrics {
+			b = append(appendBreak(b, 4), '{')
+			b = appendString(appendKey(b, 5, "name"), m.Name)
+			b = appendFloat(appendKey(b, 5, "value"), m.Value)
+			b = appendClose(b, 4, '}')
+		}
+		b = appendClose(b, 3, ']')
+	}
+	// Nil entries are skipped, so series is omitted unless one is set.
+	if slices.ContainsFunc(cr.Series, func(ser *trace.Series) bool { return ser != nil }) {
+		b = append(appendKey(b, 3, "series"), '[')
+		for _, ser := range cr.Series {
+			if ser == nil {
 				continue
 			}
-			dst = append(dst, c)
-			depth++
-			newline()
-		case '}', ']':
-			depth--
-			newline()
-			dst = append(dst, c)
-		case ',':
-			dst = append(dst, c)
-			newline()
-		case ':':
-			dst = append(dst, ':', ' ')
-		default:
-			// A number or literal runs to the next comma or closing
-			// bracket.
-			j := i + 1
-			for j < len(src) && src[j] != ',' && src[j] != '}' && src[j] != ']' {
-				j++
+			b = append(appendBreak(b, 4), '{')
+			b = appendString(appendKey(b, 5, "name"), ser.Name)
+			if ser.Unit != "" {
+				b = appendString(appendKey(b, 5, "unit"), ser.Unit)
 			}
-			dst = append(dst, src[i:j]...)
-			i = j - 1
+			b = append(appendKey(b, 5, "points"), '[')
+			for i, n := 0, ser.Len(); i < n; i++ {
+				p := ser.PointAt(i)
+				b = append(appendKey(append(appendBreak(b, 6), '{'), 7, "t"), '"')
+				b = append(p.T.UTC().AppendFormat(b, time.RFC3339), '"')
+				b = appendFloat(appendKey(b, 7, "v"), p.V)
+				b = appendClose(b, 6, '}')
+			}
+			b = appendClose(appendClose(b, 5, ']'), 4, '}')
 		}
+		b = appendClose(b, 3, ']')
 	}
-	return dst
+	return appendClose(b, 2, '}')
 }
 
-// indentSpaces is appendIndent's supply of indentation, eight levels at a
-// time.
-const indentSpaces = "                "
+// appendGroup appends one group and its folded stats as the groupJSON
+// object at depth 2, its opening brace with no indent before it.
+func appendGroup(b []byte, gr Group) []byte {
+	b = append(b, '{')
+	b = appendString(appendKey(b, 3, "scenario"), gr.Scenario)
+	if gr.Stations != 0 {
+		b = strconv.AppendInt(appendKey(b, 3, "stations"), int64(gr.Stations), 10)
+	}
+	if gr.Probes != 0 {
+		b = strconv.AppendInt(appendKey(b, 3, "probes"), int64(gr.Probes), 10)
+	}
+	if gr.Override != "" {
+		b = appendString(appendKey(b, 3, "override"), gr.Override)
+	}
+	b = strconv.AppendInt(appendKey(b, 3, "days"), int64(gr.Days), 10)
+	b = strconv.AppendInt(appendKey(b, 3, "cells"), int64(gr.N), 10)
+	if gr.Errors != 0 {
+		b = strconv.AppendInt(appendKey(b, 3, "errors"), int64(gr.Errors), 10)
+	}
+	b = append(appendKey(b, 3, "stats"), '[')
+	for _, st := range gr.Stats {
+		b = append(appendBreak(b, 4), '{')
+		b = appendString(appendKey(b, 5, "name"), st.Name)
+		b = strconv.AppendInt(appendKey(b, 5, "n"), int64(st.N), 10)
+		b = appendFloat(appendKey(b, 5, "mean"), st.Mean)
+		b = appendFloat(appendKey(b, 5, "stddev"), st.Stddev)
+		b = appendFloat(appendKey(b, 5, "ci95"), st.CI95)
+		b = appendFloat(appendKey(b, 5, "min"), st.Min)
+		b = appendFloat(appendKey(b, 5, "max"), st.Max)
+		b = appendClose(b, 4, '}')
+	}
+	return appendClose(appendClose(b, 3, ']'), 2, '}')
+}
+
+// newlineIndent supplies MarshalIndent's line break and two spaces per
+// level, up to the deepest level of the document (a point's members, 7).
+const newlineIndent = "\n                "
+
+// appendBreak starts a new member or element at depth: a comma after the
+// previous one, unless b has just opened its object or array, then a line
+// break and the indent. No value ends in '{' or '[', so the last byte
+// tells the two apart.
+func appendBreak(b []byte, depth int) []byte {
+	if c := b[len(b)-1]; c != '{' && c != '[' {
+		b = append(b, ',')
+	}
+	return append(b, newlineIndent[:1+2*depth]...)
+}
+
+// appendKey starts an object member at depth: the break and the quoted
+// key, ready for its value. Keys are the schema's, which need no escaping.
+func appendKey(b []byte, depth int, key string) []byte {
+	b = append(appendBreak(b, depth), '"')
+	b = append(b, key...)
+	return append(b, `": `...)
+}
+
+// appendClose closes an object or array whose members sit at depth+1. An
+// empty one stays closed on its line, as [] or {}.
+func appendClose(b []byte, depth int, c byte) []byte {
+	if open := b[len(b)-1]; open != '{' && open != '[' {
+		b = append(b, newlineIndent[:1+2*depth]...)
+	}
+	return append(b, c)
+}
+
+// appendString appends s as a JSON string. One of printable ASCII alone,
+// apart from the quote, the backslash and the HTML-escaped <, > and &, is
+// copied between quotes; any other goes through json.Marshal, so its
+// escapes, U+2028/2029 and invalid UTF-8 come out exactly as
+// encoding/json writes them.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendFloat appends v as encoding/json writes a float64: the shortest
+// decimal that reads back as v, in 'f' form for 1e-6 <= |v| < 1e21 and
+// zero, otherwise in 'e' form with a one-digit negative exponent unpadded
+// (1e-7, not 1e-07). NaN and ±Inf, which JSON cannot hold, become null.
+func appendFloat(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -248,6 +249,52 @@ func TestWriteCSVParsesAndAligns(t *testing.T) {
 	}
 }
 
+// Each cells-table row resolves its metric columns once, on the pool: a
+// field must still be what a Metric lookup of its column finds, for cells
+// with different metric sets, a repeated name (the first wins) and
+// non-finite values, with more cells than the pool has workers.
+func TestWriteCellsCSVMatchesMetricLookup(t *testing.T) {
+	sum := &Summary{}
+	for i := range 3*runtime.GOMAXPROCS(0) + 1 {
+		cr := CellResult{Cell: Cell{Index: i, Scenario: "s, \"quoted\"", Seed: int64(i), Days: 1}}
+		for k := range i % 4 {
+			cr.Metrics = append(cr.Metrics, Metric{Name: fmt.Sprintf("m%d", (i+k)%5), Value: float64(i*k) / 7})
+		}
+		if i%3 == 0 {
+			cr.Metrics = append(cr.Metrics, Metric{Name: "m1", Value: math.NaN()}, Metric{Name: "m1", Value: 9})
+		}
+		sum.Cells = append(sum.Cells, cr)
+	}
+	var b bytes.Buffer
+	if err := sum.WriteCellsCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&b).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := recs[0]
+	metrics := header[len(cellIdentityColumns):]
+	if len(metrics) != 5 {
+		t.Fatalf("metric columns %q, want the five names m0..m4", metrics)
+	}
+	for i, cr := range sum.Cells {
+		rec := recs[i+1]
+		if rec[0] != strconv.Itoa(i) || rec[1] != cr.Cell.Scenario {
+			t.Fatalf("record %d identity %q", i, rec[:2])
+		}
+		for j, name := range metrics {
+			want := ""
+			if v, ok := cr.Metric(name); ok {
+				want = csvFloat(v)
+			}
+			if got := rec[len(cellIdentityColumns)+j]; got != want {
+				t.Errorf("record %d column %s = %q, want %q", i, name, got, want)
+			}
+		}
+	}
+}
+
 // Non-finite metrics must not break either encoder: CSV gets empty fields,
 // JSON gets nulls — and the document still parses.
 func TestExportSanitisesNonFiniteValues(t *testing.T) {
@@ -310,8 +357,8 @@ func TestExportEmptySummary(t *testing.T) {
 }
 
 // document builds the summary's whole wire document, the value whose
-// json.MarshalIndent bytes WriteJSON writes: the oracle for its one-pass
-// indenter.
+// json.MarshalIndent bytes WriteJSON writes: the reflective oracle for its
+// direct appender.
 func (s *Summary) document() summaryJSON {
 	doc := s.head()
 	doc.Cells = make([]cellJSON, 0, len(s.Cells))
@@ -321,9 +368,75 @@ func (s *Summary) document() summaryJSON {
 	return doc
 }
 
-// WriteJSON's one-pass indenter must lay a document out byte for byte as
-// json.MarshalIndent does, the encoder it replaced: on names that need
-// escaping, on empty arrays and on every shape of number and null.
+// head builds the summary's wire document with its cells list empty: the
+// plan identity and the groups.
+func (s *Summary) head() summaryJSON {
+	doc := summaryJSON{
+		Fingerprint: s.Fingerprint,
+		TotalCells:  s.TotalCells,
+		Cells:       []cellJSON{},
+		Groups:      make([]groupJSON, 0, len(s.Groups)),
+	}
+	for _, gr := range s.Groups {
+		gj := groupJSON{
+			Scenario: gr.Scenario, Stations: gr.Stations, Probes: gr.Probes,
+			Override: gr.Override, Days: gr.Days, N: gr.N, Errors: gr.Errors,
+			Stats: make([]statsJSON, 0, len(gr.Stats)),
+		}
+		for _, st := range gr.Stats {
+			gj.Stats = append(gj.Stats, statsJSON{
+				Name: st.Name, N: st.N,
+				Mean: finite(st.Mean), Stddev: finite(st.Stddev), CI95: finite(st.CI95),
+				Min: finite(st.Min), Max: finite(st.Max),
+			})
+		}
+		doc.Groups = append(doc.Groups, gj)
+	}
+	return doc
+}
+
+// cellToJSON builds one executed cell — identity, metrics, collected
+// series — as its wire document, a cell of the summary WriteJSON writes.
+func cellToJSON(cr CellResult) cellJSON {
+	c := cr.Cell
+	cj := cellJSON{
+		Index: c.Index, Scenario: c.Scenario, Seed: c.Seed,
+		Stations: c.Stations, Probes: c.Probes,
+		Override: c.Override, Days: c.Days, Err: cr.Err,
+	}
+	if len(cr.Metrics) > 0 {
+		cj.Metrics = make([]metricJSON, 0, len(cr.Metrics))
+		for _, m := range cr.Metrics {
+			cj.Metrics = append(cj.Metrics, metricJSON{Name: m.Name, Value: finite(m.Value)})
+		}
+	}
+	for _, ser := range cr.Series {
+		if ser == nil {
+			continue
+		}
+		// Points stays non-nil: an empty series encodes as [], not null.
+		sj := seriesJSON{Name: ser.Name, Unit: ser.Unit, Points: make([]pointJSON, 0, ser.Len())}
+		for i, n := 0, ser.Len(); i < n; i++ {
+			p := ser.PointAt(i)
+			sj.Points = append(sj.Points, pointJSON{T: p.T.UTC().Format(time.RFC3339), V: finite(p.V)})
+		}
+		cj.Series = append(cj.Series, sj)
+	}
+	return cj
+}
+
+// finite returns &v, or nil (→ JSON null) for NaN/±Inf.
+func finite(v float64) *float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil
+	}
+	return &v
+}
+
+// WriteJSON's direct appender must lay a document out byte for byte as
+// json.MarshalIndent does of the wire structs: on names that need
+// escaping, on every omitempty, on empty arrays and on every shape of
+// number and null.
 func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 	t0 := time.Date(2008, 8, 1, 0, 0, 0, 0, time.UTC)
 	named := func(name string) *Summary {
@@ -372,8 +485,8 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 		name string
 		sum  *Summary
 	}{
-		// Every name carries JSON's structural bytes, so a string the
-		// indenter ends early shows up as misplaced layout.
+		// Every name carries JSON's structural bytes and, but for the
+		// first, a byte that sends it through json.Marshal.
 		{"quote", named(`say "a, b": [c] {d}`)},
 		{"backslash", named(`C:\dir\`)},
 		{"backslash before structure", named(`C:\, [x]: {y}\`)},
@@ -383,16 +496,38 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 		{"control bytes", named("tab\tnl\ncr\rnul\x00esc\x1b, [x]")},
 		{"non-ASCII", named("Skaftafellsjökull ÿ 氷河 🧊, {x}")},
 		{"invalid UTF-8", named("bad\xffbyte, [x]")},
+		{"DEL", named("tilde~del\x7f, [x]")},
 		{"empty summary", &Summary{}},
 		{"empty series, points and stats", &Summary{
 			Cells:  []CellResult{{Cell: Cell{Scenario: "s", Days: 1}, Series: []*trace.Series{trace.NewSeries("none", "")}}},
 			Groups: []Group{{Scenario: "s", Days: 1}},
 		}},
 		{"empty groups", &Summary{Cells: []CellResult{{Cell: Cell{Scenario: "s", Days: 1}}}}},
+		// Nil series are skipped, and a cell with no other is written
+		// without its series key.
+		{"only nil series", &Summary{Cells: []CellResult{{
+			Cell: Cell{Scenario: "s", Days: 1}, Series: []*trace.Series{nil, nil},
+		}}}},
+		{"nil series between others", &Summary{Cells: []CellResult{{
+			Cell:   Cell{Scenario: "s", Days: 1},
+			Series: []*trace.Series{nil, trace.NewSeries("a", ""), nil, nonFiniteSummary().Cells[0].Series[0], nil},
+		}}}},
 		{"nulls", metrics(math.NaN(), math.Inf(1), math.Inf(-1))},
 		{"numbers", metrics(-0.5, 1e-7, 1e21, 0, math.Copysign(0, -1), 123456789.125, -1e-300)},
+		// encoding/json switches between 'f' and 'e' form at 1e-6 and
+		// 1e21: each edge and the largest float64 below it, both signs.
+		{"format edges", metrics(
+			1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0),
+			-1e-6, math.Nextafter(-1e-6, 0), -1e21, math.Nextafter(-1e21, 0),
+			math.SmallestNonzeroFloat64, math.MaxFloat64)},
 		{"non-finite series", nonFiniteSummary()},
-		// The cells are marshalled on the pool: more of them than it has
+		// Escaping makes the first cell outgrow the room it was given,
+		// and the cell after it must still follow it exactly.
+		{"escapes outgrow a cell's room", &Summary{Cells: []CellResult{
+			{Cell: Cell{Scenario: strings.Repeat("\x00<", 100), Days: 1}},
+			{Cell: Cell{Index: 1, Scenario: "s", Days: 1}},
+		}}},
+		// The cells are appended on the pool: more of them than it has
 		// workers, each different, must still land in plan order.
 		{"more cells than workers", many(3*runtime.GOMAXPROCS(0)+1, "0123456789abcdef", 40)},
 		// An empty fingerprint and zero total are omitted, so the cells
@@ -415,31 +550,5 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 				t.Fatalf("WriteJSON differs from MarshalIndent:\n--- got\n%s\n--- want\n%s", got.Bytes(), want)
 			}
 		})
-	}
-}
-
-// appendIndent on values the summary schema never produces — empty
-// objects, nested empties, bare scalars — still matches json.Indent.
-func TestAppendIndentMatchesJSONIndent(t *testing.T) {
-	for _, v := range []any{
-		map[string]any{},
-		[]any{},
-		map[string]any{"a": map[string]any{}, "b": []any{}, "c": []any{map[string]any{}, []any{}}},
-		[]any{[]any{[]any{1, "x"}}, nil, true, false},
-		"just a string",
-		-0.5,
-		nil,
-	} {
-		compact, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		if err := json.Indent(&want, compact, "", "  "); err != nil {
-			t.Fatal(err)
-		}
-		if got := appendIndent(nil, compact); !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s: appendIndent gave\n%s\nwant\n%s", compact, got, want.Bytes())
-		}
 	}
 }

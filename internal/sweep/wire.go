@@ -69,7 +69,7 @@ func ReadSummaryFile(path string) (*Summary, error) {
 }
 
 // cellFromJSON decodes one cell wire document back into a CellResult —
-// the inverse of cellToJSON.
+// the inverse of appendCell.
 func cellFromJSON(cj cellJSON) (CellResult, error) {
 	cr := CellResult{
 		Cell: Cell{

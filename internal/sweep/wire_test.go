@@ -69,7 +69,7 @@ func nonFiniteSummary() *Summary {
 // re-encoding: encode, decode and encode again give identical bytes, so a
 // shard file read back and re-written cannot drift. The re-encoding must
 // also be byte for byte what json.MarshalIndent makes of the same
-// document, the oracle for WriteJSON's one-pass indenter.
+// document, the oracle for WriteJSON's direct appender.
 func FuzzReadSummary(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "sweep.json"))
 	if err != nil {
