@@ -207,44 +207,33 @@ type statsJSON struct {
 // document is the shard wire format: ReadSummary decodes it losslessly, so
 // partial summaries written by one process merge in another.
 //
-// The document is appended directly, already indented, into one buffer.
-// The cells, most of it, are appended on the worker pool, each into its
-// own slot of the buffer sized for the most it can take, and the slots
-// are then closed up in plan order between the head and the groups. Keys
-// follow the wire structs' order and omitempty tags, so the bytes are
-// exactly json.MarshalIndent's of the whole document.
+// The document is appended directly, already indented. The cells, most of
+// it, are appended on the worker pool, each into its own buffer sized for
+// the most it can take, and the buffers are then joined in plan order
+// between the head and the groups. Keys follow the wire structs' order and
+// omitempty tags, so the bytes are exactly json.MarshalIndent's of the
+// whole document.
 func (s *Summary) WriteJSON(w io.Writer) error {
-	// slots[i] is where cell i's slot starts, counted from the cells
-	// array's opening bracket; each slot has room for the separator
-	// ahead of the cell.
-	slots := make([]int, len(s.Cells)+1)
-	for i, cr := range s.Cells {
-		slots[i+1] = slots[i] + len(",\n    ") + cellSize(cr)
-	}
-	room := slots[len(s.Cells)]
+	parts := make([][]byte, len(s.Cells))
+	fanOut(len(s.Cells), 0, func(i int) {
+		parts[i] = appendCell(make([]byte, 0, cellSize(s.Cells[i])), s.Cells[i])
+	})
 	// The head is its fingerprint and at most 96 bytes of keys and total;
-	// Grow below still makes the room if escaping outruns that.
-	b := append(make([]byte, 0, 96+len(s.Fingerprint)+room+groupsSize(s.Groups)), '{')
+	// append still makes the room if escaping outruns that.
+	n := 96 + len(s.Fingerprint) + groupsSize(s.Groups)
+	for _, p := range parts {
+		n += len(",\n    ") + len(p)
+	}
+	b := append(make([]byte, 0, n), '{')
 	if s.Fingerprint != "" {
 		b = appendString(appendKey(b, 1, "fingerprint"), s.Fingerprint)
 	}
 	if s.TotalCells != 0 {
 		b = strconv.AppendInt(appendKey(b, 1, "total_cells"), int64(s.TotalCells), 10)
 	}
-	b = slices.Grow(append(appendKey(b, 1, "cells"), '['), room)
-	cells := b[len(b) : len(b)+room]
-	parts := make([][]byte, len(s.Cells))
-	fanOut(len(s.Cells), 0, func(i int) {
-		part := cells[slots[i]:slots[i]:slots[i+1]]
-		if i > 0 {
-			part = append(part, ',')
-		}
-		parts[i] = appendCell(append(part, newlineIndent[:1+2*2]...), s.Cells[i])
-	})
-	// Each part moves down to close the gap its predecessors left; one
-	// that outgrew its slot lives in its own array and is copied in.
+	b = append(appendKey(b, 1, "cells"), '[')
 	for _, p := range parts {
-		b = append(b, p...)
+		b = append(appendBreak(b, 2), p...)
 	}
 	b = appendClose(b, 1, ']')
 	b = append(appendKey(b, 1, "groups"), '[')
@@ -260,7 +249,7 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 // item takes, with the comma and line break ahead of it (a cell's are
 // WriteJSON's to count), when its strings need no escaping and its times
 // fall in years 0000–9999 (an int is at most 20 bytes, a float 25), so a
-// cell's slot never overflows with its points.
+// cell's buffer never grows with its points.
 const (
 	cellJSONBytes   = 320
 	metricJSONBytes = 96
@@ -270,7 +259,7 @@ const (
 	statsJSONBytes  = 320
 )
 
-// cellSize is the room appendCell is given for cr.
+// cellSize is the buffer appendCell is given for cr.
 func cellSize(cr CellResult) int {
 	n := cellJSONBytes + len(cr.Cell.Scenario) + len(cr.Cell.Override) + len(cr.Err)
 	for _, m := range cr.Metrics {

@@ -481,6 +481,13 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 		sum.Groups = []Group{{Scenario: "s", Days: 1, N: n, Stats: []Stats{{Name: "m", N: n, Mean: 1}}}}
 		return sum
 	}
+	points := func(n int) *trace.Series {
+		ser := trace.NewSeries("v", "V")
+		for k := range n {
+			ser.Add(t0.Add(time.Duration(k)*time.Minute), float64(k)/3)
+		}
+		return ser
+	}
 	cases := []struct {
 		name string
 		sum  *Summary
@@ -522,10 +529,16 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 			math.SmallestNonzeroFloat64, math.MaxFloat64)},
 		{"non-finite series", nonFiniteSummary()},
 		// Escaping makes the first cell outgrow the room it was given,
-		// and the cell after it must still follow it exactly.
+		// and the cell after it must still follow it exactly: a bare one,
+		// and one whose points leave its own room far from full.
 		{"escapes outgrow a cell's room", &Summary{Cells: []CellResult{
 			{Cell: Cell{Scenario: strings.Repeat("\x00<", 100), Days: 1}},
 			{Cell: Cell{Index: 1, Scenario: "s", Days: 1}},
+		}}},
+		{"escapes outgrow a cell's room before a roomy one", &Summary{Cells: []CellResult{
+			{Cell: Cell{Scenario: strings.Repeat("\x00<", 100), Days: 1}, Err: strings.Repeat("&", 200)},
+			{Cell: Cell{Index: 1, Scenario: "s", Days: 1}, Series: []*trace.Series{points(100)}},
+			{Cell: Cell{Index: 2, Scenario: "s", Days: 1}, Series: []*trace.Series{points(100)}},
 		}}},
 		// The cells are appended on the pool: more of them than it has
 		// workers, each different, must still land in plan order.
