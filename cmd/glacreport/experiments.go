@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -26,7 +27,7 @@ import (
 
 // expBulkFetch compares the three fetch configurations on winter and summer
 // channels against the §V field numbers (3000 readings, ~400 missed).
-func expBulkFetch(seed int64) error {
+func expBulkFetch(w io.Writer, seed int64) error {
 	scenario := func(summer bool) (*simenv.Simulator, *comms.ProbeChannel, *probe.Probe) {
 		start := time.Date(2008, 9, 1, 0, 0, 0, 0, time.UTC) // fetch lands in dry winter
 		if summer {
@@ -85,19 +86,19 @@ func expBulkFetch(seed int64) error {
 			})
 		}
 	}
-	fmt.Print(trace.Table([]string{"Season", "Protocol", "Got", "Missed 1st", "NACKs",
+	fmt.Fprint(w, trace.Table([]string{"Season", "Protocol", "Got", "Missed 1st", "NACKs",
 		"Min on air", "KB on air", "Outcome"}, rows))
-	fmt.Println("\npaper: ~3000 readings in the summer fetch, ~400 missed packets, the")
-	fmt.Println("individual re-request process \"could fail\" — and did, beyond 256 NACKs.")
+	fmt.Fprintln(w, "\npaper: ~3000 readings in the summer fetch, ~400 missed packets, the")
+	fmt.Fprintln(w, "individual re-request process \"could fail\" — and did, beyond 256 NACKs.")
 	return nil
 }
 
 // expWatchdog reproduces the §VI backlog arithmetic: the dGPS backlog sizes
 // that exceed one two-hour window, the file-by-file multi-day drain, and
 // the single-file deadlock with its special-first rescue.
-func expWatchdog(seed int64) error {
+func expWatchdog(w io.Writer, seed int64) error {
 	perFile := dgps.File{SizeBytes: dgps.BaseReadingBytes}.TransferTime(1)
-	fmt.Printf("RS-232 drain: %.0f s per 165 KB reading\n", perFile.Seconds())
+	fmt.Fprintf(w, "RS-232 drain: %.0f s per 165 KB reading\n", perFile.Seconds())
 	var rows [][]string
 	for _, c := range []struct {
 		label string
@@ -117,47 +118,54 @@ func expWatchdog(seed int64) error {
 		rows = append(rows, []string{c.label, fmt.Sprintf("%d", c.files),
 			fmt.Sprintf("%.1f h", total.Hours()), fits})
 	}
-	fmt.Print(trace.Table([]string{"Backlog", "Files", "Drain time", "vs watchdog"}, rows))
+	fmt.Fprint(w, trace.Table([]string{"Backlog", "Files", "Drain time", "vs watchdog"}, rows))
 
 	// Multi-day drain of the 21-day backlog on a live station.
-	mk := func(cfg station.Config) (*simenv.Simulator, *station.Station, *server.Server) {
-		sim := simenv.NewAt(seed, time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC))
-		wx := weather.New(seed)
-		srv := server.New()
-		node := core.NewNode(sim, wx, core.BaseStationConfig("base"))
-		st := station.New(node, srv, nil, nil, cfg)
-		return sim, st, srv
+	mk := func(specialFirst bool, faults ...deploy.Fault) (*deploy.Deployment, error) {
+		spec := deploy.BaseSpec("base", 0)
+		spec.Runtime = station.Config{SpecialFirst: specialFirst}
+		return deploy.Build(deploy.Topology{
+			Seed:     seed,
+			Start:    time.Date(2009, 2, 1, 0, 0, 0, 0, time.UTC),
+			Stations: []deploy.StationSpec{spec},
+			Faults:   faults,
+		})
 	}
-	sim, st, _ := mk(station.DefaultConfig(station.RoleBase))
-	st.Node().GPS.InjectBacklog(21 * 12)
+	d, err := mk(false)
+	if err != nil {
+		return err
+	}
+	gps := d.Stations[0].Node().GPS
+	gps.InjectBacklog(21 * 12)
 	days := 0
-	for st.Node().GPS.FileCount() > 12 && days < 30 {
-		if err := sim.RunFor(24 * time.Hour); err != nil {
+	for gps.FileCount() > 12 && days < 30 {
+		if err := d.RunDays(1); err != nil {
 			return err
 		}
 		days++
 	}
-	fmt.Printf("\nlive station with a 252-file backlog: cleared in %d daily windows\n", days)
+	fmt.Fprintf(w, "\nlive station with a 252-file backlog: cleared in %d daily windows\n", days)
 
 	// The deadlock and its rescue.
 	outcome := func(specialFirst, rescue bool) string {
-		cfg := station.DefaultConfig(station.RoleBase)
-		cfg.RS232Health = 0.002
-		cfg.SpecialFirst = specialFirst
-		sim, st, srv := mk(cfg)
-		st.Node().GPS.InjectBacklog(3)
+		d, err := mk(specialFirst, deploy.Fault{Station: "base", Kind: deploy.FaultRS232, Value: 0.002})
+		if err != nil {
+			return err.Error()
+		}
+		gps := d.Stations[0].Node().GPS
+		gps.InjectBacklog(3)
 		stuck := map[uint64]bool{}
-		for _, f := range st.Node().GPS.Files() {
+		for _, f := range gps.Files() {
 			stuck[f.ID] = true
 		}
 		if rescue {
-			srv.PushSpecial("base", "set-rs232 1.0")
+			d.Server.PushSpecial("base", "set-rs232 1.0")
 		}
-		if err := sim.RunFor(5 * 24 * time.Hour); err != nil {
+		if err := d.RunDays(5); err != nil {
 			return err.Error()
 		}
 		left := 0
-		for _, f := range st.Node().GPS.Files() {
+		for _, f := range gps.Files() {
 			if stuck[f.ID] {
 				left++
 			}
@@ -172,10 +180,10 @@ func expWatchdog(seed int64) error {
 		{"as deployed (special after upload)", "set-rs232 special", outcome(false, true)},
 		{"fixed (special before transfer)", "set-rs232 special", outcome(true, true)},
 	}
-	fmt.Println("\nintermittent RS-232 cable (one file > 2 h):")
-	fmt.Print(trace.Table([]string{"Ordering", "Remote intervention", "Outcome"}, rows))
-	fmt.Println("\npaper: \"it is suggested that the execution of remote code is performed")
-	fmt.Println("before the data is transferred\" — only that ordering lets the rescue land.")
+	fmt.Fprintln(w, "\nintermittent RS-232 cable (one file > 2 h):")
+	fmt.Fprint(w, trace.Table([]string{"Ordering", "Remote intervention", "Outcome"}, rows))
+	fmt.Fprintln(w, "\npaper: \"it is suggested that the execution of remote code is performed")
+	fmt.Fprintln(w, "before the data is transferred\" — only that ordering lets the rescue land.")
 	return nil
 }
 
@@ -185,7 +193,7 @@ func expWatchdog(seed int64) error {
 // 2-timing grid (internal/campaign, shared with the campaign runner and
 // the worker daemons) runs on the sweep engine; the set-hour axis is a
 // label-only override the custom driver interprets.
-func expSyncLag(seed int64) error {
+func expSyncLag(w io.Writer, seed int64) error {
 	sum, err := sweep.Run(campaign.SyncLagGrid(seed, 3), 0)
 	if err != nil {
 		return err
@@ -202,7 +210,7 @@ func expSyncLag(seed int64) error {
 		rows = append(rows, []string{cr.Cell.Override, fmt.Sprintf("seed %d", cr.Cell.Seed),
 			fmt.Sprintf("%.0f", b), fmt.Sprintf("%.0f", r), fmt.Sprintf("%.0f", fails)})
 	}
-	fmt.Print(trace.Table([]string{"Change timing", "Trial", "Base lag (days)",
+	fmt.Fprint(w, trace.Table([]string{"Change timing", "Trial", "Base lag (days)",
 		"Ref lag (days)", "Failed sessions while waiting"}, rows))
 
 	rows = rows[:0]
@@ -214,39 +222,44 @@ func expSyncLag(seed int64) error {
 			}
 		}
 	}
-	fmt.Println()
-	fmt.Print(trace.Table([]string{"Change timing", "Metric", "Mean over seeds", "Stddev"}, rows))
-	fmt.Println("\nbefore-window changes land the same day (lag 0). After-window changes")
-	fmt.Println("usually wait for tomorrow (lag 1) — but a station still uploading a")
-	fmt.Println("backlog queries the override late and can pick the change up the same")
-	fmt.Println("day, exactly the timing-variation effect §III describes. Extra days")
-	fmt.Println("trace one-for-one to failed GPRS sessions.")
+	fmt.Fprintln(w)
+	fmt.Fprint(w, trace.Table([]string{"Change timing", "Metric", "Mean over seeds", "Stddev"}, rows))
+	fmt.Fprintln(w, "\nbefore-window changes land the same day (lag 0). After-window changes")
+	fmt.Fprintln(w, "usually wait for tomorrow (lag 1) — but a station still uploading a")
+	fmt.Fprintln(w, "backlog queries the override late and can pick the change up the same")
+	fmt.Fprintln(w, "day, exactly the timing-variation effect §III describes. Extra days")
+	fmt.Fprintln(w, "trace one-for-one to failed GPRS sessions.")
 	return nil
 }
 
 // expRecovery forces total depletion and reports the §IV recovery sequence.
-func expRecovery(seed int64) error {
-	sim := simenv.NewAt(seed, time.Date(2009, 5, 1, 0, 0, 0, 0, time.UTC))
-	wx := weather.New(seed)
-	srv := server.New()
-	ncfg := core.BaseStationConfig("base")
-	ncfg.Battery.InitialSoC = 0.15
-	ncfg.Chargers = []energy.Charger{energy.NewSolarPanel(60)}
-	node := core.NewNode(sim, wx, ncfg)
-	st := station.New(node, srv, nil, nil, station.DefaultConfig(station.RoleBase))
-
-	node.Bus.SetLoad("stuck-scp", 30) // the hung-transfer failure mode
-	if err := sim.RunFor(3 * 24 * time.Hour); err != nil {
+func expRecovery(w io.Writer, seed int64) error {
+	spec := deploy.BaseSpec("base", 0)
+	hw := core.BaseStationConfig("base")
+	hw.Battery.InitialSoC = 0.15
+	hw.Chargers = []energy.Charger{energy.NewSolarPanel(60)}
+	spec.Hardware = &hw
+	d, err := deploy.Build(deploy.Topology{
+		Seed:     seed,
+		Start:    time.Date(2009, 5, 1, 0, 0, 0, 0, time.UTC),
+		Stations: []deploy.StationSpec{spec},
+		Faults:   []deploy.Fault{{Kind: deploy.FaultStuckLoad, Value: 30}}, // the hung-transfer failure mode
+	})
+	if err != nil {
 		return err
 	}
-	failedAt := sim.Now()
-	if err := sim.RunFor(25 * 24 * time.Hour); err != nil {
+	if err := d.RunDays(3); err != nil {
+		return err
+	}
+	failedAt := d.Sim.Now()
+	if err := d.RunDays(25); err != nil {
 		return err
 	}
 
+	st := d.Stations[0]
 	rec := st.Recovery()
 	rows := [][]string{
-		{"total power failures", fmt.Sprintf("%d", node.Bus.FailCount())},
+		{"total power failures", fmt.Sprintf("%d", st.Node().Bus.FailCount())},
 		{"RTC-reset detections (clock < last-run)", fmt.Sprintf("%d", rec.Triggered)},
 		{"GPS time-fix attempts", fmt.Sprintf("%d", rec.FixAttempts)},
 		{"failed fixes (slept a day, retried)", fmt.Sprintf("%d", rec.FixFailures)},
@@ -254,13 +267,13 @@ func expRecovery(seed int64) error {
 		{"daily runs resumed", yesNo(st.Stats().Runs > 0)},
 		{"clock error after recovery", st.Node().MCU.ClockError().Round(time.Second).String()},
 	}
-	fmt.Print(trace.Table([]string{"Metric", "Value"}, rows))
-	fmt.Printf("\n(battery exhausted around %s; summer sun recharged it)\n", failedAt.Format("2006-01-02"))
+	fmt.Fprint(w, trace.Table([]string{"Metric", "Value"}, rows))
+	fmt.Fprintf(w, "\n(battery exhausted around %s; summer sun recharged it)\n", failedAt.Format("2006-01-02"))
 	return nil
 }
 
 // expSurvival Monte-Carlos probe cohorts against the §V field outcome.
-func expSurvival() error {
+func expSurvival(w io.Writer) error {
 	year := 365 * 24 * time.Hour
 	mean := time.Duration(1.8 * float64(year))
 	const cohorts = 2000
@@ -273,15 +286,15 @@ func expSurvival() error {
 		{"1 year", fmt.Sprintf("%.2f", y1/cohorts*7), "4/7"},
 		{"18 months", fmt.Sprintf("%.2f", y15/cohorts*7), "2 (producing data)"},
 	}
-	fmt.Print(trace.Table([]string{"Horizon", "Mean survivors of 7 (sim)", "Paper"}, rows))
-	fmt.Printf("\nexponential survival, mean life %.1f years, %d simulated cohorts\n",
+	fmt.Fprint(w, trace.Table([]string{"Horizon", "Mean survivors of 7 (sim)", "Paper"}, rows))
+	fmt.Fprintf(w, "\nexponential survival, mean life %.1f years, %d simulated cohorts\n",
 		float64(mean)/float64(year), cohorts)
 	return nil
 }
 
 // expUpdate measures remote-update feedback latency with and without the
 // MD5 beacon, across clean and corrupted transfers.
-func expUpdate(seed int64) error {
+func expUpdate(w io.Writer, seed int64) error {
 	srv := server.New()
 	ins := update.NewInstaller()
 	now := time.Date(2009, 10, 1, 12, 0, 0, 0, time.UTC)
@@ -317,10 +330,10 @@ func expUpdate(seed int64) error {
 		}
 		rows = append(rows, []string{c.label, outcome, feedback})
 	}
-	fmt.Print(trace.Table([]string{"Scenario", "Station outcome", "Southampton learns via"}, rows))
-	fmt.Printf("\nbeacons received by the server: %d\n", len(srv.MD5Reports()))
-	fmt.Println("paper: the wget-GET beacon \"enables researchers to know immediately if")
-	fmt.Println("the transfer was successful\" instead of waiting for the log round-trip.")
+	fmt.Fprint(w, trace.Table([]string{"Scenario", "Station outcome", "Southampton learns via"}, rows))
+	fmt.Fprintf(w, "\nbeacons received by the server: %d\n", len(srv.MD5Reports()))
+	fmt.Fprintln(w, "paper: the wget-GET beacon \"enables researchers to know immediately if")
+	fmt.Fprintln(w, "the transfer was successful\" instead of waiting for the log round-trip.")
 	return nil
 }
 
@@ -330,15 +343,16 @@ func expUpdate(seed int64) error {
 // down — N stations synchronised with no inter-station link. The study is
 // a 4-seed sweep of the fleet-N scenario with the fault injected as a grid
 // override; the first seed is also shown station by station.
-func expFleet(seed int64) error {
+func expFleet(w io.Writer, seed int64) error {
 	var mu sync.Mutex
 	var detail [][]string
+	var result deploy.Result
 	g := campaign.FleetMinRuleGrid(seed, 4, 14)
 	g.Observe = func(c sweep.Cell, d *deploy.Deployment) []sweep.Metric {
 		healthyHeld, rows := campaign.FleetHeldRows(d)
 		if c.Seed == seed {
 			mu.Lock()
-			detail = rows
+			detail, result = rows, d.Result()
 			mu.Unlock()
 		}
 		return []sweep.Metric{{Name: "healthy-station-days-held", Value: float64(healthyHeld)}}
@@ -353,10 +367,10 @@ func expFleet(seed int64) error {
 		}
 	}
 
-	fmt.Printf("seed %d of the %d-seed sweep, station by station:\n\n", seed, len(sum.Cells))
-	fmt.Print(trace.Table([]string{"Station", "Role", "Runs", "Days held below local state", "State now"}, detail))
-	fmt.Println()
-	fmt.Print(sum.Cells[0].Result)
+	fmt.Fprintf(w, "seed %d of the %d-seed sweep, station by station:\n\n", seed, len(sum.Cells))
+	fmt.Fprint(w, trace.Table([]string{"Station", "Role", "Runs", "Days held below local state", "State now"}, detail))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, result)
 
 	var rows [][]string
 	for _, cr := range sum.Cells {
@@ -367,12 +381,12 @@ func expFleet(seed int64) error {
 		rows = append(rows, []string{"mean ± stddev over seeds",
 			fmt.Sprintf("%.1f ± %.1f", st.Mean, st.Stddev)})
 	}
-	fmt.Println()
-	fmt.Print(trace.Table([]string{"Trial", "Healthy-station days held down"}, rows))
-	fmt.Println("\n§III: the server answers every station with the minimum of the fleet's")
-	fmt.Println("last-reported states — one weak battery throttles the whole fleet's dGPS")
-	fmt.Println("duty cycle, with at most one day of lag and no base↔base radio link,")
-	fmt.Println("on every seed of the sweep.")
+	fmt.Fprintln(w)
+	fmt.Fprint(w, trace.Table([]string{"Trial", "Healthy-station days held down"}, rows))
+	fmt.Fprintln(w, "\n§III: the server answers every station with the minimum of the fleet's")
+	fmt.Fprintln(w, "last-reported states — one weak battery throttles the whole fleet's dGPS")
+	fmt.Fprintln(w, "duty cycle, with at most one day of lag and no base↔base radio link,")
+	fmt.Fprintln(w, "on every seed of the sweep.")
 	return nil
 }
 
@@ -382,9 +396,9 @@ func expFleet(seed int64) error {
 // warrants it". A deeply discharged station (state 0) receives a
 // conductivity spike from a probe; without the extension the event waits
 // for the battery, with it the event goes out the same day.
-func expPriority(seed int64) error {
+func expPriority(w io.Writer, seed int64) error {
 	run := func(withPriority bool) (forced bool, uploadedB int64, state power.State) {
-		cfg := station.DefaultConfig(station.RoleBase)
+		cfg := station.Config{Role: station.RoleBase}
 		if withPriority {
 			cfg.Priority = station.NewConductivitySpikeEvaluator()
 		}
@@ -419,10 +433,10 @@ func expPriority(seed int64) error {
 		{"with priority evaluator", fmt.Sprintf("%v", fWith), fmt.Sprintf("%d B", bWith), "same day"},
 		{"as deployed (none)", fmt.Sprintf("%v", fWithout), fmt.Sprintf("%d B", bWithout), "waits for battery"},
 	}
-	fmt.Printf("scenario: July conductivity spike, battery at local %v\n\n", st1)
-	fmt.Print(trace.Table([]string{"Configuration", "Forced comms", "Event data out", "Event latency"}, rows))
-	fmt.Println("\n§VII: \"This work could be extended by enabling the base station to")
-	fmt.Println("analyse the data collected and prioritise it forcing communication even")
-	fmt.Println("if the available power is marginal if the data warrants it.\"")
+	fmt.Fprintf(w, "scenario: July conductivity spike, battery at local %v\n\n", st1)
+	fmt.Fprint(w, trace.Table([]string{"Configuration", "Forced comms", "Event data out", "Event latency"}, rows))
+	fmt.Fprintln(w, "\n§VII: \"This work could be extended by enabling the base station to")
+	fmt.Fprintln(w, "analyse the data collected and prioritise it forcing communication even")
+	fmt.Fprintln(w, "if the available power is marginal if the data warrants it.\"")
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -16,12 +17,12 @@ import (
 
 // fig3 runs three deployment days and shows the final architecture as data
 // flows: each station independently to Southampton, never to each other.
-func fig3(seed int64) error {
+func fig3(w io.Writer, seed int64) error {
 	d := deploy.MustBuild(deploy.AsDeployed(seed))
 	if err := d.RunDays(3); err != nil {
 		return err
 	}
-	fmt.Println(`  [probes under 70m of ice]
+	fmt.Fprintln(w, `  [probes under 70m of ice]
         |  ack-less fetch (173 MHz through ice)
         v
   [base station] --GPRS--> [Southampton server] <--GPRS-- [reference station]
@@ -29,25 +30,25 @@ func fig3(seed int64) error {
      solar+wind               specials, MD5 beacons           solar+cafe mains
 
   (no base <-> reference link: the §II decision)`)
-	fmt.Println()
+	fmt.Fprintln(w)
 	rows := [][]string{}
 	for _, rec := range d.Server.Stations() {
 		rows = append(rows, []string{rec.Name, fmt.Sprintf("%.2f", float64(rec.BytesReceived)/(1<<20)),
 			fmt.Sprintf("%d", rec.Uploads), rec.LastState.String()})
 	}
-	fmt.Print(trace.Table([]string{"Station", "MB to Southampton (3 days)", "Uploads", "Last state"}, rows))
+	fmt.Fprint(w, trace.Table([]string{"Station", "MB to Southampton (3 days)", "Uploads", "Last state"}, rows))
 	probeTotal := 0
 	base, _ := d.Station("base")
 	for _, r := range base.Reports() {
 		probeTotal += r.ProbeReadings
 	}
-	fmt.Printf("\nprobe readings relayed through the base station: %d\n", probeTotal)
+	fmt.Fprintf(w, "\nprobe readings relayed through the base station: %d\n", probeTotal)
 	return nil
 }
 
 // fig4 traces one daily run and prints the executed steps in order,
 // matching the paper's flowchart.
-func fig4(seed int64) error {
+func fig4(w io.Writer, seed int64) error {
 	d := deploy.MustBuild(deploy.AsDeployed(seed))
 	type step struct {
 		at   time.Time
@@ -62,7 +63,7 @@ func fig4(seed int64) error {
 	if err := d.RunDays(1); err != nil {
 		return err
 	}
-	fmt.Println("executed steps of the base station's first daily run:")
+	fmt.Fprintln(w, "executed steps of the base station's first daily run:")
 	var rows [][]string
 	seen := map[string]int{}
 	for _, s := range steps {
@@ -79,10 +80,10 @@ func fig4(seed int64) error {
 		rows = append(head, [][]string{{"  ...", fmt.Sprintf("(%d repeated drain/upload steps)", len(steps)-20)}}...)
 		rows = append(rows, tail...)
 	}
-	fmt.Print(trace.Table([]string{"Time (UTC)", "Fig 4 step"}, rows))
+	fmt.Fprint(w, trace.Table([]string{"Time (UTC)", "Fig 4 step"}, rows))
 	base, _ := d.Station("base")
 	rep := base.Reports()[0]
-	fmt.Printf("\nresult: local=%v override=%d effective=%v comms=%v elapsed=%v\n",
+	fmt.Fprintf(w, "\nresult: local=%v override=%d effective=%v comms=%v elapsed=%v\n",
 		rep.LocalState, int(rep.Override), rep.Effective, rep.CommsOK, rep.WallElapsed.Round(time.Minute))
 	return nil
 }
@@ -90,7 +91,7 @@ func fig4(seed int64) error {
 // fig5 reproduces the paper's September 2009 window: the battery's diurnal
 // voltage curve, the station initially held in state 2 by the remote
 // override, then released to state 3 where the 2-hourly dGPS dips appear.
-func fig5(seed int64) error {
+func fig5(w io.Writer, seed int64) error {
 	top := deploy.AsDeployed(seed)
 	top.Start = time.Date(2009, 9, 15, 0, 0, 0, 0, time.UTC)
 	d := deploy.MustBuild(top)
@@ -117,10 +118,10 @@ func fig5(seed int64) error {
 
 	from := time.Date(2009, 9, 22, 0, 0, 0, 0, time.UTC)
 	to := time.Date(2009, 9, 26, 0, 0, 0, 0, time.UTC)
-	fmt.Println("base battery terminal voltage, 22-25 Sept (cf. paper Fig 5):")
-	fmt.Print(trace.ASCIIChart(76, 12, volts.Window(from, to)))
+	fmt.Fprintln(w, "base battery terminal voltage, 22-25 Sept (cf. paper Fig 5):")
+	fmt.Fprint(w, trace.ASCIIChart(76, 12, volts.Window(from, to)))
 
-	fmt.Println("\nadopted power state by day:")
+	fmt.Fprintln(w, "\nadopted power state by day:")
 	var rows [][]string
 	for _, p := range states.Points() {
 		rows = append(rows, []string{p.T.Format("2006-01-02"), power.State(int(p.V)).String()})
@@ -128,18 +129,18 @@ func fig5(seed int64) error {
 	if len(rows) > 12 {
 		rows = rows[len(rows)-12:]
 	}
-	fmt.Print(trace.Table([]string{"Day", "Effective state"}, rows))
+	fmt.Fprint(w, trace.Table([]string{"Day", "Effective state"}, rows))
 
 	// Count the state-3 dGPS dips on the final day: 12 power-ons.
 	dips := countDips(volts.Window(time.Date(2009, 9, 24, 12, 30, 0, 0, time.UTC), to))
-	fmt.Printf("\nvoltage dips in the final 36 h (dGPS duty in state 3): %d (expect ~12-18 at 2 h spacing)\n", dips)
-	fmt.Println("shape check: peaks near midday; ripple appears only after the override release.")
+	fmt.Fprintf(w, "\nvoltage dips in the final 36 h (dGPS duty in state 3): %d (expect ~12-18 at 2 h spacing)\n", dips)
+	fmt.Fprintln(w, "shape check: peaks near midday; ripple appears only after the override release.")
 	return nil
 }
 
 // fig6 reproduces the three-probe conductivity traces from late January to
 // late April: flat through winter, rising as melt water reaches the bed.
-func fig6(seed int64) error {
+func fig6(w io.Writer, seed int64) error {
 	wx := weather.New(seed)
 	sim := simenv.NewAt(seed, time.Date(2009, 1, 27, 0, 0, 0, 0, time.UTC))
 	ids := []int{21, 24, 25}
@@ -160,10 +161,10 @@ func fig6(seed int64) error {
 	if err := sim.Run(time.Date(2009, 4, 21, 0, 0, 0, 0, time.UTC)); err != nil {
 		return err
 	}
-	fmt.Println("sub-glacial electrical conductivity, 27 Jan - 21 Apr 2009 (cf. Fig 6):")
-	fmt.Print(trace.ASCIIChart(76, 12, series...))
+	fmt.Fprintln(w, "sub-glacial electrical conductivity, 27 Jan - 21 Apr 2009 (cf. Fig 6):")
+	fmt.Fprint(w, trace.ASCIIChart(76, 12, series...))
 
-	fmt.Println("\nmonthly means (µS):")
+	fmt.Fprintln(w, "\nmonthly means (µS):")
 	rows := [][]string{}
 	months := []time.Month{time.February, time.March, time.April}
 	for i, id := range ids {
@@ -181,8 +182,8 @@ func fig6(seed int64) error {
 		}
 		rows = append(rows, row)
 	}
-	fmt.Print(trace.Table([]string{"Probe", "Feb", "Mar", "Apr"}, rows))
-	fmt.Println("\nshape check: April > February for every probe (melt onset at the bed).")
+	fmt.Fprint(w, trace.Table([]string{"Probe", "Feb", "Mar", "Apr"}, rows))
+	fmt.Fprintln(w, "\nshape check: April > February for every probe (melt onset at the bed).")
 	return nil
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,7 +11,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment tables")
 
 // goldenNames names the golden file of every `glacreport exp` ID at
-// seed 42, so each experiment's stdout is pinned byte for byte: the
+// seed 42, so each experiment's output is pinned byte for byte: the
 // paper's tables and figures (t*, f*), the x-series claims and ext1. Any
 // drift in a model constant, the climate, the protocols or the table
 // renderer shows up here.
@@ -35,8 +34,8 @@ var goldenNames = map[string]string{
 	"ext1": "ext1-priority",
 }
 
-// TestGoldenExperimentTables captures each experiment's stdout and
-// compares it against its golden file. Regenerate deliberately with:
+// TestGoldenExperimentTables runs each experiment into a buffer and
+// compares its output against its golden file. Regenerate deliberately with:
 //
 //	go test ./cmd/glacreport -run TestGoldenExperimentTables -update
 func TestGoldenExperimentTables(t *testing.T) {
@@ -50,7 +49,11 @@ func TestGoldenExperimentTables(t *testing.T) {
 			t.Fatalf("experiment %s has no golden name", e.id)
 		}
 		t.Run(name, func(t *testing.T) {
-			got := captureStdout(t, e.run)
+			var out bytes.Buffer
+			if err := e.run(&out); err != nil {
+				t.Fatalf("experiment failed: %v", err)
+			}
+			got := out.String()
 			path := filepath.Join("testdata", "golden", name+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -72,30 +75,4 @@ func TestGoldenExperimentTables(t *testing.T) {
 			}
 		})
 	}
-}
-
-// captureStdout runs fn with os.Stdout redirected into a buffer — the
-// experiment functions print straight to stdout, exactly as the CLI does.
-func captureStdout(t *testing.T, fn func() error) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		var b bytes.Buffer
-		_, _ = io.Copy(&b, r)
-		done <- b.String()
-	}()
-	ferr := fn()
-	_ = w.Close()
-	os.Stdout = old
-	out := <-done
-	if ferr != nil {
-		t.Fatalf("experiment failed: %v", ferr)
-	}
-	return out
 }

@@ -39,6 +39,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -50,7 +51,7 @@ import (
 type experiment struct {
 	id    string
 	title string
-	run   func() error
+	run   func(w io.Writer) error
 }
 
 func main() {
@@ -77,7 +78,7 @@ func expCmd(fs *flag.FlagSet) func([]string) error {
 		}
 		for _, e := range exps {
 			fmt.Printf("\n%s\n%s  %s\n%s\n", rule(), strings.ToUpper(e.id), e.title, rule())
-			if err := e.run(); err != nil {
+			if err := e.run(os.Stdout); err != nil {
 				return fmt.Errorf("%s: %w", e.id, err)
 			}
 		}
@@ -87,22 +88,22 @@ func expCmd(fs *flag.FlagSet) func([]string) error {
 
 func experiments(seed int64) []experiment {
 	return []experiment{
-		{"t1", "Table I — characteristics of system components", func() error { return tableI(seed) }},
-		{"t2", "Table II — power states", func() error { return tableII() }},
-		{"f3", "Fig 3 — final system architecture (data flows)", func() error { return fig3(seed) }},
-		{"f4", "Fig 4 — daily execution flowchart", func() error { return fig4(seed) }},
-		{"f5", "Fig 5 — diurnal voltage with dGPS ripple and state switch", func() error { return fig5(seed) }},
-		{"f6", "Fig 6 — sub-glacial conductivity at end of winter", func() error { return fig6(seed) }},
-		{"x1", "§III — battery lifetime vs dGPS duty cycle", func() error { return expLifetime() }},
-		{"x2", "§II — radio-modem relay vs dual GPRS", func() error { return expArch(seed) }},
-		{"x3", "§V — bulk fetch protocols on the summer channel", func() error { return expBulkFetch(seed) }},
-		{"x4", "§VI — 2 h watchdog: backlog bounds and the single-file deadlock", func() error { return expWatchdog(seed) }},
-		{"x5", "§III — override sync lag between stations", func() error { return expSyncLag(seed) }},
-		{"x6", "§IV — schedule/RTC recovery after total depletion", func() error { return expRecovery(seed) }},
-		{"x7", "§V — probe cohort survival", func() error { return expSurvival() }},
-		{"x8", "§VI — remote update feedback latency", func() error { return expUpdate(seed) }},
-		{"x9", "§III — min-rule coordination at fleet scale (8 stations)", func() error { return expFleet(seed) }},
-		{"ext1", "§VII extension — priority data forcing marginal-power comms", func() error { return expPriority(seed) }},
+		{"t1", "Table I — characteristics of system components", func(w io.Writer) error { return tableI(w, seed) }},
+		{"t2", "Table II — power states", tableII},
+		{"f3", "Fig 3 — final system architecture (data flows)", func(w io.Writer) error { return fig3(w, seed) }},
+		{"f4", "Fig 4 — daily execution flowchart", func(w io.Writer) error { return fig4(w, seed) }},
+		{"f5", "Fig 5 — diurnal voltage with dGPS ripple and state switch", func(w io.Writer) error { return fig5(w, seed) }},
+		{"f6", "Fig 6 — sub-glacial conductivity at end of winter", func(w io.Writer) error { return fig6(w, seed) }},
+		{"x1", "§III — battery lifetime vs dGPS duty cycle", expLifetime},
+		{"x2", "§II — radio-modem relay vs dual GPRS", func(w io.Writer) error { return expArch(w, seed) }},
+		{"x3", "§V — bulk fetch protocols on the summer channel", func(w io.Writer) error { return expBulkFetch(w, seed) }},
+		{"x4", "§VI — 2 h watchdog: backlog bounds and the single-file deadlock", func(w io.Writer) error { return expWatchdog(w, seed) }},
+		{"x5", "§III — override sync lag between stations", func(w io.Writer) error { return expSyncLag(w, seed) }},
+		{"x6", "§IV — schedule/RTC recovery after total depletion", func(w io.Writer) error { return expRecovery(w, seed) }},
+		{"x7", "§V — probe cohort survival", expSurvival},
+		{"x8", "§VI — remote update feedback latency", func(w io.Writer) error { return expUpdate(w, seed) }},
+		{"x9", "§III — min-rule coordination at fleet scale (8 stations)", func(w io.Writer) error { return expFleet(w, seed) }},
+		{"ext1", "§VII extension — priority data forcing marginal-power comms", func(w io.Writer) error { return expPriority(w, seed) }},
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 
 // tableI reproduces Table I and extends it with measured figures from the
 // simulated devices: seconds and watt-hours to move one megabyte.
-func tableI(seed int64) error {
+func tableI(w io.Writer, seed int64) error {
 	sim := simenv.New(seed)
 	const mb = 1024 * 1024
 
@@ -24,7 +25,7 @@ func tableI(seed int64) error {
 	radio := comms.NewRadioModem(sim, "m")
 	radioT := radio.TransferTime(mb).Seconds()
 
-	mW := func(w float64) string { return fmt.Sprintf("%.0f", w*1000) }
+	mW := func(watts float64) string { return fmt.Sprintf("%.0f", watts*1000) }
 	rows := [][]string{
 		{"Gumstix", "-", mW(gumstix.PowerW), "-", "-"},
 		{"GPRS Modem", strconv.Itoa(comms.GPRSRateBps), mW(comms.GPRSPowerW),
@@ -33,16 +34,16 @@ func tableI(seed int64) error {
 			fmt.Sprintf("%.0f", radioT), fmt.Sprintf("%.2f", comms.RadioPowerW*radioT/3600)},
 		{"GPS", "-", mW(dgps.PowerW), "-", "-"},
 	}
-	fmt.Print(trace.Table(
+	fmt.Fprint(w, trace.Table(
 		[]string{"Device", "Rate (bps)", "Power (mW)", "s/MB (sim)", "Wh/MB (sim)"}, rows))
-	fmt.Println("\npaper: Table I. Simulated devices reproduce the rate/power points;")
-	fmt.Println("the derived columns show why GPRS wins: ~2.6x less energy per megabyte.")
+	fmt.Fprintln(w, "\npaper: Table I. Simulated devices reproduce the rate/power points;")
+	fmt.Fprintln(w, "the derived columns show why GPRS wins: ~2.6x less energy per megabyte.")
 	return nil
 }
 
 // tableII reproduces the power-state table and verifies it against the
 // state machine with a voltage sweep.
-func tableII() error {
+func tableII(w io.Writer) error {
 	rows := make([][]string, 0, 4)
 	for st := power.State3; st >= power.State0; st-- {
 		p := power.PlanFor(st)
@@ -58,22 +59,22 @@ func tableII() error {
 			st.String(), thr, yesNo(p.ProbeJobs), yesNo(p.SensorReadings), gps, yesNo(p.GPRS),
 		})
 	}
-	fmt.Print(trace.Table(
+	fmt.Fprint(w, trace.Table(
 		[]string{"State", "Min threshold (V)", "Probe jobs", "Sensor readings", "GPS", "GPRS"}, rows))
 
-	fmt.Println("\nvoltage sweep through the state machine:")
+	fmt.Fprintln(w, "\nvoltage sweep through the state machine:")
 	sweep := [][]string{}
 	for _, v := range []float64{13.0, 12.5, 12.3, 12.0, 11.7, 11.5, 11.2} {
 		sweep = append(sweep, []string{fmt.Sprintf("%.1f", v), power.StateForVoltage(v).String()})
 	}
-	fmt.Print(trace.Table([]string{"Daily avg (V)", "State"}, sweep))
+	fmt.Fprint(w, trace.Table([]string{"Daily avg (V)", "State"}, sweep))
 	return nil
 }
 
 // expLifetime reproduces §III's battery arithmetic: continuous dGPS
 // recording kills a 36 Ah bank in ~5 days; the state-3 duty cycle (12
 // five-minute readings/day) stretches it to ~117 days.
-func expLifetime() error {
+func expLifetime(w io.Writer) error {
 	duty := func(hoursPerDay float64) float64 {
 		b := energy.NewBattery(energy.BatteryConfig{InitialSoC: 1})
 		days := 0.0
@@ -88,15 +89,15 @@ func expLifetime() error {
 		{"state 3 (12 x 5 min)", "1.0", fmt.Sprintf("%.0f", duty(1)), "~117"},
 		{"state 2 (1 x 5 min)", "0.083", fmt.Sprintf("%.0f", duty(1.0/12)), "-"},
 	}
-	fmt.Print(trace.Table(
+	fmt.Fprint(w, trace.Table(
 		[]string{"dGPS duty cycle", "h/day on", "Days to deplete 36 Ah (sim)", "Paper"}, rows))
-	fmt.Println("\n(figures exclude every other component, as in the paper; the bank's")
-	fmt.Println("default 0.05%/day self-discharge is included)")
+	fmt.Fprintln(w, "\n(figures exclude every other component, as in the paper; the bank's")
+	fmt.Fprintln(w, "default 0.05%/day self-discharge is included)")
 	return nil
 }
 
 // expArch reproduces the §II architecture energy comparison.
-func expArch(seed int64) error {
+func expArch(w io.Writer, seed int64) error {
 	sim := simenv.New(seed)
 	radio := comms.NewRadioModem(sim, "m")
 	const dayBytes = 12*165*1024 + 80*1024
@@ -111,9 +112,9 @@ func expArch(seed int64) error {
 		{"radio relay (Norway)", fmt.Sprintf("%.1f", relay), "coupled: ref dies -> base dark"},
 		{"dual GPRS (Iceland)", fmt.Sprintf("%.1f", dual), "independent failures"},
 	}
-	fmt.Print(trace.Table([]string{"Architecture", "Comms energy (Wh/day)", "Failure coupling"}, rows))
-	fmt.Printf("\nsaving: %.1fx (paper: \"a twofold power saving\"; the sim also counts\n", relay/dual)
-	fmt.Println("the second radio modem and the doubled GPRS payload at the café)")
+	fmt.Fprint(w, trace.Table([]string{"Architecture", "Comms energy (Wh/day)", "Failure coupling"}, rows))
+	fmt.Fprintf(w, "\nsaving: %.1fx (paper: \"a twofold power saving\"; the sim also counts\n", relay/dual)
+	fmt.Fprintln(w, "the second radio modem and the doubled GPRS payload at the café)")
 
 	// Dial-failure exposure at the daily window, per month.
 	fails := 0
@@ -123,7 +124,7 @@ func expArch(seed int64) error {
 			fails++
 		}
 	}
-	fmt.Printf("radio PPP dial failures at midday: %d/30 days (diurnal interference)\n", fails)
+	fmt.Fprintf(w, "radio PPP dial failures at midday: %d/30 days (diurnal interference)\n", fails)
 	return nil
 }
 

@@ -52,12 +52,6 @@ func NewGPRS(sim *simenv.Simulator, ctrl *mcu.MCU, wx *weather.Model, name strin
 	return g
 }
 
-// Name returns the modem name.
-func (g *GPRS) Name() string { return g.name }
-
-// Powered reports whether the modem rail is up.
-func (g *GPRS) Powered() bool { return g.powered }
-
 // Attached reports whether a data session is up.
 func (g *GPRS) Attached() bool { return g.attached }
 

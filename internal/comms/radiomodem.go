@@ -31,9 +31,6 @@ func NewRadioModem(sim *simenv.Simulator, name string) *RadioModem {
 	return &RadioModem{sim: sim, name: name}
 }
 
-// Name returns the modem name.
-func (m *RadioModem) Name() string { return m.name }
-
 // InterferenceLevel returns the local interference factor at now in [0,1].
 // The lab observation — "reliability was affected by the time of day which
 // implies ... local interference" — is reproduced as a diurnal cycle peaking

@@ -10,8 +10,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/comms"
 	"repro/internal/energy"
 	"repro/internal/hw/dgps"
@@ -93,12 +91,6 @@ func NewNode(sim *simenv.Simulator, wx *weather.Model, cfg NodeConfig) *Node {
 		GPS:     gps,
 		Modem:   modem,
 	}
-}
-
-// String summarises the node for logs.
-func (n *Node) String() string {
-	return fmt.Sprintf("node %s: soc=%.2f gumstix=%v gps=%v gprs=%v",
-		n.Name, n.Battery.SoC(), n.Host.Powered(), n.GPS.Powered(), n.Modem.Powered())
 }
 
 // Snapshot captures the node's electrical state for traces.

@@ -33,13 +33,18 @@ func TestNodeRailsControlPeripherals(t *testing.T) {
 	if !n.Host.Powered() {
 		t.Fatal("gumstix rail did not power the host")
 	}
+	// A powered dGPS unit records back to back; a powered modem attaches.
+	files := n.GPS.FileCount()
 	n.MCU.SetRail(dgps.Rail, true)
-	if !n.GPS.Powered() {
-		t.Fatal("gps rail did not power the unit")
+	if err := sim.RunFor(dgps.ReadingDuration + time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if n.GPS.FileCount() == files {
+		t.Fatal("gps rail did not power the unit: no reading recorded")
 	}
 	n.MCU.SetRail(comms.GPRSRail, true)
-	if !n.Modem.Powered() {
-		t.Fatal("gprs rail did not power the modem")
+	if err := n.Modem.Attach(sim.Now()); err != nil {
+		t.Fatalf("gprs rail did not power the modem: %v", err)
 	}
 }
 
@@ -121,12 +126,4 @@ func TestNodeNamePanics(t *testing.T) {
 		}
 	}()
 	NewNode(simenv.New(1), nil, NodeConfig{})
-}
-
-func TestNodeStringer(t *testing.T) {
-	sim := simenv.New(1)
-	n := NewNode(sim, nil, BaseStationConfig("base"))
-	if s := n.String(); s == "" {
-		t.Fatal("empty String()")
-	}
 }

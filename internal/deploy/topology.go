@@ -31,13 +31,9 @@ type StationSpec struct {
 	// NumProbes is the station's sub-glacial cohort size. Only base-role
 	// stations fetch probes; 0 means no cohort.
 	NumProbes int
-	// Runtime overrides the station runtime configuration. With Role
-	// left zero it is a partial override merged onto
-	// station.DefaultConfig(Role) — station.Config{SpecialFirst: true}
-	// keeps the deployed defaults for everything else. With Role set the
-	// config is honoured verbatim (station.New fills the remaining zero
-	// fields; a zero InitialState then means power state 0, the §IV
-	// restart point).
+	// Runtime holds the station's SpecialFirst and Priority overrides;
+	// its Role is always the spec's. The zero value is the deployed
+	// runtime.
 	Runtime station.Config
 	// Hardware overrides the node fit; nil selects the role's deployed
 	// fit (core.BaseStationConfig / core.ReferenceStationConfig). The
@@ -250,21 +246,10 @@ func MustBuild(t Topology) *Deployment {
 	return d
 }
 
-// runtimeFor resolves the spec's runtime. An explicit config (Role set)
-// is honoured verbatim — it came from DefaultConfig or a caller who means
-// every field, including InitialState 0. A partial override (Role zero)
-// is merged onto the role's deployed defaults; only InitialState needs
-// filling here, station.New already defaults the other zero fields.
+// runtimeFor is the spec's runtime under the spec's role.
 func runtimeFor(sp StationSpec) station.Config {
 	rt := sp.Runtime
-	explicit := rt.Role != 0
 	rt.Role = sp.role
-	if explicit {
-		return rt
-	}
-	if rt.InitialState == 0 {
-		rt.InitialState = station.DefaultConfig(sp.role).InitialState
-	}
 	return rt
 }
 

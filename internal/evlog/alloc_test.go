@@ -69,8 +69,8 @@ func TestRecordingOnSteadyStateAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("steady-state recording allocates %.1f objects/op, want 0", avg)
 	}
-	if w.Err() != nil {
-		t.Fatal(w.Err())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

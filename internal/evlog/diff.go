@@ -8,40 +8,24 @@ import (
 	"strings"
 )
 
-// DiffResult describes the first divergence between two logs. A nil
-// *DiffResult from Diff means the logs' records are identical (headers
-// may still differ; a non-nil result notes it).
-type DiffResult struct {
-	// Index is the first record index where the logs disagree.
-	Index uint64
-	// a is log A's record at Index (valid iff haveA: A may end first).
-	a     Record
-	haveA bool
-	// b is log B's record at Index (valid iff haveB).
-	b     Record
-	haveB bool
-	// headerNote is non-empty when the logs' headers describe different
-	// runs — a diff of different scenarios or seeds is almost certainly
-	// comparing the wrong files, so the report says so up front.
-	headerNote string
-}
-
-// Diff compares two logs and returns the first divergence, or nil when
-// every record matches (same count, same times, same names).
-func Diff(a, b *Log) *DiffResult {
+// Diff compares two logs and returns the first divergence, A's record as
+// Want and B's as Got, or nil when every record matches (same count,
+// same times, same names). Headers may differ either way; a non-nil
+// divergence notes it.
+func Diff(a, b *Log) *Divergence {
 	note := headerNote(a.header, b.header)
 	n := min(a.Len(), b.Len())
 	for i := 0; i < n; i++ {
 		ra, rb := a.Record(i), b.Record(i)
 		if ra.Name != rb.Name || ra.AtSec != rb.AtSec || ra.AtNsec != rb.AtNsec {
-			return &DiffResult{Index: uint64(i), a: ra, haveA: true, b: rb, haveB: true, headerNote: note}
+			return &Divergence{Index: uint64(i), Want: ra, HaveWant: true, Got: rb, HaveGot: true, headerNote: note}
 		}
 	}
 	switch {
 	case a.Len() > n:
-		return &DiffResult{Index: uint64(n), a: a.Record(n), haveA: true, headerNote: note}
+		return &Divergence{Index: uint64(n), Want: a.Record(n), HaveWant: true, headerNote: note}
 	case b.Len() > n:
-		return &DiffResult{Index: uint64(n), b: b.Record(n), haveB: true, headerNote: note}
+		return &Divergence{Index: uint64(n), Got: b.Record(n), HaveGot: true, headerNote: note}
 	}
 	return nil
 }
@@ -78,20 +62,20 @@ func headerNote(a, b Header) string {
 // side of the divergence.
 const diffContext = 3
 
-// Report renders the divergence with surrounding context from both
-// logs, for the CLI and CI to print.
-func (d *DiffResult) Report(a, b *Log) string {
+// Report renders a divergence Diff found between logs a and b, with
+// surrounding context from both, for the CLI and CI to print.
+func (d *Divergence) Report(a, b *Log) string {
 	var sb strings.Builder
 	if d.headerNote != "" {
 		fmt.Fprintf(&sb, "note: %s\n", d.headerNote)
 	}
 	switch {
-	case d.haveA && d.haveB:
-		fmt.Fprintf(&sb, "logs diverge at event %d:\n  A %s\n  B %s\n", d.Index, d.a, d.b)
-	case d.haveA:
-		fmt.Fprintf(&sb, "log B ends at event %d; A continues with:\n  A %s\n", d.Index, d.a)
+	case d.HaveWant && d.HaveGot:
+		fmt.Fprintf(&sb, "logs diverge at event %d:\n  A %s\n  B %s\n", d.Index, d.Want, d.Got)
+	case d.HaveWant:
+		fmt.Fprintf(&sb, "log B ends at event %d; A continues with:\n  A %s\n", d.Index, d.Want)
 	default:
-		fmt.Fprintf(&sb, "log A ends at event %d; B continues with:\n  B %s\n", d.Index, d.b)
+		fmt.Fprintf(&sb, "log A ends at event %d; B continues with:\n  B %s\n", d.Index, d.Got)
 	}
 	lo := 0
 	if d.Index > diffContext {

@@ -261,7 +261,7 @@ func TestDiffIdenticalAndPerturbed(t *testing.T) {
 	if d == nil {
 		t.Fatal("perturbed log diffs clean")
 	}
-	if d.Index != 4 || !d.haveA || !d.haveB || d.a.Name != "tick" || d.b.Name != "tock" {
+	if d.Index != 4 || !d.HaveWant || !d.HaveGot || d.Want.Name != "tick" || d.Got.Name != "tock" {
 		t.Fatalf("diff = %+v, want divergence at event 4 tick/tock", d)
 	}
 	// The report is pinned byte for byte: it is what evdiff prints.
@@ -284,7 +284,7 @@ context (events 1..4):
 	// events): divergence at the tail.
 	short := mk(7, func(int) string { return "tick" })
 	d = Diff(base, short)
-	if d == nil || d.Index != 7 || !d.haveA || d.haveB {
+	if d == nil || d.Index != 7 || !d.HaveWant || d.HaveGot {
 		t.Fatalf("prefix diff = %+v, want A-only divergence at 7", d)
 	}
 	const wantPrefix = `log B ends at event 7; A continues with:

@@ -15,19 +15,24 @@ import (
 	"repro/internal/simenv"
 )
 
-// Divergence describes the first point where a run and a log disagree.
-// It implements error so CLI callers can return it directly.
+// Divergence describes the first point where two event streams
+// disagree: a run against its log (Verifier), or log B against log A
+// (Diff). It implements error so CLI callers can return it directly.
 type Divergence struct {
 	// Index is the 0-based executed-event index of the disagreement.
 	Index uint64
-	// Want is the log's record at Index (valid iff HaveWant: the log may
-	// have ended before the run did).
+	// Want is the log's record at Index, or log A's (valid iff HaveWant:
+	// the log may have ended before the run did).
 	Want     Record
 	HaveWant bool
-	// Got is the event the run executed at Index (valid iff HaveGot: the
-	// run may have ended before the log did).
+	// Got is the event the run executed at Index, or log B's record
+	// (valid iff HaveGot: the run may have ended before the log did).
 	Got     Record
 	HaveGot bool
+	// headerNote is non-empty when two diffed logs' headers describe
+	// different runs — a diff of different scenarios or seeds is almost
+	// certainly comparing the wrong files, so Report says so up front.
+	headerNote string
 }
 
 func (d *Divergence) Error() string {

@@ -67,10 +67,6 @@ func (w *Writer) Attach(sim *simenv.Simulator) { sim.OnEvent(w.Observe) }
 // Records reports how many events have been recorded so far.
 func (w *Writer) Records() uint64 { return w.n }
 
-// Err returns the first underlying write error, if any. Recording after
-// an error is a no-op; Close returns the error.
-func (w *Writer) Err() error { return w.err }
-
 // Observe is the simenv.OnEvent hook: record one executed event.
 //
 //glacvet:hotpath

@@ -106,12 +106,6 @@ func New(sim *simenv.Simulator, ctrl *mcu.MCU, wx *weather.Model, name string) *
 	return u
 }
 
-// Name returns the unit name.
-func (u *Unit) Name() string { return u.name }
-
-// Powered reports whether the unit has power.
-func (u *Unit) Powered() bool { return u.powered }
-
 //glacvet:hotpath
 func (u *Unit) railChanged(on bool, now time.Time) {
 	if on == u.powered {

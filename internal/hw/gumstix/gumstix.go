@@ -82,9 +82,6 @@ func New(sim *simenv.Simulator, ctrl *mcu.MCU, name string) *Host {
 	return h
 }
 
-// Name returns the host's name.
-func (h *Host) Name() string { return h.name }
-
 // Powered reports whether the rail is up.
 func (h *Host) Powered() bool { return h.powered }
 

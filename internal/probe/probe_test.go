@@ -183,7 +183,7 @@ func TestProbeStopsSamplingAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p.Alive(sim.Now()) {
-		t.Skip("probe survived an unlikely draw")
+		t.Fatal("probe with a one-day mean lifetime still alive after 60 days; the test needs it failed")
 	}
 	n := p.PendingCount()
 	if err := sim.RunFor(48 * time.Hour); err != nil {

@@ -61,11 +61,16 @@ func TestSuspectClockRecoversViaGPS(t *testing.T) {
 	if e := m.ClockError(); e > time.Minute || e < -time.Minute {
 		t.Fatalf("clock error %v after recovery", e)
 	}
-	if u.Powered() {
-		t.Fatal("GPS left powered after recovery")
-	}
 	if st := c.Stats(); st.Recovered != 1 || st.FixAttempts < 1 {
 		t.Fatalf("stats %+v", st)
+	}
+	// A unit left powered would keep recording back to back.
+	files := u.FileCount()
+	if err := sim.RunFor(2 * dgps.ReadingDuration); err != nil {
+		t.Fatal(err)
+	}
+	if got := u.FileCount(); got != files {
+		t.Fatalf("GPS left powered after recovery: %d readings recorded since", got-files)
 	}
 }
 

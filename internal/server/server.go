@@ -243,10 +243,3 @@ func (s *Server) record(name string) *StationRecord {
 	}
 	return r
 }
-
-// String summarises the server state for logs.
-func (s *Server) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return fmt.Sprintf("server{stations:%d, md5s:%d, outputs:%d}", len(s.stations), len(s.md5s), len(s.outputs))
-}

@@ -40,7 +40,7 @@ func (spikeEvaluator) Evaluate(rs []probe.Reading) float64 {
 // state 0 still gets high-priority probe data out the same day.
 func TestPriorityForcesCommsInState0(t *testing.T) {
 	run := func(withPriority bool) (forced bool, uploaded int64) {
-		cfg := DefaultConfig(RoleBase)
+		cfg := Config{Role: RoleBase}
 		if withPriority {
 			cfg.Priority = spikeEvaluator{}
 		}
@@ -54,7 +54,7 @@ func TestPriorityForcesCommsInState0(t *testing.T) {
 		r.runDays(t, 1)
 		rep := r.st.Reports()[0]
 		if rep.LocalState != power.State0 {
-			t.Skipf("local state %v, scenario needs 0", rep.LocalState)
+			t.Fatalf("local state %v at 2%% charge with no chargers; the test needs state 0", rep.LocalState)
 		}
 		return rep.ForcedComms, rep.UploadedBytes
 	}
@@ -75,13 +75,12 @@ func TestPriorityForcesCommsInState0(t *testing.T) {
 // In any state above 0 the normal session runs; priority is recorded but
 // never forces anything extra.
 func TestPriorityRecordedButNotForcedAboveState0(t *testing.T) {
-	cfg := DefaultConfig(RoleBase)
-	cfg.Priority = spikeEvaluator{}
+	cfg := Config{Role: RoleBase, Priority: spikeEvaluator{}}
 	r := newRig(t, rigOpts{probes: 1, cfg: cfg})
 	r.runDays(t, 1)
 	rep := r.st.Reports()[0]
 	if rep.LocalState == power.State0 {
-		t.Skip("battery landed in state 0")
+		t.Fatal("local state 0 at 95% charge; the test needs a state above 0")
 	}
 	if rep.priority != 1 {
 		t.Fatalf("priority not recorded: %v", rep.priority)
@@ -93,8 +92,7 @@ func TestPriorityRecordedButNotForcedAboveState0(t *testing.T) {
 
 // The forced session must be minimal: it never drains dGPS files.
 func TestForcedCommsSkipsGPSDrain(t *testing.T) {
-	cfg := DefaultConfig(RoleBase)
-	cfg.Priority = spikeEvaluator{}
+	cfg := Config{Role: RoleBase, Priority: spikeEvaluator{}}
 	r := newRig(t, rigOpts{
 		seed:     21,
 		soc:      0.02,
@@ -106,7 +104,7 @@ func TestForcedCommsSkipsGPSDrain(t *testing.T) {
 	r.runDays(t, 1)
 	rep := r.st.Reports()[0]
 	if rep.LocalState != power.State0 {
-		t.Skipf("local state %v, scenario needs 0", rep.LocalState)
+		t.Fatalf("local state %v at 2%% charge with no chargers; the test needs state 0", rep.LocalState)
 	}
 	if rep.GPSFilesDrained != 0 {
 		t.Fatal("forced marginal-power session drained dGPS files")

@@ -53,6 +53,14 @@ func (r Role) String() string {
 // running for more than two hours at a time".
 const watchdogLimit = 2 * time.Hour
 
+// A station boots in the deployed power state 2 with a nominal RS-232
+// link; the FaultRS232 fault and the set-rs232 special change the link
+// later through SetRS232Health.
+const (
+	initialState = power.State2
+	nominalRS232 = 1.0
+)
+
 // Config parameterises a station runtime.
 type Config struct {
 	// Role selects base or reference behaviour.
@@ -61,25 +69,10 @@ type Config struct {
 	// execute the special command before any data transfer, so remote
 	// intervention can unblock a wedged station.
 	SpecialFirst bool
-	// RS232Health scales the dGPS drain rate (1 = nominal; small values
-	// model the intermittent cable behind the single-file deadlock).
-	RS232Health float64
-	// InitialState is the power state assumed on first boot.
-	InitialState power.State
 	// Priority enables the paper's §VII extension: when the day's probe
 	// data scores at or above ForceCommsThreshold, a state-0 day still
 	// runs a minimal comms session. Nil (as deployed) disables it.
 	Priority PriorityEvaluator
-}
-
-// DefaultConfig returns the as-deployed configuration.
-func DefaultConfig(role Role) Config {
-	return Config{
-		Role:         role,
-		SpecialFirst: false,
-		RS232Health:  1.0,
-		InitialState: power.State2,
-	}
 }
 
 // RunReport summarises one daily run for traces and experiments.
@@ -200,16 +193,9 @@ type probeJob struct {
 // (reached over the node's GPRS modem); probes and channel may be nil for a
 // reference station.
 func New(node *core.Node, srv *server.Server, channel *comms.ProbeChannel, probes []*probe.Probe, cfg Config) *Station {
-	def := DefaultConfig(cfg.Role)
 	if cfg.Role == 0 {
 		cfg.Role = RoleBase
 	}
-	if cfg.RS232Health == 0 {
-		cfg.RS232Health = def.RS232Health
-	}
-	// A zero InitialState is power.State0, which is a legitimate starting
-	// point (§IV restarts there), so it is taken at face value; use
-	// DefaultConfig for the deployed State2 start.
 	s := &Station{
 		node:        node,
 		cfg:         cfg,
@@ -217,8 +203,8 @@ func New(node *core.Node, srv *server.Server, channel *comms.ProbeChannel, probe
 		channel:     channel,
 		probes:      probes,
 		spool:       storage.NewSpool(),
-		state:       cfg.InitialState,
-		rs232Health: cfg.RS232Health,
+		state:       initialState,
+		rs232Health: nominalRS232,
 		fetcher:     protocol.NewNackFetcher(protocol.DefaultNackConfig()),
 	}
 	s.specials = NewSpecialRegistry(s)

@@ -44,9 +44,6 @@ func newRig(t *testing.T, o rigOpts) *rig {
 	if o.soc == 0 {
 		o.soc = 0.95
 	}
-	if o.cfg.Role == 0 {
-		o.cfg = DefaultConfig(RoleBase)
-	}
 	sim := simenv.NewAt(o.seed, o.start)
 	var wx *weather.Model
 	if !o.noWeather {
@@ -132,8 +129,7 @@ func TestFig4JobOrder(t *testing.T) {
 }
 
 func TestState0SkipsComms(t *testing.T) {
-	r := newRig(t, rigOpts{soc: 0.02, chargers: []energy.Charger{}, noWeather: true,
-		cfg: DefaultConfig(RoleBase)})
+	r := newRig(t, rigOpts{soc: 0.02, chargers: []energy.Charger{}, noWeather: true})
 	r.runDays(t, 1)
 	reps := r.st.Reports()
 	if len(reps) != 1 {
@@ -141,7 +137,7 @@ func TestState0SkipsComms(t *testing.T) {
 	}
 	rep := reps[0]
 	if rep.LocalState != power.State0 {
-		t.Skipf("local state %v, wanted 0 (voltage model drift)", rep.LocalState)
+		t.Fatalf("local state %v at 2%% charge with no chargers; the test needs state 0", rep.LocalState)
 	}
 	if rep.CommsOK || rep.OverrideFetched {
 		t.Fatal("state-0 day still used GPRS")
@@ -181,7 +177,7 @@ func TestStateUploadedAndOverrideApplied(t *testing.T) {
 	reps := r.st.Reports()
 	last := reps[len(reps)-1]
 	if !last.OverrideFetched {
-		t.Skip("comms failed both days under this seed")
+		t.Fatal("override never fetched: comms failed on the last day, and the test needs a fetched override")
 	}
 	if last.Override != power.State1 {
 		t.Fatalf("override %v, want manual State1", last.Override)
@@ -205,7 +201,7 @@ func TestCommsFailureFallsBackToLocalState(t *testing.T) {
 	})
 	r.runDays(t, 60)
 	if !fallbackSeen {
-		t.Skip("no comms-failure day in 60 days under this seed")
+		t.Fatal("no comms-failure day fell back to the local state in 60 days; the test needs one")
 	}
 }
 
@@ -226,7 +222,7 @@ func TestSpoolRetainedAcrossCommsFailure(t *testing.T) {
 	})
 	r.runDays(t, 90)
 	if !failedDay {
-		t.Skip("no comms failure in 90 days under this seed")
+		t.Fatal("no comms failure in 90 days; the test needs one")
 	}
 	if pendingAfterFail == 0 {
 		t.Fatal("comms-failure day left an empty spool (data vanished)")
@@ -261,10 +257,8 @@ func TestSingleFileDeadlockWithoutFixAndRescueWithFix(t *testing.T) {
 	// ordering can never make progress — §VI's "no progress could ever be
 	// made".
 	deadlocked := func(specialFirst bool, rescue bool) int {
-		cfg := DefaultConfig(RoleBase)
-		cfg.RS232Health = 0.002 // ~4 h per 165 KB file: exceeds any window
-		cfg.SpecialFirst = specialFirst
-		r := newRig(t, rigOpts{probes: 0, cfg: cfg, seed: 5})
+		r := newRig(t, rigOpts{probes: 0, cfg: Config{Role: RoleBase, SpecialFirst: specialFirst}, seed: 5})
+		r.st.SetRS232Health(0.002) // ~4 h per 165 KB file: exceeds any window
 		r.st.Node().GPS.InjectBacklog(5)
 		injected := make(map[uint64]bool)
 		for _, f := range r.st.Node().GPS.Files() {
@@ -298,7 +292,7 @@ func TestSpecialOutputArrivesNextDay(t *testing.T) {
 	r.runDays(t, 4)
 	outs := r.srv.SpecialOutputs()
 	if len(outs) == 0 {
-		t.Skip("special never executed (comms failures under this seed)")
+		t.Fatal("special output never reached the server in 4 days; the test needs one")
 	}
 	lag := outs[0].ReceivedAt.Sub(outs[0].ExecutedAt)
 	// As deployed: executed after upload, output rides the *next* day's
@@ -309,14 +303,13 @@ func TestSpecialOutputArrivesNextDay(t *testing.T) {
 }
 
 func TestSpecialFirstShortensFeedback(t *testing.T) {
-	cfg := DefaultConfig(RoleBase)
-	cfg.SpecialFirst = true
+	cfg := Config{Role: RoleBase, SpecialFirst: true}
 	r := newRig(t, rigOpts{probes: 0, cfg: cfg})
 	r.srv.PushSpecial("base", "noop")
 	r.runDays(t, 4)
 	outs := r.srv.SpecialOutputs()
 	if len(outs) == 0 {
-		t.Skip("special never executed under this seed")
+		t.Fatal("special output never reached the server in 4 days; the test needs one")
 	}
 	lag := outs[0].ReceivedAt.Sub(outs[0].ExecutedAt)
 	if lag > 4*time.Hour {
@@ -375,7 +368,7 @@ func TestRecoveryAfterTotalDepletion(t *testing.T) {
 		t.Fatal("clock check never flagged the reset RTC")
 	}
 	if rec.Recovered == 0 {
-		t.Skip("GPS fix never succeeded in window (weather dependent)")
+		t.Fatal("no recovery completed: the GPS time fix never succeeded in 22 days, and the test needs one")
 	}
 	// §IV: "the system will set the schedule to state 0 ... and will then
 	// proceed as normal" — runs resume after recovery.
@@ -392,7 +385,7 @@ func TestRecoveryAfterTotalDepletion(t *testing.T) {
 }
 
 func TestReferenceStationHasNoProbeJobs(t *testing.T) {
-	cfg := DefaultConfig(RoleReference)
+	cfg := Config{Role: RoleReference}
 	r := newRig(t, rigOpts{probes: 0, cfg: cfg})
 	var jobs []string
 	r.sim.OnEvent(func(name string, _ time.Time) {
@@ -417,7 +410,7 @@ func TestGPSScheduleFollowsState(t *testing.T) {
 	r.st.OnReport(func(rep RunReport) { drained += rep.GPSFilesDrained })
 	r.runDays(t, 2)
 	if r.st.State() != power.State1 {
-		t.Skip("override not adopted (comms failures)")
+		t.Fatalf("station in %v, not the overridden state 1; the test needs the override adopted", r.st.State())
 	}
 	if took := gps.FileCount() - before + drained; took != 0 {
 		t.Fatalf("dGPS took %d readings in state 1, want none", took)

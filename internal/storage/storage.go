@@ -28,25 +28,7 @@ const (
 	KindDGPSFile
 	KindHousekeeping
 	KindLog
-	KindStateReport
 )
-
-func (k ItemKind) String() string {
-	switch k {
-	case KindProbeData:
-		return "probe-data"
-	case KindDGPSFile:
-		return "dgps-file"
-	case KindHousekeeping:
-		return "housekeeping"
-	case KindLog:
-		return "log"
-	case KindStateReport:
-		return "state-report"
-	default:
-		return "unknown"
-	}
-}
 
 // Item is one spooled unit of upload.
 type Item struct {

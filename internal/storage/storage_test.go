@@ -49,21 +49,6 @@ func TestSpoolPendingBytesAndAge(t *testing.T) {
 	}
 }
 
-func TestItemKindStrings(t *testing.T) {
-	kinds := []ItemKind{KindProbeData, KindDGPSFile, KindHousekeeping, KindLog, KindStateReport}
-	seen := map[string]bool{}
-	for _, k := range kinds {
-		s := k.String()
-		if s == "unknown" || seen[s] {
-			t.Fatalf("kind %d has bad/duplicate string %q", k, s)
-		}
-		seen[s] = true
-	}
-	if ItemKind(0).String() != "unknown" {
-		t.Fatal("zero ItemKind should be invalid")
-	}
-}
-
 // Property: spool FIFO order is preserved under arbitrary add/send
 // interleavings.
 func TestPropertySpoolOrdered(t *testing.T) {

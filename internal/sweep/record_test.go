@@ -110,7 +110,7 @@ func TestRecordFailuresFailTheCell(t *testing.T) {
 	if got := sum.Cells[0].Err; !strings.Contains(got, "seal failed") {
 		t.Fatalf("cell error = %q, want the finish error", got)
 	}
-	if sum.Cells[0].Result.Fleet.Runs == 0 {
+	if runs, _ := sum.Cells[0].Metric("runs"); runs == 0 {
 		t.Fatal("finish error should fail the cell after the run, not before it")
 	}
 }

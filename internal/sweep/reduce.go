@@ -12,17 +12,15 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/deploy"
 	"repro/internal/trace"
 )
 
-// CellResult is one executed cell: its identity, the deployment's final
-// Result, the extracted metrics, the series the grid's Collect hook
-// captured during the run, and the build/run error if any (as a string, so
-// summaries print deterministically).
+// CellResult is one executed cell: its identity, the extracted metrics,
+// the series the grid's Collect hook captured during the run, and the
+// build/run error if any (as a string, so summaries print
+// deterministically).
 type CellResult struct {
 	Cell    Cell
-	Result  deploy.Result
 	Metrics []Metric
 	Series  []*trace.Series
 	Err     string

@@ -279,11 +279,10 @@ func (g Grid) runCell(c Cell) (cr CellResult) {
 		cr.Err = err.Error()
 		return cr
 	}
-	cr.Result = d.Result()
 	// One exact-capacity metrics slice per cell: the standard block plus
 	// whatever Drive and Observe contribute.
 	cr.Metrics = make([]Metric, 0, numStandardMetrics+len(extra))
-	cr.Metrics = appendStandardMetrics(cr.Metrics, cr.Result)
+	cr.Metrics = appendStandardMetrics(cr.Metrics, d.Result())
 	cr.Metrics = append(cr.Metrics, extra...)
 	if g.Observe != nil {
 		cr.Metrics = append(cr.Metrics, g.Observe(c, d)...)

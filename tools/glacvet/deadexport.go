@@ -7,9 +7,16 @@
 // root's example_test.go, the facade's documented Examples, checked as
 // the external test package. Identifiers in other _test.go files never
 // count, and a same-spelled name that resolves to another object is not a
-// use. A method also stays when an interface in the loaded packages or
-// their imports declares its name (String, Error), and a justified
-// //glacvet:allow deadexport keeps anything else.
+// use. A method an interface in the loaded packages or their imports
+// declares by name (String, Error) may be called through that interface,
+// so it also stays when a value of its receiver type reaches an interface
+// in those sources: as an argument to an interface parameter (fmt's
+// ...any included), an assignment or declaration to an interface, a
+// returned interface result, a struct, slice or map literal element in an
+// interface slot, or a conversion to an interface type. Reaching through
+// a pointer, slice, array, map or struct field counts, since fmt formats
+// what it finds there. A justified //glacvet:allow deadexport keeps
+// anything else.
 //
 // A struct field declared there, exported or not, needs more than a use:
 // it needs a read in the same three sources (for an unexported field,
@@ -55,7 +62,9 @@ func (a *analysis) checkDeadexport() error {
 	outside := map[*types.Var]bool{}               // fields used outside their package
 	ifaceMethods := map[string]bool{"Error": true} // the universe's error
 	seen := map[*types.Package]bool{}
+	boxed := map[*types.TypeName]bool{} // named types whose values reach an interface
 	for _, pd := range sources {
+		collectBoxed(pd, boxed)
 		reads, writes := collectFieldUses(pd)
 		for _, set := range []map[*types.Var]bool{reads, writes} {
 			for v := range set {
@@ -119,10 +128,11 @@ func (a *analysis) checkDeadexport() error {
 			}
 			kind, name := strings.Fields(types.ObjectString(obj, nil))[0], obj.Name()
 			if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
-				if ifaceMethods[name] {
-					continue
+				recvType := fn.Signature().Recv().Type()
+				if types.IsInterface(recvType) || ifaceMethods[name] && boxed[receiverName(recvType)] {
+					continue // an interface's own method, or one callable through it
 				}
-				recv := types.TypeString(fn.Signature().Recv().Type(), types.RelativeTo(pd.pkg))
+				recv := types.TypeString(recvType, types.RelativeTo(pd.pkg))
 				kind, name = "method", strings.TrimPrefix(recv, "*")+"."+name
 			} else if obj.Parent() != pd.pkg.Scope() {
 				continue // a parameter or local
@@ -196,7 +206,7 @@ func collectFieldUses(pd *pkgData) (reads, writes map[*types.Var]bool) {
 						break // a variadic slice passed whole
 					}
 					if types.IsInterface(paramType(sig, i)) {
-						markReachable(reads, pd.info.TypeOf(arg), map[types.Type]bool{})
+						markReachable(reads, nil, pd.info.TypeOf(arg), map[types.Type]bool{})
 					}
 				}
 			case *ast.BinaryExpr:
@@ -237,6 +247,126 @@ func collectFieldUses(pd *pkgData) (reads, writes map[*types.Var]bool) {
 		}
 	}
 	return reads, writes
+}
+
+// collectBoxed adds to boxed every named type a value of which pd's code
+// turns into an interface value, and every named type reachable from it
+// (see markReachable): an argument to an interface parameter, the right
+// side of an assignment or var declaration to an interface, a result
+// returned as an interface, an element of a struct, slice or map literal
+// whose slot is an interface, and the operand of a conversion to an
+// interface type.
+func collectBoxed(pd *pkgData, boxed map[*types.TypeName]bool) {
+	box := func(dst types.Type, e ast.Expr) {
+		if dst == nil || !types.IsInterface(dst) {
+			return
+		}
+		if t := pd.info.TypeOf(e); t != nil && !types.IsInterface(t) {
+			markReachable(nil, boxed, t, map[types.Type]bool{})
+		}
+	}
+	for _, f := range pd.files {
+		var stack []ast.Node // the enclosing nodes, for a return's function
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						box(pd.info.TypeOf(lhs), n.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				if len(n.Names) == len(n.Values) {
+					for i, name := range n.Names {
+						if obj := pd.info.Defs[name]; obj != nil {
+							box(obj.Type(), n.Values[i])
+						}
+					}
+				}
+			case *ast.ReturnStmt:
+				if sig := enclosingSignature(pd, stack); sig != nil && sig.Results().Len() == len(n.Results) {
+					for i, r := range n.Results {
+						box(sig.Results().At(i).Type(), r)
+					}
+				}
+			case *ast.CompositeLit:
+				t := pd.info.TypeOf(n)
+				if p, ok := t.Underlying().(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				for i, el := range n.Elts {
+					var key ast.Expr
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						key, el = kv.Key, kv.Value
+					}
+					switch u := t.Underlying().(type) {
+					case *types.Struct:
+						if key == nil {
+							box(u.Field(i).Type(), el)
+						} else if id, ok := key.(*ast.Ident); ok && pd.info.Uses[id] != nil {
+							box(pd.info.Uses[id].Type(), el)
+						}
+					case *types.Slice:
+						box(u.Elem(), el)
+					case *types.Map:
+						box(u.Elem(), el)
+					}
+				}
+			case *ast.CallExpr:
+				if tv, ok := pd.info.Types[n.Fun]; ok && tv.IsType() {
+					if len(n.Args) == 1 {
+						box(tv.Type, n.Args[0])
+					}
+					break
+				}
+				sig, ok := pd.info.TypeOf(n.Fun).Underlying().(*types.Signature)
+				if !ok {
+					break
+				}
+				for i, arg := range n.Args {
+					if n.Ellipsis.IsValid() && i == len(n.Args)-1 {
+						break // a variadic slice passed whole
+					}
+					box(paramType(sig, i), arg)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// enclosingSignature is the signature of the innermost function
+// declaration or literal on stack.
+func enclosingSignature(pd *pkgData, stack []ast.Node) *types.Signature {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch fn := stack[i].(type) {
+		case *ast.FuncDecl:
+			if obj, ok := pd.info.Defs[fn.Name].(*types.Func); ok {
+				return obj.Signature()
+			}
+			return nil
+		case *ast.FuncLit:
+			sig, _ := pd.info.TypeOf(fn).(*types.Signature)
+			return sig
+		}
+	}
+	return nil
+}
+
+// receiverName is the named type a method receiver of type t belongs to.
+func receiverName(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
 }
 
 // selfAppend returns the first argument of rhs when rhs appends to lhs
@@ -286,30 +416,36 @@ func markFields(set map[*types.Var]bool, t types.Type) {
 	}
 }
 
-// markReachable adds to set every struct field a reflective reader such
-// as encoding/json reaches from a value of type t: through structs,
-// pointers, arrays, slices and maps.
-func markReachable(set map[*types.Var]bool, t types.Type, seen map[types.Type]bool) {
+// markReachable adds to fields every struct field, and to named every
+// named type, that a reflective reader such as fmt or encoding/json
+// reaches from a value of type t: t itself, then through structs,
+// pointers, arrays, slices and maps. Either set may be nil.
+func markReachable(fields map[*types.Var]bool, named map[*types.TypeName]bool, t types.Type, seen map[types.Type]bool) {
 	if t == nil || seen[t] {
 		return
 	}
 	seen[t] = true
+	if n, ok := t.(*types.Named); ok && named != nil {
+		named[n.Origin().Obj()] = true
+	}
 	switch u := t.Underlying().(type) {
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
 			f := u.Field(i)
-			set[f.Origin()] = true
-			markReachable(set, f.Type(), seen)
+			if fields != nil {
+				fields[f.Origin()] = true
+			}
+			markReachable(fields, named, f.Type(), seen)
 		}
 	case *types.Pointer:
-		markReachable(set, u.Elem(), seen)
+		markReachable(fields, named, u.Elem(), seen)
 	case *types.Array:
-		markReachable(set, u.Elem(), seen)
+		markReachable(fields, named, u.Elem(), seen)
 	case *types.Slice:
-		markReachable(set, u.Elem(), seen)
+		markReachable(fields, named, u.Elem(), seen)
 	case *types.Map:
-		markReachable(set, u.Key(), seen)
-		markReachable(set, u.Elem(), seen)
+		markReachable(fields, named, u.Key(), seen)
+		markReachable(fields, named, u.Elem(), seen)
 	}
 }
 

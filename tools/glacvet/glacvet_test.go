@@ -84,11 +84,12 @@ func TestSuppressedChecks(t *testing.T) {
 			t.Errorf("Labels (declared function, method, conversion) reported: %+v", f)
 		}
 	}
-	// A String method, a justified allow, and a type-checked use in the
-	// nested module or the root's Examples keep an export from reporting.
-	// A test's use keeps nothing: Peek is reported, and so is Timer.Stop
-	// although the test calls Ticker.Stop, and so is Spelled although the
-	// nested module declares and calls a Spelled of its own.
+	// A justified allow and a type-checked use in the nested module or the
+	// root's Examples keep an export from reporting. A test's use keeps
+	// nothing: Peek is reported, and so is Timer.Stop although the test
+	// calls Ticker.Stop, and so is Spelled although the nested module
+	// declares and calls a Spelled of its own. Counter.String is reported
+	// too: fmt.Stringer declares it, but no Counter reaches an interface.
 	reported := map[string]bool{}
 	for _, f := range byFile["internal/dead/dead.go"] {
 		if f.check == checkDeadexport {
@@ -96,15 +97,36 @@ func TestSuppressedChecks(t *testing.T) {
 			reported[fields[2]] = true // "exported <kind> <name> ..."
 		}
 	}
-	for _, live := range []string{"Counter.String", "Kept", "Ticker.Stop", "Used", "Documented"} {
+	for _, live := range []string{"Kept", "Ticker.Stop", "Used", "Documented"} {
 		if reported[live] {
 			t.Errorf("deadexport reported live name %s", live)
 		}
 	}
-	for _, dead := range []string{"Peek", "Orphan", "Counter.Reset", "Timer.Stop", "Spelled"} {
+	for _, dead := range []string{"Peek", "Orphan", "Counter.Reset", "Counter.String", "Timer.Stop", "Spelled"} {
 		if !reported[dead] {
 			t.Errorf("deadexport kept %s, which only a test or a same-spelled name uses", dead)
 		}
+	}
+	// A method an interface declares stays when it is called by name or
+	// a value of its receiver type reaches an interface: an interface
+	// parameter, fmt's ...any (inside a slice or a struct field too), an
+	// assignment or declaration, a return, a composite element or a
+	// conversion.
+	reported = map[string]bool{}
+	for _, f := range byFile["internal/dead/stringer.go"] {
+		if f.check == checkDeadexport {
+			reported[strings.Fields(f.msg)[2]] = true
+		}
+	}
+	for _, live := range []string{"Named.String", "Param.String", "Logged.String", "Assigned.String",
+		"Declared.String", "Returned.String", "Fault.Error", "Listed.String",
+		"Keyed.String", "Positional.String", "Mapped.String", "Converted.String", "Held.String"} {
+		if reported[live] {
+			t.Errorf("deadexport reported %s, whose receiver reaches an interface", live)
+		}
+	}
+	if !reported["Silent.String"] {
+		t.Error("deadexport kept Silent.String, which nothing calls and no interface reaches")
 	}
 	// A field stays only if something outside the tests reads it. Writes
 	// (assignments, op-assigns, ++, composite-literal keys, a self-append,

@@ -1,7 +1,8 @@
 // Package dead exercises the deadexport check: an exported name under
 // internal/ is reported unless the type checker resolves a use of it in
 // the module, in a nested module's package or in the root's Examples, an
-// interface declares it, or a justified allow keeps it. A test's use, or
+// interface declares it and a value of its receiver type reaches an
+// interface (stringer.go), or a justified allow keeps it. A test's use, or
 // a same-spelled name that resolves elsewhere, keeps nothing alive.
 package dead
 
@@ -19,8 +20,8 @@ func Orphan() int { return 1 }
 // Reset is a method nothing calls: reported.
 func (c *Counter) Reset() { c.n = 0 }
 
-// String satisfies fmt.Stringer and is never called by name: not
-// reported, since an interface declares the method.
+// String satisfies fmt.Stringer, but nothing calls it by name and no
+// Counter reaches an interface: reported.
 func (c *Counter) String() string { return fmt.Sprint(c.n) }
 
 // Kept is called by nothing but carries a justified allow: no finding.
