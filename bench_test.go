@@ -77,8 +77,19 @@ func BenchmarkTable2StateMachine(b *testing.B) {
 
 // --- Fig 3/4: a full deployment day ---
 
+// build wires a topology known to be valid, failing the benchmark if it
+// is not.
+func build(b *testing.B, top deploy.Topology) *deploy.Deployment {
+	b.Helper()
+	d, err := deploy.Build(top)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
 func BenchmarkFig3DeploymentDay(b *testing.B) {
-	d := deploy.MustBuild(deploy.AsDeployed(42))
+	d := build(b, deploy.AsDeployed(42))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := d.Sim.RunFor(24 * time.Hour); err != nil {
@@ -90,7 +101,7 @@ func BenchmarkFig3DeploymentDay(b *testing.B) {
 
 func BenchmarkFig4DailyRunEvents(b *testing.B) {
 	// Event throughput of the simulator kernel itself under station load.
-	d := deploy.MustBuild(deploy.AsDeployed(7))
+	d := build(b, deploy.AsDeployed(7))
 	if err := d.RunDays(1); err != nil {
 		b.Fatal(err)
 	}
@@ -287,7 +298,7 @@ func BenchmarkBulkFetchAckSummer(b *testing.B) {
 func BenchmarkWatchdogBacklogDrainDay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d := deploy.MustBuild(deploy.AsDeployed(int64(i + 1)))
+		d := build(b, deploy.AsDeployed(int64(i+1)))
 		base, _ := d.Station("base")
 		base.Node().GPS.InjectBacklog(252)
 		b.StartTimer()
@@ -317,7 +328,7 @@ func BenchmarkRecoveryCycle(b *testing.B) {
 		b.StopTimer()
 		top := deploy.AsDeployed(int64(i + 1))
 		top.Start = time.Date(2009, 5, 1, 0, 0, 0, 0, time.UTC)
-		d := deploy.MustBuild(top)
+		d := build(b, top)
 		base, _ := d.Station("base")
 		base.Node().Battery.SetSoC(0.05)
 		base.Node().Bus.SetLoad("stuck", 30)

@@ -102,9 +102,9 @@ func runCampaign(dir string, seed int64, seeds, days, shardI, shardM int, sharde
 		}
 		g := e.Grid(seed, seeds, days)
 		if ex.RecordDir != "" {
-			// Campaign cells run under Drive/Observe/Collect hooks that shape
-			// the event stream, so the headers name the hook set: the logs
-			// diff and byte-compare across runs but refuse header-only replay.
+			// Campaign cells run under Drive hooks that shape the event
+			// stream, so the headers name the hook set: the logs diff and
+			// byte-compare across runs but refuse header-only replay.
 			if err := cliutil.RecordCells(&g, filepath.Join(ex.RecordDir, e.ID), evlog.Header{Hooks: campaign.HooksName(e.ID)}); err != nil {
 				return fmt.Errorf("campaign %s: %w", e.ID, err)
 			}

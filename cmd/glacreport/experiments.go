@@ -28,7 +28,7 @@ import (
 // expBulkFetch compares the three fetch configurations on winter and summer
 // channels against the §V field numbers (3000 readings, ~400 missed).
 func expBulkFetch(w io.Writer, seed int64) error {
-	scenario := func(summer bool) (*simenv.Simulator, *comms.ProbeChannel, *probe.Probe) {
+	scenario := func(summer bool) (*simenv.Simulator, *comms.ProbeChannel, *probe.Probe, error) {
 		start := time.Date(2008, 9, 1, 0, 0, 0, 0, time.UTC) // fetch lands in dry winter
 		if summer {
 			start = time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC) // fetch lands in July melt
@@ -39,9 +39,9 @@ func expBulkFetch(w io.Writer, seed int64) error {
 		cfg.MeanLifetime = 50 * 365 * 24 * time.Hour
 		pr := probe.New(sim, wx, cfg)
 		if err := sim.RunFor(125 * 24 * time.Hour); err != nil {
-			panic(err)
+			return nil, nil, nil, err
 		}
-		return sim, comms.NewProbeChannel(sim, wx), pr
+		return sim, comms.NewProbeChannel(sim, wx), pr, nil
 	}
 
 	type fetchFn func(sim *simenv.Simulator, ch *comms.ProbeChannel, pr *probe.Probe) protocol.Result
@@ -67,7 +67,10 @@ func expBulkFetch(w io.Writer, seed int64) error {
 			{"nack (limit removed)", nack(protocol.FixedNackConfig())},
 			{"stop-and-wait ack", ack},
 		} {
-			sim, ch, pr := scenario(season.summer)
+			sim, ch, pr, err := scenario(season.summer)
+			if err != nil {
+				return err
+			}
 			res := proto.fn(sim, ch, pr)
 			status := "complete"
 			if errors.Is(res.Err, protocol.ErrNackOverflow) {
@@ -146,11 +149,12 @@ func expWatchdog(w io.Writer, seed int64) error {
 	}
 	fmt.Fprintf(w, "\nlive station with a 252-file backlog: cleared in %d daily windows\n", days)
 
-	// The deadlock and its rescue.
-	outcome := func(specialFirst, rescue bool) string {
+	// The deadlock and its rescue, one table row per ordering.
+	rows = nil
+	outcome := func(ordering, intervention string, specialFirst, rescue bool) error {
 		d, err := mk(specialFirst, deploy.Fault{Station: "base", Kind: deploy.FaultRS232, Value: 0.002})
 		if err != nil {
-			return err.Error()
+			return err
 		}
 		gps := d.Stations[0].Node().GPS
 		gps.InjectBacklog(3)
@@ -162,7 +166,7 @@ func expWatchdog(w io.Writer, seed int64) error {
 			d.Server.PushSpecial("base", "set-rs232 1.0")
 		}
 		if err := d.RunDays(5); err != nil {
-			return err.Error()
+			return err
 		}
 		left := 0
 		for _, f := range gps.Files() {
@@ -170,15 +174,19 @@ func expWatchdog(w io.Writer, seed int64) error {
 				left++
 			}
 		}
-		if left == 0 {
-			return "drained"
+		out := "drained"
+		if left > 0 {
+			out = fmt.Sprintf("DEADLOCK (%d/3 stuck after 5 days)", left)
 		}
-		return fmt.Sprintf("DEADLOCK (%d/3 stuck after 5 days)", left)
+		rows = append(rows, []string{ordering, intervention, out})
+		return nil
 	}
-	rows = [][]string{
-		{"as deployed (special after upload)", "none", outcome(false, false)},
-		{"as deployed (special after upload)", "set-rs232 special", outcome(false, true)},
-		{"fixed (special before transfer)", "set-rs232 special", outcome(true, true)},
+	if err := errors.Join(
+		outcome("as deployed (special after upload)", "none", false, false),
+		outcome("as deployed (special after upload)", "set-rs232 special", false, true),
+		outcome("fixed (special before transfer)", "set-rs232 special", true, true),
+	); err != nil {
+		return err
 	}
 	fmt.Fprintln(w, "\nintermittent RS-232 cable (one file > 2 h):")
 	fmt.Fprint(w, trace.Table([]string{"Ordering", "Remote intervention", "Outcome"}, rows))
@@ -348,14 +356,16 @@ func expFleet(w io.Writer, seed int64) error {
 	var detail [][]string
 	var result deploy.Result
 	g := campaign.FleetMinRuleGrid(seed, 4, 14)
-	g.Observe = func(c sweep.Cell, d *deploy.Deployment) []sweep.Metric {
-		healthyHeld, rows := campaign.FleetHeldRows(d)
-		if c.Seed == seed {
+	drive := g.Drive
+	g.Drive = func(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, []*trace.Series, error) {
+		metrics, series, err := drive(c, d)
+		if err == nil && c.Seed == seed {
+			_, rows := campaign.FleetHeldRows(d)
 			mu.Lock()
 			detail, result = rows, d.Result()
 			mu.Unlock()
 		}
-		return []sweep.Metric{{Name: "healthy-station-days-held", Value: float64(healthyHeld)}}
+		return metrics, series, err
 	}
 	sum, err := sweep.Run(g, 0)
 	if err != nil {
@@ -397,7 +407,7 @@ func expFleet(w io.Writer, seed int64) error {
 // conductivity spike from a probe; without the extension the event waits
 // for the battery, with it the event goes out the same day.
 func expPriority(w io.Writer, seed int64) error {
-	run := func(withPriority bool) (forced bool, uploadedB int64, state power.State) {
+	run := func(withPriority bool) (forced bool, uploadedB int64, state power.State, err error) {
 		cfg := station.Config{Role: station.RoleBase}
 		if withPriority {
 			cfg.Priority = station.NewConductivitySpikeEvaluator()
@@ -418,17 +428,20 @@ func expPriority(w io.Writer, seed int64) error {
 		pr := probe.New(sim, wx, pcfg)
 		st := station.New(node, srv, ch, []*probe.Probe{pr}, cfg)
 		if err := sim.RunFor(24 * time.Hour); err != nil {
-			return false, 0, 0
+			return false, 0, 0, err
 		}
 		reps := st.Reports()
 		if len(reps) == 0 {
-			return false, 0, 0
+			return false, 0, 0, errors.New("the station filed no report in its first day")
 		}
-		return reps[0].ForcedComms, reps[0].UploadedBytes, reps[0].LocalState
+		return reps[0].ForcedComms, reps[0].UploadedBytes, reps[0].LocalState, nil
 	}
 
-	fWith, bWith, st1 := run(true)
-	fWithout, bWithout, _ := run(false)
+	fWith, bWith, st1, errWith := run(true)
+	fWithout, bWithout, _, errWithout := run(false)
+	if err := errors.Join(errWith, errWithout); err != nil {
+		return err
+	}
 	rows := [][]string{
 		{"with priority evaluator", fmt.Sprintf("%v", fWith), fmt.Sprintf("%d B", bWith), "same day"},
 		{"as deployed (none)", fmt.Sprintf("%v", fWithout), fmt.Sprintf("%d B", bWithout), "waits for battery"},

@@ -18,7 +18,10 @@ import (
 // fig3 runs three deployment days and shows the final architecture as data
 // flows: each station independently to Southampton, never to each other.
 func fig3(w io.Writer, seed int64) error {
-	d := deploy.MustBuild(deploy.AsDeployed(seed))
+	d, err := deploy.Build(deploy.AsDeployed(seed))
+	if err != nil {
+		return err
+	}
 	if err := d.RunDays(3); err != nil {
 		return err
 	}
@@ -49,7 +52,10 @@ func fig3(w io.Writer, seed int64) error {
 // fig4 traces one daily run and prints the executed steps in order,
 // matching the paper's flowchart.
 func fig4(w io.Writer, seed int64) error {
-	d := deploy.MustBuild(deploy.AsDeployed(seed))
+	d, err := deploy.Build(deploy.AsDeployed(seed))
+	if err != nil {
+		return err
+	}
 	type step struct {
 		at   time.Time
 		name string
@@ -94,7 +100,10 @@ func fig4(w io.Writer, seed int64) error {
 func fig5(w io.Writer, seed int64) error {
 	top := deploy.AsDeployed(seed)
 	top.Start = time.Date(2009, 9, 15, 0, 0, 0, 0, time.UTC)
-	d := deploy.MustBuild(top)
+	d, err := deploy.Build(top)
+	if err != nil {
+		return err
+	}
 	base, _ := d.Station("base")
 
 	volts, _ := trace.Sample(d.Sim, 10*time.Minute, "voltage", "V",

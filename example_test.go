@@ -280,7 +280,7 @@ func ExampleRunSweep() {
 }
 
 // The sweep's machine-readable side. The grid sweeps the fleet-N scenario
-// over two fleet sizes and three seeds, a Collect hook captures each cell's
+// over two fleet sizes and three seeds, a Drive hook captures each cell's
 // first base station's battery voltage as a named series, and the summary
 // lands on disk as plot-ready files: a combined CSV (cells and
 // per-configuration folds), a JSON document with every series point, and
@@ -297,13 +297,13 @@ func ExampleRunSweep_export() {
 		Seeds:     repro.SeedRange(42, 3),
 		Stations:  []int{2, 4},
 		Days:      3,
-		Collect: func(c repro.SweepCell, d *repro.Deployment) []*repro.Series {
+		Drive: func(c repro.SweepCell, d *repro.Deployment) ([]repro.SweepMetric, []*repro.Series, error) {
 			// Attached before the run: the series gets a t=0 baseline and
 			// then a sample every 30 simulated minutes.
 			base, _ := d.Station("base-01")
 			volts, _ := repro.SampleSeries(d.Sim, 30*time.Minute, "base-volts", "V",
 				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
-			return []*repro.Series{volts}
+			return nil, []*repro.Series{volts}, d.RunDays(c.Days)
 		},
 	}
 	sum, err := repro.RunSweep(grid, 4)

@@ -109,13 +109,16 @@ func BuildScenario(name string, p ScenarioParams) (*Deployment, error) {
 // Sweeps: a SweepGrid declares scenario x seed x override axes, RunSweep
 // runs one independent Deployment per cell on a bounded worker pool, and
 // the summary folds each configuration's metrics across its seeds. A
-// grid's Collect hook captures named per-cell Series alongside the scalar
-// metrics, and the summary exports as text, CSV or JSON — byte-identical
-// for any worker count. A SweepRemoteRunner fans the same cells out to
-// worker daemons (ServeSweepWorker) with an identical summary.
+// grid's Drive hook runs a cell and returns extra SweepMetrics and named
+// Series alongside the standard ones, and the summary exports as text,
+// CSV or JSON — byte-identical for any worker count. A SweepRemoteRunner
+// fans the same cells out to worker daemons (ServeSweepWorker) with an
+// identical summary.
 type (
 	// SweepGrid declares a sweep's axes and per-cell hooks.
 	SweepGrid = sweep.Grid
+	// SweepMetric is one named per-cell measurement a Drive hook returns.
+	SweepMetric = sweep.Metric
 	// SweepOverride is one named topology mutation on the override axis.
 	SweepOverride = sweep.Override
 	// SweepCell identifies one point of the grid cross-product.

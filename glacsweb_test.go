@@ -123,18 +123,18 @@ func TestFacadeTopologyWithFault(t *testing.T) {
 	}
 }
 
-// The sweep export path works end to end through the facade: a Collect
+// The sweep export path works end to end through the facade: a Drive
 // hook captures a per-cell series and both encoders emit it.
 func TestFacadeSweepExport(t *testing.T) {
 	sum, err := repro.RunSweep(repro.SweepGrid{
 		Scenarios: []string{"dual-base"},
 		Seeds:     repro.SeedRange(7, 2),
 		Days:      1,
-		Collect: func(c repro.SweepCell, d *repro.Deployment) []*repro.Series {
+		Drive: func(c repro.SweepCell, d *repro.Deployment) ([]repro.SweepMetric, []*repro.Series, error) {
 			base, _ := d.Station("base-east")
 			s, _ := repro.SampleSeries(d.Sim, 6*time.Hour, "volts", "V",
 				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
-			return []*repro.Series{s}
+			return nil, []*repro.Series{s}, d.RunDays(c.Days)
 		},
 	}, 2)
 	if err != nil {

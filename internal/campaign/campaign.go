@@ -2,9 +2,9 @@
 // grids glacreport campaign runs, factored out of the CLI so any worker
 // binary (glacsim worker) can execute campaign shards. Each entry
 // registers a distrib hook set under HooksName(id), letting its
-// behavioural hooks — the sync-lag driver, the fleet fault override, the
-// voltage Collect sampler — reattach to grids that crossed the wire as
-// declarative specs.
+// behavioural hooks — the sync-lag, fleet-scan and voltage-sampling
+// drivers and the fleet fault override — reattach to grids that crossed
+// the wire as declarative specs.
 package campaign
 
 import (
@@ -90,15 +90,15 @@ const SyncBeforeWindow, SyncAfterWindow = "set at 11:00 (before window)", "set a
 // Shared by the x5 experiment and the campaign runner. The override and
 // the readings both address the stations "base" and "ref" by name, so a
 // scenario without either is an error.
-func SyncLagDrive(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, error) {
+func SyncLagDrive(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, []*trace.Series, error) {
 	base, okBase := d.Station("base")
 	ref, okRef := d.Station("ref")
 	if !okBase || !okRef {
-		return nil, fmt.Errorf("sync-lag drive: scenario %q has no stations \"base\" and \"ref\" (have %v)",
+		return nil, nil, fmt.Errorf("sync-lag drive: scenario %q has no stations \"base\" and \"ref\" (have %v)",
 			c.Scenario, d.StationNames())
 	}
 	if err := d.RunDays(5); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	setHour := 11
 	if c.Override == SyncAfterWindow {
@@ -106,7 +106,7 @@ func SyncLagDrive(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, error) {
 	}
 	setAt := simenv.StartOfDay(d.Sim.Now()).Add(time.Duration(setHour) * time.Hour)
 	if err := d.Sim.Run(setAt); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	d.Server.SetManualOverride("base", power.State1)
 	d.Server.SetManualOverride("ref", power.State1)
@@ -117,7 +117,7 @@ func SyncLagDrive(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, error) {
 	for day := 0; day <= 6; day++ {
 		check := simenv.StartOfDay(setAt).Add(time.Duration(day)*24*time.Hour + 18*time.Hour)
 		if err := d.Sim.Run(check); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if baseLag < 0 && base.State() == power.State1 {
 			baseLag = day
@@ -134,7 +134,7 @@ func SyncLagDrive(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, error) {
 		{Name: "base-lag-days", Value: float64(baseLag)},
 		{Name: "ref-lag-days", Value: float64(refLag)},
 		{Name: "failed-sessions", Value: float64(failures)},
-	}, nil
+	}, nil, nil
 }
 
 // SyncLagGrid is the x5 grid: as-deployed pair x seeds x the two change
@@ -181,8 +181,8 @@ func FleetHeldRows(d *deploy.Deployment) (healthyHeld int, rows [][]string) {
 }
 
 // FleetMinRuleGrid is the x9 grid: an 8-station fleet x seeds with the
-// broken-base override, observing healthy-station-days-held. days <= 0
-// selects the study's two-week default.
+// broken-base override, counting healthy-station-days-held after the run.
+// days <= 0 selects the study's two-week default.
 func FleetMinRuleGrid(seed int64, seeds, days int) sweep.Grid {
 	if days <= 0 {
 		days = 14
@@ -193,16 +193,19 @@ func FleetMinRuleGrid(seed int64, seeds, days int) sweep.Grid {
 		Stations:  []int{8},
 		Days:      days,
 		Overrides: []sweep.Override{{Name: "base-01-dead", Apply: BreakFirstBase}},
-		Observe: func(c sweep.Cell, d *deploy.Deployment) []sweep.Metric {
+		Drive: func(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, []*trace.Series, error) {
+			if err := d.RunDays(c.Days); err != nil {
+				return nil, nil, err
+			}
 			healthyHeld, _ := FleetHeldRows(d)
-			return []sweep.Metric{{Name: "healthy-station-days-held", Value: float64(healthyHeld)}}
+			return []sweep.Metric{{Name: "healthy-station-days-held", Value: float64(healthyHeld)}}, nil, nil
 		},
 	}
 }
 
 // VoltageGrid is the f5 capture: the as-deployed pair x seeds with a
-// Collect hook sampling the base station's battery voltage every half
-// hour. days <= 0 selects the figure's four-day default.
+// Drive that samples the base station's battery voltage every half hour
+// across the run. days <= 0 selects the figure's four-day default.
 func VoltageGrid(seed int64, seeds, days int) sweep.Grid {
 	if days <= 0 {
 		days = 4
@@ -211,12 +214,12 @@ func VoltageGrid(seed int64, seeds, days int) sweep.Grid {
 		Scenarios: []string{"as-deployed-2008"},
 		Seeds:     sweep.SeedRange(seed, seeds),
 		Days:      days,
-		Collect: func(c sweep.Cell, d *deploy.Deployment) []*trace.Series {
-			horizon := time.Duration(days) * 24 * time.Hour
+		Drive: func(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, []*trace.Series, error) {
+			horizon := time.Duration(c.Days) * 24 * time.Hour
 			base, _ := d.Station("base")
 			volts, _ := trace.SampleFor(d.Sim, 30*time.Minute, horizon, "base-volts", "V",
 				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
-			return []*trace.Series{volts}
+			return nil, []*trace.Series{volts}, d.RunDays(c.Days)
 		},
 	}
 }

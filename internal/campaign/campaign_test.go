@@ -17,7 +17,7 @@ func TestSyncLagDriveNeedsBaseAndRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := d.Sim.Now()
-	_, err = SyncLagDrive(sweep.Cell{Scenario: "dual-base", Override: SyncBeforeWindow}, d)
+	_, _, err = SyncLagDrive(sweep.Cell{Scenario: "dual-base", Override: SyncBeforeWindow}, d)
 	if err == nil || !strings.Contains(err.Error(), `"base"`) {
 		t.Fatalf("dual-base has no station \"base\"; err = %v", err)
 	}
@@ -29,7 +29,7 @@ func TestSyncLagDriveNeedsBaseAndRef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := SyncLagDrive(sweep.Cell{Scenario: "as-deployed-2008", Override: SyncBeforeWindow}, d)
+	ms, _, err := SyncLagDrive(sweep.Cell{Scenario: "as-deployed-2008", Override: SyncBeforeWindow}, d)
 	if err != nil {
 		t.Fatal(err)
 	}

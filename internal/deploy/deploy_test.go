@@ -15,7 +15,10 @@ import (
 // reference stations.
 func asDeployed(t *testing.T, seed int64) (d *Deployment, base, ref *station.Station) {
 	t.Helper()
-	d = MustBuild(AsDeployed(seed))
+	d, err := Build(AsDeployed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return d, mustStation(t, d, "base"), mustStation(t, d, "ref")
 }
 
@@ -81,7 +84,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestDifferentSeedsDiverge(t *testing.T) {
 	run := func(seed int64) int64 {
-		d := MustBuild(AsDeployed(seed))
+		d, _, _ := asDeployed(t, seed)
 		if err := d.RunDays(45); err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +156,7 @@ func TestWinterReducesActivity(t *testing.T) {
 }
 
 func TestProbeAttritionOverAYear(t *testing.T) {
-	d := MustBuild(AsDeployed(3))
+	d, _, _ := asDeployed(t, 3)
 	if err := d.RunDays(365); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +219,7 @@ func TestMainsBlackoutKeepsOnlySolar(t *testing.T) {
 }
 
 func TestAsDeployedDefaults(t *testing.T) {
-	d := MustBuild(AsDeployed(9))
+	d, _, _ := asDeployed(t, 9)
 	if got := d.StationNames(); !reflect.DeepEqual(got, []string{"base", "ref"}) {
 		t.Fatalf("station names %v", got)
 	}

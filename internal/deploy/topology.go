@@ -237,15 +237,6 @@ func Build(t Topology) (*Deployment, error) {
 	return d, nil
 }
 
-// MustBuild is Build for topologies known to be valid; it panics on error.
-func MustBuild(t Topology) *Deployment {
-	d, err := Build(t)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // runtimeFor is the spec's runtime under the spec's role.
 func runtimeFor(sp StationSpec) station.Config {
 	rt := sp.Runtime

@@ -16,11 +16,11 @@
 //     (internal/rescache), so an interrupted campaign resumes by running
 //     only the cells that are not stored yet.
 //
-// Behavioural hooks (Grid.Drive/Observe/Collect, Override.Apply) are
-// functions and cannot cross the wire — exactly the caveat sweep.Fingerprint
-// documents. The hooks registry closes the gap: a worker binary registers
-// named hook sets at init time, a shard request names the set it needs, and
-// the worker reattaches the hooks to the decoded grid before planning. The
+// Behavioural hooks (Grid.Drive, Override.Apply) are functions and cannot
+// cross the wire — exactly the caveat sweep.Fingerprint documents. The
+// hooks registry closes the gap: a worker binary registers named hook sets
+// at init time, a shard request names the set it needs, and the worker
+// reattaches the hooks to the decoded grid before planning. The
 // plan fingerprint is verified on both sides of every request, so a worker
 // whose registry (or binary) drifted from the coordinator's refuses the
 // shard instead of producing subtly different cells.
@@ -70,14 +70,14 @@ func LookupHooks(name string) (Hooks, bool) {
 
 // HooksFromGrid adapts a grid builder into a hook set: the builder
 // constructs a reference grid (any parameters — only its hooks are read)
-// and the returned Hooks grafts that grid's Drive, Observe and Collect onto
-// the decoded grid plus each override's Apply, matched by name. An override
-// name the reference grid lacks is an error: the coordinator asked for a
-// mutation this binary does not know.
+// and the returned Hooks grafts that grid's Drive onto the decoded grid
+// plus each override's Apply, matched by name. An override name the
+// reference grid lacks is an error: the coordinator asked for a mutation
+// this binary does not know.
 func HooksFromGrid(build func() sweep.Grid) Hooks {
 	return func(_ string, g *sweep.Grid) error {
 		ref := build()
-		g.Drive, g.Observe, g.Collect = ref.Drive, ref.Observe, ref.Collect
+		g.Drive = ref.Drive
 		for i := range g.Overrides {
 			name := g.Overrides[i].Name
 			found := false

@@ -401,7 +401,8 @@ func TestRemoteRunnerRetirementQuotesHealthz(t *testing.T) {
 		t.Fatal("run through a failing pool succeeded")
 	}
 	msg := err.Error()
-	for _, want := range []string{"retired after 3 consecutive failures", "healthz", "feedfacefeedface", `"max_shards":7`} {
+	for _, want := range []string{"retired after 3 consecutive failures", "healthz", "feedfacefeedface", `"max_shards":7`,
+		"last failures:", "shard handler exploded"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("terminal error %q does not carry %q", msg, want)
 		}

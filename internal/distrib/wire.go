@@ -21,8 +21,7 @@ const WireVersion = 2
 
 // GridSpec is the declarative encoding of a sweep.Grid: the axes that
 // Fingerprint hashes. Overrides carry names only — Apply functions, like
-// the Drive/Observe/Collect hooks, are reattached on the worker from a
-// registered hook set.
+// the Drive hook, are reattached on the worker from a registered hook set.
 //
 //glacvet:wire
 type GridSpec struct {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 // specGrid is a declarative grid exercising every axis the wire carries.
@@ -60,8 +61,8 @@ func TestHooksFromGridGraftsAndValidates(t *testing.T) {
 	ref := func() sweep.Grid {
 		return sweep.Grid{
 			Overrides: []sweep.Override{{Name: "tweak", Apply: func(*deploy.Topology) { applied++ }}},
-			Observe: func(sweep.Cell, *deploy.Deployment) []sweep.Metric {
-				return []sweep.Metric{{Name: "obs", Value: 1}}
+			Drive: func(sweep.Cell, *deploy.Deployment) ([]sweep.Metric, []*trace.Series, error) {
+				return []sweep.Metric{{Name: "drive", Value: 1}}, nil, nil
 			},
 		}
 	}
@@ -70,8 +71,8 @@ func TestHooksFromGridGraftsAndValidates(t *testing.T) {
 	if err := h("", &g); err != nil {
 		t.Fatal(err)
 	}
-	if g.Observe == nil {
-		t.Fatal("Observe not grafted")
+	if g.Drive == nil {
+		t.Fatal("Drive not grafted")
 	}
 	if g.Overrides[0].Apply == nil {
 		t.Fatal("override Apply not grafted")

@@ -15,6 +15,7 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/rescache"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 // testTagHooks is a registered hook set for the tests: it reads a number
@@ -29,11 +30,11 @@ func testTagHooks(_ string, g *sweep.Grid) error {
 	if err != nil {
 		return fmt.Errorf("bad tag override %q: %w", name, err)
 	}
-	g.Drive = func(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, error) {
+	g.Drive = func(c sweep.Cell, d *deploy.Deployment) ([]sweep.Metric, []*trace.Series, error) {
 		if err := d.RunDays(c.Days); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return []sweep.Metric{{Name: "hook-tag", Value: tag}}, nil
+		return []sweep.Metric{{Name: "hook-tag", Value: tag}}, nil, nil
 	}
 	return nil
 }
@@ -62,9 +63,9 @@ func resetBlockChan() {
 func init() {
 	RegisterHooks("disttest/tag", testTagHooks)
 	RegisterHooks("disttest/block", func(_ string, g *sweep.Grid) error {
-		g.Drive = func(sweep.Cell, *deploy.Deployment) ([]sweep.Metric, error) {
+		g.Drive = func(sweep.Cell, *deploy.Deployment) ([]sweep.Metric, []*trace.Series, error) {
 			<-blockChan()
-			return nil, nil
+			return nil, nil, nil
 		}
 		return nil
 	})

@@ -309,6 +309,40 @@ func TestErroredCellsAreNeverCached(t *testing.T) {
 	}
 }
 
+// A store whose final rename fails (here a directory squats on the entry
+// path) is dropped whole: nothing counted, nothing indexed, no temp file
+// left beside the entry, and the cell stays a miss.
+func TestFailedRenameStoresNothing(t *testing.T) {
+	dir := t.TempDir()
+	var logs logLines
+	c := openCache(t, dir, Options{Logf: logs.logf})
+	const fp = "deadbeefdeadbeef"
+	cell := sweep.Cell{Index: 0, Scenario: "dual-base", Seed: 1, Days: 2}
+	if err := os.MkdirAll(c.entryPath(fp, cell.Index), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c.Put(fp, sweep.CellResult{Cell: cell, Metrics: []sweep.Metric{{Name: "runs", Value: 4}}})
+	if st := c.Stats(); st.Stores != 0 {
+		t.Fatalf("stores = %d, want the failed rename dropped", st.Stores)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("index holds %d entries after a failed store, want 0", c.Len())
+	}
+	tmps, err := filepath.Glob(filepath.Join(filepath.Dir(c.entryPath(fp, cell.Index)), "*.tmp-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Fatalf("failed store left temp files %v", tmps)
+	}
+	if len(logs.lines) != 1 || !strings.Contains(logs.lines[0], "not cached") {
+		t.Fatalf("log = %q, want one not-cached line", logs.lines)
+	}
+	if _, ok := c.Get(fp, cell); ok {
+		t.Fatal("Get hit a cell whose store failed")
+	}
+}
+
 func TestLRUEvictionBoundsTheStore(t *testing.T) {
 	c := openCache(t, t.TempDir(), Options{})
 	mk := func(index int, seed int64) sweep.CellResult {

@@ -23,18 +23,18 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden export files")
 
 // exportGrid is the small two-scenario sweep every export test runs: 2
-// scenarios x 2 seeds, two simulated days each, with a Collect hook that
+// scenarios x 2 seeds, two simulated days each, with a Drive hook that
 // captures the first base station's battery voltage every two hours.
 func exportGrid() Grid {
 	return Grid{
 		Scenarios: []string{"as-deployed-2008", "dual-base"},
 		Seeds:     SeedRange(1, 2),
 		Days:      2,
-		Collect: func(c Cell, d *deploy.Deployment) []*trace.Series {
+		Drive: func(c Cell, d *deploy.Deployment) ([]Metric, []*trace.Series, error) {
 			base := firstBase(d)
 			s, _ := trace.Sample(d.Sim, 2*time.Hour, "base-volts", "V",
 				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
-			return []*trace.Series{s}
+			return nil, []*trace.Series{s}, d.RunDays(c.Days)
 		},
 	}
 }
@@ -173,10 +173,10 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCollectSeriesSurvivesExport checks the full path of the tentpole: a
-// Collect hook's series lands on the cell with a t=0 baseline, covers the
+// TestDriveSeriesSurvivesExport checks the full path of a captured series:
+// a Drive hook's series lands on the cell with a t=0 baseline, covers the
 // whole run, and every point reaches both encoders.
-func TestCollectSeriesSurvivesExport(t *testing.T) {
+func TestDriveSeriesSurvivesExport(t *testing.T) {
 	sum := runExportGrid(t, 2)
 	for _, cr := range sum.Cells {
 		ser, ok := cr.SeriesNamed("base-volts")

@@ -12,8 +12,8 @@ import (
 )
 
 // mergeGrid is the multi-axis grid the pipeline tests shard and merge: 2
-// scenarios x 3 seeds x 2 overrides = 12 cells, with a Collect hook so the
-// wire format carries series too.
+// scenarios x 3 seeds x 2 overrides = 12 cells, with a Drive hook that
+// samples a series so the wire format carries series too.
 func mergeGrid() Grid {
 	return Grid{
 		Scenarios: []string{"as-deployed-2008", "dual-base"},
@@ -25,11 +25,11 @@ func mergeGrid() Grid {
 				top.Faults = append(top.Faults, deploy.Fault{Kind: deploy.FaultBatterySoC, Value: 0.25})
 			}},
 		},
-		Collect: func(c Cell, d *deploy.Deployment) []*trace.Series {
+		Drive: func(c Cell, d *deploy.Deployment) ([]Metric, []*trace.Series, error) {
 			base := firstBase(d)
 			s, _ := trace.Sample(d.Sim, 6*time.Hour, "base-volts", "V",
 				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
-			return []*trace.Series{s}
+			return nil, []*trace.Series{s}, d.RunDays(c.Days)
 		},
 	}
 }

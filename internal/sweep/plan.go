@@ -249,7 +249,7 @@ func firstRepeat[T comparable](vals []T) int {
 // identifies the declarative cell set, so every value that shapes a cell
 // must be part of that set: an axis value, or the name of the override
 // that applies it. Behavioural hooks
-// (Override.Apply, Drive, Observe, Collect) cannot be hashed; a hook may
+// (Override.Apply, Drive, Record) cannot be hashed; a hook may
 // only interpret what the plan already names, which keeps them identical
 // across processes running the same binary.
 func Fingerprint(g Grid, plan []Cell) string {

@@ -16,7 +16,7 @@ import (
 )
 
 // CellResult is one executed cell: its identity, the extracted metrics,
-// the series the grid's Collect hook captured during the run, and the
+// the series the grid's Drive hook captured during the run, and the
 // build/run error if any (as a string, so summaries print
 // deterministically).
 type CellResult struct {
@@ -26,7 +26,7 @@ type CellResult struct {
 	Err     string
 }
 
-// SeriesNamed returns the collected series with the given name.
+// SeriesNamed returns the captured series with the given name.
 func (cr CellResult) SeriesNamed(name string) (*trace.Series, bool) {
 	for _, s := range cr.Series {
 		if s != nil && s.Name == name {
@@ -169,7 +169,7 @@ func Reduce(results []CellResult) *Summary {
 }
 
 // statsOf computes mean, sample stddev, min and max of one metric's values.
-// Non-finite inputs (a NaN or ±Inf metric from a Drive/Observe hook) are
+// Non-finite inputs (a NaN or ±Inf metric from a Drive hook) are
 // excluded from the fold, and an empty fold yields zero-valued stats with
 // N=0 — never the NaN mean or ±Inf min/max sentinels of a naive fold,
 // which would poison every encoder downstream.

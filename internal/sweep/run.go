@@ -264,14 +264,9 @@ func (g Grid) runCell(c Cell) (cr CellResult) {
 			}()
 		}
 	}
-	if g.Collect != nil {
-		// Attach samplers before the run so the series cover it end to end
-		// (including the t=0 baseline trace.Sample records at attach time).
-		cr.Series = g.Collect(c, d)
-	}
 	var extra []Metric
 	if g.Drive != nil {
-		extra, err = g.Drive(c, d)
+		extra, cr.Series, err = g.Drive(c, d)
 	} else {
 		err = d.RunDays(c.Days)
 	}
@@ -280,13 +275,10 @@ func (g Grid) runCell(c Cell) (cr CellResult) {
 		return cr
 	}
 	// One exact-capacity metrics slice per cell: the standard block plus
-	// whatever Drive and Observe contribute.
+	// whatever Drive contributes.
 	cr.Metrics = make([]Metric, 0, numStandardMetrics+len(extra))
 	cr.Metrics = appendStandardMetrics(cr.Metrics, d.Result())
 	cr.Metrics = append(cr.Metrics, extra...)
-	if g.Observe != nil {
-		cr.Metrics = append(cr.Metrics, g.Observe(c, d)...)
-	}
 	return cr
 }
 

@@ -9,7 +9,8 @@
 //     the change, and Fingerprint hashes the name.
 //   - A Runner executes cells; LocalRunner is the bounded worker pool that
 //     runs them in-process. A shard run executes only its slice, recording
-//     global cell indices.
+//     global cell indices. A grid's Drive hook decides what a cell runs
+//     and what it reports beyond the standard fleet totals.
 //   - Reduce folds executed cells into a Summary with per-metric
 //     mean/stddev/min/max for each configuration across its seeds, and
 //     MergeSummaries recombines partial summaries from any number of
@@ -39,8 +40,8 @@ import (
 
 // Override is one value of the grid's override axis: a named topology
 // mutation applied to each cell it parameterises. Apply may be nil for a
-// label-only axis value that a Drive or Observe hook interprets instead
-// (e.g. two timings of the same intervention).
+// label-only axis value that a Drive hook interprets instead (e.g. two
+// timings of the same intervention).
 type Override struct {
 	// Name labels the axis value in cells and summaries.
 	Name string
@@ -73,25 +74,15 @@ type Grid struct {
 	Overrides []Override
 	// Days overrides every cell's horizon (0 = each scenario's default).
 	Days int
-	// Drive, when set, replaces the default run (RunDays of the cell
-	// horizon) with a custom per-cell driver — interventions mid-run,
-	// polling, chained Run calls — and returns any extra metrics. It runs
-	// concurrently across cells, but only ever on the cell's own
-	// deployment, so it needs no locking of its own.
-	Drive func(Cell, *deploy.Deployment) ([]Metric, error)
-	// Observe, when set, is called after the cell has run to extract
-	// extra metrics from the live deployment (per-station report scans,
-	// probe state, ...). Same concurrency contract as Drive.
-	Observe func(Cell, *deploy.Deployment) []Metric
-	// Collect, when set, is called after the cell's deployment is built
-	// but before it runs, so it can attach samplers (trace.Sample) or
-	// report-driven series to the live deployment. The returned series
-	// fill up during the run and land on CellResult.Series — per-cell
-	// curves for figures, not just scalar metrics. Same concurrency
-	// contract as Drive.
-	Collect func(Cell, *deploy.Deployment) []*trace.Series
+	// Drive, when set, runs the built deployment in place of RunDays of
+	// the cell horizon: it may attach samplers (trace.Sample), run and
+	// intervene mid-run, then read the deployment. Its metrics follow the
+	// standard block; its series land on CellResult.Series even when it
+	// also returns an error. It runs concurrently across cells, but only
+	// ever on the cell's own deployment, so it needs no locking of its own.
+	Drive func(Cell, *deploy.Deployment) ([]Metric, []*trace.Series, error)
 	// Record, when set, is called after the cell's deployment is built but
-	// before Collect and the run, so it can attach an event recorder
+	// before Drive and the run, so it can attach an event recorder
 	// (evlog.Writer.Attach) to the cell's simulator. The returned finish
 	// func — which may be nil — is called once the cell's run completes, to
 	// seal the log; a finish error fails the cell like any run error. A

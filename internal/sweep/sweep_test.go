@@ -7,9 +7,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 func TestSeedRange(t *testing.T) {
@@ -256,11 +258,11 @@ func TestDriveReplacesDefaultRunAndAddsMetrics(t *testing.T) {
 		Scenarios: []string{"as-deployed-2008"},
 		Seeds:     []int64{5},
 		Days:      10, // the drive runs 2 days regardless
-		Drive: func(c Cell, d *deploy.Deployment) ([]Metric, error) {
+		Drive: func(c Cell, d *deploy.Deployment) ([]Metric, []*trace.Series, error) {
 			if err := d.RunDays(2); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return []Metric{{Name: "drive-days", Value: 2}}, nil
+			return []Metric{{Name: "drive-days", Value: 2}}, nil, nil
 		},
 	}, 1)
 	if err != nil {
@@ -278,13 +280,57 @@ func TestDriveReplacesDefaultRunAndAddsMetrics(t *testing.T) {
 	}
 }
 
-func TestObserveMetricsFoldAcrossSeeds(t *testing.T) {
+// A Drive that fails keeps the series it captured on the failed cell, as
+// a record of how far the run got, but the cell reports no metrics: not
+// the standard block, and not whatever the Drive returned beside the error.
+func TestDriveErrorKeepsSeriesAndAddsNoMetrics(t *testing.T) {
+	sum, err := Run(Grid{
+		Scenarios: []string{"as-deployed-2008"},
+		Seeds:     []int64{5},
+		Days:      2,
+		Drive: func(c Cell, d *deploy.Deployment) ([]Metric, []*trace.Series, error) {
+			base := firstBase(d)
+			s, _ := trace.Sample(d.Sim, 6*time.Hour, "base-volts", "V",
+				func(time.Time) float64 { return base.Node().Bus.VoltageNow() })
+			if err := d.RunDays(1); err != nil {
+				return nil, nil, err
+			}
+			return []Metric{{Name: "drive-days", Value: 1}}, []*trace.Series{s}, errors.New("intervention refused")
+		},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := sum.Cells[0]
+	if cr.Err != "intervention refused" {
+		t.Fatalf("cell error = %q, want the Drive's error", cr.Err)
+	}
+	if len(cr.Metrics) != 0 {
+		t.Fatalf("failed cell reports metrics %v, want none", cr.Metrics)
+	}
+	ser, ok := cr.SeriesNamed("base-volts")
+	if !ok {
+		t.Fatal("failed cell lost the series its Drive returned")
+	}
+	// One day sampled every 6 h, plus the attach-time baseline.
+	if ser.Len() != 5 {
+		t.Fatalf("series has %d points, want 5", ser.Len())
+	}
+	if gr := sum.Groups[0]; gr.N != 0 || gr.Errors != 1 {
+		t.Fatalf("group fold = N=%d Errors=%d, want the cell counted as an error", gr.N, gr.Errors)
+	}
+}
+
+func TestDriveMetricsFoldAcrossSeeds(t *testing.T) {
 	sum, err := Run(Grid{
 		Scenarios: []string{"dual-base"},
 		Seeds:     SeedRange(1, 3),
 		Days:      1,
-		Observe: func(c Cell, d *deploy.Deployment) []Metric {
-			return []Metric{{Name: "seed-echo", Value: float64(c.Seed)}}
+		Drive: func(c Cell, d *deploy.Deployment) ([]Metric, []*trace.Series, error) {
+			if err := d.RunDays(c.Days); err != nil {
+				return nil, nil, err
+			}
+			return []Metric{{Name: "seed-echo", Value: float64(c.Seed)}}, nil, nil
 		},
 	}, 2)
 	if err != nil {
@@ -292,7 +338,7 @@ func TestObserveMetricsFoldAcrossSeeds(t *testing.T) {
 	}
 	st, ok := sum.Groups[0].Stat("seed-echo")
 	if !ok {
-		t.Fatal("observe metric missing from group stats")
+		t.Fatal("drive metric missing from group stats")
 	}
 	if st.N != 3 || st.Mean != 2 || st.Min != 1 || st.Max != 3 {
 		t.Fatalf("seed-echo stats = %+v, want N=3 mean=2 min=1 max=3", st)
