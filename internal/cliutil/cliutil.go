@@ -335,8 +335,8 @@ func ResolveCacheDir(dir string, noCache bool) (string, error) {
 // Empty input means no workers (nil, no error); a non-empty input that
 // yields no addresses is an error. Duplicate addresses — compared after
 // trailing-slash normalisation, so "host:8080" and "host:8080/" collide —
-// are a usage error: each address gets its own dispatch loop, so a
-// doubled host would silently pull double the shards.
+// are a usage error: each listing is its own entry in the shard pool, so
+// a doubled host would silently pull double the shards.
 func ParseWorkerList(s string) ([]string, error) {
 	if s == "" {
 		return nil, nil
@@ -350,7 +350,7 @@ func ParseWorkerList(s string) ([]string, error) {
 		}
 		canon := strings.TrimRight(addr, "/")
 		if seen[canon] {
-			return nil, Usagef("worker %s appears twice in %q — each address gets one dispatch loop, list it once", canon, s)
+			return nil, Usagef("worker %s appears twice in %q — each listing is one pool entry, list it once", canon, s)
 		}
 		seen[canon] = true
 		workers = append(workers, addr)

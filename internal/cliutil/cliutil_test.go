@@ -38,7 +38,7 @@ func TestParseWorkerListRejectsEmptyList(t *testing.T) {
 	}
 }
 
-// A doubled worker address would get two dispatch loops and silently pull
+// A doubled worker address would get two pool entries and silently pull
 // double the shards — rejected as a usage error, with trailing slashes
 // normalised away first so "host:1" and "host:1/" count as the same
 // worker (baseURL strips them before dialling too).

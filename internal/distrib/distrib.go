@@ -10,7 +10,8 @@
 //   - RemoteRunner implements sweep.Runner by fanning planned cells out
 //     across a pool of workers, verifying every returned fingerprint, and
 //     retrying/requeueing shards from dead or erroring workers under a
-//     per-shard attempt cap.
+//     per-shard attempt cap. One decision loop owns the pool's state;
+//     dispatches and backoffs run on goroutines that only report back.
 //   - RunResumable runs a grid through any Runner in chunks and
 //     checkpoints every finished cell in a per-campaign result cache
 //     (internal/rescache), so an interrupted campaign resumes by running

@@ -12,17 +12,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/sweep"
 )
 
 // RemoteRunner executes planned cells on a pool of worker daemons. Cells
-// are cut into shards (small index batches), queued, and pulled by one
-// dispatch loop per worker; a shard that fails — connection dropped,
+// are cut into shards (small index batches), queued, and handed to idle
+// workers by one decision loop; a shard that fails — connection dropped,
 // non-200 status, mismatched fingerprint, mangled cells — is requeued for
 // any other worker, up to shardAttempts tries, and a worker that keeps
 // failing retires from the pool. The zero value is not usable: Workers is
@@ -49,10 +49,10 @@ type job struct {
 	cells    []sweep.Cell
 	attempts int
 	errs     []string
-	// lastWorker is the worker whose attempt failed most recently: while
-	// other workers are live, it must not immediately re-grab the same
-	// shard and burn its attempts alone.
-	lastWorker string
+	// lastWorker is the pool index of the entry whose attempt failed most
+	// recently (-1 before any failure): while other entries are live, it
+	// must not take the same shard again and burn its attempts alone.
+	lastWorker int
 }
 
 // describe names a job for errors and logs: its global indices plus the
@@ -98,18 +98,16 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
-// busyDelay paces a dispatch loop that was told 503 worker-at-capacity
-// before it asks again, and busyRetire bounds how long it keeps asking (a
-// pool that is permanently saturated by someone else must eventually be an
-// error, not a spin). handoffDelay paces a worker waiting for someone else
-// to take a shard it just failed. retryDelay is a failing worker's backoff
-// per consecutive failure before it reads the queue again. Variables so
-// tests can tighten the pacing.
+// busyDelay pauses a worker that answered 503 worker-at-capacity before
+// it is asked again, and busyRetire bounds how long it keeps being asked
+// (a pool that is permanently saturated by someone else must eventually
+// be an error, not a spin). retryDelay is a failing worker's pause per
+// consecutive failure before it takes a shard again. Variables so tests
+// can tighten the pacing.
 var (
-	busyDelay    = 250 * time.Millisecond
-	busyRetire   = 40
-	handoffDelay = 50 * time.Millisecond
-	retryDelay   = 100 * time.Millisecond
+	busyDelay  = 250 * time.Millisecond
+	busyRetire = 40
+	retryDelay = 100 * time.Millisecond
 )
 
 // errWorkerBusy marks a 503 from the worker's concurrent-shard bound:
@@ -132,6 +130,10 @@ func (r *RemoteRunner) Run(g sweep.Grid, cells []sweep.Cell) ([]sweep.CellResult
 // failures travel inside the partial summaries as CellResult.Err, exactly
 // as on a local runner; RunPlanned itself errors only when shards cannot
 // be executed at all — a shard out of attempts, or every worker dead.
+//
+// One loop owns the pool: it hands queued shards to idle workers and makes
+// every requeue, backoff and retire decision. A dispatch or a backoff runs
+// on a goroutine that only reports its end, so no state is shared.
 func (r *RemoteRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sweep.Cell) ([]sweep.CellResult, error) {
 	if len(r.Workers) == 0 {
 		return nil, fmt.Errorf("distrib: remote runner has no workers")
@@ -151,145 +153,136 @@ func (r *RemoteRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sw
 		if end > len(cells) {
 			end = len(cells)
 		}
-		jobs = append(jobs, &job{cells: cells[start:end]})
+		jobs = append(jobs, &job{cells: cells[start:end], lastWorker: -1})
 	}
 
-	// Every job lives either in the queue or in exactly one dispatch
-	// loop, and a failing loop requeues before retiring — so the buffer
-	// never overflows and no job is lost.
-	queue := make(chan *job, len(jobs))
-	for _, j := range jobs {
-		queue <- j
+	// member is one pool entry: a worker listed twice is two entries.
+	type member struct {
+		addr              string
+		idle              bool
+		consecutive, busy int
+		retired           string // the reason, once retired
 	}
+	pool := make([]member, len(r.Workers))
+	for i, addr := range r.Workers {
+		pool[i] = member{addr: baseURL(addr), idle: true}
+	}
+	// reply reports the end of an entry's dispatch (job set) or pause (job
+	// nil).
+	type reply struct {
+		worker int
+		job    *job
+		sum    *sweep.Summary
+		err    error
+	}
+	// Each entry has at most one dispatch or pause outstanding, so no
+	// reply ever waits for buffer space.
+	replies := make(chan reply, len(pool))
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	queue := slices.Clone(jobs)
 	var (
-		mu        sync.Mutex
 		results   []sweep.CellResult
 		remaining = len(jobs)
-		live      = len(r.Workers)
+		live      = len(pool)
+		inFlight  int
 		runErr    error
-		// retired records each retired worker's reason plus its own
-		// /healthz account, quoted in the all-retired terminal error.
-		retired = map[string]string{}
 	)
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	finish := func() { closeOnce.Do(func() { close(done); cancel() }) }
-
-	var wg sync.WaitGroup
-	for _, addr := range r.Workers {
-		wg.Add(1)
-		//glacvet:allow goroutine one dispatch loop per worker; results are re-sorted into plan order before returning
-		go func(worker string) {
-			defer wg.Done()
-			defer func() {
-				mu.Lock()
-				live--
-				mu.Unlock()
-			}()
-			consecutive, busy := 0, 0
-			for {
-				select {
-				case <-done:
-					return
-				case j := <-queue:
-					// A shard goes back to the pool for *any other* worker
-					// first: while others are live, the worker that just
-					// failed it must not re-grab it and exhaust its attempt
-					// cap alone (with one dead worker and as many shards as
-					// workers, that race would abort a run the healthy pool
-					// was about to finish).
-					mu.Lock()
-					handOff := j.lastWorker == worker && live > 1
-					mu.Unlock()
-					if handOff {
-						queue <- j
-						select {
-						case <-done:
-							return
-						//glacvet:allow wallclock hand-off pacing on the real network wire; never inside a simulation
-						case <-time.After(handoffDelay):
-						}
-						continue
-					}
-					sum, err := r.dispatch(ctx, worker, g, fp, total, j)
-					if errors.Is(err, errWorkerBusy) {
-						// Backpressure: requeue without burning one of the
-						// shard's attempts or striking the worker, pace the
-						// next ask, and give up on a worker that is never
-						// free (someone else's campaign owns the pool).
-						busy++
-						queue <- j
-						r.logf("distrib: worker %s at capacity, shard %s requeued", worker, j.describe())
-						if busy >= busyRetire {
-							state := fmt.Sprintf("busy %d times; %s", busy, r.healthz(worker))
-							mu.Lock()
-							retired[worker] = state
-							mu.Unlock()
-							r.logf("distrib: worker %s retired after reporting %s", worker, state)
-							return
-						}
-						select {
-						case <-done:
-							return
-						//glacvet:allow wallclock 503-backpressure pacing on the real network wire; never inside a simulation
-						case <-time.After(busyDelay):
-						}
-						continue
-					}
-					if err != nil {
-						consecutive++
-						mu.Lock()
-						j.attempts++
-						j.lastWorker = worker
-						j.errs = append(j.errs, fmt.Sprintf("%s: %v", worker, err))
-						exhausted := j.attempts >= shardAttempts
-						if exhausted && runErr == nil {
-							runErr = fmt.Errorf("distrib: shard %s failed %d of %d attempts: %s",
-								j.describe(), j.attempts, shardAttempts, strings.Join(j.errs, "; "))
-						}
-						mu.Unlock()
-						if exhausted {
-							finish()
-							return
-						}
-						r.logf("distrib: worker %s failed shard %s (attempt %d/%d): %v — requeued",
-							worker, j.describe(), j.attempts, shardAttempts, err)
-						queue <- j
-						if consecutive >= workerFails {
-							state := fmt.Sprintf("%d consecutive failures; %s", consecutive, r.healthz(worker))
-							mu.Lock()
-							retired[worker] = state
-							mu.Unlock()
-							r.logf("distrib: worker %s retired after %s", worker, state)
-							return
-						}
-						// Back off so a fast-failing (dead) worker does
-						// not race the healthy pool to the queue.
-						select {
-						case <-done:
-							return
-						//glacvet:allow wallclock retry backoff so a dead worker cannot race the healthy pool to the queue
-						case <-time.After(time.Duration(consecutive) * retryDelay):
-						}
-						continue
-					}
-					consecutive, busy = 0, 0
-					mu.Lock()
-					results = append(results, sum.Cells...)
-					remaining--
-					last := remaining == 0
-					mu.Unlock()
-					if last {
-						finish()
-						return
-					}
-				}
+	pause := func(w int, d time.Duration) {
+		pool[w].idle = false
+		inFlight++
+		//glacvet:allow goroutine a backoff only reports its end to the decision loop
+		go func() {
+			select {
+			case <-ctx.Done():
+			//glacvet:allow wallclock backoff pacing on the real network wire; never inside a simulation
+			case <-time.After(d):
 			}
-		}(baseURL(addr))
+			replies <- reply{worker: w}
+		}()
 	}
-	wg.Wait()
+
+	for remaining > 0 && runErr == nil {
+		// Each idle worker takes the first queued shard it did not fail
+		// last. While another entry is live, the entry that failed a shard
+		// must not take it again and exhaust its attempt cap alone (with
+		// one dead worker and as many shards as workers, that would abort
+		// a run the healthy pool was about to finish).
+		for w := range pool {
+			m := &pool[w]
+			if !m.idle || m.retired != "" {
+				continue
+			}
+			i := slices.IndexFunc(queue, func(j *job) bool { return j.lastWorker != w || live == 1 })
+			if i < 0 {
+				continue
+			}
+			j := queue[i]
+			queue = slices.Delete(queue, i, i+1)
+			m.idle = false
+			inFlight++
+			//glacvet:allow goroutine one dispatch per busy worker; results are re-sorted into plan order before returning
+			go func(addr string) {
+				sum, err := r.dispatch(ctx, addr, g, fp, total, j)
+				replies <- reply{worker: w, job: j, sum: sum, err: err}
+			}(m.addr)
+		}
+		if inFlight == 0 {
+			break // every worker retired
+		}
+		rep := <-replies
+		inFlight--
+		w, m, j := rep.worker, &pool[rep.worker], rep.job
+		m.idle = true
+		switch {
+		case j == nil:
+			// A pause ended: the worker reads the queue again.
+		case errors.Is(rep.err, errWorkerBusy):
+			// Backpressure: requeue without burning one of the shard's
+			// attempts or striking the worker, pace the next ask, and give
+			// up on a worker that is never free (someone else's campaign
+			// owns the pool).
+			m.busy++
+			queue = append(queue, j)
+			r.logf("distrib: worker %s at capacity, shard %s requeued", m.addr, j.describe())
+			if m.busy >= busyRetire {
+				m.retired, live = fmt.Sprintf("busy %d times", m.busy), live-1
+				r.logf("distrib: worker %s retired after reporting %s", m.addr, m.retired)
+			} else {
+				pause(w, busyDelay)
+			}
+		case rep.err != nil:
+			m.consecutive++
+			j.attempts++
+			j.lastWorker = w
+			j.errs = append(j.errs, fmt.Sprintf("%s: %v", m.addr, rep.err))
+			if j.attempts >= shardAttempts {
+				runErr = fmt.Errorf("distrib: shard %s failed %d of %d attempts: %s",
+					j.describe(), j.attempts, shardAttempts, strings.Join(j.errs, "; "))
+				continue // the loop condition ends the run
+			}
+			r.logf("distrib: worker %s failed shard %s (attempt %d/%d): %v — requeued",
+				m.addr, j.describe(), j.attempts, shardAttempts, rep.err)
+			queue = append(queue, j)
+			if m.consecutive >= workerFails {
+				m.retired, live = fmt.Sprintf("%d consecutive failures", m.consecutive), live-1
+				r.logf("distrib: worker %s retired after %s", m.addr, m.retired)
+			} else {
+				// Back off so a fast-failing (dead) worker does not race
+				// the healthy pool to the queue.
+				pause(w, time.Duration(m.consecutive)*retryDelay)
+			}
+		default:
+			m.consecutive, m.busy = 0, 0
+			results = append(results, rep.sum.Cells...)
+			remaining--
+		}
+	}
+	// Cancel what is still out and collect its replies: RunPlanned returns
+	// with no dispatch running.
+	cancel()
+	for ; inFlight > 0; inFlight-- {
+		<-replies
+	}
 
 	if runErr != nil {
 		return nil, runErr
@@ -307,19 +300,10 @@ func (r *RemoteRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sw
 		if len(lasts) > 0 {
 			detail = "last failures: " + strings.Join(lasts, "; ")
 		}
-		// Quote each retiree's reason and its own /healthz account, in
-		// stable worker order.
-		var addrs []string
-		for addr := range retired {
-			addrs = append(addrs, addr)
-		}
-		sort.Strings(addrs)
-		var states []string
-		for _, addr := range addrs {
-			states = append(states, fmt.Sprintf("%s retired after %s", addr, retired[addr]))
-		}
-		if len(states) > 0 {
-			detail += "; " + strings.Join(states, "; ")
+		// Every worker has retired: quote each one's reason and its own
+		// /healthz account, in pool order.
+		for _, m := range pool {
+			detail += fmt.Sprintf("; %s retired after %s; %s", m.addr, m.retired, r.healthz(m.addr))
 		}
 		return nil, fmt.Errorf("distrib: all %d workers retired with %d of %d shards outstanding; %s",
 			len(r.Workers), remaining, len(jobs), detail)
@@ -333,8 +317,8 @@ func (r *RemoteRunner) RunPlanned(g sweep.Grid, fp string, total int, cells []sw
 // messages — the worker's own account of its state (load, plan-cache
 // fingerprint) next to the coordinator's reason for dropping it. Best
 // effort with its own short deadline: the worker being probed is one the
-// pool is giving up on, and a hung probe must not stall the dispatch
-// loop's exit.
+// pool has given up on, and a hung probe must not hold up the run's
+// terminal error. Only that error calls it, after the pool has stopped.
 func (r *RemoteRunner) healthz(worker string) string {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()

@@ -346,9 +346,9 @@ func TestRemoteRunnerPermanentlyBusyPoolErrors(t *testing.T) {
 // so only the hand-off rule keeps the dead worker off its own shard while
 // the healthy one is still busy with the other.
 func TestRemoteRunnerHandsFailedShardToOtherWorkers(t *testing.T) {
-	oldHandoff, oldRetry := handoffDelay, retryDelay
-	handoffDelay, retryDelay = time.Millisecond, time.Microsecond
-	defer func() { handoffDelay, retryDelay = oldHandoff, oldRetry }()
+	oldRetry := retryDelay
+	retryDelay = time.Microsecond
+	defer func() { retryDelay = oldRetry }()
 	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: sweep.SeedRange(11, 2), Days: 2}
 	for i := 0; i < 3; i++ { // the race is scheduling-dependent; repeat
 		// Two one-cell shards: one per worker.
@@ -406,5 +406,60 @@ func TestRemoteRunnerRetirementQuotesHealthz(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("terminal error %q does not carry %q", msg, want)
 		}
+	}
+}
+
+// runWithin runs g through remote and fails the test if the run has not
+// returned within d.
+func runWithin(t *testing.T, d time.Duration, g sweep.Grid, remote *RemoteRunner) error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := sweep.RunShardWith(g, remote, 0, 1)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		return err
+	case <-time.After(d):
+		t.Fatalf("run still going after %v", d)
+		return nil
+	}
+}
+
+// One worker listed twice, as "U" and "U/", is two pool entries on one
+// address. The hand-off rule is per entry: a shard the first entry failed
+// goes to the second, so the run finishes instead of each entry handing
+// the shard back to the other forever.
+func TestRemoteRunnerWorkerListedTwice(t *testing.T) {
+	worker := &Worker{MaxShards: 4}
+	var shards atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shard" && shards.Add(1) == 1 {
+			http.Error(w, "first shard fails", http.StatusInternalServerError)
+			return
+		}
+		worker.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: []int64{11}, Days: 2}
+	remote := &RemoteRunner{Workers: []string{srv.URL, srv.URL + "/"}}
+	if err := runWithin(t, 10*time.Second, g, remote); err != nil {
+		t.Fatal(err)
+	}
+	if n := shards.Load(); n != 2 {
+		t.Errorf("%d shard requests, want 2 (one failure, one success)", n)
+	}
+}
+
+// A run that ends on an exhausted shard does not wait for a dispatch
+// still in flight on another worker: the stalled request is cancelled and
+// the error returns at once.
+func TestRemoteRunnerEndsWithDispatchInFlight(t *testing.T) {
+	g := sweep.Grid{Scenarios: []string{"as-deployed-2008"}, Seeds: sweep.SeedRange(11, 2), Days: 2}
+	remote := &RemoteRunner{Workers: []string{stallWorker(t, time.Minute), wrongFingerprintWorker(t), wrongFingerprintWorker(t)}}
+	err := runWithin(t, 10*time.Second, g, remote)
+	if err == nil || !strings.Contains(err.Error(), "3 of 3 attempts") {
+		t.Fatalf("error %v, want the shard's 3 of 3 attempts", err)
 	}
 }

@@ -10,10 +10,11 @@ import (
 	"repro/internal/server"
 )
 
-// SpecialRegistry interprets "special" command scripts sent from
-// Southampton. The deployed system ran arbitrary shell; the simulation
-// exposes a small command language covering everything the experiments
-// need, including the interventions that unblock a wedged station.
+// runSpecial interprets a "special" command script sent from Southampton
+// and returns its captured output. The deployed system ran arbitrary
+// shell; the simulation exposes a small command language covering
+// everything the experiments need, including the interventions that
+// unblock a wedged station.
 //
 // Commands (one per script):
 //
@@ -23,22 +24,11 @@ import (
 //	skip-gps-file            delete the head file on the dGPS CF card
 //	set-state <0-3>          force next power state (clamped as usual)
 //	drop-spool               discard the upload spool (declared data loss)
-type SpecialRegistry struct {
-	st *Station
-}
-
-// NewSpecialRegistry binds the command set to a station.
-func NewSpecialRegistry(st *Station) *SpecialRegistry {
-	return &SpecialRegistry{st: st}
-}
-
-// Execute runs a script and returns its captured output.
-func (r *SpecialRegistry) Execute(script string, now time.Time) string {
+func (s *Station) runSpecial(script string) string {
 	fields := strings.Fields(script)
 	if len(fields) == 0 {
 		return "error: empty special"
 	}
-	s := r.st
 	switch fields[0] {
 	case "noop":
 		return "ok"
@@ -97,7 +87,7 @@ func (r *SpecialRegistry) Execute(script string, now time.Time) string {
 // executeSpecial runs a fetched special and queues its output for the
 // (next-day) log upload.
 func (s *Station) executeSpecial(sp server.Special, now time.Time) {
-	out := s.specials.Execute(sp.Script, now)
+	out := s.runSpecial(sp.Script)
 	s.stats.SpecialsExecuted++
 	s.pendingOutputs = append(s.pendingOutputs, server.SpecialOutput{
 		Output:     out,

@@ -142,7 +142,6 @@ type Station struct {
 	runStart time.Time
 	wdID     mcu.AlarmID
 
-	specials        *SpecialRegistry
 	pendingOutputs  []server.SpecialOutput
 	onReport        []func(RunReport)
 	reports         []RunReport
@@ -207,7 +206,6 @@ func New(node *core.Node, srv *server.Server, channel *comms.ProbeChannel, probe
 		rs232Health: nominalRS232,
 		fetcher:     protocol.NewNackFetcher(protocol.DefaultNackConfig()),
 	}
-	s.specials = NewSpecialRegistry(s)
 	s.rec = recovery.New(node.MCU, node.GPS, s.afterRecovery)
 	s.initWork()
 

@@ -319,7 +319,7 @@ func TestSpecialFirstShortensFeedback(t *testing.T) {
 
 func TestStatusSpecialReportsState(t *testing.T) {
 	r := newRig(t, rigOpts{probes: 0})
-	out := NewSpecialRegistry(r.st).Execute("status", r.sim.Now())
+	out := r.st.runSpecial("status")
 	if !strings.Contains(out, "soc=") || !strings.Contains(out, "state=") {
 		t.Fatalf("status output %q", out)
 	}
@@ -327,7 +327,7 @@ func TestStatusSpecialReportsState(t *testing.T) {
 
 func TestUnknownSpecialErrors(t *testing.T) {
 	r := newRig(t, rigOpts{probes: 0})
-	out := NewSpecialRegistry(r.st).Execute("rm -rf /", r.sim.Now())
+	out := r.st.runSpecial("rm -rf /")
 	if !strings.HasPrefix(out, "error:") {
 		t.Fatalf("unknown special output %q", out)
 	}
@@ -335,9 +335,8 @@ func TestUnknownSpecialErrors(t *testing.T) {
 
 func TestSetStateSpecialClamped(t *testing.T) {
 	r := newRig(t, rigOpts{probes: 0})
-	reg := NewSpecialRegistry(r.st)
 	// Forcing state 0 remotely must clamp to 1 (§III safety).
-	_ = reg.Execute("set-state 0", r.sim.Now())
+	_ = r.st.runSpecial("set-state 0")
 	if r.st.State() == power.State0 {
 		t.Fatal("remote command forced state 0")
 	}
